@@ -33,8 +33,11 @@ import time
 from pathlib import Path
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
-if str(_REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(_REPO_ROOT / "src"))
+# src/ for the package, the repo root for the full-rebuild oracle the
+# composite_search_cold scenario times (tests/composite_oracle.py).
+for _path in (_REPO_ROOT / "src", _REPO_ROOT):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 import numpy as np
 
@@ -65,6 +68,7 @@ from repro.store import (
     match_stored,
 )
 from repro.synthesis.corpus import build_scalability_pair
+from tests.composite_oracle import ColdCompositeMatcher
 
 #: The Figure-8 scalability scenario every timing below runs against.
 SCENARIO = {"activities": 20, "seed": 7, "traces_per_log": 60}
@@ -229,7 +233,7 @@ if pytest is not None:
     def test_composite_warm_cache_search(benchmark, composite_pair, tmp_path):
         # pytest-benchmark's calibration run populates the on-disk
         # evaluation cache, so the timed rounds measure the warm path.
-        config = EMSConfig(incremental=True, screening=True)
+        config = EMSConfig()
 
         def run():
             matcher = CompositeMatcher(
@@ -325,9 +329,12 @@ def _scenarios():
     composite_logs = build_composite_pair(**COMPOSITE_SCENARIO)
 
     def composite_search(incremental: bool):
-        config = EMSConfig(incremental=incremental, screening=incremental)
-        matcher = CompositeMatcher(
-            config, delta=0.001, min_confidence=0.9, max_run_length=3
+        # The cold scenario runs the production greedy loop on the
+        # full-rebuild test oracle: every candidate rewrites its log and
+        # rebuilds its graph, in static order and without screening.
+        cls = CompositeMatcher if incremental else ColdCompositeMatcher
+        matcher = cls(
+            EMSConfig(), delta=0.001, min_confidence=0.9, max_run_length=3
         )
         result = matcher.match(*composite_logs)
         assert result.accepted_second  # the planted chains must be found
@@ -347,7 +354,7 @@ def _scenarios():
         cache = EvaluationCache(Path(cache_dir))
 
         def run():
-            config = EMSConfig(incremental=True, screening=True)
+            config = EMSConfig()
             matcher = CompositeMatcher(
                 config, delta=0.001, min_confidence=0.9, max_run_length=3,
                 eval_cache=cache,
@@ -364,7 +371,7 @@ def _scenarios():
         # routes every candidate through run_supervised).  The pair of
         # timings pins the wrapper's fault-free overhead
         # (``retry_overhead`` in the payload, ceiling 1.1x).
-        config = EMSConfig(incremental=True, screening=True)
+        config = EMSConfig()
         matcher = CompositeMatcher(
             config, delta=0.001, min_confidence=0.9, max_run_length=3,
             retry=RetryPolicy(),
@@ -938,7 +945,7 @@ def emit_observability(trace_out: str | None, manifest_out: str | None) -> None:
     timing floors run against, without slowing the timed scenarios down.
     """
     observer = Observer(tracer=Tracer(), metrics=MetricsRegistry())
-    config = EMSConfig(incremental=True, screening=True)
+    config = EMSConfig()
     matcher = CompositeMatcher(
         config, delta=0.001, min_confidence=0.9, max_run_length=3,
         observer=observer,
@@ -955,8 +962,7 @@ def emit_observability(trace_out: str | None, manifest_out: str | None) -> None:
     if manifest_out:
         manifest = RunManifest.from_observer(
             observer,
-            config={"scenario": dict(COMPOSITE_SCENARIO),
-                    "incremental": True, "screening": True},
+            config={"scenario": dict(COMPOSITE_SCENARIO)},
             stats={
                 "rounds": result.stats.rounds,
                 "candidates_evaluated": result.stats.candidates_evaluated,

@@ -272,18 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
              "halves buffer memory at ~1e-5 accuracy cost",
     )
     match.add_argument(
-        "--no-incremental", action="store_true",
-        help="disable the incremental composite engine (delta merges, "
-             "warm-started fixpoints, estimation screening) and evaluate "
-             "every candidate from a cold start",
-    )
-    match.add_argument(
-        "--no-best-first", action="store_true",
-        help="composite mode: evaluate each round's candidates in static "
-             "discovery order instead of best-bound-first with an early "
-             "cutoff (results are identical either way)",
-    )
-    match.add_argument(
         "--eval-cache-dir", metavar="DIR", default=None,
         help="composite mode: memoize candidate evaluations in DIR, "
              "content-keyed, and reuse them on identical reruns "
@@ -815,9 +803,6 @@ def _match_setup(arguments: argparse.Namespace):
         estimation_iterations=arguments.estimate,
         kernel=arguments.kernel,
         dtype=arguments.dtype,
-        incremental=not arguments.no_incremental,
-        screening=not arguments.no_incremental,
-        best_first=not arguments.no_best_first,
     )
 
     budget = None
@@ -935,8 +920,6 @@ def _write_observability_outputs(
                 "estimation_iterations": config.estimation_iterations,
                 "kernel": config.kernel,
                 "dtype": config.dtype,
-                "incremental": config.incremental,
-                "best_first": config.best_first,
                 "composite": arguments.composite,
                 "workers": arguments.workers,
             },

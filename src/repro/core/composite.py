@@ -7,10 +7,13 @@ reduction from maximum set packing), so the paper — and this module —
 uses a greedy loop (Algorithm 2):
 
 1. compute the singleton similarity of the two dependency graphs;
-2. in each round, try every remaining candidate composite on either side:
-   merge it into its log, rebuild the dependency graph, recompute the
-   similarity, and remember the candidate with the highest average
-   similarity;
+2. in each round, score every remaining candidate composite on either
+   side as if it were merged, and remember the candidate with the
+   highest average similarity.  A candidate's score comes from
+   :class:`~repro.core.incremental.IncrementalSearchState`: it patches
+   the round's trace counts, graph and levels with the merge delta and
+   warm-starts the fixpoint from the round's converged matrices, instead
+   of rewriting the log and rebuilding the graph;
 3. accept the best candidate if it improves the average by more than the
    threshold ``delta``; otherwise stop.
 
@@ -18,11 +21,16 @@ Two accelerations from the paper are implemented:
 
 * **Uc** (Proposition 4): when merging ``U`` into one graph, every pair
   whose row/column node has no real path from ``U`` keeps its similarity;
-  those pairs are seeded as fixed values so the engine never re-iterates
-  them.
+  those pairs are carried over as fixed values so the engine never
+  re-iterates them.
 * **Bd** (Section 4.3): candidate evaluations run under an average-
   similarity upper bound and abort as soon as they provably cannot beat
   the incumbent.
+
+Without a budget, serial rounds also screen candidates by a sound
+estimation bound and evaluate them best-bound first.  Budgeted runs and
+worker-pool rounds keep the static discovery order.  The selected merges
+are the same either way.
 
 Candidate discovery follows the paper's convention: "grouping singleton
 events that always appear consecutively, following the convention of SEQ
@@ -35,9 +43,8 @@ from __future__ import annotations
 import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
-from typing import Callable
 
 import numpy as np
 
@@ -48,8 +55,6 @@ from repro.core.incremental import CandidateEvaluation, IncrementalSearchState
 from repro.core.matrix import SimilarityMatrix
 from repro.exceptions import BudgetExhausted
 from repro.graph.dependency import DependencyGraph
-from repro.graph.merge import composite_name, merge_run_in_log
-from repro.graph.reachability import real_ancestors, real_descendants
 from repro.logs.log import EventLog
 from repro.logs.stats import activity_occurrence_counts, directly_follows_counts
 from repro.obs import NULL_OBSERVER, Observer, Tracer, get_logger
@@ -201,46 +206,6 @@ class _SideState:
 
 
 # ----------------------------------------------------------------------
-# Candidate evaluation core — module-level so worker processes can run it
-# ----------------------------------------------------------------------
-def _unchanged_pairs(
-    merged_side: int,
-    run: tuple[str, ...],
-    graph_merged: DependencyGraph,
-    graph_other: DependencyGraph,
-    directional: dict[str, SimilarityMatrix] | None,
-    use_unchanged: bool,
-) -> tuple[dict[tuple[str, str], float] | None, dict[tuple[str, str], float] | None, int]:
-    """Uc (Proposition 4): converged values the merge provably cannot change.
-
-    *graph_merged* is the merged side's graph **before** the merge.
-    Returns ``(fixed_forward, fixed_backward, pairs_fixed)``.
-    """
-    if not use_unchanged or directional is None:
-        return None, None, 0
-    new_name = composite_name(run)
-    fixed: dict[str, dict[tuple[str, str], float]] = {}
-    count = 0
-    for direction, matrix in directional.items():
-        if direction == "forward":
-            affected = set(run) | real_descendants(graph_merged, run)
-        else:
-            affected = set(run) | real_ancestors(graph_merged, run)
-        affected.add(new_name)
-        unchanged = [node for node in graph_merged.nodes if node not in affected]
-        pairs: dict[tuple[str, str], float] = {}
-        for node in unchanged:
-            for other_node in graph_other.nodes:
-                if merged_side == 0:
-                    pairs[(node, other_node)] = matrix.get(node, other_node)
-                else:
-                    pairs[(other_node, node)] = matrix.get(other_node, node)
-        fixed[direction] = pairs
-        count += len(pairs)
-    return fixed.get("forward"), fixed.get("backward"), count
-
-
-# ----------------------------------------------------------------------
 # Shared-memory transport of a round's directional matrices
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, slots=True)
@@ -365,93 +330,6 @@ def _resolve_directional(
     return directional
 
 
-#: Everything one candidate evaluation needs besides the candidate itself.
-#: Picklable, so a round's context ships to worker processes once (via the
-#: pool initializer) instead of once per candidate.
-@dataclass(frozen=True, slots=True)
-class _RoundContext:
-    config: EMSConfig
-    base_label: LabelSimilarity
-    min_edge_frequency: float
-    use_unchanged: bool
-    use_bounds: bool
-    #: Per side: (log, members, graph) — the round's pre-merge state.
-    sides: tuple[tuple[EventLog, dict[str, frozenset[str]], DependencyGraph], ...]
-    #: The previous round's matrices — a plain dict in-process, a
-    #: :class:`_SharedDirectional` handle when shipped to pool workers.
-    directional: dict[str, SimilarityMatrix] | _SharedDirectional | None
-    #: When True, pool workers trace their evaluations into local spans
-    #: and ship the fragments back for the parent to stitch (observers
-    #: themselves never cross the process boundary).
-    trace: bool = False
-    #: Chaos script shipped to workers; ``None`` in production runs.
-    faults: FaultPlan | None = None
-
-
-def _evaluate_candidate(
-    context: _RoundContext,
-    side_index: int,
-    run: tuple[str, ...],
-    abort_below: float,
-    label_cache: LabelMatrixCache | None = None,
-    meter: BudgetMeter | None = None,
-    observer: Observer | None = None,
-) -> tuple[EMSResult | None, int]:
-    """Similarity of the graphs after merging *run* on one side.
-
-    Returns ``(outcome, pairs_fixed)``; *outcome* is ``None`` when the Bd
-    bound proved the candidate cannot reach *abort_below*.
-    """
-    if observer is None:
-        observer = NULL_OBSERVER
-    log, members, graph = context.sides[side_index]
-    other_log, other_members, other_graph = context.sides[1 - side_index]
-    merged_log, merged_members = merge_run_in_log(log, run, members)
-    with observer.span("graph.build", merged=True, run=list(run)):
-        merged_graph = DependencyGraph.from_log(
-            merged_log, min_frequency=context.min_edge_frequency, members=merged_members
-        )
-    if side_index == 0:
-        members_pair = (merged_members, other_members)
-        graphs = (merged_graph, other_graph)
-    else:
-        members_pair = (other_members, merged_members)
-        graphs = (other_graph, merged_graph)
-    if isinstance(context.base_label, OpaqueSimilarity) or context.config.alpha == 1.0:
-        label: LabelSimilarity = context.base_label
-    else:
-        label = CompositeAwareSimilarity(context.base_label, *members_pair)
-    engine = EMSEngine(context.config, label, label_cache, observer=observer)
-    fixed_forward, fixed_backward, pairs_fixed = _unchanged_pairs(
-        side_index, run, graph, other_graph, context.directional, context.use_unchanged
-    )
-    if context.use_bounds:
-        outcome = engine.similarity_with_abort(
-            graphs[0], graphs[1], abort_below, fixed_forward, fixed_backward,
-            meter=meter,
-        )
-    else:
-        outcome = engine.similarity(
-            graphs[0], graphs[1], fixed_forward, fixed_backward, meter=meter
-        )
-    return outcome, pairs_fixed
-
-
-#: Per-process state of pool workers: the round context plus a label cache
-#: that persists across the round's candidates evaluated in this process.
-_WORKER_STATE: tuple[_RoundContext, LabelMatrixCache] | None = None
-
-
-def _init_worker(context: _RoundContext) -> None:
-    global _WORKER_STATE
-    if context.faults is not None:
-        context.faults.fire("worker.init", in_worker=True)
-    directional = _resolve_directional(context.directional)
-    if directional is not context.directional:
-        context = replace(context, directional=directional)
-    _WORKER_STATE = (context, LabelMatrixCache(context.config.label_cache_entries))
-
-
 def _worker_observer(trace: bool) -> Observer:
     """A per-task observer for a pool worker: local tracer or the null one.
 
@@ -463,36 +341,15 @@ def _worker_observer(trace: bool) -> Observer:
     return Observer(tracer=Tracer()) if trace else NULL_OBSERVER
 
 
-def _pool_evaluate(
-    task: tuple[int, tuple[str, ...], float, int, int]
-) -> tuple[int, tuple[str, ...], EMSResult | None, int, list[dict], int]:
-    assert _WORKER_STATE is not None, "pool worker used without _init_worker"
-    context, label_cache = _WORKER_STATE
-    side_index, run, abort_below, round_id, attempt = task
-    if context.faults is not None:
-        context.faults.fire(
-            "evaluate", in_worker=True,
-            round=round_id, side=side_index, run=run, attempt=attempt,
-        )
-    observer = _worker_observer(context.trace)
-    with observer.span("candidate.evaluate", side=side_index, run=list(run)):
-        outcome, pairs_fixed = _evaluate_candidate(
-            context, side_index, run, abort_below, label_cache, observer=observer
-        )
-    fragments = observer.tracer.export_fragments() if observer.tracing else []
-    return side_index, run, outcome, pairs_fixed, fragments, os.getpid()
+#: Per-process state of pool workers.  The pool persists for the whole
+#: match: workers receive the base side states once at initialization and
+#: afterwards only the per-round delta — the list of accepted runs, which
+#: each worker replays through its own IncrementalSearchState, plus the
+#: round's directional matrices.
+_POOL_WORKER: tuple[IncrementalSearchState, dict] | None = None
 
 
-#: Per-process state of *incremental* pool workers.  Unlike the cold pool
-#: (re-created each round, full context per worker per round), this pool
-#: persists for the whole match: workers receive the base side states once
-#: at initialization and afterwards only the per-round delta — the list of
-#: accepted runs, which each worker replays through its own
-#: IncrementalSearchState, plus the round's directional matrices.
-_INC_WORKER: tuple[IncrementalSearchState, dict] | None = None
-
-
-def _init_incremental_worker(
+def _init_pool_worker(
     config: EMSConfig,
     base_label: LabelSimilarity,
     min_edge_frequency: float,
@@ -502,7 +359,7 @@ def _init_incremental_worker(
     trace: bool = False,
     faults: FaultPlan | None = None,
 ) -> None:
-    global _INC_WORKER
+    global _POOL_WORKER
     if faults is not None:
         faults.fire("worker.init", in_worker=True)
     state = IncrementalSearchState(
@@ -510,12 +367,12 @@ def _init_incremental_worker(
         LabelMatrixCache(config.label_cache_entries),
     )
     state.reset(sides)
-    _INC_WORKER = (
+    _POOL_WORKER = (
         state, {"applied": 0, "round": None, "trace": trace, "faults": faults}
     )
 
 
-def _incremental_pool_evaluate(
+def _pool_worker_evaluate(
     task: tuple[
         int,
         tuple[tuple[int, tuple[str, ...]], ...],
@@ -526,7 +383,7 @@ def _incremental_pool_evaluate(
         int,
     ]
 ) -> tuple[int, tuple[str, ...], EMSResult | None, int, bool, list[dict], int]:
-    """Evaluate one candidate in a persistent incremental worker.
+    """Evaluate one candidate in a persistent pool worker.
 
     *task* carries ``(round_id, history, directional, side_index, run,
     abort_below, attempt)`` where *history* lists every merge accepted
@@ -540,8 +397,8 @@ def _incremental_pool_evaluate(
     supervisor *respawn* mid-match transparently catches up before
     evaluating — recovery needs no extra protocol.
     """
-    assert _INC_WORKER is not None, "pool worker used without _init_incremental_worker"
-    state, progress = _INC_WORKER
+    assert _POOL_WORKER is not None, "pool worker used without _init_pool_worker"
+    state, progress = _POOL_WORKER
     round_id, history, directional, side_index, run, abort_below, attempt = task
     faults: FaultPlan | None = progress.get("faults")
     if faults is not None:
@@ -728,21 +585,6 @@ class CompositeMatcher:
             log, min_frequency=self.min_edge_frequency, members=members
         )
 
-    def _round_context(
-        self, states: tuple[_SideState, _SideState], current: EMSResult
-    ) -> _RoundContext:
-        return _RoundContext(
-            config=self.config,
-            base_label=self.base_label,
-            min_edge_frequency=self.min_edge_frequency,
-            use_unchanged=self.use_unchanged,
-            use_bounds=self.use_bounds,
-            sides=tuple((state.log, state.members, state.graph) for state in states),
-            directional=current.directional if self.use_unchanged else None,
-            trace=self.observer.tracing,
-            faults=self.faults,
-        )
-
     # ------------------------------------------------------------------
     def match(self, log_first: EventLog, log_second: EventLog) -> CompositeMatchResult:
         """Run Algorithm 2 on the two logs.
@@ -878,12 +720,11 @@ class CompositeMatcher:
     ) -> EMSResult:
         """The greedy merge loop of Algorithm 2; returns the final result.
 
-        With ``config.incremental`` (the default) candidate merges are
-        evaluated through an :class:`IncrementalSearchState` — delta count
-        patches, patched levels, warm-started fixpoints and estimation
-        screening — producing the same trajectory and scores as the cold
-        path.  ``config.incremental = False`` (the ``--no-incremental``
-        escape hatch) restores the full-rebuild evaluation.
+        Candidate merges are evaluated through an
+        :class:`IncrementalSearchState` — delta count patches, patched
+        levels, warm-started fixpoints and estimation screening.  The
+        full-rebuild evaluator it is tested against lives with the tests
+        (``tests/composite_oracle.py``).
 
         A *snapshot* (from :class:`~repro.runtime.CheckpointManager`)
         fast-forwards the loop: its accepted-merge history is replayed
@@ -891,16 +732,14 @@ class CompositeMatcher:
         search continues from the round after the one it recorded —
         bit-identical to never having stopped.
         """
-        incremental: IncrementalSearchState | None = None
-        if self.config.incremental:
-            incremental = IncrementalSearchState(
-                self.config, self.base_label, self.min_edge_frequency,
-                self.use_unchanged, self.use_bounds, self._label_cache,
-                observer=self.observer,
-            )
-            incremental.reset(
-                tuple((state.log, state.members, state.graph) for state in states)
-            )
+        incremental = IncrementalSearchState(
+            self.config, self.base_label, self.min_edge_frequency,
+            self.use_unchanged, self.use_bounds, self._label_cache,
+            observer=self.observer,
+        )
+        incremental.reset(
+            tuple((state.log, state.members, state.graph) for state in states)
+        )
         if snapshot is not None:
             self._restore(snapshot, states, stats, incremental)
             current = snapshot.current
@@ -929,10 +768,9 @@ class CompositeMatcher:
                     target = current_average + self.delta
                     best: tuple[int, tuple[str, ...], EMSResult] | None = None
                     best_average = current_average
-                    if incremental is not None:
-                        incremental.begin_round(
-                            current.directional if self.use_unchanged else None
-                        )
+                    incremental.begin_round(
+                        current.directional if self.use_unchanged else None
+                    )
 
                     tasks: list[tuple[int, tuple[str, ...]]] = []
                     for side_index in (0, 1):
@@ -941,24 +779,17 @@ class CompositeMatcher:
                     round_span.attributes["candidates"] = len(tasks)
 
                     if self.workers > 1 and meter is None and len(tasks) > 1:
-                        if incremental is not None:
-                            if supervised is None:
-                                supervised = self._incremental_supervised_pool(
-                                    states
-                                )
-                                pool_history = []
-                            best, best_average = self._round_parallel_incremental(
-                                tasks, current, stats, target, best_average,
-                                supervised, tuple(pool_history),
-                            )
-                        else:
-                            best, best_average = self._round_parallel(
-                                tasks, states, current, stats, target, best_average
-                            )
+                        if supervised is None:
+                            supervised = self._supervised_pool(states)
+                            pool_history = []
+                        best, best_average = self._round_pool(
+                            tasks, current, stats, target, best_average,
+                            supervised, tuple(pool_history),
+                        )
                     else:
                         best, best_average = self._round_serial(
-                            tasks, incremental, states, current, stats,
-                            target, best_average, meter, supervise_serial,
+                            tasks, incremental, stats, target, best_average,
+                            meter, supervise_serial,
                         )
 
                     if best is None or best_average - current_average <= self.delta:
@@ -976,17 +807,9 @@ class CompositeMatcher:
                     round_span.attributes["average"] = best_average
                     obs.count("composite_merges_accepted_total")
                     state = states[side_index]
-                    if incremental is not None:
-                        state.log, state.members, state.graph = (
-                            incremental.apply_accepted(side_index, run)
-                        )
-                    else:
-                        merged_log, merged_members = merge_run_in_log(
-                            state.log, run, state.members
-                        )
-                        state.log = merged_log
-                        state.members = merged_members
-                        state.graph = self._graph(merged_log, merged_members)
+                    state.log, state.members, state.graph = (
+                        incremental.apply_accepted(side_index, run)
+                    )
                     state.accepted.append(run)
                     pool_history.append((side_index, run))
                     self._accepted_history.append((side_index, run))
@@ -1044,9 +867,7 @@ class CompositeMatcher:
     def _round_serial(
         self,
         tasks: list[tuple[int, tuple[str, ...]]],
-        incremental: IncrementalSearchState | None,
-        states: tuple[_SideState, _SideState],
-        current: EMSResult,
+        incremental: IncrementalSearchState,
         stats: CompositeStats,
         target: float,
         best_average: float,
@@ -1055,26 +876,25 @@ class CompositeMatcher:
     ) -> tuple[tuple[int, tuple[str, ...], EMSResult] | None, float]:
         """One round of candidates, evaluated in-process.
 
-        With ``config.best_first`` (and the incremental path, no budget
-        meter), candidates are evaluated in descending order of their
-        sound estimation upper bound rather than discovery order, and the
-        round cuts off as soon as the next bound cannot beat the
-        incumbent — the bounds are sorted, so neither can any later one.
-        The selected merge is bit-identical to the static order: the
-        bound is sound (a cut candidate provably loses) and equal-average
-        ties resolve to the lowest original position, which is exactly
-        the candidate the static strict-improvement scan would have kept.
+        Without a budget meter, candidates are evaluated in descending
+        order of their sound estimation upper bound rather than discovery
+        order, and the round cuts off as soon as the next bound cannot
+        beat the incumbent — the bounds are sorted, so neither can any
+        later one.  The selected merge is bit-identical to the static
+        order: the bound is sound (a cut candidate provably loses) and
+        equal-average ties resolve to the lowest original position, which
+        is exactly the candidate the static strict-improvement scan would
+        have kept.  A budgeted round keeps the static order, so budget
+        accounting does not depend on the bounds.
         """
+        evaluate = (
+            self._evaluate_serial_supervised if supervise_serial else self._evaluate
+        )
         best: tuple[int, tuple[str, ...], EMSResult] | None = None
         best_position = -1
         order = list(range(len(tasks)))
         bounds: list[float] | None = None
-        if (
-            self.config.best_first
-            and incremental is not None
-            and meter is None
-            and len(tasks) > 1
-        ):
+        if meter is None and len(tasks) > 1:
             bounds = []
             for side_index, run in tasks:
                 stats.screen_checks += 1
@@ -1089,25 +909,12 @@ class CompositeMatcher:
                 # remaining candidate is provably below the incumbent too.
                 stats.candidates_screened += len(order) - rank
                 break
-            screen_bound = bounds[position] if bounds is not None else None
-            if supervise_serial:
-                outcome = self._evaluate_serial_supervised(
-                    incremental, side_index, run, states, current, stats,
-                    abort_below=max(best_average, target),
-                    meter=meter, screen_bound=screen_bound,
-                )
-            elif incremental is not None:
-                outcome = self._evaluate_incremental(
-                    incremental, side_index, run, stats,
-                    abort_below=max(best_average, target),
-                    meter=meter, screen_bound=screen_bound,
-                )
-            else:
-                outcome = self._evaluate(
-                    side_index, run, states, current, stats,
-                    abort_below=max(best_average, target),
-                    meter=meter,
-                )
+            outcome = evaluate(
+                incremental, side_index, run, stats,
+                abort_below=max(best_average, target),
+                meter=meter,
+                screen_bound=bounds[position] if bounds is not None else None,
+            )
             if outcome is None:
                 continue
             average = outcome.matrix.average()
@@ -1146,46 +953,6 @@ class CompositeMatcher:
 
     def _evaluate(
         self,
-        side_index: int,
-        run: tuple[str, ...],
-        states: tuple[_SideState, _SideState],
-        current: EMSResult,
-        stats: CompositeStats,
-        abort_below: float,
-        meter: BudgetMeter | None = None,
-    ) -> EMSResult | None:
-        """Similarity of the graphs after merging *run* on one side (serial)."""
-        key = hit = None
-        if meter is None:
-            key, hit = self._cached_evaluation(side_index, run, abort_below)
-        stats.candidates_evaluated += 1
-        if hit is not None:
-            outcome, pairs_fixed = hit.outcome, hit.pairs_fixed
-        else:
-            with self.observer.span(
-                "candidate.evaluate", side=side_index, run=list(run)
-            ):
-                outcome, pairs_fixed = _evaluate_candidate(
-                    self._round_context(states, current), side_index, run,
-                    abort_below, self._label_cache, meter,
-                    observer=self.observer,
-                )
-            if key is not None:
-                self.eval_cache.store(
-                    key,
-                    CandidateEvaluation(
-                        outcome=outcome, pairs_fixed=pairs_fixed, screened=False
-                    ),
-                )
-        stats.pairs_fixed += pairs_fixed
-        if outcome is None:
-            stats.evaluations_aborted += 1
-            return None
-        stats.pair_updates += outcome.pair_updates
-        return outcome
-
-    def _evaluate_incremental(
-        self,
         incremental: IncrementalSearchState,
         side_index: int,
         run: tuple[str, ...],
@@ -1194,21 +961,21 @@ class CompositeMatcher:
         meter: BudgetMeter | None = None,
         screen_bound: float | None = None,
     ) -> EMSResult | None:
-        """Incremental counterpart of :meth:`_evaluate` (same accounting).
+        """Similarity of the graphs after merging *run* on one side.
 
         *screen_bound* is the candidate's precomputed bound on the
         best-first path; its screen check was already counted when the
         bound was computed, so only the static path counts one here.
         """
-        screening_active = self.config.screening and meter is None
+        screening = meter is None
         key = hit = None
         if meter is None:
             key, hit = self._cached_evaluation(side_index, run, abort_below)
-        if not screening_active:
-            # Mirror the cold path: the candidate counts as evaluated even
-            # if the budget meter raises mid-fixpoint.  (Screening cannot
-            # raise — it is only active without a meter — so with screening
-            # on the count can safely wait for the screen verdict.)
+        if not screening:
+            # The candidate counts as evaluated even if the budget meter
+            # raises mid-fixpoint.  (Screening cannot raise — it is only
+            # active without a meter — so with screening on the count can
+            # safely wait for the screen verdict.)
             stats.candidates_evaluated += 1
         elif screen_bound is None:
             stats.screen_checks += 1
@@ -1227,7 +994,7 @@ class CompositeMatcher:
         if evaluation.screened:
             stats.candidates_screened += 1
             return None
-        if screening_active:
+        if screening:
             stats.candidates_evaluated += 1
         stats.pairs_fixed += evaluation.pairs_fixed
         if evaluation.outcome is None:
@@ -1238,17 +1005,15 @@ class CompositeMatcher:
 
     def _evaluate_serial_supervised(
         self,
-        incremental: IncrementalSearchState | None,
+        incremental: IncrementalSearchState,
         side_index: int,
         run: tuple[str, ...],
-        states: tuple[_SideState, _SideState],
-        current: EMSResult,
         stats: CompositeStats,
         abort_below: float,
         meter: BudgetMeter | None = None,
         screen_bound: float | None = None,
     ) -> EMSResult | None:
-        """Serial evaluation under :func:`~repro.runtime.run_supervised`.
+        """:meth:`_evaluate` under :func:`~repro.runtime.run_supervised`.
 
         Active only when a retry policy or fault plan was configured, so
         the default serial path pays nothing.  Transient failures are
@@ -1264,13 +1029,9 @@ class CompositeMatcher:
                     "evaluate", round=stats.rounds,
                     side=side_index, run=run, attempt=attempt,
                 )
-            if incremental is not None:
-                return self._evaluate_incremental(
-                    incremental, side_index, run, stats, abort_below, meter,
-                    screen_bound=screen_bound,
-                )
             return self._evaluate(
-                side_index, run, states, current, stats, abort_below, meter
+                incremental, side_index, run, stats, abort_below, meter,
+                screen_bound=screen_bound,
             )
 
         value, record = run_supervised(
@@ -1295,26 +1056,16 @@ class CompositeMatcher:
         snapshot: SearchSnapshot,
         states: tuple[_SideState, _SideState],
         stats: CompositeStats,
-        incremental: IncrementalSearchState | None,
+        incremental: IncrementalSearchState,
     ) -> None:
         """Fast-forward *states*/*stats* to a checkpointed round boundary."""
         history = tuple(
             (side_index, tuple(run)) for side_index, run in snapshot.history
         )
-        if incremental is not None:
-            finals = incremental.fast_forward(history)
-            for side_index, (log, members, graph) in enumerate(finals):
-                state = states[side_index]
-                state.log, state.members, state.graph = log, members, graph
-        else:
-            for side_index, run in history:
-                state = states[side_index]
-                merged_log, merged_members = merge_run_in_log(
-                    state.log, run, state.members
-                )
-                state.log = merged_log
-                state.members = merged_members
-                state.graph = self._graph(merged_log, merged_members)
+        finals = incremental.fast_forward(history)
+        for side_index, (log, members, graph) in enumerate(finals):
+            state = states[side_index]
+            state.log, state.members, state.graph = log, members, graph
         for side_index, run in history:
             states[side_index].accepted.append(run)
             self._accepted_history.append((side_index, run))
@@ -1367,7 +1118,7 @@ class CompositeMatcher:
     # ------------------------------------------------------------------
     # Worker pools
     # ------------------------------------------------------------------
-    def _incremental_supervised_pool(
+    def _supervised_pool(
         self, states: tuple[_SideState, _SideState]
     ) -> SupervisedPool:
         """A match-lifetime supervised pool seeded with the current states.
@@ -1390,13 +1141,13 @@ class CompositeMatcher:
         def factory() -> ProcessPoolExecutor:
             return ProcessPoolExecutor(
                 max_workers=workers,
-                initializer=_init_incremental_worker,
+                initializer=_init_pool_worker,
                 initargs=initargs,
             )
 
         pool = SupervisedPool(
             factory,
-            _incremental_pool_evaluate,
+            _pool_worker_evaluate,
             payload=lambda task, attempt: task + (attempt,),
             describe=lambda task: (task[3], task[4]),
             policy=self.retry,
@@ -1407,34 +1158,11 @@ class CompositeMatcher:
         pool.stats = self._supervision
         return pool
 
-    def _cold_supervised_pool(self, context: _RoundContext) -> SupervisedPool:
-        """A round-lifetime supervised pool for the full-rebuild path."""
-        workers = self.workers
-
-        def factory() -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker, initargs=(context,)
-            )
-
-        pool = SupervisedPool(
-            factory,
-            _pool_evaluate,
-            payload=lambda task, attempt: task + (attempt,),
-            describe=lambda task: (task[0], task[1]),
-            policy=self.retry,
-            task_timeout=self.task_timeout,
-            observer=self.observer,
-            config_hash=self._content_key,
-        )
-        pool.stats = self._supervision
-        return pool
-
     def _note_shared_memory_fallback(self) -> None:
-        """Surface a shared-memory → pickling degradation (satellite fix).
+        """Surface a shared-memory → pickling degradation.
 
-        Historically this fallback was silent; now it is logged through
-        the bridge and counted so operators can see rounds paying the
-        per-worker pickling cost.
+        The fallback is logged through the bridge and counted so
+        operators can see rounds paying the per-worker pickling cost.
         """
         _logger.warning(
             "shared-memory transport unavailable; pickling the round's "
@@ -1482,11 +1210,9 @@ class CompositeMatcher:
         evaluation: CandidateEvaluation,
         best: tuple[int, tuple[str, ...], EMSResult] | None,
         best_average: float,
-        count_screen: bool,
     ) -> tuple[tuple[int, tuple[str, ...], EMSResult] | None, float]:
         """Fold one wave evaluation — fresh or cached — into the round state."""
-        if count_screen:
-            stats.screen_checks += 1
+        stats.screen_checks += 1
         if evaluation.screened:
             stats.candidates_screened += 1
             return best, best_average
@@ -1501,7 +1227,7 @@ class CompositeMatcher:
             return (side_index, run, evaluation.outcome), average
         return best, best_average
 
-    def _round_parallel_incremental(
+    def _round_pool(
         self,
         tasks: list[tuple[int, tuple[str, ...]]],
         current: EMSResult,
@@ -1511,12 +1237,11 @@ class CompositeMatcher:
         supervised: SupervisedPool,
         history: tuple[tuple[int, tuple[str, ...]], ...],
     ) -> tuple[tuple[int, tuple[str, ...], EMSResult] | None, float]:
-        """One round of candidates on the persistent incremental pool.
+        """One round of candidates on the match-lifetime worker pool.
 
         Tasks carry only the per-round delta — the accepted-run *history*
         (replayed by workers that have not caught up) and the round's
-        directional matrices — instead of the full round context the cold
-        pool re-pickles every round.  The matrices themselves travel
+        directional matrices.  The matrices themselves travel
         through one shared-memory block per round (see
         :class:`_SharedDirectional`); each task pickles only the handle.
         The supervisor returns wave outcomes in submission order, which
@@ -1540,7 +1265,6 @@ class CompositeMatcher:
                 "workers.dispatch",
                 workers=self.workers,
                 tasks=len(tasks),
-                incremental=True,
                 shared_memory=handle is not None,
             ):
                 for start in range(0, len(tasks), self.workers):
@@ -1580,97 +1304,11 @@ class CompositeMatcher:
                         best, best_average = self._account_candidate(
                             stats, side_index, run, evaluation,
                             best, best_average,
-                            count_screen=self.config.screening,
                         )
         finally:
             # The segment must outlive any mid-round pool respawn (new
             # workers re-attach to evaluate retried candidates), so it is
             # only reclaimed here, when the round is over — including on
-            # the WorkerPoolError path, which is what used to leak it.
-            _release_shared_block(block)
-        return best, best_average
-
-    def _round_parallel(
-        self,
-        tasks: list[tuple[int, tuple[str, ...]]],
-        states: tuple[_SideState, _SideState],
-        current: EMSResult,
-        stats: CompositeStats,
-        target: float,
-        best_average: float,
-    ) -> tuple[tuple[int, tuple[str, ...], EMSResult] | None, float]:
-        """Evaluate one round's candidates in a process pool.
-
-        Candidates go out in waves of ``workers``; every wave shares the
-        tightest Bd incumbent bound known when it is submitted, so later
-        waves abort hopeless candidates as aggressively as the serial
-        loop would.  The round context ships once per worker via the pool
-        initializer, with the directional matrices riding in one
-        shared-memory block (see :class:`_SharedDirectional`) so the
-        initializer payload pickles only a handle.
-        """
-        obs = self.observer
-        context = self._round_context(states, current)
-        handle = block = None
-        if context.directional:
-            handle, block = _pack_directional(context.directional)
-            if handle is not None:
-                context = replace(context, directional=handle)
-            else:
-                self._note_shared_memory_fallback()
-        round_id = stats.rounds
-        best: tuple[int, tuple[str, ...], EMSResult] | None = None
-        supervised = self._cold_supervised_pool(context)
-        try:
-            with obs.span(
-                "workers.dispatch",
-                workers=self.workers,
-                tasks=len(tasks),
-                incremental=False,
-                shared_memory=handle is not None,
-            ):
-                for start in range(0, len(tasks), self.workers):
-                    wave = tasks[start:start + self.workers]
-                    bound = max(best_average, target)
-                    hits, miss_keys = self._wave_cache_hits(wave, bound)
-                    pending = [i for i in range(len(wave)) if i not in hits]
-                    outcomes = supervised.run_wave(
-                        [
-                            (*wave[i], bound, round_id)
-                            for i in pending
-                        ],
-                        round=round_id,
-                    )
-                    by_index = dict(zip(pending, outcomes))
-                    for index in range(len(wave)):
-                        side_index, run = wave[index]
-                        evaluation = hits.get(index)
-                        if evaluation is None:
-                            entry = by_index[index]
-                            if entry.quarantined is not None:
-                                self._quarantined.append(entry.quarantined)
-                                continue
-                            (
-                                side_index, run, outcome, pairs_fixed,
-                                fragments, worker_pid,
-                            ) = entry.value
-                            if fragments and obs.tracing:
-                                obs.tracer.adopt(fragments, tid=worker_pid)
-                            evaluation = CandidateEvaluation(
-                                outcome=outcome, pairs_fixed=pairs_fixed,
-                                screened=False,
-                            )
-                            key = miss_keys.get(index)
-                            if key is not None:
-                                self.eval_cache.store(key, evaluation)
-                        best, best_average = self._account_candidate(
-                            stats, side_index, run, evaluation,
-                            best, best_average, count_screen=False,
-                        )
-        finally:
-            # Shut the round's pool down before reclaiming the segment:
-            # workers (including respawned ones) may attach to it right
-            # up until they are joined.
-            supervised.shutdown()
+            # the WorkerPoolError path.
             _release_shared_block(block)
         return best, best_average

@@ -1,6 +1,7 @@
 """Configuration of the EMS similarity computation.
 
-One dataclass gathers every knob the paper exposes:
+One dataclass gathers every knob that can change a similarity value
+(plus the label-cache size, which cannot):
 
 * ``alpha`` — weight of the structural part vs the label part
   (Definition 2); the paper's structural-only experiments use ``alpha = 1``.
@@ -79,35 +80,6 @@ class EMSConfig:
     #: Floating-point width of the similarity computation ("float64" or
     #: "float32"); see module docstring.
     dtype: Dtype = "float64"
-    #: Incremental composite search: candidate merges patch the parent
-    #: round's counts, graphs and levels instead of rebuilding from the
-    #: rewritten log, and the fixpoint warm-starts from the parent round's
-    #: converged matrices (Proposition 4 in array form).  Trajectories and
-    #: scores are identical to the cold path (the differential property
-    #: suite holds this to 1e-12); False restores the cold path — the
-    #: ``--no-incremental`` escape hatch.
-    incremental: bool = True
-    #: Estimation-bound candidate screening (Section 3.5 as a filter):
-    #: before the exact evaluation, a candidate whose closed-form upper
-    #: bound cannot beat the incumbent ``Bd`` is rejected without building
-    #: a graph.  Sound — screened candidates would have lost anyway — and
-    #: automatically disabled while a pair-update budget is active so that
-    #: budget accounting matches the unscreened path.  Only consulted on
-    #: the incremental path.
-    screening: bool = True
-    #: Best-first candidate scheduling in the serial composite search:
-    #: each round's candidates are ordered by their sound estimation
-    #: upper bound (:func:`repro.core.bounds.estimation_screen_bound`,
-    #: highest first) and the round cuts off globally once the best
-    #: confirmed average dominates every remaining bound.  The selected
-    #: merges and final scores are bit-identical to the static
-    #: round-robin order — the bound is sound and ties resolve to the
-    #: round-robin winner — only the evaluation order and the number of
-    #: full evaluations change.  Disabled while a budget meter is active
-    #: (same reason as ``screening``) and on worker-pool rounds (wave
-    #: order is the determinism contract there); ``--no-best-first``
-    #: restores the static order everywhere.
-    best_first: bool = True
     #: LRU entry cap of the shared :class:`~repro.core.ems.LabelMatrixCache`
     #: (``None`` = unbounded).  Each entry is one whole label matrix plus
     #: headroom for 128 scalar cells.

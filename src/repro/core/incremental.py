@@ -1,11 +1,12 @@
 """Incremental candidate evaluation for the composite search (Section 4).
 
 The greedy loop of :class:`repro.core.composite.CompositeMatcher` evaluates
-every remaining candidate merge in every round.  The cold path pays, per
-candidate: a full log rewrite, a full recount, two graph builds with fresh
-longest-distance passes, and an ``O(n1 * n2)`` Python-dict Uc seeding.
-This module replaces all of that with delta work proportional to what the
-merge actually touches, while staying **bit-identical** to the cold path:
+every remaining candidate merge in every round.  Scoring a candidate from
+scratch costs a full log rewrite, a full recount, two graph builds with
+fresh longest-distance passes, and an ``O(n1 * n2)`` Python-dict Uc
+seeding.  This module replaces all of that with delta work proportional
+to what the merge actually touches, while staying **bit-identical** to
+that full rebuild:
 
 * **delta graph merges** — :func:`repro.graph.merge.merge_counts` patches
   the parent round's integer trace counters from only the traces containing
@@ -16,7 +17,7 @@ merge actually touches, while staying **bit-identical** to the cold path:
 * **warm-started fixpoint** — the parent round's converged directional
   matrices are mapped onto the merged node grid as a
   :class:`repro.core.ems.WarmStart` whose non-dirty region is exactly the
-  Proposition-4 unchanged set the cold path seeds through ``fixed_pairs``
+  Proposition-4 unchanged set a full rebuild seeds through ``fixed_pairs``
   dictionaries.  Same fixed cells, same values, array-built — the fixpoint
   then re-iterates only pairs in the dirty frontier;
 * **estimation-bound screening** — before any graph is built, the
@@ -28,9 +29,10 @@ merge actually touches, while staying **bit-identical** to the cold path:
   while a :class:`~repro.runtime.budget.BudgetMeter` is active so budget
   accounting stays identical to the unscreened path.
 
+The full rebuild is the test oracle in ``tests/composite_oracle.py``.
 ``tests/property/test_property_incremental.py`` holds the equivalence to
 account: identical trajectories, scores and ``pairs_fixed`` against the
-cold path, including under mid-round budget exhaustion.
+oracle, including under mid-round budget exhaustion.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ class IncrementalSearchState:
     :meth:`apply_accepted` when a round accepts a merge.  The same object
     runs inside pool workers, which replay accepted merges from the task
     history to stay in lockstep with the parent (see
-    ``_incremental_pool_evaluate`` in :mod:`repro.core.composite`).
+    ``_pool_worker_evaluate`` in :mod:`repro.core.composite`).
     """
 
     def __init__(
@@ -198,9 +200,10 @@ class IncrementalSearchState:
     ) -> CandidateEvaluation:
         """Score merging *run* on one side, incrementally.
 
-        Mirrors ``_evaluate_candidate`` step for step — same graphs, same
-        fixed pairs, same engine calls — so results are interchangeable
-        with the cold path.  *screen_bound* short-circuits the screening
+        Same graphs, same fixed pairs and same engine calls as a full
+        rebuild, so results are interchangeable with it.  Screening runs
+        only without a budget *meter*, so budget accounting matches the
+        unscreened order.  *screen_bound* short-circuits the screening
         recomputation when the caller already holds this candidate's
         :meth:`candidate_bound` (the best-first path); the comparison
         against *abort_below* is still performed here so screening
@@ -212,7 +215,7 @@ class IncrementalSearchState:
         if delta is None:
             delta = merge_counts(side.counts, side.index, run)
 
-        if self.config.screening and meter is None:
+        if meter is None:
             bound = (
                 screen_bound
                 if screen_bound is not None
@@ -308,9 +311,9 @@ class IncrementalSearchState:
     ) -> tuple[WarmStart | None, WarmStart | None, int]:
         """The per-direction warm starts for merging *run* on one side.
 
-        Fixes exactly the pairs ``_unchanged_pairs`` fixes — parent nodes
-        with no real path from the run (per direction) crossed with every
-        node of the other graph — at exactly the parent matrix values.
+        Fixes exactly the Uc pairs — parent nodes with no real path from
+        the run (per direction) crossed with every node of the other
+        graph — at exactly the parent matrix values.
         """
         if not self.use_unchanged or self._directional is None:
             return None, None, 0

@@ -26,7 +26,12 @@ import json
 from pathlib import Path
 from typing import Any
 
+from repro.core.composite import CompositeMatcher
+from repro.core.config import EMSConfig
 from repro.exceptions import JobSpecError
+from repro.runtime.budget import MatchBudget
+from repro.runtime.degrade import DegradationPolicy
+from repro.similarity.labels import QGramCosineSimilarity
 from repro.store.logstore import file_digest
 
 #: Job states, in lifecycle order (see ``docs/service.md``).
@@ -115,6 +120,13 @@ def validate_spec(submission: Any) -> dict[str, Any]:
             )
     if spec["workers"] < 0:
         raise JobSpecError("job spec field 'workers' must be >= 0", field="workers")
+    # Out-of-range knobs fail here, as a 400, not later in the scheduler
+    # where a ValueError would be retried as a poison job.
+    try:
+        config, _, _, _ = build_matcher_inputs(spec)
+        CompositeMatcher(config, delta=spec["delta"])
+    except ValueError as error:
+        raise JobSpecError(f"invalid job spec: {error}") from None
     for name in ("log_first", "log_second"):
         path = Path(spec[name])
         if not path.is_file():
@@ -123,6 +135,28 @@ def validate_spec(submission: Any) -> dict[str, Any]:
                 field=name,
             )
     return spec
+
+
+def build_matcher_inputs(spec: dict[str, Any]):
+    """(config, label_similarity, budget, degradation) of one job spec.
+
+    Must mirror ``repro.cli._match_setup`` knob for knob — the service's
+    acceptance bar is a result bitwise-identical to the CLI path.
+    """
+    label_similarity = QGramCosineSimilarity() if spec["labels"] else None
+    alpha = spec["alpha"]
+    if alpha is None:
+        alpha = 0.5 if spec["labels"] else 1.0
+    config = EMSConfig(
+        alpha=alpha,
+        estimation_iterations=spec["estimate"],
+    )
+    budget = None
+    if spec["timeout"] is not None or spec["pair_budget"] is not None:
+        budget = MatchBudget(
+            deadline=spec["timeout"], max_pair_updates=spec["pair_budget"]
+        )
+    return config, label_similarity, budget, DegradationPolicy()
 
 
 def job_content_key(spec: dict[str, Any]) -> str:

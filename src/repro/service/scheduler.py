@@ -39,45 +39,20 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.core.config import EMSConfig
 from repro.exceptions import ReproError
 from repro.matchers import EMSCompositeMatcher, EMSMatcher
 from repro.obs import NULL_OBSERVER, Observer, get_logger
 from repro.runtime import (
     CheckpointManager,
     DeadLetterArchive,
-    DegradationPolicy,
     FaultPlan,
     InterruptGuard,
-    MatchBudget,
 )
+from repro.service.jobs import build_matcher_inputs
 from repro.service.queue import JobQueue, JobRecord
-from repro.similarity.labels import QGramCosineSimilarity
 from repro.store import MatchStore, match_stored
 
 _logger = get_logger(__name__)
-
-
-def build_matcher_inputs(spec: dict[str, Any]):
-    """(config, label_similarity, budget, degradation) of one job spec.
-
-    Must mirror ``repro.cli._match_setup`` knob for knob — the service's
-    acceptance bar is a result bitwise-identical to the CLI path.
-    """
-    label_similarity = QGramCosineSimilarity() if spec["labels"] else None
-    alpha = spec["alpha"]
-    if alpha is None:
-        alpha = 0.5 if spec["labels"] else 1.0
-    config = EMSConfig(
-        alpha=alpha,
-        estimation_iterations=spec["estimate"],
-    )
-    budget = None
-    if spec["timeout"] is not None or spec["pair_budget"] is not None:
-        budget = MatchBudget(
-            deadline=spec["timeout"], max_pair_updates=spec["pair_budget"]
-        )
-    return config, label_similarity, budget, DegradationPolicy()
 
 
 class JobScheduler:

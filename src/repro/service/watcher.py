@@ -13,6 +13,7 @@ exactly once, whatever happens to the daemon in between.
 from __future__ import annotations
 
 import json
+import os
 import threading
 from pathlib import Path
 
@@ -112,8 +113,11 @@ class FolderWatcher:
     @staticmethod
     def _retire(path: Path, suffix: str, receipt: dict) -> None:
         target = path.with_name(path.name + suffix)
+        staging = target.with_name(target.name + ".tmp")
         try:
-            target.write_text(json.dumps(receipt, indent=2) + "\n")
+            # Write-then-rename, so a reader never sees a half-written receipt.
+            staging.write_text(json.dumps(receipt, indent=2) + "\n")
+            os.replace(staging, target)
             path.unlink()
         except OSError:  # pragma: no cover - best effort
             pass

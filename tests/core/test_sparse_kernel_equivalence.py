@@ -31,6 +31,7 @@ from repro.runtime.budget import MatchBudget
 from repro.runtime.degrade import DegradationPolicy
 from repro.similarity.labels import QGramCosineSimilarity
 from repro.synthesis.corpus import build_scalability_pair
+from tests.composite_oracle import ColdCompositeMatcher
 
 ATOL = 1e-12
 FLOAT32_ATOL = 1e-5
@@ -274,7 +275,7 @@ class TestIncrementalCompositeParity:
     def test_sparse_matches_vectorized_incremental(self, fig1_logs):
         results = []
         for kernel in ("vectorized", "sparse"):
-            config = EMSConfig(kernel=kernel, incremental=True, screening=True)
+            config = EMSConfig(kernel=kernel)
             results.append(CompositeMatcher(config, **self.KNOBS).match(*fig1_logs))
         vectorized, sparse = results
         assert sparse.accepted_first == vectorized.accepted_first
@@ -286,12 +287,10 @@ class TestIncrementalCompositeParity:
 
     def test_sparse_warm_equals_cold(self, fig1_logs):
         warm = CompositeMatcher(
-            EMSConfig(kernel="sparse", incremental=True, screening=True),
-            **self.KNOBS,
+            EMSConfig(kernel="sparse"), **self.KNOBS,
         ).match(*fig1_logs)
-        cold = CompositeMatcher(
-            EMSConfig(kernel="sparse", incremental=False, screening=False),
-            **self.KNOBS,
+        cold = ColdCompositeMatcher(
+            EMSConfig(kernel="sparse"), **self.KNOBS,
         ).match(*fig1_logs)
         assert warm.accepted_first == cold.accepted_first
         assert warm.accepted_second == cold.accepted_second

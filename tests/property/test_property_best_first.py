@@ -12,6 +12,7 @@ strict-improvement scan keeps.
 import random as random_module
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from repro.core.incremental import IncrementalSearchState
 from repro.graph.dependency import DependencyGraph
 from repro.logs.log import EventLog
 from repro.obs import MetricsRegistry, Observer, Tracer
+from tests.composite_oracle import ColdCompositeMatcher, PluggedMatcher, scheduled_state
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -36,10 +38,11 @@ def random_log(seed: int, alphabet: str = "abcdef") -> EventLog:
 
 
 def matcher(best_first: bool, screening: bool, **kwargs) -> CompositeMatcher:
-    config = EMSConfig(incremental=True, screening=screening, best_first=best_first)
     defaults = dict(delta=0.0, min_confidence=0.8, max_run_length=3)
     defaults.update(kwargs)
-    return CompositeMatcher(config, **defaults)
+    result = PluggedMatcher(EMSConfig(), **defaults)
+    result.state_class = scheduled_state(best_first=best_first, screening=screening)
+    return result
 
 
 def assert_same_selection(static, best):
@@ -76,8 +79,8 @@ def test_best_first_matches_cold_rebuild_search(seed_first, seed_second):
     # full-rebuild search with no scheduling at all.
     log_first = random_log(seed_first)
     log_second = random_log(seed_second, alphabet="uvwxyz")
-    cold = CompositeMatcher(
-        EMSConfig(incremental=False),
+    cold = ColdCompositeMatcher(
+        EMSConfig(),
         delta=0.0, min_confidence=0.8, max_run_length=3,
     ).match(log_first, log_second)
     best = matcher(best_first=True, screening=True).match(log_first, log_second)
@@ -134,7 +137,7 @@ def test_cutoff_reduces_evaluate_spans_with_identical_selection():
     selected correspondences.  The delta is calibrated from the bounds
     themselves so the test cannot rot as the bound tightens."""
     log_first, log_second = _structured_pair()
-    config = EMSConfig(incremental=True, screening=True)
+    config = EMSConfig()
     graph_first = DependencyGraph.from_log(log_first)
     graph_second = DependencyGraph.from_log(log_second)
     current = EMSEngine(config).similarity(graph_first, graph_second)
@@ -160,8 +163,8 @@ def test_cutoff_reduces_evaluate_spans_with_identical_selection():
     results = {}
     for best_first in (False, True):
         observer = Observer(tracer=Tracer(), metrics=MetricsRegistry())
-        result = CompositeMatcher(
-            EMSConfig(incremental=True, screening=True, best_first=best_first),
+        result = matcher(
+            best_first=best_first, screening=True,
             delta=delta, min_confidence=0.9, max_run_length=3,
             observer=observer,
         ).match(log_first, log_second)
@@ -173,3 +176,10 @@ def test_cutoff_reduces_evaluate_spans_with_identical_selection():
     assert_same_selection(static, best)
     assert best_spans < static_spans
     assert best.stats.candidates_screened >= 1
+
+
+def test_oracle_matchers_refuse_worker_pools():
+    # Pool workers build their own evaluator, so the swap would not reach them.
+    log = random_log(0)
+    with pytest.raises(ValueError, match="serial rounds only"):
+        ColdCompositeMatcher(EMSConfig(), workers=2).match(log, log)

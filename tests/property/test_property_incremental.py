@@ -2,10 +2,11 @@
 
 The incremental engine (delta graph merges + warm-started fixpoints +
 estimation screening) is an optimisation, not an approximation: on any
-input the warm-started search must reproduce the cold-started search —
-the same merge trajectory, the same scores (within 1e-12; the parity is
-by construction, so in practice bit-identical), the same ``pairs_fixed``
-— including when a :class:`MatchBudget` runs out mid-round.
+input the warm-started search must reproduce the cold-started search of
+the full-rebuild oracle (``tests/composite_oracle.py``) — the same merge
+trajectory, the same scores (within 1e-12; the parity is by
+construction, so in practice bit-identical), the same ``pairs_fixed`` —
+including when a :class:`MatchBudget` runs out mid-round.
 """
 
 import random as random_module
@@ -18,6 +19,7 @@ from repro.core.composite import CompositeMatcher
 from repro.core.config import EMSConfig
 from repro.logs.log import EventLog
 from repro.runtime import MatchBudget
+from tests.composite_oracle import ColdCompositeMatcher
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -31,20 +33,26 @@ def random_log(seed: int, alphabet: str = "abcdef") -> EventLog:
     return EventLog(traces, name=f"rand-{seed}")
 
 
+#: A budget that never runs out.  This suite asserts *exact* stat parity
+#: (pair_updates, evaluations_aborted) between warm and cold, which only
+#: holds when both scan candidates in the same static order.  Budgeted
+#: runs keep the static, unscreened order; best-first reordering changes
+#: the Bd-abort incumbent trajectory (same selection, different counters)
+#: and has its own differential suite in test_property_best_first.py.
+UNLIMITED = MatchBudget(max_pair_updates=10**12)
+
+
 def matcher(incremental: bool, screening: bool = False, **kwargs) -> CompositeMatcher:
-    # best_first is pinned off: this suite asserts *exact* stat parity
-    # (pair_updates, evaluations_aborted) between warm and cold, which
-    # only holds when both scan candidates in the same static order.
-    # The cold path has no bounds and always runs statically; best-first
-    # reordering on the warm side changes the Bd-abort incumbent
-    # trajectory (same selection, different counters) and has its own
-    # differential suite in test_property_best_first.py.
-    config = EMSConfig(
-        incremental=incremental, screening=screening, best_first=False
-    )
+    # The cold side runs the production loop on the full-rebuild oracle.
+    # Without *screening*, both sides run under UNLIMITED and so keep the
+    # static, unscreened order; with it, the warm side runs the default
+    # unbudgeted schedule (best-first order plus estimation screening).
     defaults = dict(delta=0.0, min_confidence=0.8, max_run_length=3)
+    if not screening:
+        defaults["budget"] = UNLIMITED
     defaults.update(kwargs)
-    return CompositeMatcher(config, **defaults)
+    cls = CompositeMatcher if incremental else ColdCompositeMatcher
+    return cls(EMSConfig(), **defaults)
 
 
 def assert_same_search(cold, warm, *, compare_stats: bool = True):

@@ -159,7 +159,7 @@ def _toy_logs():
 class TestEndToEnd:
     def test_warm_run_bit_identical_and_all_hits(self, tmp_path):
         first, second = _toy_logs()
-        config = EMSConfig(incremental=True, screening=True)
+        config = EMSConfig()
         cache = EvaluationCache(tmp_path)
 
         def run(with_cache):
@@ -185,7 +185,7 @@ class TestEndToEnd:
 
     def test_corrupted_store_degrades_to_cold_search(self, tmp_path):
         first, second = _toy_logs()
-        config = EMSConfig(incremental=True, screening=True)
+        config = EMSConfig()
         cache = EvaluationCache(tmp_path)
         matcher = CompositeMatcher(
             config, delta=0.0, min_confidence=0.6, max_run_length=3,

@@ -79,6 +79,16 @@ class TestValidateSpec:
         with pytest.raises(JobSpecError, match="JSON object"):
             validate_spec(["a.csv", "b.csv"])
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alpha", 1.5), ("estimate", -1), ("timeout", -1.0), ("delta", -0.5)],
+    )
+    def test_rejects_out_of_range_knobs(self, pair, field, value):
+        # Accepted specs must run: an out-of-range knob would otherwise
+        # raise ValueError in the scheduler and be retried as poison.
+        with pytest.raises(JobSpecError, match="invalid job spec"):
+            spec_for(pair, **{field: value})
+
 
 class TestContentKey:
     def test_same_content_different_path_same_key(self, tmp_path, pair):

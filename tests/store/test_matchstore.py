@@ -1,5 +1,7 @@
 """MatchStore: matrix persistence, SQL push-down, corruption contract."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -79,13 +81,36 @@ class TestMatrixKey:
         base = matrix_content_key("c1", "c2", 0.0, EMSConfig())
         assert matrix_content_key("c1", "c2", 0.0, EMSConfig(**knob)) != base
 
-    def test_threshold_free_knobs_do_not_key(self):
-        # incremental/screening/best_first only steer the composite
-        # search, never the similarity values — same key.
+    #: A valid non-default value for every value-bearing EMSConfig field.
+    NON_DEFAULTS = {
+        "alpha": 0.7,
+        "c": 0.5,
+        "epsilon": 1e-6,
+        "max_iterations": 7,
+        "direction": "forward",
+        "use_pruning": False,
+        "estimation_iterations": 3,
+        "use_edge_weights": False,
+        "kernel": "sparse",
+        "dtype": "float32",
+    }
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            spec.name
+            for spec in dataclasses.fields(EMSConfig)
+            if spec.name != "label_cache_entries"
+        ],
+    )
+    def test_every_value_bearing_field_keys(self, name):
+        # Every field but the label-cache size can change a similarity
+        # value, so leaving one out of the key would serve a stored
+        # matrix computed under a different value.
+        assert name in self.NON_DEFAULTS, f"add a non-default value for {name!r}"
         base = matrix_content_key("c1", "c2", 0.0, EMSConfig())
-        assert matrix_content_key(
-            "c1", "c2", 0.0, EMSConfig(incremental=False, screening=False)
-        ) == base
+        config = EMSConfig(**{name: self.NON_DEFAULTS[name]})
+        assert matrix_content_key("c1", "c2", 0.0, config) != base
 
 
 class TestMatrixRoundTrip:
