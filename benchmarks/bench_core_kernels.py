@@ -1,9 +1,9 @@
 """Micro-benchmarks and regression harness for the computational kernels.
 
 Not a paper figure — these pin the cost of the individual building
-blocks (graph construction, one exact EMS run under both fixpoint
-kernels, the I = 0 estimation, the Hungarian assignment) so regressions
-in the hot paths are visible.
+blocks (graph construction, one exact EMS run on the fixpoint kernel and
+on the per-pair test oracle, the I = 0 estimation, the Hungarian
+assignment) so regressions in the hot paths are visible.
 
 Two entry points:
 
@@ -33,8 +33,9 @@ import time
 from pathlib import Path
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
-# src/ for the package, the repo root for the full-rebuild oracle the
-# composite_search_cold scenario times (tests/composite_oracle.py).
+# src/ for the package, the repo root for the test oracles the
+# composite_search_cold and ems_exact_20_reference scenarios time
+# (tests/composite_oracle.py, tests/ems_oracle.py).
 for _path in (_REPO_ROOT / "src", _REPO_ROOT):
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
@@ -69,6 +70,7 @@ from repro.store import (
 )
 from repro.synthesis.corpus import build_scalability_pair
 from tests.composite_oracle import ColdCompositeMatcher
+from tests.ems_oracle import reference_kernel
 
 #: The Figure-8 scalability scenario every timing below runs against.
 SCENARIO = {"activities": 20, "seed": 7, "traces_per_log": 60}
@@ -84,13 +86,18 @@ COMPOSITE_SCENARIO = {
     "symbols": 6, "traces": 14000, "seed": 13, "chains": 5, "chain_rate": 0.02,
 }
 
-#: The large-vocabulary scenario used for the peak-memory comparison of
-#: the vectorized and the sparse fixpoint kernels.  At 300 activities
-#: the vectorized kernel's dense (pairs, A, B) scratch blocks dominate
-#: the footprint; the sparse kernel streams the same contributions
-#: through bounded chunks, and ``memory_reduction_sparse`` in
-#: :func:`compare` keeps that advantage honest (>= 4x floor).
+#: The large-vocabulary scenario of the fixpoint's peak-memory ceiling.
+#: At 300 activities the kernel streams its contributions through
+#: bounded chunks, and ``memory_reduction_sparse`` in :func:`compare`
+#: keeps its peak at least 4x below the dense kernel it replaced.
 MEMORY_SCENARIO = {"activities": 300, "seed": 21, "traces_per_log": 40}
+
+#: Tracemalloc peak (bytes) of one exact EMS run on MEMORY_SCENARIO under
+#: the dense vectorized kernel, whose resident (pairs, A, B) tensors this
+#: kernel replaced.  Recorded in BENCH_core.json before that kernel was
+#: deleted; it stays the numerator of ``memory_reduction_sparse``, so the
+#: 4x floor caps the production peak at about 23.8 MB.
+DENSE_KERNEL_PEAK_BYTES = 95_211_388
 
 #: The out-of-core ingestion scenario (PR 8): a CSV large enough that
 #: the monolithic path's materialized :class:`EventLog` dominates peak
@@ -190,16 +197,8 @@ if pytest is not None:
         graph = benchmark(DependencyGraph.from_log, pair_20.log_first)
         assert len(graph.nodes) == 20
 
-    @pytest.mark.parametrize(
-        "kernel", ["vectorized", "reference", "sparse", "compiled"]
-    )
-    def test_ems_exact_20_events(benchmark, graphs_20, kernel):
-        if kernel == "compiled":
-            from repro.core import compiled
-
-            if not compiled.HAS_NUMBA:
-                pytest.skip("numba not installed; compiled kernel falls back")
-        engine = EMSEngine(EMSConfig(kernel=kernel))
+    def test_ems_exact_20_events(benchmark, graphs_20):
+        engine = EMSEngine()
         result = benchmark(engine.similarity, *graphs_20)
         assert result.converged
 
@@ -257,17 +256,6 @@ if pytest is not None:
 # ----------------------------------------------------------------------
 # Regression harness
 # ----------------------------------------------------------------------
-class SkippedScenario(Exception):
-    """Raised by a scenario whose prerequisites are absent.
-
-    The harness records the reason in the payload (``"skipped"`` key,
-    ``mean_time``/``min_time`` null) instead of failing; :func:`compare`
-    treats skipped entries — on either side — as out of scope rather
-    than as regressions, so an optional dependency like numba never
-    turns a clean CI machine red.
-    """
-
-
 def _calibration_time() -> float:
     """Wall time of a fixed NumPy workload, for machine normalization."""
     rng = np.random.default_rng(0)
@@ -299,26 +287,18 @@ def _scenarios():
     def ems(**config):
         return EMSEngine(EMSConfig(**config)).similarity(*graphs).pair_updates
 
-    def ems_compiled():
-        # Without numba the "compiled" kernel falls back to the
-        # vectorized implementation, which would make this scenario a
-        # duplicate measurement — skip it instead so the recorded ratio
-        # only ever reflects a real JIT build.
-        from repro.core import compiled
-
-        if not compiled.HAS_NUMBA:
-            raise SkippedScenario(
-                "numba not installed; compiled kernel would fall back "
-                "to the vectorized implementation"
-            )
-        return ems(kernel="compiled")
+    def ems_reference():
+        # The per-pair loop of formula (1), the test oracle the kernel is
+        # differentially pinned to; the numerator of speedup_exact_20.
+        with reference_kernel():
+            return ems()
 
     def ems_noop_observer():
-        # Same workload as ems_exact_20_vectorized, but through an
-        # explicitly constructed no-op Observer — the pair of timings
-        # pins the cost of the disabled instrumentation hooks
+        # Same workload as ems_exact_20, but through an explicitly
+        # constructed no-op Observer — the pair of timings pins the cost
+        # of the disabled instrumentation hooks
         # (``noop_observer_overhead`` in the payload).
-        engine = EMSEngine(EMSConfig(kernel="vectorized"), observer=Observer())
+        engine = EMSEngine(observer=Observer())
         return engine.similarity(*graphs).pair_updates
 
     def hungarian():
@@ -536,12 +516,10 @@ def _scenarios():
         return run
 
     yield "graph_build_20", graph_build
-    yield "ems_exact_20_vectorized", lambda: ems(kernel="vectorized")
-    yield "ems_exact_20_reference", lambda: ems(kernel="reference")
-    yield "ems_exact_20_sparse", lambda: ems(kernel="sparse")
-    yield "ems_exact_20_compiled", ems_compiled
+    yield "ems_exact_20", ems
+    yield "ems_exact_20_reference", ems_reference
     yield "ems_exact_20_noop_observer", ems_noop_observer
-    yield "ems_exact_20_nopruning_vectorized", lambda: ems(use_pruning=False)
+    yield "ems_exact_20_nopruning", lambda: ems(use_pruning=False)
     yield "ems_estimation_I0_20", lambda: ems(estimation_iterations=0)
     yield "ems_forward_20", lambda: ems(direction="forward")
     yield "hungarian_50x50", hungarian
@@ -558,13 +536,11 @@ def _scenarios():
 
 
 def _memory_profile() -> dict:
-    """Tracemalloc peak of one exact EMS run per kernel, large vocabulary.
+    """Tracemalloc peak of one exact EMS run on the large vocabulary.
 
     The dependency-graph caches (levels, reversed views, predecessor
-    CSR) are warmed before tracing starts so the measured peaks isolate
-    the kernels' own scratch memory.  Both kernels must report identical
-    ``pair_updates`` — they evaluate the same schedule, only the memory
-    layout differs.
+    CSR) are warmed before tracing starts so the measured peak isolates
+    the kernel's own scratch memory.
     """
     import tracemalloc
 
@@ -581,25 +557,14 @@ def _memory_profile() -> dict:
         graph.reversed().levels()
         graph.predecessor_csr()
         graph.reversed().predecessor_csr()
-    profile: dict[str, dict] = {}
-    for kernel in ("vectorized", "sparse"):
-        engine = EMSEngine(EMSConfig(kernel=kernel))
-        tracemalloc.start()
-        try:
-            result = engine.similarity(*graphs)
-        finally:
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-        profile[kernel] = {
-            "peak_bytes": peak, "pair_updates": result.pair_updates,
-        }
-    if profile["sparse"]["pair_updates"] != profile["vectorized"]["pair_updates"]:
-        raise AssertionError(
-            "kernel schedules diverged: sparse did "
-            f"{profile['sparse']['pair_updates']} pair updates, vectorized "
-            f"{profile['vectorized']['pair_updates']}"
-        )
-    return profile
+    engine = EMSEngine()
+    tracemalloc.start()
+    try:
+        result = engine.similarity(*graphs)
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    return {"peak_bytes": peak, "pair_updates": result.pair_updates}
 
 
 def _ingest_memory_profile() -> dict:
@@ -672,17 +637,7 @@ def run_harness(repeats: int) -> dict:
     calibration = _calibration_time()
     scenarios: dict[str, dict] = {}
     for name, fn in _scenarios():
-        try:
-            fn()  # warm-up: first-touch caches, lazy imports
-        except SkippedScenario as skip:
-            scenarios[name] = {
-                "mean_time": None,
-                "min_time": None,
-                "repeats": 0,
-                "pair_updates": None,
-                "skipped": str(skip),
-            }
-            continue
+        fn()  # warm-up: first-touch caches, lazy imports
         times = []
         pair_updates = None
         for _ in range(repeats):
@@ -697,27 +652,20 @@ def run_harness(repeats: int) -> dict:
         }
     speedup = (
         scenarios["ems_exact_20_reference"]["mean_time"]
-        / scenarios["ems_exact_20_vectorized"]["mean_time"]
+        / scenarios["ems_exact_20"]["mean_time"]
     )
     speedup_composite = (
         scenarios["composite_search_cold"]["mean_time"]
         / scenarios["composite_search_incremental"]["mean_time"]
     )
     memory = _memory_profile()
-    memory_reduction = (
-        memory["vectorized"]["peak_bytes"] / memory["sparse"]["peak_bytes"]
-    )
+    memory_reduction = DENSE_KERNEL_PEAK_BYTES / memory["peak_bytes"]
     # min-over-repeats is the least noisy estimator for the ratio of two
-    # short runs; the floor on this key is 1.2x, not a speedup claim.
-    sparse_ratio = (
-        scenarios["ems_exact_20_sparse"]["min_time"]
-        / scenarios["ems_exact_20_vectorized"]["min_time"]
-    )
-    # Same min-over-repeats estimator: the disabled observer hooks must
-    # be free on the hot path, so this ratio should sit at ~1.0.
+    # short runs: the disabled observer hooks must be free on the hot
+    # path, so this ratio should sit at ~1.0.
     noop_overhead = (
         scenarios["ems_exact_20_noop_observer"]["min_time"]
-        / scenarios["ems_exact_20_vectorized"]["min_time"]
+        / scenarios["ems_exact_20"]["min_time"]
     )
     # Supervision (retry/quarantine wrapper) on a fault-free serial
     # composite search must be near-free: same workload, same estimator.
@@ -764,16 +712,6 @@ def run_harness(repeats: int) -> dict:
         scenarios["match_scaled_cold"]["mean_time"]
         / scenarios["service_submit_to_result_warm"]["mean_time"]
     )
-    # Null when numba is absent: the compiled scenario is skipped rather
-    # than silently re-measuring the vectorized fallback, and compare()
-    # treats the null as out of scope instead of a floor violation.
-    compiled_entry = scenarios["ems_exact_20_compiled"]
-    compiled_ratio = None
-    if compiled_entry.get("skipped") is None:
-        compiled_ratio = (
-            compiled_entry["min_time"]
-            / scenarios["ems_exact_20_vectorized"]["min_time"]
-        )
     return {
         "schema": 2,
         "scenario": SCENARIO,
@@ -794,11 +732,9 @@ def run_harness(repeats: int) -> dict:
         "speedup_exact_20": speedup,
         "speedup_composite": speedup_composite,
         "memory_reduction_sparse": memory_reduction,
-        "sparse_time_ratio_20": sparse_ratio,
         "noop_observer_overhead": noop_overhead,
         "retry_overhead": retry_overhead,
         "warm_cache_speedup": warm_cache_speedup,
-        "compiled_time_ratio_20": compiled_ratio,
     }
 
 
@@ -806,27 +742,20 @@ def run_harness(repeats: int) -> dict:
 #: ``(key, bound, sense, description)``: ``"min"`` keys must stay >=
 #: *bound*, ``"max"`` keys must stay <= *bound*.  A floor key missing
 #: from either JSON is itself a failure — a silent default would let a
-#: renamed or dropped metric pass the gate unnoticed.  A key that is
-#: present but null marks a *skipped* measurement (optional dependency
-#: absent, e.g. ``compiled_time_ratio_20`` without numba) and passes
-#: without counting toward the floor.
+#: renamed or dropped metric pass the gate unnoticed.
 FLOORS = (
     ("speedup_exact_20", 3.0, "min",
-     "vectorized-vs-reference exact-EMS speedup (20 events)"),
+     "kernel-vs-reference-loop exact-EMS speedup (20 events)"),
     ("speedup_composite", 3.0, "min",
      "incremental-vs-cold composite-search speedup"),
     ("memory_reduction_sparse", 4.0, "min",
-     "sparse-vs-vectorized peak-memory reduction (300 activities)"),
-    ("sparse_time_ratio_20", 1.2, "max",
-     "sparse-vs-vectorized wall-clock ratio (20 events)"),
+     "peak-memory reduction vs the dense kernel (300 activities)"),
     ("noop_observer_overhead", 1.1, "max",
      "no-op-observer overhead on exact EMS (20 events)"),
     ("retry_overhead", 1.1, "max",
      "supervision-wrapper overhead on a fault-free composite search"),
     ("warm_cache_speedup", 5.0, "min",
      "warm-evaluation-cache-vs-cold composite-search speedup"),
-    ("compiled_time_ratio_20", 1.2, "max",
-     "compiled-vs-vectorized wall-clock ratio (20 events)"),
     ("ingest_sharded_memory", 0.25, "max",
      "sharded-vs-monolithic ingestion peak-memory ratio"),
     ("stats_store_warm", 5.0, "min",
@@ -876,8 +805,7 @@ def compare(current: dict, baseline: dict, threshold: float) -> list[str]:
     is flagged regardless of machine speed.  Every :data:`FLOORS` key
     must be present in both payloads and within its bound in the current
     one — a missing key fails loudly instead of defaulting to a vacuous
-    pass, while a key or scenario marked skipped/null (optional
-    dependency absent on that machine) passes as out of scope.
+    pass.
     """
     failures: list[str] = []
     base_cal = baseline.get("calibration_time") or 1.0
@@ -886,10 +814,6 @@ def compare(current: dict, baseline: dict, threshold: float) -> list[str]:
         entry = current["scenarios"].get(name)
         if entry is None:
             failures.append(f"{name}: scenario disappeared from the harness")
-            continue
-        if entry.get("skipped") is not None or base.get("skipped") is not None:
-            # Skipped on either side (e.g. numba absent): no timing to
-            # compare — skipped-not-failed by design.
             continue
         base_norm = base["mean_time"] / base_cal
         cur_norm = entry["mean_time"] / cur_cal
@@ -919,11 +843,6 @@ def compare(current: dict, baseline: dict, threshold: float) -> list[str]:
             )
             continue
         value = current[key]
-        if value is None:
-            # Skipped measurement (e.g. compiled kernel without numba):
-            # the key is present, so the metric was not silently
-            # dropped, but there is nothing to hold against the bound.
-            continue
         if sense == "min" and value < bound:
             failures.append(
                 f"{description}: {value:.2f}x is below the {bound:g}x floor "
@@ -1008,24 +927,17 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(f"scenario: {payload['scenario']}")
     for name, entry in payload["scenarios"].items():
-        if entry.get("skipped") is not None:
-            print(f"  {name:38s} SKIPPED ({entry['skipped']})")
-            continue
         updates = entry["pair_updates"]
         suffix = f"  pair_updates={updates}" if updates is not None else ""
         print(f"  {name:38s} mean {entry['mean_time'] * 1e3:8.2f} ms{suffix}")
-    print(f"vectorized speedup on exact EMS (20 events): "
+    print(f"kernel speedup over the reference loop on exact EMS (20 events): "
           f"{payload['speedup_exact_20']:.2f}x")
     print(f"incremental speedup on the composite search: "
           f"{payload['speedup_composite']:.2f}x")
-    memory = payload["memory"]
     print(f"peak memory at {payload['memory_scenario']['activities']} "
-          f"activities: vectorized "
-          f"{memory['vectorized']['peak_bytes'] / 2**20:.1f} MiB, sparse "
-          f"{memory['sparse']['peak_bytes'] / 2**20:.1f} MiB "
-          f"({payload['memory_reduction_sparse']:.2f}x reduction)")
-    print(f"sparse/vectorized time ratio (20 events): "
-          f"{payload['sparse_time_ratio_20']:.2f}x")
+          f"activities: {payload['memory']['peak_bytes'] / 2**20:.1f} MiB "
+          f"({payload['memory_reduction_sparse']:.2f}x below the dense "
+          f"kernel's {DENSE_KERNEL_PEAK_BYTES / 2**20:.1f} MiB)")
     print(f"no-op observer overhead (20 events): "
           f"{payload['noop_observer_overhead']:.2f}x")
     print(f"supervision overhead on the composite search: "
@@ -1046,13 +958,6 @@ def main(argv: list[str] | None = None) -> int:
           f"{payload['sql_pair_counts']:.1f}")
     print(f"warm-daemon speedup over the cold in-process match: "
           f"{payload['service_warm_speedup']:.2f}x")
-    compiled_ratio = payload["compiled_time_ratio_20"]
-    if compiled_ratio is None:
-        print("compiled/vectorized time ratio (20 events): skipped "
-              "(numba not installed)")
-    else:
-        print(f"compiled/vectorized time ratio (20 events): "
-              f"{compiled_ratio:.2f}x")
     print(f"wrote {arguments.output}")
 
     if arguments.trace_out or arguments.manifest_out:

@@ -5,7 +5,7 @@ Usage::
     python -m repro match LOG1 LOG2 [--format xes|csv] [--composite]
                                     [--alpha A] [--labels] [--threshold T]
                                     [--estimate I] [--json] [--workers N]
-                                    [--kernel K] [--dtype D]
+                                    [--dtype D]
                                     [--timeout S] [--pair-budget N]
                                     [--no-degrade] [--on-error MODE]
                                     [--dead-letter-dir DIR]
@@ -91,6 +91,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.core.composite import CompositeMatcher
 from repro.core.config import EMSConfig
 from repro.exceptions import (
     BudgetExhausted,
@@ -256,15 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=0, metavar="N",
         help="evaluate composite candidates in N worker processes "
              "(composite mode only; budgeted runs stay serial)",
-    )
-    match.add_argument(
-        "--kernel", choices=("vectorized", "reference", "sparse", "compiled"),
-        default="vectorized",
-        help="fixpoint kernel: vectorized (fast, default), sparse "
-             "(memory-lean CSR gather-scatter for large vocabularies), "
-             "compiled (numba-jitted loops; falls back to vectorized with "
-             "a warning when numba is absent), or reference (the per-pair "
-             "spec loop)",
     )
     match.add_argument(
         "--dtype", choices=("float64", "float32"), default="float64",
@@ -798,12 +790,18 @@ def _match_setup(arguments: argparse.Namespace):
     alpha = arguments.alpha
     if alpha is None:
         alpha = 0.5 if arguments.labels else 1.0
-    config = EMSConfig(
-        alpha=alpha,
-        estimation_iterations=arguments.estimate,
-        kernel=arguments.kernel,
-        dtype=arguments.dtype,
-    )
+    # Out-of-range knobs are input errors (exit 2), not tracebacks; the
+    # config and the matcher own the valid ranges, as in validate_spec.
+    try:
+        config = EMSConfig(
+            alpha=alpha,
+            estimation_iterations=arguments.estimate,
+            dtype=arguments.dtype,
+        )
+        if arguments.composite:
+            CompositeMatcher(config, delta=arguments.delta)
+    except ValueError as error:
+        raise ReproError(str(error)) from None
 
     budget = None
     if arguments.timeout is not None or arguments.pair_budget is not None:
@@ -918,7 +916,6 @@ def _write_observability_outputs(
                 "max_iterations": config.max_iterations,
                 "direction": config.direction,
                 "estimation_iterations": config.estimation_iterations,
-                "kernel": config.kernel,
                 "dtype": config.dtype,
                 "composite": arguments.composite,
                 "workers": arguments.workers,

@@ -17,23 +17,11 @@ One dataclass gathers every knob that can change a similarity value
 * ``estimation_iterations`` — the budget ``I`` of exact iterations before
   switching to the closed-form estimation (Section 3.5); ``None`` disables
   estimation (exact EMS).
-* ``kernel`` — which implementation evaluates formula (1):
-  ``"vectorized"`` (default) runs each iteration as batched NumPy
-  gather/multiply/max-reduce operations over degree-bucketed pair
-  populations, ``"sparse"`` evaluates the same iteration as a CSR
-  gather–scatter over flat contribution chunks — ``O(chunk)`` working
-  memory instead of the vectorized kernel's ``O(Σ m·A·B)`` resident
-  tensors — ``"compiled"`` runs the bucketed iteration through
-  numba-jitted machine-code loops when numba is installed (pure-Python
-  vectorized fallback otherwise, with a one-time logged warning), and
-  ``"reference"`` is the straightforward per-pair loop the other
-  kernels are differentially tested against.  All of them produce the
-  same similarities, ``iterations`` and ``pair_updates``.
 * ``dtype`` — floating-point width of the similarity computation.
-  ``"float64"`` (default) is exact against the reference kernel;
-  ``"float32"`` halves the memory of every value/agreement buffer at a
-  ~1e-5 accuracy cost (rank-preserving in practice, see
-  ``docs/performance.md``).
+  ``"float64"`` (default) agrees with the per-pair reference loop of
+  formula (1) to 1e-12; ``"float32"`` halves the memory of every
+  value/agreement buffer at a ~1e-5 accuracy cost (rank-preserving in
+  practice, see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -44,7 +32,6 @@ from typing import Literal
 import numpy as np
 
 Direction = Literal["forward", "backward", "both"]
-Kernel = Literal["vectorized", "reference", "sparse", "compiled"]
 Dtype = Literal["float64", "float32"]
 
 #: The NumPy dtypes backing :attr:`EMSConfig.dtype`.
@@ -70,13 +57,6 @@ class EMSConfig:
     #: SimRank-style propagation without the paper's edge similarities
     #: (Definition 2's second ingredient).  Keep True outside ablations.
     use_edge_weights: bool = True
-    #: Which fixpoint implementation evaluates formula (1); see module
-    #: docstring.  Results are identical — "reference" exists for
-    #: differential testing and as a readable spec of the computation,
-    #: "sparse" trades a little arithmetic for O(chunk) working memory,
-    #: "compiled" runs the bucketed loops through numba when available
-    #: (vectorized fallback otherwise).
-    kernel: Kernel = "vectorized"
     #: Floating-point width of the similarity computation ("float64" or
     #: "float32"); see module docstring.
     dtype: Dtype = "float64"
@@ -103,11 +83,6 @@ class EMSConfig:
         if self.estimation_iterations is not None and self.estimation_iterations < 0:
             raise ValueError(
                 f"estimation_iterations must be >= 0 or None, got {self.estimation_iterations}"
-            )
-        if self.kernel not in ("vectorized", "reference", "sparse", "compiled"):
-            raise ValueError(
-                f"kernel must be vectorized/reference/sparse/compiled, "
-                f"got {self.kernel!r}"
             )
         if self.dtype not in _DTYPES:
             raise ValueError(

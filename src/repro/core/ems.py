@@ -28,29 +28,22 @@ Features implemented here:
 * instrumentation: the number of formula-(1) evaluations (``pair_updates``)
   reported in the paper's Figures 6 and 12.
 
-Three interchangeable fixpoint kernels implement the iteration
-(``EMSConfig.kernel``): the **reference** per-pair loop
-(:class:`_DirectionalRun`, a readable spec of formula (1)); the default
-**vectorized** kernel (:class:`_VectorizedRun`), which groups pairs into
-degree buckets ``(|pre(v1)|, |pre(v2)|)`` and evaluates each iteration as
-a handful of batched gather → multiply → max-reduce NumPy operations over
-the whole active pair population; and the memory-lean **sparse** kernel
-(:class:`_SparseRun`), which evaluates the same iteration as a CSR
-gather–scatter over flat contribution chunks — the artificial
+One kernel, :class:`_DirectionalRun`, evaluates the iteration as a CSR
+gather–scatter over real-degree blocks of pairs: the artificial
 predecessor's constant row is factored out analytically into a per-pair
-base term, and edge agreements are regenerated per chunk from node-level
-CSR arrays instead of being held resident, so working memory is
-``O(chunk)`` rather than the vectorized kernel's ``O(Σ m·A·B)`` tensors.
-All kernels produce bit-identical accounting (``iterations``,
-``pair_updates``) and similarities equal to within floating-point
-associativity; ``tests/core/test_kernel_equivalence`` and
-``tests/core/test_sparse_kernel_equivalence`` prove it differentially.
-See ``docs/performance.md``.
+base term, and each iteration gathers, weights and max/sum-reduces the
+real-predecessor contributions of all active pairs at once.  Small runs
+cache the flat gather indices and edge agreements; above
+:data:`_SPARSE_CACHE_LIMIT` contributions the kernel streams them in
+bounded chunks, so its working memory is ``O(chunk)``.  The per-pair loop
+in ``tests/ems_oracle.py`` is the readable specification of formula (1);
+``tests/core/test_sparse_kernel_equivalence`` pins the kernel to it
+(identical ``iterations`` and ``pair_updates``, similarities within
+1e-12).  See ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +53,7 @@ from repro.core.config import EMSConfig
 from repro.core.estimation import estimate_matrix, estimation_coefficients
 from repro.core.matrix import SimilarityMatrix
 from repro.core.pruning import ConvergenceSchedule, active_prefix_length, prefix_schedule
-from repro.graph.dependency import ARTIFICIAL, DependencyGraph
+from repro.graph.dependency import DependencyGraph
 from repro.obs import NULL_OBSERVER, Observer
 from repro.runtime.budget import BudgetMeter
 from repro.runtime.degrade import DegradationPolicy
@@ -278,6 +271,10 @@ class WarmStart:
         return int(self.dirty.size - self.dirty.sum())
 
 
+#: What the Uc / warm-start seed of a directional run may look like.
+FixedPairs = dict[tuple[str, str], float] | WarmStart | None
+
+
 def edge_agreement(weight_first: np.ndarray, weight_second: np.ndarray, c: float) -> np.ndarray:
     """The factor ``C`` for all pairs of edge weights (outer combination).
 
@@ -290,8 +287,92 @@ def edge_agreement(weight_first: np.ndarray, weight_second: np.ndarray, c: float
     return c * (1.0 - np.abs(w1 - w2) / (w1 + w2))
 
 
+#: Above this many total real-predecessor contributions (one contribution
+#: = one real-predecessor pair ``(v1', v2')`` of one node pair) the kernel
+#: stops caching flat per-contribution arrays (gather indices and edge
+#: agreements) and regenerates them chunk by chunk each iteration from the
+#: node-level CSR tables — nothing per-contribution stays resident.  At
+#: ``1 << 21`` the cached float64 agreements take at most 16 MiB per
+#: direction.  Streaming trades per-iteration regeneration for memory, so
+#: it only pays above that size; below it the cache is faster (see
+#: ``docs/performance.md``).  Patchable in tests to force either mode.
+_SPARSE_CACHE_LIMIT = 1 << 21
+
+#: Target element count of one gather/agreement chunk in streaming mode —
+#: the bound on the kernel's per-iteration temporary tensors.  Chunks are
+#: aligned to whole pairs, so the actual temp is at most
+#: ``max(_SPARSE_CHUNK_TARGET, A * B)`` elements.  Patchable in tests.
+_SPARSE_CHUNK_TARGET = 1 << 16
+
+
+@dataclass(slots=True)
+class _DegreeGroup:
+    """All nodes of one side sharing a real in-degree, with their CSR rows."""
+
+    nodes: np.ndarray    #: (g,) node indices with this real in-degree
+    preds: np.ndarray    #: (g, d) real-predecessor indices (rows of `values`)
+    weights: np.ndarray  #: (g, d) in-edge weights, run dtype
+
+
+@dataclass(slots=True)
+class _DegreeBlock:
+    """One real-degree block ``(d1, d2)`` of the kernel's pairs.
+
+    Pairs are laid out in :func:`repro.core.pruning.prefix_schedule` order
+    (descending convergence level) so Proposition-2 pruning is a prefix
+    slice.  Per-pair storage is O(1): five scalars per pair plus a
+    reference to the node-level degree groups.  Flat per-contribution
+    arrays (``preds_*``/``agreement``) exist only in cached mode.
+    """
+
+    linear: np.ndarray   #: (m,) row-major linear pair index (budget-cut order)
+    row_pos: np.ndarray  #: (m,) position of the pair's row inside group_first
+    col_pos: np.ndarray  #: (m,) position of the pair's column inside group_second
+    levels: np.ndarray   #: (m,) convergence levels, descending
+    base: np.ndarray     #: (m,) constant term: artificial row + label blend
+    group_first: _DegreeGroup
+    group_second: _DegreeGroup
+    inverse_first: float   #: 1 / |pre(v1)| — the real degree plus v^X
+    inverse_second: float  #: 1 / |pre(v2)|
+    preds_first: np.ndarray | None = None   #: (m, d1) cached gather rows
+    preds_second: np.ndarray | None = None  #: (m, d2) cached gather columns
+    agreement: np.ndarray | None = None     #: (m, d1, d2) cached ``C``
+
+
 class _DirectionalRun:
-    """One forward-similarity fixpoint computation on a graph pair."""
+    """One forward-similarity fixpoint computation on a graph pair.
+
+    Each iteration evaluates formula (1) for every active pair as a CSR
+    gather–scatter.  Two observations keep it fast and memory-lean:
+
+    * **The artificial predecessor row is closed-form.**  ``v^X`` is a
+      predecessor of every real node, and ``S(v^X, ·)`` is identically 0
+      except ``S(v^X, v^X) = 1``, never updated.  In the forward max the
+      ``v1' = v^X`` row therefore contributes exactly
+      ``C(v1, v^X, v2, v^X)`` (the agreement of the two artificial
+      in-edges), and real rows never gain from the artificial column (its
+      products are 0 among non-negative terms).  So the whole artificial
+      row/column folds into a per-pair constant — ``base = α/2 ·
+      (1/|pre(v1)| + 1/|pre(v2)|) · C_art + (1-α) · S^L`` — computed once,
+      and the iteration only touches the ``(d1, d2)`` *real* predecessor
+      grid, which the CSR export of :class:`~repro.graph.dependency.
+      DependencyGraph` provides without the artificial padding.
+    * **Contributions can be regenerated instead of stored.**  Gather
+      indices and edge agreements of a pair are pure functions of the two
+      nodes' CSR rows.  Runs whose flat arrays fit under
+      :data:`_SPARSE_CACHE_LIMIT` cache them once; larger runs switch to
+      streaming mode and recompute them per chunk of at most
+      :data:`_SPARSE_CHUNK_TARGET` contributions each iteration, so the
+      resident footprint is the node-level CSR tables plus ~5 scalars per
+      pair.
+
+    Pairs sharing a real-degree signature ``(d1, d2)`` form one block, and
+    within a chunk the gathered ``(k, d1, d2)`` contributions are reduced
+    segment-wise — max over one predecessor axis, sum over the other —
+    the uniform-segment special case of a COO scatter-reduce.  Blocks are
+    built lazily on the first step (the ``I = 0`` estimation never steps)
+    and exclude Uc-fixed pairs, which are never updated.
+    """
 
     def __init__(
         self,
@@ -299,57 +380,29 @@ class _DirectionalRun:
         second: DependencyGraph,
         config: EMSConfig,
         label_matrix: np.ndarray,
-        fixed_pairs: dict[tuple[str, str], float] | WarmStart | None = None,
+        fixed_pairs: FixedPairs = None,
         meter: BudgetMeter | None = None,
     ):
         self.config = config
         self._meter = meter
         self._dtype = config.np_dtype
+        self._graph_first = first
+        self._graph_second = second
         self.nodes_first = first.nodes
         self.nodes_second = second.nodes
         n1, n2 = len(self.nodes_first), len(self.nodes_second)
         self._n1, self._n2 = n1, n2
         self.label_matrix = label_matrix
-
-        index_first = {node: i for i, node in enumerate(self.nodes_first)}
-        index_first[ARTIFICIAL] = n1
-        index_second = {node: j for j, node in enumerate(self.nodes_second)}
-        index_second[ARTIFICIAL] = n2
-
-        # Predecessor index arrays and in-edge weights, per real node.
-        dtype = self._dtype
-        self._preds_first: list[np.ndarray] = []
-        self._weights_first: list[np.ndarray] = []
-        for node in self.nodes_first:
-            preds = first.predecessors(node)
-            self._preds_first.append(np.array([index_first[p] for p in preds], dtype=int))
-            self._weights_first.append(
-                np.array([first.edge_frequency(p, node) for p in preds], dtype=dtype)
-            )
-        self._preds_second: list[np.ndarray] = []
-        self._weights_second: list[np.ndarray] = []
-        for node in self.nodes_second:
-            preds = second.predecessors(node)
-            self._preds_second.append(np.array([index_second[p] for p in preds], dtype=int))
-            self._weights_second.append(
-                np.array([second.edge_frequency(p, node) for p in preds], dtype=dtype)
-            )
-
-        # Per-pair hot-path cache, built lazily: (edge-agreement matrix,
-        # open-mesh ancestor index, 1/|pre(v1)|, 1/|pre(v2)|).  The mesh
-        # and reciprocals never change across iterations, and caching them
-        # roughly halves the per-iteration cost on mid-size graphs.
-        self._pair_cache: dict[
-            tuple[int, int], tuple[np.ndarray, tuple[np.ndarray, np.ndarray], float, float]
-        ] = {}
+        self._blocks: list[_DegreeBlock] | None = None
 
         # Similarity array with the artificial row/column appended.
+        dtype = self._dtype
         self.values = np.zeros((n1 + 1, n2 + 1), dtype=dtype)
         self.values[n1, n2] = 1.0  # S^0(v1^X, v2^X)
 
         self.schedule = ConvergenceSchedule(first, second)
         # Agreement of the two artificial in-edges, used by the estimation
-        # and by the sparse kernel's factored base term.
+        # and by the factored base term.
         if config.use_edge_weights:
             f1 = np.array([first.frequency(node) for node in self.nodes_first], dtype=dtype)
             f2 = np.array([second.frequency(node) for node in self.nodes_second], dtype=dtype)
@@ -374,10 +427,12 @@ class _DirectionalRun:
         else:
             self._fixed_mask = np.zeros((n1, n2), dtype=bool)
             if fixed_pairs:
+                index_first = {node: i for i, node in enumerate(self.nodes_first)}
+                index_second = {node: j for j, node in enumerate(self.nodes_second)}
                 for (node_first, node_second), value in fixed_pairs.items():
                     i = index_first.get(node_first)
                     j = index_second.get(node_second)
-                    if i is None or j is None or i == n1 or j == n2:
+                    if i is None or j is None:
                         continue
                     self.values[i, j] = value
                     self._fixed_mask[i, j] = True
@@ -388,449 +443,10 @@ class _DirectionalRun:
         self.estimated = False
 
     # ------------------------------------------------------------------
-    def _pair_entry(
-        self, i: int, j: int
-    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], float, float]:
-        cached = self._pair_cache.get((i, j))
-        if cached is None:
-            if self.config.use_edge_weights:
-                agreement = edge_agreement(
-                    self._weights_first[i], self._weights_second[j], self.config.c
-                )
-            else:
-                # Ablation: plain SimRank-style constant decay, no edge
-                # similarity (see EMSConfig.use_edge_weights).
-                agreement = np.full(
-                    (len(self._weights_first[i]), len(self._weights_second[j])),
-                    self.config.c,
-                    dtype=self._dtype,
-                )
-            mesh = np.ix_(self._preds_first[i], self._preds_second[j])
-            cached = (
-                agreement,
-                mesh,
-                1.0 / len(self._preds_first[i]),
-                1.0 / len(self._preds_second[j]),
-            )
-            self._pair_cache[(i, j)] = cached
-        return cached
-
     def real_values(self) -> np.ndarray:
         """The real-pair block of the similarity array (a copy)."""
         return self.values[: self._n1, : self._n2].copy()
 
-    def step(self) -> float:
-        """Perform one iteration of formula (1); return the max change.
-
-        When a :class:`BudgetMeter` is attached, the budget is checked at
-        the start of the iteration and every pair update is charged; a
-        :class:`~repro.exceptions.BudgetExhausted` raised mid-iteration
-        leaves ``values`` in a valid best-so-far state (some pairs
-        updated, the rest at the previous iteration) and the accounting
-        consistent, so the degradation ladder can continue from it.
-        """
-        meter = self._meter
-        if meter is not None:
-            meter.check()
-        self.iterations += 1
-        iteration = self.iterations
-        alpha = self.config.alpha
-        previous = self.values.copy()
-        pair_levels = self.schedule.pair_levels
-        use_pruning = self.config.use_pruning
-        label = self.label_matrix
-        fixed = self._fixed_mask
-        half_alpha = alpha / 2.0
-        label_weight = 1.0 - alpha
-        max_delta = 0.0
-        updates = 0
-        try:
-            for i in range(self._n1):
-                for j in range(self._n2):
-                    if fixed[i, j]:
-                        continue
-                    if use_pruning and iteration > pair_levels[i, j]:
-                        continue
-                    agreement, mesh, inverse_a, inverse_b = self._pair_entry(i, j)
-                    weighted = agreement * previous[mesh]
-                    s_forward = weighted.max(axis=1).sum() * inverse_a
-                    s_backward = weighted.max(axis=0).sum() * inverse_b
-                    updated = half_alpha * (s_forward + s_backward)
-                    if label_weight:
-                        updated += label_weight * label[i, j]
-                    updates += 1
-                    delta = abs(updated - previous[i, j])
-                    if delta > max_delta:
-                        max_delta = delta
-                    self.values[i, j] = updated
-                    if meter is not None:
-                        meter.tick()
-        finally:
-            self.pair_updates += updates
-        return max_delta
-
-    def _commit_pending(
-        self,
-        pending: list[tuple[np.ndarray, np.ndarray]],
-        previous: np.ndarray,
-        total_active: int,
-        meter: BudgetMeter | None,
-    ) -> float:
-        """Phase 2 of a batched iteration: write updates, charge, report delta.
-
-        Shared by the vectorized and sparse kernels.  *pending* is a list of
-        ``(linear, updated)`` pairs, where ``linear`` is the row-major
-        linear index ``i * n2 + j`` of each evaluated pair.  Budget
-        semantics replicate the reference loop exactly: the meter is
-        charged once via ``tick(n)``, and when the pair-update cap would
-        trip mid-iteration only the row-major prefix of ``remaining + 1``
-        updates the reference loop would have committed is written before
-        the raise, leaving ``values`` in the same valid best-so-far state.
-        """
-        n2 = self._n2
-        remaining = meter.pair_updates_remaining if meter is not None else None
-        committed = 0
-        max_delta = 0.0
-        try:
-            if remaining is not None and total_active > remaining:
-                # The cap trips mid-iteration.  The reference loop visits
-                # pairs in row-major order and writes the pair whose tick
-                # raises before raising, so `remaining + 1` pairs commit.
-                allowed = remaining + 1
-                linear = np.concatenate([entry[0] for entry in pending])
-                updated = np.concatenate([entry[1] for entry in pending])
-                first = np.argsort(linear, kind="stable")[:allowed]
-                linear, updated = linear[first], updated[first]
-                rows, cols = np.divmod(linear, n2)
-                deltas = np.abs(updated - previous[rows, cols])
-                self.values[rows, cols] = updated
-                committed = allowed
-                max_delta = float(deltas.max()) if deltas.size else 0.0
-                meter.tick(allowed)
-                raise AssertionError("pair-update budget charge must have raised")
-            for linear, updated in pending:
-                rows, cols = np.divmod(linear, n2)
-                deltas = np.abs(updated - previous[rows, cols])
-                if deltas.size:
-                    delta = float(deltas.max())
-                    if delta > max_delta:
-                        max_delta = delta
-                self.values[rows, cols] = updated
-            committed = total_active
-            if meter is not None:
-                meter.tick(total_active)
-        finally:
-            self.pair_updates += committed
-        return max_delta
-
-    def finished(self) -> bool:
-        return self.converged or self.iterations >= self.config.max_iterations
-
-    def advance(self) -> None:
-        """One step plus convergence bookkeeping."""
-        delta = self.step()
-        if delta < self.config.epsilon or (
-            self.config.use_pruning and self.schedule.all_fixed_after(self.iterations)
-        ):
-            self.converged = True
-
-    def run_exact(self) -> None:
-        while not self.finished():
-            self.advance()
-
-    def run_estimated(self, exact_iterations: int) -> None:
-        """``EMS+es``: *exact_iterations* exact steps, then formula (2)."""
-        while self.iterations < exact_iterations and not self.finished():
-            self.advance()
-        if self.converged:
-            return  # exact values everywhere; nothing to estimate
-        q, a = estimation_coefficients(
-            np.array([len(p) for p in self._preds_first]),
-            np.array([len(p) for p in self._preds_second]),
-            self._artificial_agreement,
-            self.label_matrix,
-            self.config.alpha,
-            self.config.c,
-        )
-        # The coefficient algebra runs in float64 (the pre-counts promote);
-        # narrow back to the run dtype so the estimated block matches it.
-        q = q.astype(self._dtype, copy=False)
-        a = a.astype(self._dtype, copy=False)
-        real = self.real_values()
-        estimated = estimate_matrix(real, q, a, self.schedule.pair_levels, self.iterations)
-        estimated[self._fixed_mask] = real[self._fixed_mask]
-        self.values[: self._n1, : self._n2] = estimated
-        self.estimated = True
-        self.converged = True
-
-    def average_bound(self) -> float:
-        """Upper bound of the final average similarity, given progress so far."""
-        real = self.real_values()
-        if self._n1 == 0 or self._n2 == 0:
-            return 0.0
-        if self.converged:
-            return float(real.mean())
-        bounded = matrix_upper_bound(
-            real, self.iterations, self.config.decay, self.schedule.pair_levels
-        )
-        bounded[self._fixed_mask] = real[self._fixed_mask]
-        return float(bounded.mean())
-
-
-@dataclass(slots=True)
-class _Bucket:
-    """Precomputed tensors for one degree bucket ``(|pre(v1)|, |pre(v2)|)``.
-
-    Pairs are laid out in the :func:`repro.core.pruning.prefix_schedule`
-    order (descending convergence level), so Proposition-2 pruning at
-    iteration ``n`` reduces to slicing the first
-    :func:`repro.core.pruning.active_prefix_length` entries.
-    """
-
-    rows: np.ndarray           #: (m,) row index of each pair
-    cols: np.ndarray           #: (m,) column index of each pair
-    linear: np.ndarray         #: (m,) row-major linear index (budget-cut order)
-    preds_first: np.ndarray    #: (m, A) predecessor rows into the value array
-    preds_second: np.ndarray   #: (m, B) predecessor columns into the value array
-    agreement: np.ndarray | None  #: (m, A, B) edge-agreement ``C``; None = constant c
-    levels: np.ndarray         #: (m,) convergence levels, descending
-    inverse_first: float       #: 1 / A
-    inverse_second: float      #: 1 / B
-
-
-class _VectorizedRun(_DirectionalRun):
-    """The bucketed, padded NumPy formulation of the same fixpoint.
-
-    Pairs sharing a predecessor-count signature ``(A, B)`` evaluate
-    formula (1) with identically-shaped tensors, so each bucket runs one
-    iteration as ``gather(previous) * agreement -> max -> sum`` over all
-    its active pairs at once.  Tensors are built lazily on the first step
-    (the ``I = 0`` estimation never steps) and exclude Uc-fixed pairs,
-    which are never updated.
-
-    Budget semantics replicate the reference loop exactly: the meter is
-    charged once per iteration chunk via ``tick(n)``, and when the
-    pair-update cap would trip mid-iteration only the row-major prefix of
-    active pairs the reference loop would have committed is written before
-    the raise, leaving ``values`` in the same valid best-so-far state.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._buckets: list[_Bucket] | None = None
-
-    # ------------------------------------------------------------------
-    def _build_buckets(self) -> list[_Bucket]:
-        rows_by_degree: dict[int, list[int]] = {}
-        for i, preds in enumerate(self._preds_first):
-            rows_by_degree.setdefault(len(preds), []).append(i)
-        cols_by_degree: dict[int, list[int]] = {}
-        for j, preds in enumerate(self._preds_second):
-            cols_by_degree.setdefault(len(preds), []).append(j)
-
-        pair_levels = self.schedule.pair_levels
-        fixed = self._fixed_mask
-        config = self.config
-        buckets: list[_Bucket] = []
-        for degree_first, row_list in rows_by_degree.items():
-            row_arr = np.array(row_list, dtype=int)
-            p1 = np.stack([self._preds_first[i] for i in row_list])
-            w1 = np.stack([self._weights_first[i] for i in row_list])
-            for degree_second, col_list in cols_by_degree.items():
-                col_arr = np.array(col_list, dtype=int)
-                p2 = np.stack([self._preds_second[j] for j in col_list])
-                w2 = np.stack([self._weights_second[j] for j in col_list])
-
-                rows = np.repeat(row_arr, len(col_arr))
-                cols = np.tile(col_arr, len(row_arr))
-                row_pos = np.repeat(np.arange(len(row_arr)), len(col_arr))
-                col_pos = np.tile(np.arange(len(col_arr)), len(row_arr))
-                keep = ~fixed[rows, cols]
-                if not keep.any():
-                    continue
-                rows, cols = rows[keep], cols[keep]
-                row_pos, col_pos = row_pos[keep], col_pos[keep]
-                order, levels = prefix_schedule(np.asarray(pair_levels[rows, cols], dtype=float))
-                rows, cols = rows[order], cols[order]
-                row_pos, col_pos = row_pos[order], col_pos[order]
-                if config.use_edge_weights:
-                    left = w1[row_pos][:, :, None]
-                    right = w2[col_pos][:, None, :]
-                    agreement = config.c * (1.0 - np.abs(left - right) / (left + right))
-                else:
-                    agreement = None
-                buckets.append(
-                    _Bucket(
-                        rows=rows,
-                        cols=cols,
-                        linear=rows * self._n2 + cols,
-                        preds_first=p1[row_pos],
-                        preds_second=p2[col_pos],
-                        agreement=agreement,
-                        levels=levels,
-                        inverse_first=1.0 / degree_first,
-                        inverse_second=1.0 / degree_second,
-                    )
-                )
-        return buckets
-
-    # ------------------------------------------------------------------
-    def step(self) -> float:
-        meter = self._meter
-        if meter is not None:
-            meter.check()
-        self.iterations += 1
-        iteration = self.iterations
-        if self._buckets is None:
-            self._buckets = self._build_buckets()
-        config = self.config
-        half_alpha = config.alpha / 2.0
-        label_weight = 1.0 - config.alpha
-        use_pruning = config.use_pruning
-        previous = self.values.copy()
-        label = self.label_matrix
-        c = config.c
-
-        # Phase 1: evaluate formula (1) for every active pair.  All reads
-        # go to `previous` (Jacobi iteration), so pending updates are
-        # independent of commit order.
-        pending: list[tuple[np.ndarray, np.ndarray]] = []
-        total_active = 0
-        for bucket in self._buckets:
-            if use_pruning:
-                count = active_prefix_length(bucket.levels, iteration)
-                if count == 0:
-                    continue
-                sel = slice(0, count)
-            else:
-                sel = slice(None)
-            rows = bucket.rows[sel]
-            cols = bucket.cols[sel]
-            p1 = bucket.preds_first[sel]
-            p2 = bucket.preds_second[sel]
-            gathered = previous[p1[:, :, None], p2[:, None, :]]
-            if bucket.agreement is not None:
-                weighted = bucket.agreement[sel] * gathered
-            else:
-                weighted = c * gathered
-            s_forward = weighted.max(axis=2).sum(axis=1) * bucket.inverse_first
-            s_backward = weighted.max(axis=1).sum(axis=1) * bucket.inverse_second
-            updated = half_alpha * (s_forward + s_backward)
-            if label_weight:
-                updated = updated + label_weight * label[rows, cols]
-            pending.append((bucket.linear[sel], updated))
-            total_active += len(rows)
-
-        # Phase 2: commit and charge the meter in one batched call.
-        return self._commit_pending(pending, previous, total_active, meter)
-
-
-#: Above this many total real-predecessor contributions the sparse kernel
-#: stops caching flat per-contribution arrays (gather indices and edge
-#: agreements) and regenerates them chunk by chunk each iteration from the
-#: node-level CSR tables — nothing per-contribution stays resident.  Small
-#: runs keep the cache so the kernel stays within arm's reach of the
-#: vectorized kernel's wall-clock.  Patchable in tests to force either mode.
-_SPARSE_CACHE_LIMIT = 1 << 18
-
-#: Target element count of one gather/agreement chunk in streaming mode —
-#: the bound on the sparse kernel's per-iteration temporary tensors.
-#: Chunks are aligned to whole pairs, so the actual temp is at most
-#: ``max(_SPARSE_CHUNK_TARGET, A * B)`` elements.  Patchable in tests.
-_SPARSE_CHUNK_TARGET = 1 << 16
-
-
-@dataclass(slots=True)
-class _DegreeGroup:
-    """All nodes of one side sharing a real in-degree, with their CSR rows."""
-
-    nodes: np.ndarray    #: (g,) node indices with this real in-degree
-    preds: np.ndarray    #: (g, d) real-predecessor indices (rows of `values`)
-    weights: np.ndarray  #: (g, d) in-edge weights, run dtype
-
-
-@dataclass(slots=True)
-class _SparseBlock:
-    """One real-degree block ``(d1, d2)`` of the sparse kernel's pairs.
-
-    Pairs are laid out in :func:`repro.core.pruning.prefix_schedule` order
-    (descending convergence level) so Proposition-2 pruning is a prefix
-    slice, exactly like the vectorized kernel's buckets.  Unlike a
-    :class:`_Bucket`, per-pair storage is O(1): five scalars per pair plus
-    a reference to the node-level degree groups.  Flat per-contribution
-    arrays (``preds_*``/``agreement``) exist only in cached mode.
-    """
-
-    linear: np.ndarray   #: (m,) row-major linear pair index (budget-cut order)
-    row_pos: np.ndarray  #: (m,) position of the pair's row inside group_first
-    col_pos: np.ndarray  #: (m,) position of the pair's column inside group_second
-    levels: np.ndarray   #: (m,) convergence levels, descending
-    base: np.ndarray     #: (m,) constant term: artificial row + label blend
-    group_first: _DegreeGroup
-    group_second: _DegreeGroup
-    inverse_first: float   #: 1 / |pre(v1)| — the real degree plus v^X
-    inverse_second: float  #: 1 / |pre(v2)|
-    preds_first: np.ndarray | None = None   #: (m, d1) cached gather rows
-    preds_second: np.ndarray | None = None  #: (m, d2) cached gather columns
-    agreement: np.ndarray | None = None     #: (m, d1, d2) cached ``C``
-
-
-class _SparseRun(_DirectionalRun):
-    """The CSR gather–scatter formulation of the same fixpoint.
-
-    The vectorized kernel's memory cost is its resident padded tensors:
-    every bucket holds ``(m, A, B)`` edge agreements plus ``(m, A)`` /
-    ``(m, B)`` gather indices, ``O(Σ m·A·B)`` floats for the whole pair
-    population.  This kernel stores none of that.  Two observations make
-    the evaluation memory-lean without changing a single result:
-
-    * **The artificial predecessor row is closed-form.**  ``v^X`` is a
-      predecessor of every real node, and ``S(v^X, ·)`` is identically 0
-      except ``S(v^X, v^X) = 1``, never updated.  In the forward max the
-      ``v1' = v^X`` row therefore contributes exactly
-      ``C(v1, v^X, v2, v^X)`` (the agreement of the two artificial
-      in-edges), and real rows never gain from the artificial column (its
-      products are 0 among non-negative terms).  So the whole artificial
-      row/column folds into a per-pair constant — ``base = α/2 ·
-      (1/|pre(v1)| + 1/|pre(v2)|) · C_art + (1-α) · S^L`` — computed once,
-      and the iteration only touches the ``(d1, d2)`` *real* predecessor
-      grid, which the CSR export of :class:`~repro.graph.dependency.
-      DependencyGraph` provides without the artificial padding.
-    * **Contributions can be regenerated cheaper than stored.**  Gather
-      indices and edge agreements of a pair are pure functions of the two
-      nodes' CSR rows.  Streaming mode recomputes them per chunk of at
-      most :data:`_SPARSE_CHUNK_TARGET` contributions each iteration: the
-      resident footprint is the node-level CSR tables plus ~5 scalars per
-      pair, and the per-iteration temporaries are bounded by the chunk
-      size instead of the contribution count.  Runs small enough that the
-      flat arrays fit under :data:`_SPARSE_CACHE_LIMIT` keep them cached,
-      which holds the kernel's wall-clock next to the vectorized kernel
-      where memory is not the constraint.
-
-    Within a chunk the gathered ``(k, d1, d2)`` contributions are reduced
-    segment-wise — max over one predecessor axis, sum over the other —
-    which is the uniform-segment special case of a COO scatter-reduce
-    (every pair in a block owns exactly ``d1 · d2`` contributions).
-    Budget semantics are shared with the vectorized kernel via
-    :meth:`_DirectionalRun._commit_pending`: identical ``tick(n)`` totals
-    and an identical row-major commit prefix on mid-iteration exhaustion.
-    """
-
-    def __init__(
-        self,
-        first: DependencyGraph,
-        second: DependencyGraph,
-        config: EMSConfig,
-        label_matrix: np.ndarray,
-        fixed_pairs: "FixedPairs" = None,
-        meter: BudgetMeter | None = None,
-    ):
-        super().__init__(first, second, config, label_matrix, fixed_pairs, meter)
-        self._graph_first = first
-        self._graph_second = second
-        self._blocks: list[_SparseBlock] | None = None
-
-    # ------------------------------------------------------------------
     def _degree_groups(self, graph: DependencyGraph) -> dict[int, _DegreeGroup]:
         indptr, indices, weights = graph.predecessor_csr()
         dtype = self._dtype
@@ -849,7 +465,7 @@ class _SparseRun(_DirectionalRun):
             groups[degree] = _DegreeGroup(nodes, preds, group_weights)
         return groups
 
-    def _build_blocks(self) -> list[_SparseBlock]:
+    def _build_blocks(self) -> list[_DegreeBlock]:
         config = self.config
         dtype = self._dtype
         n2 = self._n2
@@ -862,7 +478,7 @@ class _SparseRun(_DirectionalRun):
 
         groups_first = self._degree_groups(self._graph_first)
         groups_second = self._degree_groups(self._graph_second)
-        blocks: list[_SparseBlock] = []
+        blocks: list[_DegreeBlock] = []
         for degree_first, group_first in groups_first.items():
             for degree_second, group_second in groups_second.items():
                 rows = np.repeat(group_first.nodes.astype(np.int64), len(group_second.nodes))
@@ -890,7 +506,7 @@ class _SparseRun(_DirectionalRun):
                 if label_weight:
                     base = base + label_weight * label[rows, cols]
                 blocks.append(
-                    _SparseBlock(
+                    _DegreeBlock(
                         linear=rows * n2 + cols,
                         row_pos=row_pos,
                         col_pos=col_pos,
@@ -903,8 +519,8 @@ class _SparseRun(_DirectionalRun):
                     )
                 )
 
-        # Cached mode: on small runs, materialize the flat contribution
-        # arrays once — the 20-activity wall-clock floor lives here.
+        # Cached mode: below the limit, materialize the flat contribution
+        # arrays once instead of regenerating them every iteration.
         total_contributions = sum(
             len(block.linear)
             * block.group_first.preds.shape[1]
@@ -925,8 +541,16 @@ class _SparseRun(_DirectionalRun):
                     )
         return blocks
 
-    # ------------------------------------------------------------------
     def step(self) -> float:
+        """Perform one iteration of formula (1); return the max change.
+
+        When a :class:`BudgetMeter` is attached, the budget is checked at
+        the start of the iteration and every pair update is charged; a
+        :class:`~repro.exceptions.BudgetExhausted` raised mid-iteration
+        leaves ``values`` in a valid best-so-far state (some pairs
+        updated, the rest at the previous iteration) and the accounting
+        consistent, so the degradation ladder can continue from it.
+        """
         meter = self._meter
         if meter is not None:
             meter.check()
@@ -994,35 +618,114 @@ class _SparseRun(_DirectionalRun):
         # Phase 2: commit and charge the meter in one batched call.
         return self._commit_pending(pending, previous, total_active, meter)
 
+    def _commit_pending(
+        self,
+        pending: list[tuple[np.ndarray, np.ndarray]],
+        previous: np.ndarray,
+        total_active: int,
+        meter: BudgetMeter | None,
+    ) -> float:
+        """Phase 2 of an iteration: write updates, charge, report delta.
 
-#: Kernel registry: EMSConfig.kernel -> directional-run implementation.
-#: ``"compiled"`` is registered lazily by :mod:`repro.core.compiled` the
-#: first time a config asks for it (that module imports this one, so the
-#: import must run from here, never the other way around).
-_KERNELS: dict[str, type[_DirectionalRun]] = {
-    "reference": _DirectionalRun,
-    "vectorized": _VectorizedRun,
-    "sparse": _SparseRun,
-}
+        *pending* is a list of ``(linear, updated)`` pairs, where
+        ``linear`` is the row-major linear index ``i * n2 + j`` of each
+        evaluated pair.  Budget semantics are those of the per-pair loop
+        of formula (1), which visits pairs in row-major order and charges
+        one tick per pair: the meter is charged once via ``tick(n)``, and
+        when the pair-update cap would trip mid-iteration only the
+        row-major prefix of ``remaining + 1`` updates that loop would have
+        committed is written before the raise, leaving ``values`` in the
+        same valid best-so-far state.
+        """
+        n2 = self._n2
+        remaining = meter.pair_updates_remaining if meter is not None else None
+        committed = 0
+        max_delta = 0.0
+        try:
+            if remaining is not None and total_active > remaining:
+                # The cap trips mid-iteration.  The reference loop visits
+                # pairs in row-major order and writes the pair whose tick
+                # raises before raising, so `remaining + 1` pairs commit.
+                allowed = remaining + 1
+                linear = np.concatenate([entry[0] for entry in pending])
+                updated = np.concatenate([entry[1] for entry in pending])
+                first = np.argsort(linear, kind="stable")[:allowed]
+                linear, updated = linear[first], updated[first]
+                rows, cols = np.divmod(linear, n2)
+                deltas = np.abs(updated - previous[rows, cols])
+                self.values[rows, cols] = updated
+                committed = allowed
+                max_delta = float(deltas.max()) if deltas.size else 0.0
+                meter.tick(allowed)
+                raise AssertionError("pair-update budget charge must have raised")
+            for linear, updated in pending:
+                rows, cols = np.divmod(linear, n2)
+                deltas = np.abs(updated - previous[rows, cols])
+                if deltas.size:
+                    delta = float(deltas.max())
+                    if delta > max_delta:
+                        max_delta = delta
+                self.values[rows, cols] = updated
+            committed = total_active
+            if meter is not None:
+                meter.tick(total_active)
+        finally:
+            self.pair_updates += committed
+        return max_delta
 
-#: What the Uc / warm-start seed of a directional run may look like.
-FixedPairs = dict[tuple[str, str], float] | WarmStart | None
+    def finished(self) -> bool:
+        return self.converged or self.iterations >= self.config.max_iterations
 
+    def advance(self) -> None:
+        """One step plus convergence bookkeeping."""
+        delta = self.step()
+        if delta < self.config.epsilon or (
+            self.config.use_pruning and self.schedule.all_fixed_after(self.iterations)
+        ):
+            self.converged = True
 
-def _make_run(
-    first: DependencyGraph,
-    second: DependencyGraph,
-    config: EMSConfig,
-    label_matrix: np.ndarray,
-    fixed_pairs: FixedPairs = None,
-    meter: BudgetMeter | None = None,
-) -> _DirectionalRun:
-    kernel = _KERNELS.get(config.kernel)
-    if kernel is None:
-        from repro.core import compiled  # noqa: F401  (registers "compiled")
+    def run_exact(self) -> None:
+        while not self.finished():
+            self.advance()
 
-        kernel = _KERNELS[config.kernel]
-    return kernel(first, second, config, label_matrix, fixed_pairs, meter)
+    def run_estimated(self, exact_iterations: int) -> None:
+        """``EMS+es``: *exact_iterations* exact steps, then formula (2)."""
+        while self.iterations < exact_iterations and not self.finished():
+            self.advance()
+        if self.converged:
+            return  # exact values everywhere; nothing to estimate
+        # |pre(v)|: the real in-degree plus the artificial predecessor.
+        q, a = estimation_coefficients(
+            np.diff(self._graph_first.predecessor_csr()[0]) + 1,
+            np.diff(self._graph_second.predecessor_csr()[0]) + 1,
+            self._artificial_agreement,
+            self.label_matrix,
+            self.config.alpha,
+            self.config.c,
+        )
+        # The coefficient algebra runs in float64 (the pre-counts promote);
+        # narrow back to the run dtype so the estimated block matches it.
+        q = q.astype(self._dtype, copy=False)
+        a = a.astype(self._dtype, copy=False)
+        real = self.real_values()
+        estimated = estimate_matrix(real, q, a, self.schedule.pair_levels, self.iterations)
+        estimated[self._fixed_mask] = real[self._fixed_mask]
+        self.values[: self._n1, : self._n2] = estimated
+        self.estimated = True
+        self.converged = True
+
+    def average_bound(self) -> float:
+        """Upper bound of the final average similarity, given progress so far."""
+        real = self.real_values()
+        if self._n1 == 0 or self._n2 == 0:
+            return 0.0
+        if self.converged:
+            return float(real.mean())
+        bounded = matrix_upper_bound(
+            real, self.iterations, self.config.decay, self.schedule.pair_levels
+        )
+        bounded[self._fixed_mask] = real[self._fixed_mask]
+        return float(bounded.mean())
 
 
 class EMSEngine:
@@ -1104,11 +807,11 @@ class EMSEngine:
         runs: list[_DirectionalRun] = []
         if self.config.direction in ("forward", "both"):
             runs.append(
-                _make_run(first, second, self.config, label, fixed_forward, meter)
+                _DirectionalRun(first, second, self.config, label, fixed_forward, meter)
             )
         if self.config.direction in ("backward", "both"):
             runs.append(
-                _make_run(
+                _DirectionalRun(
                     first.reversed(), second.reversed(), self.config, label,
                     fixed_backward, meter,
                 )
@@ -1208,7 +911,6 @@ class EMSEngine:
         with obs.span(
             "ems.fixpoint",
             pairs=len(first.nodes) * len(second.nodes),
-            kernel=self.config.kernel,
             dtype=self.config.dtype,
         ):
             runs = self._runs(first, second, fixed_forward, fixed_backward, meter)
@@ -1243,7 +945,6 @@ class EMSEngine:
         with obs.span(
             "ems.fixpoint",
             pairs=len(first.nodes) * len(second.nodes),
-            kernel=self.config.kernel,
             dtype=self.config.dtype,
             budgeted=meter is not None,
         ) as span:
@@ -1296,7 +997,6 @@ class EMSEngine:
         with obs.span(
             "ems.fixpoint",
             pairs=len(first.nodes) * len(second.nodes),
-            kernel=self.config.kernel,
             dtype=self.config.dtype,
             abort_below=abort_below,
         ) as span:
@@ -1351,7 +1051,7 @@ def iteration_trace(
     """
     engine = EMSEngine(config, label_similarity)
     label = engine._label_matrix(first, second)
-    run = _make_run(first, second, engine.config, label)
+    run = _DirectionalRun(first, second, engine.config, label)
     snapshots: list[SimilarityMatrix] = []
     for _ in range(iterations):
         run.step()

@@ -59,10 +59,10 @@ def prefix_schedule(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     descending.  A pair with level ``h`` is active while ``iteration <= h``
     (see :meth:`ConvergenceSchedule.active_mask`), so once pairs are laid
     out in this order the active population at iteration ``n`` is exactly
-    the first :func:`active_prefix_length` entries — the vectorized and
-    sparse kernels apply Proposition-2 pruning as a slice instead of a
-    boolean gather (the sparse kernel additionally streams its chunks
-    inside that prefix, so frozen pairs cost no scratch memory either).
+    the first :func:`active_prefix_length` entries — the EMS kernel
+    applies Proposition-2 pruning as a slice instead of a boolean gather
+    and streams its chunks inside that prefix, so frozen pairs cost no
+    scratch memory either.
     """
     order = np.argsort(-levels, kind="stable")
     return order, levels[order]

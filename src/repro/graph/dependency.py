@@ -237,7 +237,7 @@ class DependencyGraph:
         artificial predecessor ``v^X`` is deliberately omitted: its
         contribution to formula (1) is closed-form (the agreement of the two
         artificial in-edges times the never-updated ``S(v^X, v^X) = 1``) and
-        the sparse kernel folds it into a per-pair constant instead of
+        the EMS kernel folds it into a per-pair constant instead of
         storing a row for it.  Cached per instance; callers must treat the
         arrays as read-only.
         """

@@ -137,8 +137,8 @@ class BudgetMeter:
         the spend is committed before any raise, the pair-update cap trips
         as soon as the cumulative spend exceeds it, and the wall clock is
         re-read whenever the batch crosses a :data:`_DEADLINE_STRIDE`
-        boundary.  The vectorized EMS kernel charges whole iterations in
-        one call; the reference loop charges pair by pair — both account
+        boundary.  The EMS kernel charges whole iterations in one call;
+        the per-pair reference loop charges pair by pair — both account
         identically against the same budget.
         """
         if n < 0:

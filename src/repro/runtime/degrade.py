@@ -7,8 +7,8 @@ step down to, in order:
 1. **exact** — the run finished as requested; nothing to degrade.
 2. **estimated** — unconverged pairs are filled in with the paper's
    closed-form estimation (Section 3.5, formula (2)) applied to however
-   many exact iterations actually ran.  The estimation itself is a single
-   vectorized evaluation, so it always fits in the leftover instant.
+   many exact iterations actually ran.  The estimation itself is one
+   closed-form array evaluation, so it always fits in the leftover instant.
 3. **partial** — the best-so-far similarity values are returned as-is
    (marked unconverged).  For composite matching this rung also covers a
    greedy search cut short between rounds: the matrix of the last

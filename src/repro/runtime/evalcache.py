@@ -10,7 +10,7 @@ content-addressed so a hit is *provably* the same computation:
 
 * the **base key** is :func:`~repro.runtime.checkpoint.search_content_key`
   over the two logs' traces, every :class:`~repro.core.config.EMSConfig`
-  field (kernel and dtype included) and the matcher knobs — the exact
+  field (dtype included) and the matcher knobs — the exact
   compatibility key the checkpoint store uses;
 * the **candidate key** (:func:`candidate_key`) extends it with the
   accepted-merge history so far, the candidate's ``(side, run)`` and the

@@ -71,11 +71,9 @@ def matrix_content_key(
     Keys on everything that determines the matrix values: the two counts
     keys (which already encode file content, format and parse mode), the
     graph threshold, the label scorer, and every ``EMSConfig`` knob the
-    fixpoint reads — including ``kernel`` and ``dtype``, conservatively:
-    kernels are pinned bit-identical by the differential suites, but a
-    distinct row per kernel can only cost a miss, never a wrong answer.
-    ``threshold`` is *not* part of the key; it filters pairs after the
-    assignment and never touches matrix values.  Floats go through
+    fixpoint reads, ``dtype`` included.  ``threshold`` is *not* part of
+    the key; it filters pairs after the assignment and never touches
+    matrix values.  Floats go through
     ``repr`` so equal values — and only equal values — share a row.
     """
     payload = [
@@ -91,7 +89,6 @@ def matrix_content_key(
         config.use_pruning,
         config.estimation_iterations,
         config.use_edge_weights,
-        config.kernel,
         config.dtype,
     ]
     return hashlib.sha256(

@@ -39,11 +39,6 @@ class TestValidation:
             EMSConfig(estimation_iterations=-1)
         assert EMSConfig(estimation_iterations=0).estimation_iterations == 0
 
-    def test_kernel_validated(self):
-        with pytest.raises(ValueError):
-            EMSConfig(kernel="gpu")  # type: ignore[arg-type]
-        assert EMSConfig(kernel="sparse").kernel == "sparse"
-
     def test_dtype_validated(self):
         import numpy as np
 

@@ -1,9 +1,9 @@
-"""Differential tests: the sparse EMS kernel against the other two.
+"""Differential tests: the production EMS kernel against the per-pair oracle.
 
-The sparse kernel (``EMSConfig(kernel="sparse")``) trades the vectorized
-kernel's dense ``(m, A, B)`` scratch tensors for streamed CSR
-gather–scatter chunks, but it must remain an observationally identical
-implementation of formula (1): same similarities (to within 1e-12 at
+The production kernel (:class:`repro.core.ems._DirectionalRun`) evaluates
+formula (1) as streamed CSR gather–scatter chunks.  It must remain an
+observationally identical implementation of the per-pair reference loop
+in ``tests/ems_oracle.py``: same similarities (to within 1e-12 at
 float64), same ``iterations``, same ``pair_updates`` — across pruning
 on/off (including the Proposition-2 freeze order), edge weights, label
 blending, fixed (Uc) pairs, estimation, the Bd abort and mid-iteration
@@ -16,8 +16,10 @@ must match pair for pair.  The suite also pins:
 * **float32** — a narrowed run stays within 1e-5 of the float64 answer
   and preserves the per-row best match up to ties;
 * **warm starts** — the incremental composite search produces the same
-  trajectory under the sparse kernel as under the vectorized one.
+  trajectory on the production kernel as on the oracle.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from repro.runtime.degrade import DegradationPolicy
 from repro.similarity.labels import QGramCosineSimilarity
 from repro.synthesis.corpus import build_scalability_pair
 from tests.composite_oracle import ColdCompositeMatcher
+from tests.ems_oracle import reference_kernel
 
 ATOL = 1e-12
 FLOAT32_ATOL = 1e-5
@@ -52,7 +55,7 @@ def graphs_12() -> tuple[DependencyGraph, DependencyGraph]:
 
 @pytest.fixture()
 def streaming_mode(monkeypatch):
-    """Force the sparse kernel off its cached path and onto tiny chunks."""
+    """Force the kernel off its cached path and onto tiny chunks."""
     monkeypatch.setattr(ems_module, "_SPARSE_CACHE_LIMIT", 0)
     monkeypatch.setattr(ems_module, "_SPARSE_CHUNK_TARGET", 7)
 
@@ -72,12 +75,18 @@ def assert_equivalent(result_sparse, result_other, atol=ATOL) -> None:
         )
 
 
-def run_kernels(graphs, config_kwargs, kernels=("sparse", "reference"),
+def kernel(oracle: bool):
+    """A context running the fixpoint on the oracle, or on production."""
+    return reference_kernel() if oracle else nullcontext()
+
+
+def run_kernels(graphs, config_kwargs, oracles=(False, True),
                 label=None, **similarity_kwargs):
     results = []
-    for kernel in kernels:
-        engine = EMSEngine(EMSConfig(kernel=kernel, **config_kwargs), label)
-        results.append(engine.similarity(*graphs, **similarity_kwargs))
+    for oracle in oracles:
+        engine = EMSEngine(EMSConfig(**config_kwargs), label)
+        with kernel(oracle):
+            results.append(engine.similarity(*graphs, **similarity_kwargs))
     return results
 
 
@@ -123,14 +132,9 @@ class TestExactEquivalence:
             *run_kernels(graphs_12, {"estimation_iterations": exact_iterations})
         )
 
-    def test_matches_vectorized_too(self, graphs_12):
-        assert_equivalent(
-            *run_kernels(graphs_12, {}, kernels=("sparse", "vectorized"))
-        )
-
 
 class TestStreamingMode:
-    """The cached and streaming sparse paths must not disagree."""
+    """The cached and streaming paths must not disagree."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_streaming_matches_reference(self, streaming_mode, seed):
@@ -138,10 +142,10 @@ class TestStreamingMode:
         assert_equivalent(*run_kernels(graphs, {}))
 
     def test_streaming_matches_cached(self, graphs_12, monkeypatch):
-        cached = run_kernels(graphs_12, {}, kernels=("sparse",))[0]
+        cached = run_kernels(graphs_12, {}, oracles=(False,))[0]
         monkeypatch.setattr(ems_module, "_SPARSE_CACHE_LIMIT", 0)
         monkeypatch.setattr(ems_module, "_SPARSE_CHUNK_TARGET", 7)
-        streamed = run_kernels(graphs_12, {}, kernels=("sparse",))[0]
+        streamed = run_kernels(graphs_12, {}, oracles=(False,))[0]
         assert_equivalent(streamed, cached)
 
     def test_streaming_under_pruning_and_labels(self, streaming_mode, graphs_12):
@@ -157,9 +161,11 @@ class TestAbortEquivalence:
     @pytest.mark.parametrize("abort_below", [0.0, 0.4, 0.99])
     def test_similarity_with_abort(self, graphs_12, abort_below):
         results = []
-        for kernel in ("sparse", "reference"):
-            engine = EMSEngine(EMSConfig(kernel=kernel))
-            results.append(engine.similarity_with_abort(*graphs_12, abort_below))
+        for oracle in (False, True):
+            with kernel(oracle):
+                results.append(
+                    EMSEngine().similarity_with_abort(*graphs_12, abort_below)
+                )
         sparse, ref = results
         if ref is None:
             assert sparse is None
@@ -182,12 +188,12 @@ class TestBudgetEquivalence:
     def test_degraded_states_match(self, graphs_12, cap, policy):
         results = []
         spent = []
-        for kernel in ("sparse", "reference"):
-            engine = EMSEngine(EMSConfig(kernel=kernel))
+        for oracle in (False, True):
             meter = MatchBudget(max_pair_updates=cap).start()
-            result, stage, reason = engine.similarity_resilient(
-                *graphs_12, meter, policy
-            )
+            with kernel(oracle):
+                result, stage, reason = EMSEngine().similarity_resilient(
+                    *graphs_12, meter, policy
+                )
             results.append((result, stage, reason))
             spent.append(meter.pair_updates_spent)
         (sparse, stage_sparse, reason_sparse), (ref, stage_ref, reason_ref) = results
@@ -198,30 +204,29 @@ class TestBudgetEquivalence:
 
     def test_streaming_budget_cut_matches(self, streaming_mode, graphs_12):
         results = []
-        for kernel in ("sparse", "reference"):
-            engine = EMSEngine(EMSConfig(kernel=kernel))
+        for oracle in (False, True):
             meter = MatchBudget(max_pair_updates=53).start()
-            result, _, _ = engine.similarity_resilient(
-                *graphs_12, meter, DegradationPolicy.partial_only()
-            )
+            with kernel(oracle):
+                result, _, _ = EMSEngine().similarity_resilient(
+                    *graphs_12, meter, DegradationPolicy.partial_only()
+                )
             results.append(result)
         assert_equivalent(*results)
 
     def test_exhaustion_raises_identically_without_ladder(self, graphs_12):
-        for kernel in ("sparse", "reference"):
-            engine = EMSEngine(EMSConfig(kernel=kernel))
+        for oracle in (False, True):
             meter = MatchBudget(max_pair_updates=10).start()
-            with pytest.raises(Exception) as excinfo:
-                engine.similarity(*graphs_12, meter=meter)
+            with kernel(oracle), pytest.raises(Exception) as excinfo:
+                EMSEngine().similarity(*graphs_12, meter=meter)
             assert excinfo.value.reason == "pair-updates"
             assert meter.pair_updates_spent == 11
 
     def test_uncapped_budget_charges_identically(self, graphs_12):
         meters = []
-        for kernel in ("sparse", "reference"):
-            engine = EMSEngine(EMSConfig(kernel=kernel))
+        for oracle in (False, True):
             meter = MatchBudget(max_pair_updates=10**9).start()
-            engine.similarity(*graphs_12, meter=meter)
+            with kernel(oracle):
+                EMSEngine().similarity(*graphs_12, meter=meter)
             meters.append(meter)
         assert meters[0].pair_updates_spent == meters[1].pair_updates_spent
 
@@ -229,24 +234,19 @@ class TestBudgetEquivalence:
 class TestFloat32:
     """dtype="float32" is a 1e-5 approximation, not a different answer."""
 
-    @pytest.mark.parametrize("kernel", ["sparse", "vectorized", "reference"])
-    def test_close_to_float64(self, graphs_12, kernel):
-        wide = EMSEngine(EMSConfig(kernel=kernel)).similarity(*graphs_12)
-        narrow = EMSEngine(
-            EMSConfig(kernel=kernel, dtype="float32")
-        ).similarity(*graphs_12)
+    @pytest.mark.parametrize("oracle", [False, True], ids=["sparse", "reference"])
+    def test_close_to_float64(self, graphs_12, oracle):
+        wide, narrow = (
+            run_kernels(graphs_12, {"dtype": dtype}, oracles=(oracle,))[0]
+            for dtype in ("float64", "float32")
+        )
         assert narrow.pair_updates == wide.pair_updates or narrow.converged
         np.testing.assert_allclose(
             narrow.matrix.values, wide.matrix.values, rtol=0, atol=FLOAT32_ATOL
         )
 
     def test_kernels_agree_at_float32(self, graphs_12):
-        results = [
-            EMSEngine(EMSConfig(kernel=kernel, dtype="float32")).similarity(
-                *graphs_12
-            )
-            for kernel in ("sparse", "vectorized")
-        ]
+        results = run_kernels(graphs_12, {"dtype": "float32"})
         assert results[0].pair_updates == results[1].pair_updates
         np.testing.assert_allclose(
             results[0].matrix.values, results[1].matrix.values,
@@ -255,10 +255,8 @@ class TestFloat32:
 
     def test_rank_preserving_per_row(self, graphs_12):
         """float32's per-row best match is a float64 optimum up to ties."""
-        wide = EMSEngine(EMSConfig(kernel="sparse")).similarity(*graphs_12)
-        narrow = EMSEngine(
-            EMSConfig(kernel="sparse", dtype="float32")
-        ).similarity(*graphs_12)
+        wide = EMSEngine().similarity(*graphs_12)
+        narrow = EMSEngine(EMSConfig(dtype="float32")).similarity(*graphs_12)
         values64 = wide.matrix.values
         choice32 = np.argmax(narrow.matrix.values, axis=1)
         chosen = values64[np.arange(values64.shape[0]), choice32]
@@ -268,30 +266,28 @@ class TestFloat32:
 
 
 class TestIncrementalCompositeParity:
-    """Warm-started fixpoints must behave identically under the sparse kernel."""
+    """Warm-started fixpoints must behave identically on both kernels."""
 
     KNOBS = dict(delta=0.005, min_confidence=0.9, max_run_length=2)
 
-    def test_sparse_matches_vectorized_incremental(self, fig1_logs):
+    def test_sparse_matches_oracle_incremental(self, fig1_logs):
         results = []
-        for kernel in ("vectorized", "sparse"):
-            config = EMSConfig(kernel=kernel)
-            results.append(CompositeMatcher(config, **self.KNOBS).match(*fig1_logs))
-        vectorized, sparse = results
-        assert sparse.accepted_first == vectorized.accepted_first
-        assert sparse.accepted_second == vectorized.accepted_second
-        assert sparse.stats.pair_updates == vectorized.stats.pair_updates
+        for oracle in (False, True):
+            with kernel(oracle):
+                results.append(
+                    CompositeMatcher(EMSConfig(), **self.KNOBS).match(*fig1_logs)
+                )
+        sparse, reference = results
+        assert sparse.accepted_first == reference.accepted_first
+        assert sparse.accepted_second == reference.accepted_second
+        assert sparse.stats.pair_updates == reference.stats.pair_updates
         np.testing.assert_allclose(
-            sparse.matrix.values, vectorized.matrix.values, rtol=0, atol=ATOL
+            sparse.matrix.values, reference.matrix.values, rtol=0, atol=ATOL
         )
 
     def test_sparse_warm_equals_cold(self, fig1_logs):
-        warm = CompositeMatcher(
-            EMSConfig(kernel="sparse"), **self.KNOBS,
-        ).match(*fig1_logs)
-        cold = ColdCompositeMatcher(
-            EMSConfig(kernel="sparse"), **self.KNOBS,
-        ).match(*fig1_logs)
+        warm = CompositeMatcher(EMSConfig(), **self.KNOBS).match(*fig1_logs)
+        cold = ColdCompositeMatcher(EMSConfig(), **self.KNOBS).match(*fig1_logs)
         assert warm.accepted_first == cold.accepted_first
         assert warm.accepted_second == cold.accepted_second
         assert warm.stats.pair_updates == cold.stats.pair_updates

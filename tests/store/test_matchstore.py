@@ -73,7 +73,6 @@ class TestMatrixKey:
             {"direction": "forward"},
             {"use_pruning": False},
             {"estimation_iterations": 3},
-            {"kernel": "sparse"},
             {"dtype": "float32"},
         ],
     )
@@ -91,7 +90,6 @@ class TestMatrixKey:
         "use_pruning": False,
         "estimation_iterations": 3,
         "use_edge_weights": False,
-        "kernel": "sparse",
         "dtype": "float32",
     }
 

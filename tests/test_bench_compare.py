@@ -24,11 +24,9 @@ def payload(**overrides) -> dict:
         "speedup_exact_20": 5.0,
         "speedup_composite": 4.0,
         "memory_reduction_sparse": 6.0,
-        "sparse_time_ratio_20": 0.9,
         "noop_observer_overhead": 1.0,
         "retry_overhead": 1.0,
         "warm_cache_speedup": 7.0,
-        "compiled_time_ratio_20": 1.0,
         "ingest_sharded_memory": 0.2,
         "stats_store_warm": 20.0,
         "match_store_warm": 50.0,
@@ -70,16 +68,15 @@ class TestFloorKeys:
         assert "memory" in failures[0]
 
     def test_ratio_ceiling_violation_fails(self):
-        failures = compare(payload(sparse_time_ratio_20=1.3), payload(), 2.0)
+        failures = compare(payload(ingest_sharded_memory=0.3), payload(), 2.0)
         assert len(failures) == 1
-        assert "ratio" in failures[0]
+        assert "ratio" in failures[0] and "ceiling" in failures[0]
 
     def test_value_at_the_bound_passes(self):
         ok = payload(
             speedup_exact_20=3.0, speedup_composite=3.0,
-            memory_reduction_sparse=4.0, sparse_time_ratio_20=1.2,
+            memory_reduction_sparse=4.0,
             noop_observer_overhead=1.1, warm_cache_speedup=5.0,
-            compiled_time_ratio_20=1.2,
             ingest_sharded_memory=0.25, stats_store_warm=5.0,
             match_store_warm=10.0, sql_pair_counts=1.0,
             service_warm_speedup=2.0,
@@ -90,13 +87,6 @@ class TestFloorKeys:
         failures = compare(payload(warm_cache_speedup=4.2), payload(), 2.0)
         assert len(failures) == 1
         assert "warm" in failures[0]
-
-    def test_skipped_null_floor_passes(self):
-        # compiled_time_ratio_20 is null when numba is absent: the key is
-        # present (not silently dropped) but out of scope on this machine.
-        current = payload(compiled_time_ratio_20=None)
-        assert compare(current, payload(), 2.0) == []
-        assert compare(current, payload(compiled_time_ratio_20=None), 2.0) == []
 
     def test_noop_overhead_ceiling_violation_fails(self):
         failures = compare(payload(noop_observer_overhead=1.2), payload(), 2.0)
@@ -185,10 +175,6 @@ class TestCommittedBaseline:
         )
         for key, bound, sense, _ in FLOORS:
             assert key in committed, key
-            if committed[key] is None:
-                # Skipped on the baseline machine (numba not installed);
-                # the matching scenario must record why.
-                continue
             if sense == "min":
                 assert committed[key] >= bound, key
             else:

@@ -93,20 +93,20 @@ class TestMatchCommand:
         assert main(["match", *log_paths, "--threshold", "0.99"]) == 0
         assert "no correspondences" in capsys.readouterr().out
 
-    def test_kernel_flag_matches_default(self, log_paths, capsys):
-        payloads = []
-        for kernel in ("vectorized", "sparse", "reference"):
-            assert main(["match", *log_paths, "--kernel", kernel, "--json"]) == 0
-            payloads.append(json.loads(capsys.readouterr().out))
-        default, sparse, reference = payloads
-        assert sparse["correspondences"] == default["correspondences"]
-        assert reference["correspondences"] == default["correspondences"]
-        assert sparse["objective"] == pytest.approx(default["objective"], abs=1e-12)
-
     def test_kernel_flag_rejects_unknown(self, log_paths, capsys):
+        # The fixpoint kernel is not selectable.
         with pytest.raises(SystemExit):
             main(["match", *log_paths, "--kernel", "gpu"])
         assert "--kernel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--alpha", "2"], ["--estimate", "-1"], ["--composite", "--delta", "-1"]],
+        ids=["alpha", "estimate", "delta"],
+    )
+    def test_out_of_range_knob_is_input_error(self, log_paths, capsys, flags):
+        assert main(["match", *log_paths, *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_dtype_flag(self, log_paths, capsys):
         assert main(["match", *log_paths, "--json"]) == 0
