@@ -2,7 +2,7 @@
 
 import sys
 
-from repro.cli import main
+from repro import cli
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli.main())

@@ -68,12 +68,14 @@ processes, and ``--store PATH`` opens a persistent SQLite match store:
 counts, dependency graphs, per-trace rows (aggregated by SQL window
 functions) and finished similarity matrices are all memoized, so a
 repeated log pair skips parse, graph build *and* the EMS fixpoint
-(``"match_mode": "store"`` in the JSON output), and a pair with one
-appended-to side warm-starts the fixpoint from the stored matrix
-(``"store-partial"``).  These flags select a statistics-backed
-singleton matching that never materializes the logs, so they are
-incompatible with ``--composite`` and ``--report``; results are
-bit-identical to the in-memory path.  ``stats`` runs the same ingestion
+(``"match_mode": "store"`` under ``"provenance"`` in the JSON output),
+and a pair with one appended-to side warm-starts the fixpoint from the
+stored matrix (``"store-partial"``).  These flags select a
+statistics-backed singleton matching that never materializes the logs,
+so they are incompatible with ``--composite`` and ``--report``.  Results
+are bit-identical to the in-memory path, except that a store-partial
+warm start can drift about 1e-6 from a cold run after some appends (see
+``docs/scale.md``).  ``stats`` runs the same ingestion
 pipeline without matching and prints the log's Definition-1 statistics;
 ``stats --from-store`` answers from the store's trace rows alone,
 without reading the file.
@@ -81,28 +83,21 @@ without reading the file.
 Serving (see ``docs/service.md``): ``serve`` runs the long-lived
 matching daemon — a persistent job queue with content-hash dedup, a
 thread scheduler with checkpoint-backed crash recovery, a watch-folder
-ingester, and a JSON/REST API with Prometheus ``/metrics``.
+ingester, and a JSON/REST API with Prometheus ``/metrics``.  Both front
+ends run one :class:`repro.request.MatchRequest` through
+:func:`repro.request.run_match`, so a job's result (``provenance``
+included) equals ``repro match --store --json`` on the same inputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from repro.core.composite import CompositeMatcher
-from repro.core.config import EMSConfig
-from repro.exceptions import (
-    BudgetExhausted,
-    LogFormatError,
-    ReproError,
-    WorkerPoolError,
-)
-from repro.logs.csvio import read_csv
-from repro.logs.log import EventLog
-from repro.logs.xes import read_xes
-from repro.matchers import EMSCompositeMatcher, EMSMatcher
+from repro.exceptions import BudgetExhausted, ReproError, WorkerPoolError
 from repro.obs import (
     NULL_OBSERVER,
     MetricsRegistry,
@@ -111,26 +106,28 @@ from repro.obs import (
     Tracer,
     configure_logging,
 )
+from repro.request import (  # load_log: re-exported as repro.cli.load_log
+    FORMATS,
+    ON_ERROR_MODES,
+    MatchRequest,
+    MatchRun,
+    RequestError,
+    ingest_options,
+    load_log,  # noqa: F401
+)
+from repro.request import run_match as run_request
 from repro.runtime import (
     CheckpointManager,
     DeadLetterArchive,
-    DegradationPolicy,
     EvaluationCache,
-    FaultPlan,
     IngestionReport,
     InterruptGuard,
-    MatchBudget,
-    RetryPolicy,
 )
-from repro.similarity.labels import QGramCosineSimilarity
 from repro.store import (
-    DEFAULT_BLOCK_TRACES,
     IngestResult,
     MatchStore,
-    ingest_graph,
     ingest_key,
     ingest_statistics,
-    match_stored,
     resolve_format,
 )
 
@@ -143,36 +140,6 @@ EXIT_BUDGET_EXHAUSTED = 3
 EXIT_WORKER_FAILURE = 4
 
 
-def load_log(
-    path: str,
-    fmt: str = "auto",
-    on_error: str = "raise",
-    report: IngestionReport | None = None,
-) -> EventLog:
-    """Load an event log from *path* (XES or CSV).
-
-    Raises :class:`LogFormatError` for unrecognized or unparseable
-    inputs — callers decide how to present that (the CLI maps it to exit
-    code 2 in :func:`main`).
-    """
-    resolved = Path(path)
-    if fmt == "auto":
-        suffix = resolved.suffix.lower()
-        if suffix == ".xes":
-            fmt = "xes"
-        elif suffix == ".csv":
-            fmt = "csv"
-        else:
-            raise LogFormatError(
-                f"cannot infer the format of {path!r}; pass --format xes|csv"
-            )
-    if fmt == "xes":
-        return read_xes(resolved, on_error=on_error, report=report)
-    if fmt == "csv":
-        return read_csv(resolved, name=resolved.stem, on_error=on_error, report=report)
-    raise LogFormatError(f"unknown format {fmt!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -182,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     match = commands.add_parser("match", help="match two event logs")
     match.add_argument("log_first", help="first event log (.xes or .csv)")
     match.add_argument("log_second", help="second event log (.xes or .csv)")
-    match.add_argument("--format", choices=("auto", "xes", "csv"), default="auto")
+    match.add_argument("--format", choices=FORMATS, default="auto")
     match.add_argument(
         "--composite", action="store_true",
         help="enable m:n composite event matching (Algorithm 2)",
@@ -213,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the degradation ladder: budget exhaustion exits 3",
     )
     match.add_argument(
-        "--on-error", choices=("raise", "skip", "repair"), default="raise",
+        "--on-error", choices=ON_ERROR_MODES, default="raise",
         help="ingestion fault mode: abort on the first bad row (raise), "
              "drop bad rows (skip), or fix what is fixable (repair)",
     )
@@ -318,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="compute a log's Definition-1 statistics (no matching)"
     )
     stats.add_argument("log", help="event log (.xes or .csv)")
-    stats.add_argument("--format", choices=("auto", "xes", "csv"), default="auto")
+    stats.add_argument("--format", choices=FORMATS, default="auto")
     stats.add_argument(
-        "--on-error", choices=("raise", "skip", "repair"), default="raise",
+        "--on-error", choices=ON_ERROR_MODES, default="raise",
         help="ingestion fault mode (same semantics as match)",
     )
     stats.add_argument(
@@ -421,233 +388,48 @@ def _build_observer(arguments: argparse.Namespace) -> Observer:
     )
 
 
-def _archive_rejected_file(archive, path: str, error: Exception) -> None:
-    """Dead-letter a whole input file that failed to parse, if readable."""
-    if archive is None:
-        return
-    try:
-        payload = Path(path).read_bytes()
-    except OSError:
-        return
-    archive.put(
-        payload, {"source": path, "problem": str(error), "mode": "file"}
-    )
-
-
-def _wants_scale_pipeline(arguments: argparse.Namespace) -> bool:
-    return (
-        arguments.shard_traces is not None
-        or arguments.parallel_ingest is not None
-        or arguments.store is not None
-    )
-
-
 def run_match(arguments: argparse.Namespace) -> int:
+    """The ``match`` subcommand: decode the request, open its resources, run.
+
+    Knob decoding, route choice and result shaping live in
+    :mod:`repro.request`, shared with the daemon; this function owns only
+    what is CLI-specific: the checkpoint, dead-letter, evaluation-cache
+    and store resources named by flags, and the output files.
+    """
+    request = MatchRequest.from_args(arguments)
     observer = _build_observer(arguments)
-    if _wants_scale_pipeline(arguments):
-        return _run_match_scaled(arguments, observer)
-    ingestion_first = IngestionReport(
-        source=arguments.log_first, mode=arguments.on_error
-    )
-    ingestion_second = IngestionReport(
-        source=arguments.log_second, mode=arguments.on_error
-    )
-    archive = None
-    if arguments.dead_letter_dir:
-        archive = DeadLetterArchive(arguments.dead_letter_dir, observer=observer)
-        ingestion_first.archive = archive
-        ingestion_second.archive = archive
-    with observer.span("match") as root_span:
-        with observer.span("ingest.parse", source=arguments.log_first):
-            try:
-                log_first = load_log(
-                    arguments.log_first, arguments.format, arguments.on_error,
-                    ingestion_first,
-                )
-            except LogFormatError as error:
-                _archive_rejected_file(archive, arguments.log_first, error)
-                raise
-        with observer.span("ingest.parse", source=arguments.log_second):
-            try:
-                log_second = load_log(
-                    arguments.log_second, arguments.format, arguments.on_error,
-                    ingestion_second,
-                )
-            except LogFormatError as error:
-                _archive_rejected_file(archive, arguments.log_second, error)
-                raise
-        observer.info(
-            "loaded %s (%d traces) and %s (%d traces)",
-            arguments.log_first, len(log_first),
-            arguments.log_second, len(log_second),
-        )
-        outcome, matcher, config = _execute_match(
-            arguments, observer, log_first, log_second
-        )
-        root_span.attributes["objective"] = outcome.objective
-        root_span.attributes["correspondences"] = len(outcome.correspondences)
-        observer.info(
-            "matched: %d correspondences, objective %.4f",
-            len(outcome.correspondences), outcome.objective,
-        )
-    _write_observability_outputs(arguments, observer, config, outcome)
-    return _render_match_output(
-        arguments, outcome, matcher,
-        log_first, log_second, ingestion_first, ingestion_second,
-    )
-
-
-def _scale_options(
-    arguments: argparse.Namespace, observer: Observer
-) -> tuple[int | None, int, MatchStore | None]:
-    """Validated (shard_traces, workers, store) of the scale flags."""
-    shard_traces = arguments.shard_traces
-    if shard_traces is not None and shard_traces < 1:
-        raise ReproError(f"--shard-traces must be >= 1, got {shard_traces}")
-    workers = (
-        arguments.parallel_ingest if arguments.parallel_ingest is not None else 0
-    )
-    if workers < 0:
-        raise ReproError(f"--parallel-ingest must be >= 0, got {workers}")
-    if workers > 1 and shard_traces is None:
-        shard_traces = DEFAULT_BLOCK_TRACES  # parallel counting needs blocks
-    store = (
-        MatchStore(arguments.store, observer=observer) if arguments.store else None
-    )
-    return shard_traces, workers, store
-
-
-def _run_match_scaled(arguments: argparse.Namespace, observer: Observer) -> int:
-    """Statistics-backed matching: ingest out-of-core, match the graphs.
-
-    The logs are never materialized — each input is reduced to
-    Definition-1 statistics by the :mod:`repro.store` pipeline (sharded,
-    parallel, and/or store-served per the flags) and the singleton
-    matching runs on the derived dependency graphs, bit-identical to the
-    in-memory path.
-    """
-    if arguments.composite:
-        raise ReproError(
-            "--shard-traces/--parallel-ingest/--store select the "
-            "statistics-backed pipeline, which is singleton-only; "
-            "composite matching needs the full traces"
-        )
-    if arguments.report:
-        raise ReproError(
-            "--report renders the parsed logs; it cannot be combined with "
-            "the out-of-core --shard-traces/--parallel-ingest/--store path"
-        )
-    shard_traces, workers, store = _scale_options(arguments, observer)
-    retry = None
-    if arguments.max_retries is not None:
-        if arguments.max_retries < 1:
+    checkpoints = None
+    if arguments.checkpoint_dir is not None:
+        if arguments.checkpoint_every < 1:
             raise ReproError(
-                f"--max-retries must be >= 1, got {arguments.max_retries}"
+                f"--checkpoint-every must be >= 1, got {arguments.checkpoint_every}"
             )
-        retry = RetryPolicy(max_attempts=arguments.max_retries)
-    config, label_similarity, budget, degradation = _match_setup(arguments)
-
-    ingestion_first = IngestionReport(
-        source=arguments.log_first, mode=arguments.on_error
-    )
-    ingestion_second = IngestionReport(
-        source=arguments.log_second, mode=arguments.on_error
-    )
-    archive = None
+        checkpoints = CheckpointManager(
+            arguments.checkpoint_dir,
+            every=arguments.checkpoint_every,
+            observer=observer,
+            faults=request.faults,
+        )
+    elif arguments.resume:
+        raise ReproError("--resume requires --checkpoint-dir")
+    archive = eval_cache = store = None
     if arguments.dead_letter_dir:
         archive = DeadLetterArchive(arguments.dead_letter_dir, observer=observer)
-        ingestion_first.archive = archive
-        ingestion_second.archive = archive
-
-    scale: dict | None = None
-    with observer.span("match") as root_span:
-        matcher = EMSMatcher(
-            config, label_similarity, threshold=arguments.threshold,
-            budget=budget, degradation=degradation, observer=observer,
+    if arguments.eval_cache_dir is not None:
+        eval_cache = EvaluationCache(arguments.eval_cache_dir, observer=observer)
+    if arguments.store:
+        store = MatchStore(arguments.store, observer=observer)
+    try:
+        run = run_request(
+            request, observer=observer, store=store, checkpoints=checkpoints,
+            resume=arguments.resume, interrupt=InterruptGuard(),
+            archive=archive, eval_cache=eval_cache,
         )
+    finally:
         if store is not None:
-            # The warm end-to-end path: full hit serves the stored
-            # matrix, a grown side warm-starts the fixpoint, a miss
-            # computes and persists for next time.
-            try:
-                outcome, provenance = match_stored(
-                    arguments.log_first, arguments.log_second,
-                    arguments.format, arguments.on_error,
-                    matcher=matcher, store=store,
-                    reports=(ingestion_first, ingestion_second),
-                    shard_traces=shard_traces, workers=workers,
-                    policy=retry, task_timeout=arguments.task_timeout,
-                    observer=observer,
-                )
-            except LogFormatError as error:
-                _archive_rejected_file(
-                    archive,
-                    getattr(error, "source", arguments.log_first),
-                    error,
-                )
-                raise
-            names = provenance["log_names"]
-            scale = {
-                "match_mode": provenance["match_mode"],
-                "matrix_key": provenance["matrix_key"],
-                "ingest_modes": list(provenance["ingest_modes"]),
-                "pairs_warm": provenance["pairs_warm"],
-            }
-            observer.info(
-                "match via %s (ingest: %s)",
-                provenance["match_mode"], "/".join(provenance["ingest_modes"]),
-            )
-        else:
-            graphs = []
-            results = []
-            for path, report in (
-                (arguments.log_first, ingestion_first),
-                (arguments.log_second, ingestion_second),
-            ):
-                with observer.span("ingest.pipeline", source=path):
-                    try:
-                        graph, result = ingest_graph(
-                            path, arguments.format, arguments.on_error, report,
-                            shard_traces=shard_traces, workers=workers,
-                            store=store, policy=retry,
-                            task_timeout=arguments.task_timeout,
-                            observer=observer,
-                        )
-                    except LogFormatError as error:
-                        _archive_rejected_file(archive, path, error)
-                        raise
-                graphs.append(graph)
-                results.append(result)
-                observer.info(
-                    "ingested %s via %s (%d traces, %d shards)",
-                    path, result.mode, result.statistics.trace_count,
-                    result.shards,
-                )
-            outcome = matcher.match_graphs(graphs[0], graphs[1])
-            names = (results[0].log_name, results[1].log_name)
-        root_span.attributes["objective"] = outcome.objective
-        root_span.attributes["correspondences"] = len(outcome.correspondences)
-    if store is not None:
-        store.close()
-    _write_observability_outputs(arguments, observer, config, outcome)
-    return _render_match_output(
-        arguments, outcome, matcher,
-        _NamedInput(names[0]), _NamedInput(names[1]),
-        ingestion_first, ingestion_second,
-        scale=scale,
-    )
-
-
-class _NamedInput:
-    """Stand-in for an :class:`EventLog` in output rendering.
-
-    The scaled path never builds logs; rendering only needs a name.
-    """
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
+            store.close()
+    _write_observability_outputs(arguments, observer, request, run.outcome)
+    return _render_match_output(arguments, run)
 
 
 def _stats_from_store(
@@ -689,7 +471,15 @@ def run_stats(arguments: argparse.Namespace) -> int:
     observer = _build_observer(arguments)
     if arguments.top < 0:
         raise ReproError(f"--top must be >= 0, got {arguments.top}")
-    shard_traces, workers, store = _scale_options(arguments, observer)
+    try:
+        shard_traces, workers = ingest_options(
+            arguments.shard_traces, arguments.parallel_ingest
+        )
+    except RequestError as error:
+        raise error.for_cli() from None
+    store = (
+        MatchStore(arguments.store, observer=observer) if arguments.store else None
+    )
     report = IngestionReport(source=arguments.log, mode=arguments.on_error)
     if arguments.from_store:
         if store is None:
@@ -784,118 +574,10 @@ def run_serve(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _match_setup(arguments: argparse.Namespace):
-    """The config, label similarity, budget and degradation of a run."""
-    label_similarity = QGramCosineSimilarity() if arguments.labels else None
-    alpha = arguments.alpha
-    if alpha is None:
-        alpha = 0.5 if arguments.labels else 1.0
-    # Out-of-range knobs are input errors (exit 2), not tracebacks; the
-    # config and the matcher own the valid ranges, as in validate_spec.
-    try:
-        config = EMSConfig(
-            alpha=alpha,
-            estimation_iterations=arguments.estimate,
-            dtype=arguments.dtype,
-        )
-        if arguments.composite:
-            CompositeMatcher(config, delta=arguments.delta)
-    except ValueError as error:
-        raise ReproError(str(error)) from None
-
-    budget = None
-    if arguments.timeout is not None or arguments.pair_budget is not None:
-        try:
-            budget = MatchBudget(
-                deadline=arguments.timeout, max_pair_updates=arguments.pair_budget
-            )
-        except ValueError as error:
-            raise ReproError(str(error)) from None
-    degradation = (
-        DegradationPolicy.none() if arguments.no_degrade else DegradationPolicy()
-    )
-    return config, label_similarity, budget, degradation
-
-
-def _execute_match(
-    arguments: argparse.Namespace,
-    observer: Observer,
-    log_first: EventLog,
-    log_second: EventLog,
-):
-    config, label_similarity, budget, degradation = _match_setup(arguments)
-
-    if arguments.workers < 0:
-        raise ReproError(f"--workers must be >= 0, got {arguments.workers}")
-    if arguments.composite:
-        retry = None
-        if arguments.max_retries is not None:
-            if arguments.max_retries < 1:
-                raise ReproError(
-                    f"--max-retries must be >= 1, got {arguments.max_retries}"
-                )
-            retry = RetryPolicy(max_attempts=arguments.max_retries)
-        faults = None
-        if arguments.fault_plan is not None:
-            try:
-                faults = FaultPlan.from_json(
-                    Path(arguments.fault_plan).read_text(encoding="utf-8")
-                )
-            except (OSError, ValueError, KeyError) as error:
-                raise ReproError(
-                    f"cannot load fault plan {arguments.fault_plan!r}: {error}"
-                ) from None
-        checkpoints = None
-        if arguments.checkpoint_dir is not None:
-            if arguments.checkpoint_every < 1:
-                raise ReproError(
-                    f"--checkpoint-every must be >= 1, got "
-                    f"{arguments.checkpoint_every}"
-                )
-            checkpoints = CheckpointManager(
-                arguments.checkpoint_dir,
-                every=arguments.checkpoint_every,
-                observer=observer,
-                faults=faults,
-            )
-        elif arguments.resume:
-            raise ReproError("--resume requires --checkpoint-dir")
-        eval_cache = None
-        if arguments.eval_cache_dir is not None:
-            eval_cache = EvaluationCache(
-                arguments.eval_cache_dir, observer=observer
-            )
-        interrupt = InterruptGuard()
-        matcher = EMSCompositeMatcher(
-            config, label_similarity,
-            threshold=arguments.threshold, delta=arguments.delta,
-            budget=budget, degradation=degradation,
-            workers=arguments.workers,
-            observer=observer,
-            retry=retry,
-            task_timeout=arguments.task_timeout,
-            faults=faults,
-            checkpoints=checkpoints,
-            resume=arguments.resume,
-            interrupt=interrupt,
-            eval_cache=eval_cache,
-        )
-        with interrupt:
-            outcome = matcher.match(log_first, log_second)
-    else:
-        matcher = EMSMatcher(
-            config, label_similarity, threshold=arguments.threshold,
-            budget=budget, degradation=degradation,
-            observer=observer,
-        )
-        outcome = matcher.match(log_first, log_second)
-    return outcome, matcher, config
-
-
 def _write_observability_outputs(
     arguments: argparse.Namespace,
     observer: Observer,
-    config: EMSConfig,
+    request: MatchRequest,
     outcome,
 ) -> None:
     """Write the trace / metrics / manifest files requested by flags."""
@@ -909,17 +591,7 @@ def _write_observability_outputs(
         runtime = outcome.runtime.to_dict() if outcome.runtime else {}
         manifest = RunManifest.from_observer(
             observer,
-            config={
-                "alpha": config.alpha,
-                "c": config.c,
-                "epsilon": config.epsilon,
-                "max_iterations": config.max_iterations,
-                "direction": config.direction,
-                "estimation_iterations": config.estimation_iterations,
-                "dtype": config.dtype,
-                "composite": arguments.composite,
-                "workers": arguments.workers,
-            },
+            config={**dataclasses.asdict(request.config), **request.canonical()},
             stats={
                 "objective": outcome.objective,
                 "correspondences": len(outcome.correspondences),
@@ -929,56 +601,39 @@ def _write_observability_outputs(
         )
         manifest.write(arguments.manifest_out)
 
-
-def _render_match_output(
-    arguments: argparse.Namespace,
-    outcome,
-    matcher,
-    log_first: EventLog,
-    log_second: EventLog,
-    ingestion_first: IngestionReport,
-    ingestion_second: IngestionReport,
-    scale: dict | None = None,
-) -> int:
-    ingestion = (ingestion_first, ingestion_second)
+def _render_match_output(arguments: argparse.Namespace, run: MatchRun) -> int:
+    outcome = run.outcome
+    name_first, name_second = run.provenance["log_names"]
     if arguments.report:
         from repro.reporting import render_match_report
 
         report = render_match_report(
-            log_first, log_second, outcome, matcher.name, ingestion=ingestion
+            *run.logs, outcome, run.matcher_name, ingestion=run.ingestion
         )
         Path(arguments.report).write_text(report, encoding="utf-8")
 
     if arguments.json:
         payload = {
-            "log_first": log_first.name,
-            "log_second": log_second.name,
-            "matcher": matcher.name,
-            "objective": outcome.objective,
-            "correspondences": [
-                {"left": sorted(c.left), "right": sorted(c.right)}
-                for c in outcome.correspondences
-            ],
-            "diagnostics": dict(outcome.diagnostics),
-            "runtime": outcome.runtime.to_dict() if outcome.runtime else None,
+            "log_first": name_first,
+            "log_second": name_second,
+            "matcher": run.matcher_name,
+            **run.to_dict(),
             "quarantined": [
                 record.to_dict() for record in getattr(outcome, "quarantined", ())
             ],
             "ingestion": {
-                "first": ingestion_first.to_dict(),
-                "second": ingestion_second.to_dict(),
+                "first": run.ingestion[0].to_dict(),
+                "second": run.ingestion[1].to_dict(),
             },
         }
-        if scale is not None:
-            payload["scale"] = scale
         json.dump(payload, sys.stdout, indent=2, ensure_ascii=False)
         print()
         return 0
 
-    print(f"{matcher.name}: {log_first.name} <-> {log_second.name} "
+    print(f"{run.matcher_name}: {name_first} <-> {name_second} "
           f"(average similarity {outcome.objective:.3f})")
-    if scale is not None and scale["match_mode"] != "computed":
-        print(f"  [match store: {scale['match_mode']}]")
+    if run.provenance["match_mode"] in ("store", "store-partial"):
+        print(f"  [match store: {run.provenance['match_mode']}]")
     for correspondence in sorted(outcome.correspondences, key=lambda c: min(c.left)):
         marker = "  [m:n]" if correspondence.is_composite() else ""
         print(f"  {' + '.join(sorted(correspondence.left))} <-> "
@@ -994,11 +649,10 @@ def _render_match_output(
             f"repeated evaluation failures (see --json for details)",
             file=sys.stderr,
         )
-    for report in ingestion:
+    for report in run.ingestion:
         if not report.clean or report.fallback_cases:
             print(f"  note: {report.describe()}", file=sys.stderr)
     return 0
-
 
 def main(argv: list[str] | None = None) -> int:
     arguments = build_parser().parse_args(argv)

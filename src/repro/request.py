@@ -1,0 +1,591 @@
+"""One match request and the one runner that executes it.
+
+The paper's matcher is a function of two logs and a handful of knobs
+(α, the estimation depth I, the composite threshold δ; Definition 2,
+Algorithm 2).  :class:`MatchRequest` holds them resolved and validated,
+whichever front end decoded them: :meth:`MatchRequest.from_args` for
+``repro match``, :meth:`MatchRequest.from_json` for a daemon job.
+:func:`run_match` builds the matcher, picks the route and returns the
+outcome with one provenance record, for both front ends — so a job's
+result equals ``repro match --store`` on the same inputs.
+
+:meth:`MatchRequest.content_key` hashes the two input files' content
+digests with the resolved knobs (α defaulted from ``labels`` and stored
+as a float, numbers coerced, ``delta``/``workers`` dropped from
+singleton requests, which never read them).  Requests that mean the
+same match share one key, whatever paths or number spellings they use.
+The fault plan, a testing aid, is left out: a fault changes *how* a run
+fails, never what the converged result is.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field, fields
+from pathlib import Path
+from typing import Any
+
+from repro.baselines.common import MatchOutcome
+from repro.core.config import EMSConfig
+from repro.exceptions import JobSpecError, LogFormatError, ReproError
+from repro.logs.csvio import read_csv
+from repro.logs.log import EventLog
+from repro.logs.xes import read_xes
+from repro.matchers import EMSCompositeMatcher, EMSMatcher
+from repro.obs import NULL_OBSERVER, Observer
+from repro.runtime import (
+    CheckpointManager,
+    DeadLetterArchive,
+    DegradationPolicy,
+    EvaluationCache,
+    FaultPlan,
+    IngestionReport,
+    InterruptGuard,
+    MatchBudget,
+    RetryPolicy,
+)
+from repro.similarity.labels import QGramCosineSimilarity
+from repro.store import (
+    DEFAULT_BLOCK_TRACES,
+    MatchStore,
+    file_digest,
+    ingest_graph,
+    match_stored,
+)
+
+FORMATS = ("auto", "xes", "csv")
+ON_ERROR_MODES = ("raise", "skip", "repair")
+
+#: Job spec field -> accepted JSON types.  Only the two paths are
+#: required; every other field defaults as :class:`MatchRequest` does.
+_JOB_FIELDS: dict[str, tuple[type, ...]] = {
+    "log_first": (str,),
+    "log_second": (str,),
+    "format": (str,),
+    "on_error": (str,),
+    "composite": (bool,),
+    "labels": (bool,),
+    "alpha": (int, float, type(None)),
+    "threshold": (int, float),
+    "delta": (int, float),
+    "estimate": (int, type(None)),
+    "timeout": (int, float, type(None)),
+    "pair_budget": (int, type(None)),
+    "workers": (int,),
+    "fault_plan": (dict, type(None)),
+}
+_REQUIRED = ("log_first", "log_second")
+#: The knobs :meth:`MatchRequest.content_key` hashes: every one that can
+#: change the result (paths stand in as digests; faults never count).
+_KEY_FIELDS = tuple(
+    name for name in _JOB_FIELDS if name not in (*_REQUIRED, "fault_plan")
+) + ("dtype", "degrade")
+
+
+def load_log(
+    path: str,
+    fmt: str = "auto",
+    on_error: str = "raise",
+    report: IngestionReport | None = None,
+) -> EventLog:
+    """Load an event log from *path* (XES or CSV).
+
+    Raises :class:`LogFormatError` for unrecognized or unparseable
+    inputs — callers decide how to present that (the CLI maps it to exit
+    code 2 in :func:`repro.cli.main`).
+    """
+    resolved = Path(path)
+    if fmt == "auto":
+        suffix = resolved.suffix.lower()
+        if suffix == ".xes":
+            fmt = "xes"
+        elif suffix == ".csv":
+            fmt = "csv"
+        else:
+            raise LogFormatError(
+                f"cannot infer the format of {path!r}; pass --format xes|csv"
+            )
+    if fmt == "xes":
+        return read_xes(resolved, on_error=on_error, report=report)
+    if fmt == "csv":
+        return read_csv(resolved, name=resolved.stem, on_error=on_error, report=report)
+    raise LogFormatError(f"unknown format {fmt!r}")
+
+
+class RequestError(ValueError):
+    """An invalid request knob.
+
+    ``field`` names the knob when ``reason`` does not (the errors of
+    :class:`EMSConfig` and :class:`MatchBudget` name their own).
+    """
+
+    def __init__(self, reason: str, field: str = ""):
+        super().__init__(f"{field} {reason}" if field else reason)
+        self.reason = reason
+        self.field = field
+
+    def for_cli(self) -> ReproError:
+        """The same problem phrased with the ``repro`` flag name."""
+        if not self.field:
+            return ReproError(self.reason)
+        return ReproError(f"--{self.field.replace('_', '-')} {self.reason}")
+
+
+def ingest_options(
+    shard_traces: int | None, parallel_ingest: int | None
+) -> tuple[int | None, int]:
+    """Validated ``(shard_traces, workers)`` of the out-of-core ingest knobs.
+
+    Parallel counting needs blocks, so ``parallel_ingest > 1`` without a
+    block size picks the default one.
+    """
+    if shard_traces is not None and shard_traces < 1:
+        raise RequestError(f"must be >= 1, got {shard_traces}", "shard_traces")
+    workers = parallel_ingest if parallel_ingest is not None else 0
+    if workers < 0:
+        raise RequestError(f"must be >= 0, got {workers}", "parallel_ingest")
+    if workers > 1 and shard_traces is None:
+        shard_traces = DEFAULT_BLOCK_TRACES
+    return shard_traces, workers
+
+
+@dataclass(frozen=True)
+class MatchRequest:
+    """Everything one match depends on, resolved and validated.
+
+    Construction normalizes and checks every knob; an out-of-range value
+    raises :class:`RequestError`.  The derived ``config``, ``budget``,
+    ``degradation`` and ``retry`` are built here, once, and
+    :func:`run_match` uses them as they are.
+
+    The last six fields are not job spec fields.  ``dtype`` and
+    ``degrade`` change the result and are part of the content key; the
+    out-of-core ingest knobs (singleton routes only) and the worker
+    supervision knobs change only how the result is computed.
+    """
+
+    log_first: str
+    log_second: str
+    format: str = "auto"
+    on_error: str = "raise"
+    composite: bool = False
+    labels: bool = False
+    #: Structural weight; ``None`` resolves to 0.5 with labels, else 1.0.
+    alpha: float | None = None
+    threshold: float = 0.0
+    #: Composite merge threshold; ``None`` on singleton requests.
+    delta: float | None = 0.01
+    estimate: int | None = None
+    timeout: float | None = None
+    pair_budget: int | None = None
+    #: Composite candidate-evaluation processes; ``None`` on singletons.
+    workers: int | None = 0
+    faults: FaultPlan | None = None
+    dtype: str = "float64"
+    degrade: bool = True
+    shard_traces: int | None = None
+    parallel_ingest: int | None = None
+    max_retries: int | None = None
+    task_timeout: float | None = None
+
+    config: EMSConfig = field(init=False, repr=False, compare=False)
+    budget: MatchBudget | None = field(init=False, repr=False, compare=False)
+    degradation: DegradationPolicy = field(init=False, repr=False, compare=False)
+    retry: RetryPolicy | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        def resolve(name: str, value: Any) -> None:
+            object.__setattr__(self, name, value)
+
+        def number(value: Any) -> float | None:
+            return None if value is None else float(value)
+
+        for name, choices in (("format", FORMATS), ("on_error", ON_ERROR_MODES)):
+            if getattr(self, name) not in choices:
+                raise RequestError(
+                    f"must be one of {choices}, got {getattr(self, name)!r}", name
+                )
+        if self.alpha is None:
+            resolve("alpha", 0.5 if self.labels else 1.0)
+        for name in ("alpha", "threshold", "delta", "timeout", "task_timeout"):
+            resolve(name, number(getattr(self, name)))
+        if self.delta is not None and self.delta < 0.0:
+            raise RequestError(f"must be non-negative, got {self.delta}", "delta")
+        if self.workers is not None and self.workers < 0:
+            raise RequestError(f"must be >= 0, got {self.workers}", "workers")
+        if not self.composite:
+            resolve("delta", None)
+            resolve("workers", None)
+        if self.max_retries is not None and self.max_retries < 1:
+            raise RequestError(f"must be >= 1, got {self.max_retries}", "max_retries")
+        if self.task_timeout is not None and self.task_timeout <= 0:
+            raise RequestError(f"must be > 0, got {self.task_timeout}", "task_timeout")
+        resolve(
+            "shard_traces", ingest_options(self.shard_traces, self.parallel_ingest)[0]
+        )
+        try:
+            resolve("config", EMSConfig(
+                alpha=self.alpha,
+                estimation_iterations=self.estimate,
+                dtype=self.dtype,
+            ))
+            budget = None
+            if self.timeout is not None or self.pair_budget is not None:
+                budget = MatchBudget(
+                    deadline=self.timeout, max_pair_updates=self.pair_budget
+                )
+            resolve("budget", budget)
+        except ValueError as error:
+            raise RequestError(str(error)) from None
+        resolve(
+            "degradation",
+            DegradationPolicy() if self.degrade else DegradationPolicy.none(),
+        )
+        resolve(
+            "retry",
+            None if self.max_retries is None
+            else RetryPolicy(max_attempts=self.max_retries),
+        )
+
+    # ------------------------------------------------------------------
+    @classmethod
+    def from_args(cls, arguments: Any) -> "MatchRequest":
+        """The request of a parsed ``repro match`` command line.
+
+        Raises :class:`ReproError` (exit 2) for out-of-range knobs,
+        conflicting flags and an unreadable ``--fault-plan``.
+        """
+        scaled = (
+            arguments.shard_traces is not None
+            or arguments.parallel_ingest is not None
+            or arguments.store is not None
+        )
+        if scaled and arguments.composite:
+            raise ReproError(
+                "--shard-traces/--parallel-ingest/--store select the "
+                "statistics-backed pipeline, which is singleton-only; "
+                "composite matching needs the full traces"
+            )
+        if scaled and arguments.report:
+            raise ReproError(
+                "--report renders the parsed logs; it cannot be combined with "
+                "the out-of-core --shard-traces/--parallel-ingest/--store path"
+            )
+        faults = None
+        if arguments.fault_plan is not None:
+            try:
+                faults = FaultPlan.from_json(
+                    Path(arguments.fault_plan).read_text(encoding="utf-8")
+                )
+            except (OSError, ValueError, KeyError, TypeError) as error:
+                raise ReproError(
+                    f"cannot load fault plan {arguments.fault_plan!r}: {error}"
+                ) from None
+        knobs = {
+            spec.name: getattr(arguments, spec.name)
+            for spec in fields(cls)
+            if spec.init and spec.name not in ("faults", "degrade")
+        }
+        try:
+            return cls(**knobs, faults=faults, degrade=not arguments.no_degrade)
+        except RequestError as error:
+            raise error.for_cli() from None
+
+    @classmethod
+    def from_json(cls, submission: Any) -> "MatchRequest":
+        """The request of one job spec (a flat JSON object), or :class:`JobSpecError`.
+
+        Unknown fields, wrong types, out-of-range values and missing
+        input files are all rejected here — a typo'd knob must not
+        silently select a default, and the content key needs the files.
+        """
+        if not isinstance(submission, dict):
+            raise JobSpecError(
+                f"a job spec must be a JSON object, got {type(submission).__name__}"
+            )
+        unknown = sorted(set(submission) - set(_JOB_FIELDS))
+        if unknown:
+            raise JobSpecError(
+                f"unknown job spec field(s): {', '.join(unknown)}",
+                field=unknown[0],
+            )
+        for name, types in _JOB_FIELDS.items():
+            if name not in submission:
+                if name in _REQUIRED:
+                    raise JobSpecError(
+                        f"job spec is missing required field {name!r}", field=name
+                    )
+                continue
+            value = submission[name]
+            # bool is an int subclass; an int field must not accept True.
+            if isinstance(value, bool) and bool not in types:
+                raise JobSpecError(
+                    f"job spec field {name!r} must not be a boolean", field=name
+                )
+            if not isinstance(value, types):
+                raise JobSpecError(
+                    f"job spec field {name!r} has type "
+                    f"{type(value).__name__}, expected "
+                    f"{'/'.join(t.__name__ for t in types)}",
+                    field=name,
+                )
+        knobs = dict(submission)
+        plan = knobs.pop("fault_plan", None)
+        try:
+            faults = None if plan is None else FaultPlan.from_json(json.dumps(plan))
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
+            raise JobSpecError(
+                f"job spec field 'fault_plan' is not a fault plan: {error}",
+                field="fault_plan",
+            ) from None
+        try:
+            request = cls(**knobs, faults=faults)
+        except RequestError as error:
+            raise JobSpecError(
+                f"invalid job spec: {error}", field=error.field
+            ) from None
+        for name in _REQUIRED:
+            if not Path(getattr(request, name)).is_file():
+                raise JobSpecError(
+                    f"job spec field {name!r}: no such file: "
+                    f"{getattr(request, name)!r}",
+                    field=name,
+                )
+        return request
+
+    def to_json(self) -> dict[str, Any]:
+        """The job spec of this request; ``from_json`` reads it back equal.
+
+        Singleton specs omit ``delta`` and ``workers``.  Raises
+        :class:`ValueError` for a request that sets a result-affecting
+        knob a job spec cannot carry (``dtype``, ``degrade``).
+        """
+        if self.dtype != "float64" or not self.degrade:
+            raise ValueError("dtype and degrade are not job spec fields")
+        spec = {
+            name: getattr(self, name) for name in _JOB_FIELDS if name != "fault_plan"
+        }
+        if not self.composite:
+            del spec["delta"], spec["workers"]
+        spec["fault_plan"] = (
+            None if self.faults is None else json.loads(self.faults.to_json())
+        )
+        return spec
+
+    def canonical(self) -> dict[str, Any]:
+        """Every result-affecting knob, resolved: the key's knob half."""
+        return {name: getattr(self, name) for name in _KEY_FIELDS}
+
+    def content_key(self) -> str:
+        """Content identity (hex SHA-256): file digests + canonical knobs."""
+        digests = [file_digest(self.log_first), file_digest(self.log_second)]
+        return hashlib.sha256(
+            json.dumps(
+                [digests, self.canonical()], sort_keys=True, separators=(",", ":")
+            ).encode()
+        ).hexdigest()
+
+
+@dataclass(frozen=True)
+class MatchRun:
+    """What :func:`run_match` returns: the outcome and how it was reached.
+
+    ``provenance`` holds ``match_mode`` (``store``, ``store-partial``,
+    ``computed`` or ``composite``), ``log_names``, ``matrix_key`` (the
+    match-store key, ``None`` off the stored route), ``ingest_modes``
+    (per side) and ``pairs_warm`` (pairs a partial hit kept).  ``logs``
+    are the parsed logs on the routes that parse them, else ``None``.
+    """
+
+    outcome: MatchOutcome
+    provenance: dict[str, Any]
+    matcher_name: str
+    ingestion: tuple[IngestionReport, IngestionReport]
+    logs: tuple[EventLog, EventLog] | None = None
+
+    @property
+    def interrupted(self) -> bool:
+        """Whether an interrupt cut the run short (a resumable partial)."""
+        runtime = self.outcome.runtime
+        return (
+            runtime is not None
+            and runtime.stage == "partial"
+            and runtime.reason == "interrupted"
+        )
+
+    def to_dict(self) -> dict[str, Any]:
+        """The result document of ``repro match --json`` and of a job."""
+        outcome = self.outcome
+        return {
+            "objective": outcome.objective,
+            "correspondences": [
+                {"left": sorted(c.left), "right": sorted(c.right)}
+                for c in outcome.correspondences
+            ],
+            "diagnostics": dict(outcome.diagnostics),
+            "runtime": outcome.runtime.to_dict() if outcome.runtime else None,
+            "provenance": self.provenance,
+        }
+
+
+def _provenance(
+    match_mode, log_names, ingest_modes, matrix_key=None, pairs_warm=0
+) -> dict[str, Any]:
+    return {
+        "match_mode": match_mode,
+        "log_names": list(log_names),
+        "matrix_key": matrix_key,
+        "ingest_modes": list(ingest_modes),
+        "pairs_warm": pairs_warm,
+    }
+
+
+@contextmanager
+def _dead_lettered(archive: DeadLetterArchive | None, path: str):
+    """Archive a whole input file that fails to parse, then re-raise.
+
+    A :class:`LogFormatError` tagged with a ``source`` (the stored route
+    ingests both sides in one call) names the failing file.
+    """
+    try:
+        yield
+    except LogFormatError as error:
+        if archive is not None:
+            source = getattr(error, "source", path)
+            try:
+                payload = Path(source).read_bytes()
+            except OSError:  # unreadable: nothing to preserve
+                payload = None
+            if payload is not None:
+                archive.put(
+                    payload,
+                    {"source": source, "problem": str(error), "mode": "file"},
+                )
+        raise
+
+
+def _parse(request, reports, archive, observer) -> tuple[EventLog, EventLog]:
+    logs = []
+    for path, report in zip((request.log_first, request.log_second), reports):
+        with observer.span("ingest.parse", source=path), _dead_lettered(archive, path):
+            logs.append(load_log(path, request.format, request.on_error, report))
+    observer.info(
+        "loaded %s (%d traces) and %s (%d traces)",
+        request.log_first, len(logs[0]), request.log_second, len(logs[1]),
+    )
+    return logs[0], logs[1]
+
+
+def run_match(
+    request: MatchRequest,
+    *,
+    observer: Observer | None = None,
+    store: MatchStore | None = None,
+    checkpoints: CheckpointManager | None = None,
+    resume: bool = False,
+    interrupt: InterruptGuard | None = None,
+    archive: DeadLetterArchive | None = None,
+    eval_cache: EvaluationCache | None = None,
+) -> MatchRun:
+    """Run *request*: the one runner of ``repro match`` and the daemon.
+
+    The route, in order:
+
+    * **composite** — both logs are parsed and searched by Algorithm 2,
+      with the *checkpoints*, *resume*, *interrupt* (entered around the
+      search) and *eval_cache* resources, which only this route uses;
+    * **stored singleton** — with a *store*,
+      :func:`~repro.store.match_stored` serves the pair from the warmest
+      sound route (``store``, ``store-partial`` or ``computed``);
+    * **sharded singleton** — with ``shard_traces``/``parallel_ingest``,
+      each side is reduced to its dependency graph out of core by
+      :func:`~repro.store.ingest_graph` and the graphs are matched;
+    * **in-memory singleton** — both logs are parsed and matched.
+
+    Every route gives the same answer as the in-memory one.  *archive*
+    receives the rows the readers reject and any file that fails to
+    parse.
+    """
+    observer = observer if observer is not None else NULL_OBSERVER
+    paths = (request.log_first, request.log_second)
+    reports = tuple(
+        IngestionReport(source=path, mode=request.on_error, archive=archive)
+        for path in paths
+    )
+    label_similarity = QGramCosineSimilarity() if request.labels else None
+    logs = None
+    with observer.span("match") as root_span:
+        if request.composite:
+            matcher = EMSCompositeMatcher(
+                request.config, label_similarity,
+                threshold=request.threshold, delta=request.delta,
+                budget=request.budget, degradation=request.degradation,
+                workers=request.workers, observer=observer,
+                retry=request.retry, task_timeout=request.task_timeout,
+                faults=request.faults, checkpoints=checkpoints, resume=resume,
+                interrupt=interrupt, eval_cache=eval_cache,
+            )
+            logs = _parse(request, reports, archive, observer)
+            with interrupt if interrupt is not None else nullcontext():
+                outcome = matcher.match(*logs)
+            provenance = _provenance(
+                "composite", (log.name for log in logs), ("parsed", "parsed")
+            )
+        else:
+            matcher = EMSMatcher(
+                request.config, label_similarity, threshold=request.threshold,
+                budget=request.budget, degradation=request.degradation,
+                observer=observer,
+            )
+            ingest = dict(
+                shard_traces=request.shard_traces,
+                workers=request.parallel_ingest or 0,
+                policy=request.retry,
+                task_timeout=request.task_timeout,
+                observer=observer,
+            )
+            if store is not None:
+                with _dead_lettered(archive, request.log_first):
+                    outcome, stored = match_stored(
+                        *paths, request.format, request.on_error,
+                        matcher=matcher, store=store, reports=reports, **ingest,
+                    )
+                provenance = _provenance(**stored)
+            elif request.shard_traces is not None or request.parallel_ingest is not None:
+                graphs, results = [], []
+                for path, report in zip(paths, reports):
+                    with observer.span("ingest.pipeline", source=path), \
+                            _dead_lettered(archive, path):
+                        graph, result = ingest_graph(
+                            path, request.format, request.on_error, report,
+                            **ingest,
+                        )
+                    observer.info(
+                        "ingested %s via %s (%d traces, %d shards)",
+                        path, result.mode, result.statistics.trace_count,
+                        result.shards,
+                    )
+                    graphs.append(graph)
+                    results.append(result)
+                outcome = matcher.match_graphs(*graphs)
+                provenance = _provenance(
+                    "computed",
+                    (result.log_name for result in results),
+                    (result.mode for result in results),
+                )
+            else:
+                logs = _parse(request, reports, archive, observer)
+                outcome = matcher.match(*logs)
+                provenance = _provenance(
+                    "computed", (log.name for log in logs), ("parsed", "parsed")
+                )
+        root_span.attributes["objective"] = outcome.objective
+        root_span.attributes["correspondences"] = len(outcome.correspondences)
+        observer.info(
+            "matched via %s: %d correspondences, objective %.4f",
+            provenance["match_mode"], len(outcome.correspondences),
+            outcome.objective,
+        )
+    return MatchRun(outcome, provenance, matcher.name, reports, logs)

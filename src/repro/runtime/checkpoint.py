@@ -57,8 +57,9 @@ def atomic_write(directory: Path, target: Path, data: bytes) -> Path:
 
     A crash at any point leaves either the old file or the new one, never
     a torn mix; the temporary is unlinked on failure.  Shared by the
-    checkpoint store and the persistent evaluation cache
-    (:mod:`repro.runtime.evalcache`).
+    checkpoint store, the persistent evaluation cache
+    (:mod:`repro.runtime.evalcache`) and the dead-letter archive
+    (:mod:`repro.runtime.deadletter`).
     """
     handle = tempfile.NamedTemporaryFile(
         dir=directory, prefix=target.name + ".", suffix=".tmp", delete=False

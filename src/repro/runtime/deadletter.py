@@ -20,8 +20,10 @@ every rejected record verbatim:
   once and only the occurrence list grows, so an operator can diff,
   fix, and re-submit by digest without ever double-counting.
 
-Writes are atomic (temp file + ``os.replace``) so a crash mid-archive
-never leaves a torn payload that a later idempotency check would trust.
+Writes go through the shared
+:func:`~repro.runtime.checkpoint.atomic_write` (temp file, fsync,
+``os.replace``) so a crash mid-archive never leaves a torn payload that
+a later idempotency check would trust.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Iterator
 
 from repro.obs import NULL_OBSERVER, Observer, get_logger
+from repro.runtime.checkpoint import atomic_write
 
 _logger = get_logger(__name__)
 
@@ -70,7 +72,7 @@ class DeadLetterArchive:
         entry.mkdir(parents=True, exist_ok=True)
         payload_path = entry / _PAYLOAD_NAME
         if not payload_path.exists():
-            self._write_atomic(payload_path, payload)
+            atomic_write(entry, payload_path, payload)
         context_path = entry / _CONTEXT_NAME
         document = {"digest": digest, "occurrences": []}
         if context_path.exists():
@@ -81,7 +83,8 @@ class DeadLetterArchive:
                     "rebuilding unreadable dead-letter context %s", context_path
                 )
         document["occurrences"].append(dict(context))
-        self._write_atomic(
+        atomic_write(
+            entry,
             context_path,
             json.dumps(document, indent=2, sort_keys=True, default=str).encode(),
         )
@@ -92,24 +95,6 @@ class DeadLetterArchive:
         )
         _logger.debug("dead-lettered %s: %s", digest[:12], context.get("problem"))
         return digest
-
-    def _write_atomic(self, target: Path, data: bytes) -> None:
-        handle = tempfile.NamedTemporaryFile(
-            dir=target.parent, prefix=target.name + ".", suffix=".tmp",
-            delete=False,
-        )
-        try:
-            with handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(handle.name, target)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
 
     # ------------------------------------------------------------------
     def entries(self) -> Iterator[str]:

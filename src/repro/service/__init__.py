@@ -8,18 +8,17 @@ JSON/REST + Prometheus ``/metrics`` API.  See ``docs/service.md``.
 """
 
 from repro.exceptions import JobSpecError, ServiceError
-from repro.service.jobs import (
+from repro.service.queue import (
     STATE_DEAD,
     STATE_DONE,
     STATE_FAILED,
     STATE_QUEUED,
     STATE_RUNNING,
     STATES,
-    job_content_key,
+    JobQueue,
+    JobRecord,
     job_id_from_key,
-    validate_spec,
 )
-from repro.service.queue import JobQueue, JobRecord
 from repro.service.scheduler import JobScheduler
 from repro.service.server import READY_FILE, MatchingService
 from repro.service.watcher import FolderWatcher
@@ -39,7 +38,5 @@ __all__ = [
     "STATE_QUEUED",
     "STATE_RUNNING",
     "ServiceError",
-    "job_content_key",
     "job_id_from_key",
-    "validate_spec",
 ]

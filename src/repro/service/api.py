@@ -35,7 +35,8 @@ from typing import Any
 
 from repro.exceptions import JobSpecError
 from repro.obs import PROMETHEUS_CONTENT_TYPE, get_logger
-from repro.service.jobs import STATE_DONE, validate_spec
+from repro.request import MatchRequest
+from repro.service.queue import STATE_DONE
 
 _logger = get_logger(__name__)
 
@@ -128,12 +129,12 @@ def make_handler(service) -> type[BaseHTTPRequestHandler]:
                 return
             payload = self.rfile.read(length)
             try:
-                spec = validate_spec(json.loads(payload.decode("utf-8")))
+                request = MatchRequest.from_json(json.loads(payload.decode("utf-8")))
             except (ValueError, UnicodeDecodeError, JobSpecError) as error:
                 service.reject_submission(payload, str(error))
                 self._send_json(400, {"error": str(error)})
                 return
-            record, created = service.submit(spec)
+            record, created = service.submit(request)
             document = record.to_dict()
             document["deduped"] = not created
             self._send_json(201 if created else 200, document)

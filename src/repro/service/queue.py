@@ -38,17 +38,22 @@ from typing import Any, Iterator
 
 from repro.exceptions import ServiceError
 from repro.obs import NULL_OBSERVER, Observer, get_logger
-from repro.service.jobs import (
-    STATE_DEAD,
-    STATE_DONE,
-    STATE_FAILED,
-    STATE_QUEUED,
-    STATE_RUNNING,
-    job_content_key,
-    job_id_from_key,
-)
+from repro.request import MatchRequest
 
 _logger = get_logger(__name__)
+
+#: Job states, in lifecycle order (see ``docs/service.md``).
+STATE_QUEUED = "queued"
+STATE_RUNNING = "running"
+STATE_DONE = "done"
+STATE_FAILED = "failed"
+STATE_DEAD = "dead"
+STATES = (STATE_QUEUED, STATE_RUNNING, STATE_DONE, STATE_FAILED, STATE_DEAD)
+
+
+def job_id_from_key(content_key: str) -> str:
+    """The short public job id (the key's 16-hex-char prefix)."""
+    return content_key[:16]
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,14 +132,19 @@ class JobQueue:
     # ------------------------------------------------------------------
     # Submission (idempotent) and startup recovery
     # ------------------------------------------------------------------
-    def submit(self, spec: dict[str, Any], source: str) -> tuple[JobRecord, bool]:
-        """Insert a validated spec; dedup to the existing job by content.
+    def submit(
+        self, request: MatchRequest, source: str
+    ) -> tuple[JobRecord, bool]:
+        """Insert a request; dedup to the existing job by content.
 
-        Returns ``(record, created)``; ``created`` is ``False`` when an
-        identical submission already holds the content key, in which
-        case that job is returned untouched — whatever state it is in.
+        The row's key is :meth:`MatchRequest.content_key` and its spec is
+        :meth:`MatchRequest.to_json`.  Returns ``(record, created)``;
+        ``created`` is ``False`` when an equal request already holds the
+        content key, in which case that job is returned untouched —
+        whatever state it is in.
         """
-        key = job_content_key(spec)
+        key = request.content_key()
+        spec = request.to_json()
         job_id = job_id_from_key(key)
         now = time.time()
         with self._lock:

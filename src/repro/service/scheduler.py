@@ -1,11 +1,13 @@
 """Async job scheduler: worker threads draining the persistent queue.
 
-Each worker thread loops claim -> run -> settle.  Running a job mirrors
-the CLI paths exactly — the singleton route goes through
-:func:`repro.store.pipeline.match_stored` (warm matrix reuse), the
-composite route through :class:`repro.matchers.EMSCompositeMatcher`
-with the daemon's checkpoint directory — so a job's result is
-bit-identical to the same invocation on the command line.
+Each worker thread loops claim -> run -> settle.  Running a job decodes
+its stored spec with :meth:`repro.request.MatchRequest.from_json` and
+hands the request to :func:`repro.request.run_match`, the runner
+``repro match`` uses, with the worker's match store and the daemon's
+checkpoint directory — so a job's result is bit-identical to the same
+request on the command line.  ``from_json`` reads every spec a queue
+row can hold, including rows that spell knobs out in full (``alpha:
+null``, ``delta`` on a singleton job).
 
 Settlement policy (see ``docs/service.md``):
 
@@ -40,17 +42,11 @@ from pathlib import Path
 from typing import Any
 
 from repro.exceptions import ReproError
-from repro.matchers import EMSCompositeMatcher, EMSMatcher
 from repro.obs import NULL_OBSERVER, Observer, get_logger
-from repro.runtime import (
-    CheckpointManager,
-    DeadLetterArchive,
-    FaultPlan,
-    InterruptGuard,
-)
-from repro.service.jobs import build_matcher_inputs
+from repro.request import MatchRequest, run_match
+from repro.runtime import CheckpointManager, DeadLetterArchive, InterruptGuard
 from repro.service.queue import JobQueue, JobRecord
-from repro.store import MatchStore, match_stored
+from repro.store import MatchStore
 
 _logger = get_logger(__name__)
 
@@ -208,77 +204,17 @@ class JobScheduler:
         self, job: JobRecord, store: MatchStore, guard: InterruptGuard
     ) -> tuple[dict[str, Any], bool]:
         """Run one job; returns (result payload, interrupted flag)."""
-        spec = job.spec
-        config, label_similarity, budget, degradation = build_matcher_inputs(spec)
-        if spec["composite"]:
-            outcome, provenance = self._execute_composite(
-                job, config, label_similarity, budget, degradation, guard
-            )
-        else:
-            matcher = EMSMatcher(
-                config, label_similarity, threshold=spec["threshold"],
-                budget=budget, degradation=degradation, observer=self.observer,
-            )
-            outcome, stored = match_stored(
-                spec["log_first"], spec["log_second"],
-                spec["format"], spec["on_error"],
-                matcher=matcher, store=store, observer=self.observer,
-            )
-            provenance = {
-                "match_mode": stored["match_mode"],
-                "log_names": list(stored["log_names"]),
-            }
-        runtime = outcome.runtime
-        interrupted = (
-            runtime is not None
-            and runtime.stage == "partial"
-            and runtime.reason == "interrupted"
-        )
-        result = {
-            "objective": outcome.objective,
-            "correspondences": [
-                {"left": sorted(c.left), "right": sorted(c.right)}
-                for c in outcome.correspondences
-            ],
-            "diagnostics": dict(outcome.diagnostics),
-            "runtime": runtime.to_dict() if runtime is not None else None,
-            "provenance": provenance,
-        }
-        return result, interrupted
-
-    def _execute_composite(
-        self, job, config, label_similarity, budget, degradation, guard
-    ):
-        from repro.cli import load_log
-
-        spec = job.spec
-        faults = None
-        if spec["fault_plan"] is not None and job.attempts <= 1:
-            faults = FaultPlan.from_json(json.dumps(spec["fault_plan"]))
+        spec = job.spec if job.attempts <= 1 else {**job.spec, "fault_plan": None}
+        request = MatchRequest.from_json(spec)
         checkpoints = CheckpointManager(
             self.store_dir / "checkpoints",
             observer=self.observer,
-            faults=faults,
+            faults=request.faults,
         )
-        with self.observer.span("service.ingest", source=spec["log_first"]):
-            log_first = load_log(
-                spec["log_first"], spec["format"], spec["on_error"]
-            )
-        with self.observer.span("service.ingest", source=spec["log_second"]):
-            log_second = load_log(
-                spec["log_second"], spec["format"], spec["on_error"]
-            )
-        matcher = EMSCompositeMatcher(
-            config, label_similarity,
-            threshold=spec["threshold"], delta=spec["delta"],
-            budget=budget, degradation=degradation,
-            workers=spec["workers"], observer=self.observer,
-            faults=faults, checkpoints=checkpoints,
+        run = run_match(
+            request, observer=self.observer, store=store,
+            checkpoints=checkpoints,
             resume=True,  # cold start when no snapshot matches
             interrupt=guard,
         )
-        outcome = matcher.match(log_first, log_second)
-        return outcome, {
-            "match_mode": "composite",
-            "log_names": [log_first.name, log_second.name],
-        }
+        return run.to_dict(), run.interrupted

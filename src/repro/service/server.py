@@ -33,9 +33,9 @@ from pathlib import Path
 
 from repro.exceptions import ServiceError
 from repro.obs import MetricsRegistry, Observer, get_logger
+from repro.request import MatchRequest
 from repro.runtime import DeadLetterArchive
 from repro.service.api import make_handler
-from repro.service.jobs import validate_spec
 from repro.service.queue import JobQueue
 from repro.service.scheduler import JobScheduler
 from repro.service.watcher import FolderWatcher
@@ -114,14 +114,9 @@ class MatchingService:
     # ------------------------------------------------------------------
     # API-facing operations (called by the handler)
     # ------------------------------------------------------------------
-    def submit(self, spec, source: str = "http") -> tuple:
-        """Validate, normalize and enqueue one submission (idempotent).
-
-        Validation here (again, for callers that already validated) keeps
-        embedding users honest: the queue only ever stores canonical
-        specs, whichever door a submission came through.
-        """
-        record, created = self.queue.submit(validate_spec(spec), source=source)
+    def submit(self, request: MatchRequest, source: str = "http") -> tuple:
+        """Enqueue one request (idempotent: equal requests share a job)."""
+        record, created = self.queue.submit(request, source=source)
         if created:
             self.scheduler.notify()
         return record, created

@@ -20,7 +20,7 @@ from pathlib import Path
 from repro.exceptions import JobSpecError
 from repro.obs import NULL_OBSERVER, Observer, get_logger
 from repro.runtime import DeadLetterArchive
-from repro.service.jobs import validate_spec
+from repro.request import MatchRequest
 from repro.service.queue import JobQueue
 
 _logger = get_logger(__name__)
@@ -83,7 +83,7 @@ class FolderWatcher:
             except OSError:
                 return False  # raced with a concurrent producer/cleanup
             try:
-                spec = validate_spec(json.loads(payload.decode("utf-8")))
+                request = MatchRequest.from_json(json.loads(payload.decode("utf-8")))
             except (ValueError, UnicodeDecodeError, JobSpecError) as error:
                 self.observer.count(
                     "service_ingest_rejected_total",
@@ -98,7 +98,7 @@ class FolderWatcher:
                     "rejected watch-folder submission %s: %s", path.name, error
                 )
                 return True
-            record, created = self.queue.submit(spec, source="watch")
+            record, created = self.queue.submit(request, source="watch")
             self._retire(
                 path, ".accepted", {"job": record.id, "created": created}
             )

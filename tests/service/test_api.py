@@ -69,13 +69,13 @@ class TestRoutes:
         # result while the job may still be queued/running; if it is
         # already done the 200 path is equally valid, so force the 409
         # by submitting directly to the queue without waking a worker.
-        from repro.service import validate_spec
+        from repro.request import MatchRequest
 
-        spec = validate_spec(
+        request = MatchRequest.from_json(
             {"log_first": str(csv_pair[0]), "log_second": str(csv_pair[1]),
              "threshold": 0.99}
         )
-        record, _ = service.queue.submit(spec, source="test")
+        record, _ = service.queue.submit(request, source="test")
         status, document = http("GET", f"{base}/jobs/{record.id}/result")
         if status == 409:  # not yet picked up / still running
             assert document["state"] in ("queued", "running")

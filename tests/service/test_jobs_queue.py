@@ -1,4 +1,4 @@
-"""Unit tests: job-spec validation, content identity, the SQLite queue."""
+"""Unit tests: job-spec decoding, content identity, the SQLite queue."""
 
 import threading
 
@@ -6,6 +6,7 @@ import pytest
 
 from repro.exceptions import JobSpecError
 from repro.obs import MetricsRegistry, Observer
+from repro.request import MatchRequest
 from repro.service import (
     JobQueue,
     STATE_DEAD,
@@ -13,8 +14,6 @@ from repro.service import (
     STATE_FAILED,
     STATE_QUEUED,
     STATE_RUNNING,
-    job_content_key,
-    validate_spec,
 )
 
 from .conftest import write_csv
@@ -30,12 +29,18 @@ def pair(tmp_path):
 def spec_for(pair, **overrides):
     submission = {"log_first": str(pair[0]), "log_second": str(pair[1])}
     submission.update(overrides)
-    return validate_spec(submission)
+    return MatchRequest.from_json(submission)
+
+
+def job_content_key(request):
+    return request.content_key()
 
 
 class TestValidateSpec:
+    """``MatchRequest.from_json``, the one job-spec decoder."""
+
     def test_fills_defaults(self, pair):
-        spec = spec_for(pair)
+        spec = spec_for(pair).to_json()
         assert spec["format"] == "auto"
         assert spec["threshold"] == 0.0
         assert spec["composite"] is False
@@ -43,23 +48,23 @@ class TestValidateSpec:
 
     def test_rejects_unknown_fields(self, pair):
         with pytest.raises(JobSpecError, match="unknown job spec field"):
-            validate_spec(
+            MatchRequest.from_json(
                 {"log_first": str(pair[0]), "log_second": str(pair[1]),
                  "treshold": 0.5}
             )
 
     def test_rejects_missing_required(self):
         with pytest.raises(JobSpecError, match="missing required field"):
-            validate_spec({"log_first": "a.csv"})
+            MatchRequest.from_json({"log_first": "a.csv"})
 
     def test_rejects_wrong_types(self, pair):
         with pytest.raises(JobSpecError, match="has type"):
-            validate_spec(
+            MatchRequest.from_json(
                 {"log_first": str(pair[0]), "log_second": str(pair[1]),
                  "threshold": "high"}
             )
         with pytest.raises(JobSpecError, match="must not be a boolean"):
-            validate_spec(
+            MatchRequest.from_json(
                 {"log_first": str(pair[0]), "log_second": str(pair[1]),
                  "pair_budget": True}
             )
@@ -70,14 +75,14 @@ class TestValidateSpec:
 
     def test_rejects_missing_file(self, tmp_path, pair):
         with pytest.raises(JobSpecError, match="no such file"):
-            validate_spec(
+            MatchRequest.from_json(
                 {"log_first": str(tmp_path / "nope.csv"),
                  "log_second": str(pair[1])}
             )
 
     def test_rejects_non_object(self):
         with pytest.raises(JobSpecError, match="JSON object"):
-            validate_spec(["a.csv", "b.csv"])
+            MatchRequest.from_json(["a.csv", "b.csv"])
 
     @pytest.mark.parametrize(
         "field, value",
@@ -95,7 +100,7 @@ class TestContentKey:
         copy = tmp_path / "copy.csv"
         copy.write_bytes(pair[0].read_bytes())
         spec_a = spec_for(pair)
-        spec_b = validate_spec(
+        spec_b = MatchRequest.from_json(
             {"log_first": str(copy), "log_second": str(pair[1])}
         )
         assert job_content_key(spec_a) == job_content_key(spec_b)
@@ -112,6 +117,40 @@ class TestContentKey:
         assert job_content_key(spec_for(pair)) == job_content_key(
             spec_for(pair, fault_plan=plan)
         )
+
+    def test_equal_requests_share_a_key(self, pair):
+        # Identity hashes resolved values, not the JSON spelling: every
+        # submission here means alpha = 1.0 and threshold = 0.0.
+        default = job_content_key(spec_for(pair))
+        assert job_content_key(spec_for(pair, alpha=1)) == default
+        assert job_content_key(spec_for(pair, alpha=1.0)) == default
+        assert job_content_key(spec_for(pair, threshold=0)) == job_content_key(
+            spec_for(pair, threshold=0.0)
+        )
+        # A singleton match never reads delta or workers ...
+        assert job_content_key(spec_for(pair, delta=0.5, workers=3)) == default
+        # ... a composite one does.
+        composite = job_content_key(spec_for(pair, composite=True))
+        assert job_content_key(
+            spec_for(pair, composite=True, delta=0.5)
+        ) != composite
+
+    def test_stored_spec_decodes_to_the_same_request(self, pair):
+        plan = {"specs": [{"site": "search.round", "kind": "interrupt"}]}
+        for overrides in ({}, {"composite": True, "fault_plan": plan}):
+            request = spec_for(pair, **overrides)
+            assert MatchRequest.from_json(request.to_json()) == request
+
+    def test_full_spelled_spec_still_decodes(self, pair):
+        # A queue row may spell every field out, defaults included.
+        spelled = {
+            "log_first": str(pair[0]), "log_second": str(pair[1]),
+            "format": "auto", "on_error": "raise", "composite": False,
+            "labels": False, "alpha": None, "threshold": 0.0, "delta": 0.01,
+            "estimate": None, "timeout": None, "pair_budget": None,
+            "workers": 0, "fault_plan": None,
+        }
+        assert MatchRequest.from_json(spelled) == spec_for(pair)
 
 
 class TestJobQueue:
@@ -144,7 +183,7 @@ class TestJobQueue:
         assert queue.claim() is None
         queue.submit(spec_for(pair), source="http")
         other = write_csv(tmp_path / "c.csv", [["q", "r"]])
-        second_spec = validate_spec(
+        second_spec = MatchRequest.from_json(
             {"log_first": str(other), "log_second": str(pair[1])}
         )
         queue.submit(second_spec, source="http")

@@ -1,0 +1,145 @@
+"""The CLI and the daemon run the same request.
+
+Both front ends decode their knobs into one ``MatchRequest`` and run it
+through ``run_match``.  Here every job spec field, set to a non-default
+value, goes through ``repro match --json`` and through a
+``JobScheduler`` on its own store; the two must agree bit for bit.  The
+out-of-range table is likewise shared: both front ends reject it.
+"""
+
+import json
+import time
+
+import pytest
+
+from repro.cli import main
+from repro.exceptions import JobSpecError
+from repro.request import MatchRequest
+from repro.runtime import DeadLetterArchive
+from repro.service import JobQueue, JobScheduler
+
+#: A checkpoint-corruption fault: it changes how a run is recorded,
+#: never what it computes (the CLI run takes no checkpoints at all).
+FAULT_PLAN = {"specs": [{"site": "checkpoint.write", "kind": "corrupt"}]}
+
+#: (job spec fields, matching ``repro match`` flags); "{plan}" is the
+#: path of FAULT_PLAN written to disk.
+CASES = {
+    "format": ({"format": "csv"}, ["--format", "csv"]),
+    "on_error": ({"on_error": "skip"}, ["--on-error", "skip"]),
+    "labels": ({"labels": True}, ["--labels"]),
+    "alpha": ({"alpha": 0.7}, ["--alpha", "0.7"]),
+    "threshold": ({"threshold": 0.2}, ["--threshold", "0.2"]),
+    "estimate": ({"estimate": 1}, ["--estimate", "1"]),
+    "timeout": ({"timeout": 600}, ["--timeout", "600"]),
+    "pair_budget": ({"pair_budget": 40}, ["--pair-budget", "40"]),
+    "composite": ({"composite": True}, ["--composite"]),
+    "delta": (
+        {"composite": True, "delta": 0.001},
+        ["--composite", "--delta", "0.001"],
+    ),
+    "workers": (
+        {"composite": True, "workers": 2},
+        ["--composite", "--workers", "2"],
+    ),
+    "fault_plan": (
+        {"composite": True, "fault_plan": FAULT_PLAN},
+        ["--composite", "--fault-plan", "{plan}"],
+    ),
+}
+
+OUT_OF_RANGE = {
+    "alpha": ({"alpha": 1.5}, ["--alpha", "1.5"]),
+    "estimate": ({"estimate": -1}, ["--estimate", "-1"]),
+    "timeout": ({"timeout": -1}, ["--timeout", "-1"]),
+    "pair_budget": ({"pair_budget": -1}, ["--pair-budget", "-1"]),
+    "delta": (
+        {"composite": True, "delta": -0.5},
+        ["--composite", "--delta", "-0.5"],
+    ),
+    "workers": ({"workers": -1}, ["--workers", "-1"]),
+}
+
+
+def run_cli(capsys, pair, flags, store):
+    argv = ["match", str(pair[0]), str(pair[1]), "--json", *flags]
+    if "--composite" not in flags:  # composite search needs the full logs
+        argv += ["--store", str(store)]
+    assert main(argv) == 0, capsys.readouterr().err
+    return json.loads(capsys.readouterr().out)
+
+
+def run_job(store_dir, submission, before_start=lambda: None):
+    """Settle one job through a JobScheduler; returns its final record."""
+    queue = JobQueue(store_dir / "jobs.db")
+    scheduler = JobScheduler(
+        queue, store_dir, DeadLetterArchive(store_dir / "deadletters"),
+        poll_interval=0.01,
+    )
+    record, _ = queue.submit(MatchRequest.from_json(submission), source="test")
+    before_start()
+    scheduler.start()
+    try:
+        deadline = time.monotonic() + 120
+        job = queue.get(record.id)
+        while job.state in ("queued", "running"):
+            assert time.monotonic() < deadline, "job never settled"
+            time.sleep(0.02)
+            job = queue.get(record.id)
+    finally:
+        scheduler.stop()
+        queue.close()
+    return job
+
+
+def by_members(correspondences):
+    return sorted(correspondences, key=str)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_and_daemon_agree(name, wide_csv_pair, tmp_path, capsys):
+    fields, flags = CASES[name]
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(FAULT_PLAN))
+    flags = [flag.format(plan=plan) for flag in flags]
+    cli = run_cli(capsys, wide_csv_pair, flags, tmp_path / "cli.db")
+    record = run_job(
+        tmp_path / "daemon",
+        {"log_first": str(wide_csv_pair[0]),
+         "log_second": str(wide_csv_pair[1]), **fields},
+    )
+    assert record.state == "done", record.error
+    job = record.result
+    assert job["objective"] == cli["objective"]  # bitwise, not approx
+    assert by_members(job["correspondences"]) == by_members(
+        cli["correspondences"]
+    )
+    assert job["provenance"]["match_mode"] == cli["provenance"]["match_mode"]
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_both_front_ends_reject(name, wide_csv_pair, capsys):
+    fields, flags = OUT_OF_RANGE[name]
+    argv = ["match", str(wide_csv_pair[0]), str(wide_csv_pair[1]), *flags]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(JobSpecError):
+        MatchRequest.from_json(
+            {"log_first": str(wide_csv_pair[0]),
+             "log_second": str(wide_csv_pair[1]), **fields}
+        )
+
+
+def test_input_gone_at_run_time_fails_terminally(wide_csv_pair, tmp_path):
+    # The runner decodes the stored spec again, file checks included: a
+    # vanished input is an input error, not a transient one to retry.
+    copy = tmp_path / "copy.csv"
+    copy.write_bytes(wide_csv_pair[0].read_bytes())
+    record = run_job(
+        tmp_path / "daemon",
+        {"log_first": str(copy), "log_second": str(wide_csv_pair[1])},
+        before_start=copy.unlink,
+    )
+    assert record.state == "failed"
+    assert record.attempts == 1
+    assert "no such file" in record.error

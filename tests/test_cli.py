@@ -290,11 +290,11 @@ class TestMatchStoreCLI:
         store = tmp_path / "store.db"
         assert main(["match", *log_paths, "--store", str(store), "--json"]) == 0
         cold = json.loads(capsys.readouterr().out)
-        assert cold["scale"]["match_mode"] == "computed"
+        assert cold["provenance"]["match_mode"] == "computed"
         assert main(["match", *log_paths, "--store", str(store), "--json"]) == 0
         warm = json.loads(capsys.readouterr().out)
-        assert warm["scale"]["match_mode"] == "store"
-        assert warm["scale"]["matrix_key"] == cold["scale"]["matrix_key"]
+        assert warm["provenance"]["match_mode"] == "store"
+        assert warm["provenance"]["matrix_key"] == cold["provenance"]["matrix_key"]
         assert warm["objective"] == cold["objective"]
 
     def test_store_hit_noted_in_text_output(self, log_paths, tmp_path, capsys):
@@ -313,8 +313,8 @@ class TestMatchStoreCLI:
             handle.write("case-new-1,A,99.0\ncase-new-1,B,100.0\n")
         assert main(["match", *paths, "--store", str(store), "--json"]) == 0
         grown = json.loads(capsys.readouterr().out)
-        assert grown["scale"]["match_mode"] == "store-partial"
-        assert grown["scale"]["ingest_modes"][0] == "store-append"
+        assert grown["provenance"]["match_mode"] == "store-partial"
+        assert grown["provenance"]["ingest_modes"][0] == "store-append"
         # Bit-identical to matching the grown pair without any store.
         assert main(["match", *paths, "--json"]) == 0
         reference = json.loads(capsys.readouterr().out)
