@@ -4,21 +4,19 @@ Usage::
 
     python -m repro match LOG1 LOG2 [--format xes|csv] [--composite]
                                     [--alpha A] [--labels] [--threshold T]
-                                    [--estimate I] [--json] [--workers N]
-                                    [--dtype D]
+                                    [--estimate I] [--json] [--dtype D]
                                     [--timeout S] [--pair-budget N]
                                     [--no-degrade] [--on-error MODE]
                                     [--dead-letter-dir DIR]
                                     [--checkpoint-dir DIR] [--resume]
                                     [--checkpoint-every N]
-                                    [--max-retries N] [--task-timeout S]
-                                    [--shard-traces N] [--parallel-ingest N]
-                                    [--store PATH]
+                                    [--max-retries N]
+                                    [--shard-traces N] [--store PATH]
                                     [--trace-out PATH] [--metrics-out PATH]
                                     [--manifest-out PATH] [--log-level LEVEL]
     python -m repro stats LOG [--format xes|csv] [--on-error MODE]
-                              [--shard-traces N] [--parallel-ingest N]
-                              [--store PATH] [--from-store] [--top N]
+                              [--shard-traces N] [--store PATH]
+                              [--from-store] [--top N]
                               [--json] [--metrics-out PATH]
                               [--log-level LEVEL]
     python -m repro serve --store-dir DIR [--host H] [--port N]
@@ -34,10 +32,7 @@ Failure behaviour (see ``docs/robustness.md``):
 
 * exit 0 — a result was produced, possibly degraded within the budget;
 * exit 2 — the inputs could not be read (bad format, missing file, ...);
-* exit 3 — the budget was exhausted and degradation was disabled;
-* exit 4 — the worker pool could not be kept alive (unrecoverable
-  environment failure; retrying the invocation may help, fixing the
-  machine will).
+* exit 3 — the budget was exhausted and degradation was disabled.
 
 ``--timeout``/``--pair-budget`` bound the matching work;
 ``--on-error skip|repair`` makes ingestion fault-tolerant, with the
@@ -51,9 +46,9 @@ greedy search after accepted rounds (atomically, keyed by a content
 hash of the inputs and configuration), ``--resume`` continues from the
 latest matching snapshot bit-identically, and SIGINT/SIGTERM flush a
 final checkpoint and return the best-so-far result as a ``partial``
-stage instead of dying mid-round.  ``--max-retries``/``--task-timeout``
-tune the worker supervision (retry with backoff, pool respawn, poison-
-candidate quarantine).
+stage instead of dying mid-round.  ``--max-retries`` supervises every
+candidate evaluation (retry with backoff, poison-candidate quarantine).
+Every match runs in one process.
 
 Observability (see ``docs/observability.md``): ``--trace-out`` writes a
 Chrome-trace JSON of the run's spans, ``--metrics-out`` a Prometheus
@@ -63,8 +58,7 @@ logging to stderr.
 
 Scale (see ``docs/scale.md``): ``--shard-traces N`` ingests each log
 out-of-core in blocks of N traces (peak memory O(shard), not O(log)),
-``--parallel-ingest N`` counts the blocks in N supervised worker
-processes, and ``--store PATH`` opens a persistent SQLite match store:
+and ``--store PATH`` opens a persistent SQLite match store:
 counts, dependency graphs, per-trace rows (aggregated by SQL window
 functions) and finished similarity matrices are all memoized, so a
 repeated log pair skips parse, graph build *and* the EMS fixpoint
@@ -97,7 +91,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.exceptions import BudgetExhausted, ReproError, WorkerPoolError
+from repro.exceptions import BudgetExhausted, ReproError
 from repro.obs import (
     NULL_OBSERVER,
     MetricsRegistry,
@@ -111,8 +105,6 @@ from repro.request import (  # load_log: re-exported as repro.cli.load_log
     ON_ERROR_MODES,
     MatchRequest,
     MatchRun,
-    RequestError,
-    ingest_options,
     load_log,  # noqa: F401
 )
 from repro.request import run_match as run_request
@@ -135,9 +127,6 @@ from repro.store import (
 EXIT_INPUT_ERROR = 2
 #: Exit code for budget exhaustion with the degradation ladder disabled.
 EXIT_BUDGET_EXHAUSTED = 3
-#: Exit code for an unrecoverable worker-pool failure (the pool died
-#: repeatedly before completing any work; see docs/robustness.md).
-EXIT_WORKER_FAILURE = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,19 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
              "serial runs",
     )
     match.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-candidate evaluation timeout in worker-pool runs; a "
-             "timed-out worker is killed and the candidate retried",
-    )
-    match.add_argument(
         "--fault-plan", metavar="PATH", default=None,
         help="inject deterministic faults from a JSON plan (testing aid; "
              "see docs/robustness.md)",
-    )
-    match.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="evaluate composite candidates in N worker processes "
-             "(composite mode only; budgeted runs stay serial)",
     )
     match.add_argument(
         "--dtype", choices=("float64", "float32"), default="float64",
@@ -241,12 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-traces", type=int, default=None, metavar="N",
         help="ingest out-of-core in blocks of N traces (peak memory "
              "O(shard)); selects the statistics-backed singleton matching",
-    )
-    match.add_argument(
-        "--parallel-ingest", type=int, default=None, metavar="N",
-        help="count ingestion shards in N supervised worker processes "
-             "(implies --shard-traces' pipeline; default block size when "
-             "--shard-traces is not given)",
     )
     match.add_argument(
         "--store", metavar="PATH", default=None,
@@ -293,10 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--shard-traces", type=int, default=None, metavar="N",
         help="ingest out-of-core in blocks of N traces",
-    )
-    stats.add_argument(
-        "--parallel-ingest", type=int, default=None, metavar="N",
-        help="count ingestion shards in N supervised worker processes",
     )
     stats.add_argument(
         "--store", metavar="PATH", default=None,
@@ -471,12 +440,10 @@ def run_stats(arguments: argparse.Namespace) -> int:
     observer = _build_observer(arguments)
     if arguments.top < 0:
         raise ReproError(f"--top must be >= 0, got {arguments.top}")
-    try:
-        shard_traces, workers = ingest_options(
-            arguments.shard_traces, arguments.parallel_ingest
+    if arguments.shard_traces is not None and arguments.shard_traces < 1:
+        raise ReproError(
+            f"--shard-traces must be >= 1, got {arguments.shard_traces}"
         )
-    except RequestError as error:
-        raise error.for_cli() from None
     store = (
         MatchStore(arguments.store, observer=observer) if arguments.store else None
     )
@@ -493,7 +460,7 @@ def run_stats(arguments: argparse.Namespace) -> int:
         with observer.span("stats", source=arguments.log):
             result = ingest_statistics(
                 arguments.log, arguments.format, arguments.on_error, report,
-                shard_traces=shard_traces, workers=workers, store=store,
+                shard_traces=arguments.shard_traces, store=store,
                 observer=observer,
             )
         if store is not None:
@@ -667,11 +634,6 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExhausted as error:
         print(f"error: {error} (degradation disabled)", file=sys.stderr)
         return EXIT_BUDGET_EXHAUSTED
-    except WorkerPoolError as error:
-        # Must precede the ReproError clause: an unrecoverable pool is an
-        # environment failure, not an input problem.
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_WORKER_FAILURE
     except (ReproError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -25,7 +25,8 @@ import math
 import numpy as np
 
 #: Strict-dominance margin used wherever a sound upper bound is compared
-#: against an incumbent average (estimation screening, best-first cutoff).
+#: against an incumbent average (estimation screening, best-first cutoff,
+#: the Bd abort of a candidate evaluation).
 #: A candidate is skipped only when ``bound < incumbent - SCREEN_MARGIN``:
 #: bounds within the margin of the incumbent are conservatively evaluated,
 #: so float noise in the bound arithmetic can never skip a candidate the

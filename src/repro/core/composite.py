@@ -27,10 +27,9 @@ Two accelerations from the paper are implemented:
   similarity upper bound and abort as soon as they provably cannot beat
   the incumbent.
 
-Without a budget, serial rounds also screen candidates by a sound
-estimation bound and evaluate them best-bound first.  Budgeted runs and
-worker-pool rounds keep the static discovery order.  The selected merges
-are the same either way.
+Without a budget, rounds also screen candidates by a sound estimation
+bound and evaluate them best-bound first.  Budgeted rounds keep the static
+discovery order.  The selected merges are the same either way.
 
 Candidate discovery follows the paper's convention: "grouping singleton
 events that always appear consecutively, following the convention of SEQ
@@ -41,12 +40,7 @@ pool can be grown for the Figure 14 experiment.
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import resource_tracker, shared_memory
-
-import numpy as np
 
 from repro.core.bounds import SCREEN_MARGIN
 from repro.core.config import EMSConfig
@@ -57,7 +51,7 @@ from repro.exceptions import BudgetExhausted
 from repro.graph.dependency import DependencyGraph
 from repro.logs.log import EventLog
 from repro.logs.stats import activity_occurrence_counts, directly_follows_counts
-from repro.obs import NULL_OBSERVER, Observer, Tracer, get_logger
+from repro.obs import NULL_OBSERVER, Observer, get_logger
 from repro.runtime.budget import BudgetMeter, MatchBudget
 from repro.runtime.checkpoint import (
     CheckpointManager,
@@ -72,7 +66,6 @@ from repro.runtime.report import STAGE_EXACT, STAGE_PARTIAL, RuntimeReport
 from repro.runtime.supervise import (
     QuarantineRecord,
     RetryPolicy,
-    SupervisedPool,
     SupervisionStats,
     run_supervised,
 )
@@ -161,10 +154,9 @@ class CompositeStats:
     screen_checks: int = 0
     candidates_screened: int = 0
     #: Supervision counters (zero on unsupervised runs): evaluations
-    #: re-submitted after a failure, pools torn down and rebuilt, and
-    #: poison candidates set aside so their round could complete.
+    #: re-run after a failure, and poison candidates set aside so their
+    #: round could complete.
     worker_retries: int = 0
-    pool_respawns: int = 0
     candidates_quarantined: int = 0
 
 
@@ -205,226 +197,6 @@ class _SideState:
     accepted: list[tuple[str, ...]]
 
 
-# ----------------------------------------------------------------------
-# Shared-memory transport of a round's directional matrices
-# ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class _SharedDirectional:
-    """Handle to a round's directional matrices in one shared-memory block.
-
-    Pickling a handle costs the node vocabularies and a few integers; the
-    ``O(n1 * n2)`` float payload stays in the
-    :mod:`multiprocessing.shared_memory` segment, written once by the
-    parent and read directly by every worker of the round.  The parent
-    owns the segment's lifetime: it closes and unlinks after the round's
-    futures have all resolved — workers only ever attach, copy out, and
-    detach.
-    """
-
-    name: str
-    rows: tuple[str, ...]
-    cols: tuple[str, ...]
-    #: ``(direction, byte offset)`` per matrix; each is a
-    #: ``(len(rows), len(cols))`` float64 block.
-    offsets: tuple[tuple[str, int], ...]
-    #: PID of the resource-tracker process serving the creator, so an
-    #: attaching process can tell whether it shares that tracker (forked
-    #: worker) or brought its own (spawned worker) — see
-    #: :func:`_unpack_directional`.
-    tracker_pid: int | None = None
-
-
-def _tracker_pid() -> int | None:
-    """PID of this process's resource-tracker process, if one is running."""
-    tracker = getattr(resource_tracker, "_resource_tracker", None)
-    return getattr(tracker, "_pid", None)
-
-
-def _pack_directional(
-    directional: dict[str, SimilarityMatrix],
-) -> tuple[_SharedDirectional | None, shared_memory.SharedMemory | None]:
-    """Copy *directional* into a fresh shared-memory block.
-
-    Returns ``(handle, block)``, or ``(None, None)`` when shared memory
-    cannot be allocated (e.g. no writable segment directory) — callers
-    then fall back to pickling the matrices as before.
-    """
-    reference = next(iter(directional.values()))
-    rows, cols = reference.rows, reference.cols
-    stride = len(rows) * len(cols) * np.dtype(np.float64).itemsize
-    try:
-        block = shared_memory.SharedMemory(
-            create=True, size=max(1, stride * len(directional))
-        )
-    except (OSError, ValueError):
-        return None, None
-    offsets: list[tuple[str, int]] = []
-    for position, direction in enumerate(sorted(directional)):
-        offset = position * stride
-        view = np.ndarray(
-            (len(rows), len(cols)), dtype=np.float64, buffer=block.buf, offset=offset
-        )
-        view[:] = directional[direction].values
-        offsets.append((direction, offset))
-    handle = _SharedDirectional(
-        block.name, rows, cols, tuple(offsets), _tracker_pid()
-    )
-    return handle, block
-
-
-def _unpack_directional(handle: _SharedDirectional) -> dict[str, SimilarityMatrix]:
-    """Worker side: copy the matrices out of the block, then detach."""
-    block = shared_memory.SharedMemory(name=handle.name)
-    try:
-        # Attaching registered the segment with this process's resource
-        # tracker (Python < 3.13 SharedMemory has no track=False).  If
-        # that tracker is *not* the creator's — a spawned worker, or a
-        # worker forked before the parent's tracker existed — it would
-        # unlink the segment behind the owner's back at worker exit, so
-        # undo the registration.  A forked worker sharing the creator's
-        # tracker must keep its hands off: the register was a duplicate
-        # no-op there, and unregistering would strip the creator's own
-        # registration (its later unlink would then double-unregister).
-        if _tracker_pid() != handle.tracker_pid:
-            try:
-                resource_tracker.unregister(block._name, "shared_memory")
-            except Exception:
-                pass
-        shape = (len(handle.rows), len(handle.cols))
-        directional: dict[str, SimilarityMatrix] = {}
-        for direction, offset in handle.offsets:
-            view = np.ndarray(shape, dtype=np.float64, buffer=block.buf, offset=offset)
-            directional[direction] = SimilarityMatrix(
-                handle.rows, handle.cols, view.copy()
-            )
-        return directional
-    finally:
-        block.close()
-
-
-def _release_shared_block(block: shared_memory.SharedMemory | None) -> None:
-    """Close and unlink a round's segment, tolerating a half-dead state.
-
-    Runs on every exit path of a parallel round — normal completion,
-    budget exhaustion, ``WorkerPoolError`` after a crashed pool — so a
-    pool dying mid-round can no longer leak its ``/dev/shm`` segment.
-    """
-    if block is None:
-        return
-    try:
-        block.close()
-    except (OSError, BufferError):  # pragma: no cover - platform quirk
-        pass
-    try:
-        block.unlink()
-    except FileNotFoundError:  # pragma: no cover - already reclaimed
-        pass
-
-
-def _resolve_directional(
-    directional: dict[str, SimilarityMatrix] | _SharedDirectional | None,
-) -> dict[str, SimilarityMatrix] | None:
-    """Whatever the parent shipped — handle or plain dict — as a dict."""
-    if isinstance(directional, _SharedDirectional):
-        return _unpack_directional(directional)
-    return directional
-
-
-def _worker_observer(trace: bool) -> Observer:
-    """A per-task observer for a pool worker: local tracer or the null one.
-
-    Workers never receive the parent's Observer (it is not picklable and
-    its clock shares no epoch); when tracing is requested they record
-    into a fresh local :class:`Tracer` and ship the span fragments back
-    with the result for the parent to :meth:`~Tracer.adopt`.
-    """
-    return Observer(tracer=Tracer()) if trace else NULL_OBSERVER
-
-
-#: Per-process state of pool workers.  The pool persists for the whole
-#: match: workers receive the base side states once at initialization and
-#: afterwards only the per-round delta — the list of accepted runs, which
-#: each worker replays through its own IncrementalSearchState, plus the
-#: round's directional matrices.
-_POOL_WORKER: tuple[IncrementalSearchState, dict] | None = None
-
-
-def _init_pool_worker(
-    config: EMSConfig,
-    base_label: LabelSimilarity,
-    min_edge_frequency: float,
-    use_unchanged: bool,
-    use_bounds: bool,
-    sides: tuple[tuple[EventLog, dict[str, frozenset[str]], DependencyGraph], ...],
-    trace: bool = False,
-    faults: FaultPlan | None = None,
-) -> None:
-    global _POOL_WORKER
-    if faults is not None:
-        faults.fire("worker.init", in_worker=True)
-    state = IncrementalSearchState(
-        config, base_label, min_edge_frequency, use_unchanged, use_bounds,
-        LabelMatrixCache(config.label_cache_entries),
-    )
-    state.reset(sides)
-    _POOL_WORKER = (
-        state, {"applied": 0, "round": None, "trace": trace, "faults": faults}
-    )
-
-
-def _pool_worker_evaluate(
-    task: tuple[
-        int,
-        tuple[tuple[int, tuple[str, ...]], ...],
-        dict[str, SimilarityMatrix] | _SharedDirectional | None,
-        int,
-        tuple[str, ...],
-        float,
-        int,
-    ]
-) -> tuple[int, tuple[str, ...], EMSResult | None, int, bool, list[dict], int]:
-    """Evaluate one candidate in a persistent pool worker.
-
-    *task* carries ``(round_id, history, directional, side_index, run,
-    abort_below, attempt)`` where *history* lists every merge accepted
-    since pool creation.  The worker replays the suffix it has not
-    applied yet — the per-round delta — then evaluates with warm starts
-    and screening exactly like the serial loop.  *directional* is
-    usually a :class:`_SharedDirectional` handle; the first task of a
-    round copies the matrices out of shared memory, later tasks of the
-    same round hit the ``progress["round"]`` cache and never reattach.
-    Because every task carries the full history, a worker spawned by a
-    supervisor *respawn* mid-match transparently catches up before
-    evaluating — recovery needs no extra protocol.
-    """
-    assert _POOL_WORKER is not None, "pool worker used without _init_pool_worker"
-    state, progress = _POOL_WORKER
-    round_id, history, directional, side_index, run, abort_below, attempt = task
-    faults: FaultPlan | None = progress.get("faults")
-    if faults is not None:
-        faults.fire(
-            "evaluate", in_worker=True,
-            round=round_id, side=side_index, run=run, attempt=attempt,
-        )
-    while progress["applied"] < len(history):
-        accepted_side, accepted_run = history[progress["applied"]]
-        state.apply_accepted(accepted_side, accepted_run)
-        progress["applied"] += 1
-        progress["round"] = None  # force a begin_round with fresh matrices
-    if progress["round"] != round_id:
-        state.begin_round(_resolve_directional(directional))
-        progress["round"] = round_id
-    observer = _worker_observer(progress.get("trace", False))
-    state.observer = observer
-    with observer.span("candidate.evaluate", side=side_index, run=list(run)):
-        evaluation = state.evaluate(side_index, run, abort_below)
-    fragments = observer.tracer.export_fragments() if observer.tracing else []
-    return (
-        side_index, run, evaluation.outcome, evaluation.pairs_fixed,
-        evaluation.screened, fragments, os.getpid(),
-    )
-
-
 class CompositeMatcher:
     """Greedy composite event matching (Algorithm 2).
 
@@ -455,30 +227,13 @@ class CompositeMatcher:
         What to do when the budget runs out (default: the full
         exact → estimated → partial ladder).  With the ladder disabled,
         exhaustion raises :class:`~repro.exceptions.BudgetExhausted`.
-    workers:
-        Candidate evaluations per round run in this many worker processes
-        (``0``/``1`` = in-process, serial).  Waves of *workers* candidates
-        share the round's Bd incumbent bound, which is re-tightened
-        between waves from the results received so far.  The round's
-        directional similarity matrices travel through one
-        ``multiprocessing.shared_memory`` block instead of being pickled
-        per worker; only candidate indices and per-round deltas cross the
-        process boundary (with a transparent pickling fallback where
-        shared memory is unavailable).  A budgeted run (``budget`` set)
-        always evaluates serially: cooperative cancellation needs the one
-        shared meter, which worker processes cannot charge.
     retry:
-        :class:`~repro.runtime.RetryPolicy` for supervised execution.
-        Pool runs are always supervised (respawn on crash, quarantine on
-        poison) under this policy or its defaults; the *serial* path is
-        only supervised when ``retry`` or ``faults`` is explicitly set,
-        so the default serial path stays zero-overhead.
-    task_timeout:
-        Per-candidate wall-clock timeout (seconds) in pool runs; a
-        candidate exceeding it costs a pool respawn and a retry.
+        :class:`~repro.runtime.RetryPolicy` for supervised execution
+        (retry on transient failure, quarantine on poison).  Evaluations
+        are only supervised when ``retry`` or ``faults`` is explicitly
+        set, so the default path stays zero-overhead.
     faults:
-        Deterministic :class:`~repro.runtime.FaultPlan` for chaos tests;
-        shipped to workers through the pool initializers.
+        Deterministic :class:`~repro.runtime.FaultPlan` for chaos tests.
     checkpoints:
         Optional :class:`~repro.runtime.CheckpointManager`; accepted
         rounds are snapshotted at its cadence, keyed by the content hash
@@ -498,11 +253,9 @@ class CompositeMatcher:
         served on the next identical run instead of re-evaluating.
         Results stay bit-identical — a hit replays the exact stored
         evaluation, and every load is digest-verified with corruption
-        degrading to a cold evaluation.  In pool rounds, hits are served
-        *before* dispatch, so retry/quarantine supervision only ever sees
-        real (miss) evaluations.  Disabled while a budget meter is active
-        (a served hit charges no meter, which would skew cooperative
-        cancellation).
+        degrading to a cold evaluation.  Disabled while a budget meter is
+        active (a served hit charges no meter, which would skew
+        cooperative cancellation).
     """
 
     def __init__(
@@ -518,10 +271,8 @@ class CompositeMatcher:
         min_edge_frequency: float = 0.0,
         budget: MatchBudget | None = None,
         degradation: DegradationPolicy | None = None,
-        workers: int = 0,
         observer: Observer | None = None,
         retry: RetryPolicy | None = None,
-        task_timeout: float | None = None,
         faults: FaultPlan | None = None,
         checkpoints: CheckpointManager | None = None,
         resume: bool = False,
@@ -530,10 +281,6 @@ class CompositeMatcher:
     ):
         if delta < 0.0:
             raise ValueError(f"delta must be non-negative, got {delta}")
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError(f"task_timeout must be > 0, got {task_timeout}")
         self.observer = observer if observer is not None else NULL_OBSERVER
         self.config = config if config is not None else EMSConfig()
         self.base_label = (
@@ -548,9 +295,7 @@ class CompositeMatcher:
         self.min_edge_frequency = min_edge_frequency
         self.budget = budget
         self.degradation = degradation if degradation is not None else DegradationPolicy()
-        self.workers = workers
         self.retry = retry
-        self.task_timeout = task_timeout
         self.faults = faults
         self.checkpoints = checkpoints
         self.resume = resume
@@ -682,7 +427,6 @@ class CompositeMatcher:
                     )
 
         stats.worker_retries = self._supervision.retries
-        stats.pool_respawns = self._supervision.respawns
         stats.candidates_quarantined = self._supervision.quarantined
         # stats misses the pair updates of an evaluation aborted by the
         # budget mid-flight; the meter saw every metered update.
@@ -749,75 +493,57 @@ class CompositeMatcher:
                 # would skew the counters away from the original run.
                 return current
         obs = self.observer
-        supervised: SupervisedPool | None = None
-        pool_history: list[tuple[int, tuple[str, ...]]] = []
-        supervise_serial = self.retry is not None or self.faults is not None
-        try:
-            while True:
-                interrupted_by = self._interrupt_requested(stats.rounds + 1)
-                if interrupted_by is not None:
-                    self._flush_checkpoint(stats, current, force=True)
-                    self._interrupted_by = interrupted_by
+        supervise = self.retry is not None or self.faults is not None
+        while True:
+            interrupted_by = self._interrupt_requested(stats.rounds + 1)
+            if interrupted_by is not None:
+                self._flush_checkpoint(stats, current, force=True)
+                self._interrupted_by = interrupted_by
+                return current
+            if meter is not None:
+                meter.check()
+            stats.rounds += 1
+            with obs.span(f"composite.round[{stats.rounds}]") as round_span:
+                obs.gauge("composite_round", stats.rounds)
+                current_average = current.matrix.average()
+                target = current_average + self.delta
+                incremental.begin_round(
+                    current.directional if self.use_unchanged else None
+                )
+
+                tasks: list[tuple[int, tuple[str, ...]]] = []
+                for side_index in (0, 1):
+                    for run in self._discover(states, side_index):
+                        tasks.append((side_index, run))
+                round_span.attributes["candidates"] = len(tasks)
+
+                best, best_average = self._round_serial(
+                    tasks, incremental, stats, target, current_average,
+                    meter, supervise,
+                )
+
+                if best is None or best_average - current_average <= self.delta:
+                    round_span.attributes["accepted"] = None
+                    # Final snapshot: a finished search resumes
+                    # instantly (replay straight to the last round)
+                    # even when it never accepted a merge.
+                    self._flush_checkpoint(
+                        stats, current, force=True, complete=True
+                    )
                     return current
-                if meter is not None:
-                    meter.check()
-                stats.rounds += 1
-                with obs.span(f"composite.round[{stats.rounds}]") as round_span:
-                    obs.gauge("composite_round", stats.rounds)
-                    current_average = current.matrix.average()
-                    target = current_average + self.delta
-                    best: tuple[int, tuple[str, ...], EMSResult] | None = None
-                    best_average = current_average
-                    incremental.begin_round(
-                        current.directional if self.use_unchanged else None
-                    )
 
-                    tasks: list[tuple[int, tuple[str, ...]]] = []
-                    for side_index in (0, 1):
-                        for run in self._discover(states, side_index):
-                            tasks.append((side_index, run))
-                    round_span.attributes["candidates"] = len(tasks)
-
-                    if self.workers > 1 and meter is None and len(tasks) > 1:
-                        if supervised is None:
-                            supervised = self._supervised_pool(states)
-                            pool_history = []
-                        best, best_average = self._round_pool(
-                            tasks, current, stats, target, best_average,
-                            supervised, tuple(pool_history),
-                        )
-                    else:
-                        best, best_average = self._round_serial(
-                            tasks, incremental, stats, target, best_average,
-                            meter, supervise_serial,
-                        )
-
-                    if best is None or best_average - current_average <= self.delta:
-                        round_span.attributes["accepted"] = None
-                        # Final snapshot: a finished search resumes
-                        # instantly (replay straight to the last round)
-                        # even when it never accepted a merge.
-                        self._flush_checkpoint(
-                            stats, current, force=True, complete=True
-                        )
-                        return current
-
-                    side_index, run, outcome = best
-                    round_span.attributes["accepted"] = list(run)
-                    round_span.attributes["average"] = best_average
-                    obs.count("composite_merges_accepted_total")
-                    state = states[side_index]
-                    state.log, state.members, state.graph = (
-                        incremental.apply_accepted(side_index, run)
-                    )
-                    state.accepted.append(run)
-                    pool_history.append((side_index, run))
-                    self._accepted_history.append((side_index, run))
-                    current = outcome
-                    self._flush_checkpoint(stats, current)
-        finally:
-            if supervised is not None:
-                supervised.shutdown()
+                side_index, run, outcome = best
+                round_span.attributes["accepted"] = list(run)
+                round_span.attributes["average"] = best_average
+                obs.count("composite_merges_accepted_total")
+                state = states[side_index]
+                state.log, state.members, state.graph = (
+                    incremental.apply_accepted(side_index, run)
+                )
+                state.accepted.append(run)
+                self._accepted_history.append((side_index, run))
+                current = outcome
+                self._flush_checkpoint(stats, current)
 
     # ------------------------------------------------------------------
     def _discover(
@@ -872,7 +598,7 @@ class CompositeMatcher:
         target: float,
         best_average: float,
         meter: BudgetMeter | None,
-        supervise_serial: bool,
+        supervise: bool,
     ) -> tuple[tuple[int, tuple[str, ...], EMSResult] | None, float]:
         """One round of candidates, evaluated in-process.
 
@@ -888,7 +614,7 @@ class CompositeMatcher:
         accounting does not depend on the bounds.
         """
         evaluate = (
-            self._evaluate_serial_supervised if supervise_serial else self._evaluate
+            self._evaluate_supervised if supervise else self._evaluate
         )
         best: tuple[int, tuple[str, ...], EMSResult] | None = None
         best_position = -1
@@ -909,9 +635,12 @@ class CompositeMatcher:
                 # remaining candidate is provably below the incumbent too.
                 stats.candidates_screened += len(order) - rank
                 break
+            # Bd aborts only candidates provably below the incumbent by more
+            # than rounding: a near-tie is evaluated in full, so every
+            # schedule compares the same computed averages.
             outcome = evaluate(
                 incremental, side_index, run, stats,
-                abort_below=max(best_average, target),
+                abort_below=max(best_average, target) - SCREEN_MARGIN,
                 meter=meter,
                 screen_bound=bounds[position] if bounds is not None else None,
             )
@@ -1003,7 +732,7 @@ class CompositeMatcher:
         stats.pair_updates += evaluation.outcome.pair_updates
         return evaluation.outcome
 
-    def _evaluate_serial_supervised(
+    def _evaluate_supervised(
         self,
         incremental: IncrementalSearchState,
         side_index: int,
@@ -1114,201 +843,3 @@ class CompositeMatcher:
         except OSError as error:
             # A full disk must degrade durability, not correctness.
             _logger.warning("checkpoint write failed: %s", error)
-
-    # ------------------------------------------------------------------
-    # Worker pools
-    # ------------------------------------------------------------------
-    def _supervised_pool(
-        self, states: tuple[_SideState, _SideState]
-    ) -> SupervisedPool:
-        """A match-lifetime supervised pool seeded with the current states.
-
-        The factory freezes its ``initargs`` now: a supervisor *respawn*
-        later in the match rebuilds workers from these same base states,
-        and the full accepted-run history carried by every task replays
-        them forward — so a respawned worker is indistinguishable from
-        an original one.
-        """
-        workers = self.workers
-        initargs = (
-            self.config, self.base_label, self.min_edge_frequency,
-            self.use_unchanged, self.use_bounds,
-            tuple((state.log, state.members, state.graph) for state in states),
-            self.observer.tracing,
-            self.faults,
-        )
-
-        def factory() -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_pool_worker,
-                initargs=initargs,
-            )
-
-        pool = SupervisedPool(
-            factory,
-            _pool_worker_evaluate,
-            payload=lambda task, attempt: task + (attempt,),
-            describe=lambda task: (task[3], task[4]),
-            policy=self.retry,
-            task_timeout=self.task_timeout,
-            observer=self.observer,
-            config_hash=self._content_key,
-        )
-        pool.stats = self._supervision
-        return pool
-
-    def _note_shared_memory_fallback(self) -> None:
-        """Surface a shared-memory → pickling degradation.
-
-        The fallback is logged through the bridge and counted so
-        operators can see rounds paying the per-worker pickling cost.
-        """
-        _logger.warning(
-            "shared-memory transport unavailable; pickling the round's "
-            "directional matrices to every worker instead"
-        )
-        self.observer.count(
-            "workers_shared_memory_fallbacks_total",
-            help="rounds whose directional matrices were pickled because "
-            "shared memory was unavailable",
-        )
-
-    def _wave_cache_hits(
-        self,
-        wave: list[tuple[int, tuple[str, ...]]],
-        bound: float,
-    ) -> tuple[dict[int, CandidateEvaluation], dict[int, str]]:
-        """Serve a wave's persistent-cache hits before dispatching it.
-
-        Returns ``(hits by wave index, candidate keys of the misses)``;
-        only the misses are submitted to the pool, so supervision
-        (retries, quarantine) never applies to a served hit — and a
-        fully cached wave never touches the pool at all.
-        """
-        hits: dict[int, CandidateEvaluation] = {}
-        keys: dict[int, str] = {}
-        if self.eval_cache is None:
-            return hits, keys
-        history = tuple(self._accepted_history)
-        for index, (side_index, run) in enumerate(wave):
-            key = candidate_key(
-                self._content_key, history, side_index, run, bound
-            )
-            cached = self.eval_cache.load(key)
-            if cached is not None:
-                hits[index] = cached
-            else:
-                keys[index] = key
-        return hits, keys
-
-    def _account_candidate(
-        self,
-        stats: CompositeStats,
-        side_index: int,
-        run: tuple[str, ...],
-        evaluation: CandidateEvaluation,
-        best: tuple[int, tuple[str, ...], EMSResult] | None,
-        best_average: float,
-    ) -> tuple[tuple[int, tuple[str, ...], EMSResult] | None, float]:
-        """Fold one wave evaluation — fresh or cached — into the round state."""
-        stats.screen_checks += 1
-        if evaluation.screened:
-            stats.candidates_screened += 1
-            return best, best_average
-        stats.candidates_evaluated += 1
-        stats.pairs_fixed += evaluation.pairs_fixed
-        if evaluation.outcome is None:
-            stats.evaluations_aborted += 1
-            return best, best_average
-        stats.pair_updates += evaluation.outcome.pair_updates
-        average = evaluation.outcome.matrix.average()
-        if average > best_average:
-            return (side_index, run, evaluation.outcome), average
-        return best, best_average
-
-    def _round_pool(
-        self,
-        tasks: list[tuple[int, tuple[str, ...]]],
-        current: EMSResult,
-        stats: CompositeStats,
-        target: float,
-        best_average: float,
-        supervised: SupervisedPool,
-        history: tuple[tuple[int, tuple[str, ...]], ...],
-    ) -> tuple[tuple[int, tuple[str, ...], EMSResult] | None, float]:
-        """One round of candidates on the match-lifetime worker pool.
-
-        Tasks carry only the per-round delta — the accepted-run *history*
-        (replayed by workers that have not caught up) and the round's
-        directional matrices.  The matrices themselves travel
-        through one shared-memory block per round (see
-        :class:`_SharedDirectional`); each task pickles only the handle.
-        The supervisor returns wave outcomes in submission order, which
-        matches the serial candidate order, so the selected best
-        candidate is the one the serial loop would pick; quarantined
-        candidates are simply absent from the reduction, exactly as if
-        they had been screened out.
-        """
-        obs = self.observer
-        directional = current.directional if self.use_unchanged else None
-        handle = block = None
-        if directional:
-            handle, block = _pack_directional(directional)
-            if handle is None:
-                self._note_shared_memory_fallback()
-        payload = handle if handle is not None else directional
-        round_id = stats.rounds
-        best: tuple[int, tuple[str, ...], EMSResult] | None = None
-        try:
-            with obs.span(
-                "workers.dispatch",
-                workers=self.workers,
-                tasks=len(tasks),
-                shared_memory=handle is not None,
-            ):
-                for start in range(0, len(tasks), self.workers):
-                    wave = tasks[start:start + self.workers]
-                    bound = max(best_average, target)
-                    hits, miss_keys = self._wave_cache_hits(wave, bound)
-                    pending = [i for i in range(len(wave)) if i not in hits]
-                    outcomes = supervised.run_wave(
-                        [
-                            (round_id, history, payload, *wave[i], bound)
-                            for i in pending
-                        ],
-                        round=round_id,
-                    )
-                    by_index = dict(zip(pending, outcomes))
-                    for index in range(len(wave)):
-                        side_index, run = wave[index]
-                        evaluation = hits.get(index)
-                        if evaluation is None:
-                            entry = by_index[index]
-                            if entry.quarantined is not None:
-                                self._quarantined.append(entry.quarantined)
-                                continue
-                            (
-                                side_index, run, outcome, pairs_fixed,
-                                screened, fragments, worker_pid,
-                            ) = entry.value
-                            if fragments and obs.tracing:
-                                obs.tracer.adopt(fragments, tid=worker_pid)
-                            evaluation = CandidateEvaluation(
-                                outcome=outcome, pairs_fixed=pairs_fixed,
-                                screened=screened,
-                            )
-                            key = miss_keys.get(index)
-                            if key is not None:
-                                self.eval_cache.store(key, evaluation)
-                        best, best_average = self._account_candidate(
-                            stats, side_index, run, evaluation,
-                            best, best_average,
-                        )
-        finally:
-            # The segment must outlive any mid-round pool respawn (new
-            # workers re-attach to evaluate retried candidates), so it is
-            # only reclaimed here, when the round is over — including on
-            # the WorkerPoolError path.
-            _release_shared_block(block)
-        return best, best_average

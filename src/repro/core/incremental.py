@@ -101,10 +101,7 @@ class IncrementalSearchState:
     Lifecycle: :meth:`reset` once per match with the initial side states,
     :meth:`begin_round` at the top of every greedy round with the current
     result's directional matrices, :meth:`evaluate` per candidate, and
-    :meth:`apply_accepted` when a round accepts a merge.  The same object
-    runs inside pool workers, which replay accepted merges from the task
-    history to stay in lockstep with the parent (see
-    ``_pool_worker_evaluate`` in :mod:`repro.core.composite`).
+    :meth:`apply_accepted` when a round accepts a merge.
     """
 
     def __init__(

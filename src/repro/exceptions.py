@@ -81,26 +81,6 @@ class BudgetExhausted(ReproError):
         self.pair_updates = pair_updates
 
 
-class WorkerPoolError(MatchingError):
-    """The supervised worker pool could not be kept alive.
-
-    Raised when the pool keeps breaking faster than the
-    :class:`repro.runtime.RetryPolicy` allows respawns — the failure is
-    environmental (every task crashes, the initializer dies, ...) rather
-    than a poison candidate, so retry/quarantine cannot make progress.
-    The CLI maps this to its own exit code (4) so supervisors can tell
-    the unrecoverable case from budget exhaustion (3) and bad input (2).
-
-    ``respawns`` is how many pool restarts were attempted before giving
-    up; ``last_error`` the stringified failure of the final attempt.
-    """
-
-    def __init__(self, message: str, *, respawns: int = 0, last_error: str = ""):
-        super().__init__(message)
-        self.respawns = respawns
-        self.last_error = last_error
-
-
 class SearchInterrupted(MatchingError):
     """A composite search was cooperatively interrupted (SIGINT/SIGTERM).
 
@@ -125,23 +105,6 @@ class SearchBudgetExceeded(MatchingError):
     cap, mirroring the paper's observation that OPQ "cannot even finish the
     matching of events more than 30" (Section 5.2, Figure 8).
     """
-
-
-class ShardIngestionError(ReproError):
-    """A sharded ingestion could not count every shard.
-
-    Statistics are sums over *all* traces, so a shard that keeps failing
-    cannot be quarantined-and-skipped the way a poison composite
-    candidate can — dropping it would silently bias every frequency.
-    The sharded pipeline therefore converts a quarantined shard into
-    this error (carrying the shard's provenance) instead of returning
-    partial counts: a loud failure, never a wrong answer.
-    """
-
-    def __init__(self, message: str, *, shard: str = "", attempts: int = 0):
-        super().__init__(message)
-        self.shard = shard
-        self.attempts = attempts
 
 
 class StoreError(ReproError):

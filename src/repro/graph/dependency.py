@@ -318,7 +318,7 @@ class DependencyGraph:
 
     # ------------------------------------------------------------------
     # Pickling: drop the instance caches — a reversed graph pickled along
-    # with its parent would double every worker payload, and caches are
+    # with its parent would double every stored payload, and caches are
     # rebuilt (or re-seeded) lazily on first use anyway.
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:

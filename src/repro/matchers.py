@@ -304,12 +304,7 @@ class EMSMatcher(EventMatcher):
 
 
 class EMSCompositeMatcher(EventMatcher):
-    """m:n event matching: greedy composite merging plus EMS similarity.
-
-    ``workers > 1`` evaluates each greedy round's candidate composites in
-    that many worker processes (see :class:`CompositeMatcher`); budgeted
-    runs stay serial so cooperative cancellation keeps one shared meter.
-    """
+    """m:n event matching: greedy composite merging plus EMS similarity."""
 
     name = "EMS"
 
@@ -328,10 +323,8 @@ class EMSCompositeMatcher(EventMatcher):
         name: str | None = None,
         budget: MatchBudget | None = None,
         degradation: DegradationPolicy | None = None,
-        workers: int = 0,
         observer: Observer | None = None,
         retry: RetryPolicy | None = None,
-        task_timeout: float | None = None,
         faults: FaultPlan | None = None,
         checkpoints: CheckpointManager | None = None,
         resume: bool = False,
@@ -351,10 +344,8 @@ class EMSCompositeMatcher(EventMatcher):
             min_edge_frequency=min_edge_frequency,
             budget=budget,
             degradation=degradation,
-            workers=workers,
             observer=observer,
             retry=retry,
-            task_timeout=task_timeout,
             faults=faults,
             checkpoints=checkpoints,
             resume=resume,
@@ -411,7 +402,6 @@ class EMSCompositeMatcher(EventMatcher):
                     len(result.accepted_first) + len(result.accepted_second)
                 ),
                 "worker_retries": float(stats.worker_retries),
-                "pool_respawns": float(stats.pool_respawns),
                 "candidates_quarantined": float(stats.candidates_quarantined),
             },
             runtime=result.runtime,

@@ -3,7 +3,7 @@
 See ``docs/observability.md`` for the span taxonomy, metric names and
 exporter formats.  The single entry point most code needs is
 :class:`Observer` (default :data:`NULL_OBSERVER`), threaded through the
-engine, matchers, composite search and worker pools.
+engine, matchers, composite search, store and service.
 """
 
 from repro.obs.clock import Clock, FakeClock, default_clock

@@ -3,15 +3,14 @@
 Three metric kinds, mirroring the Prometheus data model:
 
 * :class:`Counter` — monotonically increasing totals (pair updates,
-  candidates screened, shared-memory fallbacks, ...);
+  candidates screened, store hits, ...);
 * :class:`Gauge` — last-observed values (current round, cache size);
 * :class:`Histogram` — cumulative-bucket distributions (per-stage
   seconds).
 
 The registry is deliberately dependency-free and lock-free: the matching
-pipeline feeds it from one thread (worker *processes* aggregate through
-span fragments and result tuples instead), so plain attribute updates
-are sufficient and cost two dict lookups per event.
+pipeline feeds it from one thread, so plain attribute updates are
+sufficient and cost two dict lookups per event.
 
 :meth:`MetricsRegistry.to_prometheus_text` renders the classic text
 exposition format (``# HELP`` / ``# TYPE`` / samples) accepted by the

@@ -14,9 +14,8 @@ Design notes
   call site can set attributes unconditionally (they land in a throwaway
   dict).  Hot paths that would pay even that much guard with
   ``if observer.tracing:`` first.
-* The Observer is **never pickled**: worker processes build their own
-  local tracer when told to (a plain ``trace: bool`` flag travels in the
-  task payload) and ship span fragments back with their results.
+* The Observer is **never pickled**: a trace leaves its process as
+  plain span fragments (:meth:`~repro.obs.trace.Tracer.export_fragments`).
 """
 
 from __future__ import annotations

@@ -16,16 +16,15 @@ The span taxonomy used across the pipeline (see ``docs/observability.md``):
 ``ems.iteration[k]``      iteration *k* of one directional fixpoint
 ``pruning.freeze``        instant marker: Proposition-2/Uc freeze accounting
 ``composite.round[r]``    greedy round *r* of Algorithm 2
-``workers.dispatch``      one round's worker-pool fan-out
-``candidate.evaluate``    one candidate evaluation inside a worker process
+``candidate.evaluate``    one candidate evaluation of a greedy round
 ``match.assign``          the final Hungarian assignment
 ========================  =====================================================
 
-Worker processes trace into their own :class:`Tracer` and ship
-:meth:`~Tracer.export_fragments` (plain dicts) back with their results;
-the parent stitches them into its trace with :meth:`~Tracer.adopt`,
-re-based onto the enclosing span and tagged with the worker's pid as the
-Chrome-trace thread id.
+A trace recorded by another :class:`Tracer` (another process, another
+clock) travels as :meth:`~Tracer.export_fragments` (plain dicts); a
+tracer stitches such fragments into its own trace with
+:meth:`~Tracer.adopt`, re-based onto the enclosing span and tagged with
+a Chrome-trace thread id.
 
 :meth:`Tracer.to_chrome_trace` renders the forest in the Chrome trace
 event format (complete ``"X"`` events), loadable in ``chrome://tracing``
@@ -68,8 +67,8 @@ class Span:
 
     ``start``/``end`` are raw readings of the owning tracer's clock; an
     unfinished span has ``end = None`` and exports with zero duration.
-    ``tid`` distinguishes worker-process fragments in the Chrome export
-    (0 = the recording process itself).
+    ``tid`` distinguishes adopted fragments in the Chrome export
+    (0 = the recording tracer itself).
     """
 
     name: str
@@ -182,16 +181,16 @@ class Tracer:
         return span
 
     # ------------------------------------------------------------------
-    # Worker fragments
+    # Fragments
     # ------------------------------------------------------------------
     def export_fragments(self) -> list[dict[str, Any]]:
         """The recorded forest as plain dicts (picklable, JSON-safe)."""
         return [root.to_dict() for root in self.roots]
 
     def adopt(self, fragments: list[dict[str, Any]], tid: int = 0) -> list[Span]:
-        """Stitch worker *fragments* into the trace.
+        """Stitch *fragments* recorded by another tracer into the trace.
 
-        Fragments carry the worker's own clock readings, which share no
+        Fragments carry the other tracer's clock readings, which share no
         epoch with this tracer's; they are re-based so the earliest
         fragment start coincides with the start of the innermost open
         span (durations are preserved exactly, absolute placement is

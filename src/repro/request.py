@@ -11,9 +11,9 @@ result equals ``repro match --store`` on the same inputs.
 
 :meth:`MatchRequest.content_key` hashes the two input files' content
 digests with the resolved knobs (α defaulted from ``labels`` and stored
-as a float, numbers coerced, ``delta``/``workers`` dropped from
-singleton requests, which never read them).  Requests that mean the
-same match share one key, whatever paths or number spellings they use.
+as a float, numbers coerced, ``delta`` dropped from singleton requests,
+which never read it).  Requests that mean the same match share one key,
+whatever paths or number spellings they use.
 The fault plan, a testing aid, is left out: a fault changes *how* a run
 fails, never what the converged result is.
 """
@@ -47,13 +47,7 @@ from repro.runtime import (
     RetryPolicy,
 )
 from repro.similarity.labels import QGramCosineSimilarity
-from repro.store import (
-    DEFAULT_BLOCK_TRACES,
-    MatchStore,
-    file_digest,
-    ingest_graph,
-    match_stored,
-)
+from repro.store import MatchStore, file_digest, ingest_graph, match_stored
 
 FORMATS = ("auto", "xes", "csv")
 ON_ERROR_MODES = ("raise", "skip", "repair")
@@ -73,7 +67,6 @@ _JOB_FIELDS: dict[str, tuple[type, ...]] = {
     "estimate": (int, type(None)),
     "timeout": (int, float, type(None)),
     "pair_budget": (int, type(None)),
-    "workers": (int,),
     "fault_plan": (dict, type(None)),
 }
 _REQUIRED = ("log_first", "log_second")
@@ -133,24 +126,6 @@ class RequestError(ValueError):
         return ReproError(f"--{self.field.replace('_', '-')} {self.reason}")
 
 
-def ingest_options(
-    shard_traces: int | None, parallel_ingest: int | None
-) -> tuple[int | None, int]:
-    """Validated ``(shard_traces, workers)`` of the out-of-core ingest knobs.
-
-    Parallel counting needs blocks, so ``parallel_ingest > 1`` without a
-    block size picks the default one.
-    """
-    if shard_traces is not None and shard_traces < 1:
-        raise RequestError(f"must be >= 1, got {shard_traces}", "shard_traces")
-    workers = parallel_ingest if parallel_ingest is not None else 0
-    if workers < 0:
-        raise RequestError(f"must be >= 0, got {workers}", "parallel_ingest")
-    if workers > 1 and shard_traces is None:
-        shard_traces = DEFAULT_BLOCK_TRACES
-    return shard_traces, workers
-
-
 @dataclass(frozen=True)
 class MatchRequest:
     """Everything one match depends on, resolved and validated.
@@ -160,10 +135,10 @@ class MatchRequest:
     ``degradation`` and ``retry`` are built here, once, and
     :func:`run_match` uses them as they are.
 
-    The last six fields are not job spec fields.  ``dtype`` and
+    The last four fields are not job spec fields.  ``dtype`` and
     ``degrade`` change the result and are part of the content key; the
-    out-of-core ingest knobs (singleton routes only) and the worker
-    supervision knobs change only how the result is computed.
+    out-of-core block size (singleton routes only) and the retry bound
+    change only how the result is computed.
     """
 
     log_first: str
@@ -180,15 +155,11 @@ class MatchRequest:
     estimate: int | None = None
     timeout: float | None = None
     pair_budget: int | None = None
-    #: Composite candidate-evaluation processes; ``None`` on singletons.
-    workers: int | None = 0
     faults: FaultPlan | None = None
     dtype: str = "float64"
     degrade: bool = True
     shard_traces: int | None = None
-    parallel_ingest: int | None = None
     max_retries: int | None = None
-    task_timeout: float | None = None
 
     config: EMSConfig = field(init=False, repr=False, compare=False)
     budget: MatchBudget | None = field(init=False, repr=False, compare=False)
@@ -209,22 +180,18 @@ class MatchRequest:
                 )
         if self.alpha is None:
             resolve("alpha", 0.5 if self.labels else 1.0)
-        for name in ("alpha", "threshold", "delta", "timeout", "task_timeout"):
+        for name in ("alpha", "threshold", "delta", "timeout"):
             resolve(name, number(getattr(self, name)))
         if self.delta is not None and self.delta < 0.0:
             raise RequestError(f"must be non-negative, got {self.delta}", "delta")
-        if self.workers is not None and self.workers < 0:
-            raise RequestError(f"must be >= 0, got {self.workers}", "workers")
         if not self.composite:
             resolve("delta", None)
-            resolve("workers", None)
         if self.max_retries is not None and self.max_retries < 1:
             raise RequestError(f"must be >= 1, got {self.max_retries}", "max_retries")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise RequestError(f"must be > 0, got {self.task_timeout}", "task_timeout")
-        resolve(
-            "shard_traces", ingest_options(self.shard_traces, self.parallel_ingest)[0]
-        )
+        if self.shard_traces is not None and self.shard_traces < 1:
+            raise RequestError(
+                f"must be >= 1, got {self.shard_traces}", "shard_traces"
+            )
         try:
             resolve("config", EMSConfig(
                 alpha=self.alpha,
@@ -257,21 +224,17 @@ class MatchRequest:
         Raises :class:`ReproError` (exit 2) for out-of-range knobs,
         conflicting flags and an unreadable ``--fault-plan``.
         """
-        scaled = (
-            arguments.shard_traces is not None
-            or arguments.parallel_ingest is not None
-            or arguments.store is not None
-        )
+        scaled = arguments.shard_traces is not None or arguments.store is not None
         if scaled and arguments.composite:
             raise ReproError(
-                "--shard-traces/--parallel-ingest/--store select the "
-                "statistics-backed pipeline, which is singleton-only; "
-                "composite matching needs the full traces"
+                "--shard-traces/--store select the statistics-backed "
+                "pipeline, which is singleton-only; composite matching needs "
+                "the full traces"
             )
         if scaled and arguments.report:
             raise ReproError(
                 "--report renders the parsed logs; it cannot be combined with "
-                "the out-of-core --shard-traces/--parallel-ingest/--store path"
+                "the out-of-core --shard-traces/--store path"
             )
         faults = None
         if arguments.fault_plan is not None:
@@ -358,9 +321,9 @@ class MatchRequest:
     def to_json(self) -> dict[str, Any]:
         """The job spec of this request; ``from_json`` reads it back equal.
 
-        Singleton specs omit ``delta`` and ``workers``.  Raises
-        :class:`ValueError` for a request that sets a result-affecting
-        knob a job spec cannot carry (``dtype``, ``degrade``).
+        Singleton specs omit ``delta``.  Raises :class:`ValueError` for a
+        request that sets a result-affecting knob a job spec cannot carry
+        (``dtype``, ``degrade``).
         """
         if self.dtype != "float64" or not self.degrade:
             raise ValueError("dtype and degrade are not job spec fields")
@@ -368,7 +331,7 @@ class MatchRequest:
             name: getattr(self, name) for name in _JOB_FIELDS if name != "fault_plan"
         }
         if not self.composite:
-            del spec["delta"], spec["workers"]
+            del spec["delta"]
         spec["fault_plan"] = (
             None if self.faults is None else json.loads(self.faults.to_json())
         )
@@ -499,7 +462,7 @@ def run_match(
     * **stored singleton** — with a *store*,
       :func:`~repro.store.match_stored` serves the pair from the warmest
       sound route (``store``, ``store-partial`` or ``computed``);
-    * **sharded singleton** — with ``shard_traces``/``parallel_ingest``,
+    * **sharded singleton** — with ``shard_traces``,
       each side is reduced to its dependency graph out of core by
       :func:`~repro.store.ingest_graph` and the graphs are matched;
     * **in-memory singleton** — both logs are parsed and matched.
@@ -522,8 +485,7 @@ def run_match(
                 request.config, label_similarity,
                 threshold=request.threshold, delta=request.delta,
                 budget=request.budget, degradation=request.degradation,
-                workers=request.workers, observer=observer,
-                retry=request.retry, task_timeout=request.task_timeout,
+                observer=observer, retry=request.retry,
                 faults=request.faults, checkpoints=checkpoints, resume=resume,
                 interrupt=interrupt, eval_cache=eval_cache,
             )
@@ -539,13 +501,7 @@ def run_match(
                 budget=request.budget, degradation=request.degradation,
                 observer=observer,
             )
-            ingest = dict(
-                shard_traces=request.shard_traces,
-                workers=request.parallel_ingest or 0,
-                policy=request.retry,
-                task_timeout=request.task_timeout,
-                observer=observer,
-            )
+            ingest = dict(shard_traces=request.shard_traces, observer=observer)
             if store is not None:
                 with _dead_lettered(archive, request.log_first):
                     outcome, stored = match_stored(
@@ -553,7 +509,7 @@ def run_match(
                         matcher=matcher, store=store, reports=reports, **ingest,
                     )
                 provenance = _provenance(**stored)
-            elif request.shard_traces is not None or request.parallel_ingest is not None:
+            elif request.shard_traces is not None:
                 graphs, results = [], []
                 for path, report in zip(paths, reports):
                     with observer.span("ingest.pipeline", source=path), \

@@ -13,9 +13,9 @@ core threads through:
   attached to every :class:`~repro.baselines.common.MatchOutcome`.
 * :class:`IngestionReport` / :class:`RowIssue` — per-row accounting of
   what the fault-tolerant CSV/XES readers dropped or repaired.
-* :class:`RetryPolicy` / :class:`SupervisedPool` — bounded retry with
-  exponential backoff, pool respawn, and poison-candidate quarantine
-  around the composite search's worker pool.
+* :class:`RetryPolicy` / :func:`run_supervised` — bounded retry with
+  exponential backoff and poison-candidate quarantine around each
+  composite candidate evaluation.
 * :class:`CheckpointManager` / :class:`SearchSnapshot` /
   :class:`InterruptGuard` — crash-safe, content-keyed checkpoints of the
   composite search plus cooperative SIGINT/SIGTERM handling.
@@ -30,7 +30,7 @@ core threads through:
 See ``docs/robustness.md`` for the full model and the CLI exit codes.
 """
 
-from repro.exceptions import BudgetExhausted, SearchInterrupted, WorkerPoolError
+from repro.exceptions import BudgetExhausted, SearchInterrupted
 from repro.runtime.budget import BudgetMeter, MatchBudget
 from repro.runtime.checkpoint import (
     CheckpointManager,
@@ -54,7 +54,6 @@ from repro.runtime.report import (
 from repro.runtime.supervise import (
     QuarantineRecord,
     RetryPolicy,
-    SupervisedPool,
     SupervisionStats,
     run_supervised,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "STAGE_PARTIAL",
     "STAGES",
     "RetryPolicy",
-    "SupervisedPool",
     "SupervisionStats",
     "QuarantineRecord",
     "run_supervised",
@@ -87,5 +85,4 @@ __all__ = [
     "TransientFault",
     "NO_FAULTS",
     "SearchInterrupted",
-    "WorkerPoolError",
 ]

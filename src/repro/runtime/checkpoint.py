@@ -49,7 +49,7 @@ _logger = get_logger(__name__)
 
 #: Format magic; bump when the payload schema changes so stale
 #: checkpoints are rejected as incompatible rather than misread.
-_MAGIC = b"EMSCKPT1"
+_MAGIC = b"EMSCKPT2"
 
 
 def atomic_write(directory: Path, target: Path, data: bytes) -> Path:
@@ -256,7 +256,9 @@ class CheckpointManager:
         Every failure mode — missing file, foreign magic, key mismatch,
         digest mismatch, unpicklable payload — degrades to a cold start
         with a logged warning; corruption is never fatal and never
-        silently resumed from.
+        silently resumed from.  A rejected file is set aside as
+        ``<name>.corrupt`` for inspection, so it cannot trip the next
+        load.
         """
         path = self.path_for(key)
         try:
@@ -280,6 +282,10 @@ class CheckpointManager:
             _logger.warning(
                 "ignoring checkpoint %s: %s; starting cold", path, reason
             )
+            try:
+                os.replace(path, path.with_name(path.name + ".corrupt"))
+            except OSError:
+                pass
             return None
         self.observer.count(
             "checkpoint_resumes_total",

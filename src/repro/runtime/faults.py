@@ -1,24 +1,19 @@
 """Deterministic fault injection for chaos-testing the durable runtime.
 
-Real failures — a worker segfault, a hung evaluation, a half-written
-checkpoint file — are timing-dependent and unreproducible, which makes
-the recovery paths the *least* tested code in a pipeline.  This module
-replaces the randomness with a script: a :class:`FaultPlan` is a list of
-:class:`FaultSpec` rows saying *where* (a named site plus coordinates
-like round / candidate / attempt) and *what* (crash, timeout, transient
+Real failures — a flaky evaluation, a half-written checkpoint file, a
+signal at the wrong moment — are timing-dependent and unreproducible,
+which makes the recovery paths the *least* tested code in a pipeline.
+This module replaces the randomness with a script: a :class:`FaultPlan`
+is a list of :class:`FaultSpec` rows saying *where* (a named site plus
+coordinates like round / candidate / attempt) and *what* (transient
 exception, checkpoint corruption, cooperative interrupt) should go
 wrong.  Firing is purely coordinate-matched — no shared mutable state —
-so a plan is picklable, crosses the ``ProcessPoolExecutor`` boundary
-into workers unchanged, and the same plan replays the same chaos on
-every run.
+so the same plan replays the same chaos on every run.
 
 Sites currently wired up (see ``docs/robustness.md``):
 
 =====================  =====================================================
-``evaluate``           one candidate evaluation (serial or in a worker);
-                       kinds ``crash`` / ``timeout`` fire only inside
-                       worker processes, ``transient`` fires anywhere
-``worker.init``        a pool worker's initializer (kind ``crash``)
+``evaluate``           one candidate evaluation (kind ``transient``)
 ``search.round``       the top of a greedy round (kind ``interrupt`` —
                        simulates SIGTERM arriving at the boundary)
 ``checkpoint.write``   one checkpoint save (kind ``corrupt`` — the bytes
@@ -28,32 +23,23 @@ Sites currently wired up (see ``docs/robustness.md``):
 
 Seeding: byte corruption positions derive from ``FaultPlan.seed`` and the
 checkpoint's round, never from a live RNG, and nothing here reads a wall
-clock — delays are injected by the caller's clock/sleep, so chaos tests
-stay deterministic.
+clock, so chaos tests stay deterministic.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
-import time
 from dataclasses import asdict, dataclass
 from typing import Any
 
 from repro.exceptions import ReproError
 
 #: Fault kinds a spec may request.
-KIND_CRASH = "crash"
-KIND_TIMEOUT = "timeout"
 KIND_TRANSIENT = "transient"
 KIND_CORRUPT = "corrupt"
 KIND_INTERRUPT = "interrupt"
-KINDS = (KIND_CRASH, KIND_TIMEOUT, KIND_TRANSIENT, KIND_CORRUPT, KIND_INTERRUPT)
-
-#: The exit status an injected worker crash dies with — distinctive in
-#: logs, and never confused with a Python traceback exit (1).
-CRASH_EXIT_STATUS = 73
+KINDS = (KIND_TRANSIENT, KIND_CORRUPT, KIND_INTERRUPT)
 
 
 class TransientFault(ReproError):
@@ -83,9 +69,6 @@ class FaultSpec:
     side: int | None = None
     run: tuple[str, ...] | None = None
     attempts: tuple[int, ...] = (1,)
-    #: Seconds a ``timeout`` fault makes the worker stall (must exceed
-    #: the supervisor's task timeout to actually trip it).
-    delay: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -115,7 +98,7 @@ class FaultSpec:
 
 @dataclass(frozen=True, slots=True)
 class FaultPlan:
-    """An immutable, picklable script of faults for one run.
+    """An immutable script of faults for one run.
 
     ``fire`` is the single hook instrumented code calls; with no
     matching spec it is a handful of tuple comparisons, and production
@@ -138,37 +121,20 @@ class FaultPlan:
                 return spec
         return None
 
-    def fire(
-        self,
-        site: str,
-        *,
-        in_worker: bool = False,
-        sleep: Any = time.sleep,
-        **coordinates: Any,
-    ) -> FaultSpec | None:
+    def fire(self, site: str, **coordinates: Any) -> FaultSpec | None:
         """Act out the matching spec, if any.
 
-        * ``crash`` — ``os._exit`` the process, but only when
-          *in_worker*: crashing the parent would defeat the supervisor
-          the fault exists to exercise.
-        * ``timeout`` — stall for ``spec.delay`` seconds (worker only),
-          so the parent's per-candidate timeout trips.
-        * ``transient`` — raise :class:`TransientFault` anywhere.
+        * ``transient`` — raise :class:`TransientFault`.
         * ``interrupt`` / ``corrupt`` — never acted here; they are
           returned for the call site (round loop, checkpoint writer) to
           interpret.
 
-        Returns the matched spec (also for the kinds acted on, in case
-        the caller wants to log it).
+        Returns the matched spec, in case the caller wants to log it.
         """
         spec = self.match(site, **coordinates)
         if spec is None:
             return None
-        if spec.kind == KIND_CRASH and in_worker:
-            os._exit(CRASH_EXIT_STATUS)
-        elif spec.kind == KIND_TIMEOUT and in_worker:
-            sleep(spec.delay)
-        elif spec.kind == KIND_TRANSIENT:
+        if spec.kind == KIND_TRANSIENT:
             raise TransientFault(
                 f"injected transient fault at {site} {coordinates!r}"
             )

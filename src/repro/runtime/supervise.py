@@ -1,46 +1,27 @@
-"""Supervised execution: retry/backoff, pool respawn, poison quarantine.
+"""Supervised execution: retry with backoff and poison quarantine.
 
-The composite search farms candidate evaluations out to a
-``ProcessPoolExecutor``.  Without supervision, one crashed worker (OOM
-kill, native-extension segfault, an injected chaos fault) raises
-``BrokenProcessPool`` into the round and loses the entire search; one
-hung evaluation stalls it forever; one poison candidate aborts instead
-of being set aside.  This module wraps the pool with the three standard
-durability mechanisms:
+A composite search evaluates many candidate merges per round.  Without
+supervision, one failing evaluation (an injected chaos fault, a flaky
+resource) aborts the whole search.  :func:`run_supervised` wraps one
+evaluation in the two standard durability mechanisms:
 
 * **retry with backoff** — a :class:`RetryPolicy` bounds attempts per
   candidate and spaces them with exponential backoff plus deterministic,
   seed-derived jitter (no live RNG, so chaos tests replay exactly);
-* **pool respawn** — a broken or timed-out pool is torn down and
-  rebuilt from its original factory; persistent incremental workers
-  re-derive their state by replaying the accepted-merge history that
-  every task already carries, so a respawn is semantically invisible;
 * **poison quarantine** — a candidate that keeps failing is recorded
   with full provenance (:class:`QuarantineRecord`) and skipped, letting
-  the round complete; deterministic (non-transient) worker exceptions
-  are quarantined immediately without burning retries.
-
-Failure attribution: when a pool breaks during a concurrent wave the
-culprit is unknowable (every pending future raises the same
-``BrokenProcessPool``), so the supervisor charges nobody, respawns once,
-and finishes the wave in *isolation mode* — one candidate in flight at a
-time — where the next crash identifies its task unambiguously.  Progress
-is therefore guaranteed: every isolation failure either retires an
-attempt of a specific candidate or trips the respawn limit, and
-:class:`~repro.exceptions.WorkerPoolError` (CLI exit code 4) marks the
-environmental case where respawning itself cannot make progress.
+  the round complete; deterministic (non-transient) exceptions are
+  quarantined immediately without burning retries.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.exceptions import BudgetExhausted, WorkerPoolError
+from repro.exceptions import BudgetExhausted
 from repro.obs import NULL_OBSERVER, Observer, get_logger
 from repro.runtime.faults import TransientFault
 
@@ -49,17 +30,13 @@ _logger = get_logger(__name__)
 
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
-    """How hard to try before giving up on a candidate or a pool.
+    """How hard to try before giving up on a candidate.
 
     ``max_attempts`` bounds evaluations of one candidate (first try
     included).  Backoff before attempt ``n+1`` is
     ``min(max_delay, base_delay * multiplier**(n-1))``, stretched by up
     to ``jitter`` (a fraction) using a :class:`random.Random` seeded
     from ``(seed, attempt)`` — deterministic, yet different per attempt.
-    ``max_respawns`` bounds *consecutive* pool respawns with no
-    successful task in between; ``None`` derives ``2 * max_attempts + 2``
-    so a single poison candidate always quarantines before the pool is
-    declared unrecoverable.
     """
 
     max_attempts: int = 3
@@ -68,7 +45,6 @@ class RetryPolicy:
     max_delay: float = 2.0
     jitter: float = 0.0
     seed: int = 0
-    max_respawns: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -79,12 +55,6 @@ class RetryPolicy:
             raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-
-    @property
-    def respawn_limit(self) -> int:
-        if self.max_respawns is not None:
-            return self.max_respawns
-        return 2 * self.max_attempts + 2
 
     def delay(self, failed_attempt: int) -> float:
         """Seconds to back off after *failed_attempt* (1-based) failed."""
@@ -136,337 +106,11 @@ class QuarantineRecord:
 
 
 @dataclass(slots=True)
-class WaveOutcome:
-    """What happened to one task of a supervised wave.
-
-    Exactly one of ``value`` (the worker's return) and ``quarantined``
-    (the failure record) is set.  ``attempts`` counts submissions,
-    including the successful one.
-    """
-
-    task: Any
-    value: Any = None
-    quarantined: QuarantineRecord | None = None
-    attempts: int = 1
-
-
-@dataclass(slots=True)
 class SupervisionStats:
     """Counters the supervisor accumulates across a whole match."""
 
     retries: int = 0
-    respawns: int = 0
     quarantined: int = 0
-    timeouts: int = 0
-
-
-class SupervisedPool:
-    """A self-healing wrapper around one ``ProcessPoolExecutor``.
-
-    Parameters
-    ----------
-    factory:
-        Zero-argument callable building a fresh executor (same
-        initializer/initargs every time, so respawned workers are
-        indistinguishable from the originals).
-    fn:
-        The module-level worker callable tasks are submitted to.
-    payload:
-        ``payload(task, attempt)`` builds the argument actually shipped
-        for a given attempt — the attempt number rides along so worker-
-        side fault hooks can match on it.
-    describe:
-        ``describe(task) -> (side, run)`` for quarantine records.
-    policy / task_timeout / observer / sleep:
-        Retry policy, optional per-candidate wall-clock timeout, metric
-        sink, and an injectable sleep for deterministic tests.
-    """
-
-    def __init__(
-        self,
-        factory: Callable[[], ProcessPoolExecutor],
-        fn: Callable[[Any], Any],
-        payload: Callable[[Any, int], Any],
-        describe: Callable[[Any], tuple[int, tuple[str, ...]]],
-        *,
-        policy: RetryPolicy | None = None,
-        task_timeout: float | None = None,
-        observer: Observer | None = None,
-        config_hash: str = "",
-        sleep: Callable[[float], None] = time.sleep,
-    ):
-        self._factory = factory
-        self._fn = fn
-        self._payload = payload
-        self._describe = describe
-        self.policy = policy if policy is not None else RetryPolicy()
-        self.task_timeout = task_timeout
-        self.observer = observer if observer is not None else NULL_OBSERVER
-        self.config_hash = config_hash
-        self._sleep = sleep
-        self.stats = SupervisionStats()
-        self._pool: ProcessPoolExecutor | None = None
-        #: Consecutive respawns without a successful task in between.
-        self._barren_respawns = 0
-
-    # ------------------------------------------------------------------
-    # Pool lifecycle
-    # ------------------------------------------------------------------
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = self._factory()
-        return self._pool
-
-    def _kill_pool(self) -> None:
-        """Tear the executor down hard, terminating stuck workers."""
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        # A hung worker never returns from its task, so a plain
-        # shutdown(wait=True) would block forever; terminate first.
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except Exception:  # pragma: no cover - already-dead process
-                pass
-        try:
-            pool.shutdown(wait=True, cancel_futures=True)
-        except Exception:  # pragma: no cover - broken executor cleanup
-            pass
-
-    def _respawn(self, cause: BaseException) -> None:
-        self._kill_pool()
-        self._barren_respawns += 1
-        self.stats.respawns += 1
-        self.observer.count(
-            "pool_respawns_total",
-            help="worker pools torn down and rebuilt by the supervisor",
-        )
-        _logger.warning(
-            "worker pool died (%s: %s); respawn %d/%d",
-            type(cause).__name__, cause, self._barren_respawns,
-            self.policy.respawn_limit,
-        )
-        if self._barren_respawns > self.policy.respawn_limit:
-            raise WorkerPoolError(
-                f"worker pool broke {self._barren_respawns} consecutive times "
-                "without completing a task; giving up",
-                respawns=self.stats.respawns,
-                last_error=f"{type(cause).__name__}: {cause}",
-            ) from cause
-        try:
-            self._pool = self._factory()
-        except Exception as error:  # pragma: no cover - factory failure
-            raise WorkerPoolError(
-                f"worker pool respawn failed: {error}",
-                respawns=self.stats.respawns,
-                last_error=str(error),
-            ) from error
-
-    def shutdown(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown()
-
-    # ------------------------------------------------------------------
-    # Wave execution
-    # ------------------------------------------------------------------
-    def run_wave(self, tasks: list[Any], *, round: int = 0) -> list[WaveOutcome]:
-        """Run one wave of tasks; always returns one outcome per task.
-
-        Results come back in task order regardless of retry scheduling,
-        so reductions over them match the serial candidate order
-        exactly.  Never raises for a task failure — poison candidates
-        come back as quarantine records — but :class:`WorkerPoolError`
-        propagates when the pool itself cannot be kept alive, and
-        :class:`~repro.exceptions.BudgetExhausted` passes through.
-
-        An empty wave is a no-op that never touches (or spawns) the
-        pool — the composite search serves persistent-cache hits before
-        dispatch, so a fully cached wave must cost nothing.
-        """
-        if not tasks:
-            return []
-        outcomes = {index: WaveOutcome(task) for index, task in enumerate(tasks)}
-        attempts = {index: 0 for index in range(len(tasks))}
-        done: set[int] = set()
-
-        pending = self._group_phase(tasks, outcomes, attempts, done, round)
-        for index in pending:
-            self._isolation_phase(index, tasks, outcomes, attempts, done, round)
-        return [outcomes[index] for index in range(len(tasks))]
-
-    # ------------------------------------------------------------------
-    def _submit(self, task: Any, attempt: int):
-        return self._ensure_pool().submit(self._fn, self._payload(task, attempt))
-
-    def _charge_retry(self) -> None:
-        self.stats.retries += 1
-        self.observer.count(
-            "worker_retries_total",
-            help="candidate evaluations re-submitted after a failure",
-        )
-
-    def _group_phase(
-        self,
-        tasks: list[Any],
-        outcomes: dict[int, WaveOutcome],
-        attempts: dict[int, int],
-        done: set[int],
-        round: int,
-    ) -> list[int]:
-        """Submit the whole wave concurrently; return indices still open.
-
-        A pool breakage here cannot attribute blame, so no attempt is
-        charged for it — the survivors are re-run in isolation where
-        failures identify their task.  Per-task failures with the pool
-        intact (transient or deterministic exceptions, timeouts) *are*
-        attributed immediately.
-        """
-        futures = {}
-        try:
-            for index, task in enumerate(tasks):
-                attempts[index] += 1
-                futures[index] = self._submit(task, attempts[index])
-        except BrokenProcessPool as error:
-            self._respawn(error)
-            return [index for index in range(len(tasks)) if index not in done]
-
-        pool_died = False
-        for index, future in futures.items():
-            if pool_died:
-                # Drain results that completed before the pool broke;
-                # never block — everything else re-runs in isolation.
-                if future.done() and not future.cancelled():
-                    try:
-                        value = future.result(timeout=0)
-                    except BudgetExhausted:
-                        raise
-                    except BaseException:
-                        continue
-                    outcomes[index].value = value
-                    outcomes[index].attempts = attempts[index]
-                    done.add(index)
-                continue
-            try:
-                value = future.result(timeout=self.task_timeout)
-            except BudgetExhausted:
-                raise
-            except BrokenProcessPool as error:
-                self._respawn(error)
-                pool_died = True
-            except FutureTimeoutError:
-                # The worker is still grinding (or hung); the pool must
-                # die so its slot frees up.  Unlike a crash, the culprit
-                # is known: it is the future we were waiting on.
-                self.stats.timeouts += 1
-                self.observer.count(
-                    "worker_timeouts_total",
-                    help="candidate evaluations that exceeded the task timeout",
-                )
-                self._respawn(TimeoutError(
-                    f"candidate evaluation exceeded {self.task_timeout:g}s"
-                ))
-                pool_died = True
-            except TransientFault:
-                continue  # retried in isolation
-            except Exception as error:
-                self._quarantine(index, tasks[index], attempts[index], error,
-                                 outcomes, done, round)
-            else:
-                outcomes[index].value = value
-                outcomes[index].attempts = attempts[index]
-                done.add(index)
-                self._barren_respawns = 0
-        return [index for index in range(len(tasks)) if index not in done]
-
-    def _isolation_phase(
-        self,
-        index: int,
-        tasks: list[Any],
-        outcomes: dict[int, WaveOutcome],
-        attempts: dict[int, int],
-        done: set[int],
-        round: int,
-    ) -> None:
-        """Retry one open task alone until success, quarantine, or give-up."""
-        task = tasks[index]
-        last_error: BaseException = TransientFault("pool broke during the wave")
-        while index not in done:
-            if attempts[index] >= self.policy.max_attempts:
-                self._quarantine(
-                    index, task, attempts[index], last_error,
-                    outcomes, done, round,
-                )
-                return
-            if attempts[index] > 0:
-                self._charge_retry()
-                backoff = self.policy.delay(attempts[index])
-                if backoff > 0:
-                    self._sleep(backoff)
-            attempts[index] += 1
-            try:
-                value = self._submit(task, attempts[index]).result(
-                    timeout=self.task_timeout
-                )
-            except BudgetExhausted:
-                raise
-            except BrokenProcessPool as error:
-                last_error = error
-                self._respawn(error)
-            except FutureTimeoutError:
-                self.stats.timeouts += 1
-                self.observer.count(
-                    "worker_timeouts_total",
-                    help="candidate evaluations that exceeded the task timeout",
-                )
-                last_error = TimeoutError(
-                    f"candidate evaluation exceeded {self.task_timeout:g}s"
-                )
-                self._respawn(last_error)
-            except TransientFault as error:
-                last_error = error
-                continue
-            except Exception as error:
-                self._quarantine(index, task, attempts[index], error,
-                                 outcomes, done, round)
-                return
-            else:
-                outcomes[index].value = value
-                outcomes[index].attempts = attempts[index]
-                done.add(index)
-                self._barren_respawns = 0
-
-    def _quarantine(
-        self,
-        index: int,
-        task: Any,
-        attempts: int,
-        error: BaseException,
-        outcomes: dict[int, WaveOutcome],
-        done: set[int],
-        round: int,
-    ) -> None:
-        side, run = self._describe(task)
-        record = QuarantineRecord(
-            side=side,
-            run=tuple(run),
-            round=round,
-            attempts=attempts,
-            error_type=type(error).__name__,
-            error_message=str(error),
-            config_hash=self.config_hash,
-        )
-        outcomes[index].quarantined = record
-        outcomes[index].attempts = attempts
-        done.add(index)
-        self.stats.quarantined += 1
-        self.observer.count(
-            "candidates_quarantined_total",
-            help="poison candidates set aside so their round could complete",
-        )
-        _logger.warning("quarantined candidate: %s", record.describe())
 
 
 def run_supervised(
@@ -480,14 +124,14 @@ def run_supervised(
     stats: SupervisionStats | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> tuple[Any, QuarantineRecord | None]:
-    """Serial counterpart of :meth:`SupervisedPool.run_wave` for one call.
+    """Run one evaluation under *policy*: retry, then quarantine.
 
     ``call(attempt)`` performs the evaluation (the attempt number feeds
-    worker-free fault hooks).  :class:`TransientFault` is retried under
-    *policy* with the same deterministic backoff as the pool path; any
-    other exception — except :class:`~repro.exceptions.BudgetExhausted`
-    and interrupts, which propagate — quarantines the candidate
-    immediately.  Returns ``(value, None)`` or ``(None, record)``.
+    fault hooks).  :class:`TransientFault` is retried under *policy*
+    with its deterministic backoff; any other exception — except
+    :class:`~repro.exceptions.BudgetExhausted` and interrupts, which
+    propagate — quarantines the candidate immediately.  Returns
+    ``(value, None)`` or ``(None, record)``.
     """
     observer = observer if observer is not None else NULL_OBSERVER
     attempt = 0

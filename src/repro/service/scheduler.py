@@ -7,7 +7,9 @@ hands the request to :func:`repro.request.run_match`, the runner
 checkpoint directory — so a job's result is bit-identical to the same
 request on the command line.  ``from_json`` reads every spec a queue
 row can hold, including rows that spell knobs out in full (``alpha:
-null``, ``delta`` on a singleton job).
+null``, ``delta`` on a singleton job); the scheduler drops the one key
+it cannot, the retired ``workers`` knob of rows an older version
+queued.
 
 Settlement policy (see ``docs/service.md``):
 
@@ -204,7 +206,11 @@ class JobScheduler:
         self, job: JobRecord, store: MatchStore, guard: InterruptGuard
     ) -> tuple[dict[str, Any], bool]:
         """Run one job; returns (result payload, interrupted flag)."""
-        spec = job.spec if job.attempts <= 1 else {**job.spec, "fault_plan": None}
+        # Rows queued by an older version may carry the retired composite
+        # ``workers`` knob; it never changed a result, so it is dropped.
+        spec = {name: value for name, value in job.spec.items() if name != "workers"}
+        if job.attempts > 1:
+            spec["fault_plan"] = None
         request = MatchRequest.from_json(spec)
         checkpoints = CheckpointManager(
             self.store_dir / "checkpoints",

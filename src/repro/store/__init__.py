@@ -1,9 +1,8 @@
 """Sharded, out-of-core ingestion and the persistent log store.
 
 The scale layer of the pipeline (see ``docs/scale.md``): streaming
-trace ingestion with spill-to-disk blocks
-(:mod:`~repro.store.blocks`, :mod:`~repro.store.sharding`), parallel
-per-shard statistics over the supervised worker pool, and a SQLite
+trace ingestion with spill-to-disk blocks counted one block at a time
+(:mod:`~repro.store.blocks`, :mod:`~repro.store.sharding`), and a SQLite
 :class:`LogStore` that memoizes content-addressed counts and dependency
 graphs across runs (:mod:`~repro.store.logstore`).
 :func:`ingest_statistics` / :func:`ingest_graph`

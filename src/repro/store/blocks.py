@@ -30,9 +30,9 @@ from typing import IO, Iterator, Sequence
 
 from repro.exceptions import LogFormatError
 
-#: Traces per block unless the caller says otherwise.  Big enough that a
-#: worker's per-task overhead (process dispatch, file open) amortizes,
-#: small enough that a block of long traces stays comfortably in memory.
+#: Traces per block unless the caller says otherwise.  Big enough that
+#: the per-block overhead (file open, span) amortizes, small enough that
+#: a block of long traces stays comfortably in memory.
 DEFAULT_BLOCK_TRACES = 512
 
 

@@ -24,9 +24,9 @@ back to a cold full parse; correctness is never traded for the
 shortcut).
 
 Durability follows the evalcache/checkpoint playbook: every row embeds
-the SHA-256 of its payload and is re-verified on load — a torn or
-bit-flipped row is deleted, counted (``store_corrupt_total``) and
-answered with a miss; a database SQLite itself rejects is renamed aside
+the SHA-256 of its key and payload and is re-verified on load — a torn,
+bit-flipped or misfiled row is deleted, counted (``store_corrupt_total``)
+and answered with a miss; a database SQLite itself rejects is renamed aside
 and recreated empty.  Corruption therefore always degrades to a logged
 cold path, never a wrong answer and never a crash.  Tables are
 LRU-bounded by a ``last_used`` column (hits touch their row), with
@@ -68,7 +68,8 @@ _logger = get_logger(__name__)
 #: is renamed aside and rebuilt rather than misread.  New *tables* are
 #: additive (``CREATE TABLE IF NOT EXISTS``) and do not bump the version,
 #: so a store written before a table existed keeps serving its old rows.
-_SCHEMA_VERSION = 1
+#: Version 2 binds each row's digest to its key.
+_SCHEMA_VERSION = 2
 
 #: How often a statement blocked by another writer is retried before the
 #: operation degrades to a miss (on top of SQLite's own busy timeout).
@@ -135,6 +136,11 @@ def ingest_key(source: str | os.PathLike[str], fmt: str, on_error: str) -> str:
     ).hexdigest()
 
 
+def _row_digest(key: str, payload: bytes) -> str:
+    """SHA-256 of a row's key and payload: a row moved under another key fails."""
+    return hashlib.sha256(key.encode() + b"\x00" + payload).hexdigest()
+
+
 class LogStore:
     """One SQLite database of content-keyed counts, graphs and ingests.
 
@@ -185,43 +191,46 @@ class LogStore:
     # ------------------------------------------------------------------
     def _connect(self) -> None:
         try:
-            # ``check_same_thread=False``: the daemon constructs a store
-            # in one thread and serves from others; cross-thread *use* is
-            # serialized by ``self._lock``, which is what the flag's
-            # default check exists to force.
-            connection = sqlite3.connect(self.path, check_same_thread=False)
-            self._configure(connection)
+            connection = self._open()
             version = connection.execute("PRAGMA user_version").fetchone()[0]
             if version not in (0, _SCHEMA_VERSION):
                 connection.close()
                 self._set_aside(f"schema version {version} is not {_SCHEMA_VERSION}")
-                connection = sqlite3.connect(self.path)
-                self._configure(connection)
+                connection = self._open()
             self._create_schema(connection)
         except sqlite3.DatabaseError as error:
             # Not a SQLite file at all, or damaged beyond opening: set it
             # aside and start empty — a cold store, not a crash.
             self._set_aside(str(error))
-            connection = sqlite3.connect(self.path)
-            self._configure(connection)
+            connection = self._open()
             self._create_schema(connection)
         self._connection = connection
 
-    @staticmethod
-    def _configure(connection: sqlite3.Connection) -> None:
-        """Concurrency pragmas: let two processes share one store.
+    def _open(self) -> sqlite3.Connection:
+        """A connection to :attr:`path`: the only way one is opened.
 
-        WAL journaling allows a reader during a write, and the busy
-        timeout makes a second writer wait instead of failing instantly;
-        a statement that still times out is retried a few times in
-        :meth:`_execute` and then degrades to a miss — never a crash,
-        never a set-aside of a database another process is using.
+        ``check_same_thread=False``: the daemon constructs a store in one
+        thread and serves from others; cross-thread *use* is serialized
+        by ``self._lock``, which is what the flag's default check exists
+        to force.  The busy timeout makes a second writer wait instead
+        of failing instantly; a statement that still times out is
+        retried a few times in :meth:`_execute` and then degrades to a
+        miss — never a crash, never a set-aside of a database another
+        process is using.
         """
+        connection = sqlite3.connect(self.path, check_same_thread=False)
         connection.execute("PRAGMA busy_timeout = 5000")
-        connection.execute("PRAGMA journal_mode = WAL")
+        return connection
 
     def _create_schema(self, connection: sqlite3.Connection) -> None:
-        """Create every table this store class needs (idempotent)."""
+        """Create every table this store class needs (idempotent).
+
+        WAL journaling lets a reader run during a write, so two processes
+        can share one store.  It is switched on only here, once the file
+        is known to be ours: the switch rewrites the file header, which
+        would spoil the forensic copy of a database that gets set aside.
+        """
+        connection.execute("PRAGMA journal_mode = WAL")
         connection.execute(f"PRAGMA user_version = {_SCHEMA_VERSION}")
         for table in self.generic_tables:
             connection.execute(
@@ -378,8 +387,8 @@ class LogStore:
             payload, digest = row
             value = None
             reason = None
-            if hashlib.sha256(payload).hexdigest() != digest:
-                reason = "payload digest mismatch (corrupt or torn row)"
+            if _row_digest(key, payload) != digest:
+                reason = "digest mismatch (corrupt, torn or misfiled row)"
             else:
                 try:
                     value = pickle.loads(payload)
@@ -410,7 +419,7 @@ class LogStore:
     def _put(self, table: str, key: str, value: Any) -> None:
         with self._lock, self.observer.span("store.put", table=table):
             payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-            digest = hashlib.sha256(payload).hexdigest()
+            digest = _row_digest(key, payload)
             now = time.time()
             self._execute(
                 f"INSERT OR REPLACE INTO {table} "

@@ -14,8 +14,8 @@ choosing the cheapest sound route:
    set — otherwise a case's rows would be split across two parses — so
    any overlap falls back to a cold full parse;
 3. **sharded** (``shard_traces`` set) — the trace stream is spilled into
-   bounded blocks and counted per block, optionally across the
-   supervised worker pool; peak memory is O(shard);
+   bounded blocks and counted one block at a time; peak memory is
+   O(shard);
 4. **streamed** — the trace stream feeds one accumulator directly;
    still never materializes an :class:`~repro.logs.log.EventLog`.
 
@@ -48,7 +48,6 @@ from repro.logs.streaming import OnlineStatistics
 from repro.logs.xes import iter_xes_traces
 from repro.obs import NULL_OBSERVER, Observer, get_logger
 from repro.runtime.report import IngestionReport
-from repro.runtime.supervise import RetryPolicy
 from repro.store.logstore import (
     LogStore,
     case_digest,
@@ -242,17 +241,13 @@ def ingest_statistics(
     report: IngestionReport | None = None,
     *,
     shard_traces: int | None = None,
-    workers: int = 0,
     store: LogStore | None = None,
-    policy: RetryPolicy | None = None,
-    task_timeout: float | None = None,
     observer: Observer | None = None,
 ) -> IngestResult:
     """Statistics of the log at *source*, by the cheapest sound route.
 
     See the module docstring for route selection.  ``shard_traces`` is
-    the traces-per-block bound of the sharded route; ``workers > 1``
-    fans block counting across the supervised pool.  Note that a
+    the traces-per-block bound of the sharded route.  Note that a
     store-served result skips parsing entirely, so *report* then
     reflects only what was actually parsed (nothing on a full hit, the
     tail on an append).
@@ -324,10 +319,7 @@ def ingest_statistics(
                         traces, scratch_dir / "blocks", block_traces=shard_traces
                     )
                 shards = len(blocks)
-                stats = shard_statistics(
-                    blocks, workers=workers, policy=policy,
-                    task_timeout=task_timeout, observer=observer,
-                )
+                stats = shard_statistics(blocks, observer=observer)
                 mode = "sharded"
             else:
                 stats = OnlineStatistics()
@@ -519,10 +511,7 @@ def ingest_graph(
     *,
     min_frequency: float = 0.0,
     shard_traces: int | None = None,
-    workers: int = 0,
     store: LogStore | None = None,
-    policy: RetryPolicy | None = None,
-    task_timeout: float | None = None,
     observer: Observer | None = None,
 ) -> tuple[DependencyGraph, IngestResult]:
     """The dependency graph of the log at *source*, store-accelerated.
@@ -534,8 +523,7 @@ def ingest_graph(
     observer = observer if observer is not None else NULL_OBSERVER
     result = ingest_statistics(
         source, fmt, on_error, report,
-        shard_traces=shard_traces, workers=workers, store=store,
-        policy=policy, task_timeout=task_timeout, observer=observer,
+        shard_traces=shard_traces, store=store, observer=observer,
     )
     graph_key = None
     if store is not None and result.counts_key is not None:
@@ -565,9 +553,6 @@ def match_stored(
     store: MatchStore,
     reports: tuple[IngestionReport | None, IngestionReport | None] = (None, None),
     shard_traces: int | None = None,
-    workers: int = 0,
-    policy: RetryPolicy | None = None,
-    task_timeout: float | None = None,
     label_key: str = "opaque",
     observer: Observer | None = None,
 ) -> tuple["MatchOutcome", dict[str, Any]]:
@@ -629,8 +614,7 @@ def match_stored(
             sides.append(ingest_graph(
                 source, side_fmt, on_error, report,
                 min_frequency=min_frequency, shard_traces=shard_traces,
-                workers=workers, store=store, policy=policy,
-                task_timeout=task_timeout, observer=observer,
+                store=store, observer=observer,
             ))
         except LogFormatError as error:
             # Tag the failing side so callers can dead-letter the right

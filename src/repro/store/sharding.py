@@ -1,4 +1,4 @@
-"""Streaming shard ingestion: bounded-memory trace streams and fan-out.
+"""Streaming shard ingestion: bounded-memory trace streams and block counts.
 
 Two halves:
 
@@ -15,17 +15,15 @@ Two halves:
   O(largest partition) — 1/``partitions`` of the log for any realistic
   case-id distribution.
 
-* :func:`shard_statistics` fans per-block :class:`OnlineStatistics`
-  across the supervised worker pool (crash/timeout/retry semantics
-  reused verbatim from :mod:`repro.runtime.supervise`) and folds the
-  results with :meth:`OnlineStatistics.merge_into`.  Definition-1
-  statistics are pure integer sums over traces, so any partition of the
-  traces reduces to counts — and therefore frequencies, and therefore
-  dependency graphs — bit-identical to the monolithic computation.
-  Because the sums need *every* shard, a shard that exhausts its retries
-  is not quarantined-and-skipped like a poison composite candidate: it
-  raises :class:`~repro.exceptions.ShardIngestionError` instead of
-  biasing the counts (a loud failure, never a wrong answer).
+* :func:`shard_statistics` counts each block into its own
+  :class:`OnlineStatistics`, one block at a time in this process, and
+  folds the results with :meth:`OnlineStatistics.merge_into`.
+  Definition-1 statistics are pure integer sums over traces, so any
+  partition of the traces reduces to counts — and therefore
+  frequencies, and therefore dependency graphs — bit-identical to the
+  monolithic computation.  A corrupt block raises
+  :class:`~repro.exceptions.LogFormatError` instead of biasing the
+  counts (a loud failure, never a wrong answer).
 
 Accounting caveats of the partitioned CSV pass (documented in
 ``docs/scale.md``): row numbers in error messages and the
@@ -40,24 +38,20 @@ import csv
 import io
 import os
 import zlib
-from concurrent.futures.process import ProcessPoolExecutor
 from pathlib import Path
 from typing import IO, Callable, Iterator, Sequence
 
-from repro.exceptions import LogFormatError, ShardIngestionError
+from repro.exceptions import LogFormatError
 from repro.logs.csvio import ACTIVITY_COLUMN, CASE_COLUMN, _read_rows
 from repro.logs.streaming import OnlineStatistics
 from repro.logs.xes import iter_xes_traces
-from repro.obs import NULL_OBSERVER, Observer, get_logger
+from repro.obs import NULL_OBSERVER, Observer
 from repro.runtime.report import IngestionReport
-from repro.runtime.supervise import RetryPolicy, SupervisedPool
 from repro.store.blocks import (
     DEFAULT_BLOCK_TRACES,
     TraceBlockWriter,
     iter_block,
 )
-
-_logger = get_logger(__name__)
 
 #: Case-hash partitions of the CSV spill pass.  Sixteen bounds peak
 #: parse memory to ~1/16 of the log while keeping the open-file count
@@ -238,91 +232,28 @@ def spill_blocks(
     return writer.finish()
 
 
-def _block_statistics(block: str | os.PathLike[str]) -> OnlineStatistics:
-    stats = OnlineStatistics()
-    for _, activities in iter_block(block):
-        stats.add_sequence(activities)
-    return stats
-
-
-def _shard_statistics_task(
-    payload: tuple[str, int]
-) -> tuple[int, dict[str, int], dict[tuple[str, str], int]]:
-    """Worker-side: count one block, return plain picklable counts."""
-    block_path, _attempt = payload
-    stats = _block_statistics(block_path)
-    return (
-        stats.trace_count,
-        dict(stats.activity_counts),
-        dict(stats.pair_counts),
-    )
-
-
 def shard_statistics(
     blocks: Sequence[str | os.PathLike[str]],
     *,
-    workers: int = 0,
-    policy: RetryPolicy | None = None,
-    task_timeout: float | None = None,
     observer: Observer | None = None,
 ) -> OnlineStatistics:
     """Count every block and reduce to one :class:`OnlineStatistics`.
 
-    ``workers <= 1`` counts serially, wrapping each block in an
-    ``ingest.shard[i]`` span; ``workers > 1`` fans the blocks across a
-    :class:`~repro.runtime.supervise.SupervisedPool` (retry with
-    backoff, pool respawn on crashes and timeouts) and reduces the
-    outcomes in block order with :meth:`OnlineStatistics.merge_into`.
-    A shard the supervisor gives up on raises
-    :class:`ShardIngestionError` — partial counts are never returned.
+    Blocks are counted one at a time, each in an ``ingest.shard[i]``
+    span, and folded in block order with
+    :meth:`OnlineStatistics.merge_into`, so peak memory is one block.
     """
     observer = observer if observer is not None else NULL_OBSERVER
     total = OnlineStatistics()
-    if workers <= 1:
-        for index, block in enumerate(blocks):
-            with observer.span(
-                f"ingest.shard[{index}]", block=os.fspath(block)
-            ) as span:
-                shard = _block_statistics(block)
-                span.attributes["traces"] = shard.trace_count
-            observer.count(
-                "ingest_shards_total",
-                help="trace shards counted by the ingestion pipeline",
-            )
-            shard.merge_into(total)
-        return total
-
-    pool = SupervisedPool(
-        factory=lambda: ProcessPoolExecutor(max_workers=workers),
-        fn=_shard_statistics_task,
-        payload=lambda task, attempt: (os.fspath(task), attempt),
-        describe=lambda task: (0, (Path(task).name,)),
-        policy=policy,
-        task_timeout=task_timeout,
-        observer=observer,
-    )
-    try:
-        with observer.span("ingest.shards", blocks=len(blocks), workers=workers):
-            outcomes = pool.run_wave(list(blocks))
-    finally:
-        pool.shutdown()
-    for outcome in outcomes:
-        if outcome.quarantined is not None:
-            record = outcome.quarantined
-            raise ShardIngestionError(
-                f"shard {record.run[0]} failed "
-                f"{record.attempts} attempt(s) ({record.error_type}: "
-                f"{record.error_message}); statistics would be biased, "
-                f"aborting the sharded ingestion",
-                shard=record.run[0],
-                attempts=record.attempts,
-            )
-        trace_count, activity_counts, pair_counts = outcome.value
-        shard = OnlineStatistics()
-        shard.seed_counts(trace_count, activity_counts, pair_counts)
-        shard.merge_into(total)
+    for index, block in enumerate(blocks):
+        with observer.span(f"ingest.shard[{index}]", block=os.fspath(block)) as span:
+            shard = OnlineStatistics()
+            for _, activities in iter_block(block):
+                shard.add_sequence(activities)
+            span.attributes["traces"] = shard.trace_count
         observer.count(
             "ingest_shards_total",
             help="trace shards counted by the ingestion pipeline",
         )
+        shard.merge_into(total)
     return total

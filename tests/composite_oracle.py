@@ -175,7 +175,7 @@ def scheduled_state(*, best_first: bool, screening: bool) -> type:
     """:class:`IncrementalSearchState` with the chosen schedule.
 
     ``best_first=False`` gives every candidate an infinite bound, so the
-    round keeps the static discovery order (as worker-pool rounds do);
+    round keeps the static discovery order (as budgeted rounds do);
     ``screening=False`` disables the per-candidate estimation screen.
     """
 
@@ -200,18 +200,12 @@ def scheduled_state(*, best_first: bool, screening: bool) -> type:
 class PluggedMatcher(composite.CompositeMatcher):
     """:class:`~repro.core.composite.CompositeMatcher` on ``state_class``.
 
-    Set ``state_class`` on the class or on one instance.  Serial rounds
-    only: pool workers build their own evaluator from the module they
-    import, which need not see the swap.
+    Set ``state_class`` on the class or on one instance.
     """
 
     state_class: type = IncrementalSearchState
 
     def match(self, log_first: EventLog, log_second: EventLog):
-        if self.workers > 1:
-            raise ValueError(
-                f"{type(self).__name__} runs serial rounds only, got workers={self.workers}"
-            )
         original = composite.IncrementalSearchState
         composite.IncrementalSearchState = self.state_class
         try:

@@ -173,193 +173,14 @@ class TestGreedyMatcher:
         assert result.accepted_first == ()
         assert set(result.matrix.rows) == {"a", "b"}
 
-
-class TestParallelEvaluation:
-    """workers > 1 must reproduce the serial greedy search exactly."""
-
-    KNOBS = dict(delta=0.005, min_confidence=0.9, max_run_length=2)
-
-    def test_workers_match_serial(self, fig1_logs):
-        import numpy as np
-
-        serial = CompositeMatcher(EMSConfig(), **self.KNOBS).match(*fig1_logs)
-        parallel = CompositeMatcher(
-            EMSConfig(), workers=2, **self.KNOBS
-        ).match(*fig1_logs)
-        assert parallel.accepted_first == serial.accepted_first
-        assert parallel.accepted_second == serial.accepted_second
-        assert parallel.members_first == serial.members_first
-        np.testing.assert_allclose(
-            parallel.matrix.values, serial.matrix.values, rtol=0, atol=1e-12
-        )
-        assert parallel.stats.rounds == serial.stats.rounds
-        assert parallel.stats.candidates_evaluated == serial.stats.candidates_evaluated
-
-    def test_workers_match_serial_with_labels(self):
-        import numpy as np
-
-        from repro.similarity.labels import QGramCosineSimilarity
-        from repro.synthesis.examples import turbine_order_logs
-
-        log_first, log_second, _ = turbine_order_logs()
-        results = []
-        for workers in (0, 2):
-            matcher = CompositeMatcher(
-                EMSConfig(alpha=0.5),
-                label_similarity=QGramCosineSimilarity(),
-                workers=workers,
-                **self.KNOBS,
-            )
-            results.append(matcher.match(log_first, log_second))
-        serial, parallel = results
-        assert parallel.accepted_first == serial.accepted_first
-        assert parallel.accepted_second == serial.accepted_second
-        np.testing.assert_allclose(
-            parallel.matrix.values, serial.matrix.values, rtol=0, atol=1e-12
-        )
-
-    def test_workers_validated(self):
-        with pytest.raises(ValueError):
-            CompositeMatcher(workers=-1)
-
-    def test_budgeted_run_stays_serial_and_exact(self, fig1_logs):
+    def test_ample_budget_stays_exact(self, fig1_logs):
         from repro.runtime.budget import MatchBudget
 
         matcher = CompositeMatcher(
-            EMSConfig(), workers=2, budget=MatchBudget(max_pair_updates=10**9),
-            **self.KNOBS,
+            EMSConfig(), budget=MatchBudget(max_pair_updates=10**9),
+            delta=0.005, min_confidence=0.9, max_run_length=2,
         )
         result = matcher.match(*fig1_logs)
         assert result.runtime is not None
         assert result.runtime.stage == "exact"
         assert result.accepted_first == (("C", "D"),)
-
-
-class TestSharedMemoryTransport:
-    """The per-round shared-memory shipping of directional matrices.
-
-    The transport is pure plumbing — workers must see the exact same
-    float64 payload whether it travels through a shared-memory block or
-    (on platforms without one) through the pickling fallback.
-    """
-
-    @staticmethod
-    def _directional():
-        import numpy as np
-
-        from repro.core.matrix import SimilarityMatrix
-
-        rows, cols = ("A", "B"), ("X", "Y", "Z")
-        rng = np.random.default_rng(5)
-        return {
-            "forward": SimilarityMatrix(rows, cols, rng.random((2, 3))),
-            "backward": SimilarityMatrix(rows, cols, rng.random((2, 3))),
-        }
-
-    def test_pack_unpack_roundtrip(self):
-        import numpy as np
-
-        from repro.core.composite import (
-            _pack_directional,
-            _resolve_directional,
-            _SharedDirectional,
-        )
-
-        directional = self._directional()
-        handle, block = _pack_directional(directional)
-        if handle is None:
-            pytest.skip("shared memory unavailable on this platform")
-        try:
-            assert isinstance(handle, _SharedDirectional)
-            restored = _resolve_directional(handle)
-            assert set(restored) == set(directional)
-            for name, matrix in directional.items():
-                assert restored[name].rows == matrix.rows
-                assert restored[name].cols == matrix.cols
-                np.testing.assert_array_equal(
-                    restored[name].values, matrix.values
-                )
-        finally:
-            block.close()
-            block.unlink()
-
-    def test_plain_payloads_pass_through(self):
-        from repro.core.composite import _resolve_directional
-
-        directional = self._directional()
-        assert _resolve_directional(directional) is directional
-        assert _resolve_directional(None) is None
-
-    def test_allocation_failure_falls_back(self, monkeypatch):
-        import repro.core.composite as composite_module
-        from repro.core.composite import _pack_directional
-
-        def refuse(*args, **kwargs):
-            raise OSError("no shared memory here")
-
-        monkeypatch.setattr(
-            composite_module.shared_memory, "SharedMemory", refuse
-        )
-        assert _pack_directional(self._directional()) == (None, None)
-
-    def test_workers_match_serial_without_shared_memory(
-        self, fig1_logs, monkeypatch
-    ):
-        """The pickling fallback reproduces the serial search too."""
-        import numpy as np
-
-        import repro.core.composite as composite_module
-
-        knobs = dict(delta=0.005, min_confidence=0.9, max_run_length=2)
-        serial = CompositeMatcher(EMSConfig(), **knobs).match(*fig1_logs)
-        monkeypatch.setattr(
-            composite_module, "_pack_directional", lambda directional: (None, None)
-        )
-        parallel = CompositeMatcher(
-            EMSConfig(), workers=2, **knobs
-        ).match(*fig1_logs)
-        assert parallel.accepted_first == serial.accepted_first
-        assert parallel.accepted_second == serial.accepted_second
-        assert parallel.stats.pair_updates == serial.stats.pair_updates
-        np.testing.assert_allclose(
-            parallel.matrix.values, serial.matrix.values, rtol=0, atol=1e-12
-        )
-
-    def test_multi_candidate_round_ships_via_shared_memory(self, monkeypatch):
-        """A >1-candidate round packs one block and stays byte-identical."""
-        import numpy as np
-
-        import repro.core.composite as composite_module
-
-        packed = []
-        original = composite_module._pack_directional
-
-        def counting(directional):
-            outcome = original(directional)
-            packed.append(outcome[0] is not None)
-            return outcome
-
-        monkeypatch.setattr(composite_module, "_pack_directional", counting)
-        # Two always-adjacent runs on the first side -> a two-task round,
-        # which is what routes through the worker pool (single-task
-        # rounds fall back to the serial loop).
-        log_first = EventLog(
-            [["a", "b", "x", "c", "d"], ["c", "d", "y", "a", "b"],
-             ["a", "b", "z", "c", "d"]] * 3,
-            name="shm-first",
-        )
-        log_second = EventLog([["p", "q"], ["q", "p"]] * 5, name="shm-second")
-        knobs = dict(delta=0.001, min_confidence=0.9, max_run_length=2)
-        serial = CompositeMatcher(EMSConfig(), **knobs).match(
-            log_first, log_second
-        )
-        parallel = CompositeMatcher(EMSConfig(), workers=2, **knobs).match(
-            log_first, log_second
-        )
-        assert packed, "the parallel round never reached the pool path"
-        assert parallel.accepted_first == serial.accepted_first
-        assert parallel.accepted_second == serial.accepted_second
-        assert parallel.stats.pair_updates == serial.stats.pair_updates
-        np.testing.assert_array_equal(
-            parallel.matrix.values, serial.matrix.values
-        )

@@ -129,10 +129,7 @@ class ReferenceRun(ems._DirectionalRun):
 
 @contextmanager
 def reference_kernel():
-    """Run every fixpoint started inside the block on :class:`ReferenceRun`.
-
-    Serial only: pool workers import their own, unpatched module.
-    """
+    """Run every fixpoint started inside the block on :class:`ReferenceRun`."""
     original = ems._DirectionalRun
     ems._DirectionalRun = ReferenceRun
     try:

@@ -5,7 +5,6 @@ pipeline computes — similarity values and the deterministic
 ``pair_updates`` work metric are identical with observation on and off.
 """
 
-import logging
 
 import numpy as np
 
@@ -99,20 +98,3 @@ class TestNonInterference:
         assert plain.accepted_second == observed.accepted_second
         assert plain.stats.pair_updates == observed.stats.pair_updates
         assert observer.tracer.open_depth == 0
-
-
-class TestSharedMemoryFallback:
-    def test_fallback_is_logged_and_counted(self, caplog):
-        observer = Observer(metrics=MetricsRegistry())
-        matcher = CompositeMatcher(EMSConfig(), observer=observer)
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            matcher._note_shared_memory_fallback()
-            matcher._note_shared_memory_fallback()
-        assert (
-            observer.metrics.get("workers_shared_memory_fallbacks_total").value == 2.0
-        )
-        records = [
-            record for record in caplog.records
-            if record.name == "repro.core.composite"
-        ]
-        assert records and "shared-memory" in records[0].getMessage()

@@ -100,7 +100,7 @@ class TestFragments:
         fragments = worker.export_fragments()
 
         parent = Tracer(clock=FakeClock(start=100.0, step=1.0))
-        dispatch = parent.start("workers.dispatch")
+        dispatch = parent.start("composite.round[1]")
         adopted = parent.adopt(fragments, tid=4321)
         parent.finish(dispatch)
 

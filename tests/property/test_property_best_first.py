@@ -12,8 +12,7 @@ strict-improvement scan keeps.
 import random as random_module
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.composite import CompositeMatcher
@@ -58,6 +57,10 @@ def assert_same_selection(static, best):
 
 @given(seeds, seeds, st.booleans())
 @settings(max_examples=25, deadline=None)
+# Near-ties the Bd abort once broke by evaluation order: an exact tie
+# (568) and averages one ulp apart (the second pair).
+@example(568, 568, False)
+@example(1442023555, 1704182386, False)
 def test_best_first_matches_static_order(seed_first, seed_second, screening):
     log_first = random_log(seed_first)
     log_second = random_log(seed_second)
@@ -176,10 +179,3 @@ def test_cutoff_reduces_evaluate_spans_with_identical_selection():
     assert_same_selection(static, best)
     assert best_spans < static_spans
     assert best.stats.candidates_screened >= 1
-
-
-def test_oracle_matchers_refuse_worker_pools():
-    # Pool workers build their own evaluator, so the swap would not reach them.
-    log = random_log(0)
-    with pytest.raises(ValueError, match="serial rounds only"):
-        ColdCompositeMatcher(EMSConfig(), workers=2).match(log, log)

@@ -29,11 +29,10 @@ def adversarial_pair() -> tuple[EventLog, EventLog]:
 def wide_pair() -> tuple[EventLog, EventLog]:
     """Logs with four always-adjacent runs on one side.
 
-    Every greedy round discovers several candidates, so ``workers > 1``
-    actually engages the supervised pool (fig1 yields a single candidate
-    per round and falls back to the serial path), and with a small delta
-    (0.001) the search accepts four merges over five rounds — enough
-    trajectory for checkpoint/resume and fault-injection tests.
+    Every greedy round discovers several candidates (fig1 yields a single
+    candidate per round), and with a small delta (0.001) the search
+    accepts four merges over five rounds — enough trajectory for
+    checkpoint/resume and fault-injection tests.
     """
     first = EventLog(
         [

@@ -1,24 +1,20 @@
 """Chaos suite: scripted faults against the full composite pipeline.
 
-Every test drives the real supervised worker pool (spawned processes,
-shared-memory transport) with a deterministic
+Every test drives the composite search with a deterministic
 :class:`~repro.runtime.faults.FaultPlan` and asserts the durability
-contract: faulted runs complete through retry/respawn/quarantine with
-*identical* final correspondences, unrecoverable environments surface as
-:class:`~repro.exceptions.WorkerPoolError` (CLI exit code 4), and
-nothing leaks.
+contract: faulted runs complete through retry/quarantine with
+*identical* final correspondences, and a plan naming a fault kind the
+runtime does not know is rejected as bad input before anything runs.
 """
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.cli import EXIT_WORKER_FAILURE, main
+from repro.cli import EXIT_INPUT_ERROR, main
 from repro.core.composite import CompositeMatcher
 from repro.core.config import EMSConfig
-from repro.exceptions import WorkerPoolError
 from repro.logs.csvio import write_csv
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.runtime.supervise import RetryPolicy
@@ -27,10 +23,9 @@ KNOBS = dict(delta=0.001)
 RETRY = RetryPolicy(max_attempts=3, base_delay=0.0)
 
 
-def _match(pair, *, faults=None, workers=2, retry=RETRY, **extra):
+def _match(pair, *, faults=None, retry=RETRY, **extra):
     matcher = CompositeMatcher(
-        EMSConfig(), workers=workers, retry=retry, faults=faults,
-        **KNOBS, **extra,
+        EMSConfig(), retry=retry, faults=faults, **KNOBS, **extra,
     )
     return matcher.match(*pair)
 
@@ -44,30 +39,8 @@ def _assert_identical(faulted, clean):
     assert faulted.stats.rounds == clean.stats.rounds
 
 
-class TestPoolFaultRecovery:
-    def test_worker_crash_is_retried_to_identical_result(self, wide_pair):
-        clean = _match(wide_pair)
-        plan = FaultPlan(specs=(
-            FaultSpec(site="evaluate", kind="crash", round=1,
-                      side=0, run=("A1", "A2"), attempts=(1,)),
-        ))
-        faulted = _match(wide_pair, faults=plan)
-        _assert_identical(faulted, clean)
-        assert faulted.stats.pool_respawns >= 1
-        assert faulted.quarantined == ()
-
-    def test_hung_evaluation_times_out_and_recovers(self, wide_pair):
-        clean = _match(wide_pair)
-        plan = FaultPlan(specs=(
-            FaultSpec(site="evaluate", kind="timeout", round=1,
-                      side=0, run=("B1", "B2"), attempts=(1,), delay=30.0),
-        ))
-        faulted = _match(wide_pair, faults=plan, task_timeout=1.0)
-        _assert_identical(faulted, clean)
-        assert faulted.stats.pool_respawns >= 1
-        assert faulted.stats.worker_retries >= 1
-
-    def test_transient_worker_fault_heals_without_respawn(self, wide_pair):
+class TestFaultRecovery:
+    def test_transient_fault_heals_to_identical_result(self, wide_pair):
         clean = _match(wide_pair)
         plan = FaultPlan(specs=(
             FaultSpec(site="evaluate", kind="transient", round=1,
@@ -76,9 +49,9 @@ class TestPoolFaultRecovery:
         faulted = _match(wide_pair, faults=plan)
         _assert_identical(faulted, clean)
         assert faulted.stats.worker_retries >= 1
-        assert faulted.stats.pool_respawns == 0
+        assert faulted.quarantined == ()
 
-    def test_poison_candidate_quarantined_in_pool_run(self, wide_pair):
+    def test_poison_candidate_quarantined(self, wide_pair):
         plan = FaultPlan(specs=(
             FaultSpec(site="evaluate", kind="transient",
                       side=0, run=("D1", "D2"), attempts=()),
@@ -92,47 +65,9 @@ class TestPoolFaultRecovery:
         # The other three merges still went through.
         assert len(result.accepted_first) == 3
 
-    def test_repeated_init_crash_is_unrecoverable(self, wide_pair):
-        plan = FaultPlan(specs=(
-            FaultSpec(site="worker.init", kind="crash", attempts=()),
-        ))
-        with pytest.raises(WorkerPoolError) as excinfo:
-            _match(wide_pair, faults=plan,
-                   retry=RetryPolicy(max_attempts=2, base_delay=0.0,
-                                     max_respawns=2))
-        assert excinfo.value.respawns >= 2
-
-
-@pytest.mark.skipif(not Path("/dev/shm").is_dir(), reason="no /dev/shm")
-class TestSharedMemoryHygiene:
-    def _segments(self):
-        return {p.name for p in Path("/dev/shm").iterdir()}
-
-    def test_no_segment_leak_after_worker_crash(self, wide_pair):
-        plan = FaultPlan(specs=(
-            FaultSpec(site="evaluate", kind="crash", round=1,
-                      side=0, run=("A1", "A2"), attempts=(1,)),
-        ))
-        before = self._segments()
-        _match(wide_pair, faults=plan)
-        leaked = self._segments() - before
-        assert not leaked, f"leaked shared-memory segments: {leaked}"
-
-    def test_no_segment_leak_after_unrecoverable_pool(self, wide_pair):
-        plan = FaultPlan(specs=(
-            FaultSpec(site="worker.init", kind="crash", attempts=()),
-        ))
-        before = self._segments()
-        with pytest.raises(WorkerPoolError):
-            _match(wide_pair, faults=plan,
-                   retry=RetryPolicy(max_attempts=2, base_delay=0.0,
-                                     max_respawns=1))
-        leaked = self._segments() - before
-        assert not leaked, f"leaked shared-memory segments: {leaked}"
-
 
 class TestChaosCLI:
-    """The chaos-smoke contract: faulted CLI runs match clean ones."""
+    """Faulted CLI runs match clean ones."""
 
     @pytest.fixture()
     def csv_pair(self, tmp_path, wide_pair):
@@ -152,28 +87,29 @@ class TestChaosCLI:
     def test_faulted_run_matches_clean_run(self, capsys, tmp_path, csv_pair):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(FaultPlan(specs=(
-            FaultSpec(site="evaluate", kind="crash", round=1,
+            FaultSpec(site="evaluate", kind="transient", round=1,
                       side=0, run=("A1", "A2"), attempts=(1,)),
         )).to_json())
-        code, clean = self._run(capsys, csv_pair, "--workers", "2")
+        code, clean = self._run(capsys, csv_pair)
         assert code == 0
         code, faulted = self._run(
-            capsys, csv_pair, "--workers", "2",
+            capsys, csv_pair,
             "--fault-plan", str(plan_path), "--max-retries", "3",
         )
         assert code == 0
         assert faulted["correspondences"] == clean["correspondences"]
         assert faulted["objective"] == clean["objective"]
         assert faulted["quarantined"] == []
-        assert faulted["diagnostics"]["pool_respawns"] >= 1
+        assert faulted["diagnostics"]["worker_retries"] >= 1
 
-    def test_unrecoverable_pool_exits_4(self, capsys, tmp_path, csv_pair):
+    @pytest.mark.parametrize("spec", [
+        {"site": "evaluate", "kind": "crash"},
+        {"site": "evaluate", "kind": "timeout"},
+        {"site": "evaluate", "kind": "transient", "delay": 30.0},
+    ])
+    def test_retired_fault_kinds_exit_2(self, capsys, tmp_path, csv_pair, spec):
         plan_path = tmp_path / "plan.json"
-        plan_path.write_text(FaultPlan(specs=(
-            FaultSpec(site="worker.init", kind="crash", attempts=()),
-        )).to_json())
-        code, err = self._run(
-            capsys, csv_pair, "--workers", "2", "--fault-plan", str(plan_path),
-        )
-        assert code == EXIT_WORKER_FAILURE
-        assert "worker pool" in err
+        plan_path.write_text(json.dumps({"seed": 0, "specs": [spec]}))
+        code, err = self._run(capsys, csv_pair, "--fault-plan", str(plan_path))
+        assert code == EXIT_INPUT_ERROR
+        assert "cannot load fault plan" in err

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.runtime.faults import (
-    CRASH_EXIT_STATUS,
     KIND_CORRUPT,
     KIND_INTERRUPT,
     NO_FAULTS,
@@ -37,6 +36,13 @@ class TestFaultSpec:
         with pytest.raises(ValueError):
             FaultSpec(site="evaluate", kind="meltdown")
 
+    @pytest.mark.parametrize("kind", ["crash", "timeout"])
+    def test_retired_worker_kinds_rejected(self, kind):
+        with pytest.raises(ValueError):
+            FaultSpec(site="evaluate", kind=kind)
+        with pytest.raises(ValueError):
+            FaultPlan.from_json(f'{{"specs": [{{"site": "evaluate", "kind": "{kind}"}}]}}')
+
 
 class TestFaultPlan:
     def test_no_faults_is_falsy_and_never_matches(self):
@@ -55,23 +61,6 @@ class TestFaultPlan:
         plan = FaultPlan(specs=(FaultSpec(site="evaluate", kind="transient"),))
         with pytest.raises(TransientFault):
             plan.fire("evaluate", round=1)
-        with pytest.raises(TransientFault):
-            plan.fire("evaluate", in_worker=True, round=1)
-
-    def test_crash_not_acted_in_parent(self):
-        # A crash spec outside a worker must NOT kill the test process;
-        # the spec is still returned so callers can log it.
-        plan = FaultPlan(specs=(FaultSpec(site="evaluate", kind="crash"),))
-        spec = plan.fire("evaluate", round=1)
-        assert spec.kind == "crash"
-
-    def test_timeout_delay_injected_via_sleep(self):
-        plan = FaultPlan(specs=(
-            FaultSpec(site="evaluate", kind="timeout", delay=12.5),
-        ))
-        slept = []
-        plan.fire("evaluate", in_worker=True, sleep=slept.append)
-        assert slept == [12.5]
 
     def test_interrupt_and_corrupt_returned_not_acted(self):
         plan = FaultPlan(specs=(
@@ -86,7 +75,7 @@ class TestFaultPlan:
             specs=(
                 FaultSpec(site="evaluate", kind="transient", round=2,
                           side=1, run=("a", "b"), attempts=(1, 2)),
-                FaultSpec(site="worker.init", kind="crash", attempts=()),
+                FaultSpec(site="checkpoint.write", kind="corrupt", attempts=()),
             ),
             seed=7,
         )
@@ -101,6 +90,3 @@ class TestFaultPlan:
         assert first != payload
         assert plan.corrupt(payload, round=5) != first
         assert plan.corrupt(b"", round=1) == b""
-
-    def test_crash_exit_status_is_distinctive(self):
-        assert CRASH_EXIT_STATUS not in (0, 1, 2)

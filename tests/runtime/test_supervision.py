@@ -1,19 +1,15 @@
-"""Supervised execution: retry policy, wave supervision, quarantine."""
-
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
+"""Supervised execution: retry policy, retry and quarantine."""
 
 import numpy as np
 import pytest
 
 from repro.core.composite import CompositeMatcher
 from repro.core.config import EMSConfig
-from repro.exceptions import BudgetExhausted, WorkerPoolError
+from repro.exceptions import BudgetExhausted
 from repro.runtime.faults import FaultPlan, FaultSpec, TransientFault
 from repro.runtime.supervise import (
     QuarantineRecord,
     RetryPolicy,
-    SupervisedPool,
     run_supervised,
 )
 
@@ -33,14 +29,6 @@ class TestRetryPolicy:
         stretched = policy.delay(2)
         plain = RetryPolicy(base_delay=0.1).delay(2)
         assert plain <= stretched <= plain * 1.5
-
-    def test_respawn_limit_exceeds_one_poison_candidate(self):
-        # A single poison candidate may break the pool once per attempt;
-        # the derived limit must not declare the pool dead before the
-        # candidate quarantines.
-        policy = RetryPolicy(max_attempts=3)
-        assert policy.respawn_limit > policy.max_attempts
-        assert RetryPolicy(max_respawns=1).respawn_limit == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -120,135 +108,6 @@ class TestRunSupervised:
             run_supervised(
                 call, policy=self.POLICY, describe=lambda: (0, ("a",)),
             )
-
-
-# ----------------------------------------------------------------------
-# SupervisedPool on a scriptable in-process stand-in executor: behaviors
-# are keyed on (task, attempt) so every failure-handling branch is
-# reachable deterministically and without real child processes.
-# ----------------------------------------------------------------------
-class _FakeFuture:
-    def __init__(self, behavior):
-        self._behavior = behavior
-
-    def done(self):
-        return True
-
-    def cancelled(self):
-        return False
-
-    def result(self, timeout=None):
-        if isinstance(self._behavior, BaseException):
-            raise self._behavior
-        return self._behavior
-
-
-class _FakePool:
-    """Executor double: ``script[(task, attempt)]`` is the value returned
-    (or the exception raised) by that attempt's future; unscripted
-    attempts echo ``(task, attempt)`` back."""
-
-    def __init__(self, script):
-        self._script = script
-
-    def submit(self, fn, payload):
-        task, attempt = payload
-        return _FakeFuture(self._script.get((task, attempt), (task, attempt)))
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-def _pool(script, *, policy=None, task_timeout=None):
-    spawned = []
-
-    def factory():
-        spawned.append(object())
-        return _FakePool(script)
-
-    supervised = SupervisedPool(
-        factory,
-        fn=None,
-        payload=lambda task, attempt: (task, attempt),
-        describe=lambda task: (0, (task,)),
-        policy=policy or RetryPolicy(max_attempts=3, base_delay=0.0),
-        task_timeout=task_timeout,
-        sleep=lambda _: None,
-    )
-    return supervised, spawned
-
-
-class TestSupervisedPool:
-    def test_clean_wave_preserves_task_order(self):
-        supervised, _ = _pool({})
-        outcomes = supervised.run_wave(["a", "b", "c"])
-        assert [o.task for o in outcomes] == ["a", "b", "c"]
-        assert [o.value for o in outcomes] == [("a", 1), ("b", 1), ("c", 1)]
-        assert all(o.quarantined is None and o.attempts == 1 for o in outcomes)
-
-    def test_transient_failure_retried_in_isolation(self):
-        supervised, _ = _pool({("b", 1): TransientFault("flaky")})
-        outcomes = supervised.run_wave(["a", "b"])
-        assert outcomes[1].value == ("b", 2)
-        assert outcomes[1].attempts == 2
-        assert supervised.stats.retries == 1
-        assert supervised.stats.quarantined == 0
-
-    def test_deterministic_error_quarantined_in_group_phase(self):
-        supervised, _ = _pool({("b", 1): ValueError("poison")})
-        outcomes = supervised.run_wave(["a", "b", "c"], round=3)
-        assert outcomes[0].value == ("a", 1)
-        assert outcomes[2].value == ("c", 1)
-        record = outcomes[1].quarantined
-        assert record is not None
-        assert (record.side, record.run, record.round) == (0, ("b",), 3)
-        assert record.attempts == 1
-        assert supervised.stats.quarantined == 1
-
-    def test_pool_break_respawns_and_finishes_in_isolation(self):
-        supervised, spawned = _pool({("a", 1): BrokenProcessPool("crash")})
-        outcomes = supervised.run_wave(["a", "b"])
-        # The survivor's completed result is drained, not re-run.
-        assert outcomes[1].value == ("b", 1)
-        assert outcomes[0].value == ("a", 2)
-        assert supervised.stats.respawns == 1
-        assert len(spawned) == 2
-
-    def test_timeout_kills_pool_and_retries(self):
-        supervised, spawned = _pool(
-            {("a", 1): FutureTimeoutError()}, task_timeout=0.5
-        )
-        outcomes = supervised.run_wave(["a"])
-        assert outcomes[0].value == ("a", 2)
-        assert supervised.stats.timeouts == 1
-        assert supervised.stats.respawns == 1
-        assert len(spawned) == 2
-
-    def test_unrecoverable_pool_raises_worker_pool_error(self):
-        script = {
-            ("a", attempt): BrokenProcessPool("crash") for attempt in range(1, 10)
-        }
-        supervised, _ = _pool(
-            script, policy=RetryPolicy(max_attempts=5, base_delay=0.0,
-                                       max_respawns=2),
-        )
-        with pytest.raises(WorkerPoolError) as excinfo:
-            supervised.run_wave(["a"])
-        assert excinfo.value.respawns == 3
-
-    def test_poison_quarantines_before_pool_declared_dead(self):
-        # The derived respawn limit guarantees a lone poison candidate is
-        # quarantined (attempts exhausted) rather than escalated to
-        # WorkerPoolError.
-        script = {
-            ("a", attempt): BrokenProcessPool("crash") for attempt in range(1, 10)
-        }
-        supervised, _ = _pool(
-            script, policy=RetryPolicy(max_attempts=2, base_delay=0.0),
-        )
-        outcomes = supervised.run_wave(["a"])
-        assert outcomes[0].quarantined is not None
-        assert supervised.stats.quarantined == 1
 
 
 class TestSerialSupervision:

@@ -53,6 +53,14 @@ class TestValidateSpec:
                  "treshold": 0.5}
             )
 
+    @pytest.mark.parametrize("kind", ["crash", "timeout"])
+    def test_rejects_retired_fault_kinds(self, pair, kind):
+        with pytest.raises(JobSpecError, match="not a fault plan"):
+            MatchRequest.from_json(
+                {"log_first": str(pair[0]), "log_second": str(pair[1]),
+                 "fault_plan": {"specs": [{"site": "evaluate", "kind": kind}]}}
+            )
+
     def test_rejects_missing_required(self):
         with pytest.raises(JobSpecError, match="missing required field"):
             MatchRequest.from_json({"log_first": "a.csv"})
@@ -127,8 +135,8 @@ class TestContentKey:
         assert job_content_key(spec_for(pair, threshold=0)) == job_content_key(
             spec_for(pair, threshold=0.0)
         )
-        # A singleton match never reads delta or workers ...
-        assert job_content_key(spec_for(pair, delta=0.5, workers=3)) == default
+        # A singleton match never reads delta ...
+        assert job_content_key(spec_for(pair, delta=0.5)) == default
         # ... a composite one does.
         composite = job_content_key(spec_for(pair, composite=True))
         assert job_content_key(
@@ -148,9 +156,14 @@ class TestContentKey:
             "format": "auto", "on_error": "raise", "composite": False,
             "labels": False, "alpha": None, "threshold": 0.0, "delta": 0.01,
             "estimate": None, "timeout": None, "pair_budget": None,
-            "workers": 0, "fault_plan": None,
+            "fault_plan": None,
         }
         assert MatchRequest.from_json(spelled) == spec_for(pair)
+        # The retired composite ``workers`` knob is an unknown field on
+        # submission; only the scheduler drops it from rows an older
+        # version queued (test_request_parity pins that path).
+        with pytest.raises(JobSpecError, match="workers"):
+            MatchRequest.from_json({**spelled, "workers": 0})
 
 
 class TestJobQueue:

@@ -8,6 +8,7 @@ out-of-range table is likewise shared: both front ends reject it.
 """
 
 import json
+import sqlite3
 import time
 
 import pytest
@@ -38,10 +39,6 @@ CASES = {
         {"composite": True, "delta": 0.001},
         ["--composite", "--delta", "0.001"],
     ),
-    "workers": (
-        {"composite": True, "workers": 2},
-        ["--composite", "--workers", "2"],
-    ),
     "fault_plan": (
         {"composite": True, "fault_plan": FAULT_PLAN},
         ["--composite", "--fault-plan", "{plan}"],
@@ -57,7 +54,6 @@ OUT_OF_RANGE = {
         {"composite": True, "delta": -0.5},
         ["--composite", "--delta", "-0.5"],
     ),
-    "workers": ({"workers": -1}, ["--workers", "-1"]),
 }
 
 
@@ -128,6 +124,35 @@ def test_both_front_ends_reject(name, wide_csv_pair, capsys):
             {"log_first": str(wide_csv_pair[0]),
              "log_second": str(wide_csv_pair[1]), **fields}
         )
+
+
+def test_queue_row_with_retired_workers_knob_still_runs(
+    wide_csv_pair, tmp_path, capsys
+):
+    # A queue written by an older version stores composite specs with a
+    # ``workers`` field.  Such a row must still decode and run, to the
+    # same answer as the command line.
+    store_dir = tmp_path / "daemon"
+
+    def add_workers_to_stored_row():
+        with sqlite3.connect(store_dir / "jobs.db") as connection:
+            (spec,), = connection.execute("SELECT spec FROM jobs").fetchall()
+            legacy = {**json.loads(spec), "workers": 2}
+            connection.execute("UPDATE jobs SET spec = ?", (json.dumps(legacy),))
+
+    record = run_job(
+        store_dir,
+        {"log_first": str(wide_csv_pair[0]),
+         "log_second": str(wide_csv_pair[1]), "composite": True},
+        before_start=add_workers_to_stored_row,
+    )
+    assert record.spec["workers"] == 2
+    assert record.state == "done", record.error
+    cli = run_cli(capsys, wide_csv_pair, ["--composite"], tmp_path / "cli.db")
+    assert record.result["objective"] == cli["objective"]
+    assert by_members(record.result["correspondences"]) == by_members(
+        cli["correspondences"]
+    )
 
 
 def test_input_gone_at_run_time_fails_terminally(wide_csv_pair, tmp_path):

@@ -1,0 +1,291 @@
+"""One corruption contract for every persistent store.
+
+The evaluation cache, the checkpoint directory, the log store and the
+match store all promise the same thing: damaged data degrades to a cold
+recompute, never to a wrong answer.  Each store is driven through the
+same table of damage — a torn entry, a foreign entry (another format
+version, or data filed under another key) and a flipped bit — and must:
+
+* answer the load with a cold miss (``None``), never a value;
+* count the rejection on its corrupt counter;
+* drop the damaged entry, or set it aside;
+* store and serve a fresh value afterwards.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import pickle
+import sqlite3
+from dataclasses import dataclass
+from typing import Any, Callable
+
+import pytest
+
+from repro.core.composite import CompositeStats
+from repro.core.config import EMSConfig
+from repro.core.ems import EMSEngine
+from repro.graph.dependency import DependencyGraph
+from repro.logs.log import EventLog
+from repro.obs import MetricsRegistry, Observer
+from repro.runtime.checkpoint import CheckpointManager, SearchSnapshot
+from repro.runtime.evalcache import EvaluationCache
+from repro.store.logstore import LogStore, case_digest
+from repro.store.matchstore import MatchStore, matrix_record
+
+KEY = "a" * 64
+OTHER_KEY = "b" * 64
+
+
+# ----------------------------------------------------------------------
+# Damage to one file-backed entry (evaluation cache, checkpoints)
+# ----------------------------------------------------------------------
+def _file_torn(store, key, magic):
+    path = store.path_for(key)
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) // 2])
+
+
+def _file_bit_flip(store, key, magic):
+    path = store.path_for(key)
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+def _file_foreign_magic(store, key, magic):
+    # A well-formed entry of another format version, digest intact: what
+    # a store written by an older or newer release looks like.
+    path = store.path_for(key)
+    raw = path.read_bytes()
+    assert raw.startswith(magic)
+    path.write_bytes(magic[:-1] + b"0" + raw[len(magic):])
+
+
+def _file_foreign_key(store, key, magic):
+    # An intact entry of another key, filed under this key's name.
+    path = store.path_for(key)
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(key.encode(), OTHER_KEY.encode(), 1))
+
+
+def _file_entry_gone(store, key) -> bool:
+    path = store.path_for(key)
+    return not path.exists() or path.with_name(path.name + ".corrupt").exists()
+
+
+# ----------------------------------------------------------------------
+# Damage to one SQLite-backed entry (log store, match store)
+# ----------------------------------------------------------------------
+def _rewrite_payload(store, table, key, change):
+    connection = sqlite3.connect(store.path)
+    (payload,), = connection.execute(
+        f"SELECT payload FROM {table} WHERE key = ?", (key,)
+    ).fetchall()
+    connection.execute(
+        f"UPDATE {table} SET payload = ? WHERE key = ?", (change(payload), key)
+    )
+    connection.commit()
+    connection.close()
+
+
+def _row_torn(store, table, key):
+    _rewrite_payload(store, table, key, lambda payload: payload[: len(payload) // 2])
+
+
+def _row_bit_flip(store, table, key):
+    _rewrite_payload(
+        store, table, key, lambda payload: payload[:-1] + bytes([payload[-1] ^ 0xFF])
+    )
+
+
+def _row_foreign_key(store, table, key):
+    # An intact row stored under another key, then moved under this key:
+    # only a digest bound to the key can tell it apart.
+    cursor = store._execute(f"SELECT payload FROM {table} WHERE key = ?", (key,))
+    store._put(table, OTHER_KEY, pickle.loads(cursor.fetchone()[0]))
+    connection = sqlite3.connect(store.path)
+    connection.execute(f"DELETE FROM {table} WHERE key = ?", (key,))
+    connection.execute(f"UPDATE {table} SET key = ? WHERE key = ?", (key, OTHER_KEY))
+    connection.commit()
+    connection.close()
+
+
+def _db_foreign_format(store, table, key):
+    # The SQLite stores' format magic is the schema version: the whole
+    # database is replaced by one of a foreign version.
+    store.close()
+    for suffix in ("", "-wal", "-shm"):
+        sidecar = store.path.with_name(store.path.name + suffix)
+        if sidecar.exists():
+            sidecar.unlink()
+    connection = sqlite3.connect(store.path)
+    connection.execute("PRAGMA user_version = 99")
+    connection.execute(f"CREATE TABLE {table} (key TEXT, payload BLOB)")
+    connection.execute(
+        f"INSERT INTO {table} VALUES (?, ?)", (key, pickle.dumps("foreign"))
+    )
+    connection.commit()
+    connection.close()
+
+
+def _row_gone(store, table, key) -> bool:
+    if store.path.with_name(store.path.name + ".corrupt").exists():
+        return True
+    cursor = store._execute(f"SELECT COUNT(*) FROM {table} WHERE key = ?", (key,))
+    return cursor.fetchone()[0] == 0
+
+
+# ----------------------------------------------------------------------
+# The stores
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Subject:
+    """How the contract drives one store."""
+
+    name: str
+    open: Callable[[Any, Observer], Any]
+    put: Callable[[Any, str], None]
+    get: Callable[[Any, str], Any]
+    corrupt_counter: str
+    damage: dict[str, Callable[[Any, str], None]]
+    gone: Callable[[Any, str], bool]
+
+
+def _counts_record():
+    return {
+        "trace_count": 3,
+        "activity_counts": {"a": 3},
+        "pair_counts": {("a", "b"): 1},
+        "case_digests": [case_digest("c0")],
+        "log_name": "demo",
+    }
+
+
+def _matrix_record():
+    first = EventLog([["a", "b", "c"], ["a", "c"]], name="first")
+    second = EventLog([["x", "y", "z"], ["x", "z"]], name="second")
+    result = EMSEngine(EMSConfig()).similarity(
+        DependencyGraph.from_log(first), DependencyGraph.from_log(second)
+    )
+    return matrix_record(result, EMSConfig(), ("first", "second"))
+
+
+def _snapshot(key):
+    return SearchSnapshot(
+        key=key, rounds=1, history=((0, ("a", "b")),),
+        stats=CompositeStats(rounds=1), current={"matrix": [1.0, 2.0]},
+    )
+
+
+def _file_damage(magic):
+    return {
+        name: (lambda store, key, fn=fn: fn(store, key, magic))
+        for name, fn in (
+            ("torn", _file_torn),
+            ("foreign-magic", _file_foreign_magic),
+            ("foreign-key", _file_foreign_key),
+            ("bit-flip", _file_bit_flip),
+        )
+    }
+
+
+def _row_damage(table):
+    return {
+        name: (lambda store, key, fn=fn: fn(store, table, key))
+        for name, fn in (
+            ("torn", _row_torn),
+            ("foreign-magic", _db_foreign_format),
+            ("foreign-key", _row_foreign_key),
+            ("bit-flip", _row_bit_flip),
+        )
+    }
+
+
+SUBJECTS = [
+    Subject(
+        name="EvaluationCache",
+        open=lambda path, observer: EvaluationCache(path / "cache", observer=observer),
+        put=lambda store, key: store.store(key, {"payload": [1, 2, 3]}),
+        get=lambda store, key: store.load(key),
+        corrupt_counter="eval_cache_corrupt_total",
+        damage=_file_damage(b"EMSEVAL1"),
+        gone=_file_entry_gone,
+    ),
+    Subject(
+        name="CheckpointManager",
+        open=lambda path, observer: CheckpointManager(path / "ckpt", observer=observer),
+        put=lambda store, key: store.save(_snapshot(key)),
+        get=lambda store, key: store.load(key),
+        corrupt_counter="checkpoint_corrupt_total",
+        damage=_file_damage(b"EMSCKPT2"),
+        gone=_file_entry_gone,
+    ),
+    Subject(
+        name="LogStore",
+        open=lambda path, observer: LogStore(path / "log.db", observer=observer),
+        put=lambda store, key: store.put_counts(key, _counts_record()),
+        get=lambda store, key: store.get_counts(key),
+        corrupt_counter="store_corrupt_total",
+        damage=_row_damage("counts"),
+        gone=lambda store, key: _row_gone(store, "counts", key),
+    ),
+    Subject(
+        name="MatchStore",
+        open=lambda path, observer: MatchStore(path / "match.db", observer=observer),
+        put=lambda store, key: store.put_matrix(key, _matrix_record()),
+        get=lambda store, key: store.get_matrix(key),
+        corrupt_counter="store_corrupt_total",
+        damage=_row_damage("matrices"),
+        gone=lambda store, key: _row_gone(store, "matrices", key),
+    ),
+]
+
+DAMAGE = ("torn", "foreign-magic", "foreign-key", "bit-flip")
+
+
+def _counter(registry: MetricsRegistry, name: str) -> float:
+    metric = registry.get(name)
+    return 0.0 if metric is None else metric.value
+
+
+@pytest.fixture(params=SUBJECTS, ids=lambda subject: subject.name)
+def subject(request):
+    return request.param
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+def test_damage_is_a_counted_cold_miss(subject, damage, tmp_path):
+    registry = MetricsRegistry()
+    store = subject.open(tmp_path, Observer(metrics=registry))
+    try:
+        subject.put(store, KEY)
+        assert subject.get(store, KEY) is not None
+        before = _counter(registry, subject.corrupt_counter)
+        subject.damage[damage](store, KEY)
+        assert subject.get(store, KEY) is None
+        assert _counter(registry, subject.corrupt_counter) == before + 1
+        assert subject.gone(store, KEY)
+        # The store heals: a fresh value is stored and served again.
+        subject.put(store, KEY)
+        assert subject.get(store, KEY) is not None
+    finally:
+        if hasattr(store, "close"):
+            store.close()
+
+
+def test_checkpoint_of_the_previous_format_starts_cold(tmp_path):
+    """A checkpoint whose pickled stats predate the current format is foreign.
+
+    It carries the previous magic and a valid digest, so only the magic
+    can reject it: it must never reach the unpickler.
+    """
+    registry = MetricsRegistry()
+    manager = CheckpointManager(tmp_path, observer=Observer(metrics=registry))
+    payload = pickle.dumps(_snapshot(KEY).to_payload())
+    digest = hashlib.sha256(payload).hexdigest()
+    header = b" ".join((b"EMSCKPT1", KEY.encode(), digest.encode())) + b"\n"
+    manager.directory.mkdir(parents=True, exist_ok=True)
+    manager.path_for(KEY).write_bytes(header + payload)
+    assert manager.load(KEY) is None
+    assert _counter(registry, "checkpoint_corrupt_total") == 1

@@ -338,3 +338,35 @@ class TestConcurrentAccess:
                     assert store.get_counts(f"w{worker_id}-{i}") is not None
         finally:
             store.close()
+
+    @pytest.mark.parametrize("damage", ["garbage", "schema"])
+    def test_set_aside_store_serves_other_threads(self, tmp_path, damage):
+        # The daemon builds its store in one thread and uses it from its
+        # scheduler threads.  The fresh database that replaces a set-aside
+        # one must allow that too, and the set-aside copy must keep the
+        # original bytes.
+        import threading
+
+        path = tmp_path / "store.db"
+        if damage == "garbage":
+            path.write_bytes(b"this is not a sqlite database at all\x00\x01")
+        else:
+            connection = sqlite3.connect(path)
+            connection.execute("PRAGMA user_version = 99")
+            connection.commit()
+            connection.close()
+        original = path.read_bytes()
+        store = LogStore(path)
+        try:
+            store.put_counts("k", record())
+            fetched = []
+            reader = threading.Thread(
+                target=lambda: fetched.append(store.get_counts("k"))
+            )
+            reader.start()
+            reader.join(timeout=30)
+            assert fetched and fetched[0] is not None
+            assert fetched[0]["trace_count"] == 3
+            assert path.with_name("store.db.corrupt").read_bytes() == original
+        finally:
+            store.close()

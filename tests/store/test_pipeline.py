@@ -49,11 +49,6 @@ class TestRouteEquivalence:
         assert result.shards > 1
         assert result.statistics == batch(csv_log)
 
-    def test_parallel_sharded_matches_batch(self, csv_log):
-        result = ingest_statistics(csv_log, shard_traces=7, workers=2)
-        assert result.mode == "sharded"
-        assert result.statistics == batch(csv_log)
-
     def test_xes_routes_match_batch(self, csv_log, tmp_path):
         log = read_csv(csv_log, name="handover")
         xes_path = tmp_path / "handover.xes"
@@ -70,7 +65,6 @@ class TestRouteEquivalence:
         for result in (
             ingest_statistics(csv_log, shard_traces=3),
             ingest_statistics(csv_log, shard_traces=100),
-            ingest_statistics(csv_log, shard_traces=5, workers=2),
         ):
             assert result.statistics.activity_frequencies == (
                 reference.activity_frequencies

@@ -70,19 +70,14 @@ class TestMatchCommand:
         lefts = [tuple(sorted(e["left"])) for e in payload["correspondences"]]
         assert ("C", "D") in lefts
 
-    def test_composite_workers_flag(self, log_paths, capsys):
-        exit_code = main(
-            ["match", *log_paths, "--composite", "--delta", "0.005",
-             "--workers", "2", "--json"]
-        )
-        assert exit_code == 0
-        payload = json.loads(capsys.readouterr().out)
-        lefts = [tuple(sorted(e["left"])) for e in payload["correspondences"]]
-        assert ("C", "D") in lefts
-
-    def test_negative_workers_rejected(self, log_paths, capsys):
-        assert main(["match", *log_paths, "--workers", "-2"]) == 2
-        assert "--workers" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flag", ["--workers", "--parallel-ingest", "--task-timeout"]
+    )
+    def test_retired_pool_flags_rejected(self, log_paths, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["match", *log_paths, "--composite", flag, "2"])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_estimate_flag(self, log_paths, capsys):
         assert main(["match", *log_paths, "--estimate", "0", "--json"]) == 0
@@ -160,7 +155,7 @@ class TestMatchCommand:
 
 
 class TestScaledMatch:
-    """``--shard-traces`` / ``--parallel-ingest`` / ``--store`` route the
+    """``--shard-traces`` / ``--store`` route the
     match through the out-of-core pipeline — same answer, graph-only."""
 
     def baseline(self, log_paths, capsys):
@@ -179,14 +174,6 @@ class TestScaledMatch:
     def test_sharded_match_matches_in_memory(self, log_paths, capsys):
         reference = self.baseline(log_paths, capsys)
         assert main(["match", *log_paths, "--shard-traces", "2", "--json"]) == 0
-        scaled = json.loads(capsys.readouterr().out)
-        assert self.normalize(scaled) == self.normalize(reference)
-
-    def test_parallel_ingest_matches_in_memory(self, log_paths, capsys):
-        reference = self.baseline(log_paths, capsys)
-        assert main(
-            ["match", *log_paths, "--parallel-ingest", "2", "--json"]
-        ) == 0
         scaled = json.loads(capsys.readouterr().out)
         assert self.normalize(scaled) == self.normalize(reference)
 
