@@ -87,9 +87,10 @@ COMPOSITE_SCENARIO = {
 }
 
 #: The large-vocabulary scenario of the fixpoint's peak-memory ceiling.
-#: At 300 activities the kernel streams its contributions through
-#: bounded chunks, and ``memory_reduction_sparse`` in :func:`compare`
-#: keeps its peak at least 4x below the dense kernel it replaced.
+#: At 300 activities the kernel computes its contributions in bounded
+#: chunks of the edge-pair grid, and ``memory_reduction_sparse`` in
+#: :func:`compare` keeps its peak at least 4x below the dense kernel it
+#: replaced.
 MEMORY_SCENARIO = {"activities": 300, "seed": 21, "traces_per_log": 40}
 
 #: Tracemalloc peak (bytes) of one exact EMS run on MEMORY_SCENARIO under
@@ -256,8 +257,12 @@ if pytest is not None:
 # ----------------------------------------------------------------------
 # Regression harness
 # ----------------------------------------------------------------------
-def _calibration_time() -> float:
-    """Wall time of a fixed NumPy workload, for machine normalization."""
+#: Calibration runs per harness run; ``calibration_time`` is their median.
+CALIBRATION_RUNS = 5
+
+
+def _calibration_run() -> float:
+    """Best-of-5 wall time of a fixed NumPy workload."""
     rng = np.random.default_rng(0)
     a = rng.random((200, 200))
     best = float("inf")
@@ -267,6 +272,17 @@ def _calibration_time() -> float:
             a = np.tanh(a @ a.T / 200.0)
         best = min(best, time.perf_counter() - started)
     return best
+
+
+def _calibration_time() -> float:
+    """Wall time of a fixed NumPy workload, for machine normalization.
+
+    One run is bimodal on a two-CPU machine: the multithreaded matrix
+    product takes 10-20x longer while another process holds a CPU.
+    A baseline recorded in the slow mode makes every scenario look that
+    much slower, so the median of :data:`CALIBRATION_RUNS` runs is used.
+    """
+    return statistics.median(_calibration_run() for _ in range(CALIBRATION_RUNS))
 
 
 def _scenarios():
@@ -632,11 +648,37 @@ def _sql_parity() -> float:
         store.close()
 
 
+#: Overhead ratios ``(payload key, numerator, denominator)``: each
+#: compares two scenarios running the same workload, one with a wrapper
+#: that must be free.  Timed in separate blocks, a slow window of a shared
+#: machine lands on one side only and swings the ratio past its 1.1x
+#: ceiling either way, so the two are timed again in alternation and the
+#: ratio is min over min of those runs.
+PAIRED_OVERHEADS = (
+    ("noop_observer_overhead", "ems_exact_20_noop_observer", "ems_exact_20"),
+    ("retry_overhead", "composite_search_supervised",
+     "composite_search_incremental"),
+)
+
+
+def _paired_overhead(numerator, denominator, repeats: int) -> float:
+    """min(numerator) / min(denominator) over alternating runs."""
+    times: tuple[list[float], list[float]] = ([], [])
+    for _ in range(repeats):
+        for fn, sink in zip((numerator, denominator), times):
+            started = time.perf_counter()
+            fn()
+            sink.append(time.perf_counter() - started)
+    return min(times[0]) / min(times[1])
+
+
 def run_harness(repeats: int) -> dict:
     """Time every scenario; return the BENCH_core.json payload."""
     calibration = _calibration_time()
     scenarios: dict[str, dict] = {}
+    functions = {}
     for name, fn in _scenarios():
+        functions[name] = fn
         fn()  # warm-up: first-touch caches, lazy imports
         times = []
         pair_updates = None
@@ -660,19 +702,15 @@ def run_harness(repeats: int) -> dict:
     )
     memory = _memory_profile()
     memory_reduction = DENSE_KERNEL_PEAK_BYTES / memory["peak_bytes"]
-    # min-over-repeats is the least noisy estimator for the ratio of two
-    # short runs: the disabled observer hooks must be free on the hot
-    # path, so this ratio should sit at ~1.0.
-    noop_overhead = (
-        scenarios["ems_exact_20_noop_observer"]["min_time"]
-        / scenarios["ems_exact_20"]["min_time"]
-    )
-    # Supervision (retry/quarantine wrapper) on a fault-free serial
-    # composite search must be near-free: same workload, same estimator.
-    retry_overhead = (
-        scenarios["composite_search_supervised"]["min_time"]
-        / scenarios["composite_search_incremental"]["min_time"]
-    )
+    # The disabled observer hooks must be free on the hot path, and so
+    # must supervision (the retry/quarantine wrapper) on a fault-free
+    # composite search: both ratios should sit at ~1.0.
+    overheads = {
+        key: _paired_overhead(
+            functions[numerator], functions[denominator], repeats
+        )
+        for key, numerator, denominator in PAIRED_OVERHEADS
+    }
     # Warm persistent-evaluation-cache search vs the cold search: with
     # every candidate evaluation served from disk, only discovery and
     # the accepted-merge rebuilds remain (>= 5x floor in compare()).
@@ -732,8 +770,7 @@ def run_harness(repeats: int) -> dict:
         "speedup_exact_20": speedup,
         "speedup_composite": speedup_composite,
         "memory_reduction_sparse": memory_reduction,
-        "noop_observer_overhead": noop_overhead,
-        "retry_overhead": retry_overhead,
+        **overheads,
         "warm_cache_speedup": warm_cache_speedup,
     }
 

@@ -28,14 +28,14 @@ Features implemented here:
 * instrumentation: the number of formula-(1) evaluations (``pair_updates``)
   reported in the paper's Figures 6 and 12.
 
-One kernel, :class:`_DirectionalRun`, evaluates the iteration as a CSR
-gather–scatter over real-degree blocks of pairs: the artificial
-predecessor's constant row is factored out analytically into a per-pair
-base term, and each iteration gathers, weights and max/sum-reduces the
-real-predecessor contributions of all active pairs at once.  Small runs
-cache the flat gather indices and edge agreements; above
-:data:`_SPARSE_CACHE_LIMIT` contributions the kernel streams them in
-bounded chunks, so its working memory is ``O(chunk)``.  The per-pair loop
+One kernel, :class:`_DirectionalRun`, evaluates the iteration over one
+edge-pair grid: the artificial predecessor's constant row is factored
+out analytically into a per-pair base term, and each iteration gathers
+and weights the real-predecessor contributions of all active pairs as
+one in-edges × in-edges matrix, then max/sum-reduces it with segmented
+``reduceat`` calls.  Proposition-2 pruning makes the active pairs a
+prefix rectangle of that grid.  Contributions are recomputed chunk by
+chunk, so the working memory is ``O(chunk)``.  The per-pair loop
 in ``tests/ems_oracle.py`` is the readable specification of formula (1);
 ``tests/core/test_sparse_kernel_equivalence`` pins the kernel to it
 (identical ``iterations`` and ``pair_updates``, similarities within
@@ -287,63 +287,74 @@ def edge_agreement(weight_first: np.ndarray, weight_second: np.ndarray, c: float
     return c * (1.0 - np.abs(w1 - w2) / (w1 + w2))
 
 
-#: Above this many total real-predecessor contributions (one contribution
-#: = one real-predecessor pair ``(v1', v2')`` of one node pair) the kernel
-#: stops caching flat per-contribution arrays (gather indices and edge
-#: agreements) and regenerates them chunk by chunk each iteration from the
-#: node-level CSR tables — nothing per-contribution stays resident.  At
-#: ``1 << 21`` the cached float64 agreements take at most 16 MiB per
-#: direction.  Streaming trades per-iteration regeneration for memory, so
-#: it only pays above that size; below it the cache is faster (see
-#: ``docs/performance.md``).  Patchable in tests to force either mode.
-_SPARSE_CACHE_LIMIT = 1 << 21
-
-#: Target element count of one gather/agreement chunk in streaming mode —
-#: the bound on the kernel's per-iteration temporary tensors.  Chunks are
-#: aligned to whole pairs, so the actual temp is at most
-#: ``max(_SPARSE_CHUNK_TARGET, A * B)`` elements.  Patchable in tests.
+#: Target element count of one edge-pair chunk — the bound on the kernel's
+#: per-step temporaries.  A chunk holds the in-edges of whole ``v1`` nodes
+#: against the active in-edges of the second side, so the actual temp is
+#: at most ``max(_SPARSE_CHUNK_TARGET, d1 * E2)`` elements, where ``d1`` is
+#: the largest real in-degree of the first side and ``E2`` the second
+#: side's active edge count.  Patchable in tests.
 _SPARSE_CHUNK_TARGET = 1 << 16
 
 
-@dataclass(slots=True)
-class _DegreeGroup:
-    """All nodes of one side sharing a real in-degree, with their CSR rows."""
+@dataclass(frozen=True, slots=True)
+class _EdgeSide:
+    """One side of the edge-pair grid.
 
-    nodes: np.ndarray    #: (g,) node indices with this real in-degree
-    preds: np.ndarray    #: (g, d) real-predecessor indices (rows of `values`)
-    weights: np.ndarray  #: (g, d) in-edge weights, run dtype
-
-
-@dataclass(slots=True)
-class _DegreeBlock:
-    """One real-degree block ``(d1, d2)`` of the kernel's pairs.
-
-    Pairs are laid out in :func:`repro.core.pruning.prefix_schedule` order
-    (descending convergence level) so Proposition-2 pruning is a prefix
-    slice.  Per-pair storage is O(1): five scalars per pair plus a
-    reference to the node-level degree groups.  Flat per-contribution
-    arrays (``preds_*``/``agreement``) exist only in cached mode.
+    Nodes are in :func:`repro.core.pruning.prefix_schedule` order
+    (descending convergence level), so the nodes active at iteration ``n``
+    are a prefix, and their real in-edges are grouped by target node in
+    the same order, so the edges of that prefix are an edge prefix too.
+    Nodes whose pairs are all Uc-fixed are left out.
     """
 
-    linear: np.ndarray   #: (m,) row-major linear pair index (budget-cut order)
-    row_pos: np.ndarray  #: (m,) position of the pair's row inside group_first
-    col_pos: np.ndarray  #: (m,) position of the pair's column inside group_second
-    levels: np.ndarray   #: (m,) convergence levels, descending
-    base: np.ndarray     #: (m,) constant term: artificial row + label blend
-    group_first: _DegreeGroup
-    group_second: _DegreeGroup
-    inverse_first: float   #: 1 / |pre(v1)| — the real degree plus v^X
-    inverse_second: float  #: 1 / |pre(v2)|
-    preds_first: np.ndarray | None = None   #: (m, d1) cached gather rows
-    preds_second: np.ndarray | None = None  #: (m, d2) cached gather columns
-    agreement: np.ndarray | None = None     #: (m, d1, d2) cached ``C``
+    nodes: np.ndarray    #: (k,) node indices (rows or columns of `values`)
+    levels: np.ndarray   #: (k,) their convergence levels, descending
+    offsets: np.ndarray  #: (k + 1,) start of each node's in-edges
+    sources: np.ndarray  #: (E,) source node of each in-edge
+    weights: np.ndarray  #: (E,) in-edge weights, run dtype
+    inner: np.ndarray    #: positions of the nodes with real in-degree > 0
+    scale: np.ndarray    #: (k,) α/2 · 1/|pre(v)|, run dtype
+
+    @classmethod
+    def build(cls, graph: DependencyGraph, levels: np.ndarray, keep: np.ndarray,
+              half_alpha: float, dtype: np.dtype) -> "_EdgeSide":
+        indptr, indices, weights = graph.predecessor_csr()
+        kept = np.flatnonzero(keep)
+        order, sorted_levels = prefix_schedule(levels[kept])
+        nodes = kept[order]
+        degree = np.diff(indptr)[nodes]
+        offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
+        np.cumsum(degree, out=offsets[1:])
+        edges = np.repeat(indptr[nodes] - offsets[:-1], degree) + np.arange(offsets[-1])
+        # |pre(v)| includes the artificial predecessor (+1).
+        scale = (half_alpha * (1.0 / (degree + 1))).astype(dtype)
+        return cls(nodes, sorted_levels, offsets, indices[edges],
+                   weights[edges].astype(dtype), np.flatnonzero(degree), scale)
+
+    def active(self, iteration: int, use_pruning: bool) -> int:
+        """How many leading nodes are active at *iteration*."""
+        if use_pruning:
+            return active_prefix_length(self.levels, iteration)
+        return len(self.nodes)
+
+
+@dataclass(frozen=True, slots=True)
+class _EdgeGrid:
+    """The kernel's pairs: the product of two :class:`_EdgeSide` orders."""
+
+    first: _EdgeSide
+    second: _EdgeSide
+    base: np.ndarray         #: (k1, k2) constant term: artificial row + label blend
+    linear: np.ndarray       #: (k1, k2) row-major linear pair index (budget-cut order)
+    free: np.ndarray | None  #: (k1, k2) not Uc-fixed; None when nothing is fixed
 
 
 class _DirectionalRun:
     """One forward-similarity fixpoint computation on a graph pair.
 
-    Each iteration evaluates formula (1) for every active pair as a CSR
-    gather–scatter.  Two observations keep it fast and memory-lean:
+    Each iteration evaluates formula (1) for every active pair with a
+    fixed handful of NumPy calls per chunk.  Three observations make that
+    possible:
 
     * **The artificial predecessor row is closed-form.**  ``v^X`` is a
       predecessor of every real node, and ``S(v^X, ·)`` is identically 0
@@ -354,24 +365,33 @@ class _DirectionalRun:
       products are 0 among non-negative terms).  So the whole artificial
       row/column folds into a per-pair constant — ``base = α/2 ·
       (1/|pre(v1)| + 1/|pre(v2)|) · C_art + (1-α) · S^L`` — computed once,
-      and the iteration only touches the ``(d1, d2)`` *real* predecessor
-      grid, which the CSR export of :class:`~repro.graph.dependency.
-      DependencyGraph` provides without the artificial padding.
-    * **Contributions can be regenerated instead of stored.**  Gather
-      indices and edge agreements of a pair are pure functions of the two
-      nodes' CSR rows.  Runs whose flat arrays fit under
-      :data:`_SPARSE_CACHE_LIMIT` cache them once; larger runs switch to
-      streaming mode and recompute them per chunk of at most
-      :data:`_SPARSE_CHUNK_TARGET` contributions each iteration, so the
-      resident footprint is the node-level CSR tables plus ~5 scalars per
-      pair.
+      and the iteration only touches the *real* predecessors, which the
+      CSR export of :class:`~repro.graph.dependency.DependencyGraph`
+      provides without the artificial padding.
+    * **All contributions form one edge-pair grid.**  The contributions
+      of pair ``(v1, v2)`` are exactly ``in-edges(v1) × in-edges(v2)``.
+      With each side's in-edges grouped by target node, every
+      contribution of the run is a cell of one ``E1 × E2`` matrix, and
+      each pair owns a contiguous sub-block of it.  A step gathers
+      ``previous[src1][:, src2]``, multiplies by the edge agreements
+      ``C``, and reduces with ``np.maximum.reduceat`` over one axis's node
+      segments and ``np.add.reduceat`` over the other's — forward and
+      backward are the same two reductions with the axes swapped.
+    * **Proposition-2 pruning is a rectangle.**  A pair is active while
+      ``min(l(v1), l(v2)) >= n``, which is ``{l(v1) >= n} × {l(v2) >= n}``.
+      With each side's nodes in descending level order the active pairs
+      are a prefix rectangle, and only its edge prefix is touched.
 
-    Pairs sharing a real-degree signature ``(d1, d2)`` form one block, and
-    within a chunk the gathered ``(k, d1, d2)`` contributions are reduced
-    segment-wise — max over one predecessor axis, sum over the other —
-    the uniform-segment special case of a COO scatter-reduce.  Blocks are
-    built lazily on the first step (the ``I = 0`` estimation never steps)
-    and exclude Uc-fixed pairs, which are never updated.
+    Nothing per contribution stays resident: the gather and the
+    agreements are recomputed per chunk of whole ``v1`` nodes, at most
+    :data:`_SPARSE_CHUNK_TARGET` elements each.  ``reduceat`` cannot
+    express an empty segment, so the reductions run over nodes with real
+    predecessors only; a pair with no real predecessor on either side is
+    its ``base``.  Uc-fixed pairs (Proposition 4) are computed when they
+    fall inside the rectangle but never committed or counted; rows and
+    columns whose pairs are all fixed are left out of the grid.  The grid
+    is built lazily on the first step (the ``I = 0`` estimation never
+    steps).
     """
 
     def __init__(
@@ -393,7 +413,7 @@ class _DirectionalRun:
         n1, n2 = len(self.nodes_first), len(self.nodes_second)
         self._n1, self._n2 = n1, n2
         self.label_matrix = label_matrix
-        self._blocks: list[_DegreeBlock] | None = None
+        self._grid: _EdgeGrid | None = None
 
         # Similarity array with the artificial row/column appended.
         dtype = self._dtype
@@ -447,99 +467,35 @@ class _DirectionalRun:
         """The real-pair block of the similarity array (a copy)."""
         return self.values[: self._n1, : self._n2].copy()
 
-    def _degree_groups(self, graph: DependencyGraph) -> dict[int, _DegreeGroup]:
-        indptr, indices, weights = graph.predecessor_csr()
-        dtype = self._dtype
-        degrees = np.diff(indptr)
-        groups: dict[int, _DegreeGroup] = {}
-        for degree in np.unique(degrees):
-            degree = int(degree)
-            nodes = np.nonzero(degrees == degree)[0].astype(np.int32)
-            if degree == 0:
-                preds = np.empty((len(nodes), 0), dtype=np.int32)
-                group_weights = np.empty((len(nodes), 0), dtype=dtype)
-            else:
-                offsets = indptr[nodes][:, None] + np.arange(degree)[None, :]
-                preds = indices[offsets]
-                group_weights = weights[offsets].astype(dtype)
-            groups[degree] = _DegreeGroup(nodes, preds, group_weights)
-        return groups
-
-    def _build_blocks(self) -> list[_DegreeBlock]:
+    def _build_grid(self) -> _EdgeGrid:
         config = self.config
         dtype = self._dtype
-        n2 = self._n2
-        pair_levels = self.schedule.pair_levels
-        fixed = self._fixed_mask
         half_alpha = config.alpha / 2.0
         label_weight = 1.0 - config.alpha
-        art = self._artificial_agreement
-        label = self.label_matrix
-
-        groups_first = self._degree_groups(self._graph_first)
-        groups_second = self._degree_groups(self._graph_second)
-        blocks: list[_DegreeBlock] = []
-        for degree_first, group_first in groups_first.items():
-            for degree_second, group_second in groups_second.items():
-                rows = np.repeat(group_first.nodes.astype(np.int64), len(group_second.nodes))
-                cols = np.tile(group_second.nodes.astype(np.int64), len(group_first.nodes))
-                row_pos = np.repeat(
-                    np.arange(len(group_first.nodes), dtype=np.int32),
-                    len(group_second.nodes),
-                )
-                col_pos = np.tile(
-                    np.arange(len(group_second.nodes), dtype=np.int32),
-                    len(group_first.nodes),
-                )
-                keep = ~fixed[rows, cols]
-                if not keep.any():
-                    continue
-                rows, cols = rows[keep], cols[keep]
-                row_pos, col_pos = row_pos[keep], col_pos[keep]
-                order, levels = prefix_schedule(np.asarray(pair_levels[rows, cols], dtype=float))
-                rows, cols = rows[order], cols[order]
-                row_pos, col_pos = row_pos[order], col_pos[order]
-                # |pre(v)| includes the artificial predecessor (+1).
-                inverse_first = 1.0 / (degree_first + 1)
-                inverse_second = 1.0 / (degree_second + 1)
-                base = (half_alpha * (inverse_first + inverse_second)) * art[rows, cols]
-                if label_weight:
-                    base = base + label_weight * label[rows, cols]
-                blocks.append(
-                    _DegreeBlock(
-                        linear=rows * n2 + cols,
-                        row_pos=row_pos,
-                        col_pos=col_pos,
-                        levels=levels,
-                        base=np.asarray(base, dtype=dtype),
-                        group_first=group_first,
-                        group_second=group_second,
-                        inverse_first=inverse_first,
-                        inverse_second=inverse_second,
-                    )
-                )
-
-        # Cached mode: below the limit, materialize the flat contribution
-        # arrays once instead of regenerating them every iteration.
-        total_contributions = sum(
-            len(block.linear)
-            * block.group_first.preds.shape[1]
-            * block.group_second.preds.shape[1]
-            for block in blocks
+        fixed = self._fixed_mask
+        first = _EdgeSide.build(
+            self._graph_first, self.schedule.node_levels_first,
+            ~fixed.all(axis=1), half_alpha, dtype,
         )
-        if total_contributions <= _SPARSE_CACHE_LIMIT:
-            for block in blocks:
-                if not block.group_first.preds.shape[1] or not block.group_second.preds.shape[1]:
-                    continue
-                block.preds_first = block.group_first.preds[block.row_pos]
-                block.preds_second = block.group_second.preds[block.col_pos]
-                if config.use_edge_weights:
-                    left = block.group_first.weights[block.row_pos][:, :, None]
-                    right = block.group_second.weights[block.col_pos][:, None, :]
-                    block.agreement = config.c * (
-                        1.0 - np.abs(left - right) / (left + right)
-                    )
-        return blocks
+        second = _EdgeSide.build(
+            self._graph_second, self.schedule.node_levels_second,
+            ~fixed.all(axis=0), half_alpha, dtype,
+        )
+        block = np.ix_(first.nodes, second.nodes)
+        inverse_first = 1.0 / (np.diff(first.offsets) + 1)
+        inverse_second = 1.0 / (np.diff(second.offsets) + 1)
+        factor = half_alpha * (inverse_first[:, None] + inverse_second[None, :])
+        base = factor.astype(dtype) * self._artificial_agreement[block]
+        if label_weight:
+            base = base + label_weight * self.label_matrix[block]
+        free = ~fixed[block]
+        return _EdgeGrid(
+            first=first,
+            second=second,
+            base=np.asarray(base, dtype=dtype),
+            linear=first.nodes[:, None].astype(np.int64) * self._n2 + second.nodes[None, :],
+            free=None if free.all() else free,
+        )
 
     def step(self) -> float:
         """Perform one iteration of formula (1); return the max change.
@@ -556,122 +512,115 @@ class _DirectionalRun:
             meter.check()
         self.iterations += 1
         iteration = self.iterations
-        if self._blocks is None:
-            self._blocks = self._build_blocks()
-        config = self.config
-        use_pruning = config.use_pruning
-        use_weights = config.use_edge_weights
-        half_alpha = config.alpha / 2.0
-        c = config.c
+        if self._grid is None:
+            self._grid = self._build_grid()
+        grid = self._grid
+        use_pruning = self.config.use_pruning
+        count_first = grid.first.active(iteration, use_pruning)
+        count_second = grid.second.active(iteration, use_pruning)
         previous = self.values.copy()
 
-        # Phase 1: evaluate formula (1) chunk by chunk.  All reads go to
-        # `previous` (Jacobi iteration), so chunk order is irrelevant.
-        pending: list[tuple[np.ndarray, np.ndarray]] = []
-        total_active = 0
-        for block in self._blocks:
-            if use_pruning:
-                count = active_prefix_length(block.levels, iteration)
-                if count == 0:
-                    continue
-            else:
-                count = len(block.linear)
-            degree_first = block.group_first.preds.shape[1]
-            degree_second = block.group_second.preds.shape[1]
-            updated = np.empty(count, dtype=self._dtype)
-            if degree_first == 0 or degree_second == 0:
-                # Only the artificial predecessor on at least one side:
-                # the real grid is empty and the pair is its base term.
-                updated[:] = block.base[:count]
-            else:
-                scale_first = half_alpha * block.inverse_first
-                scale_second = half_alpha * block.inverse_second
-                grid = degree_first * degree_second
-                chunk = max(1, _SPARSE_CHUNK_TARGET // grid)
-                for start in range(0, count, chunk):
-                    stop = min(start + chunk, count)
-                    if block.preds_first is not None:
-                        p1 = block.preds_first[start:stop]
-                        p2 = block.preds_second[start:stop]
-                    else:
-                        p1 = block.group_first.preds[block.row_pos[start:stop]]
-                        p2 = block.group_second.preds[block.col_pos[start:stop]]
-                    gathered = previous[p1[:, :, None], p2[:, None, :]]
-                    if block.agreement is not None:
-                        gathered *= block.agreement[start:stop]
-                    elif use_weights:
-                        left = block.group_first.weights[block.row_pos[start:stop]][:, :, None]
-                        right = block.group_second.weights[block.col_pos[start:stop]][:, None, :]
-                        gathered *= c * (1.0 - np.abs(left - right) / (left + right))
-                    else:
-                        gathered *= c
-                    forward = gathered.max(axis=2).sum(axis=1)
-                    backward = gathered.max(axis=1).sum(axis=1)
-                    updated[start:stop] = (
-                        block.base[start:stop]
-                        + scale_first * forward
-                        + scale_second * backward
-                    )
-            pending.append((block.linear[:count], updated))
-            total_active += count
+        # Phase 1: evaluate formula (1) over the active prefix rectangle.
+        # All reads go to `previous` (Jacobi iteration), so chunk order is
+        # irrelevant.
+        updated = grid.base[:count_first, :count_second].copy()
+        rows = grid.first.inner[: np.searchsorted(grid.first.inner, count_first)]
+        cols = grid.second.inner[: np.searchsorted(grid.second.inner, count_second)]
+        if len(rows) and len(cols):
+            forward, backward = self._reduce(previous, rows, cols, count_second)
+            block = np.ix_(rows, cols)
+            updated[block] = (
+                updated[block]
+                + grid.first.scale[rows, None] * forward
+                + grid.second.scale[None, cols] * backward
+            )
+        linear = grid.linear[:count_first, :count_second]
+        if grid.free is not None:
+            free = grid.free[:count_first, :count_second]
+            linear, updated = linear[free], updated[free]
 
         # Phase 2: commit and charge the meter in one batched call.
-        return self._commit_pending(pending, previous, total_active, meter)
+        return self._commit_pending(linear.ravel(), updated.ravel(), previous, meter)
+
+    def _reduce(
+        self, previous: np.ndarray, rows: np.ndarray, cols: np.ndarray, count_second: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Forward and backward sums of the ``rows × cols`` pairs.
+
+        *rows* and *cols* are grid positions of active nodes with real
+        predecessors; the result has shape ``(len(rows), len(cols))``.
+        ``forward[i, j]`` is the sum over ``v1``'s in-edges of the max
+        over ``v2``'s in-edges of ``C · S`` (formula (1) before the
+        ``1/|pre(v1)|`` scale); ``backward`` swaps the roles.
+        """
+        config = self.config
+        first, second = self._grid.first, self._grid.second
+        edges_second = second.offsets[count_second]
+        sources_second = second.sources[:edges_second]
+        weights_second = second.weights[:edges_second]
+        col_starts = second.offsets[cols]
+        row_starts = first.offsets[rows]
+        row_ends = first.offsets[rows + 1]
+        budget = max(1, _SPARSE_CHUNK_TARGET // edges_second)
+        forward = np.empty((len(rows), len(cols)), dtype=self._dtype)
+        backward = np.empty_like(forward)
+        start = 0
+        while start < len(rows):
+            # Whole v1 nodes of at most `budget` edge rows, or one node.
+            stop = max(
+                start + 1,
+                int(np.searchsorted(row_ends, row_starts[start] + budget, side="right")),
+            )
+            low, high = row_starts[start], row_ends[stop - 1]
+            grid = previous[first.sources[low:high]][:, sources_second]
+            if config.use_edge_weights:
+                grid *= edge_agreement(first.weights[low:high], weights_second, config.c)
+            else:
+                grid *= config.c
+            segments = row_starts[start:stop] - low
+            forward[start:stop] = np.add.reduceat(
+                np.maximum.reduceat(grid, col_starts, axis=1), segments, axis=0
+            )
+            backward[start:stop] = np.add.reduceat(
+                np.maximum.reduceat(grid, segments, axis=0), col_starts, axis=1
+            )
+            start = stop
+        return forward, backward
 
     def _commit_pending(
         self,
-        pending: list[tuple[np.ndarray, np.ndarray]],
+        linear: np.ndarray,
+        updated: np.ndarray,
         previous: np.ndarray,
-        total_active: int,
         meter: BudgetMeter | None,
     ) -> float:
         """Phase 2 of an iteration: write updates, charge, report delta.
 
-        *pending* is a list of ``(linear, updated)`` pairs, where
         ``linear`` is the row-major linear index ``i * n2 + j`` of each
-        evaluated pair.  Budget semantics are those of the per-pair loop
-        of formula (1), which visits pairs in row-major order and charges
-        one tick per pair: the meter is charged once via ``tick(n)``, and
-        when the pair-update cap would trip mid-iteration only the
-        row-major prefix of ``remaining + 1`` updates that loop would have
-        committed is written before the raise, leaving ``values`` in the
-        same valid best-so-far state.
+        evaluated pair and ``updated`` its new value.  Budget semantics
+        are those of the per-pair loop of formula (1), which visits pairs
+        in row-major order and charges one tick per pair: the meter is
+        charged once via ``tick(n)``, and when the pair-update cap would
+        trip mid-iteration only the row-major prefix of ``remaining + 1``
+        updates that loop would have committed is written before the
+        raise, leaving ``values`` in the same valid best-so-far state.
         """
-        n2 = self._n2
         remaining = meter.pair_updates_remaining if meter is not None else None
-        committed = 0
-        max_delta = 0.0
-        try:
-            if remaining is not None and total_active > remaining:
-                # The cap trips mid-iteration.  The reference loop visits
-                # pairs in row-major order and writes the pair whose tick
-                # raises before raising, so `remaining + 1` pairs commit.
-                allowed = remaining + 1
-                linear = np.concatenate([entry[0] for entry in pending])
-                updated = np.concatenate([entry[1] for entry in pending])
-                first = np.argsort(linear, kind="stable")[:allowed]
-                linear, updated = linear[first], updated[first]
-                rows, cols = np.divmod(linear, n2)
-                deltas = np.abs(updated - previous[rows, cols])
-                self.values[rows, cols] = updated
-                committed = allowed
-                max_delta = float(deltas.max()) if deltas.size else 0.0
-                meter.tick(allowed)
-                raise AssertionError("pair-update budget charge must have raised")
-            for linear, updated in pending:
-                rows, cols = np.divmod(linear, n2)
-                deltas = np.abs(updated - previous[rows, cols])
-                if deltas.size:
-                    delta = float(deltas.max())
-                    if delta > max_delta:
-                        max_delta = delta
-                self.values[rows, cols] = updated
-            committed = total_active
-            if meter is not None:
-                meter.tick(total_active)
-        finally:
-            self.pair_updates += committed
-        return max_delta
+        cut = remaining is not None and len(linear) > remaining
+        if cut:
+            # The reference loop writes the pair whose tick raises before
+            # raising, so `remaining + 1` pairs commit.
+            first = np.argsort(linear, kind="stable")[: remaining + 1]
+            linear, updated = linear[first], updated[first]
+        rows, cols = np.divmod(linear, self._n2)
+        deltas = np.abs(updated - previous[rows, cols])
+        self.values[rows, cols] = updated
+        self.pair_updates += len(linear)
+        if meter is not None:
+            meter.tick(len(linear))
+        if cut:
+            raise AssertionError("pair-update budget charge must have raised")
+        return float(deltas.max()) if deltas.size else 0.0
 
     def finished(self) -> bool:
         return self.converged or self.iterations >= self.config.max_iterations

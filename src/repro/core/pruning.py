@@ -21,7 +21,10 @@ from repro.graph.levels import max_finite_level
 class ConvergenceSchedule:
     """Pair-level convergence bounds for a pair of dependency graphs."""
 
-    __slots__ = ("levels_first", "levels_second", "pair_levels", "global_bound")
+    __slots__ = (
+        "levels_first", "levels_second", "node_levels_first", "node_levels_second",
+        "pair_levels", "global_bound",
+    )
 
     def __init__(self, first: DependencyGraph, second: DependencyGraph):
         # Graphs cache their levels (DependencyGraph.levels), so repeated
@@ -30,8 +33,13 @@ class ConvergenceSchedule:
         # pay the longest-distance pass only once per graph.
         self.levels_first = first.levels()
         self.levels_second = second.levels()
-        l1 = np.array([self.levels_first[node] for node in first.nodes])
-        l2 = np.array([self.levels_second[node] for node in second.nodes])
+        #: ``l(v)`` of each real node, in graph node order (float, may be inf).
+        self.node_levels_first = l1 = np.array(
+            [self.levels_first[node] for node in first.nodes], dtype=float
+        )
+        self.node_levels_second = l2 = np.array(
+            [self.levels_second[node] for node in second.nodes], dtype=float
+        )
         #: ``h`` for each real pair: min(l(v1), l(v2)), shape (|V1|, |V2|).
         self.pair_levels = np.minimum(l1[:, None], l2[None, :])
         #: every pair is fixed after this many iterations (may be inf).
@@ -57,12 +65,15 @@ def prefix_schedule(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(order, sorted_levels)`` where *order* stably sorts *levels*
     descending.  A pair with level ``h`` is active while ``iteration <= h``
-    (see :meth:`ConvergenceSchedule.active_mask`), so once pairs are laid
+    (see :meth:`ConvergenceSchedule.active_mask`), so once items are laid
     out in this order the active population at iteration ``n`` is exactly
-    the first :func:`active_prefix_length` entries — the EMS kernel
-    applies Proposition-2 pruning as a slice instead of a boolean gather
-    and streams its chunks inside that prefix, so frozen pairs cost no
-    scratch memory either.
+    the first :func:`active_prefix_length` entries.  The EMS kernel sorts
+    each side's *nodes* this way: a pair is active while
+    ``min(l(v1), l(v2)) >= n``, i.e. while ``l(v1) >= n`` and
+    ``l(v2) >= n``, so the active pairs form the prefix rectangle of the
+    two sorted node lists, and its in-edges (grouped by target node in
+    the same order) are an edge prefix on each side.  Pruning is then two
+    slices, and frozen pairs cost no scratch memory either.
     """
     order = np.argsort(-levels, kind="stable")
     return order, levels[order]

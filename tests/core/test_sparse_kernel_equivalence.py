@@ -1,7 +1,8 @@
 """Differential tests: the production EMS kernel against the per-pair oracle.
 
 The production kernel (:class:`repro.core.ems._DirectionalRun`) evaluates
-formula (1) as streamed CSR gather–scatter chunks.  It must remain an
+formula (1) as segmented reductions over one edge-pair grid, chunk by
+chunk inside a Proposition-2 prefix rectangle.  It must remain an
 observationally identical implementation of the per-pair reference loop
 in ``tests/ems_oracle.py``: same similarities (to within 1e-12 at
 float64), same ``iterations``, same ``pair_updates`` — across pruning
@@ -10,15 +11,18 @@ blending, fixed (Uc) pairs, estimation, the Bd abort and mid-iteration
 budget exhaustion, where even the partially-updated best-so-far state
 must match pair for pair.  The suite also pins:
 
-* **streaming mode** — with the cache limit forced to zero the kernel
-  regenerates gather indices per chunk from the node-level CSR tables;
-  results must not change;
+* **tiny chunks** — with the chunk target forced down to a few elements
+  every chunk is one or a few nodes; results must not change;
+* **the grid layout** — nodes without real predecessors (empty
+  ``reduceat`` segments), a node larger than the chunk budget, cycles,
+  self-loops and Uc-fixed pairs scattered inside the active rectangle;
 * **float32** — a narrowed run stays within 1e-5 of the float64 answer
   and preserves the per-row best match up to ties;
 * **warm starts** — the incremental composite search produces the same
   trajectory on the production kernel as on the oracle.
 """
 
+import math
 from contextlib import nullcontext
 
 import numpy as np
@@ -27,8 +31,9 @@ import pytest
 import repro.core.ems as ems_module
 from repro.core.composite import CompositeMatcher
 from repro.core.config import EMSConfig
-from repro.core.ems import EMSEngine
-from repro.graph.dependency import DependencyGraph
+from repro.core.ems import EMSEngine, WarmStart
+from repro.graph.dependency import ARTIFICIAL, DependencyGraph
+from repro.logs.log import EventLog
 from repro.runtime.budget import MatchBudget
 from repro.runtime.degrade import DegradationPolicy
 from repro.similarity.labels import QGramCosineSimilarity
@@ -55,8 +60,7 @@ def graphs_12() -> tuple[DependencyGraph, DependencyGraph]:
 
 @pytest.fixture()
 def streaming_mode(monkeypatch):
-    """Force the kernel off its cached path and onto tiny chunks."""
-    monkeypatch.setattr(ems_module, "_SPARSE_CACHE_LIMIT", 0)
+    """Force the kernel onto tiny chunks (one or a few nodes each)."""
     monkeypatch.setattr(ems_module, "_SPARSE_CHUNK_TARGET", 7)
 
 
@@ -134,19 +138,18 @@ class TestExactEquivalence:
 
 
 class TestStreamingMode:
-    """The cached and streaming paths must not disagree."""
+    """The chunk size must not change any result."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_streaming_matches_reference(self, streaming_mode, seed):
         graphs = graphs_for(8 + 2 * seed, seed=seed)
         assert_equivalent(*run_kernels(graphs, {}))
 
-    def test_streaming_matches_cached(self, graphs_12, monkeypatch):
-        cached = run_kernels(graphs_12, {}, oracles=(False,))[0]
-        monkeypatch.setattr(ems_module, "_SPARSE_CACHE_LIMIT", 0)
+    def test_tiny_chunks_match_default_chunks(self, graphs_12, monkeypatch):
+        default = run_kernels(graphs_12, {}, oracles=(False,))[0]
         monkeypatch.setattr(ems_module, "_SPARSE_CHUNK_TARGET", 7)
-        streamed = run_kernels(graphs_12, {}, oracles=(False,))[0]
-        assert_equivalent(streamed, cached)
+        tiny = run_kernels(graphs_12, {}, oracles=(False,))[0]
+        assert_equivalent(tiny, default)
 
     def test_streaming_under_pruning_and_labels(self, streaming_mode, graphs_12):
         assert_equivalent(
@@ -155,6 +158,141 @@ class TestStreamingMode:
                 label=QGramCosineSimilarity(),
             )
         )
+
+
+def explicit_graph(names: str, edges: list[str], seed: int) -> DependencyGraph:
+    """A graph over one-letter *names* with ``"ab"`` meaning edge a → b."""
+    rng = np.random.default_rng(seed)
+    return DependencyGraph(
+        {name: float(rng.uniform(0.2, 1.0)) for name in names},
+        {(edge[0], edge[1]): float(rng.uniform(0.05, 1.0)) for edge in edges},
+    )
+
+
+def step_counts(graphs, config: EMSConfig) -> list[int]:
+    """Pair updates of each forward iteration of an unbudgeted run."""
+    run = ems_module._DirectionalRun(
+        *graphs, config, np.zeros((len(graphs[0].nodes), len(graphs[1].nodes)))
+    )
+    counts = []
+    while not run.finished():
+        before = run.pair_updates
+        run.advance()
+        counts.append(run.pair_updates - before)
+    return counts
+
+
+#: Nodes b, d and f have no real predecessor; by name they sit between
+#: nodes that do, so their empty edge segments are interleaved in the grid.
+INTERLEAVED = ("abcdefg", ["ba", "bc", "dc", "de", "fe", "fg", "ag", "ce"])
+#: Every node has a real predecessor.
+DENSE = ("uvwxy", ["uv", "vw", "wx", "xy", "yu", "uw", "vx"])
+
+
+class TestEdgePairGrid:
+    """Layout corners of the edge-pair grid, each against the oracle."""
+
+    @pytest.mark.parametrize("sides", ["first", "both"])
+    @pytest.mark.parametrize("use_pruning", [True, False])
+    def test_nodes_without_real_predecessors(self, sides, use_pruning):
+        first = explicit_graph(*INTERLEAVED, seed=1)
+        second = explicit_graph(*(INTERLEAVED if sides == "both" else DENSE), seed=2)
+        assert_equivalent(*run_kernels((first, second), {"use_pruning": use_pruning}))
+
+    @pytest.mark.parametrize("sides", ["first", "both"])
+    def test_empty_segments_interleaved_in_level_order(self, sides):
+        """Empty segments between non-empty ones in the level order.
+
+        True levels put every node without real predecessors last (they
+        all have ``l(v) = 1``), so the test seeds levels that interleave
+        them with the others.  Kernel and oracle read the same schedule,
+        so they must still agree exactly.
+        """
+        graphs = [explicit_graph(*INTERLEAVED, seed=3)]
+        graphs.append(explicit_graph(*(INTERLEAVED if sides == "both" else DENSE), seed=4))
+        for graph in graphs:
+            for side in (graph, graph.reversed()):
+                levels = {ARTIFICIAL: 0.0}
+                for k, node in enumerate(side.nodes):
+                    levels[node] = float(len(side.nodes) - k)
+                side._seed_levels(levels)
+        assert_equivalent(*run_kernels(tuple(graphs), {}))
+
+    @pytest.mark.parametrize("target", [1, 9, 30])
+    @pytest.mark.parametrize("use_pruning", [True, False])
+    def test_node_larger_than_chunk_budget(self, monkeypatch, target, use_pruning):
+        # h has nine in-edges: more edge rows than any chunk budget here.
+        hub = ("abcdefghij", ["ah", "bh", "ch", "dh", "eh", "fh", "gh", "ih", "jh",
+                              "ab", "bc", "hj"])
+        graphs = explicit_graph(*hub, seed=5), explicit_graph(*DENSE, seed=6)
+        monkeypatch.setattr(ems_module, "_SPARSE_CHUNK_TARGET", target)
+        assert_equivalent(*run_kernels(graphs, {"use_pruning": use_pruning}))
+
+    @pytest.mark.parametrize("use_pruning", [True, False])
+    def test_cyclic_graphs(self, use_pruning):
+        first = DependencyGraph.from_log(EventLog([list("abcab"), list("bcad")] * 3))
+        second = DependencyGraph.from_log(EventLog([list("xyzx"), list("zyw")] * 3))
+        assert math.isinf(first.levels()["a"])
+        assert_equivalent(*run_kernels((first, second), {"use_pruning": use_pruning}))
+
+    @pytest.mark.parametrize("use_edge_weights", [True, False])
+    def test_self_loops(self, use_edge_weights):
+        first = explicit_graph("abcd", ["aa", "ab", "bb", "bc", "cd"], seed=7)
+        second = explicit_graph("wxyz", ["ww", "wx", "xy", "yy", "yz", "zz"], seed=8)
+        assert_equivalent(
+            *run_kernels((first, second), {"use_edge_weights": use_edge_weights})
+        )
+
+    @pytest.mark.parametrize("fixed_share", [0.0, 0.3, 1.0])
+    def test_scattered_fixed_pairs(self, graphs_12, fixed_share):
+        """Uc-fixed pairs inside the rectangle, with whole fixed rows/columns."""
+        first, second = graphs_12
+        rng = np.random.default_rng(9)
+        shape = (len(first.nodes), len(second.nodes))
+        warm = {}
+        for name in ("fixed_forward", "fixed_backward"):
+            fixed = rng.random(shape) < fixed_share
+            fixed[[2, 5], :] = True  # wholly fixed rows
+            fixed[:, [0, 7]] = True  # wholly fixed columns
+            warm[name] = WarmStart(values=rng.random(shape), dirty=~fixed)
+        assert_equivalent(*run_kernels(graphs_12, {}, **warm))
+
+    def test_fixed_pairs_dict_with_whole_row(self, graphs_12):
+        first, second = graphs_12
+        fixed = {(first.nodes[3], node): 0.4 for node in second.nodes}
+        fixed[first.nodes[6], second.nodes[2]] = 0.7
+        assert_equivalent(*run_kernels(graphs_12, {}, fixed_forward=fixed))
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_budget_cut_inside_pruned_iterations(self, graphs_12, warm):
+        """Caps that trip halfway through iterations whose rectangle shrank."""
+        counts = step_counts(graphs_12, EMSConfig())
+        full = counts[0]
+        caps = [
+            sum(counts[:k]) + counts[k] // 2
+            for k in range(1, len(counts)) if 1 < counts[k] < full
+        ]
+        assert caps, "pruning must shrink the rectangle on this pair"
+        kwargs = {}
+        if warm:
+            first, second = graphs_12
+            dirty = np.ones((len(first.nodes), len(second.nodes)), dtype=bool)
+            dirty[1, :] = False
+            dirty[4, 3] = dirty[8, 9] = False
+            kwargs["fixed_forward"] = WarmStart(np.full(dirty.shape, 0.3), dirty)
+        for cap in caps[:4]:
+            results = []
+            for oracle in (False, True):
+                meter = MatchBudget(max_pair_updates=cap).start()
+                with kernel(oracle):
+                    result, stage, _ = EMSEngine().similarity_resilient(
+                        *graphs_12, meter, DegradationPolicy.partial_only(), **kwargs
+                    )
+                results.append((result, stage, meter.pair_updates_spent))
+            (sparse, stage_sparse, spent_sparse), (ref, stage_ref, spent_ref) = results
+            assert stage_sparse == stage_ref == "partial"
+            assert spent_sparse == spent_ref
+            assert_equivalent(sparse, ref)
 
 
 class TestAbortEquivalence:

@@ -2,7 +2,9 @@
 
 These check the paper's theorems on random logs: monotone convergence
 (Theorem 1), early-convergence pruning being lossless (Proposition 2),
-bound soundness (Proposition 6 / Corollary 7), and symmetry.
+bound soundness (Proposition 6 / Corollary 7), and symmetry.  One
+property pins the production kernel to the per-pair oracle on small
+random graphs.
 """
 
 import numpy as np
@@ -11,10 +13,11 @@ from hypothesis import strategies as st
 
 from repro.core.bounds import matrix_upper_bound
 from repro.core.config import EMSConfig
-from repro.core.ems import EMSEngine, iteration_trace
+from repro.core.ems import EMSEngine, WarmStart, iteration_trace
 from repro.core.pruning import ConvergenceSchedule
 from repro.graph.dependency import DependencyGraph
 from repro.logs.log import EventLog
+from tests.ems_oracle import reference_kernel
 
 activity = st.sampled_from(list("abcdefg"))
 trace_strategy = st.lists(activity, min_size=1, max_size=6)
@@ -110,3 +113,49 @@ def test_self_similarity_diagonal_dominates_on_average(traces):
         diagonal = values.diagonal().mean()
         off = (values.sum() - values.diagonal().sum()) / (n * n - n)
         assert diagonal >= off - 1e-9
+
+
+frequency = st.floats(min_value=0.05, max_value=1.0)
+
+
+@st.composite
+def small_graph(draw) -> DependencyGraph:
+    """A random graph of 1-6 nodes; self-loops, cycles and sources allowed."""
+    names = [f"n{k}" for k in range(draw(st.integers(1, 6)))]
+    edges = draw(st.sets(st.tuples(st.sampled_from(names), st.sampled_from(names))))
+    return DependencyGraph(
+        {name: draw(frequency) for name in names},
+        {edge: draw(frequency) for edge in sorted(edges)},
+    )
+
+
+@given(
+    small_graph(),
+    small_graph(),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from(["forward", "backward", "both"]),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_oracle(first, second, use_pruning, use_edge_weights,
+                               direction, data):
+    """The edge-pair grid kernel is the per-pair loop of formula (1)."""
+    config = EMSConfig(
+        use_pruning=use_pruning, use_edge_weights=use_edge_weights, direction=direction
+    )
+    shape = (len(first.nodes), len(second.nodes))
+    dirty = np.array(
+        data.draw(st.lists(st.booleans(), min_size=shape[0] * shape[1],
+                           max_size=shape[0] * shape[1])),
+        dtype=bool,
+    ).reshape(shape)
+    warm = WarmStart(values=np.full(shape, 0.5), dirty=dirty)
+    production = EMSEngine(config).similarity(first, second, warm, warm)
+    with reference_kernel():
+        oracle = EMSEngine(config).similarity(first, second, warm, warm)
+    assert production.iterations == oracle.iterations
+    assert production.pair_updates == oracle.pair_updates
+    np.testing.assert_allclose(
+        production.matrix.values, oracle.matrix.values, rtol=0, atol=1e-12
+    )
