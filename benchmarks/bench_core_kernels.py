@@ -327,7 +327,8 @@ def _scenarios():
     def composite_search(incremental: bool):
         # The cold scenario runs the production greedy loop on the
         # full-rebuild test oracle: every candidate rewrites its log and
-        # rebuilds its graph, in static order and without screening.
+        # rebuilds its graph.  Both scenarios evaluate the same candidates
+        # in the same order, so they report the same pair_updates.
         cls = CompositeMatcher if incremental else ColdCompositeMatcher
         matcher = cls(
             EMSConfig(), delta=0.001, min_confidence=0.9, max_run_length=3
@@ -342,9 +343,9 @@ def _scenarios():
         # warm-up call populates the on-disk store, so the timed repeats
         # measure the warm path: every candidate evaluation is served
         # from a digest-verified cache entry and only candidate
-        # discovery, bound precomputation, and the accepted-merge graph
-        # rebuilds remain.  ``warm_cache_speedup`` (vs the cold search)
-        # carries a 5x floor in :func:`compare`.
+        # discovery and the accepted-merge graph rebuilds remain.
+        # ``warm_cache_speedup`` (vs the cold search) carries a 5x floor
+        # in :func:`compare`.
         cache_dir = tempfile.mkdtemp(prefix="bench_evalcache_")
         atexit.register(shutil.rmtree, cache_dir, ignore_errors=True)
         cache = EvaluationCache(Path(cache_dir))

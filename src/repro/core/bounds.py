@@ -15,7 +15,8 @@ iterations:
 
 Section 4.3 uses these to abort evaluating a composite-event candidate as
 soon as the upper bound of its average similarity falls below the best
-average found so far (the *Bd* pruning of Figure 12).
+average found so far (the *Bd* pruning of Figure 12), keeping
+:data:`ABORT_MARGIN` as slack.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ import math
 
 import numpy as np
 
-#: Strict-dominance margin used wherever a sound upper bound is compared
-#: against an incumbent average (estimation screening, best-first cutoff,
-#: the Bd abort of a candidate evaluation).
-#: A candidate is skipped only when ``bound < incumbent - SCREEN_MARGIN``:
-#: bounds within the margin of the incumbent are conservatively evaluated,
-#: so float noise in the bound arithmetic can never skip a candidate the
-#: exact evaluation would have selected.
-SCREEN_MARGIN = 1e-9
+#: Strict-dominance margin of the Bd abort: the composite search lowers
+#: the incumbent average by this much before handing it to a candidate
+#: evaluation as its abort threshold.  A candidate is cut short only when
+#: its bound falls below ``incumbent - ABORT_MARGIN``, so a near-tie is
+#: always evaluated in full and float noise in the bound arithmetic can
+#: never abort a candidate the exact evaluation would have selected.
+ABORT_MARGIN = 1e-9
 
 
 def pair_upper_bound(value: float, k: int, decay: float, h: float = math.inf) -> float:
@@ -92,39 +92,3 @@ def average_upper_bound(
         return 0.0
     return float(matrix_upper_bound(values, k, decay, pair_levels).mean())
 
-
-def estimation_screen_bound(
-    q: np.ndarray,
-    a: np.ndarray,
-    tolerance: float = 1e-9,
-    max_rounds: int = 200,
-) -> np.ndarray:
-    """A sound per-pair upper bound on the converged similarity from ``(q, a)``.
-
-    The Section-3.5 estimation coefficients satisfy, for *any* iterate,
-    ``S^n(v1, v2) <= q * u + a`` whenever every pair's previous iterate is
-    at most ``u``: the two directional terms of formula (1) are averages of
-    ``max C * S`` with ``C <= c``, with the artificial predecessor pair
-    contributing ``C_art * S(v1^X, v2^X) = C_art`` — exactly the split that
-    produces ``q`` and ``a``.  Starting from the trivial ``u_0 = 1`` and
-    refining ``u_{k+1} = max(min(1, q * u_k + a))`` therefore bounds every
-    iterate by induction, hence the limit.  The refinement is monotone
-    non-increasing, so iterating to a fixpoint tightens the bound without
-    ever under-cutting the true similarity — this is what makes
-    estimation-bound candidate screening trajectory-preserving: a candidate
-    rejected because the mean of this bound cannot beat the incumbent
-    average would also have been rejected by the exact evaluation.
-
-    Returns the per-pair bound matrix (same shape as *q*).
-    """
-    if q.size == 0:
-        return np.ones_like(q)
-    u = 1.0
-    bound = np.minimum(1.0, q * u + a)
-    for _ in range(max_rounds):
-        refined = float(bound.max())
-        if refined >= u - tolerance:
-            break
-        u = refined
-        bound = np.minimum(1.0, q * u + a)
-    return bound

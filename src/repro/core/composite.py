@@ -17,7 +17,8 @@ uses a greedy loop (Algorithm 2):
 3. accept the best candidate if it improves the average by more than the
    threshold ``delta``; otherwise stop.
 
-Two accelerations from the paper are implemented:
+Two accelerations from the paper are implemented, and nothing else
+steers the search:
 
 * **Uc** (Proposition 4): when merging ``U`` into one graph, every pair
   whose row/column node has no real path from ``U`` keeps its similarity;
@@ -27,9 +28,8 @@ Two accelerations from the paper are implemented:
   similarity upper bound and abort as soon as they provably cannot beat
   the incumbent.
 
-Without a budget, rounds also screen candidates by a sound estimation
-bound and evaluate them best-bound first.  Budgeted rounds keep the static
-discovery order.  The selected merges are the same either way.
+Every round evaluates its candidates in discovery order, with or without
+a budget.
 
 Candidate discovery follows the paper's convention: "grouping singleton
 events that always appear consecutively, following the convention of SEQ
@@ -42,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.core.bounds import SCREEN_MARGIN
+from repro.core.bounds import ABORT_MARGIN
 from repro.core.config import EMSConfig
 from repro.core.ems import EMSEngine, EMSResult, LabelMatrixCache
 from repro.core.incremental import CandidateEvaluation, IncrementalSearchState
@@ -139,20 +139,13 @@ def discover_candidates(
 # ----------------------------------------------------------------------
 @dataclass(slots=True)
 class CompositeStats:
-    """Instrumentation of one greedy matching run (Figures 12-14).
-
-    ``screen_checks`` counts candidates subjected to the estimation-bound
-    screen, ``candidates_screened`` those it rejected before any graph was
-    built; screened candidates are not counted in ``candidates_evaluated``.
-    """
+    """Instrumentation of one greedy matching run (Figures 12-14)."""
 
     rounds: int = 0
     candidates_evaluated: int = 0
     evaluations_aborted: int = 0
     pair_updates: int = 0
     pairs_fixed: int = 0
-    screen_checks: int = 0
-    candidates_screened: int = 0
     #: Supervision counters (zero on unsupervised runs): evaluations
     #: re-run after a failure, and poison candidates set aside so their
     #: round could complete.
@@ -466,7 +459,7 @@ class CompositeMatcher:
 
         Candidate merges are evaluated through an
         :class:`IncrementalSearchState` — delta count patches, patched
-        levels, warm-started fixpoints and estimation screening.  The
+        levels and warm-started fixpoints.  The
         full-rebuild evaluator it is tested against lives with the tests
         (``tests/composite_oracle.py``).
 
@@ -517,7 +510,7 @@ class CompositeMatcher:
                         tasks.append((side_index, run))
                 round_span.attributes["candidates"] = len(tasks)
 
-                best, best_average = self._round_serial(
+                best, best_average = self._round(
                     tasks, incremental, stats, target, current_average,
                     meter, supervise,
                 )
@@ -590,7 +583,7 @@ class CompositeMatcher:
         return runs
 
     # ------------------------------------------------------------------
-    def _round_serial(
+    def _round(
         self,
         tasks: list[tuple[int, tuple[str, ...]]],
         incremental: IncrementalSearchState,
@@ -600,62 +593,29 @@ class CompositeMatcher:
         meter: BudgetMeter | None,
         supervise: bool,
     ) -> tuple[tuple[int, tuple[str, ...], EMSResult] | None, float]:
-        """One round of candidates, evaluated in-process.
+        """One round of candidates, evaluated in discovery order.
 
-        Without a budget meter, candidates are evaluated in descending
-        order of their sound estimation upper bound rather than discovery
-        order, and the round cuts off as soon as the next bound cannot
-        beat the incumbent — the bounds are sorted, so neither can any
-        later one.  The selected merge is bit-identical to the static
-        order: the bound is sound (a cut candidate provably loses) and
-        equal-average ties resolve to the lowest original position, which
-        is exactly the candidate the static strict-improvement scan would
-        have kept.  A budgeted round keeps the static order, so budget
-        accounting does not depend on the bounds.
+        The first candidate with the strictly highest average wins.
         """
         evaluate = (
             self._evaluate_supervised if supervise else self._evaluate
         )
         best: tuple[int, tuple[str, ...], EMSResult] | None = None
-        best_position = -1
-        order = list(range(len(tasks)))
-        bounds: list[float] | None = None
-        if meter is None and len(tasks) > 1:
-            bounds = []
-            for side_index, run in tasks:
-                stats.screen_checks += 1
-                bounds.append(incremental.candidate_bound(side_index, run))
-            order.sort(key=lambda position: (-bounds[position], position))
-        for rank, position in enumerate(order):
-            side_index, run = tasks[position]
-            if bounds is not None and (
-                bounds[position] < max(best_average, target) - SCREEN_MARGIN
-            ):
-                # Global cutoff: bounds are sorted descending, so every
-                # remaining candidate is provably below the incumbent too.
-                stats.candidates_screened += len(order) - rank
-                break
+        for side_index, run in tasks:
             # Bd aborts only candidates provably below the incumbent by more
-            # than rounding: a near-tie is evaluated in full, so every
-            # schedule compares the same computed averages.
+            # than rounding: a near-tie is evaluated in full, so the abort
+            # never decides between two equal averages.
             outcome = evaluate(
                 incremental, side_index, run, stats,
-                abort_below=max(best_average, target) - SCREEN_MARGIN,
+                abort_below=max(best_average, target) - ABORT_MARGIN,
                 meter=meter,
-                screen_bound=bounds[position] if bounds is not None else None,
             )
             if outcome is None:
                 continue
             average = outcome.matrix.average()
-            if average > best_average or (
-                bounds is not None
-                and best is not None
-                and average == best_average
-                and position < best_position
-            ):
+            if average > best_average:
                 best_average = average
                 best = (side_index, run, outcome)
-                best_position = position
         return best, best_average
 
     # ------------------------------------------------------------------
@@ -688,26 +648,16 @@ class CompositeMatcher:
         stats: CompositeStats,
         abort_below: float,
         meter: BudgetMeter | None = None,
-        screen_bound: float | None = None,
     ) -> EMSResult | None:
         """Similarity of the graphs after merging *run* on one side.
 
-        *screen_bound* is the candidate's precomputed bound on the
-        best-first path; its screen check was already counted when the
-        bound was computed, so only the static path counts one here.
+        The candidate counts as evaluated even if the budget meter raises
+        mid-fixpoint.
         """
-        screening = meter is None
         key = hit = None
         if meter is None:
             key, hit = self._cached_evaluation(side_index, run, abort_below)
-        if not screening:
-            # The candidate counts as evaluated even if the budget meter
-            # raises mid-fixpoint.  (Screening cannot raise — it is only
-            # active without a meter — so with screening on the count can
-            # safely wait for the screen verdict.)
-            stats.candidates_evaluated += 1
-        elif screen_bound is None:
-            stats.screen_checks += 1
+        stats.candidates_evaluated += 1
         if hit is not None:
             evaluation = hit
         else:
@@ -715,16 +665,10 @@ class CompositeMatcher:
                 "candidate.evaluate", side=side_index, run=list(run)
             ):
                 evaluation = incremental.evaluate(
-                    side_index, run, abort_below, meter,
-                    screen_bound=screen_bound,
+                    side_index, run, abort_below, meter
                 )
             if key is not None:
                 self.eval_cache.store(key, evaluation)
-        if evaluation.screened:
-            stats.candidates_screened += 1
-            return None
-        if screening:
-            stats.candidates_evaluated += 1
         stats.pairs_fixed += evaluation.pairs_fixed
         if evaluation.outcome is None:
             stats.evaluations_aborted += 1
@@ -740,7 +684,6 @@ class CompositeMatcher:
         stats: CompositeStats,
         abort_below: float,
         meter: BudgetMeter | None = None,
-        screen_bound: float | None = None,
     ) -> EMSResult | None:
         """:meth:`_evaluate` under :func:`~repro.runtime.run_supervised`.
 
@@ -759,8 +702,7 @@ class CompositeMatcher:
                     side=side_index, run=run, attempt=attempt,
                 )
             return self._evaluate(
-                incremental, side_index, run, stats, abort_below, meter,
-                screen_bound=screen_bound,
+                incremental, side_index, run, stats, abort_below, meter
             )
 
         value, record = run_supervised(

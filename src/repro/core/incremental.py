@@ -19,20 +19,16 @@ that full rebuild:
   :class:`repro.core.ems.WarmStart` whose non-dirty region is exactly the
   Proposition-4 unchanged set a full rebuild seeds through ``fixed_pairs``
   dictionaries.  Same fixed cells, same values, array-built — the fixpoint
-  then re-iterates only pairs in the dirty frontier;
-* **estimation-bound screening** — before any graph is built, the
-  candidate's average similarity is bounded from the closed-form Section
-  3.5 coefficients (:func:`repro.core.bounds.estimation_screen_bound`,
-  computed straight from the patched counts).  A candidate whose bound
-  cannot beat the incumbent ``Bd`` is rejected outright.  The bound is
-  sound, so screening never changes the merge trajectory; it is disabled
-  while a :class:`~repro.runtime.budget.BudgetMeter` is active so budget
-  accounting stays identical to the unscreened path.
+  then re-iterates only pairs in the dirty frontier.
+
+Each candidate then runs under the Bd abort of Section 4.3 when
+``use_bounds`` is on; nothing else decides whether a candidate is
+evaluated.
 
 The full rebuild is the test oracle in ``tests/composite_oracle.py``.
 ``tests/property/test_property_incremental.py`` holds the equivalence to
-account: identical trajectories, scores and ``pairs_fixed`` against the
-oracle, including under mid-round budget exhaustion.
+account: identical trajectories, scores and stats against the oracle,
+with and without a budget, including under mid-round budget exhaustion.
 """
 
 from __future__ import annotations
@@ -41,15 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.bounds import SCREEN_MARGIN, estimation_screen_bound
 from repro.core.config import EMSConfig
-from repro.core.ems import EMSEngine, EMSResult, LabelMatrixCache, WarmStart, edge_agreement
-from repro.core.estimation import estimation_coefficients
+from repro.core.ems import EMSEngine, EMSResult, LabelMatrixCache, WarmStart
 from repro.core.matrix import SimilarityMatrix
 from repro.graph.dependency import DependencyGraph
 from repro.graph.merge import (
     LogCounts,
-    MergeDelta,
     TraceIndex,
     apply_delta_to_log,
     merge_counts,
@@ -62,26 +55,16 @@ from repro.obs import NULL_OBSERVER, Observer
 from repro.runtime.budget import BudgetMeter
 from repro.similarity.labels import CompositeAwareSimilarity, LabelSimilarity, OpaqueSimilarity
 
-#: Slack subtracted from the incumbent bound before rejecting a candidate,
-#: so borderline floating-point ties always fall through to the exact
-#: evaluation instead of risking a trajectory divergence.  Shared with the
-#: best-first cutoff as :data:`repro.core.bounds.SCREEN_MARGIN`.
-_SCREEN_MARGIN = SCREEN_MARGIN
-
 
 @dataclass(slots=True)
 class CandidateEvaluation:
     """What :meth:`IncrementalSearchState.evaluate` learned about one candidate.
 
-    ``outcome`` is ``None`` when the candidate was killed without a full
-    evaluation — by the Bd abort (``screened`` False) or by the estimation
-    screen (``screened`` True, ``bound`` holding the losing upper bound).
+    ``outcome`` is ``None`` when the Bd abort cut the evaluation short.
     """
 
     outcome: EMSResult | None
     pairs_fixed: int
-    screened: bool
-    bound: float | None = None
 
 
 @dataclass(slots=True)
@@ -126,11 +109,6 @@ class IncrementalSearchState:
         #: Per (direction, side): the parent matrix as a raw array, built
         #: lazily once per round and sliced into candidate warm starts.
         self._warm_values: dict[str, np.ndarray] = {}
-        #: Deltas computed by :meth:`candidate_bound` this round, consumed
-        #: by the matching :meth:`evaluate` call so best-first scheduling
-        #: never runs ``merge_counts`` twice for one candidate.  Keyed by
-        #: ``(side_index, run)``; flushed whenever the side states move.
-        self._delta_memo: dict[tuple[int, tuple[str, ...]], MergeDelta] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -151,7 +129,6 @@ class IncrementalSearchState:
         ]
         self._directional = None
         self._warm_values = {}
-        self._delta_memo = {}
 
     def begin_round(self, directional: dict[str, SimilarityMatrix] | None) -> None:
         """Start a greedy round; *directional* feeds this round's warm starts."""
@@ -161,7 +138,6 @@ class IncrementalSearchState:
             if self._directional
             else {}
         )
-        self._delta_memo = {}
 
     def side(self, side_index: int) -> _IncrementalSide:
         return self._sides[side_index]
@@ -169,60 +145,21 @@ class IncrementalSearchState:
     # ------------------------------------------------------------------
     # Candidate evaluation
     # ------------------------------------------------------------------
-    def candidate_bound(self, side_index: int, run: tuple[str, ...]) -> float:
-        """The sound estimation upper bound of one candidate, graph-free.
-
-        Best-first scheduling calls this for every candidate of a round
-        before any full evaluation.  The ``merge_counts`` delta it
-        computes is memoized for the follow-up :meth:`evaluate` call on
-        the same candidate, so the priority pass adds only the (cheap)
-        bound arithmetic over the static order's cost.
-        """
-        side = self._sides[side_index]
-        other = self._sides[1 - side_index]
-        key = (side_index, run)
-        delta = self._delta_memo.get(key)
-        if delta is None:
-            delta = merge_counts(side.counts, side.index, run)
-            self._delta_memo[key] = delta
-        return self._screen_bound(delta, other.graph)
-
     def evaluate(
         self,
         side_index: int,
         run: tuple[str, ...],
         abort_below: float,
         meter: BudgetMeter | None = None,
-        screen_bound: float | None = None,
     ) -> CandidateEvaluation:
         """Score merging *run* on one side, incrementally.
 
         Same graphs, same fixed pairs and same engine calls as a full
-        rebuild, so results are interchangeable with it.  Screening runs
-        only without a budget *meter*, so budget accounting matches the
-        unscreened order.  *screen_bound* short-circuits the screening
-        recomputation when the caller already holds this candidate's
-        :meth:`candidate_bound` (the best-first path); the comparison
-        against *abort_below* is still performed here so screening
-        semantics are identical either way.
+        rebuild, so results are interchangeable with it.
         """
         side = self._sides[side_index]
         other = self._sides[1 - side_index]
-        delta = self._delta_memo.pop((side_index, run), None)
-        if delta is None:
-            delta = merge_counts(side.counts, side.index, run)
-
-        if meter is None:
-            bound = (
-                screen_bound
-                if screen_bound is not None
-                else self._screen_bound(delta, other.graph)
-            )
-            if bound < abort_below - _SCREEN_MARGIN:
-                self.observer.count("composite_candidates_screened_total")
-                return CandidateEvaluation(
-                    outcome=None, pairs_fixed=0, screened=True, bound=bound
-                )
+        delta = merge_counts(side.counts, side.index, run)
 
         merged_members = merged_member_map(
             sorted(delta.counts.activity), run, side.members
@@ -257,13 +194,12 @@ class IncrementalSearchState:
             outcome = engine.similarity(
                 graphs[0], graphs[1], fixed_forward, fixed_backward, meter=meter
             )
-        return CandidateEvaluation(outcome=outcome, pairs_fixed=pairs_fixed, screened=False)
+        return CandidateEvaluation(outcome=outcome, pairs_fixed=pairs_fixed)
 
     def apply_accepted(
         self, side_index: int, run: tuple[str, ...]
     ) -> tuple[EventLog, dict[str, frozenset[str]], DependencyGraph]:
         """Advance one side past an accepted merge; returns its new state."""
-        self._delta_memo = {}
         side = self._sides[side_index]
         delta = merge_counts(side.counts, side.index, run)
         members = merged_member_map(sorted(delta.counts.activity), run, side.members)
@@ -353,59 +289,3 @@ class IncrementalSearchState:
             starts[direction] = start
             count += start.pairs_fixed
         return starts.get("forward"), starts.get("backward"), count
-
-    # ------------------------------------------------------------------
-    # Estimation-bound screening (Section 3.5 as a filter)
-    # ------------------------------------------------------------------
-    def _screen_bound(self, delta: MergeDelta, other_graph: DependencyGraph) -> float:
-        """Upper bound of the candidate's average similarity, graph-free.
-
-        Degrees and node frequencies of the merged side come straight from
-        the patched counts; the other side reads its (already built)
-        graph.  With a non-opaque label similarity the label term is
-        bounded by ``S^L <= 1`` so no label matrix is needed either.
-        """
-        config = self.config
-        stats = delta.counts.statistics()
-        tc = delta.counts.trace_count
-        threshold = self.min_edge_frequency
-        merged_nodes = sorted(delta.counts.activity)
-        in_degree = {node: 1 for node in merged_nodes}   # the v^X source edge
-        out_degree = {node: 1 for node in merged_nodes}
-        for (source, target), freq in stats.pair_frequencies.items():
-            if freq >= threshold:
-                in_degree[target] += 1
-                out_degree[source] += 1
-        merged_freq = np.array([stats.activity_frequencies[n] for n in merged_nodes])
-        other_nodes = other_graph.nodes
-        other_freq = np.array([other_graph.frequency(n) for n in other_nodes])
-        other_in = np.array([len(other_graph.predecessors(n)) for n in other_nodes])
-        other_out = np.array([len(other_graph.successors(n)) for n in other_nodes])
-        merged_in = np.array([in_degree[n] for n in merged_nodes])
-        merged_out = np.array([out_degree[n] for n in merged_nodes])
-
-        if config.use_edge_weights:
-            artificial = edge_agreement(merged_freq, other_freq, config.c)
-        else:
-            artificial = np.full((len(merged_nodes), len(other_nodes)), config.c)
-        if isinstance(self.base_label, OpaqueSimilarity) or config.alpha == 1.0:
-            label = np.zeros_like(artificial)
-        else:
-            label = np.ones_like(artificial)  # S^L <= 1: stay an upper bound
-
-        # Direction pre-counts: forward uses in-degrees, backward (reversed
-        # graphs) uses out-degrees; the artificial agreement is symmetric,
-        # and (q, a) are symmetric in (A, B), so the bound's mean does not
-        # depend on which side is "first".
-        bounds: list[float] = []
-        if config.direction in ("forward", "both"):
-            q, a = estimation_coefficients(
-                merged_in, other_in, artificial, label, config.alpha, config.c
-            )
-            bounds.append(float(estimation_screen_bound(q, a).mean()))
-        if config.direction in ("backward", "both"):
-            q, a = estimation_coefficients(
-                merged_out, other_out, artificial, label, config.alpha, config.c
-            )
-            bounds.append(float(estimation_screen_bound(q, a).mean()))
-        return float(np.mean(bounds))

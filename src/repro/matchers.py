@@ -396,8 +396,6 @@ class EMSCompositeMatcher(EventMatcher):
                 "evaluations_aborted": float(stats.evaluations_aborted),
                 "pair_updates": float(stats.pair_updates),
                 "pairs_fixed": float(stats.pairs_fixed),
-                "screen_checks": float(stats.screen_checks),
-                "candidates_screened": float(stats.candidates_screened),
                 "composites_accepted": float(
                     len(result.accepted_first) + len(result.accepted_second)
                 ),

@@ -3,7 +3,7 @@
 Three metric kinds, mirroring the Prometheus data model:
 
 * :class:`Counter` — monotonically increasing totals (pair updates,
-  candidates screened, store hits, ...);
+  merges accepted, store hits, ...);
 * :class:`Gauge` — last-observed values (current round, cache size);
 * :class:`Histogram` — cumulative-bucket distributions (per-stage
   seconds).

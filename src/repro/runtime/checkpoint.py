@@ -48,8 +48,10 @@ from repro.runtime.faults import FaultPlan
 _logger = get_logger(__name__)
 
 #: Format magic; bump when the payload schema changes so stale
-#: checkpoints are rejected as incompatible rather than misread.
-_MAGIC = b"EMSCKPT2"
+#: checkpoints are rejected as incompatible rather than misread.  Version
+#: 3 dropped the two estimation-screen counters of the pickled
+#: ``CompositeStats``.
+_MAGIC = b"EMSCKPT3"
 
 
 def atomic_write(directory: Path, target: Path, data: bytes) -> Path:

@@ -1,12 +1,13 @@
 """Cross-run persistent cache of composite candidate evaluations.
 
 A composite search spends nearly all of its time in candidate
-evaluation, and repeated or near-repeated workloads — re-running a
-matching after a config tweak elsewhere, nightly jobs over slowly
-drifting logs, a resumed experiment — re-evaluate candidates whose
-inputs have not changed at all.  This module memoizes
-:class:`~repro.core.incremental.CandidateEvaluation` results on disk,
-content-addressed so a hit is *provably* the same computation:
+evaluation, and repeated workloads — re-running a matching after a
+config tweak elsewhere, nightly jobs over slowly drifting logs, a
+resumed experiment — re-evaluate candidates whose inputs have not
+changed at all.  This module memoizes
+:class:`~repro.core.incremental.CandidateEvaluation` results (the
+fixpoint outcome, or ``None`` for a Bd abort, plus the Uc pair count)
+on disk, content-addressed so a hit is *provably* the same computation:
 
 * the **base key** is :func:`~repro.runtime.checkpoint.search_content_key`
   over the two logs' traces, every :class:`~repro.core.config.EMSConfig`
@@ -15,15 +16,15 @@ content-addressed so a hit is *provably* the same computation:
 * the **candidate key** (:func:`candidate_key`) extends it with the
   accepted-merge history so far, the candidate's ``(side, run)`` and the
   ``abort_below`` incumbent it was evaluated against.  Keying on
-  ``abort_below`` keeps cached verdicts replay-exact: a Bd-aborted or
-  screened outcome is only ever reused against the same incumbent that
-  produced it, and identical reruns regenerate identical incumbent
-  sequences, so a second run over unchanged inputs hits on every
-  candidate.
+  ``abort_below`` keeps cached verdicts replay-exact: a Bd-aborted
+  outcome is only ever reused against the same incumbent that produced
+  it.  Rounds evaluate candidates in discovery order, so identical
+  reruns regenerate identical incumbent sequences and a second run over
+  unchanged inputs hits on every candidate.
 
 Durability mirrors the checkpoint store byte for byte: entries are
 written via the shared :func:`~repro.runtime.checkpoint.atomic_write`
-(tempfile, fsync, ``os.replace``) under an ``EMSEVAL1 <key> <sha256>``
+(tempfile, fsync, ``os.replace``) under an ``EMSEVAL2 <key> <sha256>``
 header, and every load re-verifies the digest through
 :func:`~repro.runtime.checkpoint.verified_payload`.  A corrupt,
 truncated or version-mismatched file degrades to a cold evaluation with
@@ -46,8 +47,9 @@ from repro.runtime.checkpoint import atomic_write, verified_payload
 _logger = get_logger(__name__)
 
 #: Format magic; bump when the payload schema changes so stale cache
-#: entries are rejected as incompatible rather than misread.
-_MAGIC = b"EMSEVAL1"
+#: entries are rejected as incompatible rather than misread.  Version 2
+#: dropped the estimation-screen verdict of ``CandidateEvaluation``.
+_MAGIC = b"EMSEVAL2"
 
 
 def candidate_key(

@@ -11,24 +11,14 @@ the production greedy loop runs on it unchanged:
 :class:`ColdCompositeMatcher` swaps it in for
 ``repro.core.composite.IncrementalSearchState`` while it matches.
 Nothing in ``src/`` knows about it.
-
-It never screens and its candidate bound is infinite, so a round keeps
-the static discovery order even without a budget.
-
-:func:`scheduled_state` builds production evaluators with best-first
-ordering and/or estimation screening switched off, for the suites that
-compare those schedules against each other; :class:`PluggedMatcher`
-runs a search on any such evaluator.
 """
 
 from __future__ import annotations
 
-import math
-
 from repro.core import composite
 from repro.core.config import EMSConfig
 from repro.core.ems import EMSEngine, LabelMatrixCache
-from repro.core.incremental import CandidateEvaluation, IncrementalSearchState
+from repro.core.incremental import CandidateEvaluation
 from repro.core.matrix import SimilarityMatrix
 from repro.graph.dependency import DependencyGraph
 from repro.graph.merge import composite_name, merge_run_in_log
@@ -75,16 +65,12 @@ class ColdSearchState:
     def begin_round(self, directional: dict[str, SimilarityMatrix] | None) -> None:
         self._directional = directional if self.use_unchanged else None
 
-    def candidate_bound(self, side_index: int, run: tuple[str, ...]) -> float:
-        return math.inf
-
     def evaluate(
         self,
         side_index: int,
         run: tuple[str, ...],
         abort_below: float,
         meter: BudgetMeter | None = None,
-        screen_bound: float | None = None,
     ) -> CandidateEvaluation:
         log, members, graph = self._sides[side_index]
         _, other_members, other_graph = self._sides[1 - side_index]
@@ -113,7 +99,7 @@ class ColdSearchState:
             outcome = engine.similarity(
                 graphs[0], graphs[1], fixed_forward, fixed_backward, meter=meter
             )
-        return CandidateEvaluation(outcome=outcome, pairs_fixed=pairs_fixed, screened=False)
+        return CandidateEvaluation(outcome=outcome, pairs_fixed=pairs_fixed)
 
     def apply_accepted(self, side_index: int, run: tuple[str, ...]) -> SideState:
         log, members, _ = self._sides[side_index]
@@ -171,50 +157,13 @@ class ColdSearchState:
         return fixed.get("forward"), fixed.get("backward"), count
 
 
-def scheduled_state(*, best_first: bool, screening: bool) -> type:
-    """:class:`IncrementalSearchState` with the chosen schedule.
-
-    ``best_first=False`` gives every candidate an infinite bound, so the
-    round keeps the static discovery order (as budgeted rounds do);
-    ``screening=False`` disables the per-candidate estimation screen.
-    """
-
-    class ScheduledState(IncrementalSearchState):
-        def candidate_bound(self, side_index, run):
-            if best_first:
-                return super().candidate_bound(side_index, run)
-            return math.inf
-
-        def evaluate(self, side_index, run, abort_below, meter=None, screen_bound=None):
-            if not screening:
-                screen_bound = math.inf
-            elif not best_first:
-                screen_bound = None  # screen on the candidate's real bound
-            return super().evaluate(
-                side_index, run, abort_below, meter, screen_bound=screen_bound
-            )
-
-    return ScheduledState
-
-
-class PluggedMatcher(composite.CompositeMatcher):
-    """:class:`~repro.core.composite.CompositeMatcher` on ``state_class``.
-
-    Set ``state_class`` on the class or on one instance.
-    """
-
-    state_class: type = IncrementalSearchState
+class ColdCompositeMatcher(composite.CompositeMatcher):
+    """The production greedy loop on :class:`ColdSearchState`."""
 
     def match(self, log_first: EventLog, log_second: EventLog):
         original = composite.IncrementalSearchState
-        composite.IncrementalSearchState = self.state_class
+        composite.IncrementalSearchState = ColdSearchState
         try:
             return super().match(log_first, log_second)
         finally:
             composite.IncrementalSearchState = original
-
-
-class ColdCompositeMatcher(PluggedMatcher):
-    """The production greedy loop on :class:`ColdSearchState`."""
-
-    state_class = ColdSearchState

@@ -1,24 +1,16 @@
 """Unit tests for the incremental-engine building blocks.
 
 Covers the :class:`WarmStart` fixpoint seeding, the LRU-bounded
-:class:`LabelMatrixCache`, the log-space guard in the Section-3.5
-estimation, and the soundness of :func:`estimation_screen_bound`.
+:class:`LabelMatrixCache` and the log-space guard in the Section-3.5
+estimation.
 """
-
-import math
-import random as random_module
 
 import numpy as np
 import pytest
 
-from repro.core.bounds import estimation_screen_bound
 from repro.core.config import EMSConfig
-from repro.core.ems import EMSEngine, LabelMatrixCache, WarmStart, edge_agreement
-from repro.core.estimation import (
-    estimate_matrix,
-    estimate_pair,
-    estimation_coefficients,
-)
+from repro.core.ems import EMSEngine, LabelMatrixCache, WarmStart
+from repro.core.estimation import estimate_matrix, estimate_pair
 from repro.graph.dependency import DependencyGraph
 from repro.logs.log import EventLog
 
@@ -27,15 +19,6 @@ def small_logs() -> tuple[EventLog, EventLog]:
     first = EventLog([["a", "b", "c"], ["a", "c", "d"], ["b", "d"]], name="L1")
     second = EventLog([["a", "b", "c"], ["a", "b", "d"], ["c", "d"]], name="L2")
     return first, second
-
-
-def random_graph(seed: int, alphabet: str = "abcdef") -> DependencyGraph:
-    rng = random_module.Random(seed)
-    traces = [
-        [rng.choice(alphabet) for _ in range(rng.randint(1, 6))]
-        for _ in range(rng.randint(2, 8))
-    ]
-    return DependencyGraph.from_log(EventLog(traces, name=f"g{seed}"))
 
 
 class TestWarmStart:
@@ -188,40 +171,3 @@ class TestEstimationOverflowGuard:
         q_pow = 0.5 ** 16
         assert result[0, 0] == pytest.approx(q_pow * 0.3 + 0.1 * (1 - q_pow) / 0.5)
 
-
-class TestScreenBoundSoundness:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_bound_dominates_converged_similarity(self, seed):
-        g1 = random_graph(seed)
-        g2 = random_graph(seed + 1000, alphabet="abcdeg")
-        config = EMSConfig(alpha=1.0, direction="forward")
-        engine = EMSEngine(config)
-        result = engine.similarity(g1, g2)
-
-        in_first = np.array([len(g1.predecessors(v)) for v in g1.nodes])
-        in_second = np.array([len(g2.predecessors(v)) for v in g2.nodes])
-        f1 = np.array([g1.frequency(v) for v in g1.nodes])
-        f2 = np.array([g2.frequency(v) for v in g2.nodes])
-        agreement = edge_agreement(f1, f2, config.c)
-        labels = np.zeros((len(g1.nodes), len(g2.nodes)))
-        q, a = estimation_coefficients(
-            in_first, in_second, agreement, labels, config.alpha, config.c
-        )
-        bound = estimation_screen_bound(q, a)
-        assert (bound + 1e-9 >= result.matrix.values).all()
-
-    def test_refinement_tightens_without_undercutting(self):
-        q = np.array([[0.4, 0.2], [0.3, 0.1]])
-        a = np.array([[0.1, 0.05], [0.2, 0.3]])
-        loose = np.minimum(1.0, q + a)  # one round from u = 1
-        tight = estimation_screen_bound(q, a)
-        assert (tight <= loose + 1e-12).all()
-        # The analytic fixpoint of u = max(q u + a) still lower-bounds it.
-        u = 1.0
-        for _ in range(500):
-            u = float(np.minimum(1.0, q * u + a).max())
-        assert tight.max() >= u - 1e-6
-
-    def test_empty_matrix(self):
-        empty = np.zeros((0, 0))
-        assert estimation_screen_bound(empty, empty).shape == (0, 0)

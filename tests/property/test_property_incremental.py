@@ -1,18 +1,20 @@
 """Property-based differential suite: incremental vs cold composite search.
 
-The incremental engine (delta graph merges + warm-started fixpoints +
-estimation screening) is an optimisation, not an approximation: on any
-input the warm-started search must reproduce the cold-started search of
-the full-rebuild oracle (``tests/composite_oracle.py``) — the same merge
+The incremental engine (delta graph merges + warm-started fixpoints) is
+an optimisation, not an approximation: on any input the default
+production search must reproduce the cold-started search of the
+full-rebuild oracle (``tests/composite_oracle.py``) — the same merge
 trajectory, the same scores (within 1e-12; the parity is by
-construction, so in practice bit-identical), the same ``pairs_fixed`` —
-including when a :class:`MatchBudget` runs out mid-round.
+construction, so in practice bit-identical) and the same stats —
+including when a :class:`MatchBudget` runs out mid-round.  Both run the
+one schedule of Algorithm 2: candidates in discovery order under Uc and
+Bd, so a budget that never runs out changes nothing either.
 """
 
 import random as random_module
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.composite import CompositeMatcher
@@ -33,29 +35,15 @@ def random_log(seed: int, alphabet: str = "abcdef") -> EventLog:
     return EventLog(traces, name=f"rand-{seed}")
 
 
-#: A budget that never runs out.  This suite asserts *exact* stat parity
-#: (pair_updates, evaluations_aborted) between warm and cold, which only
-#: holds when both scan candidates in the same static order.  Budgeted
-#: runs keep the static, unscreened order; best-first reordering changes
-#: the Bd-abort incumbent trajectory (same selection, different counters)
-#: and has its own differential suite in test_property_best_first.py.
-UNLIMITED = MatchBudget(max_pair_updates=10**12)
-
-
-def matcher(incremental: bool, screening: bool = False, **kwargs) -> CompositeMatcher:
+def matcher(incremental: bool, **kwargs) -> CompositeMatcher:
     # The cold side runs the production loop on the full-rebuild oracle.
-    # Without *screening*, both sides run under UNLIMITED and so keep the
-    # static, unscreened order; with it, the warm side runs the default
-    # unbudgeted schedule (best-first order plus estimation screening).
     defaults = dict(delta=0.0, min_confidence=0.8, max_run_length=3)
-    if not screening:
-        defaults["budget"] = UNLIMITED
     defaults.update(kwargs)
     cls = CompositeMatcher if incremental else ColdCompositeMatcher
     return cls(EMSConfig(), **defaults)
 
 
-def assert_same_search(cold, warm, *, compare_stats: bool = True):
+def assert_same_search(cold, warm):
     assert cold.accepted_first == warm.accepted_first
     assert cold.accepted_second == warm.accepted_second
     assert cold.matrix.rows == warm.matrix.rows
@@ -64,12 +52,7 @@ def assert_same_search(cold, warm, *, compare_stats: bool = True):
     assert abs(cold.average - warm.average) <= 1e-12
     assert cold.members_first == warm.members_first
     assert cold.members_second == warm.members_second
-    if compare_stats:
-        assert cold.stats.rounds == warm.stats.rounds
-        assert cold.stats.candidates_evaluated == warm.stats.candidates_evaluated
-        assert cold.stats.evaluations_aborted == warm.stats.evaluations_aborted
-        assert cold.stats.pair_updates == warm.stats.pair_updates
-        assert cold.stats.pairs_fixed == warm.stats.pairs_fixed
+    assert cold.stats == warm.stats
 
 
 @given(seeds, seeds)
@@ -84,6 +67,10 @@ def test_warm_and_cold_searches_identical(seed_first, seed_second):
 
 @given(seeds, seeds)
 @settings(max_examples=15, deadline=None)
+# Near-ties the Bd abort once broke by evaluation order: an exact tie
+# (568) and averages one ulp apart (the second pair).
+@example(568, 568)
+@example(1442023555, 1704182386)
 def test_shared_alphabet_searches_identical(seed_first, seed_second):
     # Overlapping vocabularies give the label-free structural similarity
     # more high-scoring candidates, exercising deeper merge trajectories.
@@ -94,18 +81,29 @@ def test_shared_alphabet_searches_identical(seed_first, seed_second):
     assert_same_search(cold, warm)
 
 
-@given(seeds, seeds)
+@given(seeds, seeds, st.sampled_from([0.0, 0.005, 0.05]))
 @settings(max_examples=15, deadline=None)
-def test_screening_preserves_trajectory_and_scores(seed_first, seed_second):
+def test_delta_thresholds_identical(seed_first, seed_second, delta):
     log_first = random_log(seed_first)
     log_second = random_log(seed_second)
-    cold = matcher(incremental=False).match(log_first, log_second)
-    screened = matcher(incremental=True, screening=True).match(log_first, log_second)
-    # Screening may skip evaluations (so evaluation counters can differ),
-    # but never a candidate that could have won: trajectory and scores match.
-    assert_same_search(cold, screened, compare_stats=False)
-    assert screened.stats.candidates_screened <= screened.stats.screen_checks
-    assert cold.stats.candidates_evaluated >= screened.stats.candidates_evaluated
+    cold = matcher(incremental=False, delta=delta).match(log_first, log_second)
+    warm = matcher(incremental=True, delta=delta).match(log_first, log_second)
+    assert_same_search(cold, warm)
+
+
+@given(seeds, seeds)
+@settings(max_examples=15, deadline=None)
+def test_ample_budget_changes_nothing(seed_first, seed_second):
+    # A budget that never runs out must not change the schedule: same
+    # candidates evaluated in the same order, so identical stats.
+    log_first = random_log(seed_first)
+    log_second = random_log(seed_second)
+    unbudgeted = matcher(incremental=True).match(log_first, log_second)
+    budgeted = matcher(
+        incremental=True, budget=MatchBudget(max_pair_updates=10**12)
+    ).match(log_first, log_second)
+    assert budgeted.runtime is not None and not budgeted.runtime.degraded
+    assert_same_search(unbudgeted, budgeted)
 
 
 @given(seeds, seeds, st.integers(min_value=1, max_value=2000))

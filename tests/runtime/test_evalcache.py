@@ -70,7 +70,7 @@ class TestDurability:
 
     @pytest.mark.parametrize("mutilate", [
         lambda raw: raw[: len(raw) // 2],                      # torn write
-        lambda raw: raw.replace(b"EMSEVAL1", b"EMSEVAL9", 1),  # version bump
+        lambda raw: raw.replace(b"EMSEVAL2", b"EMSEVAL9", 1),  # version bump
         lambda raw: bytes(reversed(raw)),                      # garbage
     ])
     def test_mutilated_entry_degrades_to_cold(self, tmp_path, mutilate, caplog):

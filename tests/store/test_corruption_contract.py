@@ -209,7 +209,7 @@ SUBJECTS = [
         put=lambda store, key: store.store(key, {"payload": [1, 2, 3]}),
         get=lambda store, key: store.load(key),
         corrupt_counter="eval_cache_corrupt_total",
-        damage=_file_damage(b"EMSEVAL1"),
+        damage=_file_damage(b"EMSEVAL2"),
         gone=_file_entry_gone,
     ),
     Subject(
@@ -218,7 +218,7 @@ SUBJECTS = [
         put=lambda store, key: store.save(_snapshot(key)),
         get=lambda store, key: store.load(key),
         corrupt_counter="checkpoint_corrupt_total",
-        damage=_file_damage(b"EMSCKPT2"),
+        damage=_file_damage(b"EMSCKPT3"),
         gone=_file_entry_gone,
     ),
     Subject(
@@ -284,7 +284,7 @@ def test_checkpoint_of_the_previous_format_starts_cold(tmp_path):
     manager = CheckpointManager(tmp_path, observer=Observer(metrics=registry))
     payload = pickle.dumps(_snapshot(KEY).to_payload())
     digest = hashlib.sha256(payload).hexdigest()
-    header = b" ".join((b"EMSCKPT1", KEY.encode(), digest.encode())) + b"\n"
+    header = b" ".join((b"EMSCKPT2", KEY.encode(), digest.encode())) + b"\n"
     manager.directory.mkdir(parents=True, exist_ok=True)
     manager.path_for(KEY).write_bytes(header + payload)
     assert manager.load(KEY) is None
