@@ -116,10 +116,8 @@ INGEST_SCENARIO = {"cases": 4000, "events_per_case": 8, "activities": 12, "seed"
 #: the EMS fixpoint, assign) dwarfs a match-store hit, which costs two
 #: content digests, one verified matrix row, and the assignment.
 #: ``match_store_warm`` in :func:`compare` holds the warm path >= 10x
-#: faster; ``match_store_partial`` times the append-grown pair that
-#: warm-starts the fixpoint from the previous matrix, and
-#: ``sql_pair_counts`` pins SQL-window-function aggregation of the
-#: stored trace rows bit-identical to Python counting.
+#: faster, and ``sql_pair_counts`` pins SQL-window-function aggregation
+#: of the stored trace rows bit-identical to Python counting.
 MATCH_STORE_SCENARIO = {
     "cases": 1500, "events_per_case": 8, "activities": 24, "seed": 29,
 }
@@ -432,47 +430,6 @@ def _scenarios():
         assert provenance["match_mode"] == "store", provenance
         return None
 
-    # The partial scenario needs a file that *grew in place* after its
-    # pair was matched: seed a pristine store on the short file, then
-    # append every trace again under fresh case ids.  The duplication
-    # doubles every count and the trace total alike, so relative
-    # frequencies are bit-identical and the dirty-pair frontier is
-    # empty — the partial hit re-runs (almost) nothing.
-    match_p = match_dir / "p.csv"
-    write_ingest_csv(
-        match_p, **{**MATCH_STORE_SCENARIO, "seed": MATCH_STORE_SCENARIO["seed"] + 2}
-    )
-    partial_base = match_dir / "partial.db"
-    seed_store = MatchStore(partial_base)
-    _, seed_provenance = match_stored(
-        match_p, match_b, matcher=EMSMatcher(), store=seed_store
-    )
-    assert seed_provenance["match_mode"] == "computed"
-    seed_store.close()
-    tail = match_p.read_text(encoding="utf-8").splitlines()[1:]
-    with open(match_p, "a", encoding="utf-8") as handle:
-        for line in tail:
-            handle.write("grown-" + line + "\n")
-
-    def match_store_partial():
-        # Each repeat restores the pristine pre-growth store, so every
-        # timed call takes the append fast path + warm-started fixpoint
-        # (the first partial run persists the new pair's matrix, which
-        # would turn later repeats into full hits).
-        scratch = match_dir / "partial_run.db"
-        for suffix in ("", "-wal", "-shm"):
-            Path(str(scratch) + suffix).unlink(missing_ok=True)
-        shutil.copy(partial_base, scratch)
-        store = MatchStore(scratch)
-        try:
-            _, provenance = match_stored(
-                match_p, match_b, matcher=EMSMatcher(), store=store
-            )
-            assert provenance["match_mode"] == "store-partial", provenance
-        finally:
-            store.close()
-        return None
-
     def service_submit_to_result_warm():
         # The daemon's whole serving loop, measured warm: HTTP submit ->
         # queue insert -> scheduler claim -> match-store hit -> result
@@ -548,7 +505,6 @@ def _scenarios():
     yield "stats_ingest_store_warm", stats_ingest_store_warm
     yield "match_scaled_cold", match_scaled_cold
     yield "match_store_warm", match_store_warm
-    yield "match_store_partial", match_store_partial
     yield "service_submit_to_result_warm", service_submit_to_result_warm()
 
 

@@ -63,13 +63,12 @@ counts, dependency graphs, per-trace rows (aggregated by SQL window
 functions) and finished similarity matrices are all memoized, so a
 repeated log pair skips parse, graph build *and* the EMS fixpoint
 (``"match_mode": "store"`` under ``"provenance"`` in the JSON output),
-and a pair with one appended-to side warm-starts the fixpoint from the
-stored matrix (``"store-partial"``).  These flags select a
-statistics-backed singleton matching that never materializes the logs,
-so they are incompatible with ``--composite`` and ``--report``.  Results
-are bit-identical to the in-memory path, except that a store-partial
-warm start can drift about 1e-6 from a cold run after some appends (see
-``docs/scale.md``).  ``stats`` runs the same ingestion
+and a pair with an appended-to side parses only the new tail
+(``"ingest_modes"`` says ``"store-append"``) before a cold fixpoint
+(``"computed"``).  These flags select a statistics-backed singleton
+matching that never materializes the logs, so they are incompatible
+with ``--composite`` and ``--report``.  Results are bit-identical to
+the in-memory path.  ``stats`` runs the same ingestion
 pipeline without matching and prints the log's Definition-1 statistics;
 ``stats --from-store`` answers from the store's trace rows alone,
 without reading the file.
@@ -599,7 +598,7 @@ def _render_match_output(arguments: argparse.Namespace, run: MatchRun) -> int:
 
     print(f"{run.matcher_name}: {name_first} <-> {name_second} "
           f"(average similarity {outcome.objective:.3f})")
-    if run.provenance["match_mode"] in ("store", "store-partial"):
+    if run.provenance["match_mode"] == "store":
         print(f"  [match store: {run.provenance['match_mode']}]")
     for correspondence in sorted(outcome.correspondences, key=lambda c: min(c.left)):
         marker = "  [m:n]" if correspondence.is_composite() else ""

@@ -24,7 +24,7 @@ from repro.baselines.common import (
 )
 from repro.core.composite import CompositeMatcher
 from repro.core.config import EMSConfig
-from repro.core.ems import EMSEngine, EMSResult, WarmStart
+from repro.core.ems import EMSEngine, EMSResult
 from repro.graph.dependency import DependencyGraph
 from repro.logs.log import EventLog
 from repro.logs.stats import LogStatistics
@@ -144,33 +144,14 @@ class EMSMatcher(EventMatcher):
         return self.match_graphs(graph_first, graph_second)
 
     def match_graphs(
-        self,
-        graph_first: DependencyGraph,
-        graph_second: DependencyGraph,
-        *,
-        fixed_forward: "WarmStart | None" = None,
-        fixed_backward: "WarmStart | None" = None,
+        self, graph_first: DependencyGraph, graph_second: DependencyGraph
     ) -> MatchOutcome:
-        """Match two already-built dependency graphs (1:1 events).
-
-        ``fixed_forward`` / ``fixed_backward`` optionally warm-start the
-        directional fixpoints from carried values (Proposition 4); the
-        match store's partial-hit path uses this to re-iterate only the
-        pairs an appended tail could have changed.
-        """
-        outcome, _, _ = self.match_graphs_detailed(
-            graph_first, graph_second,
-            fixed_forward=fixed_forward, fixed_backward=fixed_backward,
-        )
+        """Match two already-built dependency graphs (1:1 events)."""
+        outcome, _, _ = self.match_graphs_detailed(graph_first, graph_second)
         return outcome
 
     def match_graphs_detailed(
-        self,
-        graph_first: DependencyGraph,
-        graph_second: DependencyGraph,
-        *,
-        fixed_forward: "WarmStart | None" = None,
-        fixed_backward: "WarmStart | None" = None,
+        self, graph_first: DependencyGraph, graph_second: DependencyGraph
     ) -> tuple[MatchOutcome, EMSResult, RuntimeReport]:
         """Like :meth:`match_graphs`, but also expose the raw result.
 
@@ -183,7 +164,6 @@ class EMSMatcher(EventMatcher):
         evaluation, runtime, result = self._evaluate_graphs(
             graph_first, graph_second, members_first, members_second,
             started=self.observer.clock(),
-            fixed_forward=fixed_forward, fixed_backward=fixed_backward,
         )
         outcome = pairs_to_outcome(evaluation, members_first, members_second, runtime)
         return outcome, result, runtime
@@ -236,8 +216,6 @@ class EMSMatcher(EventMatcher):
         members_second: Mapping[str, frozenset[str]],
         *,
         started: float,
-        fixed_forward: "WarmStart | None" = None,
-        fixed_backward: "WarmStart | None" = None,
     ) -> tuple[Evaluation, RuntimeReport, EMSResult]:
         obs = self.observer
         label: LabelSimilarity = self.label_similarity
@@ -247,15 +225,11 @@ class EMSMatcher(EventMatcher):
             )
         engine = EMSEngine(self.config, label, observer=obs)
         if self.budget is None:
-            result = engine.similarity(
-                graph_first, graph_second,
-                fixed_forward=fixed_forward, fixed_backward=fixed_backward,
-            )
+            result = engine.similarity(graph_first, graph_second)
             stage, reason = STAGE_EXACT, None
         else:
             result, stage, reason = engine.similarity_resilient(
                 graph_first, graph_second, self.budget.start(obs.clock), self.degradation,
-                fixed_forward=fixed_forward, fixed_backward=fixed_backward,
             )
         evaluation, runtime = self._finish(result, stage, reason, started)
         return evaluation, runtime, result

@@ -20,11 +20,9 @@ The span taxonomy used across the pipeline (see ``docs/observability.md``):
 ``match.assign``          the final Hungarian assignment
 ========================  =====================================================
 
-A trace recorded by another :class:`Tracer` (another process, another
-clock) travels as :meth:`~Tracer.export_fragments` (plain dicts); a
-tracer stitches such fragments into its own trace with
-:meth:`~Tracer.adopt`, re-based onto the enclosing span and tagged with
-a Chrome-trace thread id.
+A trace leaves its process as :meth:`~Tracer.export_fragments` (plain
+dicts); :meth:`Span.from_dict` rebuilds the span trees on the other
+side.
 
 :meth:`Tracer.to_chrome_trace` renders the forest in the Chrome trace
 event format (complete ``"X"`` events), loadable in ``chrome://tracing``
@@ -67,8 +65,6 @@ class Span:
 
     ``start``/``end`` are raw readings of the owning tracer's clock; an
     unfinished span has ``end = None`` and exports with zero duration.
-    ``tid`` distinguishes adopted fragments in the Chrome export
-    (0 = the recording tracer itself).
     """
 
     name: str
@@ -76,7 +72,6 @@ class Span:
     end: float | None = None
     attributes: dict[str, Any] = field(default_factory=dict)
     children: list["Span"] = field(default_factory=list)
-    tid: int = 0
 
     @property
     def duration(self) -> float:
@@ -87,19 +82,6 @@ class Span:
     def self_time(self) -> float:
         """Duration minus the children's durations, floored at zero."""
         return max(0.0, self.duration - sum(child.duration for child in self.children))
-
-    def shift(self, offset: float) -> None:
-        """Translate this span (and its subtree) by *offset* seconds."""
-        self.start += offset
-        if self.end is not None:
-            self.end += offset
-        for child in self.children:
-            child.shift(offset)
-
-    def set_tid(self, tid: int) -> None:
-        self.tid = tid
-        for child in self.children:
-            child.set_tid(tid)
 
     def walk(self) -> Iterator["Span"]:
         """This span and every descendant, depth-first."""
@@ -115,7 +97,6 @@ class Span:
             "end": self.end,
             "attributes": _json_safe(self.attributes),
             "children": [child.to_dict() for child in self.children],
-            "tid": self.tid,
         }
 
     @classmethod
@@ -126,7 +107,6 @@ class Span:
             end=payload.get("end"),
             attributes=dict(payload.get("attributes", {})),
             children=[cls.from_dict(child) for child in payload.get("children", ())],
-            tid=payload.get("tid", 0),
         )
 
 
@@ -187,27 +167,6 @@ class Tracer:
         """The recorded forest as plain dicts (picklable, JSON-safe)."""
         return [root.to_dict() for root in self.roots]
 
-    def adopt(self, fragments: list[dict[str, Any]], tid: int = 0) -> list[Span]:
-        """Stitch *fragments* recorded by another tracer into the trace.
-
-        Fragments carry the other tracer's clock readings, which share no
-        epoch with this tracer's; they are re-based so the earliest
-        fragment start coincides with the start of the innermost open
-        span (durations are preserved exactly, absolute placement is
-        approximate).  Every adopted span gets *tid* as its thread id.
-        """
-        spans = [Span.from_dict(fragment) for fragment in fragments]
-        if not spans:
-            return []
-        parent_children = self._stack[-1].children if self._stack else self.roots
-        base = min(span.start for span in spans)
-        placement = self._stack[-1].start if self._stack else base
-        for span in spans:
-            span.shift(placement - base)
-            span.set_tid(tid)
-            parent_children.append(span)
-        return spans
-
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
@@ -232,7 +191,7 @@ class Tracer:
                     "cat": "repro",
                     "ph": "X",
                     "pid": pid,
-                    "tid": span.tid,
+                    "tid": 0,
                     "ts": (span.start - epoch) * 1e6,
                     "dur": span.duration * 1e6,
                     "args": _json_safe(span.attributes),

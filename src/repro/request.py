@@ -355,11 +355,11 @@ class MatchRequest:
 class MatchRun:
     """What :func:`run_match` returns: the outcome and how it was reached.
 
-    ``provenance`` holds ``match_mode`` (``store``, ``store-partial``,
-    ``computed`` or ``composite``), ``log_names``, ``matrix_key`` (the
-    match-store key, ``None`` off the stored route), ``ingest_modes``
-    (per side) and ``pairs_warm`` (pairs a partial hit kept).  ``logs``
-    are the parsed logs on the routes that parse them, else ``None``.
+    ``provenance`` holds ``match_mode`` (``store``, ``computed`` or
+    ``composite``), ``log_names``, ``matrix_key`` (the match-store key,
+    ``None`` off the stored route) and ``ingest_modes`` (per side;
+    ``store-append`` marks a grown file).  ``logs`` are the parsed logs
+    on the routes that parse them, else ``None``.
     """
 
     outcome: MatchOutcome
@@ -393,15 +393,12 @@ class MatchRun:
         }
 
 
-def _provenance(
-    match_mode, log_names, ingest_modes, matrix_key=None, pairs_warm=0
-) -> dict[str, Any]:
+def _provenance(match_mode, log_names, ingest_modes, matrix_key=None) -> dict[str, Any]:
     return {
         "match_mode": match_mode,
         "log_names": list(log_names),
         "matrix_key": matrix_key,
         "ingest_modes": list(ingest_modes),
-        "pairs_warm": pairs_warm,
     }
 
 
@@ -460,8 +457,8 @@ def run_match(
       with the *checkpoints*, *resume*, *interrupt* (entered around the
       search) and *eval_cache* resources, which only this route uses;
     * **stored singleton** — with a *store*,
-      :func:`~repro.store.match_stored` serves the pair from the warmest
-      sound route (``store``, ``store-partial`` or ``computed``);
+      :func:`~repro.store.match_stored` serves the pair from the stored
+      matrix (``store``) or runs it cold and stores it (``computed``);
     * **sharded singleton** — with ``shard_traces``,
       each side is reduced to its dependency graph out of core by
       :func:`~repro.store.ingest_graph` and the graphs are matched;

@@ -14,7 +14,8 @@ On top of the log store sits the :class:`MatchStore`
 content digests of both logs plus the matcher configuration, stored
 per-trace event rows for SQL count push-down, and
 :func:`match_stored` — the warm end-to-end match path that serves a
-repeated pair straight from the store and warm-starts a grown one.
+repeated pair straight from the store, and runs a grown one cold on
+append-ingested counts.
 """
 
 from repro.store.blocks import (

@@ -36,12 +36,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
-import numpy as np
-
-from repro.core.ems import WarmStart
 from repro.exceptions import LogFormatError
 from repro.graph.dependency import DependencyGraph
-from repro.graph.reachability import real_ancestors, real_descendants
 from repro.logs.csvio import _read_rows
 from repro.logs.stats import LogStatistics
 from repro.logs.streaming import OnlineStatistics
@@ -93,10 +89,6 @@ class IngestResult:
     mode: str
     shards: int = 0
     counts_key: str | None = None
-    #: On the append fast path, the counts key the file had *before* it
-    #: grew — the match store looks up the previous pair's similarity
-    #: matrix under it to warm-start the fixpoint (a partial hit).
-    previous_counts_key: str | None = None
 
 
 class _NameSink:
@@ -473,7 +465,6 @@ def _try_append(
         log_name=record["log_name"],
         mode="store-append",
         counts_key=counts_key,
-        previous_counts_key=prior["counts_key"],
     )
 
 
@@ -558,19 +549,16 @@ def match_stored(
 ) -> tuple["MatchOutcome", dict[str, Any]]:
     """Match two log files through the match store, warmest route first.
 
-    Route selection, every step bit-identical to a cold in-memory match:
+    Route selection, both steps bit-identical to a cold in-memory match:
 
     1. **full hit** — both files' content digests and the matcher's
        configuration key to a stored similarity matrix: the restored
        matrix goes straight to assignment; no parse, no graphs, no
        fixpoint (``match_mode="store"``);
-    2. **partial hit** — the pair misses but one (or both) sides grew
-       via the append fast path and the *previous* pair's matrix is
-       stored: the fixpoint is warm-started from it, re-iterating only
-       pairs whose Proposition-4 dependency closure the appended tail
-       could have changed (``match_mode="store-partial"``);
-    3. **computed** — a cold fixpoint; the finished matrix is persisted
-       for next time when it is exact, converged and unbudgeted
+    2. **computed** — each side's counts come from the cheapest sound
+       ingest route (a grown file takes the ``store-append`` fast path),
+       then a cold fixpoint runs; the finished matrix is persisted for
+       next time when it is exact, converged and unbudgeted
        (``match_mode="computed"``).
 
     Budgeted matchers bypass the matrix store entirely (the evalcache
@@ -602,7 +590,6 @@ def match_stored(
                 "matrix_key": mkey,
                 "ingest_modes": ("store", "store"),
                 "log_names": (str(names[0]), str(names[1])),
-                "pairs_warm": 0,
             }
 
     sides = []
@@ -623,28 +610,7 @@ def match_stored(
             raise
     (graph_first, res_first), (graph_second, res_second) = sides
 
-    fixed: dict[str, WarmStart] = {}
-    # Partial warm starts are only sound when each pair's final value is
-    # determined by its own dependency closure: Proposition-2 pruning
-    # freezes every pair at its level, independent of global stopping.
-    # Without pruning (or with the closed-form estimation) the global
-    # iteration count couples all pairs, so fall back to a cold fixpoint.
-    if (
-        usable
-        and config.use_pruning
-        and config.estimation_iterations is None
-        and (res_first.previous_counts_key or res_second.previous_counts_key)
-    ):
-        fixed = _stored_warm_starts(
-            store, (graph_first, graph_second), (res_first, res_second),
-            min_frequency, config, label_key, observer,
-        )
-
-    outcome, result, runtime = matcher.match_graphs_detailed(
-        graph_first, graph_second,
-        fixed_forward=fixed.get("forward"),
-        fixed_backward=fixed.get("backward"),
-    )
+    outcome, result, runtime = matcher.match_graphs_detailed(graph_first, graph_second)
     if (
         usable
         and runtime.stage == "exact"
@@ -657,167 +623,9 @@ def match_stored(
             matrix_record(result, config, (res_first.log_name, res_second.log_name)),
         )
     return outcome, {
-        "match_mode": "store-partial" if fixed else "computed",
+        "match_mode": "computed",
         "matrix_key": mkey,
         "ingest_modes": (res_first.mode, res_second.mode),
         "log_names": (res_first.log_name, res_second.log_name),
-        "pairs_warm": sum(w.pairs_fixed for w in fixed.values()),
     }
-
-
-def _stored_warm_starts(
-    store: MatchStore,
-    graphs: tuple[DependencyGraph, DependencyGraph],
-    results: tuple[IngestResult, IngestResult],
-    min_frequency: float,
-    config: Any,
-    label_key: str,
-    observer: Observer,
-) -> dict[str, WarmStart]:
-    """Warm starts from the previous pair's stored matrix, or ``{}``.
-
-    Every bail-out path returns ``{}`` — a cold fixpoint, never a wrong
-    answer.
-    """
-    prev_first = results[0].previous_counts_key or results[0].counts_key
-    prev_second = results[1].previous_counts_key or results[1].counts_key
-    if prev_first is None or prev_second is None:
-        return {}
-    old_key = matrix_content_key(
-        prev_first, prev_second, min_frequency, config, label_key
-    )
-    with observer.span("match.store.lookup", key=old_key[:12]):
-        record = store.get_matrix(old_key)
-    if record is None:
-        return {}
-
-    changed: list[set[str]] = []
-    for side, (graph, result, prev_key, labels) in enumerate(
-        (
-            (graphs[0], results[0], prev_first, tuple(record["rows"])),
-            (graphs[1], results[1], prev_second, tuple(record["cols"])),
-        )
-    ):
-        if result.previous_counts_key is None:
-            # This side did not grow: the stored matrix was computed on
-            # this very graph — provided the stored grid matches it.
-            if labels != graph.nodes:
-                return {}
-            changed.append(set())
-            continue
-        old_graph = _stored_graph(store, prev_key, min_frequency)
-        if old_graph is None or labels != old_graph.nodes:
-            return {}
-        changed.append(_changed_nodes(old_graph, graph))
-
-    directional = record["directional"]
-    warm: dict[str, WarmStart] = {}
-    for name in (
-        ("forward", "backward") if config.direction == "both"
-        else (config.direction,)
-    ):
-        stored = directional.get(name)
-        if stored is None:
-            return {}
-        if name == "forward":
-            dirty_first = _dirty_mask(
-                graphs[0], changed[0], real_descendants)
-            dirty_second = _dirty_mask(
-                graphs[1], changed[1], real_descendants)
-        else:
-            dirty_first = _dirty_mask(graphs[0], changed[0], real_ancestors)
-            dirty_second = _dirty_mask(graphs[1], changed[1], real_ancestors)
-        values = _mapped_values(
-            stored["values"],
-            tuple(record["rows"]), tuple(record["cols"]),
-            graphs[0].nodes, graphs[1].nodes,
-            config.np_dtype,
-        )
-        warm[name] = WarmStart(
-            values=values,
-            dirty=dirty_first[:, None] | dirty_second[None, :],
-        )
-    return warm
-
-
-def _stored_graph(
-    store: MatchStore, counts_key: str, min_frequency: float
-) -> DependencyGraph | None:
-    """The dependency graph of a *previous* stored ingest, if recoverable."""
-    graph = store.get_graph(graph_content_key(counts_key, min_frequency))
-    if graph is not None:
-        return graph
-    record = store.get_counts(counts_key)
-    if record is None:
-        return None
-    stats = _seed_from_record(record)
-    return DependencyGraph.from_statistics(
-        stats.snapshot(), name=record["log_name"], min_frequency=min_frequency
-    )
-
-
-def _changed_nodes(old: DependencyGraph, new: DependencyGraph) -> set[str]:
-    """Nodes of *new* whose local structure differs from *old*.
-
-    A node is changed when it is new, its frequency moved, or any
-    incident real edge appeared, disappeared or changed weight.
-    Artificial edges carry the node's own frequency on both ends, so the
-    frequency check covers them.  A node *removed* by the append (its
-    frequency fell below ``min_frequency``) marks its old neighbours
-    through the edge differences.
-    """
-    old_nodes, new_nodes = set(old.nodes), set(new.nodes)
-    changed = new_nodes - old_nodes
-    for node in old_nodes & new_nodes:
-        if old.frequency(node) != new.frequency(node):
-            changed.add(node)
-    old_edges, new_edges = old.real_edges, new.real_edges
-    for edge in set(old_edges).symmetric_difference(new_edges):
-        changed.update(edge)
-    for edge in set(old_edges) & set(new_edges):
-        if old_edges[edge] != new_edges[edge]:
-            changed.update(edge)
-    return changed & new_nodes
-
-
-def _dirty_mask(graph: DependencyGraph, changed: set[str], closure) -> np.ndarray:
-    """Boolean dirty flags over ``graph.nodes``: changed plus closure.
-
-    *closure* is ``real_descendants`` for the forward direction (a
-    pair's value depends on its predecessors, so changes flow downstream)
-    and ``real_ancestors`` for the backward one (which runs on reversed
-    graphs).
-    """
-    if changed:
-        dirty = set(changed) | closure(graph, changed)
-    else:
-        dirty = set()
-    return np.array([node in dirty for node in graph.nodes], dtype=bool)
-
-
-def _mapped_values(
-    stored: np.ndarray,
-    old_rows: tuple[str, ...],
-    old_cols: tuple[str, ...],
-    new_rows: tuple[str, ...],
-    new_cols: tuple[str, ...],
-    dtype: Any,
-) -> np.ndarray:
-    """Stored similarity values re-indexed onto the new node grids.
-
-    Pairs without a stored value (a node the append introduced) are left
-    at zero — they are necessarily dirty and re-iterate from scratch.
-    """
-    values = np.zeros((len(new_rows), len(new_cols)), dtype=dtype)
-    row_pos = {node: i for i, node in enumerate(old_rows)}
-    col_pos = {node: j for j, node in enumerate(old_cols)}
-    rows_new = [i for i, node in enumerate(new_rows) if node in row_pos]
-    rows_old = [row_pos[node] for node in new_rows if node in row_pos]
-    cols_new = [j for j, node in enumerate(new_cols) if node in col_pos]
-    cols_old = [col_pos[node] for node in new_cols if node in col_pos]
-    if rows_new and cols_new:
-        values[np.ix_(rows_new, cols_new)] = stored[
-            np.ix_(rows_old, cols_old)
-        ].astype(dtype)
-    return values
 

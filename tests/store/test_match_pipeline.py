@@ -1,5 +1,6 @@
 """Warm end-to-end matching: every store route is bit-identical to cold."""
 
+import io
 import random
 
 import numpy as np
@@ -8,13 +9,14 @@ import pytest
 from repro.core.config import EMSConfig
 from repro.core.ems import EMSEngine
 from repro.graph.dependency import DependencyGraph
-from repro.logs.csvio import read_csv
+from repro.logs.csvio import read_csv, write_csv
 from repro.logs.xes import read_xes, write_xes
 from repro.matchers import EMSMatcher
 from repro.runtime.budget import MatchBudget
 from repro.store import MatchStore, match_stored
 from repro.store.matchstore import matrix_content_key, restore_result
 from repro.store.logstore import counts_content_key, file_digest
+from repro.synthesis.corpus import build_scalability_pair
 
 
 def write_pair(tmp_path, seed=3, cases=25):
@@ -31,9 +33,8 @@ def write_pair(tmp_path, seed=3, cases=25):
     return tuple(paths)
 
 
-def cold_outcome(paths, matcher=None):
-    matcher = matcher or EMSMatcher()
-    return matcher.match(
+def cold_outcome(paths):
+    return EMSMatcher().match(
         read_csv(paths[0], name=paths[0].stem),
         read_csv(paths[1], name=paths[1].stem),
     )
@@ -110,37 +111,45 @@ class TestFullHit:
 
 
 class TestPartialHit:
+    """A partial hit: the pair misses the matrix store because a side grew.
+
+    The grown side's counts come from the append fast path
+    (``store-append``); the fixpoint then runs cold, so the answer is
+    bitwise the storeless one, and the new pair's matrix is stored.
+    """
+
     def grow(self, path, rows):
         with open(path, "a") as handle:
             handle.writelines(f"{row}\n" for row in rows)
 
+    def assert_grown_pair_runs_cold(self, paths, store, ingest_modes):
+        outcome, provenance = match_stored(*paths, matcher=EMSMatcher(), store=store)
+        assert provenance["match_mode"] == "computed"
+        assert provenance["ingest_modes"] == ingest_modes
+        assert_same_outcome(outcome, cold_outcome(paths))
+        served, provenance = match_stored(*paths, matcher=EMSMatcher(), store=store)
+        assert provenance["match_mode"] == "store"  # the next call is a full hit
+        assert_same_outcome(served, outcome)
+
     def test_duplicated_traces_keep_frequencies(self, tmp_path, store):
         # Appending an exact copy of every trace under fresh case ids
         # doubles all counts and the trace total alike, so relative
-        # frequencies — and the stored matrix — stay bitwise valid:
-        # the dirty frontier is empty and nearly every pair is warm.
+        # frequencies stay bitwise equal — yet the pair still runs cold.
         paths = write_pair(tmp_path)
         match_stored(*paths, matcher=EMSMatcher(), store=store)
         tail = paths[0].read_text().splitlines()[1:]
         self.grow(paths[0], ["grown-" + row for row in tail])
-        outcome, provenance = match_stored(*paths, matcher=EMSMatcher(), store=store)
-        assert provenance["match_mode"] == "store-partial"
-        assert provenance["ingest_modes"][0] == "store-append"
-        assert provenance["pairs_warm"] > 0
-        assert_same_outcome(outcome, cold_outcome(paths))
+        self.assert_grown_pair_runs_cold(paths, store, ("store-append", "store"))
 
     def test_structural_growth_is_bit_identical(self, tmp_path, store):
-        # Growth that shifts frequencies and adds a brand-new activity:
-        # the warm start must still reproduce the cold answer exactly.
+        # Growth that shifts frequencies and adds a brand-new activity.
         paths = write_pair(tmp_path)
         match_stored(*paths, matcher=EMSMatcher(), store=store)
         self.grow(
             paths[0],
             ["case-n1,p0", "case-n1,pNEW", "case-n2,pNEW", "case-n2,p3"],
         )
-        outcome, provenance = match_stored(*paths, matcher=EMSMatcher(), store=store)
-        assert provenance["match_mode"] == "store-partial"
-        assert_same_outcome(outcome, cold_outcome(paths))
+        self.assert_grown_pair_runs_cold(paths, store, ("store-append", "store"))
 
     def test_partial_run_persists_the_new_pair(self, tmp_path, store):
         paths = write_pair(tmp_path)
@@ -162,22 +171,38 @@ class TestPartialHit:
         match_stored(*paths, matcher=EMSMatcher(), store=store)
         self.grow(paths[0], ["case-n1,p0", "case-n1,p1"])
         self.grow(paths[1], ["case-n1,q0", "case-n1,q2"])
-        outcome, provenance = match_stored(*paths, matcher=EMSMatcher(), store=store)
-        assert provenance["match_mode"] == "store-partial"
-        assert provenance["ingest_modes"] == ("store-append", "store-append")
-        assert_same_outcome(outcome, cold_outcome(paths))
+        self.assert_grown_pair_runs_cold(
+            paths, store, ("store-append", "store-append")
+        )
 
-    def test_no_pruning_disables_partial(self, tmp_path, store):
-        # Without Proposition-2 pruning a pair's final value depends on
-        # the global stopping iteration, so carrying values over is not
-        # sound — the route must fall back to a cold fixpoint.
-        matcher = EMSMatcher(EMSConfig(use_pruning=False))
-        paths = write_pair(tmp_path)
-        match_stored(*paths, matcher=matcher, store=store)
-        self.grow(paths[0], ["case-n1,p0", "case-n1,p1"])
-        outcome, provenance = match_stored(*paths, matcher=matcher, store=store)
-        assert provenance["match_mode"] == "computed"
-        assert_same_outcome(outcome, cold_outcome(paths, EMSMatcher(matcher.config)))
+
+def write_traces(handle, log, start, stop):
+    """Write traces ``start:stop`` of *log* as CSV rows with ids ``case-i``."""
+    buffer = io.StringIO()
+    write_csv(log, buffer)
+    rows = buffer.getvalue().splitlines(keepends=True)
+    if start == 0:
+        handle.write(rows[0])
+    first_row = 1 + sum(len(trace) for trace in log.traces[:start])
+    last_row = first_row + sum(len(trace) for trace in log.traces[start:stop])
+    handle.writelines(rows[first_row:last_row])
+
+
+@pytest.mark.parametrize("seed", [*range(1, 9), 756942525])
+def test_rematch_after_append_equals_cold(tmp_path, store, seed):
+    # Generator-style growth: five new traces of the same process land on
+    # one side.  The re-match must equal a storeless cold match bitwise.
+    pair = build_scalability_pair(8, seed, traces_per_log=40)
+    paths = (tmp_path / "a.csv", tmp_path / "b.csv")
+    for path, log in zip(paths, (pair.log_first, pair.log_second)):
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            write_traces(handle, log, 0, 30)
+    match_stored(*paths, matcher=EMSMatcher(), store=store)
+    with open(paths[0], "a", newline="", encoding="utf-8") as handle:
+        write_traces(handle, pair.log_first, 30, 35)
+    outcome, provenance = match_stored(*paths, matcher=EMSMatcher(), store=store)
+    assert provenance["ingest_modes"][0] == "store-append"
+    assert_same_outcome(outcome, cold_outcome(paths))
 
 
 class TestStoreGating:

@@ -291,11 +291,3 @@ class TestXesAppendFastPath:
         result = ingest_statistics(xes_log, store=store)
         assert result.mode in ("streamed", "sharded")
         assert result.statistics == batch(xes_log)
-
-    def test_append_records_previous_counts_key(self, xes_log, store):
-        first = ingest_statistics(xes_log, store=store)
-        self.grow_xes(xes_log, [("case-new-1", ["act-0"])])
-        result = ingest_statistics(xes_log, store=store)
-        assert result.mode == "store-append"
-        assert result.previous_counts_key == first.counts_key
-        assert result.counts_key != first.counts_key

@@ -300,13 +300,20 @@ class TestMatchStoreCLI:
             handle.write("case-new-1,A,99.0\ncase-new-1,B,100.0\n")
         assert main(["match", *paths, "--store", str(store), "--json"]) == 0
         grown = json.loads(capsys.readouterr().out)
-        assert grown["provenance"]["match_mode"] == "store-partial"
+        # The grown side's counts come from the append fast path, then
+        # the fixpoint runs cold.
+        assert grown["provenance"]["match_mode"] == "computed"
         assert grown["provenance"]["ingest_modes"][0] == "store-append"
         # Bit-identical to matching the grown pair without any store.
         assert main(["match", *paths, "--json"]) == 0
         reference = json.loads(capsys.readouterr().out)
         assert grown["objective"] == reference["objective"]
         assert grown["correspondences"] == reference["correspondences"]
+        # And the grown pair's matrix was stored: the next call is a hit.
+        assert main(["match", *paths, "--store", str(store), "--json"]) == 0
+        served = json.loads(capsys.readouterr().out)
+        assert served["provenance"]["match_mode"] == "store"
+        assert served["objective"] == reference["objective"]
 
     def test_match_store_metrics_exported(self, log_paths, tmp_path, capsys):
         store = tmp_path / "store.db"
