@@ -1,8 +1,8 @@
 """Micro-benchmarks of the substrate layers.
 
-Petri-net playout, alpha-miner discovery, token replay, similarity
-flooding and footprint computation — the building blocks around the EMS
-core.  Regressions here slow every synthetic experiment down.
+Footprint computation and similarity flooding: the FPT and SFL
+baselines of the ``ext-baselines`` comparison.  Regressions here slow
+that experiment down.
 """
 
 import random
@@ -10,10 +10,7 @@ import random
 import pytest
 
 from repro.baselines.flooding import FloodingMatcher
-from repro.conformance import replay_log
-from repro.discovery import alpha_miner, heuristic_miner
 from repro.logs.footprint import compute_footprint
-from repro.petri import play_out_net, tree_to_petri
 from repro.synthesis.generator import ACYCLIC_PROFILE, random_process_tree
 from repro.synthesis.playout import play_out
 
@@ -26,33 +23,8 @@ def tree():
 
 
 @pytest.fixture(scope="module")
-def net(tree):
-    return tree_to_petri(tree)
-
-
-@pytest.fixture(scope="module")
 def log(tree):
     return play_out(tree, 200, random.Random(5), with_timestamps=False)
-
-
-def test_petri_playout_200_traces(benchmark, net):
-    result = benchmark(play_out_net, net, 200, random.Random(1))
-    assert len(result) == 200
-
-
-def test_alpha_miner(benchmark, log):
-    mined = benchmark(alpha_miner, log)
-    assert mined.is_workflow_net()
-
-
-def test_heuristic_miner(benchmark, log):
-    causal = benchmark(heuristic_miner, log)
-    assert causal.activities
-
-
-def test_token_replay(benchmark, net, log):
-    result = benchmark(replay_log, net, log)
-    assert result.fitness == pytest.approx(1.0)
 
 
 def test_footprint(benchmark, log):

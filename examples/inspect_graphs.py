@@ -1,18 +1,14 @@
-"""Inspecting event data before matching: footprints, metrics, DOT.
+"""Inspecting event data before matching: footprints and graph sizes.
 
 Before trusting any automated matching, an integrator wants to *see* the
 behavioral structure of both logs.  This script prints the footprint
-matrices (the classic process-mining order relations), the dependency
-graph shape metrics, and writes Graphviz DOT files for both logs of the
-paper's Figure 1 example.
+matrices (the classic process-mining order relations) and the size of
+each dependency graph for both logs of the paper's Figure 1 example.
 
 Run:  python examples/inspect_graphs.py
 """
 
-from pathlib import Path
-
 from repro import DependencyGraph
-from repro.graph.export import graph_metrics, to_dot
 from repro.logs.footprint import compute_footprint
 from repro.synthesis.examples import figure1_logs
 
@@ -23,15 +19,10 @@ for log in (log_first, log_second):
     footprint = compute_footprint(log)
     print(footprint.render())
     graph = DependencyGraph.from_log(log)
-    metrics = graph_metrics(graph)
     print(
-        f"\n{metrics.node_count} events, {metrics.edge_count} edges, "
-        f"density {metrics.density:.2f}, reciprocity {metrics.reciprocity:.2f} "
-        f"(reciprocal edges = concurrency, e.g. E || F)"
+        f"\n{len(graph.nodes)} events, {len(graph.real_edges)} edges "
+        f"(reciprocal edges = concurrency, e.g. E || F)\n"
     )
-    dot_path = Path(f"/tmp/{log.name}.dot")
-    dot_path.write_text(to_dot(graph, include_artificial=True))
-    print(f"DOT written to {dot_path} (render with: dot -Tpng {dot_path})\n")
 
 print("Footprints already reveal the story: both logs share a chain with")
 print("one concurrent pair, but L2 has an extra always-first event (1) —")

@@ -9,9 +9,8 @@ checkpoints, and shows the matching stabilizing as evidence accumulates.
 Run:  python examples/streaming_rematch.py
 """
 
-from repro import DependencyGraph, EMSConfig, EMSEngine, evaluate
+from repro import DependencyGraph, EMSMatcher, evaluate
 from repro.logs import OnlineStatistics
-from repro.matching import select_correspondences
 from repro.synthesis.corpus import make_log_pair
 
 pair = make_log_pair(
@@ -22,7 +21,7 @@ stream_second = list(pair.log_second)
 
 online_first = OnlineStatistics()
 online_second = OnlineStatistics()
-engine = EMSEngine(EMSConfig())
+matcher = EMSMatcher()
 
 print(f"{'traces seen':>11s} {'f-measure':>10s} {'avg sim':>8s}")
 checkpoints = [5, 10, 20, 50, 100, 200]
@@ -34,10 +33,9 @@ for checkpoint in checkpoints:
         cursor += 1
     graph_first = DependencyGraph.from_statistics(online_first.snapshot())
     graph_second = DependencyGraph.from_statistics(online_second.snapshot())
-    matrix = engine.similarity(graph_first, graph_second).matrix
-    found = select_correspondences(matrix)
-    quality = evaluate(pair.truth, found)
-    print(f"{cursor:>11d} {quality.f_measure:>10.3f} {matrix.average():>8.3f}")
+    outcome = matcher.match_graphs(graph_first, graph_second)
+    quality = evaluate(pair.truth, outcome.correspondences)
+    print(f"{cursor:>11d} {quality.f_measure:>10.3f} {outcome.objective:>8.3f}")
 
 print()
 print("Early snapshots are noisy (few traces -> unstable frequencies);")

@@ -8,7 +8,6 @@ frequency statistics computed here.
 from repro.logs.events import Event, Trace
 from repro.logs.footprint import Footprint, Relation, compute_footprint, footprint_agreement
 from repro.logs.log import RESERVED_ACTIVITY, EventLog
-from repro.logs.compare import LogComparison, compare_logs
 from repro.logs.streaming import OnlineStatistics
 from repro.logs.stats import (
     LogStatistics,
@@ -27,8 +26,6 @@ __all__ = [
     "compute_footprint",
     "footprint_agreement",
     "OnlineStatistics",
-    "LogComparison",
-    "compare_logs",
     "LogStatistics",
     "LogSummary",
     "compute_statistics",

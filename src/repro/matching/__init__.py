@@ -1,28 +1,16 @@
-"""Correspondence selection and matching-quality evaluation."""
+"""Maximum-weight assignment and matching-quality evaluation."""
 
 from repro.matching.assignment import (
     assignment_weight,
     max_weight_assignment,
     min_cost_assignment,
 )
-from repro.matching.calibration import ThresholdCalibration, calibrate_threshold
 from repro.matching.evaluation import (
     Correspondence,
     MatchEvaluation,
     correspondence_links,
     evaluate,
     mean_evaluation,
-)
-from repro.matching.strategies import (
-    greedy_selection,
-    mutual_best_selection,
-    stable_marriage_selection,
-)
-from repro.matching.selection import (
-    SelectedPair,
-    pairs_to_correspondences,
-    select_correspondences,
-    select_pairs,
 )
 
 __all__ = [
@@ -34,13 +22,4 @@ __all__ = [
     "correspondence_links",
     "evaluate",
     "mean_evaluation",
-    "SelectedPair",
-    "select_pairs",
-    "pairs_to_correspondences",
-    "select_correspondences",
-    "greedy_selection",
-    "stable_marriage_selection",
-    "mutual_best_selection",
-    "ThresholdCalibration",
-    "calibrate_threshold",
 ]

@@ -11,7 +11,6 @@ from repro.core.ems import EMSEngine
 from repro.graph.dependency import DependencyGraph
 from repro.logs.log import EventLog
 from repro.logs.streaming import OnlineStatistics
-from repro.petri.net import Marking
 
 
 class TestReprs:
@@ -27,9 +26,6 @@ class TestReprs:
 
     def test_graph_repr(self, fig1_graphs):
         assert "nodes=6" in repr(fig1_graphs[0])
-
-    def test_marking_repr_sorted(self):
-        assert repr(Marking(["b", "a"])) == "Marking({a:1, b:1})"
 
     def test_online_statistics_repr(self):
         online = OnlineStatistics()
@@ -88,13 +84,6 @@ class TestConvenienceAccessors:
         assert clean.finished_all
         assert not dirty.finished_all
 
-    def test_replay_result_empty_edge_cases(self):
-        from repro.conformance.replay import ReplayResult
-
-        empty = ReplayResult(0, 0, 0, 0, 0, 0)
-        assert empty.fitness == pytest.approx(1.0)
-        assert empty.trace_fitness == 0.0
-
     def test_correspondence_repr(self):
         from repro.matching.evaluation import Correspondence
 
@@ -116,16 +105,3 @@ class TestDefensiveValidation:
 
         (report,) = estimation_error(*fig1_graphs, budgets=(2,))
         assert "rmse" in str(report)
-
-    def test_threshold_calibration_str(self):
-        import numpy as np
-
-        from repro.core.matrix import SimilarityMatrix
-        from repro.matching.calibration import calibrate_threshold
-        from repro.matching.evaluation import Correspondence
-
-        matrix = SimilarityMatrix(["a"], ["x"], np.array([[0.9]]))
-        calibration = calibrate_threshold(
-            [(matrix, [Correspondence.one_to_one("a", "x")])]
-        )
-        assert "threshold" in str(calibration)
