@@ -28,7 +28,7 @@ for index, area in enumerate(AREAS):
     print(f"{area:20s}: {quality}")
     for correspondence in outcome.correspondences:
         global_id = f"{area}/{min(correspondence.left)}"
-        for local in correspondence.left | correspondence.right:
+        for local in sorted(correspondence.left | correspondence.right):
             dictionary[local] = global_id
         matched_pairs += 1
 

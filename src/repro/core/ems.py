@@ -31,10 +31,11 @@ Features implemented here:
 One kernel, :class:`_DirectionalRun`, evaluates the iteration over one
 edge-pair grid: the artificial predecessor's constant row is factored
 out analytically into a per-pair base term, and each iteration gathers
-and weights the real-predecessor contributions of all active pairs as
-one in-edges × in-edges matrix, then max/sum-reduces it with segmented
-``reduceat`` calls.  Proposition-2 pruning makes the active pairs a
-prefix rectangle of that grid.  Contributions are recomputed chunk by
+the real-predecessor contributions of all active pairs as one in-edges ×
+in-edges matrix, weights them by edge agreements gathered from a table
+over the two sides' distinct edge weights (built once per run), then
+max/sum-reduces it with segmented ``reduceat`` calls.  Proposition-2
+pruning makes the active pairs a prefix rectangle of that grid.  Contributions are recomputed chunk by
 chunk, so the working memory is ``O(chunk)``.  The per-pair loop
 in ``tests/ems_oracle.py`` is the readable specification of formula (1);
 ``tests/core/test_sparse_kernel_equivalence`` pins the kernel to it
@@ -307,13 +308,14 @@ class _EdgeSide:
     Nodes whose pairs are all Uc-fixed are left out.
     """
 
-    nodes: np.ndarray    #: (k,) node indices (rows or columns of `values`)
-    levels: np.ndarray   #: (k,) their convergence levels, descending
-    offsets: np.ndarray  #: (k + 1,) start of each node's in-edges
-    sources: np.ndarray  #: (E,) source node of each in-edge
-    weights: np.ndarray  #: (E,) in-edge weights, run dtype
-    inner: np.ndarray    #: positions of the nodes with real in-degree > 0
-    scale: np.ndarray    #: (k,) α/2 · 1/|pre(v)|, run dtype
+    nodes: np.ndarray      #: (k,) node indices (rows or columns of `values`)
+    levels: np.ndarray     #: (k,) their convergence levels, descending
+    offsets: np.ndarray    #: (k + 1,) start of each node's in-edges
+    sources: np.ndarray    #: (E,) source node of each in-edge
+    distinct: np.ndarray   #: (U,) the distinct in-edge weights, run dtype
+    weight_of: np.ndarray  #: (E,) position of each in-edge's weight in `distinct`
+    inner: np.ndarray      #: positions of the nodes with real in-degree > 0
+    scale: np.ndarray      #: (k,) α/2 · 1/|pre(v)|, run dtype
 
     @classmethod
     def build(cls, graph: DependencyGraph, levels: np.ndarray, keep: np.ndarray,
@@ -328,8 +330,9 @@ class _EdgeSide:
         edges = np.repeat(indptr[nodes] - offsets[:-1], degree) + np.arange(offsets[-1])
         # |pre(v)| includes the artificial predecessor (+1).
         scale = (half_alpha * (1.0 / (degree + 1))).astype(dtype)
-        return cls(nodes, sorted_levels, offsets, indices[edges],
-                   weights[edges].astype(dtype), np.flatnonzero(degree), scale)
+        distinct, weight_of = np.unique(weights[edges].astype(dtype), return_inverse=True)
+        return cls(nodes, sorted_levels, offsets, indices[edges], distinct, weight_of,
+                   np.flatnonzero(degree), scale)
 
     def active(self, iteration: int, use_pruning: bool) -> int:
         """How many leading nodes are active at *iteration*."""
@@ -344,6 +347,9 @@ class _EdgeGrid:
 
     first: _EdgeSide
     second: _EdgeSide
+    #: (U1, U2) ``C`` over the two sides' distinct weights; None without
+    #: edge weights, where ``C`` is the constant ``c``
+    agreement: np.ndarray | None
     base: np.ndarray         #: (k1, k2) constant term: artificial row + label blend
     linear: np.ndarray       #: (k1, k2) row-major linear pair index (budget-cut order)
     free: np.ndarray | None  #: (k1, k2) not Uc-fixed; None when nothing is fixed
@@ -353,7 +359,7 @@ class _DirectionalRun:
     """One forward-similarity fixpoint computation on a graph pair.
 
     Each iteration evaluates formula (1) for every active pair with a
-    fixed handful of NumPy calls per chunk.  Three observations make that
+    fixed handful of NumPy calls per chunk.  Four observations make that
     possible:
 
     * **The artificial predecessor row is closed-form.**  ``v^X`` is a
@@ -377,14 +383,19 @@ class _DirectionalRun:
       ``C``, and reduces with ``np.maximum.reduceat`` over one axis's node
       segments and ``np.add.reduceat`` over the other's — forward and
       backward are the same two reductions with the axes swapped.
+    * **``C`` depends on two edge weights only.**  Weights are
+      count/trace-count fractions, so each side has few distinct ones
+      (``U <= min(E, traces + 1)``).  ``C`` is built once per grid as a
+      ``U1 × U2`` table over the distinct weights, and each chunk gathers
+      its agreements from it through the per-edge weight codes.
     * **Proposition-2 pruning is a rectangle.**  A pair is active while
       ``min(l(v1), l(v2)) >= n``, which is ``{l(v1) >= n} × {l(v2) >= n}``.
       With each side's nodes in descending level order the active pairs
       are a prefix rectangle, and only its edge prefix is touched.
 
-    Nothing per contribution stays resident: the gather and the
-    agreements are recomputed per chunk of whole ``v1`` nodes, at most
-    :data:`_SPARSE_CHUNK_TARGET` elements each.  ``reduceat`` cannot
+    Nothing per contribution stays resident: the gather of ``S`` and of
+    ``C`` from its table is redone per chunk of whole ``v1`` nodes, at
+    most :data:`_SPARSE_CHUNK_TARGET` elements each.  ``reduceat`` cannot
     express an empty segment, so the reductions run over nodes with real
     predecessors only; a pair with no real predecessor on either side is
     its ``base``.  Uc-fixed pairs (Proposition 4) are computed when they
@@ -489,9 +500,13 @@ class _DirectionalRun:
         if label_weight:
             base = base + label_weight * self.label_matrix[block]
         free = ~fixed[block]
+        agreement = None
+        if config.use_edge_weights:
+            agreement = edge_agreement(first.distinct, second.distinct, config.c)
         return _EdgeGrid(
             first=first,
             second=second,
+            agreement=agreement,
             base=np.asarray(base, dtype=dtype),
             linear=first.nodes[:, None].astype(np.int64) * self._n2 + second.nodes[None, :],
             free=None if free.all() else free,
@@ -553,11 +568,13 @@ class _DirectionalRun:
         over ``v2``'s in-edges of ``C · S`` (formula (1) before the
         ``1/|pre(v1)|`` scale); ``backward`` swaps the roles.
         """
-        config = self.config
         first, second = self._grid.first, self._grid.second
         edges_second = second.offsets[count_second]
         sources_second = second.sources[:edges_second]
-        weights_second = second.weights[:edges_second]
+        # Gathering from the distinct-weight table gives bit for bit what
+        # `edge_agreement` computes on a chunk's weights.
+        agreement = self._grid.agreement
+        codes_second = second.weight_of[:edges_second]
         col_starts = second.offsets[cols]
         row_starts = first.offsets[rows]
         row_ends = first.offsets[rows + 1]
@@ -573,10 +590,10 @@ class _DirectionalRun:
             )
             low, high = row_starts[start], row_ends[stop - 1]
             grid = previous[first.sources[low:high]][:, sources_second]
-            if config.use_edge_weights:
-                grid *= edge_agreement(first.weights[low:high], weights_second, config.c)
+            if agreement is not None:
+                grid *= agreement[first.weight_of[low:high]][:, codes_second]
             else:
-                grid *= config.c
+                grid *= self.config.c
             segments = row_starts[start:stop] - low
             forward[start:stop] = np.add.reduceat(
                 np.maximum.reduceat(grid, col_starts, axis=1), segments, axis=0

@@ -2,8 +2,10 @@
 
 The paper selects event correspondences with "the maximum total similarity
 selection method" citing Munkres [17].  This is the O(n^3)
-potential-based Hungarian algorithm, written from scratch (no scipy on the
-hot path); the test suite property-checks it against
+potential-based Hungarian algorithm, written from scratch with NumPy
+(SciPy is a test dependency only); the test suite pins it to the
+per-column loop of ``tests/hungarian_oracle.py`` assignment for
+assignment and property-checks it against
 ``scipy.optimize.linear_sum_assignment``.
 """
 
@@ -63,51 +65,68 @@ def _hungarian_min(cost: np.ndarray) -> list[tuple[int, int]]:
 
     Classic O(n^2 m) formulation with dual potentials ``u`` (rows) and
     ``v`` (columns); ``p[j]`` is the row matched to column ``j`` (1-based,
-    0 = free), ``way[j]`` remembers the augmenting path.
+    0 = free), ``way[j]`` remembers the augmenting path, and column 0 is
+    the virtual start column of each augmentation.  Each step of a search
+    scans all columns at once: the slack update, the choice of the next
+    column (the first minimum slack among the unused columns) and the
+    potential update are array operations on the same floats in the same
+    order as the per-column loop of ``tests/hungarian_oracle.py``, so the
+    assignment is the loop's, ties included.
     """
     n, m = cost.shape
     if n > m:
         raise ValueError("internal: _hungarian_min requires n <= m")
-    infinity = float("inf")
-    u = [0.0] * (n + 1)
-    v = [0.0] * (m + 1)
-    p = [0] * (m + 1)
-    way = [0] * (m + 1)
+    if not np.isfinite(cost).all():
+        # A NaN or infinite slack can keep the search from ever reaching
+        # a free column.
+        raise ValueError("cost must be finite")
+    u = np.zeros(n + 1)
+    v = np.zeros(m + 1)
+    p = np.zeros(m + 1, dtype=np.int64)
+    way = np.zeros(m + 1, dtype=np.int64)
+    # Slack of each column; +inf once the column is used, so the minimum
+    # over `minv` is the minimum over the unused columns.
+    minv = np.empty(m + 1)
+    free = np.empty(m, dtype=bool)
+    # The used columns of a search, and the rows matched to them.
+    used_cols = np.empty(m + 1, dtype=np.int64)
+    used_rows = np.empty(m + 1, dtype=np.int64)
+    current = np.empty(m)
+    better = np.empty(m, dtype=bool)
+    # Views of the real columns 1..m.
+    v_real, way_real, minv_real = v[1:], way[1:], minv[1:]
     for i in range(1, n + 1):
         p[0] = i
-        j0 = 0
-        minv = [infinity] * (m + 1)
-        used = [False] * (m + 1)
+        j0, i0 = 0, i
+        minv.fill(np.inf)
+        free.fill(True)
+        used_cols[0], used_rows[0] = 0, i
+        n_used = 1
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = infinity
-            j1 = -1
-            row = cost[i0 - 1]
-            for j in range(1, m + 1):
-                if used[j]:
-                    continue
-                current = row[j - 1] - u[i0] - v[j]
-                if current < minv[j]:
-                    minv[j] = current
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(m + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            np.subtract(cost[i0 - 1], u[i0], out=current)
+            current -= v_real
+            np.less(current, minv_real, out=better)
+            better &= free
+            np.copyto(minv_real, current, where=better)
+            np.copyto(way_real, j0, where=better)
+            j1 = int(minv.argmin())
+            delta = minv[j1]
+            u[used_rows[:n_used]] += delta
+            v[used_cols[:n_used]] -= delta
+            minv -= delta
             j0 = j1
-            if p[j0] == 0:
+            i0 = int(p[j0])
+            if i0 == 0:
                 break
+            used_cols[n_used], used_rows[n_used] = j0, i0
+            n_used += 1
+            free[j0 - 1] = False
+            minv[j0] = np.inf
         while j0:
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    return [(p[j] - 1, j - 1) for j in range(1, m + 1) if p[j] != 0]
+    return [(int(p[j]) - 1, j - 1) for j in range(1, m + 1) if p[j] != 0]
 
 
 def assignment_weight(weights: np.ndarray, assignment: list[tuple[int, int]]) -> float:

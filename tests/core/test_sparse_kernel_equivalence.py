@@ -18,6 +18,9 @@ must match pair for pair.  The suite also pins:
   self-loops and Uc-fixed pairs scattered inside the active rectangle;
 * **float32** — a narrowed run stays within 1e-5 of the float64 answer
   and preserves the per-row best match up to ties;
+* **the agreement table** — ``C`` gathered from the distinct-weight table
+  equals ``edge_agreement`` on the edges' own weights bit for bit, in
+  every active prefix, at both dtypes;
 * **warm starts** — the incremental composite search produces the same
   trajectory on the production kernel as on the oracle.
 """
@@ -31,7 +34,7 @@ import pytest
 import repro.core.ems as ems_module
 from repro.core.composite import CompositeMatcher
 from repro.core.config import EMSConfig
-from repro.core.ems import EMSEngine, WarmStart
+from repro.core.ems import EMSEngine, WarmStart, edge_agreement
 from repro.graph.dependency import ARTIFICIAL, DependencyGraph
 from repro.logs.log import EventLog
 from repro.runtime.budget import MatchBudget
@@ -293,6 +296,102 @@ class TestEdgePairGrid:
             assert stage_sparse == stage_ref == "partial"
             assert spent_sparse == spent_ref
             assert_equivalent(sparse, ref)
+
+
+def built_grid(graphs, config: EMSConfig):
+    """The edge-pair grid of a forward run, as its first step builds it."""
+    first, second = graphs
+    run = ems_module._DirectionalRun(
+        first, second, config, np.zeros((len(first.nodes), len(second.nodes)))
+    )
+    run.step()
+    return run._grid
+
+
+def complete_graphs() -> tuple[DependencyGraph, DependencyGraph]:
+    """Every ordered pair of distinct nodes is an edge."""
+    edges = [a + b for a in "pqrstu" for b in "pqrstu" if a != b]
+    return explicit_graph("pqrstu", edges, seed=12), explicit_graph("pqrstu", edges, seed=13)
+
+
+def repeated_weight_graphs() -> tuple[DependencyGraph, DependencyGraph]:
+    """Logs of few trace variants: many edges share a frequency."""
+    first = DependencyGraph.from_log(
+        EventLog([list("abcd")] * 4 + [list("acbd")] * 4 + [list("abd")] * 2)
+    )
+    second = DependencyGraph.from_log(
+        EventLog([list("wxyz")] * 3 + [list("wyxz")] * 3 + [list("wxz")] * 4)
+    )
+    return first, second
+
+
+def edge_weights(graph: DependencyGraph, side, dtype: str) -> np.ndarray:
+    """The weight of each in-edge of a grid side, in grid order, read from
+    the graph edge by edge."""
+    targets = np.repeat(side.nodes, np.diff(side.offsets))
+    nodes = graph.nodes
+    return np.array(
+        [graph.edge_frequency(nodes[source], nodes[target])
+         for source, target in zip(side.sources, targets)],
+        dtype=dtype,
+    )
+
+
+class TestAgreementTable:
+    """``C`` from the distinct-weight table is ``edge_agreement``, bitwise."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("shape", ["random", "repeated", "complete"])
+    def test_gathered_table_equals_formula(self, shape, dtype):
+        if shape == "random":
+            graphs = graphs_for(12, seed=11)
+        elif shape == "repeated":
+            graphs = repeated_weight_graphs()
+        else:
+            graphs = complete_graphs()
+        config = EMSConfig(dtype=dtype)
+        grid = built_grid(graphs, config)
+        first, second = grid.first, grid.second
+        weights_first = edge_weights(graphs[0], first, dtype)
+        weights_second = edge_weights(graphs[1], second, dtype)
+        if shape == "repeated":
+            assert len(first.distinct) < len(weights_first)
+            assert len(second.distinct) < len(weights_second)
+        assert grid.agreement.shape == (len(first.distinct), len(second.distinct))
+        assert grid.agreement.dtype == np.dtype(dtype)
+        prefixes = {
+            (first.active(n, True), second.active(n, True))
+            for n in range(1, len(first.nodes) + len(second.nodes) + 2)
+        }
+        prefixes.add((len(first.nodes), len(second.nodes)))
+        for count_first, count_second in sorted(prefixes):
+            rows = slice(0, first.offsets[count_first])
+            edges_second = second.offsets[count_second]
+            gathered = grid.agreement[first.weight_of[rows]][
+                :, second.weight_of[:edges_second]
+            ]
+            expected = edge_agreement(
+                weights_first[rows], weights_second[:edges_second], config.c
+            )
+            assert gathered.dtype == expected.dtype == np.dtype(dtype)
+            assert np.array_equal(gathered, expected)
+
+    def test_complete_graphs_match_oracle(self):
+        assert_equivalent(*run_kernels(complete_graphs(), {}))
+
+    def test_without_edge_weights_no_table_and_constant_c(self):
+        graphs = repeated_weight_graphs()
+        grid = built_grid(graphs, EMSConfig(use_edge_weights=False))
+        assert grid.agreement is None
+        # c enters every contribution: a different c moves the answer, and
+        # each one equals the oracle's.
+        results = [
+            run_kernels(graphs, {"use_edge_weights": False, "c": c})
+            for c in (0.8, 0.5)
+        ]
+        for production, oracle in results:
+            assert_equivalent(production, oracle)
+        assert not np.allclose(results[0][0].matrix.values, results[1][0].matrix.values)
 
 
 class TestAbortEquivalence:

@@ -1,13 +1,20 @@
 """Tests for the from-scratch Hungarian algorithm."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from repro.matching import assignment
 from repro.matching.assignment import (
     assignment_weight,
     max_weight_assignment,
     min_cost_assignment,
 )
+from tests.hungarian_oracle import hungarian_min
 
 
 class TestMaxWeight:
@@ -92,3 +99,48 @@ class TestAgainstScipy:
             assert sum(cost[i, j] for i, j in ours) == pytest.approx(
                 float(cost[rows, cols].sum())
             )
+
+
+#: Rectangular matrices of 1-12 rows and columns with values 0-2, so most
+#: rows hold exact ties and the tie-break decides the assignment.
+tied_matrices = st.integers(min_value=1, max_value=12).flatmap(
+    lambda rows: st.integers(min_value=1, max_value=12).flatmap(
+        lambda cols: arrays(
+            dtype=np.float64,
+            shape=(rows, cols),
+            elements=st.integers(min_value=0, max_value=2).map(float),
+        )
+    )
+)
+
+
+def oracle_max_weight(weights: np.ndarray) -> list[tuple[int, int]]:
+    """``max_weight_assignment`` with the loop oracle as its solver."""
+    with mock.patch.object(assignment, "_hungarian_min", hungarian_min):
+        return max_weight_assignment(weights)
+
+
+class TestAgainstLoopOracle:
+    """The array-op row scan must pick the assignment the loop picks."""
+
+    @given(tied_matrices)
+    @settings(max_examples=200, deadline=None)
+    def test_tied_rectangular_matrices(self, weights):
+        assert max_weight_assignment(weights) == oracle_max_weight(weights)
+        cost = weights.T if weights.shape[0] > weights.shape[1] else weights
+        assert assignment._hungarian_min(cost) == hungarian_min(cost)
+
+    @pytest.mark.parametrize("size", [60, 73, 100])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_large_square_matrices(self, size, ties):
+        weights = np.random.default_rng(size).random((size, size))
+        if ties:
+            weights = np.round(weights * 4) / 4
+        assert max_weight_assignment(weights) == oracle_max_weight(weights)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cost_rejected(self, bad):
+        cost = np.ones((3, 3))
+        cost[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            min_cost_assignment(cost)

@@ -1,9 +1,13 @@
 """Smoke tests that the installed entry points actually launch."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(args: list[str]) -> subprocess.CompletedProcess:
@@ -51,3 +55,20 @@ class TestEntryPoints:
         result = run(["-m", "repro", "match", str(path_first), str(path_second)])
         assert result.returncode == 0
         assert "<->" in result.stdout
+
+
+class TestExamples:
+    def test_cross_subsidiary_output_independent_of_hash_seed(self):
+        """The example's stdout must not depend on set iteration order."""
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": str(ROOT / "src")}
+            result = subprocess.run(
+                [sys.executable, str(ROOT / "examples" / "cross_subsidiary_search.py")],
+                capture_output=True, text=True, timeout=120, env=env,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert "cross-subsidiary query" in outputs[0]
+        assert outputs[0] == outputs[1]
