@@ -100,6 +100,7 @@ from repro.obs import (
     configure_logging,
 )
 from repro.request import (  # load_log: re-exported as repro.cli.load_log
+    DTYPES,
     FORMATS,
     ON_ERROR_MODES,
     MatchRequest,
@@ -204,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
              "see docs/robustness.md)",
     )
     match.add_argument(
-        "--dtype", choices=("float64", "float32"), default="float64",
+        "--dtype", choices=DTYPES, default="float64",
         help="floating-point width of the similarity computation; float32 "
              "halves buffer memory at ~1e-5 accuracy cost",
     )

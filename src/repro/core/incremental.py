@@ -9,8 +9,10 @@ to what the merge actually touches, while staying **bit-identical** to
 that full rebuild:
 
 * **delta graph merges** — :func:`repro.graph.merge.merge_counts` patches
-  the parent round's integer trace counters from only the traces containing
-  the run; identical integers divided by the same trace count give
+  the parent round's integer trace counters from only the distinct trace
+  variants containing the run, each rewritten once as an activity tuple
+  and weighted by its multiplicity; identical integers divided by the
+  same trace count give
   bit-identical frequencies, hence bit-identical graphs
   (:func:`repro.graph.merge.merged_graph_from_delta`), with Proposition-2
   levels recomputed only where ``l(v)`` can change;

@@ -10,14 +10,17 @@ counts.  This module implements that rewriting plus composite bookkeeping.
 
 The *delta* half of the module (:class:`TraceIndex`, :class:`LogCounts`,
 :func:`merge_counts`) exploits that a merge of run ``r`` only rewrites the
-traces that actually contain ``r`` contiguously.  Definition 1's
-frequencies are integer trace counts divided by the (merge-invariant)
-trace count, so patching the integer counters of just the affected traces
-yields frequencies — and therefore graphs, levels and similarities —
-**bit-identical** to the full rebuild, at a cost proportional to the
-affected traces instead of the whole log.  The full rewrite is kept both
-as the API for non-incremental callers and as the differential ground
-truth (``tests/graph/test_merge_delta.py``).
+traces that actually contain ``r`` contiguously, and that traces with the
+same activity sequence (one *variant*) are rewritten alike.  Definition
+1's frequencies are integer trace counts divided by the (merge-invariant)
+trace count, so rewriting each affected variant's activity tuple once and
+patching the integer counters by its multiplicity yields frequencies —
+and therefore graphs, levels and similarities — **bit-identical** to the
+full rebuild, at a cost proportional to the affected *distinct variants*
+instead of the whole log.  The traces themselves are rewritten only when
+a merge is accepted (:func:`apply_delta_to_log`).  The full rewrite is
+kept both as the API for non-incremental callers and as the differential
+ground truth (``tests/graph/test_merge_delta.py``).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.exceptions import GraphError
 from repro.graph.dependency import DependencyGraph
-from repro.logs.events import Trace
+from repro.logs.events import collapse_run
 from repro.logs.log import EventLog
 from repro.logs.stats import LogStatistics
 
@@ -152,32 +155,37 @@ class LogCounts:
 
 
 class TraceIndex:
-    """Per-trace distinct sets plus an activity → trace-positions index.
+    """The log's trace variants, their distinct sets and an activity index.
 
-    Built once per log, the index answers "which traces can contain run
-    ``r`` contiguously?" (the intersection of the members' postings) and
-    supplies each affected trace's old distinct-activity and distinct-pair
-    sets so :func:`merge_counts` can subtract/re-add only what changed.
+    Built once per log from its variant table: each distinct activity
+    tuple with its multiplicity, its distinct-activity and distinct-pair
+    sets, and postings from each activity to the variant ids containing
+    it.  The index answers "which variants can contain run ``r``
+    contiguously?" (the intersection of the members' postings) and
+    supplies each affected variant's old sets so :func:`merge_counts` can
+    subtract/re-add only what changed, weighted by multiplicity.
     ``apply`` advances the index in place when a merge is accepted.
     """
 
-    __slots__ = ("traces", "activity_sets", "pair_sets", "postings")
+    __slots__ = ("variants", "multiplicities", "activity_sets", "pair_sets", "postings")
 
     def __init__(self, log: EventLog):
-        self.traces: list[Trace] = list(log.traces)
+        table = log.variant_counts()
+        self.variants: list[tuple[str, ...]] = list(table)
+        self.multiplicities: list[int] = list(table.values())
         self.activity_sets: list[frozenset[str]] = [
-            trace.distinct_activities() for trace in self.traces
+            frozenset(variant) for variant in self.variants
         ]
         self.pair_sets: list[frozenset[tuple[str, str]]] = [
-            frozenset(trace.pairs()) for trace in self.traces
+            frozenset(zip(variant, variant[1:])) for variant in self.variants
         ]
         self.postings: dict[str, set[int]] = {}
         for i, activities in enumerate(self.activity_sets):
             for activity in activities:
                 self.postings.setdefault(activity, set()).add(i)
 
-    def candidate_traces(self, run: Sequence[str]) -> list[int]:
-        """Positions of traces containing every member of *run* (sorted)."""
+    def candidate_variants(self, run: Sequence[str]) -> list[int]:
+        """Ids of variants containing every member of *run* (sorted)."""
         postings = [self.postings.get(member) for member in run]
         if any(p is None for p in postings):
             return []
@@ -192,9 +200,9 @@ class TraceIndex:
 
     def apply(self, delta: "MergeDelta") -> None:
         """Advance the index past an accepted merge (in place)."""
-        for i, new_trace in delta.affected:
+        for i, _, new_variant in delta.affected:
             old_activities = self.activity_sets[i]
-            new_activities = new_trace.distinct_activities()
+            new_activities = frozenset(new_variant)
             for activity in old_activities - new_activities:
                 posting = self.postings[activity]
                 posting.discard(i)
@@ -202,9 +210,9 @@ class TraceIndex:
                     del self.postings[activity]
             for activity in new_activities - old_activities:
                 self.postings.setdefault(activity, set()).add(i)
-            self.traces[i] = new_trace
+            self.variants[i] = new_variant
             self.activity_sets[i] = new_activities
-            self.pair_sets[i] = frozenset(new_trace.pairs())
+            self.pair_sets[i] = frozenset(zip(new_variant, new_variant[1:]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,7 +220,8 @@ class MergeDelta:
     """Everything one candidate merge changes, in patchable form.
 
     ``counts`` is the fully patched :class:`LogCounts` of the merged log;
-    ``affected`` the rewritten traces (position, new trace);
+    ``affected`` the rewritten variants (variant id, old activity tuple,
+    new activity tuple);
     ``activity_changes`` / ``pair_changes`` map each touched counter key to
     its ``(old, new)`` integer counts — the raw material for computing
     which nodes' in/out edge sets changed (and hence where Proposition-2
@@ -222,7 +231,7 @@ class MergeDelta:
     run: tuple[str, ...]
     name: str
     counts: LogCounts
-    affected: tuple[tuple[int, Trace], ...]
+    affected: tuple[tuple[int, tuple[str, ...], tuple[str, ...]], ...]
     activity_changes: dict[str, tuple[int, int]]
     pair_changes: dict[tuple[str, str], tuple[int, int]]
 
@@ -251,12 +260,13 @@ class MergeDelta:
 
 
 def merge_counts(counts: LogCounts, index: TraceIndex, run: Sequence[str]) -> MergeDelta:
-    """Patch *counts* for merging *run*, touching only affected traces.
+    """Patch *counts* for merging *run*, touching only affected variants.
 
     Equivalent to rewriting the log with :func:`merge_run_in_log` and
-    recounting from scratch, but proportional to the traces that actually
-    contain the contiguous run.  *counts* is not mutated; the returned
-    delta carries a patched copy.
+    recounting from scratch, but proportional to the distinct variants
+    that actually contain the contiguous run: each is rewritten once, as a
+    tuple, and moves the counters by its multiplicity.  *counts* is not
+    mutated; the returned delta carries a patched copy.
     """
     run = tuple(run)
     if len(run) < 2:
@@ -269,20 +279,21 @@ def merge_counts(counts: LogCounts, index: TraceIndex, run: Sequence[str]) -> Me
     pair = dict(counts.pair)
     activity_changes: dict[str, tuple[int, int]] = {}
     pair_changes: dict[tuple[str, str], tuple[int, int]] = {}
-    affected: list[tuple[int, Trace]] = []
+    affected: list[tuple[int, tuple[str, ...], tuple[str, ...]]] = []
 
-    for i in index.candidate_traces(run):
-        trace = index.traces[i]
-        new_trace = trace.replace_run(run, name)
-        if new_trace.activities == trace.activities:
-            continue  # members present but never contiguous in this trace
-        affected.append((i, new_trace))
+    for i in index.candidate_variants(run):
+        variant = index.variants[i]
+        new_variant = collapse_run(variant, run, name)
+        if new_variant == variant:
+            continue  # members present but never contiguous in this variant
+        affected.append((i, variant, new_variant))
+        multiplicity = index.multiplicities[i]
         old_activities = index.activity_sets[i]
-        new_activities = new_trace.distinct_activities()
+        new_activities = frozenset(new_variant)
         for a in old_activities - new_activities:
             if a not in activity_changes:
                 activity_changes[a] = (activity.get(a, 0), 0)
-            remaining = activity[a] - 1
+            remaining = activity[a] - multiplicity
             if remaining:
                 activity[a] = remaining
             else:
@@ -290,13 +301,13 @@ def merge_counts(counts: LogCounts, index: TraceIndex, run: Sequence[str]) -> Me
         for a in new_activities - old_activities:
             if a not in activity_changes:
                 activity_changes[a] = (activity.get(a, 0), 0)
-            activity[a] = activity.get(a, 0) + 1
+            activity[a] = activity.get(a, 0) + multiplicity
         old_pairs = index.pair_sets[i]
-        new_pairs = frozenset(new_trace.pairs())
+        new_pairs = frozenset(zip(new_variant, new_variant[1:]))
         for p in old_pairs - new_pairs:
             if p not in pair_changes:
                 pair_changes[p] = (pair.get(p, 0), 0)
-            remaining = pair[p] - 1
+            remaining = pair[p] - multiplicity
             if remaining:
                 pair[p] = remaining
             else:
@@ -304,7 +315,7 @@ def merge_counts(counts: LogCounts, index: TraceIndex, run: Sequence[str]) -> Me
         for p in new_pairs - old_pairs:
             if p not in pair_changes:
                 pair_changes[p] = (pair.get(p, 0), 0)
-            pair[p] = pair.get(p, 0) + 1
+            pair[p] = pair.get(p, 0) + multiplicity
 
     activity_changes = {
         a: (old, activity.get(a, 0)) for a, (old, _) in activity_changes.items()
@@ -344,15 +355,21 @@ def merged_member_map(
 
 
 def apply_delta_to_log(log: EventLog, delta: MergeDelta) -> EventLog:
-    """The merged log, rebuilt by swapping only the affected traces.
+    """The merged log: only the traces of affected variants are rewritten.
 
-    Equal (as a trace multiset, position for position) to
-    ``merge_run_in_log(log, delta.run)[0]``.
+    Equal position for position — timestamps, attributes and case ids
+    included — to ``merge_run_in_log(log, delta.run)[0]``.
     """
-    traces = list(log.traces)
-    for i, new_trace in delta.affected:
-        traces[i] = new_trace
-    return EventLog(traces, name=log.name)
+    rewritten = {old for _, old, _ in delta.affected}
+    return EventLog(
+        (
+            trace.replace_run(delta.run, delta.name)
+            if trace.activities in rewritten
+            else trace
+            for trace in log
+        ),
+        name=log.name,
+    )
 
 
 def merged_graph_from_delta(

@@ -146,6 +146,8 @@ class Trace:
         This is the trace-level primitive behind composite-event merging:
         merging the composite ``{C, D}`` rewrites ``... C D ...`` into
         ``... C+D ...``.  Non-contiguous occurrences are left untouched.
+        The new event keeps the first member's timestamp and attributes.
+        :func:`collapse_run` applies the same rule to a bare activity tuple.
         """
         if not run:
             raise ValueError("run must be a non-empty activity sequence")
@@ -162,3 +164,25 @@ class Trace:
                 events.append(self._events[i])
                 i += 1
         return Trace(events, case_id=self.case_id)
+
+
+def collapse_run(
+    activities: tuple[str, ...], run: tuple[str, ...], replacement: str
+) -> tuple[str, ...]:
+    """*activities* with every contiguous occurrence of *run* collapsed
+    into *replacement*: :meth:`Trace.replace_run` on the activity tuple
+    alone, building no :class:`Event`."""
+    first = run[0]
+    width = len(run)
+    result: list[str] = []
+    i = 0
+    n = len(activities)
+    while i < n:
+        activity = activities[i]
+        if activity == first and activities[i : i + width] == run:
+            result.append(replacement)
+            i += width
+        else:
+            result.append(activity)
+            i += 1
+    return tuple(result)

@@ -83,8 +83,8 @@ class Footprint:
 def compute_footprint(log: EventLog) -> Footprint:
     """Build the footprint matrix of *log* from its directly-follows pairs."""
     follows: set[tuple[str, str]] = set()
-    for trace in log:
-        follows.update(trace.pairs())
+    for variant in log.variant_counts():
+        follows.update(zip(variant, variant[1:]))
     activities = tuple(sorted(log.activities()))
     relations: dict[tuple[str, str], Relation] = {}
     for first in activities:

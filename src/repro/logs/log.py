@@ -5,12 +5,19 @@ traces from V*``.  The class keeps traces in insertion order (duplicates
 allowed — the *multiset* part matters, because dependency-graph frequencies
 are fractions of traces) and offers the derived views the matching layer
 needs.
+
+Beside the traces the log keeps one *variant table*: each distinct
+activity sequence with its multiplicity, in first-seen order.  Every count
+the matching layer takes over a log reads that table and weights each
+variant by its multiplicity, so a log of many traces but few variants is
+counted at the cost of its variants.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Iterable, Iterator, Mapping
+from itertools import chain
+from typing import Callable, Collection, Iterable, Iterator, Mapping, TypeVar
 
 from repro.exceptions import EventLogError
 from repro.logs.events import Event, Trace
@@ -18,6 +25,8 @@ from repro.logs.events import Event, Trace
 #: Reserved activity name used for the artificial event in dependency
 #: graphs.  Logs must not contain it; :class:`EventLog` enforces this.
 RESERVED_ACTIVITY = "⊥X"  # "⊥X"
+
+K = TypeVar("K")
 
 
 class EventLog:
@@ -33,7 +42,7 @@ class EventLog:
         A human-readable identifier used in reports.
     """
 
-    __slots__ = ("_traces", "name")
+    __slots__ = ("_traces", "_variants", "name")
 
     def __init__(
         self,
@@ -42,6 +51,7 @@ class EventLog:
     ):
         self.name = name
         self._traces: list[Trace] = []
+        self._variants: dict[tuple[str, ...], int] = {}
         for trace in traces:
             self.append(trace if isinstance(trace, Trace) else Trace(trace))
 
@@ -49,12 +59,18 @@ class EventLog:
         """Add *trace* to the log, validating it."""
         if not isinstance(trace, Trace):
             raise TypeError(f"expected Trace, got {type(trace).__name__}")
-        if len(trace) == 0:
-            raise EventLogError("empty traces are not allowed in an event log")
-        if RESERVED_ACTIVITY in trace.distinct_activities():
-            raise EventLogError(
-                f"activity name {RESERVED_ACTIVITY!r} is reserved for the artificial event"
-            )
+        variant = trace.activities
+        seen = self._variants.get(variant)
+        if seen is None:
+            # Equal activity sequences validate alike: check each variant once.
+            if not variant:
+                raise EventLogError("empty traces are not allowed in an event log")
+            if RESERVED_ACTIVITY in variant:
+                raise EventLogError(
+                    f"activity name {RESERVED_ACTIVITY!r} is reserved for the artificial event"
+                )
+            seen = 0
+        self._variants[variant] = seen + 1
         self._traces.append(trace)
 
     @property
@@ -71,7 +87,7 @@ class EventLog:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventLog):
             return NotImplemented
-        return Counter(self._traces) == Counter(other._traces)
+        return self._variants == other._variants
 
     def __repr__(self) -> str:
         return (
@@ -82,12 +98,41 @@ class EventLog:
     # ------------------------------------------------------------------
     # Derived views
     # ------------------------------------------------------------------
+    def variant_counts(self) -> Counter[tuple[str, ...]]:
+        """Multiplicity of each distinct activity sequence (trace variant),
+        in first-seen order."""
+        return Counter(self._variants)
+
     def activities(self) -> frozenset[str]:
         """All distinct activities appearing in the log."""
         names: set[str] = set()
-        for trace in self._traces:
-            names.update(trace.distinct_activities())
+        for variant in self._variants:
+            names.update(variant)
         return frozenset(names)
+
+    def count_over_variants(
+        self, keys: Callable[[tuple[str, ...]], Collection[K]]
+    ) -> Counter[K]:
+        """``sum(multiplicity * Counter(keys(variant)))`` over the variant
+        table: every count the matching layer takes of a log.
+
+        Each variant's keys are tallied once; a variant of multiplicity
+        ``m`` then adds ``m - 1`` more per key, one tally per multiplicity
+        class.  The integers are those of a trace-by-trace
+        count, and keys come out in the order such a count first meets
+        them.
+        """
+        # Key sets are consumed as they are made: holding one per variant
+        # would wake the cyclic garbage collector on large logs.
+        totals: Counter[K] = Counter(chain.from_iterable(map(keys, self._variants)))
+        repeats: dict[int, list[tuple[str, ...]]] = {}
+        for variant, multiplicity in self._variants.items():
+            if multiplicity > 1:
+                repeats.setdefault(multiplicity - 1, []).append(variant)
+        for weight, variants in repeats.items():
+            for key, count in Counter(chain.from_iterable(map(keys, variants))).items():
+                totals[key] += weight * count
+        return totals
 
     def activity_trace_counts(self) -> Counter[str]:
         """For each activity, the number of traces that contain it.
@@ -95,23 +140,13 @@ class EventLog:
         This is the numerator of the node frequency ``f(v)`` in
         Definition 1 (``the fraction of traces in L that contain v``).
         """
-        counts: Counter[str] = Counter()
-        for trace in self._traces:
-            counts.update(trace.distinct_activities())
-        return counts
+        return self.count_over_variants(frozenset)
 
     def pair_trace_counts(self) -> Counter[tuple[str, str]]:
         """For each ordered pair, the number of traces where it occurs
         consecutively at least once (edge frequency numerator,
         Definition 1)."""
-        counts: Counter[tuple[str, str]] = Counter()
-        for trace in self._traces:
-            counts.update(set(trace.pairs()))
-        return counts
-
-    def variant_counts(self) -> Counter[tuple[str, ...]]:
-        """Multiplicity of each distinct activity sequence (trace variant)."""
-        return Counter(trace.activities for trace in self._traces)
+        return self.count_over_variants(lambda variant: set(zip(variant, variant[1:])))
 
     # ------------------------------------------------------------------
     # Transformations (all return new logs; logs are append-only otherwise)

@@ -72,26 +72,28 @@ def summarize(log: EventLog) -> LogSummary:
     """Compute descriptive statistics of *log*."""
     if len(log) == 0:
         raise EventLogError("cannot summarize an empty event log")
-    lengths = [len(trace) for trace in log]
+    variants = log.variant_counts()
+    lengths = [len(variant) for variant in variants]
+    event_count = sum(len(variant) * count for variant, count in variants.items())
     return LogSummary(
         trace_count=len(log),
-        event_count=sum(lengths),
+        event_count=event_count,
         activity_count=len(log.activities()),
-        variant_count=len(log.variant_counts()),
+        variant_count=len(variants),
         min_trace_length=min(lengths),
         max_trace_length=max(lengths),
-        mean_trace_length=sum(lengths) / len(lengths),
+        mean_trace_length=event_count / len(log),
     )
 
 
 def start_activity_counts(log: EventLog) -> Counter[str]:
     """How many traces start with each activity."""
-    return Counter(trace.activities[0] for trace in log)
+    return log.count_over_variants(lambda variant: variant[:1])
 
 
 def end_activity_counts(log: EventLog) -> Counter[str]:
     """How many traces end with each activity."""
-    return Counter(trace.activities[-1] for trace in log)
+    return log.count_over_variants(lambda variant: variant[-1:])
 
 
 def directly_follows_counts(log: EventLog) -> Counter[tuple[str, str]]:
@@ -103,15 +105,9 @@ def directly_follows_counts(log: EventLog) -> Counter[tuple[str, str]]:
     candidate discovery (Section 5.1 of the paper), which needs occurrence
     counts to decide whether two activities *always* appear together.
     """
-    counts: Counter[tuple[str, str]] = Counter()
-    for trace in log:
-        counts.update(trace.pairs())
-    return counts
+    return log.count_over_variants(lambda variant: list(zip(variant, variant[1:])))
 
 
 def activity_occurrence_counts(log: EventLog) -> Counter[str]:
     """Total number of occurrences of each activity across all traces."""
-    counts: Counter[str] = Counter()
-    for trace in log:
-        counts.update(trace.activities)
-    return counts
+    return log.count_over_variants(lambda variant: variant)

@@ -51,6 +51,7 @@ from repro.store import MatchStore, file_digest, ingest_graph, match_stored
 
 FORMATS = ("auto", "xes", "csv")
 ON_ERROR_MODES = ("raise", "skip", "repair")
+DTYPES = ("float64", "float32")
 
 #: Job spec field -> accepted JSON types.  Only the two paths are
 #: required; every other field defaults as :class:`MatchRequest` does.
@@ -68,13 +69,15 @@ _JOB_FIELDS: dict[str, tuple[type, ...]] = {
     "timeout": (int, float, type(None)),
     "pair_budget": (int, type(None)),
     "fault_plan": (dict, type(None)),
+    "dtype": (str,),
+    "degrade": (bool,),
 }
 _REQUIRED = ("log_first", "log_second")
 #: The knobs :meth:`MatchRequest.content_key` hashes: every one that can
 #: change the result (paths stand in as digests; faults never count).
 _KEY_FIELDS = tuple(
     name for name in _JOB_FIELDS if name not in (*_REQUIRED, "fault_plan")
-) + ("dtype", "degrade")
+)
 
 
 def load_log(
@@ -135,10 +138,9 @@ class MatchRequest:
     ``degradation`` and ``retry`` are built here, once, and
     :func:`run_match` uses them as they are.
 
-    The last four fields are not job spec fields.  ``dtype`` and
-    ``degrade`` change the result and are part of the content key; the
-    out-of-core block size (singleton routes only) and the retry bound
-    change only how the result is computed.
+    The last two fields are not job spec fields: the out-of-core block
+    size (singleton routes only) and the retry bound change only how the
+    result is computed.
     """
 
     log_first: str
@@ -173,7 +175,9 @@ class MatchRequest:
         def number(value: Any) -> float | None:
             return None if value is None else float(value)
 
-        for name, choices in (("format", FORMATS), ("on_error", ON_ERROR_MODES)):
+        for name, choices in (
+            ("format", FORMATS), ("on_error", ON_ERROR_MODES), ("dtype", DTYPES)
+        ):
             if getattr(self, name) not in choices:
                 raise RequestError(
                     f"must be one of {choices}, got {getattr(self, name)!r}", name
@@ -321,12 +325,8 @@ class MatchRequest:
     def to_json(self) -> dict[str, Any]:
         """The job spec of this request; ``from_json`` reads it back equal.
 
-        Singleton specs omit ``delta``.  Raises :class:`ValueError` for a
-        request that sets a result-affecting knob a job spec cannot carry
-        (``dtype``, ``degrade``).
+        Singleton specs omit ``delta``.
         """
-        if self.dtype != "float64" or not self.degrade:
-            raise ValueError("dtype and degrade are not job spec fields")
         spec = {
             name: getattr(self, name) for name in _JOB_FIELDS if name != "fault_plan"
         }

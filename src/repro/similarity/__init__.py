@@ -9,17 +9,7 @@ from repro.similarity.labels import (
     OpaqueSimilarity,
     QGramCosineSimilarity,
 )
-from repro.similarity.jaro import (
-    JaroWinklerSimilarity,
-    jaro_similarity,
-    jaro_winkler_similarity,
-)
 from repro.similarity.levenshtein import levenshtein_distance, levenshtein_similarity
-from repro.similarity.monge_elkan import (
-    MongeElkanSimilarity,
-    monge_elkan,
-    symmetric_monge_elkan,
-)
 from repro.similarity.qgrams import qgram_cosine, qgrams
 
 __all__ = [
@@ -30,12 +20,6 @@ __all__ = [
     "LevenshteinSimilarity",
     "JaccardTokenSimilarity",
     "CompositeAwareSimilarity",
-    "JaroWinklerSimilarity",
-    "jaro_similarity",
-    "jaro_winkler_similarity",
-    "MongeElkanSimilarity",
-    "monge_elkan",
-    "symmetric_monge_elkan",
     "levenshtein_distance",
     "levenshtein_similarity",
     "qgram_cosine",

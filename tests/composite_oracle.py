@@ -3,7 +3,7 @@
 :class:`ColdSearchState` scores a candidate merge the straightforward
 way: rewrite the log with :func:`~repro.graph.merge.merge_run_in_log`,
 rebuild the dependency graph with
-:meth:`~repro.graph.dependency.DependencyGraph.from_log`, seed the Uc
+:func:`tests.count_oracle.statistics` (counted trace by trace), seed the Uc
 pairs (Proposition 4) as fixed-value dictionaries, and run
 :meth:`~repro.core.ems.EMSEngine.similarity_with_abort`.  It offers the
 methods of :class:`~repro.core.incremental.IncrementalSearchState`, so
@@ -31,6 +31,7 @@ from repro.similarity.labels import (
     LabelSimilarity,
     OpaqueSimilarity,
 )
+from tests import count_oracle
 
 SideState = tuple[EventLog, dict[str, frozenset[str]], DependencyGraph]
 
@@ -117,8 +118,10 @@ class ColdSearchState:
         return list(self._sides)
 
     def _graph(self, log: EventLog, members: dict[str, frozenset[str]]) -> DependencyGraph:
-        return DependencyGraph.from_log(
-            log, min_frequency=self.min_edge_frequency, members=members
+        # Counted trace by trace, independently of the log's variant table.
+        return DependencyGraph.from_statistics(
+            count_oracle.statistics(log), name=log.name,
+            min_frequency=self.min_edge_frequency, members=members,
         )
 
     def _unchanged_pairs(

@@ -22,6 +22,7 @@ from repro.core.config import EMSConfig
 from repro.logs.log import EventLog
 from repro.runtime import MatchBudget
 from tests.composite_oracle import ColdCompositeMatcher
+from tests.count_oracle import duplicated_log
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -76,6 +77,18 @@ def test_shared_alphabet_searches_identical(seed_first, seed_second):
     # more high-scoring candidates, exercising deeper merge trajectories.
     log_first = random_log(seed_first)
     log_second = random_log(seed_second)
+    cold = matcher(incremental=False).match(log_first, log_second)
+    warm = matcher(incremental=True).match(log_first, log_second)
+    assert_same_search(cold, warm)
+
+
+@given(seeds, seeds)
+@settings(max_examples=15, deadline=None)
+def test_duplicate_heavy_searches_identical(seed_first, seed_second):
+    # ``random_log`` rarely repeats a trace; these logs repeat every
+    # variant, so the delta counts move by multiplicities above 1.
+    log_first = duplicated_log(seed_first)
+    log_second = duplicated_log(seed_second, alphabet="uvwxyz")
     cold = matcher(incremental=False).match(log_first, log_second)
     warm = matcher(incremental=True).match(log_first, log_second)
     assert_same_search(cold, warm)

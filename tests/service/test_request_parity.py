@@ -35,6 +35,8 @@ CASES = {
     "timeout": ({"timeout": 600}, ["--timeout", "600"]),
     "pair_budget": ({"pair_budget": 40}, ["--pair-budget", "40"]),
     "composite": ({"composite": True}, ["--composite"]),
+    "dtype": ({"dtype": "float32"}, ["--dtype", "float32"]),
+    "degrade": ({"degrade": False}, ["--no-degrade"]),
     "delta": (
         {"composite": True, "delta": 0.001},
         ["--composite", "--delta", "0.001"],
@@ -168,3 +170,37 @@ def test_input_gone_at_run_time_fails_terminally(wide_csv_pair, tmp_path):
     assert record.state == "failed"
     assert record.attempts == 1
     assert "no such file" in record.error
+
+
+def test_default_job_ids_unchanged(tmp_path):
+    # ``dtype`` and ``degrade`` became job spec fields; the content key
+    # hashed them before, so the id of a spec that leaves them at their
+    # defaults must stay what it was.
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    first.write_text("case,activity\n1,x\n1,y\n")
+    second.write_text("case,activity\n1,u\n1,v\n")
+    spec = {"log_first": str(first), "log_second": str(second)}
+    assert MatchRequest.from_json(spec).content_key() == (
+        "6a616d194ec5ba2c5b22fb4388c8d4297d1c56c09023e8320ac4e39df65491b7"
+    )
+    assert MatchRequest.from_json({**spec, "composite": True}).content_key() == (
+        "25fce16b4dfa527be5dda1abf02050d691cbfea2e34ca8ad90d5be8449eed450"
+    )
+    spelled = {**spec, "dtype": "float64", "degrade": True}
+    assert MatchRequest.from_json(spelled).content_key() == (
+        MatchRequest.from_json(spec).content_key()
+    )
+    assert MatchRequest.from_json({**spec, "dtype": "float32"}).content_key() != (
+        MatchRequest.from_json(spec).content_key()
+    )
+
+
+def test_job_rejects_a_dtype_the_cli_rejects(wide_csv_pair):
+    # argparse refuses ``--dtype float16`` (tests/test_cli.py); a job
+    # spec takes its choices from the same tuple.
+    with pytest.raises(JobSpecError) as error:
+        MatchRequest.from_json(
+            {"log_first": str(wide_csv_pair[0]),
+             "log_second": str(wide_csv_pair[1]), "dtype": "float16"}
+        )
+    assert error.value.field == "dtype"

@@ -41,17 +41,10 @@ class TestReprs:
         assert "BHV" in repr(BHVMatcher())
 
     def test_similarity_reprs(self):
-        from repro.similarity import (
-            JaroWinklerSimilarity,
-            MongeElkanSimilarity,
-            OpaqueSimilarity,
-            QGramCosineSimilarity,
-        )
+        from repro.similarity import OpaqueSimilarity, QGramCosineSimilarity
 
         assert repr(OpaqueSimilarity()) == "OpaqueSimilarity()"
         assert "q=3" in repr(QGramCosineSimilarity())
-        assert "prefix_scale" in repr(JaroWinklerSimilarity())
-        assert "MongeElkan" in repr(MongeElkanSimilarity())
 
 
 class TestConvenienceAccessors:

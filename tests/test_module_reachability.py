@@ -27,8 +27,6 @@ ENTRY_PACKAGES = ("repro.service", "repro.experiments")
 ALLOWED_UNREACHED = {
     "repro.core.optimal": "exhaustive Problem-1 oracle the EMS tests compare against",
     "repro.synthesis.examples": "Figure-1 logs behind tests/conftest.py and examples/",
-    "repro.similarity.jaro": "spare label similarity, still re-exported; ROADMAP item 4",
-    "repro.similarity.monge_elkan": "spare label similarity, still re-exported; ROADMAP item 4",
 }
 
 
