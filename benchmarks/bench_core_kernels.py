@@ -59,7 +59,6 @@ from repro.obs import (
 )
 from repro.matchers import EMSMatcher
 from repro.runtime.evalcache import EvaluationCache
-from repro.runtime.supervise import RetryPolicy
 from repro.service import MatchingService
 from repro.store import (
     LogStore,
@@ -360,22 +359,6 @@ def _scenarios():
 
         return run
 
-    def composite_search_supervised():
-        # Same workload as composite_search_incremental, but with the
-        # durable-execution supervision active (an explicit RetryPolicy
-        # routes every candidate through run_supervised).  The pair of
-        # timings pins the wrapper's fault-free overhead
-        # (``retry_overhead`` in the payload, ceiling 1.1x).
-        config = EMSConfig()
-        matcher = CompositeMatcher(
-            config, delta=0.001, min_confidence=0.9, max_run_length=3,
-            retry=RetryPolicy(),
-        )
-        result = matcher.match(*composite_logs)
-        assert result.accepted_second
-        assert result.quarantined == ()
-        return result.stats.pair_updates
-
     ingest_dir = Path(tempfile.mkdtemp(prefix="bench_ingest_"))
     atexit.register(shutil.rmtree, ingest_dir, ignore_errors=True)
     ingest_csv = ingest_dir / "events.csv"
@@ -500,7 +483,6 @@ def _scenarios():
     yield "composite_search_cold", lambda: composite_search(False)
     yield "composite_search_incremental", lambda: composite_search(True)
     yield "composite_search_warm_cache", composite_search_warm_cache()
-    yield "composite_search_supervised", composite_search_supervised
     yield "stats_ingest_cold", stats_ingest_cold
     yield "stats_ingest_store_warm", stats_ingest_store_warm
     yield "match_scaled_cold", match_scaled_cold
@@ -613,8 +595,6 @@ def _sql_parity() -> float:
 #: ratio is min over min of those runs.
 PAIRED_OVERHEADS = (
     ("noop_observer_overhead", "ems_exact_20_noop_observer", "ems_exact_20"),
-    ("retry_overhead", "composite_search_supervised",
-     "composite_search_incremental"),
 )
 
 
@@ -659,9 +639,8 @@ def run_harness(repeats: int) -> dict:
     )
     memory = _memory_profile()
     memory_reduction = DENSE_KERNEL_PEAK_BYTES / memory["peak_bytes"]
-    # The disabled observer hooks must be free on the hot path, and so
-    # must supervision (the retry/quarantine wrapper) on a fault-free
-    # composite search: both ratios should sit at ~1.0.
+    # The disabled observer hooks must be free on the hot path: the
+    # ratio should sit at ~1.0.
     overheads = {
         key: _paired_overhead(
             functions[numerator], functions[denominator], repeats
@@ -746,8 +725,6 @@ FLOORS = (
      "peak-memory reduction vs the dense kernel (300 activities)"),
     ("noop_observer_overhead", 1.1, "max",
      "no-op-observer overhead on exact EMS (20 events)"),
-    ("retry_overhead", 1.1, "max",
-     "supervision-wrapper overhead on a fault-free composite search"),
     ("warm_cache_speedup", 5.0, "min",
      "warm-evaluation-cache-vs-cold composite-search speedup"),
     ("ingest_sharded_memory", 0.25, "max",
@@ -934,8 +911,6 @@ def main(argv: list[str] | None = None) -> int:
           f"kernel's {DENSE_KERNEL_PEAK_BYTES / 2**20:.1f} MiB)")
     print(f"no-op observer overhead (20 events): "
           f"{payload['noop_observer_overhead']:.2f}x")
-    print(f"supervision overhead on the composite search: "
-          f"{payload['retry_overhead']:.2f}x")
     print(f"warm-evaluation-cache speedup over the cold search: "
           f"{payload['warm_cache_speedup']:.2f}x")
     ingest_memory = payload["ingest_memory"]

@@ -50,10 +50,6 @@ class MatchOutcome:
     objective: float
     diagnostics: Mapping[str, float] = field(default_factory=dict)
     runtime: RuntimeReport | None = field(default=None, compare=False)
-    #: Poison candidates the supervised composite search set aside
-    #: (:class:`repro.runtime.QuarantineRecord`); empty for baselines
-    #: and for clean runs.
-    quarantined: tuple = field(default=(), compare=False)
 
 
 def identity_members(log: EventLog) -> dict[str, frozenset[str]]:

@@ -10,7 +10,6 @@ Usage::
                                     [--dead-letter-dir DIR]
                                     [--checkpoint-dir DIR] [--resume]
                                     [--checkpoint-every N]
-                                    [--max-retries N]
                                     [--shard-traces N] [--store PATH]
                                     [--trace-out PATH] [--metrics-out PATH]
                                     [--manifest-out PATH] [--log-level LEVEL]
@@ -46,9 +45,9 @@ greedy search after accepted rounds (atomically, keyed by a content
 hash of the inputs and configuration), ``--resume`` continues from the
 latest matching snapshot bit-identically, and SIGINT/SIGTERM flush a
 final checkpoint and return the best-so-far result as a ``partial``
-stage instead of dying mid-round.  ``--max-retries`` supervises every
-candidate evaluation (retry with backoff, poison-candidate quarantine).
-Every match runs in one process.
+stage instead of dying mid-round.  A candidate evaluation that raises
+fails the whole match; no candidate is ever skipped.  Every match runs
+in one process.
 
 Observability (see ``docs/observability.md``): ``--trace-out`` writes a
 Chrome-trace JSON of the run's spans, ``--metrics-out`` a Prometheus
@@ -192,12 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="resume from the latest matching snapshot in --checkpoint-dir "
              "(cold start with a warning if it is missing or corrupt)",
-    )
-    match.add_argument(
-        "--max-retries", type=int, default=None, metavar="N",
-        help="evaluation attempts per composite candidate before it is "
-             "quarantined (default: 3); also enables supervision of "
-             "serial runs",
     )
     match.add_argument(
         "--fault-plan", metavar="PATH", default=None,
@@ -585,9 +578,6 @@ def _render_match_output(arguments: argparse.Namespace, run: MatchRun) -> int:
             "log_second": name_second,
             "matcher": run.matcher_name,
             **run.to_dict(),
-            "quarantined": [
-                record.to_dict() for record in getattr(outcome, "quarantined", ())
-            ],
             "ingestion": {
                 "first": run.ingestion[0].to_dict(),
                 "second": run.ingestion[1].to_dict(),
@@ -609,13 +599,6 @@ def _render_match_output(arguments: argparse.Namespace, run: MatchRun) -> int:
         print("  (no correspondences above the threshold)")
     if outcome.runtime is not None and outcome.runtime.degraded:
         print(f"  note: {outcome.runtime.describe()}", file=sys.stderr)
-    quarantined = getattr(outcome, "quarantined", ())
-    if quarantined:
-        print(
-            f"  note: {len(quarantined)} candidate(s) quarantined after "
-            f"repeated evaluation failures (see --json for details)",
-            file=sys.stderr,
-        )
     for report in run.ingestion:
         if not report.clean or report.fallback_cases:
             print(f"  note: {report.describe()}", file=sys.stderr)

@@ -63,12 +63,6 @@ from repro.runtime.degrade import DegradationPolicy
 from repro.runtime.evalcache import EvaluationCache, candidate_key, discovery_key
 from repro.runtime.faults import KIND_INTERRUPT, FaultPlan
 from repro.runtime.report import STAGE_EXACT, STAGE_PARTIAL, RuntimeReport
-from repro.runtime.supervise import (
-    QuarantineRecord,
-    RetryPolicy,
-    SupervisionStats,
-    run_supervised,
-)
 from repro.similarity.labels import CompositeAwareSimilarity, LabelSimilarity, OpaqueSimilarity
 
 _logger = get_logger(__name__)
@@ -146,11 +140,6 @@ class CompositeStats:
     evaluations_aborted: int = 0
     pair_updates: int = 0
     pairs_fixed: int = 0
-    #: Supervision counters (zero on unsupervised runs): evaluations
-    #: re-run after a failure, and poison candidates set aside so their
-    #: round could complete.
-    worker_retries: int = 0
-    candidates_quarantined: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,8 +161,6 @@ class CompositeMatchResult:
     #: How the run ended (degradation stage, budget spend); always set by
     #: :meth:`CompositeMatcher.match`, ``None`` only for hand-built results.
     runtime: RuntimeReport | None = field(compare=False, default=None)
-    #: Poison candidates the supervisor set aside (empty on clean runs).
-    quarantined: tuple[QuarantineRecord, ...] = field(compare=False, default=())
 
     @property
     def average(self) -> float:
@@ -220,13 +207,9 @@ class CompositeMatcher:
         What to do when the budget runs out (default: the full
         exact → estimated → partial ladder).  With the ladder disabled,
         exhaustion raises :class:`~repro.exceptions.BudgetExhausted`.
-    retry:
-        :class:`~repro.runtime.RetryPolicy` for supervised execution
-        (retry on transient failure, quarantine on poison).  Evaluations
-        are only supervised when ``retry`` or ``faults`` is explicitly
-        set, so the default path stays zero-overhead.
     faults:
-        Deterministic :class:`~repro.runtime.FaultPlan` for chaos tests.
+        Deterministic :class:`~repro.runtime.FaultPlan` for chaos tests
+        (the ``search.round`` interrupt site).
     checkpoints:
         Optional :class:`~repro.runtime.CheckpointManager`; accepted
         rounds are snapshotted at its cadence, keyed by the content hash
@@ -265,7 +248,6 @@ class CompositeMatcher:
         budget: MatchBudget | None = None,
         degradation: DegradationPolicy | None = None,
         observer: Observer | None = None,
-        retry: RetryPolicy | None = None,
         faults: FaultPlan | None = None,
         checkpoints: CheckpointManager | None = None,
         resume: bool = False,
@@ -288,7 +270,6 @@ class CompositeMatcher:
         self.min_edge_frequency = min_edge_frequency
         self.budget = budget
         self.degradation = degradation if degradation is not None else DegradationPolicy()
-        self.retry = retry
         self.faults = faults
         self.checkpoints = checkpoints
         self.resume = resume
@@ -299,8 +280,6 @@ class CompositeMatcher:
         self._label_cache: LabelMatrixCache | None = None
         # Per-match working state, reset by :meth:`match`.
         self._content_key: str = ""
-        self._supervision = SupervisionStats()
-        self._quarantined: list[QuarantineRecord] = []
         self._accepted_history: list[tuple[int, tuple[str, ...]]] = []
         self._interrupted_by: str | None = None
         #: Per-side memo of the last discovery: ``side -> (log, runs)``.
@@ -339,8 +318,6 @@ class CompositeMatcher:
         meter = self.budget.start(obs.clock) if self.budget is not None else None
         policy = self.degradation
         self._label_cache = LabelMatrixCache(self.config.label_cache_entries)
-        self._supervision = SupervisionStats()
-        self._quarantined = []
         self._accepted_history = []
         self._interrupted_by = None
         self._content_key = ""
@@ -419,8 +396,6 @@ class CompositeMatcher:
                         f"{self._interrupted_by} after {stats.rounds} round(s)"
                     )
 
-        stats.worker_retries = self._supervision.retries
-        stats.candidates_quarantined = self._supervision.quarantined
         # stats misses the pair updates of an evaluation aborted by the
         # budget mid-flight; the meter saw every metered update.
         spent = stats.pair_updates if meter is None else meter.pair_updates_spent
@@ -444,7 +419,6 @@ class CompositeMatcher:
             accepted_second=tuple(states[1].accepted),
             stats=stats,
             runtime=runtime,
-            quarantined=tuple(self._quarantined),
         )
 
     def _search(
@@ -486,7 +460,6 @@ class CompositeMatcher:
                 # would skew the counters away from the original run.
                 return current
         obs = self.observer
-        supervise = self.retry is not None or self.faults is not None
         while True:
             interrupted_by = self._interrupt_requested(stats.rounds + 1)
             if interrupted_by is not None:
@@ -511,8 +484,7 @@ class CompositeMatcher:
                 round_span.attributes["candidates"] = len(tasks)
 
                 best, best_average = self._round(
-                    tasks, incremental, stats, target, current_average,
-                    meter, supervise,
+                    tasks, incremental, stats, target, current_average, meter,
                 )
 
                 if best is None or best_average - current_average <= self.delta:
@@ -591,21 +563,19 @@ class CompositeMatcher:
         target: float,
         best_average: float,
         meter: BudgetMeter | None,
-        supervise: bool,
     ) -> tuple[tuple[int, tuple[str, ...], EMSResult] | None, float]:
         """One round of candidates, evaluated in discovery order.
 
-        The first candidate with the strictly highest average wins.
+        The first candidate with the strictly highest average wins.  An
+        exception from any evaluation ends the match: a round never
+        finishes without one of its candidates.
         """
-        evaluate = (
-            self._evaluate_supervised if supervise else self._evaluate
-        )
         best: tuple[int, tuple[str, ...], EMSResult] | None = None
         for side_index, run in tasks:
             # Bd aborts only candidates provably below the incumbent by more
             # than rounding: a near-tie is evaluated in full, so the abort
             # never decides between two equal averages.
-            outcome = evaluate(
+            outcome = self._evaluate(
                 incremental, side_index, run, stats,
                 abort_below=max(best_average, target) - ABORT_MARGIN,
                 meter=meter,
@@ -675,49 +645,6 @@ class CompositeMatcher:
             return None
         stats.pair_updates += evaluation.outcome.pair_updates
         return evaluation.outcome
-
-    def _evaluate_supervised(
-        self,
-        incremental: IncrementalSearchState,
-        side_index: int,
-        run: tuple[str, ...],
-        stats: CompositeStats,
-        abort_below: float,
-        meter: BudgetMeter | None = None,
-    ) -> EMSResult | None:
-        """:meth:`_evaluate` under :func:`~repro.runtime.run_supervised`.
-
-        Active only when a retry policy or fault plan was configured, so
-        the default serial path pays nothing.  Transient failures are
-        retried (same candidate, same ``abort_below`` bound — the
-        trajectory stays deterministic); deterministic exceptions
-        quarantine the candidate and the round moves on.  Faults fire
-        before any cache lookup, so a poison candidate is quarantined —
-        never silently served from the evaluation cache.
-        """
-        def call(attempt: int) -> EMSResult | None:
-            if self.faults is not None:
-                self.faults.fire(
-                    "evaluate", round=stats.rounds,
-                    side=side_index, run=run, attempt=attempt,
-                )
-            return self._evaluate(
-                incremental, side_index, run, stats, abort_below, meter
-            )
-
-        value, record = run_supervised(
-            call,
-            policy=self.retry if self.retry is not None else RetryPolicy(),
-            describe=lambda: (side_index, run),
-            round=stats.rounds,
-            config_hash=self._content_key,
-            observer=self.observer,
-            stats=self._supervision,
-        )
-        if record is not None:
-            self._quarantined.append(record)
-            return None
-        return value
 
     # ------------------------------------------------------------------
     # Durability plumbing: restore, interrupts, checkpoints

@@ -36,7 +36,6 @@ from repro.runtime.checkpoint import CheckpointManager, InterruptGuard
 from repro.runtime.degrade import DegradationPolicy
 from repro.runtime.evalcache import EvaluationCache
 from repro.runtime.faults import FaultPlan
-from repro.runtime.supervise import RetryPolicy
 from repro.runtime.report import STAGE_EXACT, RuntimeReport
 from repro.similarity.labels import (
     CompositeAwareSimilarity,
@@ -298,7 +297,6 @@ class EMSCompositeMatcher(EventMatcher):
         budget: MatchBudget | None = None,
         degradation: DegradationPolicy | None = None,
         observer: Observer | None = None,
-        retry: RetryPolicy | None = None,
         faults: FaultPlan | None = None,
         checkpoints: CheckpointManager | None = None,
         resume: bool = False,
@@ -319,7 +317,6 @@ class EMSCompositeMatcher(EventMatcher):
             budget=budget,
             degradation=degradation,
             observer=observer,
-            retry=retry,
             faults=faults,
             checkpoints=checkpoints,
             resume=resume,
@@ -373,9 +370,6 @@ class EMSCompositeMatcher(EventMatcher):
                 "composites_accepted": float(
                     len(result.accepted_first) + len(result.accepted_second)
                 ),
-                "worker_retries": float(stats.worker_retries),
-                "candidates_quarantined": float(stats.candidates_quarantined),
             },
             runtime=result.runtime,
-            quarantined=result.quarantined,
         )

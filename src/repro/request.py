@@ -44,7 +44,6 @@ from repro.runtime import (
     IngestionReport,
     InterruptGuard,
     MatchBudget,
-    RetryPolicy,
 )
 from repro.similarity.labels import QGramCosineSimilarity
 from repro.store import MatchStore, file_digest, ingest_graph, match_stored
@@ -134,13 +133,12 @@ class MatchRequest:
     """Everything one match depends on, resolved and validated.
 
     Construction normalizes and checks every knob; an out-of-range value
-    raises :class:`RequestError`.  The derived ``config``, ``budget``,
-    ``degradation`` and ``retry`` are built here, once, and
-    :func:`run_match` uses them as they are.
+    raises :class:`RequestError`.  The derived ``config``, ``budget``
+    and ``degradation`` are built here, once, and :func:`run_match` uses
+    them as they are.
 
-    The last two fields are not job spec fields: the out-of-core block
-    size (singleton routes only) and the retry bound change only how the
-    result is computed.
+    The last field is not a job spec field: the out-of-core block size
+    (singleton routes only) changes only how the result is computed.
     """
 
     log_first: str
@@ -161,12 +159,10 @@ class MatchRequest:
     dtype: str = "float64"
     degrade: bool = True
     shard_traces: int | None = None
-    max_retries: int | None = None
 
     config: EMSConfig = field(init=False, repr=False, compare=False)
     budget: MatchBudget | None = field(init=False, repr=False, compare=False)
     degradation: DegradationPolicy = field(init=False, repr=False, compare=False)
-    retry: RetryPolicy | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         def resolve(name: str, value: Any) -> None:
@@ -190,8 +186,6 @@ class MatchRequest:
             raise RequestError(f"must be non-negative, got {self.delta}", "delta")
         if not self.composite:
             resolve("delta", None)
-        if self.max_retries is not None and self.max_retries < 1:
-            raise RequestError(f"must be >= 1, got {self.max_retries}", "max_retries")
         if self.shard_traces is not None and self.shard_traces < 1:
             raise RequestError(
                 f"must be >= 1, got {self.shard_traces}", "shard_traces"
@@ -213,11 +207,6 @@ class MatchRequest:
         resolve(
             "degradation",
             DegradationPolicy() if self.degrade else DegradationPolicy.none(),
-        )
-        resolve(
-            "retry",
-            None if self.max_retries is None
-            else RetryPolicy(max_attempts=self.max_retries),
         )
 
     # ------------------------------------------------------------------
@@ -482,8 +471,7 @@ def run_match(
                 request.config, label_similarity,
                 threshold=request.threshold, delta=request.delta,
                 budget=request.budget, degradation=request.degradation,
-                observer=observer, retry=request.retry,
-                faults=request.faults, checkpoints=checkpoints, resume=resume,
+                observer=observer, faults=request.faults, checkpoints=checkpoints, resume=resume,
                 interrupt=interrupt, eval_cache=eval_cache,
             )
             logs = _parse(request, reports, archive, observer)

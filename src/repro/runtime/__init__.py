@@ -13,9 +13,6 @@ core threads through:
   attached to every :class:`~repro.baselines.common.MatchOutcome`.
 * :class:`IngestionReport` / :class:`RowIssue` — per-row accounting of
   what the fault-tolerant CSV/XES readers dropped or repaired.
-* :class:`RetryPolicy` / :func:`run_supervised` — bounded retry with
-  exponential backoff and poison-candidate quarantine around each
-  composite candidate evaluation.
 * :class:`CheckpointManager` / :class:`SearchSnapshot` /
   :class:`InterruptGuard` — crash-safe, content-keyed checkpoints of the
   composite search plus cooperative SIGINT/SIGTERM handling.
@@ -25,7 +22,8 @@ core threads through:
   cache of composite candidate evaluations (digest-verified loads,
   atomic writes, LRU size bound).
 * :class:`FaultPlan` / :class:`FaultSpec` — the deterministic
-  fault-injection harness exercising all of the above.
+  fault-injection harness exercising the checkpoint and interrupt
+  recovery paths.
 
 See ``docs/robustness.md`` for the full model and the CLI exit codes.
 """
@@ -41,7 +39,7 @@ from repro.runtime.checkpoint import (
 from repro.runtime.deadletter import DeadLetterArchive
 from repro.runtime.degrade import DegradationPolicy
 from repro.runtime.evalcache import EvaluationCache
-from repro.runtime.faults import NO_FAULTS, FaultPlan, FaultSpec, TransientFault
+from repro.runtime.faults import NO_FAULTS, FaultPlan, FaultSpec
 from repro.runtime.report import (
     STAGE_ESTIMATED,
     STAGE_EXACT,
@@ -50,12 +48,6 @@ from repro.runtime.report import (
     IngestionReport,
     RowIssue,
     RuntimeReport,
-)
-from repro.runtime.supervise import (
-    QuarantineRecord,
-    RetryPolicy,
-    SupervisionStats,
-    run_supervised,
 )
 
 __all__ = [
@@ -70,10 +62,6 @@ __all__ = [
     "STAGE_ESTIMATED",
     "STAGE_PARTIAL",
     "STAGES",
-    "RetryPolicy",
-    "SupervisionStats",
-    "QuarantineRecord",
-    "run_supervised",
     "CheckpointManager",
     "SearchSnapshot",
     "InterruptGuard",
@@ -82,7 +70,6 @@ __all__ = [
     "EvaluationCache",
     "FaultPlan",
     "FaultSpec",
-    "TransientFault",
     "NO_FAULTS",
     "SearchInterrupted",
 ]

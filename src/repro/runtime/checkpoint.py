@@ -49,9 +49,9 @@ _logger = get_logger(__name__)
 
 #: Format magic; bump when the payload schema changes so stale
 #: checkpoints are rejected as incompatible rather than misread.  Version
-#: 3 dropped the two estimation-screen counters of the pickled
+#: 4 dropped the two retry/quarantine counters of the pickled
 #: ``CompositeStats``.
-_MAGIC = b"EMSCKPT3"
+_MAGIC = b"EMSCKPT4"
 
 
 def atomic_write(directory: Path, target: Path, data: bytes) -> Path:

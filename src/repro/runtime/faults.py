@@ -1,19 +1,17 @@
 """Deterministic fault injection for chaos-testing the durable runtime.
 
-Real failures — a flaky evaluation, a half-written checkpoint file, a
-signal at the wrong moment — are timing-dependent and unreproducible,
-which makes the recovery paths the *least* tested code in a pipeline.
-This module replaces the randomness with a script: a :class:`FaultPlan`
-is a list of :class:`FaultSpec` rows saying *where* (a named site plus
-coordinates like round / candidate / attempt) and *what* (transient
-exception, checkpoint corruption, cooperative interrupt) should go
-wrong.  Firing is purely coordinate-matched — no shared mutable state —
-so the same plan replays the same chaos on every run.
+Real failures — a half-written checkpoint file, a signal at the wrong
+moment — are timing-dependent and unreproducible, which makes the
+recovery paths the *least* tested code in a pipeline.  This module
+replaces the randomness with a script: a :class:`FaultPlan` is a list of
+:class:`FaultSpec` rows saying *where* (a named site plus an optional
+round) and *what* (checkpoint corruption, cooperative interrupt) should
+go wrong.  Matching is purely coordinate-based — no shared mutable
+state — so the same plan replays the same chaos on every run.
 
 Sites currently wired up (see ``docs/robustness.md``):
 
 =====================  =====================================================
-``evaluate``           one candidate evaluation (kind ``transient``)
 ``search.round``       the top of a greedy round (kind ``interrupt`` —
                        simulates SIGTERM arriving at the boundary)
 ``checkpoint.write``   one checkpoint save (kind ``corrupt`` — the bytes
@@ -31,79 +29,39 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass
-from typing import Any
-
-from repro.exceptions import ReproError
 
 #: Fault kinds a spec may request.
-KIND_TRANSIENT = "transient"
 KIND_CORRUPT = "corrupt"
 KIND_INTERRUPT = "interrupt"
-KINDS = (KIND_TRANSIENT, KIND_CORRUPT, KIND_INTERRUPT)
-
-
-class TransientFault(ReproError):
-    """An injected (or genuinely transient) failure worth retrying.
-
-    The supervisor retries these under its
-    :class:`~repro.runtime.RetryPolicy`; any *other* exception from a
-    candidate evaluation is treated as deterministic poison and
-    quarantined without burning retries.
-    """
+KINDS = (KIND_CORRUPT, KIND_INTERRUPT)
 
 
 @dataclass(frozen=True, slots=True)
 class FaultSpec:
     """One scripted fault: where it fires and what it does.
 
-    ``None`` coordinates are wildcards; ``attempts`` lists the attempt
-    numbers (1-based) the fault fires on, so ``attempts=(1,)`` models a
-    failure that a single retry heals and ``attempts=(1, 2, 3)`` a
-    poison candidate that defeats a three-attempt policy.  An empty
-    ``attempts`` tuple is the every-attempt wildcard.
+    A ``None`` round is the every-round wildcard.
     """
 
     site: str
     kind: str
     round: int | None = None
-    side: int | None = None
-    run: tuple[str, ...] | None = None
-    attempts: tuple[int, ...] = (1,)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
 
-    def matches(
-        self,
-        site: str,
-        *,
-        round: int | None = None,
-        side: int | None = None,
-        run: tuple[str, ...] | None = None,
-        attempt: int = 1,
-    ) -> bool:
-        if site != self.site:
-            return False
-        if self.round is not None and round != self.round:
-            return False
-        if self.side is not None and side != self.side:
-            return False
-        if self.run is not None and (run is None or tuple(run) != self.run):
-            return False
-        if self.attempts and attempt not in self.attempts:
-            return False
-        return True
+    def matches(self, site: str, *, round: int | None = None) -> bool:
+        return site == self.site and self.round in (None, round)
 
 
 @dataclass(frozen=True, slots=True)
 class FaultPlan:
     """An immutable script of faults for one run.
 
-    ``fire`` is the single hook instrumented code calls; with no
-    matching spec it is a handful of tuple comparisons, and production
-    code never constructs a plan at all (the hooks are behind
-    ``faults is not None`` checks).
+    ``match`` is the single hook instrumented code calls, and the call
+    site acts out the spec it returns; production code never constructs
+    a plan at all (the hooks are behind ``faults is not None`` checks).
     """
 
     specs: tuple[FaultSpec, ...] = ()
@@ -114,31 +72,12 @@ class FaultPlan:
         return bool(self.specs)
 
     # ------------------------------------------------------------------
-    def match(self, site: str, **coordinates: Any) -> FaultSpec | None:
-        """First spec matching *site* at *coordinates*, or ``None``."""
+    def match(self, site: str, *, round: int | None = None) -> FaultSpec | None:
+        """First spec matching *site* at *round*, or ``None``."""
         for spec in self.specs:
-            if spec.matches(site, **coordinates):
+            if spec.matches(site, round=round):
                 return spec
         return None
-
-    def fire(self, site: str, **coordinates: Any) -> FaultSpec | None:
-        """Act out the matching spec, if any.
-
-        * ``transient`` — raise :class:`TransientFault`.
-        * ``interrupt`` / ``corrupt`` — never acted here; they are
-          returned for the call site (round loop, checkpoint writer) to
-          interpret.
-
-        Returns the matched spec, in case the caller wants to log it.
-        """
-        spec = self.match(site, **coordinates)
-        if spec is None:
-            return None
-        if spec.kind == KIND_TRANSIENT:
-            raise TransientFault(
-                f"injected transient fault at {site} {coordinates!r}"
-            )
-        return spec
 
     # ------------------------------------------------------------------
     def corrupt(self, payload: bytes, *, round: int | None = None) -> bytes:
@@ -171,16 +110,10 @@ class FaultPlan:
     def from_json(cls, text: str) -> "FaultPlan":
         document = json.loads(text)
         specs = []
-        for raw in document.get("specs", ()):
-            raw = dict(raw)
-            if raw.get("run") is not None:
-                raw["run"] = tuple(raw["run"])
-            if raw.get("attempts") is not None:
-                raw["attempts"] = tuple(raw["attempts"])
-            specs.append(FaultSpec(**raw))
-        return cls(specs=tuple(specs), seed=document.get("seed", 0))
+        specs = tuple(FaultSpec(**raw) for raw in document.get("specs", ()))
+        return cls(specs=specs, seed=document.get("seed", 0))
 
 
-#: Convenience null plan: ``fire`` on it never acts.  Code should still
-#: prefer ``faults is not None`` guards on hot paths.
+#: Convenience null plan: ``match`` on it never matches.  Code should
+#: still prefer ``faults is not None`` guards on hot paths.
 NO_FAULTS = FaultPlan()

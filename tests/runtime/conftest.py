@@ -30,9 +30,9 @@ def wide_pair() -> tuple[EventLog, EventLog]:
     """Logs with four always-adjacent runs on one side.
 
     Every greedy round discovers several candidates (fig1 yields a single
-    candidate per round), and with a small delta (0.001) the search
-    accepts four merges over five rounds — enough trajectory for
-    checkpoint/resume and fault-injection tests.
+    candidate per round), so a fault can single out one candidate of a
+    round; with a small delta (0.001) the search accepts four merges
+    over five rounds.
     """
     first = EventLog(
         [

@@ -88,7 +88,7 @@ class TestCheckpointManager:
 
     @pytest.mark.parametrize("mutilate", [
         lambda raw: raw[: len(raw) // 2],                      # torn write
-        lambda raw: raw.replace(b"EMSCKPT3", b"EMSCKPT9", 1),  # foreign magic
+        lambda raw: raw.replace(b"EMSCKPT4", b"EMSCKPT9", 1),  # foreign magic
         lambda raw: bytes(reversed(raw)),                      # garbage
     ])
     def test_mutilated_file_degrades_to_cold_start(self, tmp_path, mutilate):

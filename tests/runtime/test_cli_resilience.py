@@ -166,15 +166,6 @@ class TestDurabilityFlags:
         assert code == EXIT_INPUT_ERROR
         assert "checkpoint-every" in captured.err
 
-    def test_max_retries_validated(self, capsys, corpus):
-        code, captured = run(
-            capsys, "match",
-            str(corpus / "adversarial_a.csv"), str(corpus / "adversarial_b.csv"),
-            "--composite", "--max-retries", "0",
-        )
-        assert code == EXIT_INPUT_ERROR
-        assert "max-retries" in captured.err
-
     def test_unreadable_fault_plan_exits_2(self, capsys, corpus, tmp_path):
         bad_plan = tmp_path / "plan.json"
         bad_plan.write_text("{not json")

@@ -1,5 +1,7 @@
 """Unit tests of the deterministic fault-injection harness."""
 
+import json
+
 import pytest
 
 from repro.runtime.faults import (
@@ -8,74 +10,67 @@ from repro.runtime.faults import (
     NO_FAULTS,
     FaultPlan,
     FaultSpec,
-    TransientFault,
 )
 
 
 class TestFaultSpec:
     def test_exact_coordinates_match(self):
-        spec = FaultSpec(site="evaluate", kind="transient", round=2,
-                         side=1, run=("a", "b"), attempts=(1,))
-        assert spec.matches("evaluate", round=2, side=1, run=("a", "b"), attempt=1)
-        assert not spec.matches("evaluate", round=3, side=1, run=("a", "b"), attempt=1)
-        assert not spec.matches("evaluate", round=2, side=0, run=("a", "b"), attempt=1)
-        assert not spec.matches("evaluate", round=2, side=1, run=("a", "c"), attempt=1)
-        assert not spec.matches("evaluate", round=2, side=1, run=("a", "b"), attempt=2)
+        spec = FaultSpec(site="search.round", kind="interrupt", round=2)
+        assert spec.matches("search.round", round=2)
+        assert not spec.matches("search.round", round=3)
         assert not spec.matches("checkpoint.write", round=2)
 
     def test_none_coordinates_are_wildcards(self):
-        spec = FaultSpec(site="evaluate", kind="transient")
-        assert spec.matches("evaluate", round=7, side=0, run=("x",), attempt=1)
-
-    def test_empty_attempts_is_every_attempt(self):
-        spec = FaultSpec(site="evaluate", kind="transient", attempts=())
-        for attempt in (1, 2, 3, 17):
-            assert spec.matches("evaluate", attempt=attempt)
+        spec = FaultSpec(site="checkpoint.write", kind="corrupt")
+        assert spec.matches("checkpoint.write", round=7)
+        assert spec.matches("checkpoint.write")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             FaultSpec(site="evaluate", kind="meltdown")
 
-    @pytest.mark.parametrize("kind", ["crash", "timeout"])
-    def test_retired_worker_kinds_rejected(self, kind):
-        with pytest.raises(ValueError):
-            FaultSpec(site="evaluate", kind=kind)
-        with pytest.raises(ValueError):
-            FaultPlan.from_json(f'{{"specs": [{{"site": "evaluate", "kind": "{kind}"}}]}}')
+    @pytest.mark.parametrize("spec", [
+        pytest.param({"site": "evaluate", "kind": "crash"}, id="crash"),
+        pytest.param({"site": "evaluate", "kind": "timeout"}, id="timeout"),
+        pytest.param({"site": "evaluate", "kind": "transient"}, id="transient"),
+        pytest.param(
+            {"site": "search.round", "kind": "interrupt", "attempts": [1]},
+            id="attempts",
+        ),
+    ])
+    def test_retired_worker_kinds_rejected(self, spec):
+        with pytest.raises((TypeError, ValueError)):
+            FaultSpec(**spec)
+        with pytest.raises((TypeError, ValueError)):
+            FaultPlan.from_json(json.dumps({"specs": [spec]}))
 
 
 class TestFaultPlan:
     def test_no_faults_is_falsy_and_never_matches(self):
         assert not NO_FAULTS
-        assert NO_FAULTS.match("evaluate", round=1) is None
-        assert NO_FAULTS.fire("evaluate", round=1) is None
+        assert NO_FAULTS.match("search.round", round=1) is None
 
     def test_first_matching_spec_wins(self):
         plan = FaultPlan(specs=(
-            FaultSpec(site="evaluate", kind="interrupt", round=1),
-            FaultSpec(site="evaluate", kind="corrupt", round=1),
+            FaultSpec(site="search.round", kind="interrupt", round=1),
+            FaultSpec(site="search.round", kind="corrupt", round=1),
         ))
-        assert plan.match("evaluate", round=1).kind == KIND_INTERRUPT
-
-    def test_transient_fires_anywhere(self):
-        plan = FaultPlan(specs=(FaultSpec(site="evaluate", kind="transient"),))
-        with pytest.raises(TransientFault):
-            plan.fire("evaluate", round=1)
+        assert plan.match("search.round", round=1).kind == KIND_INTERRUPT
 
     def test_interrupt_and_corrupt_returned_not_acted(self):
         plan = FaultPlan(specs=(
             FaultSpec(site="search.round", kind="interrupt", round=3),
             FaultSpec(site="checkpoint.write", kind="corrupt"),
         ))
-        assert plan.fire("search.round", round=3).kind == KIND_INTERRUPT
-        assert plan.fire("checkpoint.write", round=1).kind == KIND_CORRUPT
+        assert plan.match("search.round", round=3).kind == KIND_INTERRUPT
+        assert plan.match("search.round", round=2) is None
+        assert plan.match("checkpoint.write", round=1).kind == KIND_CORRUPT
 
     def test_json_round_trip(self):
         plan = FaultPlan(
             specs=(
-                FaultSpec(site="evaluate", kind="transient", round=2,
-                          side=1, run=("a", "b"), attempts=(1, 2)),
-                FaultSpec(site="checkpoint.write", kind="corrupt", attempts=()),
+                FaultSpec(site="search.round", kind="interrupt", round=2),
+                FaultSpec(site="checkpoint.write", kind="corrupt"),
             ),
             seed=7,
         )

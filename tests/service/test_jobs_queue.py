@@ -53,12 +53,20 @@ class TestValidateSpec:
                  "treshold": 0.5}
             )
 
-    @pytest.mark.parametrize("kind", ["crash", "timeout"])
-    def test_rejects_retired_fault_kinds(self, pair, kind):
+    @pytest.mark.parametrize("spec", [
+        pytest.param({"site": "evaluate", "kind": "crash"}, id="crash"),
+        pytest.param({"site": "evaluate", "kind": "timeout"}, id="timeout"),
+        pytest.param({"site": "evaluate", "kind": "transient"}, id="transient"),
+        pytest.param(
+            {"site": "search.round", "kind": "interrupt", "attempts": [1]},
+            id="attempts",
+        ),
+    ])
+    def test_rejects_retired_fault_kinds(self, pair, spec):
         with pytest.raises(JobSpecError, match="not a fault plan"):
             MatchRequest.from_json(
                 {"log_first": str(pair[0]), "log_second": str(pair[1]),
-                 "fault_plan": {"specs": [{"site": "evaluate", "kind": kind}]}}
+                 "fault_plan": {"specs": [spec]}}
             )
 
     def test_rejects_missing_required(self):

@@ -218,7 +218,7 @@ SUBJECTS = [
         put=lambda store, key: store.save(_snapshot(key)),
         get=lambda store, key: store.load(key),
         corrupt_counter="checkpoint_corrupt_total",
-        damage=_file_damage(b"EMSCKPT3"),
+        damage=_file_damage(b"EMSCKPT4"),
         gone=_file_entry_gone,
     ),
     Subject(
@@ -284,7 +284,7 @@ def test_checkpoint_of_the_previous_format_starts_cold(tmp_path):
     manager = CheckpointManager(tmp_path, observer=Observer(metrics=registry))
     payload = pickle.dumps(_snapshot(KEY).to_payload())
     digest = hashlib.sha256(payload).hexdigest()
-    header = b" ".join((b"EMSCKPT2", KEY.encode(), digest.encode())) + b"\n"
+    header = b" ".join((b"EMSCKPT3", KEY.encode(), digest.encode())) + b"\n"
     manager.directory.mkdir(parents=True, exist_ok=True)
     manager.path_for(KEY).write_bytes(header + payload)
     assert manager.load(KEY) is None

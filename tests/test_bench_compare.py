@@ -25,7 +25,6 @@ def payload(**overrides) -> dict:
         "speedup_composite": 4.0,
         "memory_reduction_sparse": 6.0,
         "noop_observer_overhead": 1.0,
-        "retry_overhead": 1.0,
         "warm_cache_speedup": 7.0,
         "ingest_sharded_memory": 0.2,
         "stats_store_warm": 20.0,
@@ -92,11 +91,6 @@ class TestFloorKeys:
         failures = compare(payload(noop_observer_overhead=1.2), payload(), 2.0)
         assert len(failures) == 1
         assert "observer" in failures[0]
-
-    def test_retry_overhead_ceiling_violation_fails(self):
-        failures = compare(payload(retry_overhead=1.25), payload(), 2.0)
-        assert len(failures) == 1
-        assert "supervision" in failures[0]
 
     def test_ingest_memory_ceiling_violation_fails(self):
         failures = compare(payload(ingest_sharded_memory=0.4), payload(), 2.0)
