@@ -115,8 +115,7 @@ INGEST_SCENARIO = {"cases": 4000, "events_per_case": 8, "activities": 12, "seed"
 #: the EMS fixpoint, assign) dwarfs a match-store hit, which costs two
 #: content digests, one verified matrix row, and the assignment.
 #: ``match_store_warm`` in :func:`compare` holds the warm path >= 10x
-#: faster, and ``sql_pair_counts`` pins SQL-window-function aggregation
-#: of the stored trace rows bit-identical to Python counting.
+#: faster.
 MATCH_STORE_SCENARIO = {
     "cases": 1500, "events_per_case": 8, "activities": 24, "seed": 29,
 }
@@ -560,33 +559,6 @@ def _ingest_memory_profile() -> dict:
     }
 
 
-def _sql_parity() -> float:
-    """1.0 iff SQL-aggregated statistics equal Python counting, else 0.0.
-
-    Ingests the :data:`INGEST_SCENARIO` CSV into a fresh
-    :class:`MatchStore` (recording per-trace rows), then aggregates the
-    Definition-1 counts entirely inside SQLite — ``COUNT(DISTINCT
-    trace_id)`` per activity and the ``LEAD`` window function for pairs —
-    and compares against the in-memory accumulator.  The ``1.0`` floor
-    on ``sql_pair_counts`` makes any divergence a gate failure.
-    """
-    scratch = Path(tempfile.mkdtemp(prefix="bench_sql_parity_"))
-    atexit.register(shutil.rmtree, scratch, ignore_errors=True)
-    csv_path = scratch / "events.csv"
-    write_ingest_csv(csv_path, **INGEST_SCENARIO)
-    cold = ingest_statistics(csv_path)
-    store = MatchStore(scratch / "parity.db")
-    try:
-        stored = ingest_statistics(csv_path, store=store)
-        assert stored.counts_key is not None
-        sql_stats = store.sql_statistics(stored.counts_key)
-        if sql_stats is None:
-            return 0.0
-        return 1.0 if sql_stats.snapshot() == cold.statistics else 0.0
-    finally:
-        store.close()
-
-
 #: Overhead ratios ``(payload key, numerator, denominator)``: each
 #: compares two scenarios running the same workload, one with a wrapper
 #: that must be free.  Timed in separate blocks, a slow window of a shared
@@ -675,9 +647,6 @@ def run_harness(repeats: int) -> dict:
         scenarios["match_scaled_cold"]["mean_time"]
         / scenarios["match_store_warm"]["mean_time"]
     )
-    # SQL push-down parity (1.0 floor): window-function aggregation of
-    # the stored trace rows must be bit-identical to Python counting.
-    sql_pair_counts = _sql_parity()
     # Warm daemon round trip vs the cold in-process pipeline match
     # (>= 2x floor): the daemon's per-job overhead — HTTP submit, queue
     # insert, scheduler claim, result fetch — must stay far below the
@@ -701,7 +670,6 @@ def run_harness(repeats: int) -> dict:
         "ingest_sharded_memory": ingest_sharded_memory,
         "stats_store_warm": stats_store_warm,
         "match_store_warm": match_store_warm,
-        "sql_pair_counts": sql_pair_counts,
         "service_warm_speedup": service_warm_speedup,
         "speedup_exact_20": speedup,
         "speedup_composite": speedup_composite,
@@ -733,8 +701,6 @@ FLOORS = (
      "warm-log-store-vs-cold parse+count speedup"),
     ("match_store_warm", 10.0, "min",
      "warm-match-store-vs-cold end-to-end match speedup"),
-    ("sql_pair_counts", 1.0, "min",
-     "SQL-window-function pair-count parity with Python counting"),
     ("service_warm_speedup", 2.0, "min",
      "warm-daemon submit-to-result speedup over the cold in-process match"),
 )
@@ -923,8 +889,6 @@ def main(argv: list[str] | None = None) -> int:
           f"{payload['stats_store_warm']:.2f}x")
     print(f"warm-match-store speedup over the cold end-to-end match: "
           f"{payload['match_store_warm']:.2f}x")
-    print(f"SQL pair-count parity with Python counting: "
-          f"{payload['sql_pair_counts']:.1f}")
     print(f"warm-daemon speedup over the cold in-process match: "
           f"{payload['service_warm_speedup']:.2f}x")
     print(f"wrote {arguments.output}")

@@ -57,10 +57,10 @@ logging to stderr.
 
 Scale (see ``docs/scale.md``): ``--shard-traces N`` ingests each log
 out-of-core in blocks of N traces (peak memory O(shard), not O(log)),
-and ``--store PATH`` opens a persistent SQLite match store:
-counts, dependency graphs, per-trace rows (aggregated by SQL window
-functions) and finished similarity matrices are all memoized, so a
-repeated log pair skips parse, graph build *and* the EMS fixpoint
+and ``--store PATH`` opens a persistent SQLite match store: each log's
+counts and each finished similarity matrix are memoized as
+digest-verified records, so a repeated log pair skips parse, count
+*and* the EMS fixpoint
 (``"match_mode": "store"`` under ``"provenance"`` in the JSON output),
 and a pair with an appended-to side parses only the new tail
 (``"ingest_modes"`` says ``"store-append"``) before a cold fixpoint
@@ -69,8 +69,8 @@ matching that never materializes the logs, so they are incompatible
 with ``--composite`` and ``--report``.  Results are bit-identical to
 the in-memory path.  ``stats`` runs the same ingestion
 pipeline without matching and prints the log's Definition-1 statistics;
-``stats --from-store`` answers from the store's trace rows alone,
-without reading the file.
+``stats --from-store`` answers from the store's counts alone, without
+reading the file.
 
 Serving (see ``docs/service.md``): ``serve`` runs the long-lived
 matching daemon — a persistent job queue with content-hash dedup, a
@@ -117,9 +117,8 @@ from repro.runtime import (
 from repro.store import (
     IngestResult,
     MatchStore,
-    ingest_key,
     ingest_statistics,
-    resolve_format,
+    stored_statistics,
 )
 
 #: Exit code for unreadable/invalid inputs.
@@ -216,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     match.add_argument(
         "--store", metavar="PATH", default=None,
-        help="persistent SQLite log store: memoize content-addressed "
-             "counts and dependency graphs so repeated or appended-to "
+        help="persistent SQLite match store: memoize content-addressed "
+             "counts and similarity matrices so repeated or appended-to "
              "logs skip parsing and counting (digest-verified; corruption "
              "degrades to a cold parse)",
     )
@@ -266,9 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument(
         "--from-store", action="store_true",
-        help="aggregate statistics from the store's trace rows with SQL "
-             "window functions, without reading the log file (requires "
-             "--store and a prior ingest of the same path)",
+        help="answer from the store's counts of the last ingest of this "
+             "path, without reading the log file (requires --store and a "
+             "prior ingest of the same path)",
     )
     stats.add_argument(
         "--top", type=int, default=10, metavar="N",
@@ -397,35 +396,17 @@ def run_match(arguments: argparse.Namespace) -> int:
 def _stats_from_store(
     arguments: argparse.Namespace, store: MatchStore
 ) -> IngestResult:
-    """``stats --from-store``: SQL aggregation only, the file untouched.
-
-    The path is resolved to its stored counts through the ingests table
-    (path-keyed, so no content digest — the file need not even exist any
-    more), and the Definition-1 counts are aggregated by SQLite window
-    functions over the stored trace rows.
-    """
-    fmt = resolve_format(arguments.log, arguments.format)
-    prior = store.get_ingest(ingest_key(arguments.log, fmt, arguments.on_error))
-    counts_key = prior["counts_key"] if prior is not None else None
-    statistics = (
-        store.sql_statistics(counts_key) if counts_key is not None else None
+    """``stats --from-store``: the stored counts alone, the file untouched."""
+    result = stored_statistics(
+        arguments.log, arguments.format, arguments.on_error, store
     )
-    if statistics is None:
+    if result is None:
         raise ReproError(
-            f"no stored trace rows for {arguments.log!r} in "
+            f"no stored counts for {arguments.log!r} in "
             f"{arguments.store!r}; ingest it first (stats --store without "
             f"--from-store)"
         )
-    record = store.get_counts(counts_key)
-    log_name = (
-        record["log_name"] if record is not None else Path(arguments.log).stem
-    )
-    return IngestResult(
-        statistics=statistics.snapshot(),
-        log_name=log_name,
-        mode="store-sql",
-        counts_key=counts_key,
-    )
+    return result
 
 
 def run_stats(arguments: argparse.Namespace) -> int:

@@ -61,7 +61,7 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.degrade import DegradationPolicy
 from repro.runtime.evalcache import EvaluationCache, candidate_key, discovery_key
-from repro.runtime.faults import KIND_INTERRUPT, FaultPlan
+from repro.runtime.faults import FaultPlan
 from repro.runtime.report import STAGE_EXACT, STAGE_PARTIAL, RuntimeReport
 from repro.similarity.labels import CompositeAwareSimilarity, LabelSimilarity, OpaqueSimilarity
 
@@ -682,8 +682,7 @@ class CompositeMatcher:
         if self.interrupt is not None and self.interrupt.interrupted:
             return self.interrupt.signal_name or "signal"
         if self.faults is not None:
-            spec = self.faults.match("search.round", round=next_round)
-            if spec is not None and spec.kind == KIND_INTERRUPT:
+            if self.faults.match("search.round", round=next_round) is not None:
                 name = f"fault:search.round[{next_round}]"
                 if self.interrupt is not None:
                     self.interrupt.trip(name)

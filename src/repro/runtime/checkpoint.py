@@ -231,10 +231,8 @@ class CheckpointManager:
         )
         digest = hashlib.sha256(payload).hexdigest()
         if self.faults is not None:
-            spec = self.faults.match(
-                "checkpoint.write", round=snapshot.rounds
-            )
-            if spec is not None and spec.kind == "corrupt":
+            spec = self.faults.match("checkpoint.write", round=snapshot.rounds)
+            if spec is not None:
                 payload = self.faults.corrupt(payload, round=snapshot.rounds)
         header = b" ".join(
             (_MAGIC, snapshot.key.encode(), digest.encode())

@@ -9,7 +9,9 @@ round) and *what* (checkpoint corruption, cooperative interrupt) should
 go wrong.  Matching is purely coordinate-based — no shared mutable
 state — so the same plan replays the same chaos on every run.
 
-Sites currently wired up (see ``docs/robustness.md``):
+Sites currently wired up (see ``docs/robustness.md``), each with the one
+kind it acts out; any other site or pairing is rejected when the spec is
+built, because it would never fire:
 
 =====================  =====================================================
 ``search.round``       the top of a greedy round (kind ``interrupt`` —
@@ -33,7 +35,9 @@ from dataclasses import asdict, dataclass
 #: Fault kinds a spec may request.
 KIND_CORRUPT = "corrupt"
 KIND_INTERRUPT = "interrupt"
-KINDS = (KIND_CORRUPT, KIND_INTERRUPT)
+
+#: The wired fault sites, each with the kind its call site acts out.
+SITES = {"search.round": KIND_INTERRUPT, "checkpoint.write": KIND_CORRUPT}
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,8 +52,15 @@ class FaultSpec:
     round: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if self.site not in SITES:
+            raise ValueError(
+                f"site must be one of {tuple(SITES)}, got {self.site!r}"
+            )
+        if self.kind != SITES[self.site]:
+            raise ValueError(
+                f"site {self.site!r} takes kind {SITES[self.site]!r}, "
+                f"got {self.kind!r}"
+            )
 
     def matches(self, site: str, *, round: int | None = None) -> bool:
         return site == self.site and self.round in (None, round)
@@ -109,7 +120,6 @@ class FaultPlan:
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
         document = json.loads(text)
-        specs = []
         specs = tuple(FaultSpec(**raw) for raw in document.get("specs", ()))
         return cls(specs=specs, seed=document.get("seed", 0))
 

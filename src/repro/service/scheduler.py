@@ -30,9 +30,8 @@ behave normally.  Fault plans are excluded from the checkpoint content
 key, so the resumed attempt finds the interrupted attempt's snapshot.
 
 Threads never share a :class:`~repro.store.matchstore.MatchStore`
-object: each worker owns one handle on the shared database file (the
-WAL discipline coordinates them), because the store's event-row staging
-spans multiple calls during an ingest.
+object: each worker owns one handle on the shared database file, and
+the WAL discipline coordinates them.
 """
 
 from __future__ import annotations

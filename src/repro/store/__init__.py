@@ -3,19 +3,18 @@
 The scale layer of the pipeline (see ``docs/scale.md``): streaming
 trace ingestion with spill-to-disk blocks counted one block at a time
 (:mod:`~repro.store.blocks`, :mod:`~repro.store.sharding`), and a SQLite
-:class:`LogStore` that memoizes content-addressed counts and dependency
-graphs across runs (:mod:`~repro.store.logstore`).
+:class:`LogStore` that keeps each ingested log once, as its
+content-addressed counts, across runs (:mod:`~repro.store.logstore`).
 :func:`ingest_statistics` / :func:`ingest_graph`
 (:mod:`~repro.store.pipeline`) tie the routes together and always yield
 results bit-identical to the batch path.
 
 On top of the log store sits the :class:`MatchStore`
 (:mod:`~repro.store.matchstore`): persisted similarity matrices keyed by
-content digests of both logs plus the matcher configuration, stored
-per-trace event rows for SQL count push-down, and
+content digests of both logs plus the matcher configuration, and
 :func:`match_stored` — the warm end-to-end match path that serves a
 repeated pair straight from the store, and runs a grown one cold on
-append-ingested counts.
+append-ingested counts.  Every stored row is a digest-verified record.
 """
 
 from repro.store.blocks import (
@@ -28,7 +27,6 @@ from repro.store.logstore import (
     case_digest,
     counts_content_key,
     file_digest,
-    graph_content_key,
     ingest_key,
 )
 from repro.store.matchstore import (
@@ -42,6 +40,7 @@ from repro.store.pipeline import (
     ingest_graph,
     ingest_statistics,
     match_stored,
+    stored_statistics,
 )
 from repro.store.sharding import (
     DEFAULT_PARTITIONS,
@@ -62,7 +61,6 @@ __all__ = [
     "case_digest",
     "counts_content_key",
     "file_digest",
-    "graph_content_key",
     "ingest_graph",
     "ingest_key",
     "ingest_statistics",
@@ -75,5 +73,6 @@ __all__ = [
     "resolve_format",
     "shard_statistics",
     "spill_blocks",
+    "stored_statistics",
     "stream_traces",
 ]

@@ -2,34 +2,35 @@
 
 Parsing and counting dominate the cost of re-matching a log that has not
 changed — and production logs are re-matched constantly (nightly jobs,
-config sweeps, appended extracts).  The :class:`LogStore` memoizes the
-two derived artifacts the pipeline needs, keyed so a hit is *provably*
-the same computation:
+config sweeps, appended extracts).  The :class:`LogStore` keeps each
+ingested log once, as the integer counts that fix its dependency graph
+(Definition 1), keyed so a hit is *provably* the same computation:
 
 * **raw counts** (trace count, per-activity and per-pair trace counts,
   plus compact per-case digests) under
   :func:`counts_content_key` — a SHA-256 over the input file's content
   digest and the parse mode.  Counts, not frequencies, are stored: exact
   integers merge losslessly with an appended tail, while floats do not.
-* **dependency graphs** under :func:`graph_content_key`, which extends
-  the counts key with the graph parameters (``min_frequency``), so a
-  Figure-7 sweep over thresholds shares one counts row.
+  A graph is rebuilt from them at any threshold, in milliseconds, and
+  only where an EMS fixpoint runs next.
+* **append bookkeeping** under :func:`ingest_key` — per source path, how
+  many bytes were ingested, their prefix digest, the CSV header and the
+  counts key — for the *append fast path*: when a file grows, the stored
+  counts are reused and only the tail is parsed, provided the old prefix
+  is byte-identical and the tail's cases are disjoint from the stored
+  case-digest set (otherwise the store falls back to a cold full parse;
+  correctness is never traded for the shortcut).
 
-An ``ingests`` table additionally remembers, per source path, how many
-bytes were ingested and their prefix digest — the *append fast path*:
-when a CSV grows, the stored counts are reused and only the tail is
-parsed, provided the old prefix is byte-identical and the tail's cases
-are disjoint from the stored case-digest set (otherwise the store falls
-back to a cold full parse; correctness is never traded for the
-shortcut).
-
-Durability follows the evalcache/checkpoint playbook: every row embeds
-the SHA-256 of its key and payload and is re-verified on load — a torn,
-bit-flipped or misfiled row is deleted, counted (``store_corrupt_total``)
-and answered with a miss; a database SQLite itself rejects is renamed aside
-and recreated empty.  Corruption therefore always degrades to a logged
-cold path, never a wrong answer and never a crash.  Tables are
-LRU-bounded by a ``last_used`` column (hits touch their row), with
+Every table has one shape, ``(key, payload, digest, created,
+last_used)``, read by :meth:`LogStore._get` and written by
+:meth:`LogStore._put`.  Durability follows the evalcache/checkpoint
+playbook: every row embeds the SHA-256 of its key and payload and is
+re-verified on load — a torn, bit-flipped, misfiled or malformed row is
+deleted, counted (``store_corrupt_total``) and answered with a miss; a
+database SQLite itself rejects, or one of another schema version, is
+renamed aside and recreated empty.  Corruption therefore always degrades
+to a logged cold path, never a wrong answer and never a crash.  Tables
+are LRU-bounded by the ``last_used`` column (hits touch their row), with
 evictions counted.
 
 Concurrency: *processes* sharing one store file coordinate through WAL
@@ -39,11 +40,7 @@ journaling plus the busy-timeout/lock-retry discipline in
 too: the connection is opened with ``check_same_thread=False`` and every
 public operation holds an internal re-entrant lock for its whole
 read-verify-touch-commit sequence, so one thread can never commit — or
-roll back — another thread's half-staged transaction.  The one pattern
-that spans *multiple* calls on purpose, the
-:class:`~repro.store.matchstore.MatchStore` event-row staging during an
-ingest, still wants one store object per thread (as the daemon's
-scheduler threads do); everything else can share freely.
+roll back — another thread's half-staged transaction.
 """
 
 from __future__ import annotations
@@ -56,10 +53,9 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.exceptions import StoreError
-from repro.graph.dependency import DependencyGraph
 from repro.obs import NULL_OBSERVER, Observer, get_logger
 
 _logger = get_logger(__name__)
@@ -68,8 +64,19 @@ _logger = get_logger(__name__)
 #: is renamed aside and rebuilt rather than misread.  New *tables* are
 #: additive (``CREATE TABLE IF NOT EXISTS``) and do not bump the version,
 #: so a store written before a table existed keeps serving its old rows.
-#: Version 2 binds each row's digest to its key.
-_SCHEMA_VERSION = 2
+#: Version 2 binds each row's digest to its key; version 3 keeps every
+#: table in the verified row shape (no event rows, no pickled graphs).
+_SCHEMA_VERSION = 3
+
+#: Record fields every stored counts row must carry.
+_COUNTS_FIELDS = frozenset(
+    {"trace_count", "activity_counts", "pair_counts", "case_digests", "log_name"}
+)
+
+#: Record fields every stored append-bookkeeping row must carry.
+_INGEST_FIELDS = frozenset(
+    {"byte_count", "prefix_digest", "header", "counts_key"}
+)
 
 #: How often a statement blocked by another writer is retried before the
 #: operation degrades to a miss (on top of SQLite's own busy timeout).
@@ -117,19 +124,8 @@ def counts_content_key(content_digest: str, fmt: str, on_error: str) -> str:
     ).hexdigest()
 
 
-def graph_content_key(counts_key: str, min_frequency: float) -> str:
-    """Content key of a dependency graph derived from stored counts.
-
-    ``repr(min_frequency)`` round-trips the float exactly, so equal
-    thresholds — and only equal thresholds — share a graph row.
-    """
-    return hashlib.sha256(
-        json.dumps([counts_key, repr(min_frequency)], separators=(",", ":")).encode()
-    ).hexdigest()
-
-
 def ingest_key(source: str | os.PathLike[str], fmt: str, on_error: str) -> str:
-    """Key of the per-path append bookkeeping row."""
+    """Key of the per-path append bookkeeping record."""
     resolved = os.fspath(Path(source).resolve())
     return hashlib.sha256(
         json.dumps([resolved, fmt, on_error], separators=(",", ":")).encode()
@@ -142,25 +138,25 @@ def _row_digest(key: str, payload: bytes) -> str:
 
 
 class LogStore:
-    """One SQLite database of content-keyed counts, graphs and ingests.
+    """One SQLite database of content-keyed counts and append bookkeeping.
 
     Parameters
     ----------
     path:
         The database file (created, with parents, on first use).
     max_entries:
-        LRU bound per table (``counts`` and ``graphs`` each); ``None``
-        disables eviction.  The ``ingests`` table is one small row per
-        source path and is not bounded.
+        LRU bound per table (``counts`` and ``ingests`` each); ``None``
+        disables eviction.  An evicted ``ingests`` record only costs the
+        next grown file its append fast path.
     observer:
         Metric sink for ``store_{hits,misses,evictions,corrupt}_total``
         and the ``store.{get,put}`` spans.
     """
 
-    #: Generic digest-verified LRU tables.  Subclasses extend this tuple
-    #: (and override :meth:`_create_extra_tables` for non-generic ones);
-    #: the schema builder and the eviction machinery follow it.
-    generic_tables: tuple[str, ...] = ("counts", "graphs")
+    #: The digest-verified LRU tables, all of one shape.  Subclasses
+    #: extend this tuple; the schema builder and the eviction machinery
+    #: follow it.
+    generic_tables: tuple[str, ...] = ("counts", "ingests")
 
     def __init__(
         self,
@@ -242,20 +238,7 @@ class LogStore:
                 "  last_used REAL NOT NULL"
                 ")"
             )
-        connection.execute(
-            "CREATE TABLE IF NOT EXISTS ingests ("
-            "  key TEXT PRIMARY KEY,"
-            "  byte_count INTEGER NOT NULL,"
-            "  prefix_digest TEXT NOT NULL,"
-            "  header TEXT NOT NULL,"
-            "  counts_key TEXT NOT NULL"
-            ")"
-        )
-        self._create_extra_tables(connection)
         connection.commit()
-
-    def _create_extra_tables(self, connection: sqlite3.Connection) -> None:
-        """Hook for subclasses with tables outside the generic shape."""
 
     def _set_aside(self, reason: str) -> None:
         """Rename an unusable database out of the way (best effort)."""
@@ -372,7 +355,15 @@ class LogStore:
     def _row_rejected(self, table: str) -> None:
         """Hook for subclasses that keep per-table corruption counters."""
 
-    def _get(self, table: str, key: str) -> Any | None:
+    def _get(
+        self, table: str, key: str, valid: Callable[[Any], bool]
+    ) -> Any | None:
+        """The verified value of *key* in *table*, or ``None`` (a miss).
+
+        A row whose digest does not bind its key and payload, whose
+        payload does not unpickle, or whose value fails *valid* is
+        deleted, counted and answered as a miss.
+        """
         # The lock spans the whole select-verify-touch-commit sequence:
         # a second thread must not commit between our SELECT and our
         # last_used UPDATE, or interleave a conflicting write.
@@ -385,7 +376,6 @@ class LogStore:
                 self._miss()
                 return None
             payload, digest = row
-            value = None
             reason = None
             if _row_digest(key, payload) != digest:
                 reason = "digest mismatch (corrupt, torn or misfiled row)"
@@ -394,7 +384,10 @@ class LogStore:
                     value = pickle.loads(payload)
                 except Exception as error:
                     reason = f"unreadable payload ({error})"
-            if value is None:
+                else:
+                    if not valid(value):
+                        reason = "unexpected record shape"
+            if reason is not None:
                 _logger.warning(
                     "ignoring store row %s/%s...: %s; computing cold",
                     table, key[:12], reason,
@@ -454,7 +447,7 @@ class LogStore:
         self._on_evicted(table, keys)
 
     def _on_evicted(self, table: str, keys: list[str]) -> None:
-        """Hook: rows of *table* were LRU-evicted (cascade cleanup)."""
+        """Hook for subclasses that keep per-table eviction counters."""
 
     # ------------------------------------------------------------------
     # Typed accessors
@@ -467,87 +460,29 @@ class LogStore:
         ``log_name``.  A malformed record (wrong type, missing fields) is
         treated exactly like a corrupt row.
         """
-        with self._lock:
-            return self._get_counts_locked(key)
-
-    def _get_counts_locked(self, key: str) -> dict[str, Any] | None:
-        value = self._get("counts", key)
-        if value is None:
-            return None
-        required = {"trace_count", "activity_counts", "pair_counts",
-                    "case_digests", "log_name"}
-        if not isinstance(value, dict) or not required.issubset(value):
-            _logger.warning(
-                "store counts row %s... has an unexpected shape; computing cold",
-                key[:12],
-            )
-            self.observer.count("store_corrupt_total")
-            self._execute("DELETE FROM counts WHERE key = ?", (key,))
-            self._commit()
-            return None
-        return value
+        return self._get(
+            "counts", key, lambda value: _is_record(value, _COUNTS_FIELDS)
+        )
 
     def put_counts(self, key: str, record: dict[str, Any]) -> None:
         self._put("counts", key, record)
 
-    def get_graph(self, key: str) -> DependencyGraph | None:
-        with self._lock:
-            return self._get_graph_locked(key)
-
-    def _get_graph_locked(self, key: str) -> DependencyGraph | None:
-        value = self._get("graphs", key)
-        if value is None:
-            return None
-        if not isinstance(value, DependencyGraph):
-            _logger.warning(
-                "store graph row %s... has an unexpected shape; computing cold",
-                key[:12],
-            )
-            self.observer.count("store_corrupt_total")
-            self._execute("DELETE FROM graphs WHERE key = ?", (key,))
-            self._commit()
-            return None
-        return value
-
-    def put_graph(self, key: str, graph: DependencyGraph) -> None:
-        self._put("graphs", key, graph)
-
-    # ------------------------------------------------------------------
-    # Append bookkeeping
-    # ------------------------------------------------------------------
     def get_ingest(self, key: str) -> dict[str, Any] | None:
-        with self._lock:
-            return self._get_ingest_locked(key)
+        """The append-bookkeeping record for *key*, or ``None``.
 
-    def _get_ingest_locked(self, key: str) -> dict[str, Any] | None:
-        cursor = self._execute(
-            "SELECT byte_count, prefix_digest, header, counts_key "
-            "FROM ingests WHERE key = ?",
-            (key,),
+        The record is the dict :meth:`put_ingest` stored: ``byte_count``
+        (the stable prefix length), ``prefix_digest``, ``header`` (the
+        raw CSV header line, ``""`` for XES) and ``counts_key``.  A
+        damaged or malformed record is a miss, and the ingest goes cold.
+        """
+        return self._get(
+            "ingests", key, lambda value: _is_record(value, _INGEST_FIELDS)
         )
-        row = cursor.fetchone() if cursor is not None else None
-        if row is None:
-            return None
-        return {
-            "byte_count": row[0],
-            "prefix_digest": row[1],
-            "header": row[2],
-            "counts_key": row[3],
-        }
 
-    def put_ingest(
-        self,
-        key: str,
-        byte_count: int,
-        prefix_digest: str,
-        header: str,
-        counts_key: str,
-    ) -> None:
-        with self._lock:
-            self._execute(
-                "INSERT OR REPLACE INTO ingests "
-                "(key, byte_count, prefix_digest, header, counts_key) "
-                "VALUES (?, ?, ?, ?, ?)",
-                (key, byte_count, prefix_digest, header, counts_key),
-            )
-            self._commit()
+    def put_ingest(self, key: str, record: dict[str, Any]) -> None:
+        self._put("ingests", key, record)
+
+
+def _is_record(value: Any, fields: frozenset[str]) -> bool:
+    """Whether *value* is a record dict carrying every one of *fields*."""
+    return isinstance(value, dict) and fields.issubset(value)

@@ -49,7 +49,6 @@ from repro.store.logstore import (
     case_digest,
     counts_content_key,
     file_digest,
-    graph_content_key,
     ingest_key,
 )
 from repro.store.matchstore import (
@@ -121,6 +120,28 @@ def _seed_from_record(record: dict[str, Any]) -> OnlineStatistics:
     return stats
 
 
+def _stored_result(record: dict[str, Any], counts_key: str) -> IngestResult:
+    """The ingest a digest-verified counts record answers on its own."""
+    return IngestResult(
+        statistics=_seed_from_record(record).snapshot(),
+        log_name=record["log_name"],
+        mode="store",
+        counts_key=counts_key,
+    )
+
+
+def _ingest_record(
+    byte_count: int, prefix_digest: str, header: str, counts_key: str
+) -> dict[str, Any]:
+    """The append bookkeeping of one ingested file (see ``_try_append``)."""
+    return {
+        "byte_count": byte_count,
+        "prefix_digest": prefix_digest,
+        "header": header,
+        "counts_key": counts_key,
+    }
+
+
 def _digesting(
     traces: Iterator[tuple[str | None, tuple[str, ...]]],
     sink: set[bytes],
@@ -128,37 +149,6 @@ def _digesting(
     for case_id, activities in traces:
         sink.add(case_digest(case_id))
         yield case_id, activities
-
-
-#: Event rows are staged into the match store in batches of this size.
-_ROW_BATCH = 4096
-
-
-def _recording_rows(
-    traces: Iterator[tuple[str | None, tuple[str, ...]]],
-    store: "MatchStore",
-    key: str,
-    start: int = 0,
-) -> Iterator[tuple[str | None, tuple[str, ...]]]:
-    """Tee the trace stream into the store's ``events`` table.
-
-    Rows are staged (not committed) while streaming; the caller's final
-    ``put_counts`` commits them atomically with the counts row, so a
-    crash mid-stream never leaves partial rows behind a valid-looking
-    counts key.
-    """
-    batch: list[tuple[str, int, int, str]] = []
-    index = start
-    for case_id, activities in traces:
-        for pos, activity in enumerate(activities):
-            batch.append((key, index, pos, activity))
-        index += 1
-        if len(batch) >= _ROW_BATCH:
-            store.insert_event_rows(batch)
-            batch.clear()
-        yield case_id, activities
-    if batch:
-        store.insert_event_rows(batch)
 
 
 def _xes_append_offset(path: str | os.PathLike[str]) -> int | None:
@@ -257,25 +247,7 @@ def ingest_statistics(
         counts_key = counts_content_key(content, fmt, on_error)
         record = store.get_counts(counts_key)
         if record is not None:
-            # Leg 2 of the match store: for a MatchStore the per-trace
-            # event rows are aggregated by SQL window functions inside
-            # SQLite (verified against the counts row's trace count), so
-            # no per-trace Python structure is ever touched.  A plain
-            # LogStore — or missing/corrupt rows — seeds from the
-            # aggregated counts blob instead; both are bit-identical.
-            stats = None
-            if isinstance(store, MatchStore):
-                stats = store.sql_statistics(
-                    counts_key, expected_traces=record["trace_count"]
-                )
-            if stats is None:
-                stats = _seed_from_record(record)
-            return IngestResult(
-                statistics=stats.snapshot(),
-                log_name=record["log_name"],
-                mode="store",
-                counts_key=counts_key,
-            )
+            return _stored_result(record, counts_key)
         appended = None
         if fmt in ("csv", "xes"):
             appended = _try_append(
@@ -288,7 +260,6 @@ def ingest_statistics(
     name_sink = _NameSink(Path(source).stem)
     mode = "streamed"
     shards = 0
-    recording = isinstance(store, MatchStore) and counts_key is not None
     with tempfile.TemporaryDirectory(prefix="repro-ingest-") as scratch:
         scratch_dir = Path(scratch)
         traces = stream_traces(
@@ -298,59 +269,39 @@ def ingest_statistics(
         )
         if store is not None:
             traces = _digesting(traces, digests)
-        if recording:
-            assert isinstance(store, MatchStore) and counts_key is not None
-            store.delete_trace_rows(counts_key)
-            traces = _recording_rows(traces, store, counts_key)
-        try:
-            if shard_traces is not None:
-                if shard_traces < 1:
-                    raise ValueError(f"shard_traces must be >= 1, got {shard_traces}")
-                with observer.span("ingest.spill", source=os.fspath(source)):
-                    blocks = spill_blocks(
-                        traces, scratch_dir / "blocks", block_traces=shard_traces
-                    )
-                shards = len(blocks)
-                stats = shard_statistics(blocks, observer=observer)
-                mode = "sharded"
-            else:
-                stats = OnlineStatistics()
-                with observer.span("ingest.stream", source=os.fspath(source)):
-                    for _, activities in traces:
-                        stats.add_sequence(activities)
-        except BaseException:
-            # Drop any staged trace rows: a half-streamed ingest must not
-            # leave rows that a later SQL aggregation could mistake for a
-            # complete log.
-            if recording:
-                assert isinstance(store, MatchStore)
-                store.rollback()
-            raise
+        if shard_traces is not None:
+            if shard_traces < 1:
+                raise ValueError(f"shard_traces must be >= 1, got {shard_traces}")
+            with observer.span("ingest.spill", source=os.fspath(source)):
+                blocks = spill_blocks(
+                    traces, scratch_dir / "blocks", block_traces=shard_traces
+                )
+            shards = len(blocks)
+            stats = shard_statistics(blocks, observer=observer)
+            mode = "sharded"
+        else:
+            stats = OnlineStatistics()
+            with observer.span("ingest.stream", source=os.fspath(source)):
+                for _, activities in traces:
+                    stats.add_sequence(activities)
 
     if store is not None and counts_key is not None:
         store.put_counts(
             counts_key, _counts_record(stats, frozenset(digests), name_sink.value)
         )
+        key = ingest_key(source, fmt, on_error)
         if fmt == "csv":
             header = _csv_header(source)
             if header is not None:
-                store.put_ingest(
-                    ingest_key(source, fmt, on_error),
-                    os.path.getsize(source),
-                    content,
-                    header,
-                    counts_key,
-                )
+                store.put_ingest(key, _ingest_record(
+                    os.path.getsize(source), content, header, counts_key
+                ))
         elif fmt == "xes":
             offset = _xes_append_offset(source)
             if offset is not None and offset > 0:
-                store.put_ingest(
-                    ingest_key(source, fmt, on_error),
-                    offset,
-                    file_digest(source, limit=offset),
-                    "",
-                    counts_key,
-                )
+                store.put_ingest(key, _ingest_record(
+                    offset, file_digest(source, limit=offset), "", counts_key
+                ))
     return IngestResult(
         statistics=stats.snapshot(),
         log_name=name_sink.value,
@@ -358,6 +309,29 @@ def ingest_statistics(
         shards=shards,
         counts_key=counts_key,
     )
+
+
+def stored_statistics(
+    source: str | os.PathLike[str],
+    fmt: str,
+    on_error: str,
+    store: LogStore,
+) -> IngestResult | None:
+    """The stored counts of the last ingest of *source*, or ``None``.
+
+    The path is resolved through its append-bookkeeping record, which is
+    keyed by path rather than content, so the file is never read — it
+    need not even exist any more.  Both records are digest-verified; a
+    damaged one is a miss.
+    """
+    key = ingest_key(source, resolve_format(source, fmt), on_error)
+    prior = store.get_ingest(key)
+    if prior is None:
+        return None
+    record = store.get_counts(prior["counts_key"])
+    if record is None:
+        return None
+    return _stored_result(record, prior["counts_key"])
 
 
 def _try_append(
@@ -437,11 +411,6 @@ def _try_append(
         total = _seed_from_record(record)
         tail_stats.merge_into(total)
 
-    if isinstance(store, MatchStore):
-        _extend_trace_rows(
-            store, prior["counts_key"], counts_key,
-            record["trace_count"], tail_traces,
-        )
     store.put_counts(
         counts_key,
         _counts_record(
@@ -454,44 +423,20 @@ def _try_append(
     # not catch it; the stale row stays and the case-overlap gate forces
     # the next ingest cold).
     if fmt == "xes":
-        store.put_ingest(
-            key, new_byte_count,
-            file_digest(source, limit=new_byte_count), "", counts_key,
-        )
+        store.put_ingest(key, _ingest_record(
+            new_byte_count, file_digest(source, limit=new_byte_count), "",
+            counts_key,
+        ))
     elif _ends_in_newline(source):
-        store.put_ingest(key, new_byte_count, content, prior["header"], counts_key)
+        store.put_ingest(key, _ingest_record(
+            new_byte_count, content, prior["header"], counts_key
+        ))
     return IngestResult(
         statistics=total.snapshot(),
         log_name=record["log_name"],
         mode="store-append",
         counts_key=counts_key,
     )
-
-
-def _extend_trace_rows(
-    store: MatchStore,
-    old_key: str,
-    new_key: str,
-    stored_traces: int,
-    tail_traces: list[tuple[str | None, tuple[str, ...]]],
-) -> None:
-    """Carry stored trace rows across an append (staged, not committed).
-
-    Only sound when the old key's rows are complete (their trace count
-    matches the digest-verified counts row); otherwise any rows under
-    either key are dropped and SQL push-down simply has nothing for this
-    log until the next cold ingest.
-    """
-    if store.stored_trace_count(old_key) == stored_traces:
-        store.rekey_trace_rows(old_key, new_key)
-        rows: list[tuple[str, int, int, str]] = []
-        for index, (_, activities) in enumerate(tail_traces, start=stored_traces):
-            for pos, activity in enumerate(activities):
-                rows.append((new_key, index, pos, activity))
-        store.insert_event_rows(rows)
-    else:
-        store.delete_trace_rows(old_key)
-        store.delete_trace_rows(new_key)
 
 
 def ingest_graph(
@@ -507,27 +452,18 @@ def ingest_graph(
 ) -> tuple[DependencyGraph, IngestResult]:
     """The dependency graph of the log at *source*, store-accelerated.
 
-    Statistics come from :func:`ingest_statistics`; the derived graph is
-    additionally memoized per ``min_frequency`` in the store's graph
-    table, so repeated matchings skip even the graph construction.
+    Statistics come from :func:`ingest_statistics` (a store hit skips
+    parse and count); the graph is always built from them.
     """
     observer = observer if observer is not None else NULL_OBSERVER
     result = ingest_statistics(
         source, fmt, on_error, report,
         shard_traces=shard_traces, store=store, observer=observer,
     )
-    graph_key = None
-    if store is not None and result.counts_key is not None:
-        graph_key = graph_content_key(result.counts_key, min_frequency)
-        graph = store.get_graph(graph_key)
-        if graph is not None:
-            return graph, result
     with observer.span("graph.build", source=os.fspath(source)):
         graph = DependencyGraph.from_statistics(
             result.statistics, name=result.log_name, min_frequency=min_frequency
         )
-    if store is not None and graph_key is not None:
-        store.put_graph(graph_key, graph)
     return graph, result
 
 
@@ -563,7 +499,7 @@ def match_stored(
 
     Budgeted matchers bypass the matrix store entirely (the evalcache
     precedent: budget accounting must reflect real work), but still use
-    the counts/graph stores underneath.
+    the counts store underneath.
 
     Returns ``(outcome, provenance)`` — provenance carries
     ``match_mode``, the matrix key, per-side ingest modes and log names.

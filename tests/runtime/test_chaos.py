@@ -3,8 +3,9 @@
 A candidate evaluation that raises fails the whole match: the search
 never finishes a round without one of its candidates, whether or not a
 :class:`~repro.runtime.faults.FaultPlan` is attached.  A plan naming a
-fault kind or coordinate the runtime does not know is rejected as bad
-input before anything runs.
+fault kind, site or coordinate the runtime does not know, or a site
+with a kind it never acts out, is rejected as bad input before anything
+runs.
 """
 
 import json
@@ -55,6 +56,10 @@ class TestChaosCLI:
         {"site": "evaluate", "kind": "transient", "delay": 30.0},
         {"site": "evaluate", "kind": "transient"},
         {"site": "search.round", "kind": "interrupt", "attempts": [1]},
+        {"site": "evaluate", "kind": "interrupt"},
+        {"site": "search.rnd", "kind": "interrupt"},
+        {"site": "search.round", "kind": "corrupt"},
+        {"site": "checkpoint.write", "kind": "interrupt"},
     ])
     def test_retired_fault_kinds_exit_2(self, capsys, tmp_path, csv_pair, spec):
         plan_path = tmp_path / "plan.json"

@@ -27,7 +27,7 @@ class TestFaultSpec:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            FaultSpec(site="evaluate", kind="meltdown")
+            FaultSpec(site="search.round", kind="meltdown")
 
     @pytest.mark.parametrize("spec", [
         pytest.param({"site": "evaluate", "kind": "crash"}, id="crash"),
@@ -36,6 +36,13 @@ class TestFaultSpec:
         pytest.param(
             {"site": "search.round", "kind": "interrupt", "attempts": [1]},
             id="attempts",
+        ),
+        pytest.param({"site": "evaluate", "kind": "interrupt"}, id="evaluate-site"),
+        pytest.param({"site": "search.rnd", "kind": "interrupt"}, id="misspelt-site"),
+        pytest.param({"site": "search.round", "kind": "corrupt"}, id="round-corrupt"),
+        pytest.param(
+            {"site": "checkpoint.write", "kind": "interrupt"},
+            id="checkpoint-interrupt",
         ),
     ])
     def test_retired_worker_kinds_rejected(self, spec):
@@ -51,11 +58,14 @@ class TestFaultPlan:
         assert NO_FAULTS.match("search.round", round=1) is None
 
     def test_first_matching_spec_wins(self):
-        plan = FaultPlan(specs=(
-            FaultSpec(site="search.round", kind="interrupt", round=1),
-            FaultSpec(site="search.round", kind="corrupt", round=1),
-        ))
-        assert plan.match("search.round", round=1).kind == KIND_INTERRUPT
+        exact = FaultSpec(site="search.round", kind="interrupt", round=1)
+        wildcard = FaultSpec(site="search.round", kind="interrupt")
+        plan = FaultPlan(specs=(exact, wildcard))
+        assert plan.match("search.round", round=1) is exact
+        assert plan.match("search.round", round=2) is wildcard
+        assert FaultPlan(specs=(wildcard, exact)).match(
+            "search.round", round=1
+        ) is wildcard
 
     def test_interrupt_and_corrupt_returned_not_acted(self):
         plan = FaultPlan(specs=(

@@ -61,6 +61,13 @@ class TestValidateSpec:
             {"site": "search.round", "kind": "interrupt", "attempts": [1]},
             id="attempts",
         ),
+        pytest.param({"site": "evaluate", "kind": "interrupt"}, id="evaluate-site"),
+        pytest.param({"site": "search.rnd", "kind": "interrupt"}, id="misspelt-site"),
+        pytest.param({"site": "search.round", "kind": "corrupt"}, id="round-corrupt"),
+        pytest.param(
+            {"site": "checkpoint.write", "kind": "interrupt"},
+            id="checkpoint-interrupt",
+        ),
     ])
     def test_rejects_retired_fault_kinds(self, pair, spec):
         with pytest.raises(JobSpecError, match="not a fault plan"):

@@ -1,7 +1,8 @@
 """One corruption contract for every persistent store.
 
-The evaluation cache, the checkpoint directory, the log store and the
-match store all promise the same thing: damaged data degrades to a cold
+The evaluation cache, the checkpoint directory, the log store (its
+counts and its append bookkeeping) and the match store all promise the
+same thing: damaged data degrades to a cold
 recompute, never to a wrong answer.  Each store is driven through the
 same table of damage — a torn entry, a foreign entry (another format
 version, or data filed under another key) and a flipped bit — and must:
@@ -162,6 +163,15 @@ def _counts_record():
     }
 
 
+def _ingest_record():
+    return {
+        "byte_count": 120,
+        "prefix_digest": "0" * 64,
+        "header": "case_id,activity,timestamp\n",
+        "counts_key": OTHER_KEY,
+    }
+
+
 def _matrix_record():
     first = EventLog([["a", "b", "c"], ["a", "c"]], name="first")
     second = EventLog([["x", "y", "z"], ["x", "z"]], name="second")
@@ -229,6 +239,15 @@ SUBJECTS = [
         corrupt_counter="store_corrupt_total",
         damage=_row_damage("counts"),
         gone=lambda store, key: _row_gone(store, "counts", key),
+    ),
+    Subject(
+        name="LogStore.ingests",
+        open=lambda path, observer: LogStore(path / "log.db", observer=observer),
+        put=lambda store, key: store.put_ingest(key, _ingest_record()),
+        get=lambda store, key: store.get_ingest(key),
+        corrupt_counter="store_corrupt_total",
+        damage=_row_damage("ingests"),
+        gone=lambda store, key: _row_gone(store, "ingests", key),
     ),
     Subject(
         name="MatchStore",

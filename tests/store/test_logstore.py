@@ -5,15 +5,12 @@ import sqlite3
 import pytest
 
 from repro.exceptions import StoreError
-from repro.graph.dependency import DependencyGraph
-from repro.logs.log import EventLog
 from repro.obs import MetricsRegistry, Observer
 from repro.store.logstore import (
     LogStore,
     case_digest,
     counts_content_key,
     file_digest,
-    graph_content_key,
     ingest_key,
 )
 
@@ -25,6 +22,15 @@ def record(trace_count=3, name="demo"):
         "pair_counts": {("a", "b"): 1},
         "case_digests": [case_digest("c0")],
         "log_name": name,
+    }
+
+
+def ingest_record(counts_key="ck"):
+    return {
+        "byte_count": 120,
+        "prefix_digest": "prefix",
+        "header": "case_id,activity,timestamp\n",
+        "counts_key": counts_key,
     }
 
 
@@ -56,10 +62,6 @@ class TestKeys:
         assert counts_content_key("d", "xes", "raise") != base
         assert counts_content_key("d", "csv", "repair") != base
 
-    def test_graph_key_sensitive_to_threshold(self):
-        assert graph_content_key("k", 0.0) != graph_content_key("k", 0.5)
-        assert graph_content_key("k", 0.5) == graph_content_key("k", 0.5)
-
     def test_ingest_key_resolves_path(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_text("case_id,activity,timestamp\n")
@@ -77,26 +79,11 @@ class TestRoundTrips:
         assert value["pair_counts"] == {("a", "b"): 1}
         assert (store.hits, store.misses) == (1, 1)
 
-    def test_graph_round_trip(self, store):
-        graph = DependencyGraph.from_log(EventLog([["a", "b"], ["a", "c"]], name="g"))
-        key = graph_content_key("counts", 0.0)
-        assert store.get_graph(key) is None
-        store.put_graph(key, graph)
-        restored = store.get_graph(key)
-        assert restored.nodes == graph.nodes
-        assert restored.real_edges == graph.real_edges
-
     def test_ingest_round_trip(self, store, tmp_path):
         key = ingest_key(tmp_path / "log.csv", "csv", "raise")
         assert store.get_ingest(key) is None
-        store.put_ingest(key, 120, "prefix", "case_id,activity,timestamp\n", "ck")
-        row = store.get_ingest(key)
-        assert row == {
-            "byte_count": 120,
-            "prefix_digest": "prefix",
-            "header": "case_id,activity,timestamp\n",
-            "counts_key": "ck",
-        }
+        store.put_ingest(key, ingest_record())
+        assert store.get_ingest(key) == ingest_record()
 
     def test_persists_across_reopen(self, tmp_path):
         path = tmp_path / "store.db"
@@ -132,9 +119,14 @@ class TestCorruption:
         assert store.get_counts("k") is None
         assert store.get_counts("k") is None  # deleted, plain miss now
 
-    def test_wrong_type_graph_treated_as_corrupt(self, store):
-        store._put("graphs", "k", {"not": "a graph"})
-        assert store.get_graph("k") is None
+    def test_wrong_shape_ingest_treated_as_corrupt(self, store):
+        registry = MetricsRegistry()
+        store.observer = Observer(metrics=registry)
+        store._put("ingests", "k", {"byte_count": 120})  # missing fields
+        assert store.get_ingest("k") is None
+        assert "store_corrupt_total 1" in registry.to_prometheus_text()
+        assert store.get_ingest("k") is None  # deleted, plain miss now
+        assert not store.path.with_name("store.db.corrupt").exists()
 
     def test_garbage_database_set_aside_and_recreated(self, tmp_path):
         path = tmp_path / "store.db"
@@ -149,19 +141,37 @@ class TestCorruption:
             store.close()
 
     def test_schema_version_mismatch_rebuilds(self, tmp_path):
-        path = tmp_path / "store.db"
-        connection = sqlite3.connect(path)
-        connection.execute("PRAGMA user_version = 99")
-        connection.execute("CREATE TABLE counts (key TEXT PRIMARY KEY)")
-        connection.commit()
-        connection.close()
-        store = LogStore(path)
-        try:
-            assert store.get_counts("k") is None
-            store.put_counts("k", record())
-            assert store.get_counts("k") is not None
-        finally:
-            store.close()
+        # 99 is a store of an unknown release; 2 is the release that kept
+        # an `events` table of trace rows beside the counts.
+        for version in (99, 2):
+            path = tmp_path / f"store-{version}.db"
+            connection = sqlite3.connect(path)
+            connection.execute(f"PRAGMA user_version = {version}")
+            connection.execute(
+                "CREATE TABLE counts (key TEXT PRIMARY KEY, payload BLOB NOT NULL,"
+                " digest TEXT NOT NULL, created REAL NOT NULL,"
+                " last_used REAL NOT NULL)"
+            )
+            connection.execute(
+                "CREATE TABLE events (key TEXT, trace_id INTEGER, "
+                "pos INTEGER, activity TEXT)"
+            )
+            connection.commit()
+            connection.close()
+            store = LogStore(path)
+            try:
+                assert store.get_counts("k") is None
+                store.put_counts("k", record())
+                assert store.get_counts("k") is not None
+                tables = {
+                    row[0] for row in store._execute(
+                        "SELECT name FROM sqlite_master WHERE type = 'table'"
+                    )
+                }
+                assert "events" not in tables
+            finally:
+                store.close()
+            assert path.with_name(path.name + ".corrupt").exists()
 
 
 class TestEviction:
@@ -199,12 +209,11 @@ class TestEviction:
     def test_tables_evict_independently(self, tmp_path):
         store = LogStore(tmp_path / "store.db", max_entries=2)
         try:
-            graph = DependencyGraph.from_log(EventLog([["a", "b"]], name="g"))
             for i in range(2):
                 store.put_counts(f"c{i}", record())
-                store.put_graph(f"g{i}", graph)
+                store.put_ingest(f"i{i}", ingest_record(f"c{i}"))
             assert all(store.get_counts(f"c{i}") for i in range(2))
-            assert all(store.get_graph(f"g{i}") for i in range(2))
+            assert all(store.get_ingest(f"i{i}") for i in range(2))
         finally:
             store.close()
 

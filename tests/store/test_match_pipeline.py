@@ -2,6 +2,7 @@
 
 import io
 import random
+import sqlite3
 
 import numpy as np
 import pytest
@@ -222,6 +223,7 @@ class TestStoreGating:
         assert store.get_matrix(provenance["matrix_key"]) is None
 
     def test_counts_and_graphs_still_memoized_under_budget(self, tmp_path, store):
+        # Only the counts are stored; each graph is rebuilt from them.
         paths = write_pair(tmp_path)
         budgeted = EMSMatcher(budget=MatchBudget(max_pair_updates=10**9))
         match_stored(*paths, matcher=budgeted, store=store)
@@ -251,17 +253,55 @@ class TestCorruptionDegrades:
         _, provenance = match_stored(*paths, matcher=EMSMatcher(), store=store)
         assert provenance["match_mode"] == "store"
 
-    def test_corrupt_trace_rows_fall_back_to_counts(self, tmp_path, store):
+    def test_store_of_the_previous_schema_starts_cold(self, tmp_path):
+        # A version-2 store kept one `events` row per event beside the
+        # counts: it is set aside whole and the match runs cold.
+        paths = write_pair(tmp_path)
+        db = tmp_path / "cache" / "match.db"
+        db.parent.mkdir(parents=True)
+        connection = sqlite3.connect(db)
+        connection.execute("PRAGMA user_version = 2")
+        connection.execute(
+            "CREATE TABLE events (key TEXT NOT NULL, trace_id INTEGER NOT NULL,"
+            " pos INTEGER NOT NULL, activity TEXT NOT NULL)"
+        )
+        connection.execute("INSERT INTO events VALUES ('k', 0, 0, 'p0')")
+        connection.commit()
+        connection.close()
+        store = MatchStore(db)
+        try:
+            outcome, provenance = match_stored(
+                *paths, matcher=EMSMatcher(), store=store
+            )
+        finally:
+            store.close()
+        assert db.with_name("match.db.corrupt").exists()
+        assert provenance["match_mode"] == "computed"
+        assert_same_outcome(outcome, cold_outcome(paths))
+
+
+class TestSchema:
+    def test_every_table_is_a_verified_record_table(self, tmp_path, store):
         paths = write_pair(tmp_path)
         match_stored(*paths, matcher=EMSMatcher(), store=store)
-        # Delete half of one log's trace rows: the SQL aggregation's
-        # trace count disagrees with the counts row and is discarded;
-        # the counts blob still answers, bit-identically.
-        ck = counts_content_key(file_digest(paths[0]), "csv", "raise")
-        store._execute(
-            "DELETE FROM events WHERE key = ? AND trace_id < 10", (ck,)
-        )
-        store._commit()
-        outcome, provenance = match_stored(*paths, matcher=EMSMatcher(), store=store)
+        _, provenance = match_stored(*paths, matcher=EMSMatcher(), store=store)
         assert provenance["match_mode"] == "store"
-        assert_same_outcome(outcome, cold_outcome(paths))
+        tables = [
+            row[0] for row in store._execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        ]
+        assert sorted(tables) == ["counts", "ingests", "matrices"]
+        for table in tables:
+            columns = [
+                (row[1], row[2], row[3], row[5]) for row in store._execute(
+                    f"PRAGMA table_info({table})"
+                )
+            ]
+            assert columns == [
+                ("key", "TEXT", 0, 1),
+                ("payload", "BLOB", 1, 0),
+                ("digest", "TEXT", 1, 0),
+                ("created", "REAL", 1, 0),
+                ("last_used", "REAL", 1, 0),
+            ], table

@@ -1,4 +1,4 @@
-"""MatchStore: matrix persistence, SQL push-down, corruption contract."""
+"""MatchStore: matrix persistence, eviction, corruption contract."""
 
 import dataclasses
 
@@ -9,7 +9,6 @@ from repro.core.config import EMSConfig
 from repro.core.ems import EMSEngine
 from repro.graph.dependency import DependencyGraph
 from repro.logs.log import EventLog
-from repro.logs.stats import compute_statistics
 from repro.obs import MetricsRegistry, Observer
 from repro.store.matchstore import (
     MatchStore,
@@ -214,60 +213,9 @@ class TestCorruptMatrixDegrades:
             store.close()
 
 
-class TestSqlStatistics:
-    def insert_log(self, store, key, log):
-        rows = [
-            (key, index, pos, activity)
-            for index, trace in enumerate(log)
-            for pos, activity in enumerate(trace.activities)
-        ]
-        store.insert_event_rows(rows)
-        store._commit()
-
-    def test_parity_with_python_counting(self, store):
-        first, _ = make_logs()
-        self.insert_log(store, "k", first)
-        stats = store.sql_statistics("k")
-        assert stats is not None
-        assert stats.snapshot() == compute_statistics(first)
-
-    def test_distinct_per_trace_semantics(self, store):
-        # "b b" repeats inside one trace: Definition 1 counts traces
-        # containing the activity/pair, not occurrences.
-        log = EventLog([["a", "b", "b"], ["a"]], name="dup")
-        self.insert_log(store, "k", log)
-        stats = store.sql_statistics("k")
-        assert stats.activity_counts["b"] == 1
-        assert stats.pair_counts[("a", "b")] == 1
-        assert stats.pair_counts[("b", "b")] == 1
-
-    def test_no_rows_is_none(self, store):
-        assert store.sql_statistics("absent") is None
-
-    def test_trace_count_mismatch_drops_rows(self, tmp_path):
-        registry = MetricsRegistry()
-        store = MatchStore(
-            tmp_path / "match.db", observer=Observer(metrics=registry)
-        )
-        try:
-            first, _ = make_logs()
-            self.insert_log(store, "k", first)
-            assert store.sql_statistics("k", expected_traces=99) is None
-            assert "store_corrupt_total 1" in registry.to_prometheus_text()
-            assert store.stored_trace_count("k") == 0  # rows were dropped
-        finally:
-            store.close()
-
-    def test_rekey_moves_rows(self, store):
-        first, _ = make_logs()
-        self.insert_log(store, "old", first)
-        store.rekey_trace_rows("old", "new")
-        store._commit()
-        assert store.stored_trace_count("old") == 0
-        assert store.sql_statistics("new").snapshot() == compute_statistics(first)
-
-
 class TestEvictionCascade:
+    """LRU evictions and the matrix table's own eviction counter."""
+
     def counts_record(self, i):
         return {
             "trace_count": 1,
@@ -276,20 +224,6 @@ class TestEvictionCascade:
             "case_digests": [],
             "log_name": f"log-{i}",
         }
-
-    def test_counts_eviction_drops_trace_rows(self, tmp_path):
-        store = MatchStore(tmp_path / "match.db", max_entries=2)
-        try:
-            for i in range(2):
-                store.put_counts(f"k{i}", self.counts_record(i))
-                store.insert_event_rows([(f"k{i}", 0, 0, "a")])
-                store._commit()
-            store.put_counts("k2", self.counts_record(2))
-            assert store.get_counts("k0") is None  # evicted
-            assert store.stored_trace_count("k0") == 0  # rows cascaded
-            assert store.stored_trace_count("k1") == 1
-        finally:
-            store.close()
 
     def test_matrix_eviction_counts_separately(self, tmp_path):
         registry = MetricsRegistry()

@@ -1,6 +1,8 @@
 """Ingestion pipeline: every route yields the batch answer, bit for bit."""
 
+import pickle
 import random
+import sqlite3
 
 import pytest
 
@@ -9,7 +11,7 @@ from repro.logs.csvio import read_csv
 from repro.logs.stats import compute_statistics
 from repro.logs.xes import read_xes, write_xes
 from repro.runtime.report import IngestionReport
-from repro.store import LogStore, ingest_graph, ingest_statistics
+from repro.store import LogStore, ingest_graph, ingest_key, ingest_statistics
 
 
 @pytest.fixture()
@@ -166,6 +168,32 @@ class TestAppendFastPath:
             assert result.mode == "store-append"
             assert result.statistics == batch(csv_log)
 
+    def test_altered_ingest_record_goes_cold(self, csv_log, store):
+        # A stored header with two columns swapped would parse the tail
+        # with case ids as activities; the record's digest rejects it.
+        ingest_statistics(csv_log, store=store)
+        key = ingest_key(csv_log, "csv", "raise")
+        connection = sqlite3.connect(store.path)
+        (payload,), = connection.execute(
+            "SELECT payload FROM ingests WHERE key = ?", (key,)
+        ).fetchall()
+        record = pickle.loads(payload)
+        assert record["header"] == "case_id,activity,timestamp\n"
+        record["header"] = "activity,case_id,timestamp\n"
+        connection.execute(
+            "UPDATE ingests SET payload = ? WHERE key = ?",
+            (pickle.dumps(record), key),
+        )
+        connection.commit()
+        connection.close()
+        self.append_rows(
+            csv_log,
+            ["case-new-1,act-0,0.0", "case-new-1,act-1,1.0", "case-new-2,act-2,0.0"],
+        )
+        result = ingest_statistics(csv_log, store=store)
+        assert result.mode in ("streamed", "sharded")
+        assert result.statistics == ingest_statistics(csv_log).statistics
+
     def test_file_without_trailing_newline_skips_bookkeeping(self, tmp_path, store):
         path = tmp_path / "open.csv"
         path.write_text("case_id,activity,timestamp\nc0,a,1.0")  # no final newline
@@ -204,14 +232,19 @@ class TestIngestGraph:
         assert result.mode == "streamed"
 
     def test_graph_memoized_per_threshold(self, csv_log, store):
-        graph_cold, _ = ingest_graph(csv_log, min_frequency=0.1, store=store)
-        hits_before = store.hits
-        graph_warm, result = ingest_graph(csv_log, min_frequency=0.1, store=store)
-        assert result.mode == "store"
-        assert store.hits >= hits_before + 2  # counts row AND graph row
-        assert graph_warm.real_edges == graph_cold.real_edges
-        _, other = ingest_graph(csv_log, min_frequency=0.9, store=store)
-        assert other.mode == "store"  # counts hit; graph was built fresh
+        # Only the counts are stored: a warm graph at any threshold is
+        # rebuilt from them, bit-identical to the cold build.
+        for min_frequency in (0.1, 0.9):
+            graph_cold, _ = ingest_graph(csv_log, min_frequency=min_frequency)
+            graph_warm, result = ingest_graph(
+                csv_log, min_frequency=min_frequency, store=store
+            )
+            assert pickle.dumps(graph_warm) == pickle.dumps(graph_cold)
+            graph_warm, result = ingest_graph(
+                csv_log, min_frequency=min_frequency, store=store
+            )
+            assert result.mode == "store"
+            assert pickle.dumps(graph_warm) == pickle.dumps(graph_cold)
 
 
 class TestXesAppendFastPath:

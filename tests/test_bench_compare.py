@@ -29,7 +29,6 @@ def payload(**overrides) -> dict:
         "ingest_sharded_memory": 0.2,
         "stats_store_warm": 20.0,
         "match_store_warm": 50.0,
-        "sql_pair_counts": 1.0,
         "service_warm_speedup": 25.0,
     }
     base.update(overrides)
@@ -77,8 +76,7 @@ class TestFloorKeys:
             memory_reduction_sparse=4.0,
             noop_observer_overhead=1.1, warm_cache_speedup=5.0,
             ingest_sharded_memory=0.25, stats_store_warm=5.0,
-            match_store_warm=10.0, sql_pair_counts=1.0,
-            service_warm_speedup=2.0,
+            match_store_warm=10.0, service_warm_speedup=2.0,
         )
         assert compare(ok, payload(), 2.0) == []
 
@@ -111,13 +109,6 @@ class TestFloorKeys:
         failures = compare(payload(service_warm_speedup=1.5), payload(), 2.0)
         assert len(failures) == 1
         assert "daemon" in failures[0]
-
-    def test_sql_parity_bit_violation_fails(self):
-        # A parity bit, not a speedup: anything below exactly 1.0 means
-        # the SQL aggregation disagreed with the Python accumulator.
-        failures = compare(payload(sql_pair_counts=0.0), payload(), 2.0)
-        assert len(failures) == 1
-        assert "SQL" in failures[0]
 
 
 class TestEnvironmentWarnings:

@@ -336,7 +336,7 @@ class TestStatsFromStore:
              "--from-store", "--json"]
         ) == 0
         served = json.loads(capsys.readouterr().out)
-        assert served["mode"] == "store-sql"
+        assert served["mode"] == "store"
         assert served["trace_count"] == ingested["trace_count"]
         assert served["activity_frequencies"] == ingested["activity_frequencies"]
         assert served["pair_frequencies"] == ingested["pair_frequencies"]
@@ -351,7 +351,7 @@ class TestStatsFromStore:
         assert main(
             ["stats", log_paths[0], "--store", str(store), "--from-store"]
         ) == 0
-        assert "[store-sql]" in capsys.readouterr().out
+        assert "[store]" in capsys.readouterr().out
 
     def test_requires_store_flag(self, log_paths, capsys):
         assert main(["stats", log_paths[0], "--from-store"]) == 2
@@ -364,4 +364,4 @@ class TestStatsFromStore:
         assert main(
             ["stats", log_paths[1], "--store", str(store), "--from-store"]
         ) == 2
-        assert "no stored trace rows" in capsys.readouterr().err
+        assert "no stored counts" in capsys.readouterr().err
