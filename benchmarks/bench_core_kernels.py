@@ -857,6 +857,12 @@ def main(argv: list[str] | None = None) -> int:
         help="write the traced composite search's run manifest to PATH",
     )
     arguments = parser.parse_args(argv)
+    if arguments.check and Path(arguments.output).resolve() == Path(arguments.check).resolve():
+        # The fresh payload would overwrite the baseline before the check
+        # read it, and a file compared with itself always passes.
+        print(f"--output and --check both name {arguments.check}: pass --output "
+              "a different path", file=sys.stderr)
+        return 2
 
     payload = run_harness(arguments.repeats)
     Path(arguments.output).write_text(

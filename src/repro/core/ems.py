@@ -34,9 +34,13 @@ out analytically into a per-pair base term, and each iteration gathers
 the real-predecessor contributions of all active pairs as one in-edges ×
 in-edges matrix, weights them by edge agreements gathered from a table
 over the two sides' distinct edge weights (built once per run), then
-max/sum-reduces it with segmented ``reduceat`` calls.  Proposition-2
-pruning makes the active pairs a prefix rectangle of that grid.  Contributions are recomputed chunk by
-chunk, so the working memory is ``O(chunk)``.  The per-pair loop
+max/sum-reduces it per node.  Small grids reduce with segmented
+``reduceat`` calls; grids of at least :data:`_SLOT_ROUTE_CELLS` active
+edge pairs lay each side's in-edges out in degree-ordered slots, where
+every segment reduction is one contiguous ufunc call per in-degree
+position.  Proposition-2 pruning makes the active pairs a prefix
+rectangle of that grid.  Contributions are recomputed chunk by chunk,
+so the working memory is ``O(chunk)``.  The per-pair loop
 in ``tests/ems_oracle.py`` is the readable specification of formula (1);
 ``tests/core/test_sparse_kernel_equivalence`` pins the kernel to it
 (identical ``iterations`` and ``pair_updates``, similarities within
@@ -45,7 +49,7 @@ in ``tests/ems_oracle.py`` is the readable specification of formula (1);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -289,12 +293,21 @@ def edge_agreement(weight_first: np.ndarray, weight_second: np.ndarray, c: float
 
 
 #: Target element count of one edge-pair chunk — the bound on the kernel's
-#: per-step temporaries.  A chunk holds the in-edges of whole ``v1`` nodes
-#: against the active in-edges of the second side, so the actual temp is
-#: at most ``max(_SPARSE_CHUNK_TARGET, d1 * E2)`` elements, where ``d1`` is
-#: the largest real in-degree of the first side and ``E2`` the second
-#: side's active edge count.  Patchable in tests.
+#: per-step temporaries on both routes.  A chunk holds the in-edges of
+#: whole ``v1`` nodes against the active in-edges of the second side, so
+#: the actual temp is at most ``max(_SPARSE_CHUNK_TARGET, d1 * E2)``
+#: elements, where ``d1`` is the largest real in-degree of the first side
+#: and ``E2`` the second side's active edge count.  The ``reduceat`` route
+#: allocates its temporaries per chunk; the slot route gathers into the
+#: reused buffers of a :class:`_ChunkScratch`.  Patchable in tests.
 _SPARSE_CHUNK_TARGET = 1 << 16
+
+#: Active edge-pair rectangle ``E1 * E2`` from which a step takes the slot
+#: route (:meth:`_DirectionalRun._reduce_slots`).  Below it the per-count
+#: slot layouts cost more to build than their reductions save, so small
+#: grids (the composite search's, tens of cells) keep ``reduceat``.
+#: Patchable in tests.
+_SLOT_ROUTE_CELLS = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -316,6 +329,8 @@ class _EdgeSide:
     weight_of: np.ndarray  #: (E,) position of each in-edge's weight in `distinct`
     inner: np.ndarray      #: positions of the nodes with real in-degree > 0
     scale: np.ndarray      #: (k,) α/2 · 1/|pre(v)|, run dtype
+    #: slot layouts of the active inner prefixes met so far, by length
+    layouts: dict[int, "_SlotLayout"] = field(default_factory=dict)
 
     @classmethod
     def build(cls, graph: DependencyGraph, levels: np.ndarray, keep: np.ndarray,
@@ -339,6 +354,123 @@ class _EdgeSide:
         if use_pruning:
             return active_prefix_length(self.levels, iteration)
         return len(self.nodes)
+
+    def slots(self, count: int) -> "_SlotLayout":
+        """The slot layout of the first *count* inner nodes, cached.
+
+        Pruning shrinks the active prefix a few times per run, so a run
+        builds only a handful of layouts.
+        """
+        layout = self.layouts.get(count)
+        if layout is None:
+            positions = self.inner[:count]
+            degree = self.offsets[positions + 1] - self.offsets[positions]
+            order = np.argsort(-degree, kind="stable")
+            positions, degree = positions[order], degree[order]
+            # counts[q]: how many nodes have more than q in-edges.
+            counts = np.searchsorted(-degree, -np.arange(degree[0]), side="left")
+            starts = np.zeros(len(counts) + 1, dtype=np.int64)
+            np.cumsum(counts, out=starts[1:])
+            # Slot s holds in-edge q of node `node`, both read off its block.
+            q = np.repeat(np.arange(len(counts)), counts)
+            node = np.arange(starts[-1]) - np.repeat(starts[:-1], counts)
+            edges = self.offsets[positions[node]] + q
+            layout = _SlotLayout(
+                positions, counts, starts, np.cumsum(degree),
+                self.sources[edges], self.weight_of[edges],
+                tuple(zip(starts[1:-1].tolist(), counts[1:].tolist())),
+            )
+            self.layouts[count] = layout
+        return layout
+
+
+@dataclass(frozen=True, slots=True)
+class _SlotLayout:
+    """Active inner nodes of one side, with their in-edges in slots.
+
+    Nodes are sorted by real in-degree, descending and stable, so the
+    nodes with more than ``q`` in-edges are the first ``counts[q]``.
+    Their in-edges are laid out position-major: slot block ``q`` holds
+    the ``q``-th in-edge of each of those nodes, in node order.  A
+    segment reduction over every node's in-edges is then one contiguous
+    elementwise ufunc call per in-degree position, accumulating block
+    ``q`` into the leading ``counts[q]`` entries of block 0.
+    """
+
+    nodes: np.ndarray    #: (m,) grid positions, by in-degree descending
+    counts: np.ndarray   #: (d,) nodes with more than q in-edges; d = max degree
+    starts: np.ndarray   #: (d + 1,) first slot of each block
+    ends: np.ndarray     #: (m,) cumulative in-degree in node order
+    sources: np.ndarray  #: (E,) source node of each slot's edge
+    codes: np.ndarray    #: (E,) distinct-weight code of each slot's edge
+    blocks: tuple[tuple[int, int], ...]  #: (start, count) of blocks 1..d-1
+    #: chunk plans met so far, by edge budget (see :meth:`chunks`)
+    plans: dict[int, tuple[_SlotChunk, ...]] = field(default_factory=dict)
+
+    def chunks(self, budget: int) -> tuple[_SlotChunk, ...]:
+        """Consecutive nodes in chunks of at most *budget* in-edges, or one
+        node if it alone has more; cached, since the budget changes only
+        with the other side's active edge count."""
+        plan = self.plans.get(budget)
+        if plan is None:
+            plan = []
+            start = 0
+            while start < len(self.nodes):
+                low = int(self.ends[start - 1]) if start else 0
+                stop = max(start + 1, int(np.searchsorted(self.ends, low + budget, side="right")))
+                # Block q of the chunk: slots start + [0, local[q]) of block q.
+                local = np.minimum(self.counts, stop) - start
+                local = local[: np.searchsorted(-local, 0)]
+                local_starts = np.zeros(len(local) + 1, dtype=np.int64)
+                np.cumsum(local, out=local_starts[1:])
+                slots = np.arange(local_starts[-1]) + np.repeat(
+                    self.starts[: len(local)] + start - local_starts[:-1], local
+                )
+                plan.append(_SlotChunk(
+                    start, stop, self.sources[slots], self.codes[slots],
+                    tuple(zip(local_starts[1:-1].tolist(), local[1:].tolist())),
+                ))
+                start = stop
+            plan = self.plans[budget] = tuple(plan)
+        return plan
+
+
+@dataclass(frozen=True, slots=True)
+class _SlotChunk:
+    """Nodes ``start:stop`` of a :class:`_SlotLayout`, their slots laid out
+    position-major within the chunk."""
+
+    start: int
+    stop: int
+    sources: np.ndarray  #: source node of each of the chunk's slots
+    codes: np.ndarray    #: distinct-weight code of each of the chunk's slots
+    blocks: tuple[tuple[int, int], ...]  #: (start, count) of blocks 1.. in the chunk
+
+
+class _ChunkScratch:
+    """Chunk buffers reused by every step of the runs of one engine call.
+
+    The slot route gathers each chunk into these instead of fresh
+    temporaries: fresh arrays of chunk size are separate memory maps,
+    whose pages fault in again on every chunk.  The directional runs of
+    one call step one at a time, so one set of buffers serves them all.
+    A buffer grows when a chunk needs more (a hub node above the chunk
+    budget) and is otherwise reused as is.
+    """
+
+    __slots__ = ("_buffers",)
+
+    def __init__(self) -> None:
+        self._buffers: list[np.ndarray | None] = [None, None, None]
+
+    def array(self, slot: int, shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
+        """A ``shape`` array over buffer *slot*; its contents are garbage."""
+        size = shape[0] * shape[1]
+        buffer = self._buffers[slot]
+        if buffer is None or buffer.size < size or buffer.dtype != dtype:
+            buffer = np.empty(max(size, _SPARSE_CHUNK_TARGET), dtype=dtype)
+            self._buffers[slot] = buffer
+        return buffer[:size].reshape(shape)
 
 
 @dataclass(frozen=True, slots=True)
@@ -380,9 +512,9 @@ class _DirectionalRun:
       contribution of the run is a cell of one ``E1 × E2`` matrix, and
       each pair owns a contiguous sub-block of it.  A step gathers
       ``previous[src1][:, src2]``, multiplies by the edge agreements
-      ``C``, and reduces with ``np.maximum.reduceat`` over one axis's node
-      segments and ``np.add.reduceat`` over the other's — forward and
-      backward are the same two reductions with the axes swapped.
+      ``C``, and reduces with a segment max over one axis's nodes and a
+      segment sum over the other's — forward and backward are the same
+      two reductions with the axes swapped.
     * **``C`` depends on two edge weights only.**  Weights are
       count/trace-count fractions, so each side has few distinct ones
       (``U <= min(E, traces + 1)``).  ``C`` is built once per grid as a
@@ -393,10 +525,22 @@ class _DirectionalRun:
       With each side's nodes in descending level order the active pairs
       are a prefix rectangle, and only its edge prefix is touched.
 
+    The segment reductions take one of two routes, chosen per step by
+    the size of the active rectangle ``E1 · E2``.  Below
+    :data:`_SLOT_ROUTE_CELLS` (the composite search's grids) they are
+    ``np.maximum.reduceat`` / ``np.add.reduceat`` (:meth:`_reduce`).
+    ``reduceat`` makes one inner-loop call per segment per row, which
+    dominates on large grids, so from the cut on (:meth:`_reduce_slots`)
+    each side's active inner nodes are sorted by in-degree and their
+    in-edges laid out position-major (:class:`_SlotLayout`): a segment
+    max or sum is then one contiguous ufunc call per in-degree
+    position, into buffers reused across steps (:class:`_ChunkScratch`).
+    The two routes differ only in the order of summation.
+
     Nothing per contribution stays resident: the gather of ``S`` and of
     ``C`` from its table is redone per chunk of whole ``v1`` nodes, at
     most :data:`_SPARSE_CHUNK_TARGET` elements each.  ``reduceat`` cannot
-    express an empty segment, so the reductions run over nodes with real
+    express an empty segment, so both routes reduce over nodes with real
     predecessors only; a pair with no real predecessor on either side is
     its ``base``.  Uc-fixed pairs (Proposition 4) are computed when they
     fall inside the rectangle but never committed or counted; rows and
@@ -413,9 +557,11 @@ class _DirectionalRun:
         label_matrix: np.ndarray,
         fixed_pairs: FixedPairs = None,
         meter: BudgetMeter | None = None,
+        scratch: _ChunkScratch | None = None,
     ):
         self.config = config
         self._meter = meter
+        self._scratch = scratch if scratch is not None else _ChunkScratch()
         self._dtype = config.np_dtype
         self._graph_first = first
         self._graph_second = second
@@ -542,7 +688,14 @@ class _DirectionalRun:
         rows = grid.first.inner[: np.searchsorted(grid.first.inner, count_first)]
         cols = grid.second.inner[: np.searchsorted(grid.second.inner, count_second)]
         if len(rows) and len(cols):
-            forward, backward = self._reduce(previous, rows, cols, count_second)
+            cells = grid.first.offsets[count_first] * grid.second.offsets[count_second]
+            if cells >= _SLOT_ROUTE_CELLS:
+                slots_first = grid.first.slots(len(rows))
+                slots_second = grid.second.slots(len(cols))
+                rows, cols = slots_first.nodes, slots_second.nodes
+                forward, backward = self._reduce_slots(previous, slots_first, slots_second)
+            else:
+                forward, backward = self._reduce(previous, rows, cols, count_second)
             block = np.ix_(rows, cols)
             updated[block] = (
                 updated[block]
@@ -602,6 +755,75 @@ class _DirectionalRun:
                 np.maximum.reduceat(grid, segments, axis=0), col_starts, axis=1
             )
             start = stop
+        return forward, backward
+
+    def _reduce_slots(
+        self, previous: np.ndarray, first: _SlotLayout, second: _SlotLayout
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_reduce` for large grids, over two slot layouts.
+
+        The result is over ``first.nodes × second.nodes``.  Each chunk of
+        whole ``v1`` nodes (consecutive in the first layout) is gathered
+        with its ``v1`` in-edges in slot order local to the chunk and its
+        ``v2`` in-edges in the second layout's slot order.  Every segment
+        max or sum then combines whole row blocks, one contiguous ufunc
+        call per in-degree position: the forward max runs on the chunk
+        gathered transposed (``v2`` slots as rows), the backward max on a
+        copy with ``v1`` slots as rows, and each max's result is
+        transposed once more for its sum.  Sums add a node's in-edges in
+        edge order.
+        """
+        scratch, dtype = self._scratch, self._dtype
+        agreement = self._grid.agreement
+        edges_second = int(second.starts[-1])
+        nodes_second = len(second.nodes)
+        blocks_second = second.blocks
+        forward = np.empty((len(first.nodes), nodes_second), dtype=dtype)
+        backward = np.empty_like(forward)
+        for chunk_plan in first.chunks(max(1, _SPARSE_CHUNK_TARGET // edges_second)):
+            start, stop, blocks_first = chunk_plan.start, chunk_plan.stop, chunk_plan.blocks
+            width, height = stop - start, len(chunk_plan.sources)
+            # The transposed chunk, gathered row by row: NumPy's row take is
+            # several times faster than its column take.
+            gathered = scratch.array(2, (height, previous.shape[1]), dtype)
+            np.take(previous, chunk_plan.sources, axis=0, out=gathered, mode="clip")
+            flipped = scratch.array(0, gathered.shape[::-1], dtype)
+            np.copyto(flipped, gathered.T)
+            transposed = scratch.array(1, (edges_second, height), dtype)
+            np.take(flipped, second.sources, axis=0, out=transposed, mode="clip")
+            if agreement is not None:
+                # Gathering from the distinct-weight table gives bit for
+                # bit what `edge_agreement` computes on the chunk's weights.
+                gathered = scratch.array(2, (height, agreement.shape[1]), dtype)
+                np.take(agreement, chunk_plan.codes, axis=0, out=gathered, mode="clip")
+                flipped = scratch.array(0, gathered.shape[::-1], dtype)
+                np.copyto(flipped, gathered.T)
+                weights = scratch.array(2, (edges_second, height), dtype)
+                np.take(flipped, second.codes, axis=0, out=weights, mode="clip")
+                np.multiply(transposed, weights, out=transposed)
+            else:
+                np.multiply(transposed, self.config.c, out=transposed)
+            chunk = scratch.array(0, (height, edges_second), dtype)
+            np.copyto(chunk, transposed.T)
+
+            # Forward: max down the v2 slot blocks, sum down the v1 ones.
+            for begin, count in blocks_second:
+                np.maximum(transposed[:count], transposed[begin:begin + count],
+                           out=transposed[:count])
+            maxima = scratch.array(2, (height, nodes_second), dtype)
+            np.copyto(maxima, transposed[:nodes_second].T)
+            for begin, count in blocks_first:
+                np.add(maxima[:count], maxima[begin:begin + count], out=maxima[:count])
+            forward[start:stop] = maxima[:width]
+
+            # Backward: max down the v1 slot blocks, sum down the v2 ones.
+            for begin, count in blocks_first:
+                np.maximum(chunk[:count], chunk[begin:begin + count], out=chunk[:count])
+            maxima = scratch.array(1, (edges_second, width), dtype)
+            np.copyto(maxima, chunk[:width].T)
+            for begin, count in blocks_second:
+                np.add(maxima[:count], maxima[begin:begin + count], out=maxima[:count])
+            backward[start:stop] = maxima[:nodes_second].T
         return forward, backward
 
     def _commit_pending(
@@ -770,16 +992,20 @@ class EMSEngine:
         meter: BudgetMeter | None = None,
     ) -> list[_DirectionalRun]:
         label = self._label_matrix(first, second)
+        scratch = _ChunkScratch()
         runs: list[_DirectionalRun] = []
         if self.config.direction in ("forward", "both"):
             runs.append(
-                _DirectionalRun(first, second, self.config, label, fixed_forward, meter)
+                _DirectionalRun(
+                    first, second, self.config, label, fixed_forward, meter,
+                    scratch=scratch,
+                )
             )
         if self.config.direction in ("backward", "both"):
             runs.append(
                 _DirectionalRun(
                     first.reversed(), second.reversed(), self.config, label,
-                    fixed_backward, meter,
+                    fixed_backward, meter, scratch=scratch,
                 )
             )
         return runs

@@ -22,11 +22,15 @@ must match pair for pair.  The suite also pins:
   equals ``edge_agreement`` on the edges' own weights bit for bit, in
   every active prefix, at both dtypes;
 * **warm starts** — the incremental composite search produces the same
-  trajectory on the production kernel as on the oracle.
+  trajectory on the production kernel as on the oracle;
+* **the slot route** — large grids reduce over degree-ordered in-edge
+  slots instead of ``reduceat``.  The oracle comparisons above are re-run
+  with every grid forced onto it, at several chunk targets, and on a pair
+  whose pruned rectangle crosses the route cut mid-run.
 """
 
 import math
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -43,6 +47,7 @@ from repro.similarity.labels import QGramCosineSimilarity
 from repro.synthesis.corpus import build_scalability_pair
 from tests.composite_oracle import ColdCompositeMatcher
 from tests.ems_oracle import reference_kernel
+from tests.property import test_property_ems as property_ems
 
 ATOL = 1e-12
 FLOAT32_ATOL = 1e-5
@@ -531,3 +536,114 @@ class TestIncrementalCompositeParity:
         np.testing.assert_allclose(
             warm.matrix.values, cold.matrix.values, rtol=0, atol=ATOL
         )
+
+
+def _reduceat_forbidden(*args):
+    raise AssertionError("a grid took the reduceat route")
+
+
+@contextmanager
+def slot_route_only():
+    """Every grid takes the slot route: the cut at 0, ``reduceat`` refused."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ems_module, "_SLOT_ROUTE_CELLS", 0)
+        patch.setattr(ems_module._DirectionalRun, "_reduce", _reduceat_forbidden)
+        yield
+
+
+class SlotRoute:
+    """Runs the inherited oracle comparisons with every grid on the slot route."""
+
+    @pytest.fixture(autouse=True)
+    def _slot_route_only(self):
+        with slot_route_only():
+            yield
+
+
+class TestExactEquivalenceOnSlots(SlotRoute, TestExactEquivalence):
+    pass
+
+
+class TestEdgePairGridOnSlots(SlotRoute, TestEdgePairGrid):
+    pass
+
+
+class TestAgreementTableOnSlots(SlotRoute, TestAgreementTable):
+    pass
+
+
+class TestBudgetEquivalenceOnSlots(SlotRoute, TestBudgetEquivalence):
+    pass
+
+
+class TestFloat32OnSlots(SlotRoute, TestFloat32):
+    pass
+
+
+def test_property_kernel_matches_oracle_on_slots():
+    with slot_route_only():
+        property_ems.test_kernel_matches_oracle()
+
+
+def hub_graphs() -> tuple[DependencyGraph, DependencyGraph]:
+    """A nine-in-edge hub on each side, among nodes of in-degree 0 to 3."""
+    first = explicit_graph("abcdefghij", ["ah", "bh", "ch", "dh", "eh", "fh", "gh", "ih",
+                                          "jh", "ab", "bc", "hj", "cj", "dj", "ad"], seed=14)
+    second = explicit_graph("klmnopqrst", ["kt", "lt", "mt", "nt", "ot", "pt", "qt", "rt",
+                                           "st", "kl", "lm", "mk", "tn", "ln"], seed=15)
+    return first, second
+
+
+class TestSlotChunks:
+    """Slot-route chunks of one node up to several nodes of mixed degree."""
+
+    @pytest.mark.parametrize("target", [1, 7, 30])
+    @pytest.mark.parametrize("shape", ["hub", "random", "complete", "interleaved"])
+    @pytest.mark.parametrize("use_pruning", [True, False])
+    def test_chunk_targets(self, monkeypatch, target, shape, use_pruning):
+        if shape == "hub":
+            graphs = hub_graphs()
+        elif shape == "random":
+            graphs = graphs_for(12, seed=11)
+        elif shape == "complete":
+            graphs = complete_graphs()
+        else:
+            graphs = explicit_graph(*INTERLEAVED, seed=1), explicit_graph(*DENSE, seed=2)
+        monkeypatch.setattr(ems_module, "_SPARSE_CHUNK_TARGET", target)
+        with slot_route_only():
+            assert_equivalent(*run_kernels(graphs, {"use_pruning": use_pruning}))
+
+    @pytest.mark.parametrize("target", [1, 7, 30])
+    def test_hub_above_budget_with_warm_start_and_labels(self, monkeypatch, target):
+        first, second = hub_graphs()
+        dirty = np.ones((len(first.nodes), len(second.nodes)), dtype=bool)
+        dirty[7, :4] = False  # pairs of the hub h
+        dirty[:, 9] = False   # the whole column of the hub t
+        warm = WarmStart(np.full(dirty.shape, 0.4), dirty)
+        monkeypatch.setattr(ems_module, "_SPARSE_CHUNK_TARGET", target)
+        with slot_route_only():
+            assert_equivalent(
+                *run_kernels(
+                    (first, second), {"alpha": 0.5}, label=QGramCosineSimilarity(),
+                    fixed_forward=warm, fixed_backward=warm,
+                )
+            )
+
+
+def test_route_cut_crossed_mid_run(monkeypatch):
+    """Pruning shrinks this pair's rectangle below the real cut mid-run."""
+    graphs = graphs_for(16, seed=0)
+    routes = []
+    for name in ("_reduce", "_reduce_slots"):
+        method = getattr(ems_module._DirectionalRun, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            routes.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(ems_module._DirectionalRun, name, counted)
+    production, oracle = run_kernels(graphs, {"use_pruning": True, "direction": "forward"})
+    assert_equivalent(production, oracle)
+    switch = routes.index("_reduce")
+    assert switch > 0 and set(routes[:switch]) == {"_reduce_slots"}
+    assert set(routes[switch:]) == {"_reduce"}

@@ -40,8 +40,9 @@ def _predecessor_lists(
 class ReferenceRun(ems._DirectionalRun):
     """The per-pair loop of formula (1) behind the production interface."""
 
-    def __init__(self, first, second, config, label_matrix, fixed_pairs=None, meter=None):
-        super().__init__(first, second, config, label_matrix, fixed_pairs, meter)
+    def __init__(self, first, second, config, label_matrix, fixed_pairs=None, meter=None,
+                 scratch=None):
+        super().__init__(first, second, config, label_matrix, fixed_pairs, meter, scratch)
         index_first = {node: i for i, node in enumerate(self.nodes_first)}
         index_first[ARTIFICIAL] = self._n1
         index_second = {node: j for j, node in enumerate(self.nodes_second)}

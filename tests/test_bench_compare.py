@@ -13,7 +13,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT / "benchmarks") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from bench_core_kernels import FLOORS, compare, environment_warnings  # noqa: E402
+import bench_core_kernels  # noqa: E402
+from bench_core_kernels import FLOORS, compare, environment_warnings, main  # noqa: E402
 
 
 def payload(**overrides) -> dict:
@@ -151,6 +152,33 @@ class TestScenarioComparison:
         )
         failures = compare(current, baseline, 2.0)
         assert any("pair_updates" in failure for failure in failures)
+
+
+class TestOutputIsNotTheBaseline:
+    """``--check`` must never compare a baseline with a payload written over it."""
+
+    @staticmethod
+    def _no_harness(repeats):
+        raise AssertionError("the harness ran before refusing the arguments")
+
+    def test_same_file_exits_2_and_leaves_it(self, tmp_path, monkeypatch, capsys):
+        baseline = tmp_path / "BENCH_core.json"
+        baseline.write_text('{"calibration_time": 1.0}\n', encoding="utf-8")
+        monkeypatch.setattr(bench_core_kernels, "run_harness", self._no_harness)
+        monkeypatch.chdir(tmp_path)
+        status = main(["--check", "BENCH_core.json", "--output", str(baseline)])
+        assert status == 2
+        assert baseline.read_text(encoding="utf-8") == '{"calibration_time": 1.0}\n'
+        assert "--output" in capsys.readouterr().err
+
+    def test_default_output_is_the_baseline(self, tmp_path, monkeypatch):
+        baseline = tmp_path / "BENCH_core.json"
+        baseline.write_text("{}\n", encoding="utf-8")
+        monkeypatch.setattr(bench_core_kernels, "DEFAULT_OUTPUT", baseline)
+        monkeypatch.setattr(bench_core_kernels, "run_harness", self._no_harness)
+        monkeypatch.chdir(tmp_path)
+        assert main(["--check", "BENCH_core.json"]) == 2
+        assert baseline.read_text(encoding="utf-8") == "{}\n"
 
 
 class TestCommittedBaseline:
