@@ -3,7 +3,8 @@
 Not a paper figure — these pin the cost of the individual building
 blocks (graph construction, one exact EMS run on the fixpoint kernel and
 on the per-pair test oracle, the I = 0 estimation, the Hungarian
-assignment) so regressions in the hot paths are visible.
+assignment, the cold CSV parse) so regressions in the hot paths are
+visible.
 
 Two entry points:
 
@@ -46,7 +47,7 @@ from repro.core.composite import CompositeMatcher
 from repro.core.config import EMSConfig
 from repro.core.ems import EMSEngine
 from repro.graph.dependency import DependencyGraph
-from repro.logs.csvio import read_csv
+from repro.logs.csvio import read_csv, write_csv
 from repro.logs.log import EventLog
 from repro.logs.stats import compute_statistics
 from repro.matching.assignment import max_weight_assignment
@@ -119,6 +120,9 @@ INGEST_SCENARIO = {"cases": 4000, "events_per_case": 8, "activities": 12, "seed"
 MATCH_STORE_SCENARIO = {
     "cases": 1500, "events_per_case": 8, "activities": 24, "seed": 29,
 }
+#: The cold-parse scenario: ``read_csv`` of the first log of one
+#: Figure-8 pair, the shape of the ``match_wide`` perfbench inputs.
+CSV_READ_SCENARIO = {"activities": 100, "seed": 7, "traces_per_log": 80}
 
 
 def build_composite_pair(
@@ -388,6 +392,18 @@ def _scenarios():
         match_b, **{**MATCH_STORE_SCENARIO, "seed": MATCH_STORE_SCENARIO["seed"] + 1}
     )
 
+    csv_read_pair = build_scalability_pair(
+        CSV_READ_SCENARIO["activities"], seed=CSV_READ_SCENARIO["seed"],
+        traces_per_log=CSV_READ_SCENARIO["traces_per_log"],
+    )
+    csv_read_path = ingest_dir / "fig8.csv"
+    write_csv(csv_read_pair.log_first, csv_read_path)
+
+    def csv_read_fig8():
+        log = read_csv(csv_read_path)
+        assert len(log) == CSV_READ_SCENARIO["traces_per_log"]
+        return None
+
     def match_scaled_cold():
         # The cold end-to-end pipeline match: parse both files, build
         # both dependency graphs, run the fixpoint, assign.  This is the
@@ -483,6 +499,7 @@ def _scenarios():
     yield "composite_search_incremental", lambda: composite_search(True)
     yield "composite_search_warm_cache", composite_search_warm_cache()
     yield "stats_ingest_cold", stats_ingest_cold
+    yield "csv_read_fig8", csv_read_fig8
     yield "stats_ingest_store_warm", stats_ingest_store_warm
     yield "match_scaled_cold", match_scaled_cold
     yield "match_store_warm", match_store_warm
@@ -661,6 +678,7 @@ def run_harness(repeats: int) -> dict:
         "composite_scenario": COMPOSITE_SCENARIO,
         "memory_scenario": MEMORY_SCENARIO,
         "ingest_scenario": INGEST_SCENARIO,
+        "csv_read_scenario": CSV_READ_SCENARIO,
         "environment": environment_metadata(),
         "calibration_time": calibration,
         "scenarios": scenarios,

@@ -3,7 +3,11 @@
 The flat format common in industry extracts: one row per event, columns
 ``case_id, activity, timestamp`` (timestamp optional).  Rows are grouped by
 case id; within a case, rows are ordered by timestamp when present, by file
-order otherwise.
+order otherwise.  The reader appends each loaded row's activity and
+timestamp to its case's columns and hands those to
+:meth:`Trace.from_columns <repro.logs.events.Trace.from_columns>`: no
+:class:`~repro.logs.events.Event` is built while parsing.  The writer
+reads the same columns back out.
 
 Real extracts are messy, so :func:`read_csv` supports three fault modes:
 
@@ -30,7 +34,7 @@ import os
 from typing import IO, Iterable
 
 from repro.exceptions import LogFormatError
-from repro.logs.events import Event, Trace
+from repro.logs.events import Trace
 from repro.logs.log import EventLog
 from repro.runtime.report import IngestionReport
 
@@ -55,9 +59,10 @@ def _write_rows(log: EventLog, handle: IO[str]) -> None:
     writer.writerow([CASE_COLUMN, ACTIVITY_COLUMN, TIMESTAMP_COLUMN])
     for index, trace in enumerate(log):
         case_id = trace.case_id if trace.case_id is not None else f"case-{index}"
-        for event in trace:
-            timestamp = "" if event.timestamp is None else repr(event.timestamp)
-            writer.writerow([case_id, event.activity, timestamp])
+        writer.writerows(
+            (case_id, activity, "" if timestamp is None else repr(timestamp))
+            for activity, timestamp in zip(trace.activities, trace.timestamps)
+        )
 
 
 def read_csv(
@@ -117,7 +122,8 @@ def _read_rows(
             raise LogFormatError(f"row {row_number}: {problem}")
         report.record_dropped(f"row {row_number}", problem, row_bytes(row))
 
-    cases: dict[str, list[tuple[float | None, int, Event]]] = {}
+    # One (activities, timestamps) column pair per case, in file order.
+    cases: dict[str, tuple[list[str], list[float | None]]] = {}
     for row_number, row in enumerate(reader, start=2):
         if not row:
             continue  # blank line, not event data
@@ -153,27 +159,34 @@ def _read_rows(
                 )
                 timestamp = None
         report.events_loaded += 1
-        cases.setdefault(case_id, []).append((timestamp, row_number, Event(activity, timestamp)))
+        columns = cases.get(case_id)
+        if columns is None:
+            columns = cases[case_id] = ([], [])
+        columns[0].append(activity)
+        columns[1].append(timestamp)
 
     log = EventLog(name=name)
-    for case_id, entries in cases.items():
-        with_timestamp = sum(1 for timestamp, _, _ in entries if timestamp is not None)
-        if with_timestamp == len(entries):
-            entries.sort(key=lambda entry: (entry[0], entry[1]))
-        elif with_timestamp:
+    for case_id, (activities, timestamps) in cases.items():
+        missing = timestamps.count(None)
+        if not missing:
+            # A stable sort by timestamp: ties keep file order.
+            order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
+            activities = list(map(activities.__getitem__, order))
+            timestamps = list(map(timestamps.__getitem__, order))
+        elif missing < len(timestamps):
             # Mixed timestamps: ordering silently changes meaning, so the
             # fallback to file order is recorded rather than guessed around.
             report.record_fallback(case_id)
-        log.append(Trace((event for _, _, event in entries), case_id=case_id))
+        log.append(Trace.from_columns(activities, timestamps, case_id=case_id))
     return log
 
 
 def traces_from_rows(rows: Iterable[tuple[str, str]], name: str = "log") -> EventLog:
     """Build a log from in-memory ``(case_id, activity)`` rows, in order."""
-    cases: dict[str, list[Event]] = {}
+    cases: dict[str, list[str]] = {}
     for case_id, activity in rows:
-        cases.setdefault(case_id, []).append(Event(activity))
+        cases.setdefault(case_id, []).append(activity)
     log = EventLog(name=name)
-    for case_id, events in cases.items():
-        log.append(Trace(events, case_id=case_id))
+    for case_id, activities in cases.items():
+        log.append(Trace.from_columns(activities, case_id=case_id))
     return log

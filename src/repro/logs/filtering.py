@@ -32,9 +32,10 @@ def remove_activities(log: EventLog, activities: frozenset[str] | set[str],
     removed = frozenset(activities)
 
     def strip(trace: Trace) -> Trace:
-        return Trace(
-            (event for event in trace if event.activity not in removed),
-            case_id=trace.case_id,
+        return trace.take(
+            index
+            for index, activity in enumerate(trace.activities)
+            if activity not in removed
         )
 
     return log.map_traces(strip, name=name)
@@ -55,7 +56,7 @@ def truncate_traces(log: EventLog, max_length: int, name: str | None = None) -> 
     if max_length < 1:
         raise ValueError(f"max_length must be >= 1, got {max_length}")
     return log.map_traces(
-        lambda trace: Trace(trace.events[:max_length], case_id=trace.case_id), name=name
+        lambda trace: trace.drop_suffix(max(len(trace) - max_length, 0)), name=name
     )
 
 

@@ -46,11 +46,11 @@ class OnlineStatistics:
     def add_sequence(self, activities: Sequence[str]) -> None:
         """Ingest one completed trace given only its activity sequence.
 
-        The counter updates are exactly those of :meth:`add_trace` — the
-        sharded ingestion pipeline uses this to count spilled trace
-        blocks without rebuilding :class:`~repro.logs.events.Event`
-        objects, and the differential suites hold the two entry points
-        to identical statistics.
+        The counter updates are exactly those of :meth:`add_trace`, which
+        passes a trace's activity column here; the sharded ingestion
+        pipeline calls it directly on the activity tuples of spilled trace
+        blocks, and the differential suites hold the two entry points to
+        identical statistics.
         """
         sequence = tuple(activities)
         if not sequence:

@@ -19,6 +19,11 @@ yielded when the parse error surfaces, and in the non-raising modes the
 truncation is recorded in the :class:`~repro.runtime.IngestionReport`
 instead of raised.  Event-level faults (missing ``concept:name``,
 malformed timestamps) are dropped or repaired per mode.
+
+Each ``<event>`` that loads adds its activity, timestamp and string
+attributes to its trace's columns (:meth:`Trace.from_columns
+<repro.logs.events.Trace.from_columns>`); the writer reads them back
+from the columns.  Neither builds an :class:`~repro.logs.events.Event`.
 """
 
 from __future__ import annotations
@@ -26,10 +31,11 @@ from __future__ import annotations
 import os
 import xml.etree.ElementTree as ET
 from datetime import datetime, timezone
+from itertools import repeat
 from typing import IO, Callable, Iterator
 
 from repro.exceptions import LogFormatError
-from repro.logs.events import Event, Trace
+from repro.logs.events import Trace
 from repro.logs.log import EventLog
 from repro.runtime.report import IngestionReport
 
@@ -67,16 +73,19 @@ def write_xes(log: EventLog, destination: str | os.PathLike[str] | IO[bytes]) ->
         case_el = ET.SubElement(trace_el, "string")
         case_el.set("key", _CONCEPT_NAME)
         case_el.set("value", case_id)
-        for event in trace:
+        attributes = trace.attributes or repeat({})
+        for activity, timestamp, payload in zip(
+            trace.activities, trace.timestamps, attributes
+        ):
             event_el = ET.SubElement(trace_el, "event")
             activity_el = ET.SubElement(event_el, "string")
             activity_el.set("key", _CONCEPT_NAME)
-            activity_el.set("value", event.activity)
-            if event.timestamp is not None:
+            activity_el.set("value", activity)
+            if timestamp is not None:
                 ts_el = ET.SubElement(event_el, "date")
                 ts_el.set("key", _TIMESTAMP)
-                ts_el.set("value", _format_timestamp(event.timestamp))
-            for key, value in event.attributes.items():
+                ts_el.set("value", _format_timestamp(timestamp))
+            for key, value in payload.items():
                 attr_el = ET.SubElement(event_el, "string")
                 attr_el.set("key", key)
                 attr_el.set("value", value)
@@ -204,7 +213,9 @@ def _parse_trace(
     report: IngestionReport,
 ) -> Trace | None:
     case_id: str | None = None
-    events: list[Event] = []
+    activities: list[str] = []
+    timestamps: list[float | None] = []
+    attributes: list[dict[str, str]] = []
     event_index = 0
     for child in trace_el:
         child_tag = _local(child.tag)
@@ -218,10 +229,13 @@ def _parse_trace(
             event_index += 1
             if event is not None:
                 report.events_loaded += 1
-                events.append(event)
-    if not events:
+                activity, timestamp, payload = event
+                activities.append(activity)
+                timestamps.append(timestamp)
+                attributes.append(payload)
+    if not activities:
         return None
-    return Trace(events, case_id=case_id)
+    return Trace.from_columns(activities, timestamps, attributes, case_id=case_id)
 
 
 def _parse_event(
@@ -229,7 +243,9 @@ def _parse_event(
     location: str,
     on_error: str,
     report: IngestionReport,
-) -> Event | None:
+) -> tuple[str, float | None, dict[str, str]] | None:
+    """One event's ``(activity, timestamp, attributes)``, or ``None`` when
+    *on_error* drops it."""
     activity: str | None = None
     timestamp: float | None = None
     attributes: dict[str, str] = {}
@@ -262,4 +278,4 @@ def _parse_event(
             raise LogFormatError(f"{location}: {problem}")
         report.record_dropped(location, problem, ET.tostring(event_el))
         return None
-    return Event(activity, timestamp, attributes)
+    return activity, timestamp, attributes

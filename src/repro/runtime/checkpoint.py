@@ -122,7 +122,7 @@ def search_content_key(
     """
     digest = hashlib.sha256()
     for log in (log_first, log_second):
-        canonical = [[event.activity for event in trace] for trace in log]
+        canonical = [trace.activities for trace in log]
         digest.update(json.dumps(canonical, separators=(",", ":")).encode())
         digest.update(b"\x00")
     for mapping in (config_fields, knobs):

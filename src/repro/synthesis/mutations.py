@@ -100,9 +100,8 @@ def drop_random_events(
         raise SynthesisError(f"probability must be in [0, 1), got {probability}")
 
     def thin(trace: Trace) -> Trace:
-        return Trace(
-            (event for event in trace if rng.random() >= probability),
-            case_id=trace.case_id,
+        return trace.take(
+            index for index in range(len(trace)) if rng.random() >= probability
         )
 
     return log.map_traces(thin)
@@ -117,12 +116,12 @@ def duplicate_random_events(
         raise SynthesisError(f"probability must be in [0, 1), got {probability}")
 
     def thicken(trace: Trace) -> Trace:
-        events: list[Event] = []
-        for event in trace:
-            events.append(event)
+        positions: list[int] = []
+        for index in range(len(trace)):
+            positions.append(index)
             if rng.random() < probability:
-                events.append(event)
-        return Trace(events, case_id=trace.case_id)
+                positions.append(index)
+        return trace.take(positions)
 
     return log.map_traces(thicken)
 
@@ -136,15 +135,15 @@ def swap_adjacent_events(
         raise SynthesisError(f"probability must be in [0, 1), got {probability}")
 
     def jitter(trace: Trace) -> Trace:
-        events = list(trace.events)
+        positions = list(range(len(trace)))
         index = 0
-        while index < len(events) - 1:
+        while index < len(positions) - 1:
             if rng.random() < probability:
-                events[index], events[index + 1] = events[index + 1], events[index]
+                positions[index], positions[index + 1] = positions[index + 1], positions[index]
                 index += 2  # do not cascade a swapped event further
             else:
                 index += 1
-        return Trace(events, case_id=trace.case_id)
+        return trace.take(positions)
 
     return log.map_traces(jitter)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from repro.exceptions import SynthesisError
-from repro.logs.events import Event, Trace
+from repro.logs.events import Trace
 from repro.logs.log import EventLog
 from repro.synthesis.process_tree import ProcessTree
 
@@ -47,12 +47,13 @@ def play_out(
             if redraws > 100:
                 raise SynthesisError("model produces only empty traces")
             activities = tree.sample(rng)
-        events = []
-        for activity in activities:
-            if with_timestamps:
+        timestamps = None
+        if with_timestamps:
+            timestamps = []
+            for _ in activities:
                 clock += rng.expovariate(1.0 / mean_step_seconds)
-                events.append(Event(activity, timestamp=clock))
-            else:
-                events.append(Event(activity))
-        log.append(Trace(events, case_id=f"{case_prefix}-{index}"))
+                timestamps.append(clock)
+        log.append(
+            Trace.from_columns(activities, timestamps, case_id=f"{case_prefix}-{index}")
+        )
     return log
