@@ -8,8 +8,7 @@ Usage::
                                     [--timeout S] [--pair-budget N]
                                     [--no-degrade] [--on-error MODE]
                                     [--dead-letter-dir DIR]
-                                    [--checkpoint-dir DIR] [--resume]
-                                    [--checkpoint-every N]
+                                    [--eval-cache-dir DIR]
                                     [--shard-traces N] [--store PATH]
                                     [--trace-out PATH] [--metrics-out PATH]
                                     [--manifest-out PATH] [--log-level LEVEL]
@@ -40,14 +39,16 @@ Markdown report, and ``--dead-letter-dir`` preserves every rejected
 record (original bytes + error context, content-addressed) for offline
 triage and idempotent re-submission.
 
-Durable execution (composite mode): ``--checkpoint-dir`` snapshots the
-greedy search after accepted rounds (atomically, keyed by a content
-hash of the inputs and configuration), ``--resume`` continues from the
-latest matching snapshot bit-identically, and SIGINT/SIGTERM flush a
-final checkpoint and return the best-so-far result as a ``partial``
-stage instead of dying mid-round.  A candidate evaluation that raises
-fails the whole match; no candidate is ever skipped.  Every match runs
-in one process.
+Durable execution (composite mode): ``--eval-cache-dir`` persists every
+candidate evaluation and discovery of the greedy search (atomically,
+keyed by a content hash of the inputs, configuration and accepted-merge
+history).  SIGINT/SIGTERM end the search at the next round boundary and
+return the best-so-far result as a ``partial`` stage instead of dying
+mid-round; re-running the same command over the same cache resumes it,
+replaying every finished evaluation from disk, and ends bit-identical to
+an uninterrupted run.  A pair-budgeted search does not read the cache
+and restarts cold.  A candidate evaluation that raises fails the whole
+match; no candidate is ever skipped.  Every match runs in one process.
 
 Observability (see ``docs/observability.md``): ``--trace-out`` writes a
 Chrome-trace JSON of the run's spans, ``--metrics-out`` a Prometheus
@@ -74,9 +75,10 @@ reading the file.
 
 Serving (see ``docs/service.md``): ``serve`` runs the long-lived
 matching daemon — a persistent job queue with content-hash dedup, a
-thread scheduler with checkpoint-backed crash recovery, a watch-folder
-ingester, and a JSON/REST API with Prometheus ``/metrics``.  Both front
-ends run one :class:`repro.request.MatchRequest` through
+thread scheduler whose re-queued jobs resume through an evaluation
+cache, a watch-folder ingester, and a JSON/REST API with Prometheus
+``/metrics``.  Both front ends run one
+:class:`repro.request.MatchRequest` through
 :func:`repro.request.run_match`, so a job's result (``provenance``
 included) equals ``repro match --store --json`` on the same inputs.
 """
@@ -108,7 +110,6 @@ from repro.request import (  # load_log: re-exported as repro.cli.load_log
 )
 from repro.request import run_match as run_request
 from repro.runtime import (
-    CheckpointManager,
     DeadLetterArchive,
     EvaluationCache,
     IngestionReport,
@@ -125,6 +126,10 @@ from repro.store import (
 EXIT_INPUT_ERROR = 2
 #: Exit code for budget exhaustion with the degradation ladder disabled.
 EXIT_BUDGET_EXHAUSTED = 3
+
+#: Flags of the removed checkpoint store, answered with a pointer to the
+#: evaluation cache that replaced it instead of a bare argparse error.
+_RETIRED_FLAGS = ("--checkpoint-dir", "--checkpoint-every", "--resume")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,20 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="archive every record rejected by --on-error skip|repair "
              "(and whole files that fail to parse) under DIR, content-"
              "addressed with a JSON error context",
-    )
-    match.add_argument(
-        "--checkpoint-dir", metavar="DIR", default=None,
-        help="composite mode: snapshot the greedy search to DIR after "
-             "accepted rounds, keyed by a content hash of inputs + config",
-    )
-    match.add_argument(
-        "--checkpoint-every", type=int, default=1, metavar="N",
-        help="write a snapshot every N accepted rounds (default: 1)",
-    )
-    match.add_argument(
-        "--resume", action="store_true",
-        help="resume from the latest matching snapshot in --checkpoint-dir "
-             "(cold start with a warning if it is missing or corrupt)",
     )
     match.add_argument(
         "--fault-plan", metavar="PATH", default=None,
@@ -293,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--store-dir", required=True, metavar="DIR",
         help="the daemon's durable root: job queue, match store, "
-             "checkpoints, dead letters and the service.json ready file",
+             "evaluation cache, dead letters and the service.json ready "
+             "file",
     )
     serve.add_argument(
         "--host", default="127.0.0.1",
@@ -354,25 +346,11 @@ def run_match(arguments: argparse.Namespace) -> int:
 
     Knob decoding, route choice and result shaping live in
     :mod:`repro.request`, shared with the daemon; this function owns only
-    what is CLI-specific: the checkpoint, dead-letter, evaluation-cache
-    and store resources named by flags, and the output files.
+    what is CLI-specific: the dead-letter, evaluation-cache and store
+    resources named by flags, and the output files.
     """
     request = MatchRequest.from_args(arguments)
     observer = _build_observer(arguments)
-    checkpoints = None
-    if arguments.checkpoint_dir is not None:
-        if arguments.checkpoint_every < 1:
-            raise ReproError(
-                f"--checkpoint-every must be >= 1, got {arguments.checkpoint_every}"
-            )
-        checkpoints = CheckpointManager(
-            arguments.checkpoint_dir,
-            every=arguments.checkpoint_every,
-            observer=observer,
-            faults=request.faults,
-        )
-    elif arguments.resume:
-        raise ReproError("--resume requires --checkpoint-dir")
     archive = eval_cache = store = None
     if arguments.dead_letter_dir:
         archive = DeadLetterArchive(arguments.dead_letter_dir, observer=observer)
@@ -382,9 +360,8 @@ def run_match(arguments: argparse.Namespace) -> int:
         store = MatchStore(arguments.store, observer=observer)
     try:
         run = run_request(
-            request, observer=observer, store=store, checkpoints=checkpoints,
-            resume=arguments.resume, interrupt=InterruptGuard(),
-            archive=archive, eval_cache=eval_cache,
+            request, observer=observer, store=store,
+            interrupt=InterruptGuard(), archive=archive, eval_cache=eval_cache,
         )
     finally:
         if store is not None:
@@ -586,7 +563,19 @@ def _render_match_output(arguments: argparse.Namespace, run: MatchRun) -> int:
     return 0
 
 def main(argv: list[str] | None = None) -> int:
-    arguments = build_parser().parse_args(argv)
+    parser = build_parser()
+    arguments, unknown = parser.parse_known_args(argv)
+    retired = [arg for arg in unknown if arg.partition("=")[0] in _RETIRED_FLAGS]
+    if retired:
+        print(
+            f"error: {' '.join(retired)}: composite checkpoints were removed; "
+            f"a composite search resumes by re-running it with the same "
+            f"--eval-cache-dir DIR",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT_ERROR
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         if arguments.command == "match":
             return run_match(arguments)

@@ -51,21 +51,18 @@ from repro.exceptions import BudgetExhausted
 from repro.graph.dependency import DependencyGraph
 from repro.logs.log import EventLog
 from repro.logs.stats import activity_occurrence_counts, directly_follows_counts
-from repro.obs import NULL_OBSERVER, Observer, get_logger
-from repro.runtime.budget import BudgetMeter, MatchBudget
-from repro.runtime.checkpoint import (
-    CheckpointManager,
-    InterruptGuard,
-    SearchSnapshot,
+from repro.obs import NULL_OBSERVER, Observer
+from repro.runtime.budget import BudgetMeter, InterruptGuard, MatchBudget
+from repro.runtime.degrade import DegradationPolicy
+from repro.runtime.evalcache import (
+    EvaluationCache,
+    candidate_key,
+    discovery_key,
     search_content_key,
 )
-from repro.runtime.degrade import DegradationPolicy
-from repro.runtime.evalcache import EvaluationCache, candidate_key, discovery_key
 from repro.runtime.faults import FaultPlan
 from repro.runtime.report import STAGE_EXACT, STAGE_PARTIAL, RuntimeReport
 from repro.similarity.labels import CompositeAwareSimilarity, LabelSimilarity, OpaqueSimilarity
-
-_logger = get_logger(__name__)
 
 
 # ----------------------------------------------------------------------
@@ -210,28 +207,23 @@ class CompositeMatcher:
     faults:
         Deterministic :class:`~repro.runtime.FaultPlan` for chaos tests
         (the ``search.round`` interrupt site).
-    checkpoints:
-        Optional :class:`~repro.runtime.CheckpointManager`; accepted
-        rounds are snapshotted at its cadence, keyed by the content hash
-        of (log pair, config, knobs).
-    resume:
-        Load a matching checkpoint before searching (cold start when the
-        directory holds none, or the snapshot fails verification).
     interrupt:
         Optional :class:`~repro.runtime.InterruptGuard` polled at round
-        boundaries; when tripped, the search flushes a final checkpoint
-        and returns the best-so-far result as a ``partial`` stage with
-        reason ``"interrupted"``.
+        boundaries; when tripped, the search returns the best-so-far
+        result as a ``partial`` stage with reason ``"interrupted"``.
     eval_cache:
         Optional :class:`~repro.runtime.EvaluationCache`: candidate
-        evaluations are memoized on disk, content-keyed by (log pair,
-        config, knobs, accepted history, candidate, incumbent bound), and
-        served on the next identical run instead of re-evaluating.
-        Results stay bit-identical — a hit replays the exact stored
-        evaluation, and every load is digest-verified with corruption
-        degrading to a cold evaluation.  Disabled while a budget meter is
-        active (a served hit charges no meter, which would skew
-        cooperative cancellation).
+        evaluations and discoveries are memoized on disk, content-keyed
+        by (log pair, config, knobs, accepted history, candidate,
+        incumbent bound), and served on the next identical run instead
+        of re-evaluating.  Results stay bit-identical — a hit replays the
+        exact stored evaluation, and every load is digest-verified with
+        corruption degrading to a cold evaluation.  This is also how an
+        interrupted search resumes: re-run it over the same cache.
+        Evaluations bypass it while a budget meter is active (a served
+        hit charges no meter, which would skew cooperative cancellation),
+        so a budgeted search re-run after an interrupt starts cold and
+        spends its budget exactly as an uninterrupted run does.
     """
 
     def __init__(
@@ -249,8 +241,6 @@ class CompositeMatcher:
         degradation: DegradationPolicy | None = None,
         observer: Observer | None = None,
         faults: FaultPlan | None = None,
-        checkpoints: CheckpointManager | None = None,
-        resume: bool = False,
         interrupt: InterruptGuard | None = None,
         eval_cache: EvaluationCache | None = None,
     ):
@@ -271,8 +261,6 @@ class CompositeMatcher:
         self.budget = budget
         self.degradation = degradation if degradation is not None else DegradationPolicy()
         self.faults = faults
-        self.checkpoints = checkpoints
-        self.resume = resume
         self.interrupt = interrupt
         self.eval_cache = eval_cache
         #: One S^L cache per matching run, shared by every engine built
@@ -322,8 +310,7 @@ class CompositeMatcher:
         self._interrupted_by = None
         self._content_key = ""
         self._discovery_memo = {}
-        snapshot: SearchSnapshot | None = None
-        if self.checkpoints is not None or self.eval_cache is not None:
+        if self.eval_cache is not None:
             self._content_key = search_content_key(
                 log_first, log_second,
                 dataclasses.asdict(self.config),
@@ -337,8 +324,6 @@ class CompositeMatcher:
                     "min_edge_frequency": self.min_edge_frequency,
                 },
             )
-            if self.checkpoints is not None and self.resume:
-                snapshot = self.checkpoints.load(self._content_key)
         with obs.span("graph.build", activities=len(log_first.activities())):
             graph_first = self._graph(log_first, {})
         with obs.span("graph.build", activities=len(log_second.activities())):
@@ -373,28 +358,26 @@ class CompositeMatcher:
         stats.pair_updates += current.pair_updates
 
         if stage == STAGE_EXACT:
-            try:
-                current = self._search(states, current, stats, meter, snapshot)
-            except BudgetExhausted as error:
+            current, exhausted = self._search(states, current, stats, meter)
+            if exhausted is not None:
                 if not policy.enabled:
-                    raise
+                    raise exhausted
                 # The matrix of the last accepted merge state is complete
                 # and exact — only the candidate search was cut short.
                 stage = STAGE_PARTIAL
-                reason = error.reason
+                reason = exhausted.reason
                 detail = (
                     f"composite search truncated after {stats.rounds} round(s)"
                 )
-            else:
-                if self._interrupted_by is not None:
-                    # The search unwound cleanly at a round boundary (final
-                    # checkpoint already flushed); the matrix is complete.
-                    stage = STAGE_PARTIAL
-                    reason = "interrupted"
-                    detail = (
-                        f"composite search interrupted by "
-                        f"{self._interrupted_by} after {stats.rounds} round(s)"
-                    )
+            elif self._interrupted_by is not None:
+                # The search unwound cleanly at a round boundary; the
+                # matrix is complete.
+                stage = STAGE_PARTIAL
+                reason = "interrupted"
+                detail = (
+                    f"composite search interrupted by "
+                    f"{self._interrupted_by} after {stats.rounds} round(s)"
+                )
 
         # stats misses the pair updates of an evaluation aborted by the
         # budget mid-flight; the meter saw every metered update.
@@ -427,21 +410,19 @@ class CompositeMatcher:
         current: EMSResult,
         stats: CompositeStats,
         meter: BudgetMeter | None,
-        snapshot: SearchSnapshot | None = None,
-    ) -> EMSResult:
-        """The greedy merge loop of Algorithm 2; returns the final result.
+    ) -> tuple[EMSResult, BudgetExhausted | None]:
+        """The greedy merge loop of Algorithm 2.
+
+        Returns the result of the last accepted merge state, and the
+        :class:`BudgetExhausted` that cut the search short, if any: the
+        side states only change when a merge is accepted, so that result
+        always matches them.
 
         Candidate merges are evaluated through an
         :class:`IncrementalSearchState` — delta count patches, patched
         levels and warm-started fixpoints.  The
         full-rebuild evaluator it is tested against lives with the tests
         (``tests/composite_oracle.py``).
-
-        A *snapshot* (from :class:`~repro.runtime.CheckpointManager`)
-        fast-forwards the loop: its accepted-merge history is replayed
-        through the same merge machinery, its stats are adopted, and the
-        search continues from the round after the one it recorded —
-        bit-identical to never having stopped.
         """
         incremental = IncrementalSearchState(
             self.config, self.base_label, self.min_edge_frequency,
@@ -451,64 +432,51 @@ class CompositeMatcher:
         incremental.reset(
             tuple((state.log, state.members, state.graph) for state in states)
         )
-        if snapshot is not None:
-            self._restore(snapshot, states, stats, incremental)
-            current = snapshot.current
-            if snapshot.complete:
-                # The checkpointed search had already converged; nothing
-                # left to run, and re-running the final barren round
-                # would skew the counters away from the original run.
-                return current
         obs = self.observer
-        while True:
-            interrupted_by = self._interrupt_requested(stats.rounds + 1)
-            if interrupted_by is not None:
-                self._flush_checkpoint(stats, current, force=True)
-                self._interrupted_by = interrupted_by
-                return current
-            if meter is not None:
-                meter.check()
-            stats.rounds += 1
-            with obs.span(f"composite.round[{stats.rounds}]") as round_span:
-                obs.gauge("composite_round", stats.rounds)
-                current_average = current.matrix.average()
-                target = current_average + self.delta
-                incremental.begin_round(
-                    current.directional if self.use_unchanged else None
-                )
-
-                tasks: list[tuple[int, tuple[str, ...]]] = []
-                for side_index in (0, 1):
-                    for run in self._discover(states, side_index):
-                        tasks.append((side_index, run))
-                round_span.attributes["candidates"] = len(tasks)
-
-                best, best_average = self._round(
-                    tasks, incremental, stats, target, current_average, meter,
-                )
-
-                if best is None or best_average - current_average <= self.delta:
-                    round_span.attributes["accepted"] = None
-                    # Final snapshot: a finished search resumes
-                    # instantly (replay straight to the last round)
-                    # even when it never accepted a merge.
-                    self._flush_checkpoint(
-                        stats, current, force=True, complete=True
+        try:
+            while True:
+                interrupted_by = self._interrupt_requested(stats.rounds + 1)
+                if interrupted_by is not None:
+                    self._interrupted_by = interrupted_by
+                    return current, None
+                if meter is not None:
+                    meter.check()
+                stats.rounds += 1
+                with obs.span(f"composite.round[{stats.rounds}]") as round_span:
+                    obs.gauge("composite_round", stats.rounds)
+                    current_average = current.matrix.average()
+                    target = current_average + self.delta
+                    incremental.begin_round(
+                        current.directional if self.use_unchanged else None
                     )
-                    return current
 
-                side_index, run, outcome = best
-                round_span.attributes["accepted"] = list(run)
-                round_span.attributes["average"] = best_average
-                obs.count("composite_merges_accepted_total")
-                state = states[side_index]
-                state.log, state.members, state.graph = (
-                    incremental.apply_accepted(side_index, run)
-                )
-                state.accepted.append(run)
-                self._accepted_history.append((side_index, run))
-                current = outcome
-                self._flush_checkpoint(stats, current)
+                    tasks: list[tuple[int, tuple[str, ...]]] = []
+                    for side_index in (0, 1):
+                        for run in self._discover(states, side_index):
+                            tasks.append((side_index, run))
+                    round_span.attributes["candidates"] = len(tasks)
+
+                    best, best_average = self._round(
+                        tasks, incremental, stats, target, current_average, meter,
+                    )
+
+                    if best is None or best_average - current_average <= self.delta:
+                        round_span.attributes["accepted"] = None
+                        return current, None
+
+                    side_index, run, outcome = best
+                    round_span.attributes["accepted"] = list(run)
+                    round_span.attributes["average"] = best_average
+                    obs.count("composite_merges_accepted_total")
+                    state = states[side_index]
+                    state.log, state.members, state.graph = (
+                        incremental.apply_accepted(side_index, run)
+                    )
+                    state.accepted.append(run)
+                    self._accepted_history.append((side_index, run))
+                    current = outcome
+        except BudgetExhausted as error:
+            return current, error
 
     # ------------------------------------------------------------------
     def _discover(
@@ -647,36 +615,6 @@ class CompositeMatcher:
         return evaluation.outcome
 
     # ------------------------------------------------------------------
-    # Durability plumbing: restore, interrupts, checkpoints
-    # ------------------------------------------------------------------
-    def _restore(
-        self,
-        snapshot: SearchSnapshot,
-        states: tuple[_SideState, _SideState],
-        stats: CompositeStats,
-        incremental: IncrementalSearchState,
-    ) -> None:
-        """Fast-forward *states*/*stats* to a checkpointed round boundary."""
-        history = tuple(
-            (side_index, tuple(run)) for side_index, run in snapshot.history
-        )
-        finals = incremental.fast_forward(history)
-        for side_index, (log, members, graph) in enumerate(finals):
-            state = states[side_index]
-            state.log, state.members, state.graph = log, members, graph
-        for side_index, run in history:
-            states[side_index].accepted.append(run)
-            self._accepted_history.append((side_index, run))
-        # The snapshot's counters already include everything up to its
-        # round — including the initial similarity this run recomputed —
-        # so adopt them wholesale for bit-identical final stats.
-        for spec in dataclasses.fields(CompositeStats):
-            setattr(stats, spec.name, getattr(snapshot.stats, spec.name))
-        self.observer.info(
-            "resumed composite search at round %d (%d accepted merge(s))",
-            snapshot.rounds, len(history),
-        )
-
     def _interrupt_requested(self, next_round: int) -> str | None:
         """Who is asking the search to stop before *next_round*, if anyone."""
         if self.interrupt is not None and self.interrupt.interrupted:
@@ -688,26 +626,3 @@ class CompositeMatcher:
                     self.interrupt.trip(name)
                 return name
         return None
-
-    def _flush_checkpoint(
-        self, stats: CompositeStats, current: EMSResult,
-        force: bool = False, complete: bool = False,
-    ) -> None:
-        """Snapshot the search if a checkpoint is due (or *force*)."""
-        if self.checkpoints is None:
-            return
-        if not force and not self.checkpoints.due(stats.rounds):
-            return
-        snapshot = SearchSnapshot(
-            key=self._content_key,
-            rounds=stats.rounds,
-            history=tuple(self._accepted_history),
-            stats=dataclasses.replace(stats),
-            current=current,
-            complete=complete,
-        )
-        try:
-            self.checkpoints.save(snapshot)
-        except OSError as error:
-            # A full disk must degrade durability, not correctness.
-            _logger.warning("checkpoint write failed: %s", error)

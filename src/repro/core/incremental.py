@@ -216,23 +216,6 @@ class IncrementalSearchState:
         side.index.apply(delta)
         return side.log, side.members, side.graph
 
-    def fast_forward(
-        self, history: tuple[tuple[int, tuple[str, ...]], ...]
-    ) -> list[tuple[EventLog, dict[str, frozenset[str]], DependencyGraph]]:
-        """Replay an accepted-merge *history* after :meth:`reset`.
-
-        Used to restore a checkpointed search: the snapshot records only
-        the ``(side, run)`` merge sequence, and replaying it through the
-        same :meth:`apply_accepted` machinery that produced it rebuilds
-        bit-identical side states.  Returns the final per-side states in
-        side order.
-        """
-        for side_index, run in history:
-            self.apply_accepted(side_index, tuple(run))
-        return [
-            (side.log, side.members, side.graph) for side in self._sides
-        ]
-
     # ------------------------------------------------------------------
     # Warm starts (Proposition 4 in array form)
     # ------------------------------------------------------------------

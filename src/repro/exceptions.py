@@ -81,23 +81,6 @@ class BudgetExhausted(ReproError):
         self.pair_updates = pair_updates
 
 
-class SearchInterrupted(MatchingError):
-    """A composite search was cooperatively interrupted (SIGINT/SIGTERM).
-
-    Raised at a round boundary after the final checkpoint was flushed;
-    :meth:`repro.core.composite.CompositeMatcher.match` catches it and
-    returns the best-so-far result as a ``partial`` stage with reason
-    ``"interrupted"``.
-
-    ``signal_name`` names the signal that triggered the interrupt (or a
-    scripted fault-injection site in chaos tests).
-    """
-
-    def __init__(self, message: str, *, signal_name: str = ""):
-        super().__init__(message)
-        self.signal_name = signal_name
-
-
 class SearchBudgetExceeded(MatchingError):
     """A matcher exceeded its configured search budget.
 

@@ -31,8 +31,7 @@ from repro.logs.stats import LogStatistics
 from repro.matching.assignment import max_weight_assignment
 from repro.matching.evaluation import Correspondence
 from repro.obs import NULL_OBSERVER, Observer
-from repro.runtime.budget import MatchBudget
-from repro.runtime.checkpoint import CheckpointManager, InterruptGuard
+from repro.runtime.budget import InterruptGuard, MatchBudget
 from repro.runtime.degrade import DegradationPolicy
 from repro.runtime.evalcache import EvaluationCache
 from repro.runtime.faults import FaultPlan
@@ -298,8 +297,6 @@ class EMSCompositeMatcher(EventMatcher):
         degradation: DegradationPolicy | None = None,
         observer: Observer | None = None,
         faults: FaultPlan | None = None,
-        checkpoints: CheckpointManager | None = None,
-        resume: bool = False,
         interrupt: InterruptGuard | None = None,
         eval_cache: EvaluationCache | None = None,
     ):
@@ -318,8 +315,6 @@ class EMSCompositeMatcher(EventMatcher):
             degradation=degradation,
             observer=observer,
             faults=faults,
-            checkpoints=checkpoints,
-            resume=resume,
             interrupt=interrupt,
             eval_cache=eval_cache,
         )

@@ -36,7 +36,6 @@ from repro.logs.xes import read_xes
 from repro.matchers import EMSCompositeMatcher, EMSMatcher
 from repro.obs import NULL_OBSERVER, Observer
 from repro.runtime import (
-    CheckpointManager,
     DeadLetterArchive,
     DegradationPolicy,
     EvaluationCache,
@@ -432,8 +431,6 @@ def run_match(
     *,
     observer: Observer | None = None,
     store: MatchStore | None = None,
-    checkpoints: CheckpointManager | None = None,
-    resume: bool = False,
     interrupt: InterruptGuard | None = None,
     archive: DeadLetterArchive | None = None,
     eval_cache: EvaluationCache | None = None,
@@ -443,8 +440,8 @@ def run_match(
     The route, in order:
 
     * **composite** — both logs are parsed and searched by Algorithm 2,
-      with the *checkpoints*, *resume*, *interrupt* (entered around the
-      search) and *eval_cache* resources, which only this route uses;
+      with the *interrupt* (entered around the search) and *eval_cache*
+      resources, which only this route uses;
     * **stored singleton** — with a *store*,
       :func:`~repro.store.match_stored` serves the pair from the stored
       matrix (``store``) or runs it cold and stores it (``computed``);
@@ -471,8 +468,8 @@ def run_match(
                 request.config, label_similarity,
                 threshold=request.threshold, delta=request.delta,
                 budget=request.budget, degradation=request.degradation,
-                observer=observer, faults=request.faults, checkpoints=checkpoints, resume=resume,
-                interrupt=interrupt, eval_cache=eval_cache,
+                observer=observer, faults=request.faults, interrupt=interrupt,
+                eval_cache=eval_cache,
             )
             logs = _parse(request, reports, archive, observer)
             with interrupt if interrupt is not None else nullcontext():

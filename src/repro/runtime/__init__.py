@@ -7,38 +7,31 @@ core threads through:
 * :class:`MatchBudget` / :class:`BudgetMeter` — deadline and pair-update
   budgets, cooperatively checked inside the fixpoint loops; exhaustion
   raises :class:`~repro.exceptions.BudgetExhausted`.
+* :class:`InterruptGuard` — cooperative SIGINT/SIGTERM handling that
+  ends a composite search at a round boundary.
 * :class:`DegradationPolicy` — the ladder exact → estimated → partial
   that turns budget exhaustion into a valid, annotated result.
 * :class:`RuntimeReport` — how a run ended (stage, reason, spend),
   attached to every :class:`~repro.baselines.common.MatchOutcome`.
 * :class:`IngestionReport` / :class:`RowIssue` — per-row accounting of
   what the fault-tolerant CSV/XES readers dropped or repaired.
-* :class:`CheckpointManager` / :class:`SearchSnapshot` /
-  :class:`InterruptGuard` — crash-safe, content-keyed checkpoints of the
-  composite search plus cooperative SIGINT/SIGTERM handling.
 * :class:`DeadLetterArchive` — content-addressed archive of ingestion
   records the readers rejected.
 * :class:`EvaluationCache` — cross-run persistent, content-addressed
   cache of composite candidate evaluations (digest-verified loads,
-  atomic writes, LRU size bound).
+  atomic writes, LRU size bound); an interrupted search resumes by
+  re-running over it.
 * :class:`FaultPlan` / :class:`FaultSpec` — the deterministic
-  fault-injection harness exercising the checkpoint and interrupt
-  recovery paths.
+  fault-injection harness exercising the interrupt and resume path.
 
 See ``docs/robustness.md`` for the full model and the CLI exit codes.
 """
 
-from repro.exceptions import BudgetExhausted, SearchInterrupted
-from repro.runtime.budget import BudgetMeter, MatchBudget
-from repro.runtime.checkpoint import (
-    CheckpointManager,
-    InterruptGuard,
-    SearchSnapshot,
-    search_content_key,
-)
+from repro.exceptions import BudgetExhausted
+from repro.runtime.budget import BudgetMeter, InterruptGuard, MatchBudget
 from repro.runtime.deadletter import DeadLetterArchive
 from repro.runtime.degrade import DegradationPolicy
-from repro.runtime.evalcache import EvaluationCache
+from repro.runtime.evalcache import EvaluationCache, search_content_key
 from repro.runtime.faults import NO_FAULTS, FaultPlan, FaultSpec
 from repro.runtime.report import (
     STAGE_ESTIMATED,
@@ -62,8 +55,6 @@ __all__ = [
     "STAGE_ESTIMATED",
     "STAGE_PARTIAL",
     "STAGES",
-    "CheckpointManager",
-    "SearchSnapshot",
     "InterruptGuard",
     "search_content_key",
     "DeadLetterArchive",
@@ -71,5 +62,4 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "NO_FAULTS",
-    "SearchInterrupted",
 ]

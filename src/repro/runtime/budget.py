@@ -14,15 +14,24 @@ The checks are cooperative by design: they run at iteration boundaries
 and every :data:`_DEADLINE_STRIDE` pair updates inside an iteration, so
 an unbudgeted run (``meter is None``) pays nothing and a budgeted run
 pays one integer test per pair update.
+
+:class:`InterruptGuard` is the third way a composite search is cut
+short: it turns SIGINT/SIGTERM into a flag the greedy loop reads at
+each round boundary, so the search returns its best-so-far result as a
+``partial`` stage instead of dying mid-round.
 """
 
 from __future__ import annotations
 
+import signal
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from repro.exceptions import BudgetExhausted
+from repro.obs import get_logger
 from repro.obs.clock import default_clock
+
+_logger = get_logger(__name__)
 
 #: How many pair updates pass between wall-clock reads on the hot path.
 #: A power of two so the test compiles to a mask.
@@ -170,3 +179,66 @@ class BudgetMeter:
             f"BudgetMeter({self.budget.describe()}, "
             f"spent={self.pair_updates_spent}, elapsed={self.elapsed():.3f}s)"
         )
+
+
+class InterruptGuard:
+    """Cooperative SIGINT/SIGTERM handling for composite searches.
+
+    Used as a context manager around a matching run: while active, the
+    first signal sets :attr:`interrupted`, which the greedy loop reads
+    before each round and answers with a ``partial`` result (reason
+    ``"interrupted"``); a *second* signal restores the previous
+    handler's behaviour, so an operator can still kill a stuck process
+    with a repeated Ctrl-C.  A re-run over the same evaluation cache
+    replays the finished evaluations from disk.
+
+    Signal handlers only install from the main thread; elsewhere (or
+    with ``signals=()``) the guard degrades to an inert flag that
+    :meth:`trip` can set programmatically — which is also how the
+    deterministic fault-injection site ``search.round``/``interrupt``
+    simulates a SIGTERM at an exact round boundary.
+    """
+
+    def __init__(self, signals: tuple[int, ...] = (signal.SIGINT, signal.SIGTERM)):
+        self.signals = signals
+        self.interrupted = False
+        self.signal_name = ""
+        self._previous: dict[int, Any] = {}
+
+    def trip(self, name: str = "scripted") -> None:
+        """Flag an interrupt without an actual signal (tests, faults)."""
+        self.interrupted = True
+        self.signal_name = name
+
+    def _handle(self, signum: int, frame: Any) -> None:
+        self.trip(signal.Signals(signum).name)
+        # Let a second signal act on the previous handler: restore it.
+        previous = self._previous.get(signum)
+        if previous is not None:
+            try:
+                signal.signal(signum, previous)
+            except (ValueError, OSError):  # pragma: no cover
+                pass
+        _logger.warning(
+            "%s received; finishing the current round, then returning a "
+            "partial result",
+            self.signal_name,
+        )
+
+    def __enter__(self) -> "InterruptGuard":
+        for signum in self.signals:
+            try:
+                self._previous[signum] = signal.signal(signum, self._handle)
+            except ValueError:  # not the main thread
+                self._previous.pop(signum, None)
+                break
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        for signum, previous in self._previous.items():
+            try:
+                if signal.getsignal(signum) == self._handle:
+                    signal.signal(signum, previous)
+            except (ValueError, OSError):  # pragma: no cover
+                pass
+        self._previous.clear()

@@ -21,7 +21,7 @@ every rejected record verbatim:
   fix, and re-submit by digest without ever double-counting.
 
 Writes go through the shared
-:func:`~repro.runtime.checkpoint.atomic_write` (temp file, fsync,
+:func:`~repro.runtime.evalcache.atomic_write` (temp file, fsync,
 ``os.replace``) so a crash mid-archive never leaves a torn payload that
 a later idempotency check would trust.
 """
@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.obs import NULL_OBSERVER, Observer, get_logger
-from repro.runtime.checkpoint import atomic_write
+from repro.runtime.evalcache import atomic_write
 
 _logger = get_logger(__name__)
 

@@ -9,10 +9,9 @@ changed at all.  This module memoizes
 fixpoint outcome, or ``None`` for a Bd abort, plus the Uc pair count)
 on disk, content-addressed so a hit is *provably* the same computation:
 
-* the **base key** is :func:`~repro.runtime.checkpoint.search_content_key`
-  over the two logs' traces, every :class:`~repro.core.config.EMSConfig`
-  field (dtype included) and the matcher knobs — the exact
-  compatibility key the checkpoint store uses;
+* the **base key** is :func:`search_content_key` over the two logs'
+  traces, every :class:`~repro.core.config.EMSConfig` field (dtype
+  included) and the matcher knobs;
 * the **candidate key** (:func:`candidate_key`) extends it with the
   accepted-merge history so far, the candidate's ``(side, run)`` and the
   ``abort_below`` incumbent it was evaluated against.  Keying on
@@ -22,15 +21,25 @@ on disk, content-addressed so a hit is *provably* the same computation:
   reruns regenerate identical incumbent sequences and a second run over
   unchanged inputs hits on every candidate.
 
-Durability mirrors the checkpoint store byte for byte: entries are
-written via the shared :func:`~repro.runtime.checkpoint.atomic_write`
-(tempfile, fsync, ``os.replace``) under an ``EMSEVAL2 <key> <sha256>``
-header, and every load re-verifies the digest through
-:func:`~repro.runtime.checkpoint.verified_payload`.  A corrupt,
-truncated or version-mismatched file degrades to a cold evaluation with
-a logged warning — never a crash, never a silently wrong result.  The
-directory is LRU-bounded by file mtime (hits touch their entry), and
-hit/miss/corrupt/eviction counters flow through the metrics registry.
+The same keys make the cache the search's **resume state**.  The greedy
+loop is deterministic, so its state at any round boundary is a function
+of the inputs, the knobs and the accepted-merge history — exactly what
+the keys cover.  A search cut short by SIGINT/SIGTERM (or killed
+outright) and re-run over the same cache replays every finished
+evaluation and discovery from disk; it recomputes only the initial
+similarity, the delta merges of the accepted history and the
+evaluations the interrupt cut off.  Its answer and
+:class:`~repro.core.composite.CompositeStats` equal an uninterrupted
+run's.
+
+Durability: entries are written via :func:`atomic_write` (tempfile,
+fsync, ``os.replace``) under an ``EMSEVAL2 <key> <sha256>`` header, and
+every load re-verifies the digest through :func:`verified_payload`.  A
+corrupt, truncated or version-mismatched file degrades to a cold
+evaluation with a logged warning — never a crash, never a silently
+wrong result.  The directory is LRU-bounded by file mtime (hits touch
+their entry), and hit/miss/corrupt/eviction counters flow through the
+metrics registry.
 """
 
 from __future__ import annotations
@@ -39,10 +48,11 @@ import hashlib
 import json
 import os
 import pickle
+import tempfile
 from pathlib import Path
+from typing import Any, Iterable
 
 from repro.obs import NULL_OBSERVER, Observer, get_logger
-from repro.runtime.checkpoint import atomic_write, verified_payload
 
 _logger = get_logger(__name__)
 
@@ -50,6 +60,84 @@ _logger = get_logger(__name__)
 #: entries are rejected as incompatible rather than misread.  Version 2
 #: dropped the estimation-screen verdict of ``CandidateEvaluation``.
 _MAGIC = b"EMSEVAL2"
+
+
+def atomic_write(directory: Path, target: Path, data: bytes) -> Path:
+    """Write *data* to *target* atomically (tempfile, fsync, ``os.replace``).
+
+    A crash at any point leaves either the old file or the new one, never
+    a torn mix; the temporary is unlinked on failure.  Shared with the
+    dead-letter archive (:mod:`repro.runtime.deadletter`).
+    """
+    handle = tempfile.NamedTemporaryFile(
+        dir=directory, prefix=target.name + ".", suffix=".tmp", delete=False
+    )
+    try:
+        with handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(handle.name, target)
+    except BaseException:
+        try:
+            os.unlink(handle.name)
+        except OSError:
+            pass
+        raise
+    return target
+
+
+def verified_payload(
+    raw: bytes, magic: bytes, key: str
+) -> tuple[bytes | None, str | None]:
+    """Split and verify a ``<magic> <key> <sha256>\\n<payload>`` file.
+
+    Returns ``(payload, None)`` when the magic matches, the stored key
+    equals *key* and the payload's SHA-256 equals the header digest;
+    ``(None, reason)`` otherwise.  Never raises on malformed input —
+    every parse failure becomes a reason string, so callers can uniformly
+    degrade to a cold path with a logged warning.
+    """
+    try:
+        header, _, payload = raw.partition(b"\n")
+        stored_magic, stored_key, digest = header.split(b" ")
+        if stored_magic != magic:
+            return None, f"unrecognized format {stored_magic!r}"
+        if stored_key.decode() != key:
+            return None, "entry belongs to a different (log pair, config)"
+        if hashlib.sha256(payload).hexdigest() != digest.decode():
+            return None, "payload digest mismatch (corrupt or torn write)"
+        return payload, None
+    except Exception as error:
+        return None, f"unreadable entry ({error})"
+
+
+def search_content_key(
+    log_first: Iterable,
+    log_second: Iterable,
+    config_fields: dict[str, Any],
+    knobs: dict[str, Any],
+) -> str:
+    """Compatibility hash of (log pair, config, matcher knobs).
+
+    The logs contribute their ordered traces of activities — the only
+    log content the search consumes (counts and graphs derive from it).
+    Everything is serialized canonically (sorted keys, no whitespace
+    drift) before hashing, so the key is stable across processes and
+    platforms.
+    """
+    digest = hashlib.sha256()
+    for log in (log_first, log_second):
+        canonical = [trace.activities for trace in log]
+        digest.update(json.dumps(canonical, separators=(",", ":")).encode())
+        digest.update(b"\x00")
+    for mapping in (config_fields, knobs):
+        digest.update(
+            json.dumps(mapping, sort_keys=True, separators=(",", ":"),
+                       default=str).encode()
+        )
+        digest.update(b"\x00")
+    return digest.hexdigest()
 
 
 def candidate_key(

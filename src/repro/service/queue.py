@@ -16,8 +16,8 @@ States move ``queued -> running -> done | failed | dead``:
   attempt budget ran out (poison job), likewise dead-lettered;
 * a job interrupted mid-run (daemon shutdown) deliberately *stays*
   ``running`` — :meth:`JobQueue.recover` re-queues all ``running`` rows
-  at startup, which is how a restart resumes in-flight work from its
-  checkpoint.
+  at startup, which is how a restart resumes in-flight work through the
+  daemon's evaluation cache.
 
 All lifecycle counters (``jobs_submitted_total``, ``jobs_deduped_total``,
 ``jobs_completed_total``, ``jobs_failed_total``, ``jobs_dead_total``) and
@@ -175,9 +175,9 @@ class JobQueue:
     def recover(self) -> int:
         """Re-queue every ``running`` job (startup after crash/SIGTERM).
 
-        The checkpoint machinery makes the re-run cheap: the resumed
-        attempt continues from the snapshot the interrupted attempt
-        flushed, bit-identically.
+        The evaluation cache makes the re-run cheap: the resumed attempt
+        replays every candidate evaluation the interrupted attempt
+        finished, and ends bit-identical to an uninterrupted run.
         """
         with self._lock:
             cursor = self._connection.execute(
@@ -188,7 +188,7 @@ class JobQueue:
             recovered = cursor.rowcount
             if recovered:
                 _logger.warning(
-                    "re-queued %d interrupted job(s) for checkpoint resume",
+                    "re-queued %d interrupted job(s) to resume",
                     recovered,
                 )
             self._refresh_depth()

@@ -4,12 +4,12 @@ Each worker thread loops claim -> run -> settle.  Running a job decodes
 its stored spec with :meth:`repro.request.MatchRequest.from_json` and
 hands the request to :func:`repro.request.run_match`, the runner
 ``repro match`` uses, with the worker's match store and the daemon's
-checkpoint directory — so a job's result is bit-identical to the same
-request on the command line.  ``from_json`` reads every spec a queue
-row can hold, including rows that spell knobs out in full (``alpha:
-null``, ``delta`` on a singleton job); the scheduler drops the one key
-it cannot, the retired ``workers`` knob of rows an older version
-queued.
+evaluation cache (``evalcache/`` under the store directory) — so a
+job's result is bit-identical to the same request on the command line.
+``from_json`` reads every spec a queue row can hold, including rows
+that spell knobs out in full (``alpha: null``, ``delta`` on a singleton
+job); the scheduler drops the one key it cannot, the retired
+``workers`` knob of rows an older version queued.
 
 Settlement policy (see ``docs/service.md``):
 
@@ -22,12 +22,16 @@ Settlement policy (see ``docs/service.md``):
 * an *interrupted* partial result (daemon shutdown, or the scripted
   ``search.round``/``interrupt`` fault) leaves the job ``running`` on
   purpose: :meth:`~repro.service.queue.JobQueue.recover` re-queues it at
-  the next startup and the re-run resumes from the flushed checkpoint.
+  the next startup, and the re-run replays every candidate evaluation
+  the interrupted attempt finished from the evaluation cache.  A
+  pair-budgeted job does not read the cache (a served hit would charge
+  no budget), so it restarts cold and spends its budget exactly as an
+  uninterrupted run does.
 
 A job's inline fault plan is armed only on its **first** attempt —
 faults exist to test the recovery path, and recovery must see the run
-behave normally.  Fault plans are excluded from the checkpoint content
-key, so the resumed attempt finds the interrupted attempt's snapshot.
+behave normally.  Fault plans are not part of the cache's content key,
+so the resumed attempt hits the interrupted attempt's entries.
 
 Threads never share a :class:`~repro.store.matchstore.MatchStore`
 object: each worker owns one handle on the shared database file, and
@@ -45,7 +49,7 @@ from typing import Any
 from repro.exceptions import ReproError
 from repro.obs import NULL_OBSERVER, Observer, get_logger
 from repro.request import MatchRequest, run_match
-from repro.runtime import CheckpointManager, DeadLetterArchive, InterruptGuard
+from repro.runtime import DeadLetterArchive, EvaluationCache, InterruptGuard
 from repro.service.queue import JobQueue, JobRecord
 from repro.store import MatchStore
 
@@ -80,8 +84,8 @@ class JobScheduler:
         self._wake = threading.Event()
         self._threads: list[threading.Thread] = []
         #: Inert interrupt guards of the jobs currently running, tripped
-        #: together at shutdown so every in-flight search unwinds through
-        #: its checkpoint flush.
+        #: together at shutdown so every in-flight search stops at its
+        #: next round boundary.
         self._active_guards: dict[str, InterruptGuard] = {}
         self._guards_lock = threading.Lock()
 
@@ -99,7 +103,7 @@ class JobScheduler:
     def stop(self, timeout: float = 30.0) -> None:
         """Trip every in-flight job, then join the worker threads.
 
-        Interrupted composite jobs flush a final checkpoint and stay
+        Interrupted composite jobs stop at a round boundary and stay
         ``running`` in the queue; the next startup resumes them.
         """
         self._stop.set()
@@ -145,7 +149,7 @@ class JobScheduler:
                 result, interrupted = self._execute(job, store, guard)
             if interrupted:
                 # Parked as `running`: recover() re-queues it at the
-                # next startup and the re-run resumes the checkpoint.
+                # next startup and the re-run resumes through the cache.
                 _logger.warning(
                     "job %s interrupted mid-run; parked for restart resume",
                     job.id,
@@ -211,15 +215,10 @@ class JobScheduler:
         if job.attempts > 1:
             spec["fault_plan"] = None
         request = MatchRequest.from_json(spec)
-        checkpoints = CheckpointManager(
-            self.store_dir / "checkpoints",
-            observer=self.observer,
-            faults=request.faults,
-        )
         run = run_match(
-            request, observer=self.observer, store=store,
-            checkpoints=checkpoints,
-            resume=True,  # cold start when no snapshot matches
-            interrupt=guard,
+            request, observer=self.observer, store=store, interrupt=guard,
+            eval_cache=EvaluationCache(
+                self.store_dir / "evalcache", observer=self.observer
+            ),
         )
         return run.to_dict(), run.interrupted

@@ -6,8 +6,10 @@ directory*, the daemon's single durable root:
 * ``jobs.db`` — the persistent job queue (:class:`JobQueue`);
 * ``match.db`` — the shared :class:`~repro.store.matchstore.MatchStore`
   the scheduler threads answer warm matches from;
-* ``checkpoints/`` — composite-search snapshots, which is what lets an
-  interrupted job resume bit-identically after a restart;
+* ``evalcache/`` — the composite search's persistent evaluation cache
+  (:class:`~repro.runtime.EvaluationCache`), which is what lets an
+  interrupted job resume bit-identically after a restart (a
+  ``checkpoints/`` directory left by an older version is never read);
 * ``deadletters/`` — malformed submissions and poison jobs, with
   provenance;
 * ``service.json`` — the *ready file*, written after the socket is
@@ -18,8 +20,8 @@ directory*, the daemon's single durable root:
 Startup order matters: recover (re-queue ``running`` jobs from the
 previous life), then schedulers, then the watcher, then HTTP — by the
 time a request can arrive, the machinery behind it is live.  Shutdown
-is the reverse, and in-flight composite jobs are tripped so they flush
-a final checkpoint and stay ``running`` for the next life to resume.
+is the reverse, and in-flight composite jobs are tripped so they end at
+a round boundary and stay ``running`` for the next life to resume.
 """
 
 from __future__ import annotations
@@ -158,7 +160,7 @@ class MatchingService:
             self.observer.count(
                 "jobs_recovered_total",
                 amount=float(recovered),
-                help="running jobs re-queued for checkpoint resume at startup",
+                help="running jobs re-queued at startup to resume",
             )
         self.scheduler.start()
         if self.watcher is not None:
@@ -194,8 +196,8 @@ class MatchingService:
 
         def handler(signum, frame):
             _logger.warning(
-                "%s received; shutting down (in-flight jobs flush a "
-                "checkpoint and resume on the next start)",
+                "%s received; shutting down (in-flight jobs stop at a "
+                "round boundary and resume on the next start)",
                 signal.Signals(signum).name,
             )
             stop_requested.set()

@@ -110,13 +110,6 @@ class ColdSearchState:
         )
         return self._sides[side_index]
 
-    def fast_forward(
-        self, history: tuple[tuple[int, tuple[str, ...]], ...]
-    ) -> list[SideState]:
-        for side_index, run in history:
-            self.apply_accepted(side_index, tuple(run))
-        return list(self._sides)
-
     def _graph(self, log: EventLog, members: dict[str, frozenset[str]]) -> DependencyGraph:
         # Counted trace by trace, independently of the log's variant table.
         return DependencyGraph.from_statistics(

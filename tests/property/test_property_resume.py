@@ -1,12 +1,16 @@
-"""Property suite: interrupt + resume == one uninterrupted run.
+"""Property suite: interrupt + re-run over the evaluation cache == one run.
 
-The durable-execution contract (S3): a composite search interrupted at
-*any* round boundary and resumed from its checkpoint must finish with
-bit-identical correspondences, similarity values, stats counters, and
-runtime-report structure — as if the interruption never happened.  The
-interrupt is injected deterministically through the fault harness
-(``search.round``/``interrupt``), which shares the code path a real
-SIGTERM takes through :class:`~repro.runtime.InterruptGuard`.
+The durable-execution contract: a composite search interrupted at *any*
+round boundary and re-run over the same
+:class:`~repro.runtime.EvaluationCache` must finish with bit-identical
+correspondences, similarity values, stats counters, and runtime-report
+structure — as if the interruption never happened.  The re-run replays
+every round the interrupted run finished from the cache, so its misses
+fall only on rounds at or after the interrupt.  The interrupt is injected
+deterministically through the fault harness (``search.round``/
+``interrupt``), which shares the code path a real SIGTERM takes through
+:class:`~repro.runtime.InterruptGuard`; damage is bytes flipped in the
+cache's files between the two runs.
 """
 
 import dataclasses
@@ -20,7 +24,8 @@ from hypothesis import strategies as st
 from repro.core.composite import CompositeMatcher
 from repro.core.config import EMSConfig
 from repro.logs.log import EventLog
-from repro.runtime import CheckpointManager, FaultPlan, FaultSpec
+from repro.obs import MetricsRegistry, Observer
+from repro.runtime import EvaluationCache, FaultPlan, FaultSpec
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 interrupt_rounds = st.integers(min_value=1, max_value=4)
@@ -35,14 +40,53 @@ def random_log(seed: int, alphabet: str = "abcdef") -> EventLog:
     return EventLog(traces, name=f"rand-{seed}")
 
 
+class RecordingCache(EvaluationCache):
+    """An evaluation cache that records the round of every miss."""
+
+    def __init__(self, directory, observer: Observer):
+        super().__init__(directory, observer=observer)
+        self.missed_rounds: list[int] = []
+
+    def load(self, key):
+        value = super().load(key)
+        if value is None:
+            gauge = self.observer.metrics.get("composite_round")
+            self.missed_rounds.append(int(gauge.value))
+        return value
+
+
 def _matcher(**kwargs) -> CompositeMatcher:
     defaults = dict(delta=0.0, min_confidence=0.8, max_run_length=3)
     defaults.update(kwargs)
     return CompositeMatcher(EMSConfig(), **defaults)
 
 
+def _cached(directory, faults=None):
+    """A matcher over the cache in *directory*, and that cache."""
+    observer = Observer(metrics=MetricsRegistry())
+    cache = RecordingCache(directory, observer)
+    return _matcher(eval_cache=cache, faults=faults, observer=observer), cache
+
+
+def _interrupt_at(round_: int) -> FaultPlan:
+    return FaultPlan(specs=(
+        FaultSpec(site="search.round", kind="interrupt", round=round_),
+    ))
+
+
 def _strip_timing(report_dict):
     return {k: v for k, v in report_dict.items() if k != "wall_time"}
+
+
+def _assert_same_search(result, baseline):
+    assert result.accepted_first == baseline.accepted_first
+    assert result.accepted_second == baseline.accepted_second
+    assert result.members_first == baseline.members_first
+    assert result.members_second == baseline.members_second
+    np.testing.assert_array_equal(result.matrix.values, baseline.matrix.values)
+    assert result.matrix.rows == baseline.matrix.rows
+    assert result.matrix.cols == baseline.matrix.cols
+    assert dataclasses.asdict(result.stats) == dataclasses.asdict(baseline.stats)
 
 
 @settings(max_examples=15, deadline=None)
@@ -52,84 +96,68 @@ def test_interrupted_then_resumed_equals_uninterrupted(seed, interrupt_round):
     baseline = _matcher().match(*pair)
 
     with tempfile.TemporaryDirectory() as scratch:
-        plan = FaultPlan(specs=(
-            FaultSpec(site="search.round", kind="interrupt",
-                      round=interrupt_round),
-        ))
-        interrupted = _matcher(
-            checkpoints=CheckpointManager(scratch), faults=plan,
-        ).match(*pair)
+        matcher, _ = _cached(scratch, faults=_interrupt_at(interrupt_round))
+        interrupted = matcher.match(*pair)
         if baseline.stats.rounds >= interrupt_round:
             assert interrupted.runtime.stage == "partial"
             assert interrupted.runtime.reason == "interrupted"
             assert interrupted.stats.rounds == interrupt_round - 1
-        resumed = _matcher(
-            checkpoints=CheckpointManager(scratch), resume=True,
-        ).match(*pair)
+        matcher, cache = _cached(scratch)
+        resumed = matcher.match(*pair)
 
-    assert resumed.accepted_first == baseline.accepted_first
-    assert resumed.accepted_second == baseline.accepted_second
-    assert resumed.members_first == baseline.members_first
-    assert resumed.members_second == baseline.members_second
-    np.testing.assert_array_equal(
-        resumed.matrix.values, baseline.matrix.values
-    )
-    assert resumed.matrix.rows == baseline.matrix.rows
-    assert resumed.matrix.cols == baseline.matrix.cols
-    assert dataclasses.asdict(resumed.stats) == dataclasses.asdict(baseline.stats)
+    _assert_same_search(resumed, baseline)
     assert _strip_timing(resumed.runtime.to_dict()) == _strip_timing(
         baseline.runtime.to_dict()
     )
+    # Every round the interrupted run finished is replayed from disk.
+    assert all(round_ >= interrupt_round for round_ in cache.missed_rounds)
+    assert cache.hits > 0 or interrupt_round == 1
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=seeds, interrupt_round=interrupt_rounds)
 def test_double_interrupt_chain_still_converges(seed, interrupt_round):
-    """Interrupt, resume, interrupt later, resume again — still identical."""
+    """Interrupt, re-run, interrupt later, re-run again — still identical."""
     pair = random_log(seed), random_log(seed + 1, alphabet="uvwxyz")
     baseline = _matcher().match(*pair)
 
     with tempfile.TemporaryDirectory() as scratch:
-        for stop_at in (interrupt_round, interrupt_round + 1):
-            plan = FaultPlan(specs=(
-                FaultSpec(site="search.round", kind="interrupt", round=stop_at),
-            ))
-            _matcher(
-                checkpoints=CheckpointManager(scratch), faults=plan,
-                resume=True,
-            ).match(*pair)
-        final = _matcher(
-            checkpoints=CheckpointManager(scratch), resume=True,
-        ).match(*pair)
+        resumed_at = 1
+        for stop_at in (interrupt_round, interrupt_round + 1, None):
+            faults = None if stop_at is None else _interrupt_at(stop_at)
+            matcher, cache = _cached(scratch, faults=faults)
+            final = matcher.match(*pair)
+            assert all(round_ >= resumed_at for round_ in cache.missed_rounds)
+            resumed_at = stop_at
 
-    assert final.accepted_first == baseline.accepted_first
-    assert final.accepted_second == baseline.accepted_second
-    np.testing.assert_array_equal(final.matrix.values, baseline.matrix.values)
-    assert dataclasses.asdict(final.stats) == dataclasses.asdict(baseline.stats)
+    _assert_same_search(final, baseline)
 
 
 @settings(max_examples=10, deadline=None)
-@given(seed=seeds, interrupt_round=interrupt_rounds)
-def test_corrupted_checkpoint_falls_back_to_cold_identical_run(
-    seed, interrupt_round
+@given(seed=seeds, interrupt_round=interrupt_rounds, data=st.data())
+def test_corrupted_cache_falls_back_to_cold_identical_run(
+    seed, interrupt_round, data
 ):
-    """Bit rot between interrupt and resume: cold start, same answer."""
+    """Bit rot between interrupt and re-run: cold evaluations, same answer."""
     pair = random_log(seed), random_log(seed + 1, alphabet="uvwxyz")
     baseline = _matcher().match(*pair)
 
     with tempfile.TemporaryDirectory() as scratch:
-        plan = FaultPlan(specs=(
-            FaultSpec(site="search.round", kind="interrupt",
-                      round=interrupt_round),
-            FaultSpec(site="checkpoint.write", kind="corrupt"),
-        ))
-        _matcher(
-            checkpoints=CheckpointManager(scratch, faults=plan), faults=plan,
-        ).match(*pair)
-        resumed = _matcher(
-            checkpoints=CheckpointManager(scratch), resume=True,
-        ).match(*pair)
+        matcher, cache = _cached(scratch, faults=_interrupt_at(interrupt_round))
+        matcher.match(*pair)
+        entries = sorted(cache.directory.glob("eval-*.pkl"))
+        damaged = data.draw(
+            st.lists(st.sampled_from(entries), unique=True) if entries
+            else st.just([])
+        )
+        for path in damaged:
+            raw = bytearray(path.read_bytes())
+            position = data.draw(st.integers(0, len(raw) - 1))
+            raw[position] ^= 0xFF
+            path.write_bytes(bytes(raw))
+        matcher, cache = _cached(scratch)
+        resumed = matcher.match(*pair)
 
-    assert resumed.accepted_first == baseline.accepted_first
-    np.testing.assert_array_equal(resumed.matrix.values, baseline.matrix.values)
-    assert dataclasses.asdict(resumed.stats) == dataclasses.asdict(baseline.stats)
+    _assert_same_search(resumed, baseline)
+    corrupt = cache.observer.metrics.get("eval_cache_corrupt_total")
+    assert (0 if corrupt is None else corrupt.value) == len(damaged)

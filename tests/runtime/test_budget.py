@@ -1,9 +1,12 @@
-"""Unit tests for MatchBudget / BudgetMeter."""
+"""Unit tests for MatchBudget / BudgetMeter / InterruptGuard."""
+
+import os
+import signal
 
 import pytest
 
 from repro.exceptions import BudgetExhausted, ReproError
-from repro.runtime import BudgetMeter, MatchBudget
+from repro.runtime import BudgetMeter, InterruptGuard, MatchBudget
 
 
 class FakeClock:
@@ -146,3 +149,33 @@ class TestBatchedTick:
         meter.tick(4)
         assert meter.pair_updates_remaining == 6
         assert MatchBudget().start(FakeClock()).pair_updates_remaining is None
+
+
+class TestInterruptGuard:
+    def test_trip_sets_flag(self):
+        guard = InterruptGuard(signals=())
+        assert not guard.interrupted
+        guard.trip("fault:search.round[2]")
+        assert guard.interrupted
+        assert guard.signal_name == "fault:search.round[2]"
+
+    def test_real_signal_sets_flag_once(self):
+        guard = InterruptGuard(signals=(signal.SIGUSR1,))
+        with guard:
+            os.kill(os.getpid(), signal.SIGUSR1)
+            assert guard.interrupted
+            assert guard.signal_name == "SIGUSR1"
+            # The handler restored the previous disposition for a
+            # second, harder signal.
+            assert signal.getsignal(signal.SIGUSR1) != guard._handle
+        assert signal.getsignal(signal.SIGUSR1) == signal.SIG_DFL
+
+    def test_exit_restores_previous_handler(self):
+        marker = lambda signum, frame: None  # noqa: E731
+        previous = signal.signal(signal.SIGUSR1, marker)
+        try:
+            with InterruptGuard(signals=(signal.SIGUSR1,)):
+                assert signal.getsignal(signal.SIGUSR1) != marker
+            assert signal.getsignal(signal.SIGUSR1) == marker
+        finally:
+            signal.signal(signal.SIGUSR1, previous)

@@ -60,10 +60,11 @@ class TestChaosCLI:
         {"site": "search.rnd", "kind": "interrupt"},
         {"site": "search.round", "kind": "corrupt"},
         {"site": "checkpoint.write", "kind": "interrupt"},
+        {"site": "checkpoint.write", "kind": "corrupt"},
     ])
     def test_retired_fault_kinds_exit_2(self, capsys, tmp_path, csv_pair, spec):
         plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps({"seed": 0, "specs": [spec]}))
+        plan_path.write_text(json.dumps({"specs": [spec]}))
         code = main([
             "match", str(csv_pair[0]), str(csv_pair[1]),
             "--composite", "--fault-plan", str(plan_path),

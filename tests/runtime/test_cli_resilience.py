@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import EXIT_BUDGET_EXHAUSTED, EXIT_INPUT_ERROR, main
+from repro.logs.csvio import write_csv
 
 
 def run(capsys, *argv):
@@ -147,24 +148,21 @@ class TestDurabilityFlags:
     def test_exit_codes_are_distinct(self):
         assert len({0, EXIT_INPUT_ERROR, EXIT_BUDGET_EXHAUSTED}) == 3
 
-    def test_resume_requires_checkpoint_dir(self, capsys, corpus):
+    @pytest.mark.parametrize("flags", [
+        ["--resume"],
+        ["--checkpoint-dir", "ckpt"],
+        ["--checkpoint-every", "2"],
+        ["--checkpoint-dir=ckpt", "--resume"],
+    ], ids=["resume", "checkpoint-dir", "checkpoint-every", "both"])
+    def test_retired_checkpoint_flags_exit_2(self, capsys, corpus, flags):
         code, captured = run(
             capsys, "match",
             str(corpus / "adversarial_a.csv"), str(corpus / "adversarial_b.csv"),
-            "--composite", "--resume",
+            "--composite", *flags,
         )
         assert code == EXIT_INPUT_ERROR
-        assert "--checkpoint-dir" in captured.err
-
-    def test_checkpoint_every_validated(self, capsys, corpus, tmp_path):
-        code, captured = run(
-            capsys, "match",
-            str(corpus / "adversarial_a.csv"), str(corpus / "adversarial_b.csv"),
-            "--composite", "--checkpoint-dir", str(tmp_path),
-            "--checkpoint-every", "0",
-        )
-        assert code == EXIT_INPUT_ERROR
-        assert "checkpoint-every" in captured.err
+        assert "--eval-cache-dir" in captured.err
+        assert captured.out == ""
 
     def test_unreadable_fault_plan_exits_2(self, capsys, corpus, tmp_path):
         bad_plan = tmp_path / "plan.json"
@@ -177,21 +175,48 @@ class TestDurabilityFlags:
         assert code == EXIT_INPUT_ERROR
         assert "fault plan" in captured.err
 
-    def test_checkpointed_run_writes_and_resumes(self, capsys, corpus, tmp_path):
+    def test_interrupted_run_resumes_from_eval_cache(
+        self, capsys, tmp_path, wide_pair
+    ):
+        first, second = tmp_path / "wide_a.csv", tmp_path / "wide_b.csv"
+        write_csv(wide_pair[0], first)
+        write_csv(wide_pair[1], second)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"specs": [
+            {"site": "search.round", "kind": "interrupt", "round": 2},
+        ]}))
+        cache, metrics = tmp_path / "evalcache", tmp_path / "metrics.prom"
         argv = (
-            "match",
-            str(corpus / "adversarial_a.csv"), str(corpus / "adversarial_b.csv"),
-            "--composite", "--checkpoint-dir", str(tmp_path), "--json",
+            "match", str(first), str(second), "--composite",
+            "--delta", "0.001", "--json",
         )
         code, captured = run(capsys, *argv)
         assert code == 0
-        first = json.loads(captured.out)
-        assert list(tmp_path.glob("ems-*.ckpt"))
-        code, captured = run(capsys, *argv, "--resume")
+        uninterrupted = json.loads(captured.out)
+
+        code, captured = run(
+            capsys, *argv, "--eval-cache-dir", str(cache),
+            "--fault-plan", str(plan),
+        )
         assert code == 0
-        second = json.loads(captured.out)
-        assert second["correspondences"] == first["correspondences"]
-        assert second["objective"] == first["objective"]
+        interrupted = json.loads(captured.out)
+        assert interrupted["runtime"]["reason"] == "interrupted"
+        assert list(cache.glob("eval-*.pkl"))
+
+        code, captured = run(
+            capsys, *argv, "--eval-cache-dir", str(cache),
+            "--metrics-out", str(metrics),
+        )
+        assert code == 0
+        resumed = json.loads(captured.out)
+        for name in ("objective", "correspondences", "diagnostics"):
+            assert resumed[name] == uninterrupted[name]
+        assert resumed["runtime"]["stage"] == "exact"
+        hits = [
+            line for line in metrics.read_text().splitlines()
+            if line.startswith("eval_cache_hits_total ")
+        ]
+        assert hits and float(hits[0].split()[1]) > 0
 
 
 class TestDeadLetterCLI:

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.composite import CompositeMatcher
 from repro.core.config import EMSConfig
 from repro.core.ems import EMSEngine
 from repro.exceptions import BudgetExhausted
 from repro.graph.dependency import DependencyGraph
 from repro.matchers import EMSCompositeMatcher, EMSMatcher
-from repro.runtime import DegradationPolicy, MatchBudget
+from repro.runtime import DegradationPolicy, FaultPlan, FaultSpec, MatchBudget
 
 
 def graphs(pair):
@@ -133,6 +134,32 @@ class TestCompositeResilience:
         assert "truncated" in outcome.runtime.detail
         # The matrix itself is the exact singleton solution.
         assert outcome.objective == pytest.approx(baseline.objective)
+
+    def test_truncation_after_a_merge_keeps_that_merge_state(self, wide_pair):
+        # 4,032 pair updates run out in round 2, after round 1 accepted a
+        # merge: the result is that merge state, matrix and members alike,
+        # as an interrupt at the round-2 boundary returns it.
+        stopped = CompositeMatcher(EMSConfig(), delta=0.001, faults=FaultPlan(
+            specs=(FaultSpec(site="search.round", kind="interrupt", round=2),)
+        )).match(*wide_pair)
+        truncated = CompositeMatcher(
+            EMSConfig(), delta=0.001, budget=MatchBudget(max_pair_updates=4032)
+        ).match(*wide_pair)
+        assert truncated.runtime.reason == "pair-updates"
+        assert truncated.stats.rounds == 2
+        assert truncated.accepted_first == stopped.accepted_first
+        assert truncated.accepted_second == stopped.accepted_second
+        assert len(stopped.accepted_first + stopped.accepted_second) == 1
+        assert truncated.members_first == stopped.members_first
+        assert truncated.matrix.rows == stopped.matrix.rows
+        assert truncated.matrix.cols == stopped.matrix.cols
+        np.testing.assert_array_equal(
+            truncated.matrix.values, stopped.matrix.values
+        )
+        outcome = EMSCompositeMatcher(
+            delta=0.001, budget=MatchBudget(max_pair_updates=4032)
+        ).match(*wide_pair)
+        assert any(c.is_composite() for c in outcome.correspondences)
 
     def test_unbudgeted_composite_unchanged_and_annotated(self, small_pair):
         outcome = EMSCompositeMatcher().match(*small_pair)

@@ -7,7 +7,40 @@ from repro.core.composite import CompositeMatcher
 from repro.core.config import EMSConfig
 from repro.logs.log import EventLog
 from repro.obs import MetricsRegistry, Observer
-from repro.runtime.evalcache import EvaluationCache, candidate_key, discovery_key
+from repro.runtime.evalcache import (
+    EvaluationCache,
+    candidate_key,
+    discovery_key,
+    search_content_key,
+)
+
+
+def _content_key(first=None, second=None, config=None, knobs=None):
+    return search_content_key(
+        first if first is not None else EventLog([["a", "b"]]),
+        second if second is not None else EventLog([["x", "y"]]),
+        config if config is not None else {"alpha": 1.0},
+        knobs if knobs is not None else {"delta": 0.01},
+    )
+
+
+class TestContentKey:
+    def test_stable_across_calls(self):
+        assert _content_key() == _content_key()
+
+    def test_sensitive_to_log_content(self):
+        assert _content_key(first=EventLog([["a", "c"]])) != _content_key()
+        assert _content_key(second=EventLog([["x", "y"], ["x"]])) != _content_key()
+
+    def test_sensitive_to_config_and_knobs(self):
+        assert _content_key(config={"alpha": 0.5}) != _content_key()
+        assert _content_key(knobs={"delta": 0.02}) != _content_key()
+
+    def test_insensitive_to_mapping_order(self):
+        assert (
+            _content_key(config={"alpha": 1.0, "c": 0.8})
+            == _content_key(config={"c": 0.8, "alpha": 1.0})
+        )
 
 
 def _candidate_key(base="base", history=((0, ("a", "b")),), side=1,

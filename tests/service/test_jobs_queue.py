@@ -68,6 +68,10 @@ class TestValidateSpec:
             {"site": "checkpoint.write", "kind": "interrupt"},
             id="checkpoint-interrupt",
         ),
+        pytest.param(
+            {"site": "checkpoint.write", "kind": "corrupt"},
+            id="checkpoint-corrupt",
+        ),
     ])
     def test_rejects_retired_fault_kinds(self, pair, spec):
         with pytest.raises(JobSpecError, match="not a fault plan"):

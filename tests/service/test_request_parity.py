@@ -19,9 +19,9 @@ from repro.request import MatchRequest
 from repro.runtime import DeadLetterArchive
 from repro.service import JobQueue, JobScheduler
 
-#: A checkpoint-corruption fault: it changes how a run is recorded,
-#: never what it computes (the CLI run takes no checkpoints at all).
-FAULT_PLAN = {"specs": [{"site": "checkpoint.write", "kind": "corrupt"}]}
+#: An interrupt at a round the search never reaches: the plan is
+#: attached and decoded on both front ends, and the run completes.
+FAULT_PLAN = {"specs": [{"site": "search.round", "kind": "interrupt", "round": 99}]}
 
 #: (job spec fields, matching ``repro match`` flags); "{plan}" is the
 #: path of FAULT_PLAN written to disk.

@@ -1,12 +1,16 @@
-"""Kill-and-restart: SIGTERM mid-job, restart, checkpoint resume.
+"""Kill-and-restart: SIGTERM mid-job, restart, resume from the cache.
 
 Drives the real daemon as a subprocess (``python -m repro serve``).  The
 in-flight composite job is interrupted deterministically by an inline
 fault plan (the scripted equivalent of a SIGTERM landing at a round
-boundary) so it flushes a checkpoint and parks as ``running``; the
-daemon then receives a real SIGTERM.  A second daemon life over the same
-store directory must re-queue the job, resume it from the snapshot, and
-finish with a result bit-identical to an uninterrupted run.
+boundary) after its first round filled the daemon's evaluation cache,
+and parks as ``running``; the daemon then receives a real SIGTERM.  A
+second daemon life over the same store directory must re-queue the job,
+replay the finished round from ``evalcache/``, and finish with a result
+bit-identical to an uninterrupted run.  A pair-budgeted job, which does
+not read the cache, goes through two in-process scheduler lives on one
+store and must end where an uninterrupted run under the same budget
+ends.
 """
 
 import json
@@ -17,11 +21,18 @@ import sys
 import time
 from pathlib import Path
 
+from repro.cli import main
 from repro.core.config import EMSConfig
 from repro.matchers import EMSCompositeMatcher
-from repro.service import READY_FILE
+from repro.request import MatchRequest
+from repro.runtime import DeadLetterArchive
+from repro.service import READY_FILE, JobQueue, JobScheduler
 
 from .conftest import http
+
+#: A pair budget the wide pair's uninterrupted search runs out of in its
+#: second round, after one accepted merge.
+PAIR_BUDGET = 4032
 
 
 def start_daemon(store_dir):
@@ -65,7 +76,14 @@ def stop_daemon(process, sig=signal.SIGTERM, timeout=60):
             process.kill()
 
 
-def test_sigterm_mid_job_resumes_from_checkpoint(tmp_path, wide_csv_pair):
+def _counter(metrics_text, name):
+    for line in metrics_text.splitlines():
+        if line.startswith(name + " "):
+            return float(line.split()[1])
+    return 0.0
+
+
+def test_sigterm_mid_job_resumes_from_eval_cache(tmp_path, wide_csv_pair):
     store_dir = tmp_path / "store"
     spec = {
         "log_first": str(wide_csv_pair[0]),
@@ -94,13 +112,12 @@ def test_sigterm_mid_job_resumes_from_checkpoint(tmp_path, wide_csv_pair):
                 f"job ended {parked['state']} in life 1: {parked['error']}"
             )
             if parked["state"] == "running" and parked["attempts"] == 1:
-                checkpoints = list((store_dir / "checkpoints").glob("*"))
-                if checkpoints:  # the final flush happened
-                    break
+                if list((store_dir / "evalcache").glob("eval-*.pkl")):
+                    break  # round 1 is on disk
             time.sleep(0.05)
         assert parked is not None and parked["state"] == "running"
-        assert list((store_dir / "checkpoints").iterdir()), (
-            "no checkpoint was flushed before the interrupt"
+        assert list((store_dir / "evalcache").glob("eval-*.pkl")), (
+            "no evaluation was cached before the interrupt"
         )
     finally:
         stop_daemon(process)  # the real SIGTERM
@@ -125,6 +142,10 @@ def test_sigterm_mid_job_resumes_from_checkpoint(tmp_path, wide_csv_pair):
         status, result_document = http("GET", f"{base}/jobs/{job_id}/result")
         assert status == 200
         result = result_document["result"]
+        status, metrics = http("GET", f"{base}/metrics")
+        assert status == 200
+        # The second life replayed the first life's round from disk.
+        assert _counter(metrics, "eval_cache_hits_total") > 0
     finally:
         stop_daemon(process)
 
@@ -142,3 +163,87 @@ def test_sigterm_mid_job_resumes_from_checkpoint(tmp_path, wide_csv_pair):
     )
     assert sorted(result["correspondences"], key=str) == expected
     assert result["runtime"]["stage"] == "exact"
+
+
+def _wait_for(queue, job_id, states, timeout=120):
+    deadline = time.monotonic() + timeout
+    job = queue.get(job_id)
+    while job.state not in states:
+        assert time.monotonic() < deadline, f"job stuck in {job.state}"
+        time.sleep(0.02)
+        job = queue.get(job_id)
+    return job
+
+
+def _scheduler(queue, store_dir):
+    return JobScheduler(
+        queue, store_dir, DeadLetterArchive(store_dir / "deadletters"),
+        poll_interval=0.01,
+    )
+
+
+def test_budgeted_job_restarts_cold_after_interrupt(
+    tmp_path, wide_csv_pair, csv_pair, capsys
+):
+    # A pair-budgeted job never reads the evaluation cache, so its re-run
+    # after an interrupt spends the whole budget again from round 1 and
+    # ends exactly where an uninterrupted run under that budget ends.
+    store_dir = tmp_path / "store"
+    store_dir.mkdir()
+    budgeted = MatchRequest.from_json({
+        "log_first": str(wide_csv_pair[0]),
+        "log_second": str(wide_csv_pair[1]),
+        "composite": True,
+        "delta": 0.001,
+        "pair_budget": PAIR_BUDGET,
+        "fault_plan": {
+            "specs": [{"site": "search.round", "kind": "interrupt", "round": 2}]
+        },
+    })
+    marker = MatchRequest.from_json(
+        {"log_first": str(csv_pair[0]), "log_second": str(csv_pair[1])}
+    )
+
+    # Life 1: the one worker parks the budgeted job at the round-2
+    # boundary, and only then claims the marker job queued behind it.
+    queue = JobQueue(store_dir / "jobs.db")
+    scheduler = _scheduler(queue, store_dir)
+    scheduler.start()
+    try:
+        record, _ = queue.submit(budgeted, source="test")
+        _wait_for(queue, record.id, ("running",))
+        behind, _ = queue.submit(marker, source="test")
+        _wait_for(queue, behind.id, ("done",))
+    finally:
+        scheduler.stop()
+        queue.close()
+
+    # Life 2: recovery re-queues the parked job; it runs to the end.
+    queue = JobQueue(store_dir / "jobs.db")
+    assert queue.get(record.id).state == "running"
+    assert queue.recover() == 1
+    scheduler = _scheduler(queue, store_dir)
+    scheduler.start()
+    try:
+        job = _wait_for(queue, record.id, ("done", "failed", "dead"))
+    finally:
+        scheduler.stop()
+        queue.close()
+    assert job.state == "done", job.error
+    assert job.attempts == 2
+
+    assert main([
+        "match", str(wide_csv_pair[0]), str(wide_csv_pair[1]), "--composite",
+        "--delta", "0.001", "--pair-budget", str(PAIR_BUDGET), "--json",
+    ]) == 0
+    cli = json.loads(capsys.readouterr().out)
+    assert cli["runtime"]["stage"] == "partial"
+    result = job.result
+    assert result["runtime"]["stage"] == cli["runtime"]["stage"]
+    assert result["runtime"]["reason"] == cli["runtime"]["reason"]
+    assert result["diagnostics"] == cli["diagnostics"]
+    assert result["diagnostics"]["composites_accepted"] == 1
+    assert result["objective"] == cli["objective"]
+    assert sorted(result["correspondences"], key=str) == sorted(
+        cli["correspondences"], key=str
+    )

@@ -1,9 +1,8 @@
 """One corruption contract for every persistent store.
 
-The evaluation cache, the checkpoint directory, the log store (its
-counts and its append bookkeeping) and the match store all promise the
-same thing: damaged data degrades to a cold
-recompute, never to a wrong answer.  Each store is driven through the
+The evaluation cache, the log store (its counts and its append
+bookkeeping) and the match store all promise the same thing: damaged
+data degrades to a cold recompute, never to a wrong answer.  Each store is driven through the
 same table of damage — a torn entry, a foreign entry (another format
 version, or data filed under another key) and a flipped bit — and must:
 
@@ -15,7 +14,6 @@ version, or data filed under another key) and a flipped bit — and must:
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 import sqlite3
 from dataclasses import dataclass
@@ -23,13 +21,11 @@ from typing import Any, Callable
 
 import pytest
 
-from repro.core.composite import CompositeStats
 from repro.core.config import EMSConfig
 from repro.core.ems import EMSEngine
 from repro.graph.dependency import DependencyGraph
 from repro.logs.log import EventLog
 from repro.obs import MetricsRegistry, Observer
-from repro.runtime.checkpoint import CheckpointManager, SearchSnapshot
 from repro.runtime.evalcache import EvaluationCache
 from repro.store.logstore import LogStore, case_digest
 from repro.store.matchstore import MatchStore, matrix_record
@@ -39,7 +35,7 @@ OTHER_KEY = "b" * 64
 
 
 # ----------------------------------------------------------------------
-# Damage to one file-backed entry (evaluation cache, checkpoints)
+# Damage to one file-backed entry (evaluation cache)
 # ----------------------------------------------------------------------
 def _file_torn(store, key, magic):
     path = store.path_for(key)
@@ -71,8 +67,7 @@ def _file_foreign_key(store, key, magic):
 
 
 def _file_entry_gone(store, key) -> bool:
-    path = store.path_for(key)
-    return not path.exists() or path.with_name(path.name + ".corrupt").exists()
+    return not store.path_for(key).exists()
 
 
 # ----------------------------------------------------------------------
@@ -181,13 +176,6 @@ def _matrix_record():
     return matrix_record(result, EMSConfig(), ("first", "second"))
 
 
-def _snapshot(key):
-    return SearchSnapshot(
-        key=key, rounds=1, history=((0, ("a", "b")),),
-        stats=CompositeStats(rounds=1), current={"matrix": [1.0, 2.0]},
-    )
-
-
 def _file_damage(magic):
     return {
         name: (lambda store, key, fn=fn: fn(store, key, magic))
@@ -220,15 +208,6 @@ SUBJECTS = [
         get=lambda store, key: store.load(key),
         corrupt_counter="eval_cache_corrupt_total",
         damage=_file_damage(b"EMSEVAL2"),
-        gone=_file_entry_gone,
-    ),
-    Subject(
-        name="CheckpointManager",
-        open=lambda path, observer: CheckpointManager(path / "ckpt", observer=observer),
-        put=lambda store, key: store.save(_snapshot(key)),
-        get=lambda store, key: store.load(key),
-        corrupt_counter="checkpoint_corrupt_total",
-        damage=_file_damage(b"EMSCKPT4"),
         gone=_file_entry_gone,
     ),
     Subject(
@@ -292,19 +271,3 @@ def test_damage_is_a_counted_cold_miss(subject, damage, tmp_path):
         if hasattr(store, "close"):
             store.close()
 
-
-def test_checkpoint_of_the_previous_format_starts_cold(tmp_path):
-    """A checkpoint whose pickled stats predate the current format is foreign.
-
-    It carries the previous magic and a valid digest, so only the magic
-    can reject it: it must never reach the unpickler.
-    """
-    registry = MetricsRegistry()
-    manager = CheckpointManager(tmp_path, observer=Observer(metrics=registry))
-    payload = pickle.dumps(_snapshot(KEY).to_payload())
-    digest = hashlib.sha256(payload).hexdigest()
-    header = b" ".join((b"EMSCKPT3", KEY.encode(), digest.encode())) + b"\n"
-    manager.directory.mkdir(parents=True, exist_ok=True)
-    manager.path_for(KEY).write_bytes(header + payload)
-    assert manager.load(KEY) is None
-    assert _counter(registry, "checkpoint_corrupt_total") == 1
