@@ -102,10 +102,10 @@ DENSE_KERNEL_PEAK_BYTES = 95_211_388
 
 #: The out-of-core ingestion scenario (PR 8): a CSV large enough that
 #: the monolithic path's materialized :class:`EventLog` dominates peak
-#: memory.  The sharded pipeline spills the trace stream into bounded
-#: blocks and counts per block, so its peak tracks the block size, not
-#: the log — ``ingest_sharded_memory`` in :func:`compare` holds the
-#: sharded/monolithic peak ratio under 0.25x.  The same file backs the
+#: memory.  The streamed pipeline partitions the CSV rows by case-id hash
+#: to disk and counts one partition's traces at a time, so its peak
+#: tracks the partition, not the log — ``ingest_streamed_memory`` in
+#: :func:`compare` holds the streamed/monolithic peak ratio under 0.25x.  The same file backs the
 #: ``stats_store_warm`` floor: a warm :class:`~repro.store.LogStore`
 #: serves the counts from SQLite without parsing, >= 5x faster than the
 #: cold parse+count.
@@ -539,13 +539,14 @@ def _memory_profile() -> dict:
 
 
 def _ingest_memory_profile() -> dict:
-    """Tracemalloc peaks of monolithic vs sharded ingestion, same CSV.
+    """Tracemalloc peaks of monolithic vs streamed ingestion, same CSV.
 
     The monolithic path materializes the whole :class:`EventLog` before
-    counting; the sharded pipeline streams partitions into bounded spill
-    blocks and counts block by block, so its peak tracks O(shard).  Both
-    must produce identical statistics — the ratio is only meaningful for
-    equivalent computations.
+    counting; the streamed pipeline partitions the rows by case-id hash
+    to disk and counts one partition's traces at a time, so its peak
+    tracks the largest partition.  Both must produce identical
+    statistics — the ratio is only meaningful for equivalent
+    computations.
     """
     import tracemalloc
 
@@ -562,17 +563,17 @@ def _ingest_memory_profile() -> dict:
         tracemalloc.stop()
     tracemalloc.start()
     try:
-        sharded = ingest_statistics(csv_path, shard_traces=256)
+        streamed = ingest_statistics(csv_path)
     finally:
-        _, sharded_peak = tracemalloc.get_traced_memory()
+        _, streamed_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-    if sharded.statistics != monolithic:
+    if streamed.statistics != monolithic:
         raise AssertionError(
-            "sharded ingestion diverged from the batch statistics"
+            "streamed ingestion diverged from the batch statistics"
         )
     return {
         "monolithic": {"peak_bytes": monolithic_peak},
-        "sharded": {"peak_bytes": sharded_peak, "shards": sharded.shards},
+        "streamed": {"peak_bytes": streamed_peak},
     }
 
 
@@ -643,12 +644,12 @@ def run_harness(repeats: int) -> dict:
         scenarios["composite_search_cold"]["mean_time"]
         / scenarios["composite_search_warm_cache"]["mean_time"]
     )
-    # Sharded vs monolithic peak ingestion memory (<= 0.25x floor): the
+    # Streamed vs monolithic peak ingestion memory (<= 0.25x floor): the
     # whole point of the out-of-core pipeline is that peak memory tracks
-    # the shard, not the log.
+    # one case-hash partition, not the log.
     ingest_memory = _ingest_memory_profile()
-    ingest_sharded_memory = (
-        ingest_memory["sharded"]["peak_bytes"]
+    ingest_streamed_memory = (
+        ingest_memory["streamed"]["peak_bytes"]
         / ingest_memory["monolithic"]["peak_bytes"]
     )
     # Warm persistent log store vs cold parse+count (>= 5x floor): a hit
@@ -685,7 +686,7 @@ def run_harness(repeats: int) -> dict:
         "memory": memory,
         "ingest_memory": ingest_memory,
         "match_scenario": MATCH_STORE_SCENARIO,
-        "ingest_sharded_memory": ingest_sharded_memory,
+        "ingest_streamed_memory": ingest_streamed_memory,
         "stats_store_warm": stats_store_warm,
         "match_store_warm": match_store_warm,
         "service_warm_speedup": service_warm_speedup,
@@ -713,8 +714,8 @@ FLOORS = (
      "no-op-observer overhead on exact EMS (20 events)"),
     ("warm_cache_speedup", 5.0, "min",
      "warm-evaluation-cache-vs-cold composite-search speedup"),
-    ("ingest_sharded_memory", 0.25, "max",
-     "sharded-vs-monolithic ingestion peak-memory ratio"),
+    ("ingest_streamed_memory", 0.25, "max",
+     "streamed-vs-monolithic ingestion peak-memory ratio"),
     ("stats_store_warm", 5.0, "min",
      "warm-log-store-vs-cold parse+count speedup"),
     ("match_store_warm", 10.0, "min",
@@ -907,8 +908,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"ingestion peak memory ({payload['ingest_scenario']['cases']} "
           f"cases): monolithic "
           f"{ingest_memory['monolithic']['peak_bytes'] / 2**20:.1f} MiB, "
-          f"sharded {ingest_memory['sharded']['peak_bytes'] / 2**20:.1f} MiB "
-          f"({payload['ingest_sharded_memory']:.2f}x of monolithic)")
+          f"streamed {ingest_memory['streamed']['peak_bytes'] / 2**20:.1f} MiB "
+          f"({payload['ingest_streamed_memory']:.2f}x of monolithic)")
     print(f"warm-log-store speedup over the cold parse+count: "
           f"{payload['stats_store_warm']:.2f}x")
     print(f"warm-match-store speedup over the cold end-to-end match: "

@@ -8,13 +8,11 @@ Usage::
                                     [--timeout S] [--pair-budget N]
                                     [--no-degrade] [--on-error MODE]
                                     [--dead-letter-dir DIR]
-                                    [--eval-cache-dir DIR]
-                                    [--shard-traces N] [--store PATH]
+                                    [--eval-cache-dir DIR] [--store PATH]
                                     [--trace-out PATH] [--metrics-out PATH]
                                     [--manifest-out PATH] [--log-level LEVEL]
     python -m repro stats LOG [--format xes|csv] [--on-error MODE]
-                              [--shard-traces N] [--store PATH]
-                              [--from-store] [--top N]
+                              [--store PATH] [--from-store] [--top N]
                               [--json] [--metrics-out PATH]
                               [--log-level LEVEL]
     python -m repro serve --store-dir DIR [--host H] [--port N]
@@ -56,22 +54,21 @@ text exposition, ``--manifest-out`` a run-manifest JSON (config +
 environment + per-stage timings), and ``--log-level`` enables library
 logging to stderr.
 
-Scale (see ``docs/scale.md``): ``--shard-traces N`` ingests each log
-out-of-core in blocks of N traces (peak memory O(shard), not O(log)),
-and ``--store PATH`` opens a persistent SQLite match store: each log's
-counts and each finished similarity matrix are memoized as
-digest-verified records, so a repeated log pair skips parse, count
-*and* the EMS fixpoint
+Scale (see ``docs/scale.md``): ``--store PATH`` opens a persistent
+SQLite match store and selects a statistics-backed singleton matching
+that never materializes the logs: each log is ingested out of core by
+the streamed route (CSV rows case-hash partitioned to disk, XES read
+one trace at a time), and each log's counts and each finished
+similarity matrix are memoized as digest-verified records.  A repeated
+log pair skips parse, count *and* the EMS fixpoint
 (``"match_mode": "store"`` under ``"provenance"`` in the JSON output),
 and a pair with an appended-to side parses only the new tail
 (``"ingest_modes"`` says ``"store-append"``) before a cold fixpoint
-(``"computed"``).  These flags select a statistics-backed singleton
-matching that never materializes the logs, so they are incompatible
-with ``--composite`` and ``--report``.  Results are bit-identical to
-the in-memory path.  ``stats`` runs the same ingestion
-pipeline without matching and prints the log's Definition-1 statistics;
-``stats --from-store`` answers from the store's counts alone, without
-reading the file.
+(``"computed"``).  ``--store`` is incompatible with ``--composite`` and
+``--report``.  Results are bit-identical to the in-memory path.
+``stats`` runs the same streamed ingestion without matching and prints
+the log's Definition-1 statistics; ``stats --from-store`` answers from
+the store's counts alone, without reading the file.
 
 Serving (see ``docs/service.md``): ``serve`` runs the long-lived
 matching daemon — a persistent job queue with content-hash dedup, a
@@ -127,9 +124,22 @@ EXIT_INPUT_ERROR = 2
 #: Exit code for budget exhaustion with the degradation ladder disabled.
 EXIT_BUDGET_EXHAUSTED = 3
 
-#: Flags of the removed checkpoint store, answered with a pointer to the
-#: evaluation cache that replaced it instead of a bare argparse error.
-_RETIRED_FLAGS = ("--checkpoint-dir", "--checkpoint-every", "--resume")
+_CHECKPOINTS_RETIRED = (
+    "composite checkpoints were removed; a composite search resumes by "
+    "re-running it with the same --eval-cache-dir DIR"
+)
+#: Flags of removed features, each answered (exit 2) with a pointer to
+#: what replaced it instead of a bare argparse error.
+_RETIRED_FLAGS = {
+    "--checkpoint-dir": _CHECKPOINTS_RETIRED,
+    "--checkpoint-every": _CHECKPOINTS_RETIRED,
+    "--resume": _CHECKPOINTS_RETIRED,
+    "--shard-traces": (
+        "the sharded ingest route was removed; match out of core with "
+        "--store PATH (its ingest always streams), and stats streams "
+        "on its own"
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,16 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
              "evaluation)",
     )
     match.add_argument(
-        "--shard-traces", type=int, default=None, metavar="N",
-        help="ingest out-of-core in blocks of N traces (peak memory "
-             "O(shard)); selects the statistics-backed singleton matching",
-    )
-    match.add_argument(
         "--store", metavar="PATH", default=None,
-        help="persistent SQLite match store: memoize content-addressed "
-             "counts and similarity matrices so repeated or appended-to "
-             "logs skip parsing and counting (digest-verified; corruption "
-             "degrades to a cold parse)",
+        help="persistent SQLite match store: ingest out of core and "
+             "memoize content-addressed counts and similarity matrices so "
+             "repeated or appended-to logs skip parsing and counting "
+             "(digest-verified; corruption degrades to a cold parse); "
+             "selects the statistics-backed singleton matching",
     )
     match.add_argument("--json", action="store_true", help="machine-readable output")
     match.add_argument(
@@ -245,10 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--on-error", choices=ON_ERROR_MODES, default="raise",
         help="ingestion fault mode (same semantics as match)",
-    )
-    stats.add_argument(
-        "--shard-traces", type=int, default=None, metavar="N",
-        help="ingest out-of-core in blocks of N traces",
     )
     stats.add_argument(
         "--store", metavar="PATH", default=None,
@@ -391,10 +393,6 @@ def run_stats(arguments: argparse.Namespace) -> int:
     observer = _build_observer(arguments)
     if arguments.top < 0:
         raise ReproError(f"--top must be >= 0, got {arguments.top}")
-    if arguments.shard_traces is not None and arguments.shard_traces < 1:
-        raise ReproError(
-            f"--shard-traces must be >= 1, got {arguments.shard_traces}"
-        )
     store = (
         MatchStore(arguments.store, observer=observer) if arguments.store else None
     )
@@ -411,8 +409,7 @@ def run_stats(arguments: argparse.Namespace) -> int:
         with observer.span("stats", source=arguments.log):
             result = ingest_statistics(
                 arguments.log, arguments.format, arguments.on_error, report,
-                shard_traces=arguments.shard_traces, store=store,
-                observer=observer,
+                store=store, observer=observer,
             )
         if store is not None:
             store.close()
@@ -425,7 +422,6 @@ def run_stats(arguments: argparse.Namespace) -> int:
         payload = {
             "log": result.log_name,
             "mode": result.mode,
-            "shards": result.shards,
             "trace_count": statistics.trace_count,
             "activities": len(statistics.activity_frequencies),
             "pairs": len(statistics.pair_frequencies),
@@ -447,8 +443,7 @@ def run_stats(arguments: argparse.Namespace) -> int:
         f"{result.log_name}: {statistics.trace_count} traces, "
         f"{len(statistics.activity_frequencies)} activities, "
         f"{len(statistics.pair_frequencies)} dependency pairs "
-        f"[{result.mode}"
-        + (f", {result.shards} shards]" if result.shards else "]")
+        f"[{result.mode}]"
     )
     ranked = sorted(
         statistics.activity_frequencies.items(), key=lambda item: (-item[1], item[0])
@@ -567,12 +562,11 @@ def main(argv: list[str] | None = None) -> int:
     arguments, unknown = parser.parse_known_args(argv)
     retired = [arg for arg in unknown if arg.partition("=")[0] in _RETIRED_FLAGS]
     if retired:
-        print(
-            f"error: {' '.join(retired)}: composite checkpoints were removed; "
-            f"a composite search resumes by re-running it with the same "
-            f"--eval-cache-dir DIR",
-            file=sys.stderr,
-        )
+        by_pointer: dict[str, list[str]] = {}
+        for arg in retired:
+            by_pointer.setdefault(_RETIRED_FLAGS[arg.partition("=")[0]], []).append(arg)
+        for pointer, args in by_pointer.items():
+            print(f"error: {' '.join(args)}: {pointer}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if unknown:
         parser.error(f"unrecognized arguments: {' '.join(unknown)}")

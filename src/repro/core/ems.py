@@ -1049,11 +1049,10 @@ class EMSEngine:
         obs = self.observer
         if not obs.enabled:
             return
-        fixed_mask = getattr(run, "_fixed_mask", None)
         obs.event(
             "pruning.freeze",
             direction=direction,
-            fixed_pairs=0 if fixed_mask is None else int(fixed_mask.sum()),
+            fixed_pairs=int(run._fixed_mask.sum()),
             iterations=run.iterations,
             pair_updates=run.pair_updates,
             converged=run.converged,
@@ -1065,13 +1064,10 @@ class EMSEngine:
                 runs: list[_DirectionalRun]) -> EMSResult:
         combined = combine_directional([run.real_values() for run in runs])
         matrix = SimilarityMatrix(first.nodes, second.nodes, combined)
-        directional: dict[str, SimilarityMatrix] = {}
-        names = (
-            ["forward", "backward"] if self.config.direction == "both"
-            else [self.config.direction]
-        )
-        for name, run in zip(names, runs):
-            directional[name] = SimilarityMatrix(first.nodes, second.nodes, run.real_values())
+        directional = {
+            name: SimilarityMatrix(first.nodes, second.nodes, run.real_values())
+            for name, run in zip(self._directional_names(), runs)
+        }
         return EMSResult(
             matrix=matrix,
             iterations=sum(run.iterations for run in runs),
@@ -1220,13 +1216,6 @@ class EMSEngine:
                 self._freeze_event(run, direction)
         obs.count("ems_fixpoint_total")
         return self._result(first, second, runs)
-
-    # ------------------------------------------------------------------
-    def pair_similarity(
-        self, first: DependencyGraph, second: DependencyGraph, node_first: str, node_second: str
-    ) -> float:
-        """Convenience: the converged similarity of one pair."""
-        return self.similarity(first, second).matrix.get(node_first, node_second)
 
 
 def iteration_trace(

@@ -47,9 +47,9 @@ class OnlineStatistics:
         """Ingest one completed trace given only its activity sequence.
 
         The counter updates are exactly those of :meth:`add_trace`, which
-        passes a trace's activity column here; the sharded ingestion
-        pipeline calls it directly on the activity tuples of spilled trace
-        blocks, and the differential suites hold the two entry points to
+        passes a trace's activity column here; the streamed ingestion
+        route calls it directly on the activity tuples of its trace
+        stream, and the differential suites hold the two entry points to
         identical statistics.
         """
         sequence = tuple(activities)
@@ -98,27 +98,14 @@ class OnlineStatistics:
             {tuple(pair): count for pair, count in dict(pair_counts).items()}
         )
 
-    def merge(self, other: "OnlineStatistics") -> "OnlineStatistics":
-        """Combine two accumulators (e.g. from parallel shards).
-
-        Pure: both inputs are left untouched.  An N-way reduce through
-        this method allocates fresh counters at every step; use
-        :meth:`merge_into` when folding many shards into one accumulator.
-        """
-        merged = OnlineStatistics()
-        merged._trace_count = self._trace_count + other._trace_count
-        merged._activity_counts = self._activity_counts + other._activity_counts
-        merged._pair_counts = self._pair_counts + other._pair_counts
-        return merged
-
     def merge_into(self, other: "OnlineStatistics") -> None:
         """Fold this accumulator's counts into *other*, in place.
 
-        The destructive counterpart of :meth:`merge`: ``other`` absorbs
-        ``self`` without allocating fresh counters, so an N-shard reduce
-        is O(touched keys) per shard instead of O(N · vocabulary)
-        allocations.  ``self`` is left untouched; after the call
-        ``other`` equals ``other.merge(self)`` key for key.
+        ``other`` absorbs ``self`` without allocating fresh counters
+        (the append path folds a parsed tail into the stored prefix
+        counts this way); ``self`` is left untouched.  Counts are integer
+        sums over traces, so folding any partition of a log's traces
+        reproduces the counts of the whole log.
         """
         other._trace_count += self._trace_count
         other._activity_counts.update(self._activity_counts)

@@ -121,7 +121,7 @@ class EMSMatcher(EventMatcher):
     ) -> MatchOutcome:
         """Match from precomputed :class:`LogStatistics`, logs unseen.
 
-        The out-of-core entry point: the sharded/store-backed ingestion
+        The out-of-core entry point: the streamed/store-backed ingestion
         pipeline (:mod:`repro.store`) reduces each input to statistics
         without ever materializing an :class:`EventLog`, and this method
         completes the matching from there.  Statistics determine the

@@ -45,7 +45,7 @@ from repro.runtime import (
     MatchBudget,
 )
 from repro.similarity.labels import QGramCosineSimilarity
-from repro.store import MatchStore, file_digest, ingest_graph, match_stored
+from repro.store import MatchStore, file_digest, match_stored
 
 FORMATS = ("auto", "xes", "csv")
 ON_ERROR_MODES = ("raise", "skip", "repair")
@@ -135,9 +135,6 @@ class MatchRequest:
     raises :class:`RequestError`.  The derived ``config``, ``budget``
     and ``degradation`` are built here, once, and :func:`run_match` uses
     them as they are.
-
-    The last field is not a job spec field: the out-of-core block size
-    (singleton routes only) changes only how the result is computed.
     """
 
     log_first: str
@@ -157,7 +154,6 @@ class MatchRequest:
     faults: FaultPlan | None = None
     dtype: str = "float64"
     degrade: bool = True
-    shard_traces: int | None = None
 
     config: EMSConfig = field(init=False, repr=False, compare=False)
     budget: MatchBudget | None = field(init=False, repr=False, compare=False)
@@ -185,10 +181,6 @@ class MatchRequest:
             raise RequestError(f"must be non-negative, got {self.delta}", "delta")
         if not self.composite:
             resolve("delta", None)
-        if self.shard_traces is not None and self.shard_traces < 1:
-            raise RequestError(
-                f"must be >= 1, got {self.shard_traces}", "shard_traces"
-            )
         try:
             resolve("config", EMSConfig(
                 alpha=self.alpha,
@@ -216,17 +208,15 @@ class MatchRequest:
         Raises :class:`ReproError` (exit 2) for out-of-range knobs,
         conflicting flags and an unreadable ``--fault-plan``.
         """
-        scaled = arguments.shard_traces is not None or arguments.store is not None
-        if scaled and arguments.composite:
+        if arguments.store is not None and arguments.composite:
             raise ReproError(
-                "--shard-traces/--store select the statistics-backed "
-                "pipeline, which is singleton-only; composite matching needs "
-                "the full traces"
+                "--store selects the statistics-backed pipeline, which is "
+                "singleton-only; composite matching needs the full traces"
             )
-        if scaled and arguments.report:
+        if arguments.store is not None and arguments.report:
             raise ReproError(
                 "--report renders the parsed logs; it cannot be combined with "
-                "the out-of-core --shard-traces/--store path"
+                "the out-of-core --store path"
             )
         faults = None
         if arguments.fault_plan is not None:
@@ -445,9 +435,6 @@ def run_match(
     * **stored singleton** — with a *store*,
       :func:`~repro.store.match_stored` serves the pair from the stored
       matrix (``store``) or runs it cold and stores it (``computed``);
-    * **sharded singleton** — with ``shard_traces``,
-      each side is reduced to its dependency graph out of core by
-      :func:`~repro.store.ingest_graph` and the graphs are matched;
     * **in-memory singleton** — both logs are parsed and matched.
 
     Every route gives the same answer as the in-memory one.  *archive*
@@ -483,36 +470,14 @@ def run_match(
                 budget=request.budget, degradation=request.degradation,
                 observer=observer,
             )
-            ingest = dict(shard_traces=request.shard_traces, observer=observer)
             if store is not None:
                 with _dead_lettered(archive, request.log_first):
                     outcome, stored = match_stored(
                         *paths, request.format, request.on_error,
-                        matcher=matcher, store=store, reports=reports, **ingest,
+                        matcher=matcher, store=store, reports=reports,
+                        observer=observer,
                     )
                 provenance = _provenance(**stored)
-            elif request.shard_traces is not None:
-                graphs, results = [], []
-                for path, report in zip(paths, reports):
-                    with observer.span("ingest.pipeline", source=path), \
-                            _dead_lettered(archive, path):
-                        graph, result = ingest_graph(
-                            path, request.format, request.on_error, report,
-                            **ingest,
-                        )
-                    observer.info(
-                        "ingested %s via %s (%d traces, %d shards)",
-                        path, result.mode, result.statistics.trace_count,
-                        result.shards,
-                    )
-                    graphs.append(graph)
-                    results.append(result)
-                outcome = matcher.match_graphs(*graphs)
-                provenance = _provenance(
-                    "computed",
-                    (result.log_name for result in results),
-                    (result.mode for result in results),
-                )
             else:
                 logs = _parse(request, reports, archive, observer)
                 outcome = matcher.match(*logs)

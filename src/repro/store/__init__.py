@@ -1,8 +1,9 @@
-"""Sharded, out-of-core ingestion and the persistent log store.
+"""Out-of-core ingestion and the persistent log store.
 
-The scale layer of the pipeline (see ``docs/scale.md``): streaming
-trace ingestion with spill-to-disk blocks counted one block at a time
-(:mod:`~repro.store.blocks`, :mod:`~repro.store.sharding`), and a SQLite
+The scale layer of the pipeline (see ``docs/scale.md``): streamed trace
+ingestion that never materializes a log — CSV rows are case-hash
+partitioned to disk, XES is read one trace at a time
+(:mod:`~repro.store.stream`) — and a SQLite
 :class:`LogStore` that keeps each ingested log once, as its
 content-addressed counts, across runs (:mod:`~repro.store.logstore`).
 :func:`ingest_statistics` / :func:`ingest_graph`
@@ -17,11 +18,6 @@ repeated pair straight from the store, and runs a grown one cold on
 append-ingested counts.  Every stored row is a digest-verified record.
 """
 
-from repro.store.blocks import (
-    DEFAULT_BLOCK_TRACES,
-    TraceBlockWriter,
-    iter_block,
-)
 from repro.store.logstore import (
     LogStore,
     case_digest,
@@ -42,37 +38,30 @@ from repro.store.pipeline import (
     match_stored,
     stored_statistics,
 )
-from repro.store.sharding import (
+from repro.store.stream import (
     DEFAULT_PARTITIONS,
     partition_csv,
     resolve_format,
-    shard_statistics,
-    spill_blocks,
     stream_traces,
 )
 
 __all__ = [
-    "DEFAULT_BLOCK_TRACES",
     "DEFAULT_PARTITIONS",
     "IngestResult",
     "LogStore",
     "MatchStore",
-    "TraceBlockWriter",
     "case_digest",
     "counts_content_key",
     "file_digest",
     "ingest_graph",
     "ingest_key",
     "ingest_statistics",
-    "iter_block",
     "match_stored",
     "matrix_content_key",
     "matrix_record",
     "partition_csv",
     "restore_result",
     "resolve_format",
-    "shard_statistics",
-    "spill_blocks",
     "stored_statistics",
     "stream_traces",
 ]

@@ -1,4 +1,4 @@
-"""Ingestion orchestration: store lookup → append → sharded → streamed.
+"""Ingestion orchestration: store lookup → append → streamed.
 
 :func:`ingest_statistics` is the out-of-core front door.  For one input
 file it produces the exact :class:`~repro.logs.stats.LogStatistics` the
@@ -13,11 +13,10 @@ choosing the cheapest sound route:
    only when the tail's cases are disjoint from the stored case-digest
    set — otherwise a case's rows would be split across two parses — so
    any overlap falls back to a cold full parse;
-3. **sharded** (``shard_traces`` set) — the trace stream is spilled into
-   bounded blocks and counted one block at a time; peak memory is
-   O(shard);
-4. **streamed** — the trace stream feeds one accumulator directly;
-   still never materializes an :class:`~repro.logs.log.EventLog`.
+3. **streamed** — the trace stream of :func:`~repro.store.stream.stream_traces`
+   (CSV case-hash partitioned to disk, XES one trace at a time) feeds
+   one accumulator directly; never materializes an
+   :class:`~repro.logs.log.EventLog`.
 
 Every route ends in the same integer counts, so the emitted statistics
 (and any graph built from them) are bit-identical across routes — the
@@ -57,12 +56,7 @@ from repro.store.matchstore import (
     matrix_record,
     restore_result,
 )
-from repro.store.sharding import (
-    resolve_format,
-    shard_statistics,
-    spill_blocks,
-    stream_traces,
-)
+from repro.store.stream import resolve_format, stream_traces
 
 if TYPE_CHECKING:
     from repro.baselines.common import MatchOutcome
@@ -76,17 +70,14 @@ class IngestResult:
     """What one ingestion produced and how.
 
     ``mode`` is ``"store"`` (counts served entirely from the store),
-    ``"store-append"`` (stored prefix counts + freshly parsed tail),
-    ``"sharded"`` (spilled blocks, per-shard counting) or ``"streamed"``
-    (single-pass accumulation).  ``shards`` is the number of blocks
-    counted (0 unless sharded); ``counts_key`` the store key used, when
-    a store was attached.
+    ``"store-append"`` (stored prefix counts + freshly parsed tail) or
+    ``"streamed"`` (single-pass accumulation); ``counts_key`` the store
+    key used, when a store was attached.
     """
 
     statistics: LogStatistics
     log_name: str
     mode: str
-    shards: int = 0
     counts_key: str | None = None
 
 
@@ -222,14 +213,12 @@ def ingest_statistics(
     on_error: str = "raise",
     report: IngestionReport | None = None,
     *,
-    shard_traces: int | None = None,
     store: LogStore | None = None,
     observer: Observer | None = None,
 ) -> IngestResult:
     """Statistics of the log at *source*, by the cheapest sound route.
 
-    See the module docstring for route selection.  ``shard_traces`` is
-    the traces-per-block bound of the sharded route.  Note that a
+    See the module docstring for route selection.  Note that a
     store-served result skips parsing entirely, so *report* then
     reflects only what was actually parsed (nothing on a full hit, the
     tail on an append).
@@ -258,32 +247,18 @@ def ingest_statistics(
 
     digests: set[bytes] = set()
     name_sink = _NameSink(Path(source).stem)
-    mode = "streamed"
-    shards = 0
     with tempfile.TemporaryDirectory(prefix="repro-ingest-") as scratch:
-        scratch_dir = Path(scratch)
         traces = stream_traces(
             source, fmt, on_error, report,
-            spill_dir=scratch_dir / "partitions",
+            spill_dir=Path(scratch) / "partitions",
             name_sink=name_sink,
         )
         if store is not None:
             traces = _digesting(traces, digests)
-        if shard_traces is not None:
-            if shard_traces < 1:
-                raise ValueError(f"shard_traces must be >= 1, got {shard_traces}")
-            with observer.span("ingest.spill", source=os.fspath(source)):
-                blocks = spill_blocks(
-                    traces, scratch_dir / "blocks", block_traces=shard_traces
-                )
-            shards = len(blocks)
-            stats = shard_statistics(blocks, observer=observer)
-            mode = "sharded"
-        else:
-            stats = OnlineStatistics()
-            with observer.span("ingest.stream", source=os.fspath(source)):
-                for _, activities in traces:
-                    stats.add_sequence(activities)
+        stats = OnlineStatistics()
+        with observer.span("ingest.stream", source=os.fspath(source)):
+            for _, activities in traces:
+                stats.add_sequence(activities)
 
     if store is not None and counts_key is not None:
         store.put_counts(
@@ -305,8 +280,7 @@ def ingest_statistics(
     return IngestResult(
         statistics=stats.snapshot(),
         log_name=name_sink.value,
-        mode=mode,
-        shards=shards,
+        mode="streamed",
         counts_key=counts_key,
     )
 
@@ -446,7 +420,6 @@ def ingest_graph(
     report: IngestionReport | None = None,
     *,
     min_frequency: float = 0.0,
-    shard_traces: int | None = None,
     store: LogStore | None = None,
     observer: Observer | None = None,
 ) -> tuple[DependencyGraph, IngestResult]:
@@ -457,8 +430,7 @@ def ingest_graph(
     """
     observer = observer if observer is not None else NULL_OBSERVER
     result = ingest_statistics(
-        source, fmt, on_error, report,
-        shard_traces=shard_traces, store=store, observer=observer,
+        source, fmt, on_error, report, store=store, observer=observer,
     )
     with observer.span("graph.build", source=os.fspath(source)):
         graph = DependencyGraph.from_statistics(
@@ -479,7 +451,6 @@ def match_stored(
     matcher: "EMSMatcher",
     store: MatchStore,
     reports: tuple[IngestionReport | None, IngestionReport | None] = (None, None),
-    shard_traces: int | None = None,
     label_key: str = "opaque",
     observer: Observer | None = None,
 ) -> tuple["MatchOutcome", dict[str, Any]]:
@@ -536,8 +507,7 @@ def match_stored(
         try:
             sides.append(ingest_graph(
                 source, side_fmt, on_error, report,
-                min_frequency=min_frequency, shard_traces=shard_traces,
-                store=store, observer=observer,
+                min_frequency=min_frequency, store=store, observer=observer,
             ))
         except LogFormatError as error:
             # Tag the failing side so callers can dead-letter the right

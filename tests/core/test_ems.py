@@ -209,8 +209,6 @@ class TestEdgeWeightAblation:
 
 class TestPairSimilarityHelper:
     def test_matches_matrix(self, fig1_graphs):
-        engine = EMSEngine(FORWARD)
-        value = engine.pair_similarity(*fig1_graphs, "C", "4")
-        assert value == pytest.approx(
-            engine.similarity(*fig1_graphs).matrix.get("C", "4")
-        )
+        matrix = EMSEngine(FORWARD).similarity(*fig1_graphs).matrix
+        value = matrix.get("C", "4")
+        assert value == matrix.values[matrix.rows.index("C"), matrix.cols.index("4")]

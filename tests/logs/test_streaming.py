@@ -58,32 +58,8 @@ class TestMerge:
             first.add_trace(trace)
         for trace in traces[4:]:
             second.add_trace(trace)
-        merged = first.merge(second)
-        assert merged.snapshot() == compute_statistics(log)
-
-    def test_merge_leaves_inputs_untouched(self):
-        first = OnlineStatistics()
-        first.add_trace(["a"])
-        second = OnlineStatistics()
-        second.add_trace(["b"])
-        first.merge(second)
-        assert first.trace_count == 1
-        assert second.trace_count == 1
-
-    def test_merge_into_equals_pure_merge(self, fig1_logs):
-        log = fig1_logs[0]
-        traces = list(log)
-        shards = [traces[:2], traces[2:5], traces[5:]]
-        pure = OnlineStatistics()
-        folded = OnlineStatistics()
-        for shard in shards:
-            accumulator = OnlineStatistics()
-            for trace in shard:
-                accumulator.add_trace(trace)
-            pure = pure.merge(accumulator)
-            accumulator.merge_into(folded)
-        assert folded.snapshot() == pure.snapshot()
-        assert folded.snapshot() == compute_statistics(log)
+        second.merge_into(first)
+        assert first.snapshot() == compute_statistics(log)
 
     def test_merge_into_leaves_source_untouched(self):
         source = OnlineStatistics()

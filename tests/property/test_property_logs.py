@@ -100,22 +100,22 @@ def test_sharded_streaming_merge_equals_batch(assigned):
     """Splitting a log across accumulators and merging loses nothing.
 
     Ingesting the traces into k shards in any split and folding the
-    shards with :meth:`OnlineStatistics.merge` must reproduce the batch
-    :func:`compute_statistics` snapshot exactly — merge adds the integer
-    counters, and the final division by the identical trace count makes
-    even the floats bit-equal.
+    shards with :meth:`OnlineStatistics.merge_into`, in either order,
+    must reproduce the batch :func:`compute_statistics` snapshot
+    exactly — the fold adds the integer counters, and the final division
+    by the identical trace count makes even the floats bit-equal.
     """
     from repro.logs.streaming import OnlineStatistics
 
     shards = [OnlineStatistics() for _ in range(4)]
     for trace, shard in assigned:
         shards[shard].add_trace(trace)
-    merged = shards[0]
-    for shard in shards[1:]:
-        merged = merged.merge(shard)
-    reversed_merge = shards[-1]
-    for shard in reversed(shards[:-1]):
-        reversed_merge = reversed_merge.merge(shard)
+    merged = OnlineStatistics()
+    for shard in shards:
+        shard.merge_into(merged)
+    reversed_merge = OnlineStatistics()
+    for shard in reversed(shards):
+        shard.merge_into(reversed_merge)
     batch = compute_statistics(build_log([trace for trace, _ in assigned]))
     assert merged.snapshot() == batch
     assert reversed_merge.snapshot() == batch  # merge order is irrelevant

@@ -1,22 +1,27 @@
-"""Property suite: any shard partition reproduces the monolithic answer.
+"""Property suite: any partition of a log's traces reproduces the batch answer.
 
-The load-bearing invariant of the out-of-core pipeline (PR 8): however a
-log's traces are cut into shards — equal blocks, single-trace shards,
-more shards than traces — the merged statistics and any graph built from
-them are *bit-identical* to the monolithic computation.  Definition-1
+The load-bearing invariant of the out-of-core pipeline: however a log's
+traces are cut — CSV rows case-hash partitioned to disk into any number
+of spill files, counts folded from uneven or empty parts, stored counts
+continued by a tail — the resulting statistics and any graph built from
+them are *bit-identical* to the batch computation.  Definition-1
 statistics are integer sums over traces, and the final division by the
 (identical) trace count is partition-insensitive.
 """
+
+import csv
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.dependency import DependencyGraph
+from repro.logs.csvio import read_csv
 from repro.logs.log import EventLog
 from repro.logs.stats import compute_statistics
 from repro.logs.streaming import OnlineStatistics
-from repro.store.blocks import TraceBlockWriter
-from repro.store.sharding import shard_statistics
+from repro.logs.xes import read_xes, write_xes
+from repro.store import partition_csv, stream_traces
 
 activity = st.text(
     alphabet=st.characters(whitelist_categories=("L", "N"), max_codepoint=0x2FF),
@@ -31,31 +36,69 @@ def monolithic(traces):
     return compute_statistics(EventLog(traces, name="prop"))
 
 
-def spill(tmp_path, traces, block_traces):
-    writer = TraceBlockWriter(tmp_path / "blocks", block_traces=block_traces)
-    for index, activities in enumerate(traces):
-        writer.add(f"case-{index}", activities)
-    return writer.finish()
+def write_interleaved_csv(path, traces):
+    """The traces as CSV rows, cases interleaved position by position —
+    the layout a single forward pass cannot cut into whole cases."""
+    rows = sorted(
+        (position, index, activity)
+        for index, activities in enumerate(traces)
+        for position, activity in enumerate(activities)
+    )
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["case_id", "activity", "timestamp"])
+        for position, index, activity in rows:
+            writer.writerow([f"case-{index}", activity, f"{position}.0"])
 
 
 @given(log_strategy, st.integers(min_value=1, max_value=20))
 @settings(max_examples=60, deadline=None)
-def test_any_block_size_matches_monolithic(tmp_path_factory, traces, block_traces):
-    """Every block size — including 1 (single-trace shards) and sizes
-    exceeding the trace count (shards > traces degenerates to one block,
-    and a requested shard count larger than the log is harmless)."""
-    tmp_path = tmp_path_factory.mktemp("shards")
-    blocks = spill(tmp_path, traces, block_traces)
-    assert shard_statistics(blocks).snapshot() == monolithic(traces)
+def test_any_partition_count_matches_batch_reader(tmp_path_factory, traces, partitions):
+    """Every partition count — 1 (one spill file), and counts exceeding
+    the case count (empty partitions) — streams to the batch reader's
+    statistics."""
+    tmp_path = tmp_path_factory.mktemp("partitions")
+    path = tmp_path / "log.csv"
+    write_interleaved_csv(path, traces)
+    stats = OnlineStatistics()
+    for _, activities in stream_traces(
+        path, spill_dir=tmp_path / "spill", partitions=partitions
+    ):
+        stats.add_sequence(activities)
+    assert stats.snapshot() == compute_statistics(read_csv(path, name="log"))
+
+
+@given(log_strategy, st.integers(min_value=1, max_value=20))
+@settings(max_examples=40, deadline=None)
+def test_partitions_reassemble_batch_cases(tmp_path_factory, traces, partitions):
+    """Each case lands whole in exactly one partition file: parsing the
+    files one by one with the batch reader gives the batch traces."""
+    tmp_path = tmp_path_factory.mktemp("partitions")
+    path = tmp_path / "log.csv"
+    write_interleaved_csv(path, traces)
+    files = partition_csv(path, tmp_path / "spill", partitions)
+    assert len(files) == partitions
+    owners: Counter[str] = Counter()
+    parts = {}
+    for file in files:
+        for trace in read_csv(file, name="log"):
+            owners[trace.case_id] += 1
+            parts[trace.case_id] = trace.activities
+    batch = {trace.case_id: trace.activities for trace in read_csv(path, name="log")}
+    assert parts == batch
+    assert set(owners.values()) == {1}
 
 
 @given(log_strategy)
 @settings(max_examples=40, deadline=None)
-def test_single_trace_shards_match_monolithic(tmp_path_factory, traces):
-    tmp_path = tmp_path_factory.mktemp("shards")
-    blocks = spill(tmp_path, traces, block_traces=1)
-    assert len(blocks) == len(traces)
-    assert shard_statistics(blocks).snapshot() == monolithic(traces)
+def test_xes_stream_matches_batch_reader(tmp_path_factory, traces):
+    tmp_path = tmp_path_factory.mktemp("xes")
+    path = tmp_path / "log.xes"
+    write_xes(EventLog(traces, name="prop"), path)
+    stats = OnlineStatistics()
+    for _, activities in stream_traces(path):
+        stats.add_sequence(activities)
+    assert stats.snapshot() == compute_statistics(read_xes(path))
 
 
 @given(
@@ -67,7 +110,7 @@ def test_single_trace_shards_match_monolithic(tmp_path_factory, traces):
 )
 @settings(max_examples=60, deadline=None)
 def test_arbitrary_partition_graph_bit_identical(assigned):
-    """Any assignment of traces to shards — uneven, empty shards, all in
+    """Any assignment of traces to parts — uneven, empty parts, all in
     one — folded with ``merge_into`` rebuilds the monolithic graph with
     bit-equal edge frequencies."""
     shards = [OnlineStatistics() for _ in range(6)]
@@ -94,21 +137,20 @@ def test_arbitrary_partition_graph_bit_identical(assigned):
     )
 )
 @settings(max_examples=60, deadline=None)
-def test_merge_into_equals_pure_merge(assigned):
-    """The in-place fold and the pure merge are the same function."""
-    pure_shards = [OnlineStatistics() for _ in range(4)]
-    fold_shards = [OnlineStatistics() for _ in range(4)]
-    for trace, shard in assigned:
-        pure_shards[shard].add_trace(trace)
-        fold_shards[shard].add_trace(trace)
-    pure = OnlineStatistics()
-    for shard in pure_shards:
-        pure = pure.merge(shard)
-    folded = OnlineStatistics()
-    for shard in fold_shards:
-        shard.merge_into(folded)
-    assert folded.snapshot() == pure.snapshot()
-    assert folded.snapshot() == monolithic([trace for trace, _ in assigned])
+def test_merge_into_fold_order_irrelevant(assigned):
+    """Folding the parts with ``merge_into`` forward and in reverse gives
+    the same counts, and both equal the monolithic computation."""
+    parts = [OnlineStatistics() for _ in range(4)]
+    for trace, part in assigned:
+        parts[part].add_trace(trace)
+    forward = OnlineStatistics()
+    for part in parts:
+        part.merge_into(forward)
+    backward = OnlineStatistics()
+    for part in reversed(parts):
+        part.merge_into(backward)
+    assert forward.snapshot() == backward.snapshot()
+    assert forward.snapshot() == monolithic([trace for trace, _ in assigned])
 
 
 @given(log_strategy, st.integers(min_value=1, max_value=5))

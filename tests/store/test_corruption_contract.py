@@ -4,11 +4,14 @@ The evaluation cache, the log store (its counts and its append
 bookkeeping) and the match store all promise the same thing: damaged
 data degrades to a cold recompute, never to a wrong answer.  Each store is driven through the
 same table of damage — a torn entry, a foreign entry (another format
-version, or data filed under another key) and a flipped bit — and must:
+version, or data filed under another key), a flipped bit, and an intact
+entry of the wrong shape (which only the store's record check can
+reject) — and must:
 
 * answer the load with a cold miss (``None``), never a value;
-* count the rejection on its corrupt counter;
-* drop the damaged entry, or set it aside;
+* count the rejection on its corrupt and miss counters;
+* drop the damaged entry, or set it aside — damage to one entry costs
+  that entry alone, never the whole database;
 * store and serve a fresh value afterwards.
 """
 
@@ -64,6 +67,12 @@ def _file_foreign_key(store, key, magic):
     path = store.path_for(key)
     raw = path.read_bytes()
     path.write_bytes(raw.replace(key.encode(), OTHER_KEY.encode(), 1))
+
+
+def _file_wrong_shape(store, key, magic):
+    # An intact entry holding ``None``, the one value the cache's record
+    # check rejects.
+    store.store(key, None)
 
 
 def _file_entry_gone(store, key) -> bool:
@@ -125,8 +134,12 @@ def _db_foreign_format(store, table, key):
     connection.close()
 
 
+def _db_set_aside(store) -> bool:
+    return store.path.with_name(store.path.name + ".corrupt").exists()
+
+
 def _row_gone(store, table, key) -> bool:
-    if store.path.with_name(store.path.name + ".corrupt").exists():
+    if _db_set_aside(store):
         return True
     cursor = store._execute(f"SELECT COUNT(*) FROM {table} WHERE key = ?", (key,))
     return cursor.fetchone()[0] == 0
@@ -143,9 +156,14 @@ class Subject:
     open: Callable[[Any, Observer], Any]
     put: Callable[[Any, str], None]
     get: Callable[[Any, str], Any]
-    corrupt_counter: str
+    #: Counters every damaged load moves up by one.
+    counters: tuple[str, ...]
     damage: dict[str, Callable[[Any, str], None]]
     gone: Callable[[Any, str], bool]
+    #: Whether the whole database was set aside.
+    set_aside: Callable[[Any], bool] = lambda store: False
+    #: Further counters of a rejected entry (not of a set-aside database).
+    entry_counters: tuple[str, ...] = ()
 
 
 def _counts_record():
@@ -184,12 +202,13 @@ def _file_damage(magic):
             ("foreign-magic", _file_foreign_magic),
             ("foreign-key", _file_foreign_key),
             ("bit-flip", _file_bit_flip),
+            ("wrong-shape", _file_wrong_shape),
         )
     }
 
 
-def _row_damage(table):
-    return {
+def _row_damage(table, malformed):
+    damage = {
         name: (lambda store, key, fn=fn: fn(store, table, key))
         for name, fn in (
             ("torn", _row_torn),
@@ -198,6 +217,18 @@ def _row_damage(table):
             ("bit-flip", _row_bit_flip),
         )
     }
+    # A digest-valid row whose record fails the store's record check.
+    damage["wrong-shape"] = lambda store, key: store._put(table, key, malformed())
+    return damage
+
+
+def _short_directional_record():
+    record = _matrix_record()
+    record["directional"] = {
+        name: {**sub, "values": sub["values"][:1]}
+        for name, sub in record["directional"].items()
+    }
+    return record
 
 
 SUBJECTS = [
@@ -206,7 +237,7 @@ SUBJECTS = [
         open=lambda path, observer: EvaluationCache(path / "cache", observer=observer),
         put=lambda store, key: store.store(key, {"payload": [1, 2, 3]}),
         get=lambda store, key: store.load(key),
-        corrupt_counter="eval_cache_corrupt_total",
+        counters=("eval_cache_corrupt_total", "eval_cache_misses_total"),
         damage=_file_damage(b"EMSEVAL2"),
         gone=_file_entry_gone,
     ),
@@ -215,31 +246,41 @@ SUBJECTS = [
         open=lambda path, observer: LogStore(path / "log.db", observer=observer),
         put=lambda store, key: store.put_counts(key, _counts_record()),
         get=lambda store, key: store.get_counts(key),
-        corrupt_counter="store_corrupt_total",
-        damage=_row_damage("counts"),
+        counters=("store_corrupt_total", "store_misses_total"),
+        damage=_row_damage("counts", lambda: {"trace_count": 1}),
         gone=lambda store, key: _row_gone(store, "counts", key),
+        set_aside=_db_set_aside,
     ),
     Subject(
         name="LogStore.ingests",
         open=lambda path, observer: LogStore(path / "log.db", observer=observer),
         put=lambda store, key: store.put_ingest(key, _ingest_record()),
         get=lambda store, key: store.get_ingest(key),
-        corrupt_counter="store_corrupt_total",
-        damage=_row_damage("ingests"),
+        counters=("store_corrupt_total", "store_misses_total"),
+        damage=_row_damage("ingests", lambda: {"byte_count": 120}),
         gone=lambda store, key: _row_gone(store, "ingests", key),
+        set_aside=_db_set_aside,
     ),
     Subject(
         name="MatchStore",
         open=lambda path, observer: MatchStore(path / "match.db", observer=observer),
         put=lambda store, key: store.put_matrix(key, _matrix_record()),
         get=lambda store, key: store.get_matrix(key),
-        corrupt_counter="store_corrupt_total",
-        damage=_row_damage("matrices"),
+        counters=(
+            "store_corrupt_total", "store_misses_total",
+            "match_store_misses_total",
+        ),
+        damage=_row_damage("matrices", _short_directional_record),
         gone=lambda store, key: _row_gone(store, "matrices", key),
+        set_aside=_db_set_aside,
+        entry_counters=("match_store_corrupt_total",),
     ),
 ]
 
-DAMAGE = ("torn", "foreign-magic", "foreign-key", "bit-flip")
+DAMAGE = ("torn", "foreign-magic", "foreign-key", "bit-flip", "wrong-shape")
+#: The damage that replaces a SQLite store's whole database (its format
+#: magic is the schema version); every other kind damages one entry.
+WHOLE_STORE = "foreign-magic"
 
 
 def _counter(registry: MetricsRegistry, name: str) -> float:
@@ -256,18 +297,23 @@ def subject(request):
 def test_damage_is_a_counted_cold_miss(subject, damage, tmp_path):
     registry = MetricsRegistry()
     store = subject.open(tmp_path, Observer(metrics=registry))
+    counters = subject.counters
+    if damage != WHOLE_STORE:
+        counters += subject.entry_counters
     try:
         subject.put(store, KEY)
         assert subject.get(store, KEY) is not None
-        before = _counter(registry, subject.corrupt_counter)
+        before = {name: _counter(registry, name) for name in counters}
         subject.damage[damage](store, KEY)
         assert subject.get(store, KEY) is None
-        assert _counter(registry, subject.corrupt_counter) == before + 1
+        for name in counters:
+            assert _counter(registry, name) == before[name] + 1, name
         assert subject.gone(store, KEY)
+        if damage != WHOLE_STORE:
+            assert not subject.set_aside(store)
         # The store heals: a fresh value is stored and served again.
         subject.put(store, KEY)
         assert subject.get(store, KEY) is not None
     finally:
         if hasattr(store, "close"):
             store.close()
-

@@ -96,38 +96,6 @@ class TestRoundTrips:
 
 
 class TestCorruption:
-    def test_bitflipped_row_is_deleted_and_missed(self, store, tmp_path):
-        registry = MetricsRegistry()
-        store.observer = Observer(metrics=registry)
-        store.put_counts("k", record())
-        connection = sqlite3.connect(store.path)
-        connection.execute(
-            "UPDATE counts SET payload = X'deadbeef' WHERE key = 'k'"
-        )
-        connection.commit()
-        connection.close()
-        assert store.get_counts("k") is None
-        text = registry.to_prometheus_text()
-        assert "store_corrupt_total 1" in text
-        assert "store_misses_total 1" in text
-        # The bad row is gone for good, not re-verified on every lookup.
-        cursor = store._execute("SELECT COUNT(*) FROM counts")
-        assert cursor.fetchone()[0] == 0
-
-    def test_wrong_shape_counts_treated_as_corrupt(self, store):
-        store._put("counts", "k", {"trace_count": 1})  # missing required keys
-        assert store.get_counts("k") is None
-        assert store.get_counts("k") is None  # deleted, plain miss now
-
-    def test_wrong_shape_ingest_treated_as_corrupt(self, store):
-        registry = MetricsRegistry()
-        store.observer = Observer(metrics=registry)
-        store._put("ingests", "k", {"byte_count": 120})  # missing fields
-        assert store.get_ingest("k") is None
-        assert "store_corrupt_total 1" in registry.to_prometheus_text()
-        assert store.get_ingest("k") is None  # deleted, plain miss now
-        assert not store.path.with_name("store.db.corrupt").exists()
-
     def test_garbage_database_set_aside_and_recreated(self, tmp_path):
         path = tmp_path / "store.db"
         path.write_bytes(b"this is not a sqlite database at all\x00\x01")

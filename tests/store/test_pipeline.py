@@ -45,39 +45,38 @@ class TestRouteEquivalence:
         assert result.statistics == batch(csv_log)
         assert result.log_name == "events"
 
-    def test_sharded_matches_batch(self, csv_log):
-        result = ingest_statistics(csv_log, shard_traces=7)
-        assert result.mode == "sharded"
-        assert result.shards > 1
-        assert result.statistics == batch(csv_log)
-
-    def test_xes_routes_match_batch(self, csv_log, tmp_path):
+    def test_xes_routes_match_batch(self, csv_log, tmp_path, store):
         log = read_csv(csv_log, name="handover")
         xes_path = tmp_path / "handover.xes"
         write_xes(log, xes_path)
         expected = compute_statistics(log)
         streamed = ingest_statistics(xes_path)
-        sharded = ingest_statistics(xes_path, shard_traces=4)
-        assert streamed.statistics == expected
-        assert sharded.statistics == expected
-        assert streamed.log_name == "handover"
+        cold = ingest_statistics(xes_path, store=store)
+        warm = ingest_statistics(xes_path, store=store)
+        assert [streamed.mode, cold.mode, warm.mode] == [
+            "streamed", "streamed", "store"
+        ]
+        for result in (streamed, cold, warm):
+            assert result.statistics == expected
+            assert result.log_name == "handover"
 
-    def test_frequencies_bit_identical_across_routes(self, csv_log):
-        reference = ingest_statistics(csv_log).statistics
-        for result in (
-            ingest_statistics(csv_log, shard_traces=3),
-            ingest_statistics(csv_log, shard_traces=100),
-        ):
+    def test_frequencies_bit_identical_across_routes(self, csv_log, store):
+        reference = batch(csv_log)
+        results = [
+            ingest_statistics(csv_log),
+            ingest_statistics(csv_log, store=store),
+            ingest_statistics(csv_log, store=store),
+        ]
+        assert [result.mode for result in results] == [
+            "streamed", "streamed", "store"
+        ]
+        for result in results:
             assert result.statistics.activity_frequencies == (
                 reference.activity_frequencies
             )
             assert result.statistics.pair_frequencies == (
                 reference.pair_frequencies
             )
-
-    def test_invalid_shard_traces_rejected(self, csv_log):
-        with pytest.raises(ValueError, match="shard_traces"):
-            ingest_statistics(csv_log, shard_traces=0)
 
 
 class TestStoreRoute:
@@ -103,7 +102,7 @@ class TestStoreRoute:
         # Rewrite an existing row: not an append, a different log.
         csv_log.write_text(text.replace("act-0", "act-9", 1))
         result = ingest_statistics(csv_log, store=store)
-        assert result.mode in ("streamed", "sharded")
+        assert result.mode == "streamed"
         assert result.statistics == batch(csv_log)
 
     def test_mode_and_threshold_key_separately(self, csv_log, store):
@@ -112,13 +111,6 @@ class TestStoreRoute:
             csv_log, on_error="repair", store=store
         ).counts_key
         assert raise_key != repair_key
-
-    def test_store_survives_sharded_route(self, csv_log, store):
-        cold = ingest_statistics(csv_log, shard_traces=4, store=store)
-        assert cold.mode == "sharded"
-        warm = ingest_statistics(csv_log, shard_traces=4, store=store)
-        assert warm.mode == "store"
-        assert warm.statistics == cold.statistics
 
 
 class TestAppendFastPath:
@@ -148,7 +140,7 @@ class TestAppendFastPath:
         ingest_statistics(csv_log, store=store)
         self.append_rows(csv_log, ["case-0,act-5,99.0"])  # continues a stored case
         result = ingest_statistics(csv_log, store=store)
-        assert result.mode in ("streamed", "sharded")
+        assert result.mode == "streamed"
         assert result.statistics == batch(csv_log)
 
     def test_append_then_hit(self, csv_log, store):
@@ -191,7 +183,7 @@ class TestAppendFastPath:
             ["case-new-1,act-0,0.0", "case-new-1,act-1,1.0", "case-new-2,act-2,0.0"],
         )
         result = ingest_statistics(csv_log, store=store)
-        assert result.mode in ("streamed", "sharded")
+        assert result.mode == "streamed"
         assert result.statistics == ingest_statistics(csv_log).statistics
 
     def test_file_without_trailing_newline_skips_bookkeeping(self, tmp_path, store):
@@ -202,7 +194,7 @@ class TestAppendFastPath:
         with open(path, "a") as handle:
             handle.write(",b,2.0\nc1,c,3.0\n")  # finishes the torn row
         result = ingest_statistics(path, store=store)
-        assert result.mode in ("streamed", "sharded")  # never the append path
+        assert result.mode == "streamed"  # never the append path
         assert result.statistics == batch(path)
 
 
@@ -295,7 +287,7 @@ class TestXesAppendFastPath:
         ingest_statistics(xes_log, store=store)
         self.grow_xes(xes_log, [("case-0", ["act-5"])])  # a stored case
         result = ingest_statistics(xes_log, store=store)
-        assert result.mode in ("streamed", "sharded")
+        assert result.mode == "streamed"
         assert result.statistics == batch(xes_log)
 
     def test_append_then_hit(self, xes_log, store):
@@ -322,5 +314,5 @@ class TestXesAppendFastPath:
         # the prefix digest must force a cold parse.
         xes_log.write_bytes(data.replace(b'value="act-0"', b'value="act-9"', 1))
         result = ingest_statistics(xes_log, store=store)
-        assert result.mode in ("streamed", "sharded")
+        assert result.mode == "streamed"
         assert result.statistics == batch(xes_log)

@@ -1,22 +1,15 @@
-"""Sharded ingestion: streaming equivalence, block counts, corrupt blocks."""
+"""Streamed ingestion input: CSV case-hash partitions and XES trace streams."""
 
 import random
 
 import pytest
 
 from repro.exceptions import LogFormatError
-from repro.logs.csvio import read_csv, write_csv
+from repro.logs.csvio import read_csv
 from repro.logs.stats import compute_statistics
 from repro.logs.xes import write_xes
 from repro.runtime.report import IngestionReport
-from repro.store.blocks import iter_block
-from repro.store.sharding import (
-    partition_csv,
-    resolve_format,
-    shard_statistics,
-    spill_blocks,
-    stream_traces,
-)
+from repro.store import partition_csv, resolve_format, stream_traces
 
 
 @pytest.fixture()
@@ -159,42 +152,3 @@ class TestXesStreaming:
         list(stream_traces(path, name_sink=names.append))
         assert names[-1] == "tickets"
 
-
-class TestShardStatistics:
-    def blocks_for(self, path, tmp_path, block_traces=5):
-        traces = stream_traces(path, spill_dir=tmp_path / "spill")
-        return spill_blocks(traces, tmp_path / "blocks", block_traces=block_traces)
-
-    def test_serial_matches_batch(self, interleaved_csv, tmp_path):
-        blocks = self.blocks_for(interleaved_csv, tmp_path)
-        assert len(blocks) > 1
-        stats = shard_statistics(blocks)
-        assert stats.snapshot() == batch_stats(interleaved_csv)
-
-    def test_corrupt_block_raises_not_biases_serial(self, interleaved_csv, tmp_path):
-        blocks = self.blocks_for(interleaved_csv, tmp_path)
-        blocks[1].write_text('["oops"\n')
-        with pytest.raises(LogFormatError):
-            shard_statistics(blocks)
-
-    def test_empty_block_list(self):
-        stats = shard_statistics([])
-        assert stats.trace_count == 0
-
-    def test_shard_counter_flows_to_metrics(self, interleaved_csv, tmp_path):
-        from repro.obs import MetricsRegistry, Observer
-
-        registry = MetricsRegistry()
-        blocks = self.blocks_for(interleaved_csv, tmp_path)
-        shard_statistics(blocks, observer=Observer(metrics=registry))
-        text = registry.to_prometheus_text()
-        assert "ingest_shards_total" in text
-        assert f"ingest_shards_total {len(blocks)}" in text
-
-
-class TestBlockSpill:
-    def test_spill_preserves_order_and_content(self, interleaved_csv, tmp_path):
-        pairs = list(stream_traces(interleaved_csv, spill_dir=tmp_path / "spill"))
-        blocks = spill_blocks(iter(pairs), tmp_path / "blocks", block_traces=6)
-        restored = [pair for block in blocks for pair in iter_block(block)]
-        assert restored == pairs

@@ -27,7 +27,7 @@ def payload(**overrides) -> dict:
         "memory_reduction_sparse": 6.0,
         "noop_observer_overhead": 1.0,
         "warm_cache_speedup": 7.0,
-        "ingest_sharded_memory": 0.2,
+        "ingest_streamed_memory": 0.2,
         "stats_store_warm": 20.0,
         "match_store_warm": 50.0,
         "service_warm_speedup": 25.0,
@@ -67,7 +67,7 @@ class TestFloorKeys:
         assert "memory" in failures[0]
 
     def test_ratio_ceiling_violation_fails(self):
-        failures = compare(payload(ingest_sharded_memory=0.3), payload(), 2.0)
+        failures = compare(payload(ingest_streamed_memory=0.3), payload(), 2.0)
         assert len(failures) == 1
         assert "ratio" in failures[0] and "ceiling" in failures[0]
 
@@ -76,7 +76,7 @@ class TestFloorKeys:
             speedup_exact_20=3.0, speedup_composite=3.0,
             memory_reduction_sparse=4.0,
             noop_observer_overhead=1.1, warm_cache_speedup=5.0,
-            ingest_sharded_memory=0.25, stats_store_warm=5.0,
+            ingest_streamed_memory=0.25, stats_store_warm=5.0,
             match_store_warm=10.0, service_warm_speedup=2.0,
         )
         assert compare(ok, payload(), 2.0) == []
@@ -92,7 +92,7 @@ class TestFloorKeys:
         assert "observer" in failures[0]
 
     def test_ingest_memory_ceiling_violation_fails(self):
-        failures = compare(payload(ingest_sharded_memory=0.4), payload(), 2.0)
+        failures = compare(payload(ingest_streamed_memory=0.4), payload(), 2.0)
         assert len(failures) == 1
         assert "ingestion" in failures[0]
 

@@ -155,8 +155,8 @@ class TestMatchCommand:
 
 
 class TestScaledMatch:
-    """``--shard-traces`` / ``--store`` route the
-    match through the out-of-core pipeline — same answer, graph-only."""
+    """``--store`` routes the match through the out-of-core pipeline —
+    same answer, graph-only."""
 
     def baseline(self, log_paths, capsys):
         assert main(["match", *log_paths, "--json"]) == 0
@@ -171,45 +171,52 @@ class TestScaledMatch:
             ),
         )
 
-    def test_sharded_match_matches_in_memory(self, log_paths, capsys):
-        reference = self.baseline(log_paths, capsys)
-        assert main(["match", *log_paths, "--shard-traces", "2", "--json"]) == 0
-        scaled = json.loads(capsys.readouterr().out)
-        assert self.normalize(scaled) == self.normalize(reference)
+    @pytest.mark.parametrize("argv", [
+        ["match", "FIRST", "SECOND", "--shard-traces", "2"],
+        ["stats", "FIRST", "--shard-traces=2"],
+    ], ids=["match", "stats"])
+    def test_retired_shard_traces_flag_exits_2(self, log_paths, capsys, argv):
+        paths = {"FIRST": log_paths[0], "SECOND": log_paths[1]}
+        assert main([paths.get(arg, arg) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert "--store" in captured.err
+        assert "stats streams on its own" in captured.err
+        assert captured.out == ""
 
     def test_store_warm_run_matches_cold(self, log_paths, tmp_path, capsys):
+        reference = self.baseline(log_paths, capsys)
         store = tmp_path / "store.db"
         assert main(["match", *log_paths, "--store", str(store), "--json"]) == 0
         cold = json.loads(capsys.readouterr().out)
         assert store.exists()
+        assert cold["provenance"]["ingest_modes"] == ["streamed", "streamed"]
+        assert self.normalize(cold) == self.normalize(reference)
         assert main(["match", *log_paths, "--store", str(store), "--json"]) == 0
         warm = json.loads(capsys.readouterr().out)
         assert self.normalize(warm) == self.normalize(cold)
 
-    def test_composite_incompatible_with_scale_flags(self, log_paths, capsys):
-        code = main(["match", *log_paths, "--composite", "--shard-traces", "2"])
+    def test_composite_incompatible_with_scale_flags(self, log_paths, tmp_path, capsys):
+        code = main(
+            ["match", *log_paths, "--composite", "--store", str(tmp_path / "s.db")]
+        )
         assert code == 2
         assert "composite" in capsys.readouterr().err
 
     def test_report_incompatible_with_scale_flags(self, log_paths, tmp_path, capsys):
         code = main(
-            ["match", *log_paths, "--shard-traces", "2",
+            ["match", *log_paths, "--store", str(tmp_path / "s.db"),
              "--report", str(tmp_path / "r.md")]
         )
         assert code == 2
-
-    def test_invalid_shard_traces_rejected(self, log_paths, capsys):
-        assert main(["match", *log_paths, "--shard-traces", "0"]) == 2
 
     def test_scaled_metrics_exported(self, log_paths, tmp_path, capsys):
         metrics = tmp_path / "metrics.prom"
         store = tmp_path / "store.db"
         assert main(
-            ["match", *log_paths, "--shard-traces", "2",
+            ["match", *log_paths,
              "--store", str(store), "--metrics-out", str(metrics)]
         ) == 0
         text = metrics.read_text()
-        assert "ingest_shards_total" in text
         assert "store_misses_total" in text
 
 
@@ -227,18 +234,6 @@ class TestStatsCommand:
         assert payload["activities"] == 6
         assert set(payload["activity_frequencies"]) == set("ABCDEF")
         assert payload["ingestion"]["clean"] is True
-
-    def test_sharded_stats_match_streamed(self, log_paths, capsys):
-        assert main(["stats", log_paths[0], "--json"]) == 0
-        streamed = json.loads(capsys.readouterr().out)
-        assert main(
-            ["stats", log_paths[0], "--shard-traces", "2", "--json"]
-        ) == 0
-        sharded = json.loads(capsys.readouterr().out)
-        assert sharded["mode"] == "sharded"
-        assert sharded["shards"] > 1
-        assert sharded["activity_frequencies"] == streamed["activity_frequencies"]
-        assert sharded["pair_frequencies"] == streamed["pair_frequencies"]
 
     def test_store_round_trip(self, log_paths, tmp_path, capsys):
         store = tmp_path / "store.db"
