@@ -59,7 +59,6 @@ from repro.obs import (
     environment_metadata,
 )
 from repro.matchers import EMSMatcher
-from repro.runtime.evalcache import EvaluationCache
 from repro.service import MatchingService
 from repro.store import (
     LogStore,
@@ -231,18 +230,20 @@ if pytest is not None:
         assert result.accepted_second
 
     def test_composite_warm_cache_search(benchmark, composite_pair, tmp_path):
-        # pytest-benchmark's calibration run populates the on-disk
-        # evaluation cache, so the timed rounds measure the warm path.
+        # pytest-benchmark's calibration run populates the match store's
+        # evaluations table, so the timed rounds measure the warm path.
         config = EMSConfig()
+        store = MatchStore(tmp_path / "match.db")
 
         def run():
             matcher = CompositeMatcher(
                 config, delta=0.001, min_confidence=0.9, max_run_length=3,
-                eval_cache=EvaluationCache(tmp_path / "evalcache"),
+                store=store,
             )
             return matcher.match(*composite_pair)
 
         result = benchmark(run)
+        store.close()
         assert result.accepted_second
 
     def test_playout_1000_traces(benchmark):
@@ -338,23 +339,22 @@ def _scenarios():
         return result.stats.pair_updates
 
     def composite_search_warm_cache():
-        # Same workload as composite_search_incremental, but with the
-        # persistent evaluation cache attached.  The harness's untimed
-        # warm-up call populates the on-disk store, so the timed repeats
-        # measure the warm path: every candidate evaluation is served
-        # from a digest-verified cache entry and only candidate
-        # discovery and the accepted-merge graph rebuilds remain.
-        # ``warm_cache_speedup`` (vs the cold search) carries a 5x floor
-        # in :func:`compare`.
-        cache_dir = tempfile.mkdtemp(prefix="bench_evalcache_")
-        atexit.register(shutil.rmtree, cache_dir, ignore_errors=True)
-        cache = EvaluationCache(Path(cache_dir))
+        # Same workload as composite_search_incremental, but with a match
+        # store attached.  The harness's untimed warm-up call populates
+        # its evaluations table, so the timed repeats measure the warm
+        # path: every candidate evaluation and discovery is served from a
+        # digest-verified row and only the accepted-merge rebuilds
+        # remain.  ``warm_cache_speedup`` (vs the cold search) carries a
+        # 5x floor in :func:`compare`.
+        store_dir = tempfile.mkdtemp(prefix="bench_evalstore_")
+        atexit.register(shutil.rmtree, store_dir, ignore_errors=True)
+        store = MatchStore(Path(store_dir) / "match.db")
 
         def run():
             config = EMSConfig()
             matcher = CompositeMatcher(
                 config, delta=0.001, min_confidence=0.9, max_run_length=3,
-                eval_cache=cache,
+                store=store,
             )
             result = matcher.match(*composite_logs)
             assert result.accepted_second
@@ -637,9 +637,9 @@ def run_harness(repeats: int) -> dict:
         )
         for key, numerator, denominator in PAIRED_OVERHEADS
     }
-    # Warm persistent-evaluation-cache search vs the cold search: with
-    # every candidate evaluation served from disk, only discovery and
-    # the accepted-merge rebuilds remain (>= 5x floor in compare()).
+    # Warm search over stored evaluations vs the cold search: with every
+    # candidate evaluation and discovery served from the match store,
+    # only the accepted-merge rebuilds remain (>= 5x floor in compare()).
     warm_cache_speedup = (
         scenarios["composite_search_cold"]["mean_time"]
         / scenarios["composite_search_warm_cache"]["mean_time"]
@@ -713,7 +713,7 @@ FLOORS = (
     ("noop_observer_overhead", 1.1, "max",
      "no-op-observer overhead on exact EMS (20 events)"),
     ("warm_cache_speedup", 5.0, "min",
-     "warm-evaluation-cache-vs-cold composite-search speedup"),
+     "warm-stored-evaluations-vs-cold composite-search speedup"),
     ("ingest_streamed_memory", 0.25, "max",
      "streamed-vs-monolithic ingestion peak-memory ratio"),
     ("stats_store_warm", 5.0, "min",
@@ -902,7 +902,7 @@ def main(argv: list[str] | None = None) -> int:
           f"kernel's {DENSE_KERNEL_PEAK_BYTES / 2**20:.1f} MiB)")
     print(f"no-op observer overhead (20 events): "
           f"{payload['noop_observer_overhead']:.2f}x")
-    print(f"warm-evaluation-cache speedup over the cold search: "
+    print(f"warm stored-evaluations speedup over the cold search: "
           f"{payload['warm_cache_speedup']:.2f}x")
     ingest_memory = payload["ingest_memory"]
     print(f"ingestion peak memory ({payload['ingest_scenario']['cases']} "

@@ -8,7 +8,7 @@ Usage::
                                     [--timeout S] [--pair-budget N]
                                     [--no-degrade] [--on-error MODE]
                                     [--dead-letter-dir DIR]
-                                    [--eval-cache-dir DIR] [--store PATH]
+                                    [--store PATH]
                                     [--trace-out PATH] [--metrics-out PATH]
                                     [--manifest-out PATH] [--log-level LEVEL]
     python -m repro stats LOG [--format xes|csv] [--on-error MODE]
@@ -37,15 +37,16 @@ Markdown report, and ``--dead-letter-dir`` preserves every rejected
 record (original bytes + error context, content-addressed) for offline
 triage and idempotent re-submission.
 
-Durable execution (composite mode): ``--eval-cache-dir`` persists every
-candidate evaluation and discovery of the greedy search (atomically,
-keyed by a content hash of the inputs, configuration and accepted-merge
-history).  SIGINT/SIGTERM end the search at the next round boundary and
-return the best-so-far result as a ``partial`` stage instead of dying
-mid-round; re-running the same command over the same cache resumes it,
-replaying every finished evaluation from disk, and ends bit-identical to
-an uninterrupted run.  A pair-budgeted search does not read the cache
-and restarts cold.  A candidate evaluation that raises fails the whole
+Durable execution (composite mode): with ``--store PATH`` the greedy
+search persists every candidate evaluation and discovery in the store's
+``evaluations`` table (keyed by a content hash of the inputs,
+configuration and accepted-merge history).  SIGINT/SIGTERM end the
+search at the next round boundary and return the best-so-far result as
+a ``partial`` stage instead of dying mid-round; re-running the same
+command over the same store resumes it, replaying every finished
+evaluation, and ends bit-identical to an uninterrupted run.  A
+pair-budgeted search does not read stored evaluations and restarts
+cold.  A candidate evaluation that raises fails the whole
 match; no candidate is ever skipped.  Every match runs in one process.
 
 Observability (see ``docs/observability.md``): ``--trace-out`` writes a
@@ -55,8 +56,8 @@ environment + per-stage timings), and ``--log-level`` enables library
 logging to stderr.
 
 Scale (see ``docs/scale.md``): ``--store PATH`` opens a persistent
-SQLite match store and selects a statistics-backed singleton matching
-that never materializes the logs: each log is ingested out of core by
+SQLite match store; a singleton match through it is statistics-backed
+and never materializes the logs: each log is ingested out of core by
 the streamed route (CSV rows case-hash partitioned to disk, XES read
 one trace at a time), and each log's counts and each finished
 similarity matrix are memoized as digest-verified records.  A repeated
@@ -64,16 +65,16 @@ log pair skips parse, count *and* the EMS fixpoint
 (``"match_mode": "store"`` under ``"provenance"`` in the JSON output),
 and a pair with an appended-to side parses only the new tail
 (``"ingest_modes"`` says ``"store-append"``) before a cold fixpoint
-(``"computed"``).  ``--store`` is incompatible with ``--composite`` and
-``--report``.  Results are bit-identical to the in-memory path.
+(``"computed"``).  ``--store`` is incompatible with ``--report``.
+Results are bit-identical to the in-memory path.
 ``stats`` runs the same streamed ingestion without matching and prints
 the log's Definition-1 statistics; ``stats --from-store`` answers from
 the store's counts alone, without reading the file.
 
 Serving (see ``docs/service.md``): ``serve`` runs the long-lived
 matching daemon — a persistent job queue with content-hash dedup, a
-thread scheduler whose re-queued jobs resume through an evaluation
-cache, a watch-folder ingester, and a JSON/REST API with Prometheus
+thread scheduler whose re-queued jobs resume through the match store,
+a watch-folder ingester, and a JSON/REST API with Prometheus
 ``/metrics``.  Both front ends run one
 :class:`repro.request.MatchRequest` through
 :func:`repro.request.run_match`, so a job's result (``provenance``
@@ -108,7 +109,6 @@ from repro.request import (  # load_log: re-exported as repro.cli.load_log
 from repro.request import run_match as run_request
 from repro.runtime import (
     DeadLetterArchive,
-    EvaluationCache,
     IngestionReport,
     InterruptGuard,
 )
@@ -126,7 +126,7 @@ EXIT_BUDGET_EXHAUSTED = 3
 
 _CHECKPOINTS_RETIRED = (
     "composite checkpoints were removed; a composite search resumes by "
-    "re-running it with the same --eval-cache-dir DIR"
+    "re-running it with the same --store PATH"
 )
 #: Flags of removed features, each answered (exit 2) with a pointer to
 #: what replaced it instead of a bare argparse error.
@@ -134,6 +134,10 @@ _RETIRED_FLAGS = {
     "--checkpoint-dir": _CHECKPOINTS_RETIRED,
     "--checkpoint-every": _CHECKPOINTS_RETIRED,
     "--resume": _CHECKPOINTS_RETIRED,
+    "--eval-cache-dir": (
+        "the evaluation cache directory was removed; a composite search "
+        "memoizes and resumes through the match store: pass --store PATH"
+    ),
     "--shard-traces": (
         "the sharded ingest route was removed; match out of core with "
         "--store PATH (its ingest always streams), and stats streams "
@@ -203,19 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
              "halves buffer memory at ~1e-5 accuracy cost",
     )
     match.add_argument(
-        "--eval-cache-dir", metavar="DIR", default=None,
-        help="composite mode: memoize candidate evaluations in DIR, "
-             "content-keyed, and reuse them on identical reruns "
-             "(digest-verified; corrupt entries degrade to cold "
-             "evaluation)",
-    )
-    match.add_argument(
         "--store", metavar="PATH", default=None,
         help="persistent SQLite match store: ingest out of core and "
              "memoize content-addressed counts and similarity matrices so "
              "repeated or appended-to logs skip parsing and counting "
              "(digest-verified; corruption degrades to a cold parse); "
-             "selects the statistics-backed singleton matching",
+             "with --composite, memoize the search's candidate "
+             "evaluations, so a repeated or interrupted search replays "
+             "them",
     )
     match.add_argument("--json", action="store_true", help="machine-readable output")
     match.add_argument(
@@ -286,8 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--store-dir", required=True, metavar="DIR",
         help="the daemon's durable root: job queue, match store, "
-             "evaluation cache, dead letters and the service.json ready "
-             "file",
+             "dead letters and the service.json ready file",
     )
     serve.add_argument(
         "--host", default="127.0.0.1",
@@ -348,22 +346,20 @@ def run_match(arguments: argparse.Namespace) -> int:
 
     Knob decoding, route choice and result shaping live in
     :mod:`repro.request`, shared with the daemon; this function owns only
-    what is CLI-specific: the dead-letter, evaluation-cache and store
-    resources named by flags, and the output files.
+    what is CLI-specific: the dead-letter and store resources named by
+    flags, and the output files.
     """
     request = MatchRequest.from_args(arguments)
     observer = _build_observer(arguments)
-    archive = eval_cache = store = None
+    archive = store = None
     if arguments.dead_letter_dir:
         archive = DeadLetterArchive(arguments.dead_letter_dir, observer=observer)
-    if arguments.eval_cache_dir is not None:
-        eval_cache = EvaluationCache(arguments.eval_cache_dir, observer=observer)
     if arguments.store:
         store = MatchStore(arguments.store, observer=observer)
     try:
         run = run_request(
             request, observer=observer, store=store,
-            interrupt=InterruptGuard(), archive=archive, eval_cache=eval_cache,
+            interrupt=InterruptGuard(), archive=archive,
         )
     finally:
         if store is not None:

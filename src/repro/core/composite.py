@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.bounds import ABORT_MARGIN
 from repro.core.config import EMSConfig
@@ -54,15 +55,13 @@ from repro.logs.stats import activity_occurrence_counts, directly_follows_counts
 from repro.obs import NULL_OBSERVER, Observer
 from repro.runtime.budget import BudgetMeter, InterruptGuard, MatchBudget
 from repro.runtime.degrade import DegradationPolicy
-from repro.runtime.evalcache import (
-    EvaluationCache,
-    candidate_key,
-    discovery_key,
-    search_content_key,
-)
+from repro.runtime.evalcache import candidate_key, discovery_key, search_content_key
 from repro.runtime.faults import FaultPlan
 from repro.runtime.report import STAGE_EXACT, STAGE_PARTIAL, RuntimeReport
 from repro.similarity.labels import CompositeAwareSimilarity, LabelSimilarity, OpaqueSimilarity
+
+if TYPE_CHECKING:  # the store imports the core: a runtime import would cycle
+    from repro.store.matchstore import MatchStore
 
 
 # ----------------------------------------------------------------------
@@ -211,19 +210,20 @@ class CompositeMatcher:
         Optional :class:`~repro.runtime.InterruptGuard` polled at round
         boundaries; when tripped, the search returns the best-so-far
         result as a ``partial`` stage with reason ``"interrupted"``.
-    eval_cache:
-        Optional :class:`~repro.runtime.EvaluationCache`: candidate
-        evaluations and discoveries are memoized on disk, content-keyed
-        by (log pair, config, knobs, accepted history, candidate,
-        incumbent bound), and served on the next identical run instead
-        of re-evaluating.  Results stay bit-identical — a hit replays the
-        exact stored evaluation, and every load is digest-verified with
-        corruption degrading to a cold evaluation.  This is also how an
-        interrupted search resumes: re-run it over the same cache.
-        Evaluations bypass it while a budget meter is active (a served
-        hit charges no meter, which would skew cooperative cancellation),
-        so a budgeted search re-run after an interrupt starts cold and
-        spends its budget exactly as an uninterrupted run does.
+    store:
+        Optional :class:`~repro.store.matchstore.MatchStore`: candidate
+        evaluations and discoveries are memoized in its ``evaluations``
+        table, content-keyed by (log pair, config, knobs, accepted
+        history, candidate, incumbent bound), and served on the next
+        identical run instead of re-evaluating.  Results stay
+        bit-identical — a hit replays the exact stored evaluation, and
+        every load is digest-verified with damage degrading to a cold
+        evaluation.  This is also how an interrupted search resumes:
+        re-run it over the same store.  Evaluations bypass it while a
+        budget meter is active (a served hit charges no meter, which
+        would skew cooperative cancellation), so a budgeted search re-run
+        after an interrupt starts cold and spends its budget exactly as
+        an uninterrupted run does; discoveries are still stored.
     """
 
     def __init__(
@@ -242,7 +242,7 @@ class CompositeMatcher:
         observer: Observer | None = None,
         faults: FaultPlan | None = None,
         interrupt: InterruptGuard | None = None,
-        eval_cache: EvaluationCache | None = None,
+        store: MatchStore | None = None,
     ):
         if delta < 0.0:
             raise ValueError(f"delta must be non-negative, got {delta}")
@@ -262,7 +262,7 @@ class CompositeMatcher:
         self.degradation = degradation if degradation is not None else DegradationPolicy()
         self.faults = faults
         self.interrupt = interrupt
-        self.eval_cache = eval_cache
+        self.store = store
         #: One S^L cache per matching run, shared by every engine built
         #: for it; reset at the start of :meth:`match`.
         self._label_cache: LabelMatrixCache | None = None
@@ -310,7 +310,7 @@ class CompositeMatcher:
         self._interrupted_by = None
         self._content_key = ""
         self._discovery_memo = {}
-        if self.eval_cache is not None:
+        if self.store is not None:
             self._content_key = search_content_key(
                 log_first, log_second,
                 dataclasses.asdict(self.config),
@@ -492,10 +492,10 @@ class CompositeMatcher:
         * **in-memory** — a side whose log did not change since the last
           round (no merge accepted on it) reuses the previous round's
           list outright;
-        * **on-disk** — with an evaluation cache attached, the list is
+        * **stored** — with a match store attached, the list is
           persisted under (content key, accepted history, side), so a
           warm re-run skips the full-log statistics recomputation that
-          dominates once every candidate evaluation is a cache hit.
+          dominates once every candidate evaluation is a store hit.
         """
         log = states[side_index].log
         memo = self._discovery_memo.get(side_index)
@@ -503,13 +503,11 @@ class CompositeMatcher:
             return memo[1]
         runs: list[tuple[str, ...]] | None = None
         key: str | None = None
-        if self.eval_cache is not None:
+        if self.store is not None:
             key = discovery_key(
                 self._content_key, tuple(self._accepted_history), side_index
             )
-            cached = self.eval_cache.load(key)
-            if cached is not None:
-                runs = [tuple(run) for run in cached]
+            runs = self.store.get_evaluation(key)
         if runs is None:
             runs = discover_candidates(
                 log,
@@ -518,7 +516,7 @@ class CompositeMatcher:
                 max_candidates=self.max_candidates,
             )
             if key is not None:
-                self.eval_cache.store(key, runs)
+                self.store.put_evaluation(key, runs)
         self._discovery_memo[side_index] = (log, runs)
         return runs
 
@@ -563,20 +561,20 @@ class CompositeMatcher:
         run: tuple[str, ...],
         abort_below: float,
     ) -> tuple[str | None, CandidateEvaluation | None]:
-        """``(key, hit)`` from the persistent cache; ``(None, None)`` when off.
+        """``(key, hit)`` from the match store; ``(None, None)`` without one.
 
         The key covers the search content key (logs, config, knobs), the
         accepted-merge history that shaped the current side states, the
         candidate and the incumbent bound — everything the evaluation's
         result depends on.
         """
-        if self.eval_cache is None:
+        if self.store is None:
             return None, None
         key = candidate_key(
             self._content_key, tuple(self._accepted_history),
             side_index, run, abort_below,
         )
-        return key, self.eval_cache.load(key)
+        return key, self.store.get_evaluation(key)
 
     def _evaluate(
         self,
@@ -606,7 +604,7 @@ class CompositeMatcher:
                     side_index, run, abort_below, meter
                 )
             if key is not None:
-                self.eval_cache.store(key, evaluation)
+                self.store.put_evaluation(key, evaluation)
         stats.pairs_fixed += evaluation.pairs_fixed
         if evaluation.outcome is None:
             stats.evaluations_aborted += 1

@@ -358,17 +358,13 @@ def apply_delta_to_log(log: EventLog, delta: MergeDelta) -> EventLog:
     """The merged log: only the traces of affected variants are rewritten.
 
     Equal position for position — timestamps, attributes and case ids
-    included — to ``merge_run_in_log(log, delta.run)[0]``.
+    included — to ``merge_run_in_log(log, delta.run)[0]``, with the same
+    variant table in the same order; the table is patched from the
+    delta's variant rewrites rather than recounted trace by trace.
     """
-    rewritten = {old for _, old, _ in delta.affected}
-    return EventLog(
-        (
-            trace.replace_run(delta.run, delta.name)
-            if trace.activities in rewritten
-            else trace
-            for trace in log
-        ),
-        name=log.name,
+    return log.rewrite_variants(
+        {old: new for _, old, new in delta.affected},
+        lambda trace: trace.replace_run(delta.run, delta.name),
     )
 
 

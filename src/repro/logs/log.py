@@ -63,12 +63,7 @@ class EventLog:
         seen = self._variants.get(variant)
         if seen is None:
             # Equal activity sequences validate alike: check each variant once.
-            if not variant:
-                raise EventLogError("empty traces are not allowed in an event log")
-            if RESERVED_ACTIVITY in variant:
-                raise EventLogError(
-                    f"activity name {RESERVED_ACTIVITY!r} is reserved for the artificial event"
-                )
+            _check_variant(variant)
             seen = 0
         self._variants[variant] = seen + 1
         self._traces.append(trace)
@@ -173,6 +168,33 @@ class EventLog:
         """Collapse consecutive occurrences of *run* into *replacement*."""
         return self.map_traces(lambda trace: trace.replace_run(run, replacement), name=name)
 
+    def rewrite_variants(
+        self,
+        rewrites: Mapping[tuple[str, ...], tuple[str, ...]],
+        transform: Callable[[Trace], Trace],
+    ) -> "EventLog":
+        """A copy in which each trace of a variant in *rewrites* goes
+        through *transform*, which must turn it into the variant
+        ``rewrites[variant]``; every other trace is shared as it is.
+
+        The variant table is patched, not recounted: each old variant, in
+        first-seen order, hands its multiplicity to its new variant, and
+        variants that collide add up — the table appending the new traces
+        one by one would build.
+        """
+        for variant in rewrites.values():
+            _check_variant(variant)
+        result = EventLog(name=self.name)
+        result._traces = [
+            transform(trace) if trace.activities in rewrites else trace
+            for trace in self._traces
+        ]
+        variants = result._variants
+        for variant, multiplicity in self._variants.items():
+            new = rewrites.get(variant, variant)
+            variants[new] = variants.get(new, 0) + multiplicity
+        return result
+
     def filter_traces(
         self, predicate: Callable[[Trace], bool], name: str | None = None
     ) -> "EventLog":
@@ -182,3 +204,13 @@ class EventLog:
             if predicate(trace):
                 result.append(trace)
         return result
+
+
+def _check_variant(variant: tuple[str, ...]) -> None:
+    """Reject an activity sequence no trace of a log may have."""
+    if not variant:
+        raise EventLogError("empty traces are not allowed in an event log")
+    if RESERVED_ACTIVITY in variant:
+        raise EventLogError(
+            f"activity name {RESERVED_ACTIVITY!r} is reserved for the artificial event"
+        )

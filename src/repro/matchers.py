@@ -33,7 +33,6 @@ from repro.matching.evaluation import Correspondence
 from repro.obs import NULL_OBSERVER, Observer
 from repro.runtime.budget import InterruptGuard, MatchBudget
 from repro.runtime.degrade import DegradationPolicy
-from repro.runtime.evalcache import EvaluationCache
 from repro.runtime.faults import FaultPlan
 from repro.runtime.report import STAGE_EXACT, RuntimeReport
 from repro.similarity.labels import (
@@ -41,6 +40,7 @@ from repro.similarity.labels import (
     LabelSimilarity,
     OpaqueSimilarity,
 )
+from repro.store.matchstore import MatchStore
 
 
 class EMSMatcher(EventMatcher):
@@ -298,7 +298,7 @@ class EMSCompositeMatcher(EventMatcher):
         observer: Observer | None = None,
         faults: FaultPlan | None = None,
         interrupt: InterruptGuard | None = None,
-        eval_cache: EvaluationCache | None = None,
+        store: MatchStore | None = None,
     ):
         self.observer = observer if observer is not None else NULL_OBSERVER
         self.matcher = CompositeMatcher(
@@ -316,7 +316,7 @@ class EMSCompositeMatcher(EventMatcher):
             observer=observer,
             faults=faults,
             interrupt=interrupt,
-            eval_cache=eval_cache,
+            store=store,
         )
         self.threshold = threshold
         self._singleton = EMSMatcher(

@@ -38,7 +38,6 @@ from repro.obs import NULL_OBSERVER, Observer
 from repro.runtime import (
     DeadLetterArchive,
     DegradationPolicy,
-    EvaluationCache,
     FaultPlan,
     IngestionReport,
     InterruptGuard,
@@ -208,11 +207,6 @@ class MatchRequest:
         Raises :class:`ReproError` (exit 2) for out-of-range knobs,
         conflicting flags and an unreadable ``--fault-plan``.
         """
-        if arguments.store is not None and arguments.composite:
-            raise ReproError(
-                "--store selects the statistics-backed pipeline, which is "
-                "singleton-only; composite matching needs the full traces"
-            )
         if arguments.store is not None and arguments.report:
             raise ReproError(
                 "--report renders the parsed logs; it cannot be combined with "
@@ -423,15 +417,15 @@ def run_match(
     store: MatchStore | None = None,
     interrupt: InterruptGuard | None = None,
     archive: DeadLetterArchive | None = None,
-    eval_cache: EvaluationCache | None = None,
 ) -> MatchRun:
     """Run *request*: the one runner of ``repro match`` and the daemon.
 
     The route, in order:
 
     * **composite** — both logs are parsed and searched by Algorithm 2,
-      with the *interrupt* (entered around the search) and *eval_cache*
-      resources, which only this route uses;
+      with the *interrupt* (entered around the search), which only this
+      route uses; with a *store*, the search memoizes its evaluations
+      in the store's ``evaluations`` table and resumes through it;
     * **stored singleton** — with a *store*,
       :func:`~repro.store.match_stored` serves the pair from the stored
       matrix (``store``) or runs it cold and stores it (``computed``);
@@ -456,7 +450,7 @@ def run_match(
                 threshold=request.threshold, delta=request.delta,
                 budget=request.budget, degradation=request.degradation,
                 observer=observer, faults=request.faults, interrupt=interrupt,
-                eval_cache=eval_cache,
+                store=store,
             )
             logs = _parse(request, reports, archive, observer)
             with interrupt if interrupt is not None else nullcontext():

@@ -17,10 +17,10 @@ core threads through:
   what the fault-tolerant CSV/XES readers dropped or repaired.
 * :class:`DeadLetterArchive` — content-addressed archive of ingestion
   records the readers rejected.
-* :class:`EvaluationCache` — cross-run persistent, content-addressed
-  cache of composite candidate evaluations (digest-verified loads,
-  atomic writes, LRU size bound); an interrupted search resumes by
-  re-running over it.
+* :func:`search_content_key` — the content key of a composite search,
+  under which its evaluations persist in a
+  :class:`~repro.store.MatchStore`; an interrupted search resumes by
+  re-running over the same store.
 * :class:`FaultPlan` / :class:`FaultSpec` — the deterministic
   fault-injection harness exercising the interrupt and resume path.
 
@@ -31,7 +31,7 @@ from repro.exceptions import BudgetExhausted
 from repro.runtime.budget import BudgetMeter, InterruptGuard, MatchBudget
 from repro.runtime.deadletter import DeadLetterArchive
 from repro.runtime.degrade import DegradationPolicy
-from repro.runtime.evalcache import EvaluationCache, search_content_key
+from repro.runtime.evalcache import search_content_key
 from repro.runtime.faults import NO_FAULTS, FaultPlan, FaultSpec
 from repro.runtime.report import (
     STAGE_ESTIMATED,
@@ -58,7 +58,6 @@ __all__ = [
     "InterruptGuard",
     "search_content_key",
     "DeadLetterArchive",
-    "EvaluationCache",
     "FaultPlan",
     "FaultSpec",
     "NO_FAULTS",

@@ -189,8 +189,8 @@ class InterruptGuard:
     before each round and answers with a ``partial`` result (reason
     ``"interrupted"``); a *second* signal restores the previous
     handler's behaviour, so an operator can still kill a stuck process
-    with a repeated Ctrl-C.  A re-run over the same evaluation cache
-    replays the finished evaluations from disk.
+    with a repeated Ctrl-C.  A re-run over the same match store replays
+    the finished evaluations.
 
     Signal handlers only install from the main thread; elsewhere (or
     with ``signals=()``) the guard degrades to an inert flag that

@@ -20,8 +20,7 @@ every rejected record verbatim:
   once and only the occurrence list grows, so an operator can diff,
   fix, and re-submit by digest without ever double-counting.
 
-Writes go through the shared
-:func:`~repro.runtime.evalcache.atomic_write` (temp file, fsync,
+Writes go through :func:`atomic_write` (temp file, fsync,
 ``os.replace``) so a crash mid-archive never leaves a torn payload that
 a later idempotency check would trust.
 """
@@ -31,16 +30,40 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
 from typing import Any, Iterator
 
 from repro.obs import NULL_OBSERVER, Observer, get_logger
-from repro.runtime.evalcache import atomic_write
 
 _logger = get_logger(__name__)
 
 _PAYLOAD_NAME = "payload.bin"
 _CONTEXT_NAME = "context.json"
+
+
+def atomic_write(directory: Path, target: Path, data: bytes) -> Path:
+    """Write *data* to *target* atomically (tempfile, fsync, ``os.replace``).
+
+    A crash at any point leaves either the old file or the new one, never
+    a torn mix; the temporary is unlinked on failure.
+    """
+    handle = tempfile.NamedTemporaryFile(
+        dir=directory, prefix=target.name + ".", suffix=".tmp", delete=False
+    )
+    try:
+        with handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(handle.name, target)
+    except BaseException:
+        try:
+            os.unlink(handle.name)
+        except OSError:
+            pass
+        raise
+    return target
 
 
 class DeadLetterArchive:

@@ -18,8 +18,8 @@ because it would never fire:
 =====================  =====================================================
 
 Nothing here reads a wall clock or a random source, so chaos tests stay
-deterministic.  Damage to the evaluation cache is simulated by the tests
-themselves, by flipping bytes of its files between runs.
+deterministic.  Damage to stored evaluations is simulated by the tests
+themselves, by flipping bytes of their store rows between runs.
 """
 
 from __future__ import annotations

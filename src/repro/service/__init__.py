@@ -3,8 +3,8 @@
 One :class:`MatchingService` owns a store directory and serves matching
 jobs continuously — submitted over HTTP (``POST /jobs``) or by dropping
 spec files into a watch folder — through a persistent SQLite job queue
-with content-hash dedup, crash recovery through an evaluation cache, and a
-JSON/REST + Prometheus ``/metrics`` API.  See ``docs/service.md``.
+with content-hash dedup, crash recovery through the match store's stored
+evaluations, and a JSON/REST + Prometheus ``/metrics`` API.  See ``docs/service.md``.
 """
 
 from repro.exceptions import JobSpecError, ServiceError

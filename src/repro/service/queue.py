@@ -17,7 +17,7 @@ States move ``queued -> running -> done | failed | dead``:
 * a job interrupted mid-run (daemon shutdown) deliberately *stays*
   ``running`` — :meth:`JobQueue.recover` re-queues all ``running`` rows
   at startup, which is how a restart resumes in-flight work through the
-  daemon's evaluation cache.
+  evaluations stored in the daemon's match store.
 
 All lifecycle counters (``jobs_submitted_total``, ``jobs_deduped_total``,
 ``jobs_completed_total``, ``jobs_failed_total``, ``jobs_dead_total``) and
@@ -175,7 +175,7 @@ class JobQueue:
     def recover(self) -> int:
         """Re-queue every ``running`` job (startup after crash/SIGTERM).
 
-        The evaluation cache makes the re-run cheap: the resumed attempt
+        Stored evaluations make the re-run cheap: the resumed attempt
         replays every candidate evaluation the interrupted attempt
         finished, and ends bit-identical to an uninterrupted run.
         """

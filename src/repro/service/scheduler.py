@@ -3,9 +3,10 @@
 Each worker thread loops claim -> run -> settle.  Running a job decodes
 its stored spec with :meth:`repro.request.MatchRequest.from_json` and
 hands the request to :func:`repro.request.run_match`, the runner
-``repro match`` uses, with the worker's match store and the daemon's
-evaluation cache (``evalcache/`` under the store directory) — so a
-job's result is bit-identical to the same request on the command line.
+``repro match`` uses, with the worker's match store — which serves
+stored matrices to singleton jobs and memoizes the evaluations of
+composite ones — so a job's result is bit-identical to the same request
+on the command line.
 ``from_json`` reads every spec a queue row can hold, including rows
 that spell knobs out in full (``alpha: null``, ``delta`` on a singleton
 job); the scheduler drops the one key it cannot, the retired
@@ -23,15 +24,15 @@ Settlement policy (see ``docs/service.md``):
   ``search.round``/``interrupt`` fault) leaves the job ``running`` on
   purpose: :meth:`~repro.service.queue.JobQueue.recover` re-queues it at
   the next startup, and the re-run replays every candidate evaluation
-  the interrupted attempt finished from the evaluation cache.  A
-  pair-budgeted job does not read the cache (a served hit would charge
-  no budget), so it restarts cold and spends its budget exactly as an
-  uninterrupted run does.
+  the interrupted attempt finished from the match store's
+  ``evaluations`` table.  A pair-budgeted job does not read stored
+  evaluations (a served hit would charge no budget), so it restarts
+  cold and spends its budget exactly as an uninterrupted run does.
 
 A job's inline fault plan is armed only on its **first** attempt —
 faults exist to test the recovery path, and recovery must see the run
-behave normally.  Fault plans are not part of the cache's content key,
-so the resumed attempt hits the interrupted attempt's entries.
+behave normally.  Fault plans are not part of the evaluations' content
+key, so the resumed attempt hits the interrupted attempt's rows.
 
 Threads never share a :class:`~repro.store.matchstore.MatchStore`
 object: each worker owns one handle on the shared database file, and
@@ -49,7 +50,7 @@ from typing import Any
 from repro.exceptions import ReproError
 from repro.obs import NULL_OBSERVER, Observer, get_logger
 from repro.request import MatchRequest, run_match
-from repro.runtime import DeadLetterArchive, EvaluationCache, InterruptGuard
+from repro.runtime import DeadLetterArchive, InterruptGuard
 from repro.service.queue import JobQueue, JobRecord
 from repro.store import MatchStore
 
@@ -149,7 +150,7 @@ class JobScheduler:
                 result, interrupted = self._execute(job, store, guard)
             if interrupted:
                 # Parked as `running`: recover() re-queues it at the
-                # next startup and the re-run resumes through the cache.
+                # next startup and the re-run resumes through the store.
                 _logger.warning(
                     "job %s interrupted mid-run; parked for restart resume",
                     job.id,
@@ -215,10 +216,5 @@ class JobScheduler:
         if job.attempts > 1:
             spec["fault_plan"] = None
         request = MatchRequest.from_json(spec)
-        run = run_match(
-            request, observer=self.observer, store=store, interrupt=guard,
-            eval_cache=EvaluationCache(
-                self.store_dir / "evalcache", observer=self.observer
-            ),
-        )
+        run = run_match(request, observer=self.observer, store=store, interrupt=guard)
         return run.to_dict(), run.interrupted

@@ -5,11 +5,11 @@ directory*, the daemon's single durable root:
 
 * ``jobs.db`` — the persistent job queue (:class:`JobQueue`);
 * ``match.db`` — the shared :class:`~repro.store.matchstore.MatchStore`
-  the scheduler threads answer warm matches from;
-* ``evalcache/`` — the composite search's persistent evaluation cache
-  (:class:`~repro.runtime.EvaluationCache`), which is what lets an
-  interrupted job resume bit-identically after a restart (a
-  ``checkpoints/`` directory left by an older version is never read);
+  the scheduler threads answer warm matches from; its ``evaluations``
+  table holds the composite search's evaluations, which is what lets an
+  interrupted job resume bit-identically after a restart (the
+  evaluation-cache or ``checkpoints/`` directory of an older version is
+  never read);
 * ``deadletters/`` — malformed submissions and poison jobs, with
   provenance;
 * ``service.json`` — the *ready file*, written after the socket is

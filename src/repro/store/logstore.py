@@ -23,10 +23,10 @@ ingested log once, as the integer counts that fix its dependency graph
 
 Every table has one shape, ``(key, payload, digest, created,
 last_used)``, read by :meth:`LogStore._get` and written by
-:meth:`LogStore._put`.  Durability follows the evaluation cache's
-playbook: every row embeds the SHA-256 of its key and payload and is
-re-verified on load — a torn, bit-flipped, misfiled or malformed row is
-deleted, counted (``store_corrupt_total``) and answered with a miss; a
+:meth:`LogStore._put`.  Durability: every row embeds the SHA-256 of
+its key and payload and is re-verified on load — a torn, bit-flipped,
+misfiled or malformed row is deleted, counted (``store_corrupt_total``)
+and answered with a miss; a
 database SQLite itself rejects, or one of another schema version, is
 renamed aside and recreated empty.  Corruption therefore always degrades
 to a logged cold path, never a wrong answer and never a crash.  Tables

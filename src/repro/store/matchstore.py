@@ -14,22 +14,35 @@ recomputed on load with the same reduction the live engine uses
 (:func:`repro.core.ems.combine_directional`), so a served result is
 bit-identical to the stored run.
 
-Durability is the log store's: matrix rows share its verified row shape
-and are sha256-verified on load; a torn or malformed row is deleted and
-answered as a miss (``match_store_corrupt_total``) — corruption always
-degrades to a logged cold computation, never a wrong answer.
+A second table, ``evaluations``, memoizes the composite search
+(Algorithm 2): one row per candidate evaluation
+(:class:`~repro.core.incremental.CandidateEvaluation`) under
+:func:`~repro.runtime.evalcache.candidate_key` and one per candidate
+discovery (the list of runs) under
+:func:`~repro.runtime.evalcache.discovery_key`.  A repeated search is
+served from it, and an interrupted one resumes by re-running over the
+same store.  Its lookups, rejections and evictions are also counted as
+``eval_cache_{hits,misses,corrupt,evictions}_total``, as the matrix
+table's are as ``match_store_*``.
+
+Durability is the log store's: matrix and evaluation rows share its
+verified row shape and are sha256-verified on load; a torn or malformed
+row is deleted and answered as a miss (``match_store_corrupt_total`` or
+``eval_cache_corrupt_total``) — corruption always degrades to a logged
+cold computation, never a wrong answer.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.core.config import EMSConfig
 from repro.core.ems import EMSResult
+from repro.core.incremental import CandidateEvaluation
 from repro.store.logstore import LogStore
 
 #: Record fields every stored matrix row must carry.
@@ -122,27 +135,63 @@ def restore_result(record: dict[str, Any]) -> EMSResult:
 
 
 class MatchStore(LogStore):
-    """A :class:`LogStore` that also persists similarity matrices.
+    """A :class:`LogStore` that also persists similarity matrices and
+    composite-search evaluations.
 
-    The ``matrices`` table is additive (``CREATE TABLE IF NOT EXISTS``),
-    so a database written by either class opens under the other.
+    The ``matrices`` and ``evaluations`` tables are additive (``CREATE
+    TABLE IF NOT EXISTS``), so a database written by either class opens
+    under the other.
     """
 
-    generic_tables = LogStore.generic_tables + ("matrices",)
+    generic_tables = LogStore.generic_tables + ("matrices", "evaluations")
+
+    #: Table -> (metric prefix, what a row holds): each table's lookups,
+    #: rejections and evictions are also counted under its own prefix.
+    _table_metrics = {
+        "matrices": ("match_store", "similarity-matrix"),
+        "evaluations": ("eval_cache", "composite-evaluation"),
+    }
+
+    def _row_rejected(self, table: str) -> None:
+        # Counted per table too, so each table's corrupt counter covers
+        # every rejection reason — torn bytes and malformed records alike.
+        if table in self._table_metrics:
+            prefix, noun = self._table_metrics[table]
+            self.observer.count(
+                f"{prefix}_corrupt_total",
+                help=f"{noun} rows rejected at load time (cold path)",
+            )
+
+    def _on_evicted(self, table: str, keys: list[str]) -> None:
+        if table in self._table_metrics:
+            prefix, noun = self._table_metrics[table]
+            self.observer.count(
+                f"{prefix}_evictions_total",
+                amount=float(len(keys)),
+                help=f"{noun} rows dropped by the LRU bound",
+            )
+
+    def _get_counted(
+        self, table: str, key: str, valid: Callable[[Any], bool]
+    ) -> Any | None:
+        """:meth:`_get`, with the lookup also counted under the table's prefix."""
+        value = self._get(table, key, valid)
+        prefix, noun = self._table_metrics[table]
+        if value is None:
+            self.observer.count(
+                f"{prefix}_misses_total",
+                help=f"{noun} lookups that fell through to a cold computation",
+            )
+        else:
+            self.observer.count(
+                f"{prefix}_hits_total",
+                help=f"{noun} lookups served from the store",
+            )
+        return value
 
     # ------------------------------------------------------------------
     # Similarity matrices
     # ------------------------------------------------------------------
-    def _row_rejected(self, table: str) -> None:
-        # A rejected matrices row belongs in the matrix quartet too, so
-        # `match_store_corrupt_total` covers every rejection reason —
-        # torn bytes and malformed records alike.
-        if table == "matrices":
-            self.observer.count(
-                "match_store_corrupt_total",
-                help="stored similarity matrices rejected at load time (cold path)",
-            )
-
     def get_matrix(self, key: str) -> dict[str, Any] | None:
         """The stored matrix record for *key*, or ``None``.
 
@@ -151,29 +200,24 @@ class MatchStore(LogStore):
         label grid) is treated exactly like a corrupt row: deleted,
         counted, answered as a miss.
         """
-        value = self._get("matrices", key, _matrix_record_ok)
-        if value is None:
-            self.observer.count(
-                "match_store_misses_total",
-                help="match lookups that fell through to the EMS fixpoint",
-            )
-        else:
-            self.observer.count(
-                "match_store_hits_total",
-                help="match lookups served from a persisted similarity matrix",
-            )
-        return value
+        return self._get_counted("matrices", key, _matrix_record_ok)
 
     def put_matrix(self, key: str, record: dict[str, Any]) -> None:
         self._put("matrices", key, record)
 
-    def _on_evicted(self, table: str, keys: list[str]) -> None:
-        if table == "matrices":
-            self.observer.count(
-                "match_store_evictions_total",
-                amount=float(len(keys)),
-                help="stored similarity matrices dropped by the LRU bound",
-            )
+    # ------------------------------------------------------------------
+    # Composite-search evaluations
+    # ------------------------------------------------------------------
+    def get_evaluation(self, key: str) -> Any | None:
+        """The stored candidate evaluation or discovery for *key*, or ``None``.
+
+        A row holding anything but a :class:`CandidateEvaluation` or a
+        list of activity runs is treated like a corrupt row.
+        """
+        return self._get_counted("evaluations", key, _evaluation_record_ok)
+
+    def put_evaluation(self, key: str, value: Any) -> None:
+        self._put("evaluations", key, value)
 
 
 def _matrix_record_ok(value: Any) -> bool:
@@ -192,3 +236,12 @@ def _matrix_record_ok(value: Any) -> bool:
         if values.shape != (len(rows), len(cols)):
             return False
     return True
+
+
+def _evaluation_record_ok(value: Any) -> bool:
+    if isinstance(value, CandidateEvaluation):
+        return True
+    return isinstance(value, list) and all(
+        isinstance(run, tuple) and all(isinstance(name, str) for name in run)
+        for run in value
+    )

@@ -468,9 +468,9 @@ def match_stored(
        next time when it is exact, converged and unbudgeted
        (``match_mode="computed"``).
 
-    Budgeted matchers bypass the matrix store entirely (the evalcache
-    precedent: budget accounting must reflect real work), but still use
-    the counts store underneath.
+    Budgeted matchers bypass the matrix store entirely, as a budgeted
+    composite search bypasses stored evaluations (budget accounting must
+    reflect real work), but still use the counts store underneath.
 
     Returns ``(outcome, provenance)`` — provenance carries
     ``match_mode``, the matrix key, per-side ingest modes and log names.

@@ -82,8 +82,16 @@ def test_merge_counts_matches_recount(seed, run_seed):
     assert delta.counts.pair == expected.pair
     # The patched statistics divide the same integers: bit-identical floats.
     assert delta.counts.statistics() == compute_statistics(rewritten)
-    # The delta log swap reproduces the rewrite.
-    assert apply_delta_to_log(log, delta) == rewritten
+    # The delta log swap reproduces the rewrite, variant table order
+    # included: counts iterate in first-seen order.
+    merged = apply_delta_to_log(log, delta)
+    assert merged == rewritten
+    assert list(merged.variant_counts().items()) == list(
+        rewritten.variant_counts().items()
+    )
+    assert [trace.activities for trace in merged] == [
+        trace.activities for trace in rewritten
+    ]
     # The original counts were not mutated.
     assert counts.activity == LogCounts.from_log(log).activity
     assert counts.pair == LogCounts.from_log(log).pair
@@ -207,3 +215,20 @@ def test_changed_nodes_tracks_min_frequency_crossings():
     assert "c" in in_changed          # lost its (b, c) in-edge
     assert set(delta.run) <= in_changed and set(delta.run) <= out_changed
     assert delta.name in in_changed and delta.name in out_changed
+
+
+def test_apply_delta_merges_colliding_variants():
+    # ("x", "a", "b") collapses onto the variant ("x", "⟨a+b⟩") the log
+    # already has; their multiplicities add up, in first-seen order.
+    log = EventLog(
+        [["x", "⟨a+b⟩"], ["a", "b"], ["x", "a", "b"], ["x", "a", "b"]]
+    )
+    delta = merge_counts(LogCounts.from_log(log), TraceIndex(log), ("a", "b"))
+    merged = apply_delta_to_log(log, delta)
+    rewritten, _ = merge_run_in_log(log, ("a", "b"))
+    assert list(merged.variant_counts().items()) == [
+        (("x", "⟨a+b⟩"), 3), (("⟨a+b⟩",), 1)
+    ]
+    assert list(merged.variant_counts().items()) == list(
+        rewritten.variant_counts().items()
+    )

@@ -1,21 +1,23 @@
-"""Property suite: interrupt + re-run over the evaluation cache == one run.
+"""Property suite: interrupt + re-run over the stored evaluations == one run.
 
 The durable-execution contract: a composite search interrupted at *any*
 round boundary and re-run over the same
-:class:`~repro.runtime.EvaluationCache` must finish with bit-identical
+:class:`~repro.store.MatchStore` must finish with bit-identical
 correspondences, similarity values, stats counters, and runtime-report
 structure — as if the interruption never happened.  The re-run replays
-every round the interrupted run finished from the cache, so its misses
+every round the interrupted run finished from the store, so its misses
 fall only on rounds at or after the interrupt.  The interrupt is injected
 deterministically through the fault harness (``search.round``/
 ``interrupt``), which shares the code path a real SIGTERM takes through
-:class:`~repro.runtime.InterruptGuard`; damage is bytes flipped in the
-cache's files between the two runs.
+:class:`~repro.runtime.InterruptGuard`; damage is bytes flipped in chosen
+rows of the store's ``evaluations`` table between the two runs.
 """
 
 import dataclasses
 import random as random_module
+import sqlite3
 import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -25,7 +27,8 @@ from repro.core.composite import CompositeMatcher
 from repro.core.config import EMSConfig
 from repro.logs.log import EventLog
 from repro.obs import MetricsRegistry, Observer
-from repro.runtime import EvaluationCache, FaultPlan, FaultSpec
+from repro.runtime import FaultPlan, FaultSpec
+from repro.store import MatchStore
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 interrupt_rounds = st.integers(min_value=1, max_value=4)
@@ -40,15 +43,15 @@ def random_log(seed: int, alphabet: str = "abcdef") -> EventLog:
     return EventLog(traces, name=f"rand-{seed}")
 
 
-class RecordingCache(EvaluationCache):
-    """An evaluation cache that records the round of every miss."""
+class RecordingStore(MatchStore):
+    """A match store that records the round of every evaluation miss."""
 
-    def __init__(self, directory, observer: Observer):
-        super().__init__(directory, observer=observer)
+    def __init__(self, path, observer: Observer):
+        super().__init__(path, observer=observer)
         self.missed_rounds: list[int] = []
 
-    def load(self, key):
-        value = super().load(key)
+    def get_evaluation(self, key):
+        value = super().get_evaluation(key)
         if value is None:
             gauge = self.observer.metrics.get("composite_round")
             self.missed_rounds.append(int(gauge.value))
@@ -62,10 +65,10 @@ def _matcher(**kwargs) -> CompositeMatcher:
 
 
 def _cached(directory, faults=None):
-    """A matcher over the cache in *directory*, and that cache."""
+    """A matcher over the store in *directory*, and that store."""
     observer = Observer(metrics=MetricsRegistry())
-    cache = RecordingCache(directory, observer)
-    return _matcher(eval_cache=cache, faults=faults, observer=observer), cache
+    store = RecordingStore(Path(directory) / "match.db", observer)
+    return _matcher(store=store, faults=faults, observer=observer), store
 
 
 def _interrupt_at(round_: int) -> FaultPlan:
@@ -96,20 +99,22 @@ def test_interrupted_then_resumed_equals_uninterrupted(seed, interrupt_round):
     baseline = _matcher().match(*pair)
 
     with tempfile.TemporaryDirectory() as scratch:
-        matcher, _ = _cached(scratch, faults=_interrupt_at(interrupt_round))
+        matcher, store = _cached(scratch, faults=_interrupt_at(interrupt_round))
         interrupted = matcher.match(*pair)
+        store.close()
         if baseline.stats.rounds >= interrupt_round:
             assert interrupted.runtime.stage == "partial"
             assert interrupted.runtime.reason == "interrupted"
             assert interrupted.stats.rounds == interrupt_round - 1
         matcher, cache = _cached(scratch)
         resumed = matcher.match(*pair)
+        cache.close()
 
     _assert_same_search(resumed, baseline)
     assert _strip_timing(resumed.runtime.to_dict()) == _strip_timing(
         baseline.runtime.to_dict()
     )
-    # Every round the interrupted run finished is replayed from disk.
+    # Every round the interrupted run finished is replayed from the store.
     assert all(round_ >= interrupt_round for round_ in cache.missed_rounds)
     assert cache.hits > 0 or interrupt_round == 1
 
@@ -127,6 +132,7 @@ def test_double_interrupt_chain_still_converges(seed, interrupt_round):
             faults = None if stop_at is None else _interrupt_at(stop_at)
             matcher, cache = _cached(scratch, faults=faults)
             final = matcher.match(*pair)
+            cache.close()
             assert all(round_ >= resumed_at for round_ in cache.missed_rounds)
             resumed_at = stop_at
 
@@ -145,18 +151,27 @@ def test_corrupted_cache_falls_back_to_cold_identical_run(
     with tempfile.TemporaryDirectory() as scratch:
         matcher, cache = _cached(scratch, faults=_interrupt_at(interrupt_round))
         matcher.match(*pair)
-        entries = sorted(cache.directory.glob("eval-*.pkl"))
+        cache.close()
+        connection = sqlite3.connect(cache.path)
+        rows = connection.execute(
+            "SELECT key, payload FROM evaluations ORDER BY key"
+        ).fetchall()
         damaged = data.draw(
-            st.lists(st.sampled_from(entries), unique=True) if entries
+            st.lists(st.sampled_from(rows), unique=True) if rows
             else st.just([])
         )
-        for path in damaged:
-            raw = bytearray(path.read_bytes())
+        for key, payload in damaged:
+            raw = bytearray(payload)
             position = data.draw(st.integers(0, len(raw) - 1))
             raw[position] ^= 0xFF
-            path.write_bytes(bytes(raw))
+            connection.execute(
+                "UPDATE evaluations SET payload = ? WHERE key = ?", (bytes(raw), key)
+            )
+        connection.commit()
+        connection.close()
         matcher, cache = _cached(scratch)
         resumed = matcher.match(*pair)
+        cache.close()
 
     _assert_same_search(resumed, baseline)
     corrupt = cache.observer.metrics.get("eval_cache_corrupt_total")

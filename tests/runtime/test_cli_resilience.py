@@ -1,6 +1,7 @@
 """CLI failure behaviour: exit codes, budgets, and fault-tolerant flags."""
 
 import json
+import sqlite3
 
 import pytest
 
@@ -153,7 +154,8 @@ class TestDurabilityFlags:
         ["--checkpoint-dir", "ckpt"],
         ["--checkpoint-every", "2"],
         ["--checkpoint-dir=ckpt", "--resume"],
-    ], ids=["resume", "checkpoint-dir", "checkpoint-every", "both"])
+        ["--eval-cache-dir", "cache"],
+    ], ids=["resume", "checkpoint-dir", "checkpoint-every", "both", "eval-cache-dir"])
     def test_retired_checkpoint_flags_exit_2(self, capsys, corpus, flags):
         code, captured = run(
             capsys, "match",
@@ -161,7 +163,7 @@ class TestDurabilityFlags:
             "--composite", *flags,
         )
         assert code == EXIT_INPUT_ERROR
-        assert "--eval-cache-dir" in captured.err
+        assert "--store PATH" in captured.err
         assert captured.out == ""
 
     def test_unreadable_fault_plan_exits_2(self, capsys, corpus, tmp_path):
@@ -185,7 +187,7 @@ class TestDurabilityFlags:
         plan.write_text(json.dumps({"specs": [
             {"site": "search.round", "kind": "interrupt", "round": 2},
         ]}))
-        cache, metrics = tmp_path / "evalcache", tmp_path / "metrics.prom"
+        store, metrics = tmp_path / "match.db", tmp_path / "metrics.prom"
         argv = (
             "match", str(first), str(second), "--composite",
             "--delta", "0.001", "--json",
@@ -195,17 +197,17 @@ class TestDurabilityFlags:
         uninterrupted = json.loads(captured.out)
 
         code, captured = run(
-            capsys, *argv, "--eval-cache-dir", str(cache),
-            "--fault-plan", str(plan),
+            capsys, *argv, "--store", str(store), "--fault-plan", str(plan),
         )
         assert code == 0
         interrupted = json.loads(captured.out)
         assert interrupted["runtime"]["reason"] == "interrupted"
-        assert list(cache.glob("eval-*.pkl"))
+        connection = sqlite3.connect(store)
+        assert connection.execute("SELECT COUNT(*) FROM evaluations").fetchone()[0]
+        connection.close()
 
         code, captured = run(
-            capsys, *argv, "--eval-cache-dir", str(cache),
-            "--metrics-out", str(metrics),
+            capsys, *argv, "--store", str(store), "--metrics-out", str(metrics),
         )
         assert code == 0
         resumed = json.loads(captured.out)

@@ -1,18 +1,17 @@
-"""Persistent evaluation cache: keys, durability, LRU, end-to-end reuse."""
+"""Stored composite evaluations: keys, durability, LRU, end-to-end reuse."""
+
+import sqlite3
 
 import numpy as np
 import pytest
 
 from repro.core.composite import CompositeMatcher
 from repro.core.config import EMSConfig
+from repro.exceptions import StoreError
 from repro.logs.log import EventLog
 from repro.obs import MetricsRegistry, Observer
-from repro.runtime.evalcache import (
-    EvaluationCache,
-    candidate_key,
-    discovery_key,
-    search_content_key,
-)
+from repro.runtime.evalcache import candidate_key, discovery_key, search_content_key
+from repro.store import MatchStore
 
 
 def _content_key(first=None, second=None, config=None, knobs=None):
@@ -80,87 +79,111 @@ class TestKeys:
         )
 
 
+def _row_count(store):
+    return store._execute("SELECT COUNT(*) FROM evaluations").fetchone()[0]
+
+
+def _damage_row(store, key, mutilate):
+    connection = sqlite3.connect(store.path)
+    (payload,), = connection.execute(
+        "SELECT payload FROM evaluations WHERE key = ?", (key,)
+    ).fetchall()
+    connection.execute(
+        "UPDATE evaluations SET payload = ? WHERE key = ?", (mutilate(payload), key)
+    )
+    connection.commit()
+    connection.close()
+
+
+#: A storable value: one side's discovered candidate runs.
+RUNS = [("a", "b"), ("a", "b", "c")]
+
+
 class TestDurability:
+    """The ``evaluations`` table of the match store, under its own counters."""
+
     def _store(self, tmp_path, observer=None):
-        cache = EvaluationCache(tmp_path, observer=observer)
+        store = MatchStore(tmp_path / "match.db", observer=observer)
         key = _candidate_key()
-        cache.store(key, {"payload": [1, 2, 3]})
-        return cache, key
+        store.put_evaluation(key, RUNS)
+        return store, key
 
     def test_round_trip(self, tmp_path):
-        cache, key = self._store(tmp_path)
-        assert cache.load(key) == {"payload": [1, 2, 3]}
-        assert cache.hits == 1 and cache.misses == 0
+        observer = Observer(metrics=MetricsRegistry())
+        store, key = self._store(tmp_path, observer)
+        assert store.get_evaluation(key) == RUNS
+        assert store.hits == 1 and store.misses == 0
+        assert "eval_cache_hits_total 1" in observer.metrics.to_prometheus_text()
+        store.close()
 
     def test_missing_entry_is_silent_miss(self, tmp_path):
         observer = Observer(metrics=MetricsRegistry())
-        cache = EvaluationCache(tmp_path, observer=observer)
-        assert cache.load(_candidate_key()) is None
+        store = MatchStore(tmp_path / "match.db", observer=observer)
+        assert store.get_evaluation(_candidate_key()) is None
         text = observer.metrics.to_prometheus_text()
         assert "eval_cache_misses_total 1" in text
         # Absence is the normal first run, not corruption.
         assert "eval_cache_corrupt_total" not in text
+        store.close()
 
     @pytest.mark.parametrize("mutilate", [
-        lambda raw: raw[: len(raw) // 2],                      # torn write
-        lambda raw: raw.replace(b"EMSEVAL2", b"EMSEVAL9", 1),  # version bump
-        lambda raw: bytes(reversed(raw)),                      # garbage
+        lambda raw: raw[: len(raw) // 2],                  # torn write
+        lambda raw: raw[:-1] + bytes([raw[-1] ^ 0xFF]),    # flipped bit
+        lambda raw: bytes(reversed(raw)),                  # garbage
     ])
     def test_mutilated_entry_degrades_to_cold(self, tmp_path, mutilate, caplog):
         observer = Observer(metrics=MetricsRegistry())
-        cache, key = self._store(tmp_path, observer)
-        path = cache.path_for(key)
-        path.write_bytes(mutilate(path.read_bytes()))
+        store, key = self._store(tmp_path, observer)
+        _damage_row(store, key, mutilate)
         with caplog.at_level("WARNING"):
-            assert cache.load(key) is None
-        assert any("evaluating cold" in r.message for r in caplog.records)
+            assert store.get_evaluation(key) is None
+        assert any("computing cold" in r.message for r in caplog.records)
         text = observer.metrics.to_prometheus_text()
         assert "eval_cache_corrupt_total 1" in text
         assert "eval_cache_misses_total 1" in text
-        # The bad entry was removed so it cannot trip future runs.
-        assert not path.exists()
+        # The bad row was removed so it cannot trip future runs.
+        assert _row_count(store) == 0
+        store.close()
 
     def test_store_leaves_no_tmp_litter(self, tmp_path):
-        cache, key = self._store(tmp_path)
-        cache.store(key, {"payload": [4]})  # overwrite
-        assert [p.name for p in tmp_path.iterdir()] == [cache.path_for(key).name]
-        assert cache.load(key) == {"payload": [4]}
+        store, key = self._store(tmp_path)
+        store.put_evaluation(key, RUNS[:1])  # overwrite
+        assert _row_count(store) == 1
+        assert store.get_evaluation(key) == RUNS[:1]
+        store.close()
+        assert {p.name for p in tmp_path.iterdir()} <= {
+            "match.db", "match.db-wal", "match.db-shm"
+        }
 
 
 class TestEviction:
     def test_lru_bound_drops_oldest(self, tmp_path):
-        import os
-
         observer = Observer(metrics=MetricsRegistry())
-        cache = EvaluationCache(tmp_path, max_entries=2, observer=observer)
+        store = MatchStore(tmp_path / "match.db", max_entries=2, observer=observer)
         keys = [_candidate_key(abort_below=float(i)) for i in range(3)]
-        for i, key in enumerate(keys):
-            cache.store(key, i)
-            # Distinct mtimes even on coarse filesystem clocks.
-            os.utime(cache.path_for(key), (i, i))
-        assert cache.load(keys[0]) is None  # evicted
-        assert cache.load(keys[1]) == 1
-        assert cache.load(keys[2]) == 2
+        for key in keys:
+            store.put_evaluation(key, RUNS)
+        assert store.get_evaluation(keys[0]) is None  # evicted
+        assert store.get_evaluation(keys[1]) == RUNS
+        assert store.get_evaluation(keys[2]) == RUNS
         assert "eval_cache_evictions_total 1" in observer.metrics.to_prometheus_text()
+        store.close()
 
     def test_load_touches_entry_for_lru(self, tmp_path):
-        import os
-
-        cache = EvaluationCache(tmp_path, max_entries=2)
+        store = MatchStore(tmp_path / "match.db", max_entries=2)
         keys = [_candidate_key(abort_below=float(i)) for i in range(3)]
-        cache.store(keys[0], 0)
-        cache.store(keys[1], 1)
-        for i, key in enumerate(keys[:2]):
-            os.utime(cache.path_for(key), (i, i))
-        cache.load(keys[0])  # refresh: now keys[1] is the LRU entry
-        cache.store(keys[2], 2)
-        assert cache.load(keys[1]) is None
-        assert cache.load(keys[0]) == 0
+        store.put_evaluation(keys[0], RUNS)
+        store.put_evaluation(keys[1], RUNS)
+        store.get_evaluation(keys[0])  # refresh: now keys[1] is the LRU row
+        store.put_evaluation(keys[2], RUNS)
+        assert store.get_evaluation(keys[1]) is None
+        assert store.get_evaluation(keys[0]) == RUNS
+        store.close()
 
     def test_max_entries_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            EvaluationCache(tmp_path, max_entries=0)
-        EvaluationCache(tmp_path, max_entries=None)  # unbounded is fine
+        with pytest.raises(StoreError):
+            MatchStore(tmp_path / "match.db", max_entries=0)
+        MatchStore(tmp_path / "match.db", max_entries=None).close()  # unbounded
 
 
 def _toy_logs():
@@ -177,21 +200,21 @@ class TestEndToEnd:
     def test_warm_run_bit_identical_and_all_hits(self, tmp_path):
         first, second = _toy_logs()
         config = EMSConfig()
-        cache = EvaluationCache(tmp_path)
+        store = MatchStore(tmp_path / "match.db")
 
-        def run(with_cache):
+        def run(with_store):
             matcher = CompositeMatcher(
                 config, delta=0.0, min_confidence=0.6, max_run_length=3,
-                eval_cache=cache if with_cache else None,
+                store=store if with_store else None,
             )
             return matcher.match(first, second)
 
         cold = run(True)
-        misses = cache.misses
-        assert misses > 0 and cache.hits == 0
+        misses = store.misses
+        assert misses > 0 and store.hits == 0
         warm = run(True)
-        assert cache.hits == misses  # every evaluation + discovery reused
-        assert cache.misses == misses
+        assert store.hits == misses  # every evaluation + discovery reused
+        assert store.misses == misses
         uncached = run(False)
         for other in (warm, uncached):
             assert other.accepted_first == cold.accepted_first
@@ -199,22 +222,27 @@ class TestEndToEnd:
             assert np.array_equal(other.matrix.values, cold.matrix.values)
             assert other.stats.candidates_evaluated == cold.stats.candidates_evaluated
             assert other.stats.pairs_fixed == cold.stats.pairs_fixed
+        store.close()
 
     def test_corrupted_store_degrades_to_cold_search(self, tmp_path):
         first, second = _toy_logs()
         config = EMSConfig()
-        cache = EvaluationCache(tmp_path)
+        store = MatchStore(tmp_path / "match.db")
         matcher = CompositeMatcher(
             config, delta=0.0, min_confidence=0.6, max_run_length=3,
-            eval_cache=cache,
+            store=store,
         )
         cold = matcher.match(first, second)
-        for path in tmp_path.glob("eval-*.pkl"):
-            path.write_bytes(b"EMSEVAL9 junk junk\ngarbage")
+        connection = sqlite3.connect(store.path)
+        connection.execute("UPDATE evaluations SET payload = ?", (b"garbage",))
+        connection.commit()
+        connection.close()
+        hits = store.hits
         rerun = CompositeMatcher(
             config, delta=0.0, min_confidence=0.6, max_run_length=3,
-            eval_cache=cache,
+            store=store,
         ).match(first, second)
         assert rerun.accepted_second == cold.accepted_second
         assert np.array_equal(rerun.matrix.values, cold.matrix.values)
-        assert cache.hits == 0  # nothing served from the mutilated store
+        assert store.hits == hits  # nothing served from the mutilated rows
+        store.close()

@@ -1,21 +1,22 @@
-"""Kill-and-restart: SIGTERM mid-job, restart, resume from the cache.
+"""Kill-and-restart: SIGTERM mid-job, restart, resume from the store.
 
 Drives the real daemon as a subprocess (``python -m repro serve``).  The
 in-flight composite job is interrupted deterministically by an inline
 fault plan (the scripted equivalent of a SIGTERM landing at a round
-boundary) after its first round filled the daemon's evaluation cache,
-and parks as ``running``; the daemon then receives a real SIGTERM.  A
-second daemon life over the same store directory must re-queue the job,
-replay the finished round from ``evalcache/``, and finish with a result
-bit-identical to an uninterrupted run.  A pair-budgeted job, which does
-not read the cache, goes through two in-process scheduler lives on one
-store and must end where an uninterrupted run under the same budget
-ends.
+boundary) after its first round filled the ``evaluations`` table of
+the daemon's ``match.db``, and parks as ``running``; the daemon then
+receives a real SIGTERM.  A second daemon life over the same store
+directory must re-queue the job, replay the finished round from the
+store, and finish with a result bit-identical to an uninterrupted run.
+A pair-budgeted job, which does not read stored evaluations, goes
+through two in-process scheduler lives on one store and must end where
+an uninterrupted run under the same budget ends.
 """
 
 import json
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import time
@@ -76,6 +77,20 @@ def stop_daemon(process, sig=signal.SIGTERM, timeout=60):
             process.kill()
 
 
+def _evaluation_rows(store_dir):
+    """Rows in the daemon store's ``evaluations`` table (0 before it exists)."""
+    path = store_dir / "match.db"
+    if not path.exists():
+        return 0
+    connection = sqlite3.connect(path)
+    try:
+        return connection.execute("SELECT COUNT(*) FROM evaluations").fetchone()[0]
+    except sqlite3.OperationalError:  # table not created yet, or locked
+        return 0
+    finally:
+        connection.close()
+
+
 def _counter(metrics_text, name):
     for line in metrics_text.splitlines():
         if line.startswith(name + " "):
@@ -112,12 +127,12 @@ def test_sigterm_mid_job_resumes_from_eval_cache(tmp_path, wide_csv_pair):
                 f"job ended {parked['state']} in life 1: {parked['error']}"
             )
             if parked["state"] == "running" and parked["attempts"] == 1:
-                if list((store_dir / "evalcache").glob("eval-*.pkl")):
-                    break  # round 1 is on disk
+                if _evaluation_rows(store_dir):
+                    break  # round 1 is in the store
             time.sleep(0.05)
         assert parked is not None and parked["state"] == "running"
-        assert list((store_dir / "evalcache").glob("eval-*.pkl")), (
-            "no evaluation was cached before the interrupt"
+        assert _evaluation_rows(store_dir), (
+            "no evaluation was stored before the interrupt"
         )
     finally:
         stop_daemon(process)  # the real SIGTERM
@@ -144,7 +159,7 @@ def test_sigterm_mid_job_resumes_from_eval_cache(tmp_path, wide_csv_pair):
         result = result_document["result"]
         status, metrics = http("GET", f"{base}/metrics")
         assert status == 200
-        # The second life replayed the first life's round from disk.
+        # The second life replayed the first life's round from the store.
         assert _counter(metrics, "eval_cache_hits_total") > 0
     finally:
         stop_daemon(process)
@@ -185,7 +200,7 @@ def _scheduler(queue, store_dir):
 def test_budgeted_job_restarts_cold_after_interrupt(
     tmp_path, wide_csv_pair, csv_pair, capsys
 ):
-    # A pair-budgeted job never reads the evaluation cache, so its re-run
+    # A pair-budgeted job never reads stored evaluations, so its re-run
     # after an interrupt spends the whole budget again from round 1 and
     # ends exactly where an uninterrupted run under that budget ends.
     store_dir = tmp_path / "store"

@@ -1,12 +1,13 @@
 """One corruption contract for every persistent store.
 
-The evaluation cache, the log store (its counts and its append
-bookkeeping) and the match store all promise the same thing: damaged
-data degrades to a cold recompute, never to a wrong answer.  Each store is driven through the
-same table of damage — a torn entry, a foreign entry (another format
-version, or data filed under another key), a flipped bit, and an intact
-entry of the wrong shape (which only the store's record check can
-reject) — and must:
+Every table of the SQLite stores — the log store's counts and append
+bookkeeping, the match store's matrices and composite evaluations —
+promises the same thing: damaged data degrades to a cold recompute,
+never to a wrong answer.  Each table is driven through the same list of
+damage — a torn entry, a foreign entry (another format version, or data
+filed under another key), a flipped bit, and an intact entry of the
+wrong shape (which only the table's record check can reject) — and
+must:
 
 * answer the load with a cold miss (``None``), never a value;
 * count the rejection on its corrupt and miss counters;
@@ -26,10 +27,10 @@ import pytest
 
 from repro.core.config import EMSConfig
 from repro.core.ems import EMSEngine
+from repro.core.incremental import CandidateEvaluation
 from repro.graph.dependency import DependencyGraph
 from repro.logs.log import EventLog
 from repro.obs import MetricsRegistry, Observer
-from repro.runtime.evalcache import EvaluationCache
 from repro.store.logstore import LogStore, case_digest
 from repro.store.matchstore import MatchStore, matrix_record
 
@@ -38,49 +39,7 @@ OTHER_KEY = "b" * 64
 
 
 # ----------------------------------------------------------------------
-# Damage to one file-backed entry (evaluation cache)
-# ----------------------------------------------------------------------
-def _file_torn(store, key, magic):
-    path = store.path_for(key)
-    raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) // 2])
-
-
-def _file_bit_flip(store, key, magic):
-    path = store.path_for(key)
-    raw = bytearray(path.read_bytes())
-    raw[-1] ^= 0xFF
-    path.write_bytes(bytes(raw))
-
-
-def _file_foreign_magic(store, key, magic):
-    # A well-formed entry of another format version, digest intact: what
-    # a store written by an older or newer release looks like.
-    path = store.path_for(key)
-    raw = path.read_bytes()
-    assert raw.startswith(magic)
-    path.write_bytes(magic[:-1] + b"0" + raw[len(magic):])
-
-
-def _file_foreign_key(store, key, magic):
-    # An intact entry of another key, filed under this key's name.
-    path = store.path_for(key)
-    raw = path.read_bytes()
-    path.write_bytes(raw.replace(key.encode(), OTHER_KEY.encode(), 1))
-
-
-def _file_wrong_shape(store, key, magic):
-    # An intact entry holding ``None``, the one value the cache's record
-    # check rejects.
-    store.store(key, None)
-
-
-def _file_entry_gone(store, key) -> bool:
-    return not store.path_for(key).exists()
-
-
-# ----------------------------------------------------------------------
-# Damage to one SQLite-backed entry (log store, match store)
+# Damage to one stored entry
 # ----------------------------------------------------------------------
 def _rewrite_payload(store, table, key, change):
     connection = sqlite3.connect(store.path)
@@ -194,19 +153,6 @@ def _matrix_record():
     return matrix_record(result, EMSConfig(), ("first", "second"))
 
 
-def _file_damage(magic):
-    return {
-        name: (lambda store, key, fn=fn: fn(store, key, magic))
-        for name, fn in (
-            ("torn", _file_torn),
-            ("foreign-magic", _file_foreign_magic),
-            ("foreign-key", _file_foreign_key),
-            ("bit-flip", _file_bit_flip),
-            ("wrong-shape", _file_wrong_shape),
-        )
-    }
-
-
 def _row_damage(table, malformed):
     damage = {
         name: (lambda store, key, fn=fn: fn(store, table, key))
@@ -232,15 +178,6 @@ def _short_directional_record():
 
 
 SUBJECTS = [
-    Subject(
-        name="EvaluationCache",
-        open=lambda path, observer: EvaluationCache(path / "cache", observer=observer),
-        put=lambda store, key: store.store(key, {"payload": [1, 2, 3]}),
-        get=lambda store, key: store.load(key),
-        counters=("eval_cache_corrupt_total", "eval_cache_misses_total"),
-        damage=_file_damage(b"EMSEVAL2"),
-        gone=_file_entry_gone,
-    ),
     Subject(
         name="LogStore",
         open=lambda path, observer: LogStore(path / "log.db", observer=observer),
@@ -274,6 +211,26 @@ SUBJECTS = [
         gone=lambda store, key: _row_gone(store, "matrices", key),
         set_aside=_db_set_aside,
         entry_counters=("match_store_corrupt_total",),
+    ),
+    # The composite search's evaluation cache: the match store's
+    # ``evaluations`` table.
+    Subject(
+        name="EvaluationCache",
+        open=lambda path, observer: MatchStore(path / "match.db", observer=observer),
+        put=lambda store, key: store.put_evaluation(
+            key, CandidateEvaluation(outcome=None, pairs_fixed=3)
+        ),
+        get=lambda store, key: store.get_evaluation(key),
+        counters=(
+            "store_corrupt_total", "store_misses_total",
+            "eval_cache_misses_total",
+        ),
+        # An intact row holding ``None``: neither an evaluation nor a
+        # discovery list.
+        damage=_row_damage("evaluations", lambda: None),
+        gone=lambda store, key: _row_gone(store, "evaluations", key),
+        set_aside=_db_set_aside,
+        entry_counters=("eval_cache_corrupt_total",),
     ),
 ]
 
@@ -315,5 +272,4 @@ def test_damage_is_a_counted_cold_miss(subject, damage, tmp_path):
         subject.put(store, KEY)
         assert subject.get(store, KEY) is not None
     finally:
-        if hasattr(store, "close"):
-            store.close()
+        store.close()

@@ -291,7 +291,7 @@ class TestSchema:
                 "SELECT name FROM sqlite_master WHERE type = 'table'"
             )
         ]
-        assert sorted(tables) == ["counts", "ingests", "matrices"]
+        assert sorted(tables) == ["counts", "evaluations", "ingests", "matrices"]
         for table in tables:
             columns = [
                 (row[1], row[2], row[3], row[5]) for row in store._execute(

@@ -195,12 +195,27 @@ class TestScaledMatch:
         warm = json.loads(capsys.readouterr().out)
         assert self.normalize(warm) == self.normalize(cold)
 
-    def test_composite_incompatible_with_scale_flags(self, log_paths, tmp_path, capsys):
-        code = main(
-            ["match", *log_paths, "--composite", "--store", str(tmp_path / "s.db")]
-        )
-        assert code == 2
-        assert "composite" in capsys.readouterr().err
+    def test_composite_store_run_equals_storeless_and_hits(
+        self, log_paths, tmp_path, capsys
+    ):
+        # --composite --store memoizes the search's evaluations in the
+        # store: same answer as a store-less composite run, and a second
+        # run is served from the evaluations table.
+        def composite(*extra):
+            assert main(["match", *log_paths, "--composite", "--json", *extra]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            payload["runtime"].pop("wall_time")
+            return payload
+
+        store, metrics = tmp_path / "s.db", tmp_path / "metrics.prom"
+        storeless = composite()
+        assert composite("--store", str(store)) == storeless
+        assert composite("--store", str(store), "--metrics-out", str(metrics)) == storeless
+        hits = [
+            line for line in metrics.read_text().splitlines()
+            if line.startswith("eval_cache_hits_total ")
+        ]
+        assert hits and float(hits[0].split()[1]) > 0
 
     def test_report_incompatible_with_scale_flags(self, log_paths, tmp_path, capsys):
         code = main(
