@@ -134,6 +134,8 @@ class CompositeStats:
     rounds: int = 0
     candidates_evaluated: int = 0
     evaluations_aborted: int = 0
+    #: Formula-(1) evaluations of every fixpoint the search ran, Bd-aborted
+    #: candidates included (a stored hit counts the work it stands for).
     pair_updates: int = 0
     pairs_fixed: int = 0
 
@@ -305,7 +307,7 @@ class CompositeMatcher:
         started = obs.clock()
         meter = self.budget.start(obs.clock) if self.budget is not None else None
         policy = self.degradation
-        self._label_cache = LabelMatrixCache(self.config.label_cache_entries)
+        self._label_cache = LabelMatrixCache()
         self._accepted_history = []
         self._interrupted_by = None
         self._content_key = ""
@@ -343,18 +345,13 @@ class CompositeMatcher:
             ),
         )
         stats = CompositeStats()
-        stage: str = STAGE_EXACT
-        reason: str | None = None
         detail: str | None = None
-        engine = self._engine(states[0], states[1])
-        if meter is None:
-            current = engine.similarity(states[0].graph, states[1].graph)
-        else:
-            current, stage, reason = engine.similarity_resilient(
-                states[0].graph, states[1].graph, meter, policy
-            )
-            if stage != STAGE_EXACT:
-                detail = "initial similarity degraded; composite search skipped"
+        current = self._engine(states[0], states[1]).similarity(
+            states[0].graph, states[1].graph, meter=meter, degradation=policy
+        )
+        stage, reason = current.stage, current.reason
+        if stage != STAGE_EXACT:
+            detail = "initial similarity degraded; composite search skipped"
         stats.pair_updates += current.pair_updates
 
         if stage == STAGE_EXACT:
@@ -606,10 +603,9 @@ class CompositeMatcher:
             if key is not None:
                 self.store.put_evaluation(key, evaluation)
         stats.pairs_fixed += evaluation.pairs_fixed
+        stats.pair_updates += evaluation.pair_updates
         if evaluation.outcome is None:
             stats.evaluations_aborted += 1
-            return None
-        stats.pair_updates += evaluation.outcome.pair_updates
         return evaluation.outcome
 
     # ------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Configuration of the EMS similarity computation.
 
-One dataclass gathers every knob that can change a similarity value
-(plus the label-cache size, which cannot):
+One dataclass gathers every knob that can change a similarity value:
 
 * ``alpha`` — weight of the structural part vs the label part
   (Definition 2); the paper's structural-only experiments use ``alpha = 1``.
@@ -60,10 +59,6 @@ class EMSConfig:
     #: Floating-point width of the similarity computation ("float64" or
     #: "float32"); see module docstring.
     dtype: Dtype = "float64"
-    #: LRU entry cap of the shared :class:`~repro.core.ems.LabelMatrixCache`
-    #: (``None`` = unbounded).  Each entry is one whole label matrix plus
-    #: headroom for 128 scalar cells.
-    label_cache_entries: int | None = 512
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -87,10 +82,6 @@ class EMSConfig:
         if self.dtype not in _DTYPES:
             raise ValueError(
                 f"dtype must be float64/float32, got {self.dtype!r}"
-            )
-        if self.label_cache_entries is not None and self.label_cache_entries < 1:
-            raise ValueError(
-                f"label_cache_entries must be >= 1 or None, got {self.label_cache_entries}"
             )
 
     def with_(self, **changes) -> "EMSConfig":

@@ -25,8 +25,13 @@ Features implemented here:
 * **bounded evaluation with abort** (Section 4.3): stop as soon as the
   upper bound of the average similarity falls below a target — the *Bd*
   pruning used by the composite matcher;
+* the **degradation ladder** of a budgeted run (formula (2) or the
+  best-so-far values when the budget runs out);
 * instrumentation: the number of formula-(1) evaluations (``pair_updates``)
-  reported in the paper's Figures 6 and 12.
+  reported in the paper's Figures 6 and 12, counted for every fixpoint
+  however it ended.
+
+:meth:`EMSEngine.similarity` drives all of these through one loop.
 
 One kernel, :class:`_DirectionalRun`, evaluates the iteration over one
 edge-pair grid: the artificial predecessor's constant row is factored
@@ -85,6 +90,15 @@ class EMSResult:
         ``max_iterations``).
     estimated:
         Whether the closed-form estimation supplied part of the values.
+    stage:
+        How the run ended: ``"exact"``, or the degradation rung a budget
+        cut sent it to (``"estimated"`` / ``"partial"``).
+    reason:
+        The exhausted budget axis of a degraded run, else ``None``.
+    aborted:
+        Whether the Bd bound stopped the run: its matrix is then the
+        unfinished state, not a similarity; its counters are the work
+        done.
     """
 
     matrix: SimilarityMatrix
@@ -95,6 +109,9 @@ class EMSResult:
     #: Per-direction matrices ("forward"/"backward"); the composite
     #: matcher's Uc pruning warm-starts the next evaluation from these.
     directional: dict[str, SimilarityMatrix] | None = None
+    stage: str = STAGE_EXACT
+    reason: str | None = None
+    aborted: bool = False
 
     @property
     def average(self) -> float:
@@ -106,47 +123,43 @@ class EMSResult:
         rows: tuple[str, ...],
         cols: tuple[str, ...],
         directional_values: dict[str, np.ndarray],
-        *,
-        iterations: int,
-        pair_updates: int,
-        converged: bool,
-        estimated: bool,
+        **fields: object,
     ) -> "EMSResult":
-        """Rebuild a result from per-direction value arrays.
+        """A result from per-direction value arrays; *fields* are the rest.
 
-        The match store persists only the directional arrays (at the dtype
-        the fixpoint ran at) and reconstructs the combined matrix here with
-        :func:`combine_directional` — the *same* reduction ``_result`` uses
-        after a live run, so a restored result is bit-identical to the one
-        that was stored.
+        The combined matrix is the :func:`combine_directional` of the
+        arrays.  A live run and the match store's restore path (which
+        persists only the directional arrays, at the dtype the fixpoint
+        ran at) both build their result here, so a restored result is
+        bit-identical to the one that was stored.
         """
         combined = combine_directional(list(directional_values.values()))
         return cls(
             matrix=SimilarityMatrix(rows, cols, combined),
-            iterations=iterations,
-            pair_updates=pair_updates,
-            converged=converged,
-            estimated=estimated,
             directional={
                 name: SimilarityMatrix(rows, cols, values)
                 for name, values in directional_values.items()
             },
+            **fields,
         )
 
 
 def combine_directional(values: list[np.ndarray]) -> np.ndarray:
     """Combine per-direction similarity arrays into the final matrix.
 
-    A plain mean over directions, factored out so the live fixpoint
-    (:meth:`EMSEngine._result`) and the match-store restore path share one
-    reduction: bit-identity of a served matrix reduces to bit-identity of
-    the stored directional arrays.
+    A plain mean over directions, shared by the live fixpoint and the
+    match-store restore path (:meth:`EMSResult.from_directional`):
+    bit-identity of a served matrix reduces to bit-identity of the stored
+    directional arrays.
     """
     return np.mean(values, axis=0)
 
 
-#: Cell-cache headroom per matrix entry of a bounded LabelMatrixCache —
-#: roughly one mid-sized matrix's worth of scalar cells per cached matrix.
+#: Whole label matrices a :class:`LabelMatrixCache` keeps by default.
+LABEL_CACHE_ENTRIES = 512
+
+#: Cell-cache headroom per matrix entry of a LabelMatrixCache — roughly
+#: one mid-sized matrix's worth of scalar cells per cached matrix.
 _CELLS_PER_ENTRY = 128
 
 
@@ -162,12 +175,11 @@ class LabelMatrixCache:
     composite node names (``⟨A+B⟩``, :func:`repro.graph.merge.composite_name`)
     encode their member activities: equal names imply equal label values.
 
-    ``max_entries`` bounds the cache with LRU eviction: at most that many
-    whole matrices and ``128 *`` that many scalar cells are retained, so a
-    long composite run over a large alphabet — whose candidate vocabularies
-    never repeat exactly — cannot grow the cache without limit.  ``None``
-    keeps the historical unbounded behaviour.  The cap is exposed as
-    :attr:`repro.core.config.EMSConfig.label_cache_entries`.
+    ``max_entries`` (:data:`LABEL_CACHE_ENTRIES` by default) bounds the
+    cache with LRU eviction: at most that many whole matrices and ``128
+    *`` that many scalar cells are retained, so a long composite run over
+    a large alphabet — whose candidate vocabularies never repeat exactly —
+    cannot grow the cache without limit.
 
     Matrix keys include the requested dtype: a float32 run must get a
     float32 matrix of its own, never a silently upcast view of a float64
@@ -187,15 +199,15 @@ class LabelMatrixCache:
         "hits", "misses", "evictions",
     )
 
-    def __init__(self, max_entries: int | None = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1 or None, got {max_entries}")
+    def __init__(self, max_entries: int = LABEL_CACHE_ENTRIES) -> None:
+        if max_entries < 1:
+            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self._matrices: dict[
             tuple[tuple[str, ...], tuple[str, ...], str], np.ndarray
         ] = {}
         self._cells: dict[tuple[str, str], float] = {}
         self._max_entries = max_entries
-        self._max_cells = None if max_entries is None else max_entries * _CELLS_PER_ENTRY
+        self._max_cells = max_entries * _CELLS_PER_ENTRY
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -223,8 +235,7 @@ class LabelMatrixCache:
         cached = matrices.get(key)
         if cached is not None:
             self.hits += 1
-            if self._max_entries is not None:
-                matrices[key] = matrices.pop(key)  # LRU touch
+            matrices[key] = matrices.pop(key)  # LRU touch
             return cached
         self.misses += 1
         cells = self._cells
@@ -238,12 +249,11 @@ class LabelMatrixCache:
                 cached[i, j] = value
         cached.flags.writeable = False
         matrices[key] = cached
-        if self._max_entries is not None:
-            while len(matrices) > self._max_entries:
-                matrices.pop(next(iter(matrices)))
-                self.evictions += 1
-            while len(cells) > self._max_cells:
-                cells.pop(next(iter(cells)))
+        while len(matrices) > self._max_entries:
+            matrices.pop(next(iter(matrices)))
+            self.evictions += 1
+        while len(cells) > self._max_cells:
+            cells.pop(next(iter(cells)))
         return cached
 
 
@@ -490,6 +500,9 @@ class _EdgeGrid:
 class _DirectionalRun:
     """One forward-similarity fixpoint computation on a graph pair.
 
+    The run holds the state of one direction; :meth:`EMSEngine.similarity`
+    drives it, one :meth:`advance` per iteration, and :meth:`estimate`
+    applies formula (2) where ``EMS+es`` or the degradation ladder asks.
     Each iteration evaluates formula (1) for every active pair with a
     fixed handful of NumPy calls per chunk.  Four observations make that
     possible:
@@ -872,16 +885,14 @@ class _DirectionalRun:
         ):
             self.converged = True
 
-    def run_exact(self) -> None:
-        while not self.finished():
-            self.advance()
+    def estimate(self) -> None:
+        """Formula (2) (Section 3.5) on the current state.
 
-    def run_estimated(self, exact_iterations: int) -> None:
-        """``EMS+es``: *exact_iterations* exact steps, then formula (2)."""
-        while self.iterations < exact_iterations and not self.finished():
-            self.advance()
+        Fills in the unconverged pairs from however many exact iterations
+        ran; a converged run has exact values everywhere and is left as is.
+        """
         if self.converged:
-            return  # exact values everywhere; nothing to estimate
+            return
         # |pre(v)|: the real in-degree plus the artificial predecessor.
         q, a = estimation_coefficients(
             np.diff(self._graph_first.predecessor_csr()[0]) + 1,
@@ -935,10 +946,14 @@ class EMSEngine:
         Optional :class:`~repro.obs.Observer`.  With a tracer attached,
         every similarity call records an ``ems.fixpoint`` span with one
         ``ems.iteration[k]`` child per exact iteration and a
-        ``pruning.freeze`` marker per direction; without one (the
-        default) the fixpoint loops run on the exact same code path as
-        before — iteration spans are only driven when tracing is on, so
-        the observer never perturbs results or hot-loop cost.
+        ``pruning.freeze`` marker per direction; with metrics, it counts
+        ``ems_fixpoint_total`` and ``ems_pair_updates_total``.  Without
+        either (the default) the same loop runs through inert spans, so
+        the observer never perturbs results.
+
+    :meth:`similarity` is the one entry point: the exact fixpoint, the
+    estimated one (``EMS+es``), the degradation ladder of a budgeted run
+    and the *Bd* abort all run through its loop.
     """
 
     def __init__(
@@ -990,59 +1005,58 @@ class EMSEngine:
         fixed_forward: FixedPairs = None,
         fixed_backward: FixedPairs = None,
         meter: BudgetMeter | None = None,
-    ) -> list[_DirectionalRun]:
+    ) -> dict[str, _DirectionalRun]:
+        """The directional runs the config asks for, by direction name."""
         label = self._label_matrix(first, second)
         scratch = _ChunkScratch()
-        runs: list[_DirectionalRun] = []
+        runs: dict[str, _DirectionalRun] = {}
         if self.config.direction in ("forward", "both"):
-            runs.append(
-                _DirectionalRun(
-                    first, second, self.config, label, fixed_forward, meter,
-                    scratch=scratch,
-                )
+            runs["forward"] = _DirectionalRun(
+                first, second, self.config, label, fixed_forward, meter, scratch=scratch,
             )
         if self.config.direction in ("backward", "both"):
-            runs.append(
-                _DirectionalRun(
-                    first.reversed(), second.reversed(), self.config, label,
-                    fixed_backward, meter, scratch=scratch,
-                )
+            runs["backward"] = _DirectionalRun(
+                first.reversed(), second.reversed(), self.config, label,
+                fixed_backward, meter, scratch=scratch,
             )
         return runs
 
-    def _directional_names(self) -> list[str]:
-        return (
-            ["forward", "backward"] if self.config.direction == "both"
-            else [self.config.direction]
-        )
+    def _iterate(
+        self,
+        group: list[tuple[str, _DirectionalRun]],
+        abort_below: float | None,
+    ) -> bool:
+        """Advance the runs of *group* in lockstep; True on a Bd abort.
 
-    def _drive(self, run: "_DirectionalRun", direction: str) -> None:
-        """Run one directional fixpoint, tracing iterations when asked.
-
-        With tracing off this is exactly the pre-observability code path
-        (`run_exact` / `run_estimated`); with tracing on, each exact
-        iteration gets an ``ems.iteration[k]`` span.  The two paths call
-        the same ``advance``/``run_estimated`` machinery, so results and
-        accounting are bit-identical either way.
+        Each pass steps every run that is neither finished nor at the
+        exact-iteration budget of ``EMS+es``, one ``ems.iteration[k]``
+        span each (inert unless tracing).  With *abort_below* (then the
+        group holds every direction), the upper bound of the final
+        average is checked after every pass, so a hopeless candidate dies
+        at the first possible moment.
         """
         obs = self.observer
         exact = self.config.estimation_iterations
-        if not obs.tracing:
-            if exact is not None:
-                run.run_estimated(exact)
-            else:
-                run.run_exact()
-            return
-        tracer = obs.tracer
-        while not run.finished() and (exact is None or run.iterations < exact):
-            before = run.pair_updates
-            with tracer.span(
-                f"ems.iteration[{run.iterations}]", direction=direction
-            ) as span:
-                run.advance()
-                span.attributes["pair_updates"] = run.pair_updates - before
-        if exact is not None:
-            run.run_estimated(run.iterations)
+        while True:
+            active = [
+                (direction, run) for direction, run in group
+                if not run.finished() and (exact is None or run.iterations < exact)
+            ]
+            if not active:
+                return False
+            for direction, run in active:
+                before = run.pair_updates
+                with obs.span(
+                    f"ems.iteration[{run.iterations}]", direction=direction
+                ) as span:
+                    try:
+                        run.advance()
+                    finally:
+                        span.attributes["pair_updates"] = run.pair_updates - before
+            if abort_below is not None:
+                bound = float(np.mean([run.average_bound() for _, run in group]))
+                if bound < abort_below:
+                    return True
 
     def _freeze_event(self, run: "_DirectionalRun", direction: str) -> None:
         """Record the post-run freeze accounting (Uc / Proposition 2)."""
@@ -1060,23 +1074,6 @@ class EMSEngine:
         )
         obs.count("ems_pair_updates_total", run.pair_updates)
 
-    def _result(self, first: DependencyGraph, second: DependencyGraph,
-                runs: list[_DirectionalRun]) -> EMSResult:
-        combined = combine_directional([run.real_values() for run in runs])
-        matrix = SimilarityMatrix(first.nodes, second.nodes, combined)
-        directional = {
-            name: SimilarityMatrix(first.nodes, second.nodes, run.real_values())
-            for name, run in zip(self._directional_names(), runs)
-        }
-        return EMSResult(
-            matrix=matrix,
-            iterations=sum(run.iterations for run in runs),
-            pair_updates=sum(run.pair_updates for run in runs),
-            converged=all(run.converged for run in runs),
-            estimated=any(run.estimated for run in runs),
-            directional=directional,
-        )
-
     # ------------------------------------------------------------------
     def similarity(
         self,
@@ -1084,138 +1081,87 @@ class EMSEngine:
         second: DependencyGraph,
         fixed_forward: FixedPairs = None,
         fixed_backward: FixedPairs = None,
+        *,
         meter: BudgetMeter | None = None,
+        degradation: DegradationPolicy | None = None,
+        abort_below: float | None = None,
     ) -> EMSResult:
         """Compute the pairwise similarity matrix of the two graphs.
 
         ``fixed_forward`` / ``fixed_backward`` seed pairs whose converged
         value is already known (Proposition 4); they are never iterated.
-        A *meter* makes the computation cooperatively cancellable:
-        :class:`~repro.exceptions.BudgetExhausted` propagates to the
-        caller (use :meth:`similarity_resilient` for the degradation
-        ladder instead).
+
+        A *meter* makes the computation cooperatively cancellable.  When
+        it runs out, the *degradation* ladder decides what the result
+        holds: the ``"estimated"`` rung fills in unconverged pairs with
+        the Section 3.5 closed form from however many exact iterations
+        ran, the ``"partial"`` rung keeps the best-so-far values as they
+        are; ``stage`` and ``reason`` of the result say which rung and
+        which budget axis.  Without a ladder, or with both rungs
+        disabled, :class:`~repro.exceptions.BudgetExhausted` propagates.
+
+        With *abort_below* set, this is the *Bd* pruning of Section 4.3:
+        the directions advance in lockstep, and once the upper bound of
+        the final *average* similarity (Proposition 6 / Corollary 7,
+        averaged over directions) falls strictly below *abort_below*, the
+        run stops and the result is marked ``aborted``; its counters
+        still report the work done.  Without it the directions run one
+        after the other.
+
+        Every call counts ``ems_fixpoint_total`` and the
+        ``ems_pair_updates_total`` it spent, whatever ended it.
         """
         obs = self.observer
-        with obs.span(
-            "ems.fixpoint",
-            pairs=len(first.nodes) * len(second.nodes),
-            dtype=self.config.dtype,
-        ):
+        attributes: dict[str, object] = {
+            "pairs": len(first.nodes) * len(second.nodes), "dtype": self.config.dtype,
+        }
+        if meter is not None:
+            attributes["budgeted"] = True
+        if abort_below is not None:
+            attributes["abort_below"] = abort_below
+        stage, reason, aborted = STAGE_EXACT, None, False
+        with obs.span("ems.fixpoint", **attributes) as span:
             runs = self._runs(first, second, fixed_forward, fixed_backward, meter)
-            for direction, run in zip(self._directional_names(), runs):
-                self._drive(run, direction)
-                self._freeze_event(run, direction)
-        obs.count("ems_fixpoint_total")
-        return self._result(first, second, runs)
-
-    def similarity_resilient(
-        self,
-        first: DependencyGraph,
-        second: DependencyGraph,
-        meter: BudgetMeter | None,
-        policy: DegradationPolicy | None = None,
-        fixed_forward: FixedPairs = None,
-        fixed_backward: FixedPairs = None,
-    ) -> tuple[EMSResult, str, str | None]:
-        """:meth:`similarity` with the graceful-degradation ladder.
-
-        Returns ``(result, stage, reason)`` where *stage* is one of
-        ``"exact"`` (completed within budget), ``"estimated"`` (budget
-        exhausted; the Section 3.5 closed form filled in unconverged
-        pairs from however many exact iterations ran) or ``"partial"``
-        (best-so-far values as-is), and *reason* is the exhausted budget
-        axis (``None`` when exact).  With a ladder fully disabled by
-        *policy*, :class:`~repro.exceptions.BudgetExhausted` propagates.
-        """
-        if policy is None:
-            policy = DegradationPolicy()
-        obs = self.observer
-        with obs.span(
-            "ems.fixpoint",
-            pairs=len(first.nodes) * len(second.nodes),
-            dtype=self.config.dtype,
-            budgeted=meter is not None,
-        ) as span:
-            runs = self._runs(first, second, fixed_forward, fixed_backward, meter)
+            items = list(runs.items())
+            groups = [items] if abort_below is not None else [[item] for item in items]
             try:
-                for direction, run in zip(self._directional_names(), runs):
-                    self._drive(run, direction)
-                    self._freeze_event(run, direction)
-                return self._result(first, second, runs), STAGE_EXACT, None
+                for group in groups:
+                    aborted = self._iterate(group, abort_below)
+                    if aborted:
+                        span.attributes["aborted"] = True
+                        obs.count("ems_bound_aborts_total")
+                        break
+                    if self.config.estimation_iterations is not None:
+                        for _, run in group:
+                            run.estimate()
             except BudgetExhausted as error:
                 span.attributes["budget_exhausted"] = error.reason
                 obs.count("budget_exhausted_total")
-                if policy.allow_estimation:
-                    # The closed form needs no further iterations: asking
-                    # for exactly the iterations already performed makes
-                    # run_estimated apply formula (2) to the current state.
-                    for run in runs:
-                        run.run_estimated(run.iterations)
-                    return (
-                        self._result(first, second, runs),
-                        STAGE_ESTIMATED,
-                        error.reason,
-                    )
-                if policy.allow_partial:
-                    return (
-                        self._result(first, second, runs),
-                        STAGE_PARTIAL,
-                        error.reason,
-                    )
-                raise
-
-    def similarity_with_abort(
-        self,
-        first: DependencyGraph,
-        second: DependencyGraph,
-        abort_below: float,
-        fixed_forward: FixedPairs = None,
-        fixed_backward: FixedPairs = None,
-        meter: BudgetMeter | None = None,
-    ) -> EMSResult | None:
-        """Like :meth:`similarity`, but give up early when hopeless.
-
-        After every iteration the upper bound of the final *average*
-        similarity (Proposition 6 / Corollary 7, averaged over directions)
-        is compared against *abort_below*; if it falls strictly below,
-        ``None`` is returned — the candidate cannot beat the incumbent.
-        This is the *Bd* pruning of Section 4.3.
-        """
-        obs = self.observer
-        with obs.span(
-            "ems.fixpoint",
-            pairs=len(first.nodes) * len(second.nodes),
-            dtype=self.config.dtype,
-            abort_below=abort_below,
-        ) as span:
-            runs = self._runs(first, second, fixed_forward, fixed_backward, meter)
-            # Lockstep: advance each unfinished run one iteration, then
-            # check the combined bound, so hopeless candidates die at the
-            # first possible moment.
-            exact_budget = self.config.estimation_iterations
-            while True:
-                active = [
-                    run
-                    for run in runs
-                    if not run.finished()
-                    and (exact_budget is None or run.iterations < exact_budget)
-                ]
-                if not active:
-                    break
-                for run in active:
-                    run.advance()
-                bound = float(np.mean([run.average_bound() for run in runs]))
-                if bound < abort_below:
-                    span.attributes["aborted"] = True
-                    obs.count("ems_bound_aborts_total")
-                    return None
-            if exact_budget is not None:
-                for run in runs:
-                    run.run_estimated(exact_budget)
-            for direction, run in zip(self._directional_names(), runs):
-                self._freeze_event(run, direction)
-        obs.count("ems_fixpoint_total")
-        return self._result(first, second, runs)
+                if degradation is None or not degradation.enabled:
+                    raise
+                reason = error.reason
+                if degradation.allow_estimation:
+                    stage = STAGE_ESTIMATED
+                    for run in runs.values():
+                        run.estimate()
+                else:
+                    stage = STAGE_PARTIAL
+            finally:
+                for direction, run in items:
+                    self._freeze_event(run, direction)
+                obs.count("ems_fixpoint_total")
+        return EMSResult.from_directional(
+            first.nodes,
+            second.nodes,
+            {direction: run.real_values() for direction, run in items},
+            iterations=sum(run.iterations for run in runs.values()),
+            pair_updates=sum(run.pair_updates for run in runs.values()),
+            converged=all(run.converged for run in runs.values()),
+            estimated=any(run.estimated for run in runs.values()),
+            stage=stage,
+            reason=reason,
+            aborted=aborted,
+        )
 
 
 def iteration_trace(

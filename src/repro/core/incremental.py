@@ -62,11 +62,13 @@ from repro.similarity.labels import CompositeAwareSimilarity, LabelSimilarity, O
 class CandidateEvaluation:
     """What :meth:`IncrementalSearchState.evaluate` learned about one candidate.
 
-    ``outcome`` is ``None`` when the Bd abort cut the evaluation short.
+    ``outcome`` is ``None`` when the Bd abort cut the evaluation short;
+    ``pair_updates`` is the work the evaluation did either way.
     """
 
     outcome: EMSResult | None
     pairs_fixed: int
+    pair_updates: int
 
 
 @dataclass(slots=True)
@@ -187,16 +189,15 @@ class IncrementalSearchState:
         fixed_forward, fixed_backward, pairs_fixed = self._warm_starts(
             side_index, run, delta.name, merged_graph, other.graph
         )
-        if self.use_bounds:
-            outcome = engine.similarity_with_abort(
-                graphs[0], graphs[1], abort_below, fixed_forward, fixed_backward,
-                meter=meter,
-            )
-        else:
-            outcome = engine.similarity(
-                graphs[0], graphs[1], fixed_forward, fixed_backward, meter=meter
-            )
-        return CandidateEvaluation(outcome=outcome, pairs_fixed=pairs_fixed)
+        outcome = engine.similarity(
+            graphs[0], graphs[1], fixed_forward, fixed_backward, meter=meter,
+            abort_below=abort_below if self.use_bounds else None,
+        )
+        return CandidateEvaluation(
+            outcome=None if outcome.aborted else outcome,
+            pairs_fixed=pairs_fixed,
+            pair_updates=outcome.pair_updates,
+        )
 
     def apply_accepted(
         self, side_index: int, run: tuple[str, ...]

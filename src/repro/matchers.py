@@ -27,7 +27,6 @@ from repro.core.config import EMSConfig
 from repro.core.ems import EMSEngine, EMSResult
 from repro.graph.dependency import DependencyGraph
 from repro.logs.log import EventLog
-from repro.logs.stats import LogStatistics
 from repro.matching.assignment import max_weight_assignment
 from repro.matching.evaluation import Correspondence
 from repro.obs import NULL_OBSERVER, Observer
@@ -115,32 +114,6 @@ class EMSMatcher(EventMatcher):
         )
         return pairs_to_outcome(evaluation, members_first, members_second, runtime)
 
-    def match_statistics(
-        self, stats_first: LogStatistics, stats_second: LogStatistics,
-        name_first: str = "log_first", name_second: str = "log_second",
-    ) -> MatchOutcome:
-        """Match from precomputed :class:`LogStatistics`, logs unseen.
-
-        The out-of-core entry point: the streamed/store-backed ingestion
-        pipeline (:mod:`repro.store`) reduces each input to statistics
-        without ever materializing an :class:`EventLog`, and this method
-        completes the matching from there.  Statistics determine the
-        dependency graphs exactly (Definition 1), so the outcome is
-        bit-identical to :meth:`match` on the equivalent logs.
-        """
-        obs = self.observer
-        with obs.span("graph.build", activities=len(stats_first.activity_frequencies)):
-            graph_first = DependencyGraph.from_statistics(
-                stats_first, name=name_first,
-                min_frequency=self.min_edge_frequency,
-            )
-        with obs.span("graph.build", activities=len(stats_second.activity_frequencies)):
-            graph_second = DependencyGraph.from_statistics(
-                stats_second, name=name_second,
-                min_frequency=self.min_edge_frequency,
-            )
-        return self.match_graphs(graph_first, graph_second)
-
     def match_graphs(
         self, graph_first: DependencyGraph, graph_second: DependencyGraph
     ) -> MatchOutcome:
@@ -178,9 +151,7 @@ class EMSMatcher(EventMatcher):
         matrix = result.matrix
         members_first = {node: frozenset({node}) for node in matrix.rows}
         members_second = {node: frozenset({node}) for node in matrix.cols}
-        evaluation, runtime = self._finish(
-            result, STAGE_EXACT, None, self.observer.clock()
-        )
+        evaluation, runtime = self._finish(result, self.observer.clock())
         return pairs_to_outcome(evaluation, members_first, members_second, runtime)
 
     def _evaluate_with_runtime(
@@ -221,23 +192,15 @@ class EMSMatcher(EventMatcher):
             label = CompositeAwareSimilarity(
                 self.label_similarity, dict(members_first), dict(members_second)
             )
-        engine = EMSEngine(self.config, label, observer=obs)
-        if self.budget is None:
-            result = engine.similarity(graph_first, graph_second)
-            stage, reason = STAGE_EXACT, None
-        else:
-            result, stage, reason = engine.similarity_resilient(
-                graph_first, graph_second, self.budget.start(obs.clock), self.degradation,
-            )
-        evaluation, runtime = self._finish(result, stage, reason, started)
+        meter = self.budget.start(obs.clock) if self.budget is not None else None
+        result = EMSEngine(self.config, label, observer=obs).similarity(
+            graph_first, graph_second, meter=meter, degradation=self.degradation,
+        )
+        evaluation, runtime = self._finish(result, started)
         return evaluation, runtime, result
 
     def _finish(
-        self,
-        result: EMSResult,
-        stage: str,
-        reason: str | None,
-        started: float,
+        self, result: EMSResult, started: float
     ) -> tuple[Evaluation, RuntimeReport]:
         """Assignment + threshold filtering: the shared match tail.
 
@@ -257,9 +220,9 @@ class EMSMatcher(EventMatcher):
             if values[i, j] > self.threshold
         )
         runtime = RuntimeReport(
-            stage=stage,
-            degraded=stage != STAGE_EXACT,
-            reason=reason,
+            stage=result.stage,
+            degraded=result.stage != STAGE_EXACT,
+            reason=result.reason,
             iterations=result.iterations,
             pair_updates=result.pair_updates,
             wall_time=obs.clock() - started,

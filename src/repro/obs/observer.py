@@ -21,8 +21,8 @@ Design notes
 from __future__ import annotations
 
 import logging
-from contextlib import contextmanager
-from typing import Any, Iterator
+from contextlib import nullcontext
+from typing import Any
 
 from repro.obs.clock import Clock, default_clock
 from repro.obs.logbridge import get_logger
@@ -71,7 +71,7 @@ class Observer:
         """Open a span (no-op context manager when tracing is off)."""
         if self.tracer is not None:
             return self.tracer.span(name, **attributes)
-        return _null_span()
+        return _NULL_CONTEXT
 
     def event(self, name: str, **attributes: Any) -> None:
         """Record an instant marker (dropped when tracing is off)."""
@@ -106,15 +106,11 @@ class Observer:
         self.logger.debug(message, *args)
 
 
-#: Shared inert span handed out by the null ``span()`` path.  Its
-#: attribute dict is reused (and may accumulate garbage) — that is fine,
-#: nobody ever reads it.
+#: Shared inert span handed out by the null ``span()`` path, through one
+#: reusable context manager.  Its attribute dict is reused (and may
+#: accumulate garbage) — that is fine, nobody ever reads it.
 _NULL_SPAN = Span(name="null", start=0.0, end=0.0)
-
-
-@contextmanager
-def _null_span() -> Iterator[Span]:
-    yield _NULL_SPAN
+_NULL_CONTEXT = nullcontext(_NULL_SPAN)
 
 
 #: The default observer: no tracer, no metrics, root library logger.

@@ -34,6 +34,7 @@ cold computation, never a wrong answer.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from typing import Any, Callable
@@ -211,8 +212,8 @@ class MatchStore(LogStore):
     def get_evaluation(self, key: str) -> Any | None:
         """The stored candidate evaluation or discovery for *key*, or ``None``.
 
-        A row holding anything but a :class:`CandidateEvaluation` or a
-        list of activity runs is treated like a corrupt row.
+        A row holding anything but a complete :class:`CandidateEvaluation`
+        or a list of activity runs is treated like a corrupt row.
         """
         return self._get_counted("evaluations", key, _evaluation_record_ok)
 
@@ -238,9 +239,21 @@ def _matrix_record_ok(value: Any) -> bool:
     return True
 
 
+def _fields_set(value: Any) -> bool:
+    """Whether every field of the dataclass *value* is set.
+
+    A row pickled by an older version lacks the fields added since; it
+    unpickles with those slots empty, so reading one would raise.
+    """
+    return all(hasattr(value, spec.name) for spec in dataclasses.fields(value))
+
+
 def _evaluation_record_ok(value: Any) -> bool:
     if isinstance(value, CandidateEvaluation):
-        return True
+        outcome = getattr(value, "outcome", None)
+        return _fields_set(value) and (
+            outcome is None or (isinstance(outcome, EMSResult) and _fields_set(outcome))
+        )
     return isinstance(value, list) and all(
         isinstance(run, tuple) and all(isinstance(name, str) for name in run)
         for run in value

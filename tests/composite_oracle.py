@@ -5,7 +5,8 @@ way: rewrite the log with :func:`~repro.graph.merge.merge_run_in_log`,
 rebuild the dependency graph with
 :func:`tests.count_oracle.statistics` (counted trace by trace), seed the Uc
 pairs (Proposition 4) as fixed-value dictionaries, and run
-:meth:`~repro.core.ems.EMSEngine.similarity_with_abort`.  It offers the
+:meth:`~repro.core.ems.EMSEngine.similarity` (under the Bd abort when
+``use_bounds`` is on).  It offers the
 methods of :class:`~repro.core.incremental.IncrementalSearchState`, so
 the production greedy loop runs on it unchanged:
 :class:`ColdCompositeMatcher` swaps it in for
@@ -91,16 +92,15 @@ class ColdSearchState:
         fixed_forward, fixed_backward, pairs_fixed = self._unchanged_pairs(
             side_index, run, graph, other_graph
         )
-        if self.use_bounds:
-            outcome = engine.similarity_with_abort(
-                graphs[0], graphs[1], abort_below, fixed_forward, fixed_backward,
-                meter=meter,
-            )
-        else:
-            outcome = engine.similarity(
-                graphs[0], graphs[1], fixed_forward, fixed_backward, meter=meter
-            )
-        return CandidateEvaluation(outcome=outcome, pairs_fixed=pairs_fixed)
+        outcome = engine.similarity(
+            graphs[0], graphs[1], fixed_forward, fixed_backward, meter=meter,
+            abort_below=abort_below if self.use_bounds else None,
+        )
+        return CandidateEvaluation(
+            outcome=None if outcome.aborted else outcome,
+            pairs_fixed=pairs_fixed,
+            pair_updates=outcome.pair_updates,
+        )
 
     def apply_accepted(self, side_index: int, run: tuple[str, ...]) -> SideState:
         log, members, _ = self._sides[side_index]

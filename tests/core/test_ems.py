@@ -171,12 +171,12 @@ class TestFixedPairs:
 class TestAbort:
     def test_abort_on_impossible_target(self, fig1_graphs):
         engine = EMSEngine(EMSConfig())
-        assert engine.similarity_with_abort(*fig1_graphs, abort_below=0.999) is None
+        assert engine.similarity(*fig1_graphs, abort_below=0.999).aborted
 
     def test_no_abort_on_achievable_target(self, fig1_graphs):
         engine = EMSEngine(EMSConfig())
-        result = engine.similarity_with_abort(*fig1_graphs, abort_below=0.1)
-        assert result is not None
+        result = engine.similarity(*fig1_graphs, abort_below=0.1)
+        assert not result.aborted
         reference = engine.similarity(*fig1_graphs)
         np.testing.assert_allclose(
             result.matrix.values, reference.matrix.values, atol=1e-9

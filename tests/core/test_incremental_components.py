@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import EMSConfig
-from repro.core.ems import EMSEngine, LabelMatrixCache, WarmStart
+from repro.core.ems import LABEL_CACHE_ENTRIES, EMSEngine, LabelMatrixCache, WarmStart
 from repro.core.estimation import estimate_matrix, estimate_pair
 from repro.graph.dependency import DependencyGraph
 from repro.logs.log import EventLog
@@ -87,10 +87,11 @@ class TestLabelMatrixCache:
         for k in range(count):
             cache.matrix((f"a{k}", f"b{k}"), (f"x{k}", f"y{k}"), label)
 
-    def test_unbounded_by_default(self):
+    def test_default_cap(self):
         cache = LabelMatrixCache()
-        self._fill(cache, 20)
-        assert len(cache) == 20
+        self._fill(cache, LABEL_CACHE_ENTRIES + 5)
+        assert len(cache) == LABEL_CACHE_ENTRIES
+        assert cache.evictions == 5
 
     def test_cap_respected(self):
         cache = LabelMatrixCache(max_entries=4)

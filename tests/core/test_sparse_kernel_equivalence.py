@@ -293,10 +293,11 @@ class TestEdgePairGrid:
             for oracle in (False, True):
                 meter = MatchBudget(max_pair_updates=cap).start()
                 with kernel(oracle):
-                    result, stage, _ = EMSEngine().similarity_resilient(
-                        *graphs_12, meter, DegradationPolicy.partial_only(), **kwargs
+                    result = EMSEngine().similarity(
+                        *graphs_12, meter=meter,
+                        degradation=DegradationPolicy.partial_only(), **kwargs
                     )
-                results.append((result, stage, meter.pair_updates_spent))
+                results.append((result, result.stage, meter.pair_updates_spent))
             (sparse, stage_sparse, spent_sparse), (ref, stage_ref, spent_ref) = results
             assert stage_sparse == stage_ref == "partial"
             assert spent_sparse == spent_ref
@@ -401,18 +402,16 @@ class TestAgreementTable:
 
 class TestAbortEquivalence:
     @pytest.mark.parametrize("abort_below", [0.0, 0.4, 0.99])
-    def test_similarity_with_abort(self, graphs_12, abort_below):
+    def test_bounded_abort(self, graphs_12, abort_below):
         results = []
         for oracle in (False, True):
             with kernel(oracle):
                 results.append(
-                    EMSEngine().similarity_with_abort(*graphs_12, abort_below)
+                    EMSEngine().similarity(*graphs_12, abort_below=abort_below)
                 )
         sparse, ref = results
-        if ref is None:
-            assert sparse is None
-        else:
-            assert_equivalent(sparse, ref)
+        assert sparse.aborted == ref.aborted
+        assert_equivalent(sparse, ref)
 
 
 class TestBudgetEquivalence:
@@ -433,10 +432,10 @@ class TestBudgetEquivalence:
         for oracle in (False, True):
             meter = MatchBudget(max_pair_updates=cap).start()
             with kernel(oracle):
-                result, stage, reason = EMSEngine().similarity_resilient(
-                    *graphs_12, meter, policy
+                result = EMSEngine().similarity(
+                    *graphs_12, meter=meter, degradation=policy
                 )
-            results.append((result, stage, reason))
+            results.append((result, result.stage, result.reason))
             spent.append(meter.pair_updates_spent)
         (sparse, stage_sparse, reason_sparse), (ref, stage_ref, reason_ref) = results
         assert stage_sparse == stage_ref
@@ -449,8 +448,8 @@ class TestBudgetEquivalence:
         for oracle in (False, True):
             meter = MatchBudget(max_pair_updates=53).start()
             with kernel(oracle):
-                result, _, _ = EMSEngine().similarity_resilient(
-                    *graphs_12, meter, DegradationPolicy.partial_only()
+                result = EMSEngine().similarity(
+                    *graphs_12, meter=meter, degradation=DegradationPolicy.partial_only()
                 )
             results.append(result)
         assert_equivalent(*results)

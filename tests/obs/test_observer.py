@@ -7,10 +7,13 @@ pipeline computes — similarity values and the deterministic
 
 
 import numpy as np
+import pytest
 
 from repro.core.composite import CompositeMatcher
 from repro.core.config import EMSConfig
 from repro.core.ems import EMSEngine
+from repro.exceptions import BudgetExhausted
+from repro.graph.dependency import DependencyGraph
 from repro.obs import (
     NULL_OBSERVER,
     FakeClock,
@@ -18,6 +21,8 @@ from repro.obs import (
     Observer,
     Tracer,
 )
+from repro.runtime import DegradationPolicy, MatchBudget
+from repro.synthesis.corpus import build_scalability_pair
 
 
 class TestNullObserver:
@@ -76,6 +81,62 @@ class TestPipelineSpans:
             if span.name.startswith("ems.iteration[")
         )
         assert recorded == result.pair_updates
+
+
+class TestFixpointAccounting:
+    """Every fixpoint reports its work, whatever ended it."""
+
+    @pytest.fixture(scope="class")
+    def graphs_20(self):
+        pair = build_scalability_pair(20, seed=1)
+        return (
+            DependencyGraph.from_log(pair.log_first),
+            DependencyGraph.from_log(pair.log_second),
+        )
+
+    def observed(self, graphs, **kwargs):
+        observer = Observer(tracer=Tracer(), metrics=MetricsRegistry())
+        result = EMSEngine(EMSConfig(), observer=observer).similarity(*graphs, **kwargs)
+        metrics = observer.metrics
+        freezes = [
+            span for span in observer.tracer.all_spans() if span.name == "pruning.freeze"
+        ]
+        return result, metrics, freezes
+
+    @pytest.mark.parametrize("cap", [None, 100_000, 500])
+    def test_counters_match_the_meter(self, graphs_20, cap):
+        meter = MatchBudget(max_pair_updates=cap).start() if cap else None
+        result, metrics, freezes = self.observed(
+            graphs_20, meter=meter, degradation=DegradationPolicy()
+        )
+        assert result.stage == ("estimated" if cap == 500 else "exact")
+        assert metrics.get("ems_fixpoint_total").value == 1
+        assert [span.attributes["direction"] for span in freezes] == ["forward", "backward"]
+        spent = metrics.get("ems_pair_updates_total").value
+        assert spent == result.pair_updates
+        if meter is not None:
+            assert spent == meter.pair_updates_spent
+        if cap == 500:
+            assert spent == 501
+
+    def test_exhaustion_without_ladder_still_counts(self, graphs_20):
+        meter = MatchBudget(max_pair_updates=500).start()
+        observer = Observer(metrics=MetricsRegistry())
+        with pytest.raises(BudgetExhausted):
+            EMSEngine(EMSConfig(), observer=observer).similarity(*graphs_20, meter=meter)
+        assert observer.metrics.get("ems_fixpoint_total").value == 1
+        assert observer.metrics.get("ems_pair_updates_total").value == 501
+
+    def test_bd_abort_reports_its_work(self, graphs_20):
+        meter = MatchBudget(max_pair_updates=10**12).start()
+        result, metrics, freezes = self.observed(graphs_20, meter=meter, abort_below=0.99)
+        assert result.aborted
+        assert result.pair_updates > 0
+        assert len(freezes) == 2
+        assert metrics.get("ems_bound_aborts_total").value == 1
+        assert metrics.get("ems_fixpoint_total").value == 1
+        assert metrics.get("ems_pair_updates_total").value == meter.pair_updates_spent
+        assert meter.pair_updates_spent == result.pair_updates
 
 
 class TestNonInterference:

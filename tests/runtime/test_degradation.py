@@ -21,19 +21,22 @@ class TestEngineResilience:
         first, second = graphs(small_pair)
         engine = EMSEngine(EMSConfig())
         meter = MatchBudget(deadline=120.0).start()
-        result, stage, reason = engine.similarity_resilient(first, second, meter)
-        assert stage == "exact"
-        assert reason is None
+        result = engine.similarity(
+            first, second, meter=meter, degradation=DegradationPolicy()
+        )
+        assert result.stage == "exact"
+        assert result.reason is None
         assert result.converged
 
     def test_metered_run_is_bit_identical_to_unmetered(self, adversarial_pair):
         first, second = graphs(adversarial_pair)
         engine = EMSEngine(EMSConfig())
         plain = engine.similarity(first, second)
-        metered, stage, _ = engine.similarity_resilient(
-            first, second, MatchBudget(deadline=300.0).start()
+        metered = engine.similarity(
+            first, second, meter=MatchBudget(deadline=300.0).start(),
+            degradation=DegradationPolicy(),
         )
-        assert stage == "exact"
+        assert metered.stage == "exact"
         assert np.array_equal(plain.matrix.values, metered.matrix.values)
         assert plain.pair_updates == metered.pair_updates
 
@@ -41,9 +44,11 @@ class TestEngineResilience:
         first, second = graphs(adversarial_pair)
         engine = EMSEngine(EMSConfig())
         meter = MatchBudget(max_pair_updates=50).start()
-        result, stage, reason = engine.similarity_resilient(first, second, meter)
-        assert stage == "estimated"
-        assert reason == "pair-updates"
+        result = engine.similarity(
+            first, second, meter=meter, degradation=DegradationPolicy()
+        )
+        assert result.stage == "estimated"
+        assert result.reason == "pair-updates"
         assert result.estimated
         assert np.all(result.matrix.values >= 0.0)
         assert np.all(result.matrix.values <= 1.0)
@@ -52,11 +57,11 @@ class TestEngineResilience:
         first, second = graphs(adversarial_pair)
         engine = EMSEngine(EMSConfig())
         meter = MatchBudget(max_pair_updates=50).start()
-        result, stage, reason = engine.similarity_resilient(
-            first, second, meter, DegradationPolicy.partial_only()
+        result = engine.similarity(
+            first, second, meter=meter, degradation=DegradationPolicy.partial_only()
         )
-        assert stage == "partial"
-        assert reason == "pair-updates"
+        assert result.stage == "partial"
+        assert result.reason == "pair-updates"
         assert not result.converged
         assert result.matrix.values.shape == (
             len(first.nodes), len(second.nodes)
@@ -67,8 +72,8 @@ class TestEngineResilience:
         engine = EMSEngine(EMSConfig())
         meter = MatchBudget(max_pair_updates=50).start()
         with pytest.raises(BudgetExhausted):
-            engine.similarity_resilient(
-                first, second, meter, DegradationPolicy.none()
+            engine.similarity(
+                first, second, meter=meter, degradation=DegradationPolicy.none()
             )
 
 

@@ -18,6 +18,7 @@ must:
 
 from __future__ import annotations
 
+import copyreg
 import pickle
 import sqlite3
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from typing import Any, Callable
 import pytest
 
 from repro.core.config import EMSConfig
-from repro.core.ems import EMSEngine
+from repro.core.ems import EMSEngine, EMSResult
 from repro.core.incremental import CandidateEvaluation
 from repro.graph.dependency import DependencyGraph
 from repro.logs.log import EventLog
@@ -218,7 +219,7 @@ SUBJECTS = [
         name="EvaluationCache",
         open=lambda path, observer: MatchStore(path / "match.db", observer=observer),
         put=lambda store, key: store.put_evaluation(
-            key, CandidateEvaluation(outcome=None, pairs_fixed=3)
+            key, CandidateEvaluation(outcome=None, pairs_fixed=3, pair_updates=7)
         ),
         get=lambda store, key: store.get_evaluation(key),
         counters=(
@@ -271,5 +272,57 @@ def test_damage_is_a_counted_cold_miss(subject, damage, tmp_path):
         # The store heals: a fresh value is stored and served again.
         subject.put(store, KEY)
         assert subject.get(store, KEY) is not None
+    finally:
+        store.close()
+
+
+# ----------------------------------------------------------------------
+# Rows of an older version
+# ----------------------------------------------------------------------
+class _OlderPickle:
+    """Pickles as an instance of *cls* with only *state* set.
+
+    That is how a slotted dataclass of an older version reads back once
+    fields were added: the new slots stay empty.
+    """
+
+    def __init__(self, cls, state):
+        self.cls, self.state = cls, state
+
+    def __reduce__(self):
+        return copyreg._reconstructor, (self.cls, object, None), self.state
+
+
+def _older_result():
+    result = EMSEngine(EMSConfig()).similarity(
+        DependencyGraph.from_log(EventLog([["a", "b"]])),
+        DependencyGraph.from_log(EventLog([["x", "y"]])),
+    )
+    # EMSResult's fields before stage / reason / aborted.
+    return _OlderPickle(EMSResult, [
+        result.matrix, result.iterations, result.pair_updates,
+        result.converged, result.estimated, result.directional,
+    ])
+
+
+@pytest.mark.parametrize("older", ["evaluation", "outcome"])
+def test_evaluation_row_of_an_older_version_is_a_counted_cold_miss(older, tmp_path):
+    registry = MetricsRegistry()
+    store = MatchStore(tmp_path / "match.db", observer=Observer(metrics=registry))
+    if older == "evaluation":  # no pair_updates
+        row = _OlderPickle(CandidateEvaluation, (None, {"outcome": None, "pairs_fixed": 3}))
+    else:  # a complete evaluation holding an older EMSResult
+        row = _OlderPickle(
+            CandidateEvaluation,
+            (None, {"outcome": _older_result(), "pairs_fixed": 3, "pair_updates": 7}),
+        )
+    counters = ("eval_cache_corrupt_total", "eval_cache_misses_total")
+    try:
+        store._put("evaluations", KEY, row)
+        before = {name: _counter(registry, name) for name in counters}
+        assert store.get_evaluation(KEY) is None
+        for name in counters:
+            assert _counter(registry, name) == before[name] + 1, name
+        assert _row_gone(store, "evaluations", KEY)
     finally:
         store.close()

@@ -94,16 +94,12 @@ class TestMatrixKey:
 
     @pytest.mark.parametrize(
         "name",
-        [
-            spec.name
-            for spec in dataclasses.fields(EMSConfig)
-            if spec.name != "label_cache_entries"
-        ],
+        [spec.name for spec in dataclasses.fields(EMSConfig)],
     )
     def test_every_value_bearing_field_keys(self, name):
-        # Every field but the label-cache size can change a similarity
-        # value, so leaving one out of the key would serve a stored
-        # matrix computed under a different value.
+        # Every field can change a similarity value, so leaving one out
+        # of the key would serve a stored matrix computed under a
+        # different value.
         assert name in self.NON_DEFAULTS, f"add a non-default value for {name!r}"
         base = matrix_content_key("c1", "c2", 0.0, EMSConfig())
         config = EMSConfig(**{name: self.NON_DEFAULTS[name]})
