@@ -1005,20 +1005,20 @@ class EMSEngine:
         fixed_forward: FixedPairs = None,
         fixed_backward: FixedPairs = None,
         meter: BudgetMeter | None = None,
-    ) -> dict[str, _DirectionalRun]:
-        """The directional runs the config asks for, by direction name."""
+    ) -> list[tuple[str, _DirectionalRun]]:
+        """``(direction, run)`` for each direction the config asks for."""
         label = self._label_matrix(first, second)
         scratch = _ChunkScratch()
-        runs: dict[str, _DirectionalRun] = {}
+        runs: list[tuple[str, _DirectionalRun]] = []
         if self.config.direction in ("forward", "both"):
-            runs["forward"] = _DirectionalRun(
+            runs.append(("forward", _DirectionalRun(
                 first, second, self.config, label, fixed_forward, meter, scratch=scratch,
-            )
+            )))
         if self.config.direction in ("backward", "both"):
-            runs["backward"] = _DirectionalRun(
+            runs.append(("backward", _DirectionalRun(
                 first.reversed(), second.reversed(), self.config, label,
                 fixed_backward, meter, scratch=scratch,
-            )
+            )))
         return runs
 
     def _iterate(
@@ -1122,8 +1122,7 @@ class EMSEngine:
         stage, reason, aborted = STAGE_EXACT, None, False
         with obs.span("ems.fixpoint", **attributes) as span:
             runs = self._runs(first, second, fixed_forward, fixed_backward, meter)
-            items = list(runs.items())
-            groups = [items] if abort_below is not None else [[item] for item in items]
+            groups = [runs] if abort_below is not None else [[item] for item in runs]
             try:
                 for group in groups:
                     aborted = self._iterate(group, abort_below)
@@ -1142,22 +1141,22 @@ class EMSEngine:
                 reason = error.reason
                 if degradation.allow_estimation:
                     stage = STAGE_ESTIMATED
-                    for run in runs.values():
+                    for _, run in runs:
                         run.estimate()
                 else:
                     stage = STAGE_PARTIAL
             finally:
-                for direction, run in items:
+                for direction, run in runs:
                     self._freeze_event(run, direction)
                 obs.count("ems_fixpoint_total")
         return EMSResult.from_directional(
             first.nodes,
             second.nodes,
-            {direction: run.real_values() for direction, run in items},
-            iterations=sum(run.iterations for run in runs.values()),
-            pair_updates=sum(run.pair_updates for run in runs.values()),
-            converged=all(run.converged for run in runs.values()),
-            estimated=any(run.estimated for run in runs.values()),
+            {direction: run.real_values() for direction, run in runs},
+            iterations=sum(run.iterations for _, run in runs),
+            pair_updates=sum(run.pair_updates for _, run in runs),
+            converged=all(run.converged for _, run in runs),
+            estimated=any(run.estimated for _, run in runs),
             stage=stage,
             reason=reason,
             aborted=aborted,
