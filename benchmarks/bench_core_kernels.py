@@ -342,10 +342,12 @@ def _scenarios():
         # Same workload as composite_search_incremental, but with a match
         # store attached.  The harness's untimed warm-up call populates
         # its evaluations table, so the timed repeats measure the warm
-        # path: every candidate evaluation and discovery is served from a
-        # digest-verified row and only the accepted-merge rebuilds
-        # remain.  ``warm_cache_speedup`` (vs the cold search) carries a
-        # 5x floor in :func:`compare`.
+        # path: every candidate evaluation is served from a
+        # digest-verified row, and what remains is the two count tables,
+        # the initial similarity, discovery on the patched counters, the
+        # accepted merges and the one rewrite of the merged logs.
+        # ``warm_cache_speedup`` (vs the cold search) carries a 5x floor
+        # in :func:`compare`.
         store_dir = tempfile.mkdtemp(prefix="bench_evalstore_")
         atexit.register(shutil.rmtree, store_dir, ignore_errors=True)
         store = MatchStore(Path(store_dir) / "match.db")

@@ -11,6 +11,7 @@ Run:  python examples/composite_merger.py
 
 from repro import CompositeMatcher, EMSConfig, evaluate
 from repro.core.composite import discover_candidates
+from repro.graph import CountTable
 from repro.synthesis.corpus import make_log_pair
 
 pair = make_log_pair(
@@ -24,7 +25,8 @@ pair = make_log_pair(
 )
 
 print("=== composite candidates (SEQ patterns) in the first log ===")
-for run in discover_candidates(pair.log_first, min_confidence=0.9, max_run_length=3):
+table = CountTable.from_log(pair.log_first)
+for run in discover_candidates(table, min_confidence=0.9, max_run_length=3):
     print("  ", " -> ".join(run))
 print()
 

@@ -25,7 +25,7 @@ from repro.baselines.common import (
 )
 from repro.core.composite import discover_candidates
 from repro.exceptions import MatchingError
-from repro.graph.merge import merge_run_in_log
+from repro.graph.merge import CountTable, merge_runs
 from repro.logs.log import EventLog
 
 
@@ -65,14 +65,14 @@ class GreedyCompositeWrapper(EventMatcher):
             best_objective = current.objective
             for side in (0, 1):
                 candidates = discover_candidates(
-                    logs[side],
+                    CountTable.from_log(logs[side]),
                     min_confidence=self.min_confidence,
                     max_run_length=self.max_run_length,
                     max_candidates=self.max_candidates,
                 )
                 for run in candidates:
-                    merged_log, merged_members = merge_run_in_log(
-                        logs[side], run, members[side]
+                    merged_log, merged_members = merge_runs(
+                        logs[side], [run], members[side]
                     )
                     trial_logs = list(logs)
                     trial_members = list(members)
@@ -92,7 +92,7 @@ class GreedyCompositeWrapper(EventMatcher):
             if best is None or best_objective - current.objective <= self.delta:
                 break
             side, run, outcome = best
-            logs[side], members[side] = merge_run_in_log(logs[side], run, members[side])
+            logs[side], members[side] = merge_runs(logs[side], [run], members[side])
             current = outcome
 
         result = pairs_to_outcome(current, members[0], members[1])

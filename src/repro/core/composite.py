@@ -11,7 +11,7 @@ uses a greedy loop (Algorithm 2):
    side as if it were merged, and remember the candidate with the
    highest average similarity.  A candidate's score comes from
    :class:`~repro.core.incremental.IncrementalSearchState`: it patches
-   the round's trace counts, graph and levels with the merge delta and
+   the side's count table, graph and levels with the merge delta and
    warm-starts the fixpoint from the round's converged matrices, instead
    of rewriting the log and rebuilding the graph;
 3. accept the best candidate if it improves the average by more than the
@@ -34,7 +34,9 @@ a budget.
 Candidate discovery follows the paper's convention: "grouping singleton
 events that always appear consecutively, following the convention of SEQ
 pattern in CEP" — with a relaxable adjacency confidence so the candidate
-pool can be grown for the Figure 14 experiment.
+pool can be grown for the Figure 14 experiment.  It reads a side's
+:class:`~repro.graph.merge.CountTable`, which every accepted merge
+patches, so rediscovering candidates each round recounts nothing.
 """
 
 from __future__ import annotations
@@ -49,13 +51,12 @@ from repro.core.ems import EMSEngine, EMSResult, LabelMatrixCache
 from repro.core.incremental import CandidateEvaluation, IncrementalSearchState
 from repro.core.matrix import SimilarityMatrix
 from repro.exceptions import BudgetExhausted
-from repro.graph.dependency import DependencyGraph
+from repro.graph.merge import CountTable
 from repro.logs.log import EventLog
-from repro.logs.stats import activity_occurrence_counts, directly_follows_counts
 from repro.obs import NULL_OBSERVER, Observer
 from repro.runtime.budget import BudgetMeter, InterruptGuard, MatchBudget
 from repro.runtime.degrade import DegradationPolicy
-from repro.runtime.evalcache import candidate_key, discovery_key, search_content_key
+from repro.runtime.evalcache import candidate_key, search_content_key
 from repro.runtime.faults import FaultPlan
 from repro.runtime.report import STAGE_EXACT, STAGE_PARTIAL, RuntimeReport
 from repro.similarity.labels import CompositeAwareSimilarity, LabelSimilarity, OpaqueSimilarity
@@ -68,12 +69,13 @@ if TYPE_CHECKING:  # the store imports the core: a runtime import would cycle
 # Candidate discovery
 # ----------------------------------------------------------------------
 def discover_candidates(
-    log: EventLog,
+    table: CountTable,
     min_confidence: float = 1.0,
     max_run_length: int = 4,
     max_candidates: int | None = None,
 ) -> list[tuple[str, ...]]:
-    """Candidate composite events of *log* as ordered activity runs.
+    """Candidate composite events of the log *table* counts, as ordered
+    activity runs.
 
     A pair ``(a, b)`` is a *strong adjacency* when ``b`` follows ``a`` in
     at least ``min_confidence`` of ``a``'s occurrences and ``a`` precedes
@@ -87,8 +89,8 @@ def discover_candidates(
         raise ValueError(f"min_confidence must be in (0, 1], got {min_confidence}")
     if max_run_length < 2:
         raise ValueError(f"max_run_length must be >= 2, got {max_run_length}")
-    occurrences = activity_occurrence_counts(log)
-    follows = directly_follows_counts(log)
+    occurrences = table.occurrences
+    follows = table.follows
 
     strong_next: dict[str, list[tuple[str, float]]] = {}
     for (first, second), count in follows.items():
@@ -165,16 +167,6 @@ class CompositeMatchResult:
         return self.matrix.average()
 
 
-@dataclass(slots=True)
-class _SideState:
-    """One log's evolving merged state during the greedy loop."""
-
-    log: EventLog
-    members: dict[str, frozenset[str]]
-    graph: DependencyGraph
-    accepted: list[tuple[str, ...]]
-
-
 class CompositeMatcher:
     """Greedy composite event matching (Algorithm 2).
 
@@ -214,8 +206,7 @@ class CompositeMatcher:
         result as a ``partial`` stage with reason ``"interrupted"``.
     store:
         Optional :class:`~repro.store.matchstore.MatchStore`: candidate
-        evaluations and discoveries are memoized in its ``evaluations``
-        table, content-keyed by (log pair, config, knobs, accepted
+        evaluations are memoized in its ``evaluations`` table, content-keyed by (log pair, config, knobs, accepted
         history, candidate, incumbent bound), and served on the next
         identical run instead of re-evaluating.  Results stay
         bit-identical — a hit replays the exact stored evaluation, and
@@ -225,7 +216,7 @@ class CompositeMatcher:
         budget meter is active (a served hit charges no meter, which
         would skew cooperative cancellation), so a budgeted search re-run
         after an interrupt starts cold and spends its budget exactly as
-        an uninterrupted run does; discoveries are still stored.
+        an uninterrupted run does.
     """
 
     def __init__(
@@ -272,25 +263,16 @@ class CompositeMatcher:
         self._content_key: str = ""
         self._accepted_history: list[tuple[int, tuple[str, ...]]] = []
         self._interrupted_by: str | None = None
-        #: Per-side memo of the last discovery: ``side -> (log, runs)``.
-        #: A side's log object is replaced only when a merge is accepted
-        #: on it, so identity comparison is an exact staleness test.
-        self._discovery_memo: dict[int, tuple[EventLog, list[tuple[str, ...]]]] = {}
 
     # ------------------------------------------------------------------
-    def _engine(self, state_first: _SideState, state_second: _SideState) -> EMSEngine:
+    def _engine(self, search: IncrementalSearchState) -> EMSEngine:
         if isinstance(self.base_label, OpaqueSimilarity) or self.config.alpha == 1.0:
             label: LabelSimilarity = self.base_label
         else:
             label = CompositeAwareSimilarity(
-                self.base_label, state_first.members, state_second.members
+                self.base_label, search.side(0).members, search.side(1).members
             )
         return EMSEngine(self.config, label, self._label_cache, observer=self.observer)
-
-    def _graph(self, log: EventLog, members: dict[str, frozenset[str]]) -> DependencyGraph:
-        return DependencyGraph.from_log(
-            log, min_frequency=self.min_edge_frequency, members=members
-        )
 
     # ------------------------------------------------------------------
     def match(self, log_first: EventLog, log_second: EventLog) -> CompositeMatchResult:
@@ -311,7 +293,6 @@ class CompositeMatcher:
         self._accepted_history = []
         self._interrupted_by = None
         self._content_key = ""
-        self._discovery_memo = {}
         if self.store is not None:
             self._content_key = search_content_key(
                 log_first, log_second,
@@ -326,28 +307,16 @@ class CompositeMatcher:
                     "min_edge_frequency": self.min_edge_frequency,
                 },
             )
-        with obs.span("graph.build", activities=len(log_first.activities())):
-            graph_first = self._graph(log_first, {})
-        with obs.span("graph.build", activities=len(log_second.activities())):
-            graph_second = self._graph(log_second, {})
-        states = (
-            _SideState(
-                log_first,
-                {a: frozenset({a}) for a in log_first.activities()},
-                graph_first,
-                [],
-            ),
-            _SideState(
-                log_second,
-                {a: frozenset({a}) for a in log_second.activities()},
-                graph_second,
-                [],
-            ),
+        search = IncrementalSearchState(
+            self.config, self.base_label, self.min_edge_frequency,
+            self.use_unchanged, self.use_bounds, self._label_cache,
+            observer=self.observer,
         )
+        search.reset((log_first, log_second))
         stats = CompositeStats()
         detail: str | None = None
-        current = self._engine(states[0], states[1]).similarity(
-            states[0].graph, states[1].graph, meter=meter, degradation=policy
+        current = self._engine(search).similarity(
+            search.side(0).graph, search.side(1).graph, meter=meter, degradation=policy
         )
         stage, reason = current.stage, current.reason
         if stage != STAGE_EXACT:
@@ -355,7 +324,7 @@ class CompositeMatcher:
         stats.pair_updates += current.pair_updates
 
         if stage == STAGE_EXACT:
-            current, exhausted = self._search(states, current, stats, meter)
+            current, exhausted = self._search(search, current, stats, meter)
             if exhausted is not None:
                 if not policy.enabled:
                     raise exhausted
@@ -389,21 +358,22 @@ class CompositeMatcher:
             wall_time=obs.clock() - started,
             rounds=stats.rounds,
         )
+        merged_first, merged_second = search.merged_logs()
         return CompositeMatchResult(
             matrix=current.matrix,
-            log_first=states[0].log,
-            log_second=states[1].log,
-            members_first=dict(states[0].members),
-            members_second=dict(states[1].members),
-            accepted_first=tuple(states[0].accepted),
-            accepted_second=tuple(states[1].accepted),
+            log_first=merged_first,
+            log_second=merged_second,
+            members_first=dict(search.side(0).members),
+            members_second=dict(search.side(1).members),
+            accepted_first=tuple(run for side, run in self._accepted_history if side == 0),
+            accepted_second=tuple(run for side, run in self._accepted_history if side == 1),
             stats=stats,
             runtime=runtime,
         )
 
     def _search(
         self,
-        states: tuple[_SideState, _SideState],
+        search: IncrementalSearchState,
         current: EMSResult,
         stats: CompositeStats,
         meter: BudgetMeter | None,
@@ -415,20 +385,11 @@ class CompositeMatcher:
         side states only change when a merge is accepted, so that result
         always matches them.
 
-        Candidate merges are evaluated through an
-        :class:`IncrementalSearchState` — delta count patches, patched
-        levels and warm-started fixpoints.  The
-        full-rebuild evaluator it is tested against lives with the tests
-        (``tests/composite_oracle.py``).
+        Candidates are discovered from each side's count table and
+        evaluated through *search* — delta count patches, patched levels
+        and warm-started fixpoints.  The full-rebuild evaluator it is
+        tested against lives with the tests (``tests/composite_oracle.py``).
         """
-        incremental = IncrementalSearchState(
-            self.config, self.base_label, self.min_edge_frequency,
-            self.use_unchanged, self.use_bounds, self._label_cache,
-            observer=self.observer,
-        )
-        incremental.reset(
-            tuple((state.log, state.members, state.graph) for state in states)
-        )
         obs = self.observer
         try:
             while True:
@@ -443,18 +404,23 @@ class CompositeMatcher:
                     obs.gauge("composite_round", stats.rounds)
                     current_average = current.matrix.average()
                     target = current_average + self.delta
-                    incremental.begin_round(
+                    search.begin_round(
                         current.directional if self.use_unchanged else None
                     )
 
                     tasks: list[tuple[int, tuple[str, ...]]] = []
                     for side_index in (0, 1):
-                        for run in self._discover(states, side_index):
+                        for run in discover_candidates(
+                            search.side(side_index).table,
+                            min_confidence=self.min_confidence,
+                            max_run_length=self.max_run_length,
+                            max_candidates=self.max_candidates,
+                        ):
                             tasks.append((side_index, run))
                     round_span.attributes["candidates"] = len(tasks)
 
                     best, best_average = self._round(
-                        tasks, incremental, stats, target, current_average, meter,
+                        tasks, search, stats, target, current_average, meter,
                     )
 
                     if best is None or best_average - current_average <= self.delta:
@@ -465,63 +431,17 @@ class CompositeMatcher:
                     round_span.attributes["accepted"] = list(run)
                     round_span.attributes["average"] = best_average
                     obs.count("composite_merges_accepted_total")
-                    state = states[side_index]
-                    state.log, state.members, state.graph = (
-                        incremental.apply_accepted(side_index, run)
-                    )
-                    state.accepted.append(run)
+                    search.apply_accepted(side_index, run)
                     self._accepted_history.append((side_index, run))
                     current = outcome
         except BudgetExhausted as error:
             return current, error
 
     # ------------------------------------------------------------------
-    def _discover(
-        self,
-        states: tuple[_SideState, _SideState],
-        side_index: int,
-    ) -> list[tuple[str, ...]]:
-        """One side's candidate runs: memoized, optionally persisted.
-
-        :func:`discover_candidates` is a pure function of the side's
-        current log, so two layers of reuse are exact by construction:
-
-        * **in-memory** — a side whose log did not change since the last
-          round (no merge accepted on it) reuses the previous round's
-          list outright;
-        * **stored** — with a match store attached, the list is
-          persisted under (content key, accepted history, side), so a
-          warm re-run skips the full-log statistics recomputation that
-          dominates once every candidate evaluation is a store hit.
-        """
-        log = states[side_index].log
-        memo = self._discovery_memo.get(side_index)
-        if memo is not None and memo[0] is log:
-            return memo[1]
-        runs: list[tuple[str, ...]] | None = None
-        key: str | None = None
-        if self.store is not None:
-            key = discovery_key(
-                self._content_key, tuple(self._accepted_history), side_index
-            )
-            runs = self.store.get_evaluation(key)
-        if runs is None:
-            runs = discover_candidates(
-                log,
-                min_confidence=self.min_confidence,
-                max_run_length=self.max_run_length,
-                max_candidates=self.max_candidates,
-            )
-            if key is not None:
-                self.store.put_evaluation(key, runs)
-        self._discovery_memo[side_index] = (log, runs)
-        return runs
-
-    # ------------------------------------------------------------------
     def _round(
         self,
         tasks: list[tuple[int, tuple[str, ...]]],
-        incremental: IncrementalSearchState,
+        search: IncrementalSearchState,
         stats: CompositeStats,
         target: float,
         best_average: float,
@@ -539,7 +459,7 @@ class CompositeMatcher:
             # than rounding: a near-tie is evaluated in full, so the abort
             # never decides between two equal averages.
             outcome = self._evaluate(
-                incremental, side_index, run, stats,
+                search, side_index, run, stats,
                 abort_below=max(best_average, target) - ABORT_MARGIN,
                 meter=meter,
             )
@@ -575,7 +495,7 @@ class CompositeMatcher:
 
     def _evaluate(
         self,
-        incremental: IncrementalSearchState,
+        search: IncrementalSearchState,
         side_index: int,
         run: tuple[str, ...],
         stats: CompositeStats,
@@ -597,7 +517,7 @@ class CompositeMatcher:
             with self.observer.span(
                 "candidate.evaluate", side=side_index, run=list(run)
             ):
-                evaluation = incremental.evaluate(
+                evaluation = search.evaluate(
                     side_index, run, abort_below, meter
                 )
             if key is not None:

@@ -266,11 +266,10 @@ class WarmStart:
     the *dirty-pair frontier*: the boolean mask of pairs whose predecessor
     signature changed under the candidate merge (Proposition 4's affected
     region).  Non-dirty pairs keep their carried values and are never
-    re-iterated — the array equivalent of the ``fixed_pairs`` dictionaries,
-    built without ``O(n1 * n2)`` Python dictionary traffic.  Dirty pairs
-    restart from the standard initialization, which keeps the computation
-    bit-identical to a cold evaluation with the same fixed set (the
-    differential guarantee of ``tests/property/test_property_incremental``).
+    re-iterated.  Dirty pairs restart from the standard initialization,
+    which keeps the computation bit-identical to a cold evaluation with
+    the same fixed set (the differential guarantee of
+    ``tests/property/test_property_incremental``).
 
     ``values`` and ``dirty`` are ``(n1, n2)`` arrays over the real node
     grids of the two graphs; ``values`` entries under the dirty mask are
@@ -286,8 +285,8 @@ class WarmStart:
         return int(self.dirty.size - self.dirty.sum())
 
 
-#: What the Uc / warm-start seed of a directional run may look like.
-FixedPairs = dict[tuple[str, str], float] | WarmStart | None
+#: The Uc / warm-start seed of a directional run, if it has one.
+FixedPairs = WarmStart | None
 
 
 def edge_agreement(weight_first: np.ndarray, weight_second: np.ndarray, c: float) -> np.ndarray:
@@ -602,10 +601,11 @@ class _DirectionalRun:
 
         # Pairs with externally known converged values (Proposition 4 — the
         # *Uc* pruning of the composite matcher): seeded and never updated.
-        # A WarmStart is the array form of the same fixed set: non-dirty
-        # pairs keep the carried values, dirty pairs start from 0 exactly
-        # like a cold run, so the two representations are interchangeable.
-        if isinstance(fixed_pairs, WarmStart):
+        # Non-dirty pairs keep the carried values, dirty pairs start from 0
+        # exactly like a cold run.
+        if fixed_pairs is None:
+            self._fixed_mask = np.zeros((n1, n2), dtype=bool)
+        else:
             if fixed_pairs.values.shape != (n1, n2):
                 raise ValueError(
                     f"warm-start shape {fixed_pairs.values.shape} does not match "
@@ -614,18 +614,6 @@ class _DirectionalRun:
             self._fixed_mask = ~fixed_pairs.dirty
             real = self.values[:n1, :n2]
             real[self._fixed_mask] = fixed_pairs.values[self._fixed_mask]
-        else:
-            self._fixed_mask = np.zeros((n1, n2), dtype=bool)
-            if fixed_pairs:
-                index_first = {node: i for i, node in enumerate(self.nodes_first)}
-                index_second = {node: j for j, node in enumerate(self.nodes_second)}
-                for (node_first, node_second), value in fixed_pairs.items():
-                    i = index_first.get(node_first)
-                    j = index_second.get(node_second)
-                    if i is None or j is None:
-                        continue
-                    self.values[i, j] = value
-                    self._fixed_mask[i, j] = True
 
         self.iterations = 0
         self.pair_updates = 0
@@ -1088,8 +1076,9 @@ class EMSEngine:
     ) -> EMSResult:
         """Compute the pairwise similarity matrix of the two graphs.
 
-        ``fixed_forward`` / ``fixed_backward`` seed pairs whose converged
-        value is already known (Proposition 4); they are never iterated.
+        ``fixed_forward`` / ``fixed_backward`` are :class:`WarmStart` seeds
+        of the pairs whose converged value is already known (Proposition
+        4); those pairs are never iterated.
 
         A *meter* makes the computation cooperatively cancellable.  When
         it runs out, the *degradation* ladder decides what the result

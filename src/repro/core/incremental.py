@@ -8,14 +8,18 @@ seeding.  This module replaces all of that with delta work proportional
 to what the merge actually touches, while staying **bit-identical** to
 that full rebuild:
 
-* **delta graph merges** — :func:`repro.graph.merge.merge_counts` patches
-  the parent round's integer trace counters from only the distinct trace
-  variants containing the run, each rewritten once as an activity tuple
-  and weighted by its multiplicity; identical integers divided by the
-  same trace count give
+* **delta graph merges** — each side keeps one
+  :class:`repro.graph.merge.CountTable`, built once from its log's
+  variant table.  :func:`repro.graph.merge.merge_counts` patches its
+  integer trace counters from only the distinct variants containing the
+  run, each rewritten once as an activity tuple and weighted by its
+  multiplicity; identical integers divided by the same trace count give
   bit-identical frequencies, hence bit-identical graphs
   (:func:`repro.graph.merge.merged_graph_from_delta`), with Proposition-2
-  levels recomputed only where ``l(v)`` can change;
+  levels recomputed only where ``l(v)`` can change.  An accepted merge
+  advances the table in place, discovery counters included, and the
+  merged log is written once, when the search ends
+  (:meth:`IncrementalSearchState.merged_logs`);
 * **warm-started fixpoint** — the parent round's converged directional
   matrices are mapped onto the merged node grid as a
   :class:`repro.core.ems.WarmStart` whose non-dirty region is exactly the
@@ -44,12 +48,11 @@ from repro.core.ems import EMSEngine, EMSResult, LabelMatrixCache, WarmStart
 from repro.core.matrix import SimilarityMatrix
 from repro.graph.dependency import DependencyGraph
 from repro.graph.merge import (
-    LogCounts,
-    TraceIndex,
-    apply_delta_to_log,
+    CountTable,
     merge_counts,
     merged_graph_from_delta,
     merged_member_map,
+    rewrite_log,
 )
 from repro.graph.reachability import real_ancestors, real_descendants
 from repro.logs.log import EventLog
@@ -73,22 +76,29 @@ class CandidateEvaluation:
 
 @dataclass(slots=True)
 class _IncrementalSide:
-    """One log's evolving state plus the delta-merge support structures."""
+    """One log's evolving merge state.
+
+    ``log`` is the side's original log and ``accepted`` the runs merged
+    into it so far; ``table`` counts the merged log.
+    """
 
     log: EventLog
+    table: CountTable
     members: dict[str, frozenset[str]]
     graph: DependencyGraph
-    counts: LogCounts
-    index: TraceIndex
+    accepted: list[tuple[str, ...]]
 
 
 class IncrementalSearchState:
     """Round-scoped incremental evaluation engine for the composite search.
 
-    Lifecycle: :meth:`reset` once per match with the initial side states,
-    :meth:`begin_round` at the top of every greedy round with the current
-    result's directional matrices, :meth:`evaluate` per candidate, and
-    :meth:`apply_accepted` when a round accepts a merge.
+    Lifecycle: :meth:`reset` once per match with the two logs, which
+    counts each side and builds its first graph; :meth:`begin_round` at
+    the top of every greedy round with the current result's directional
+    matrices, :meth:`evaluate` per candidate, :meth:`apply_accepted` when
+    a round accepts a merge, and :meth:`merged_logs` once at the end.
+    Each side's :class:`~repro.graph.merge.CountTable` is also what the
+    search discovers its candidates from.
     """
 
     def __init__(
@@ -117,20 +127,23 @@ class IncrementalSearchState:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def reset(
-        self, sides: tuple[tuple[EventLog, dict[str, frozenset[str]], DependencyGraph], ...]
-    ) -> None:
-        """Adopt the match's initial per-side (log, members, graph) states."""
-        self._sides = [
-            _IncrementalSide(
+    def reset(self, logs: tuple[EventLog, EventLog]) -> None:
+        """Count both logs and build their first (singleton) graphs."""
+        self._sides = []
+        for log in logs:
+            with self.observer.span("graph.build", activities=len(log.activities())):
+                table = CountTable.from_log(log)
+                graph = DependencyGraph.from_statistics(
+                    table.statistics(), name=log.name,
+                    min_frequency=self.min_edge_frequency,
+                )
+            self._sides.append(_IncrementalSide(
                 log=log,
-                members=dict(members),
+                table=table,
+                members={a: frozenset({a}) for a in log.activities()},
                 graph=graph,
-                counts=LogCounts.from_log(log),
-                index=TraceIndex(log),
-            )
-            for log, members, graph in sides
-        ]
+                accepted=[],
+            ))
         self._directional = None
         self._warm_values = {}
 
@@ -163,11 +176,9 @@ class IncrementalSearchState:
         """
         side = self._sides[side_index]
         other = self._sides[1 - side_index]
-        delta = merge_counts(side.counts, side.index, run)
+        delta = merge_counts(side.table, run)
 
-        merged_members = merged_member_map(
-            sorted(delta.counts.activity), run, side.members
-        )
+        merged_members = merged_member_map(sorted(delta.activity), run, side.members)
         need_backward = self.config.direction in ("backward", "both")
         with self.observer.span("graph.build", merged=True, run=list(run)):
             merged_graph = merged_graph_from_delta(
@@ -199,23 +210,23 @@ class IncrementalSearchState:
             pair_updates=outcome.pair_updates,
         )
 
-    def apply_accepted(
-        self, side_index: int, run: tuple[str, ...]
-    ) -> tuple[EventLog, dict[str, frozenset[str]], DependencyGraph]:
-        """Advance one side past an accepted merge; returns its new state."""
+    def apply_accepted(self, side_index: int, run: tuple[str, ...]) -> None:
+        """Advance one side past an accepted merge."""
         side = self._sides[side_index]
-        delta = merge_counts(side.counts, side.index, run)
-        members = merged_member_map(sorted(delta.counts.activity), run, side.members)
-        graph = merged_graph_from_delta(
-            side.graph, delta, self.min_edge_frequency, members,
+        delta = merge_counts(side.table, run)
+        side.members = merged_member_map(sorted(delta.activity), run, side.members)
+        side.graph = merged_graph_from_delta(
+            side.graph, delta, self.min_edge_frequency, side.members,
             patch_reversed=self.config.direction in ("backward", "both"),
         )
-        side.log = apply_delta_to_log(side.log, delta)
-        side.members = members
-        side.graph = graph
-        side.counts = delta.counts
-        side.index.apply(delta)
-        return side.log, side.members, side.graph
+        side.table.apply(delta)
+        side.accepted.append(run)
+
+    def merged_logs(self) -> tuple[EventLog, ...]:
+        """Each side's log with its accepted runs merged, written once."""
+        return tuple(
+            rewrite_log(side.log, side.table, side.accepted) for side in self._sides
+        )
 
     # ------------------------------------------------------------------
     # Warm starts (Proposition 4 in array form)

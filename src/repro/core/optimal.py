@@ -17,7 +17,7 @@ from repro.core.config import EMSConfig
 from repro.core.ems import EMSEngine
 from repro.exceptions import MatchingError
 from repro.graph.dependency import DependencyGraph
-from repro.graph.merge import merge_runs_in_log
+from repro.graph.merge import merge_runs
 from repro.logs.log import EventLog
 from repro.similarity.labels import LabelSimilarity
 
@@ -91,10 +91,10 @@ def optimal_composite_matching(
     best: OptimalCompositeResult | None = None
     evaluations = 0
     for runs_first in packings_first:
-        merged_first, members_first = merge_runs_in_log(log_first, runs_first)
+        merged_first, members_first = merge_runs(log_first, runs_first)
         graph_first = DependencyGraph.from_log(merged_first, members=members_first)
         for runs_second in packings_second:
-            merged_second, members_second = merge_runs_in_log(log_second, runs_second)
+            merged_second, members_second = merge_runs(log_second, runs_second)
             graph_second = DependencyGraph.from_log(merged_second, members=members_second)
             average = engine.similarity(graph_first, graph_second).matrix.average()
             evaluations += 1

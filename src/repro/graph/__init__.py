@@ -3,18 +3,15 @@
 from repro.graph.dependency import ARTIFICIAL, DependencyGraph
 from repro.graph.levels import longest_distances, max_finite_level, patched_longest_distances
 from repro.graph.merge import (
-    LogCounts,
+    CountTable,
     MergeDelta,
-    TraceIndex,
-    apply_delta_to_log,
     composite_name,
     expand_members,
     merge_counts,
+    merge_runs,
     merged_graph_from_delta,
     merged_member_map,
-    merge_run_in_log,
-    merge_runs_in_log,
-    merged_dependency_graph,
+    rewrite_log,
 )
 
 __all__ = [
@@ -23,16 +20,13 @@ __all__ = [
     "longest_distances",
     "max_finite_level",
     "patched_longest_distances",
-    "LogCounts",
+    "CountTable",
     "MergeDelta",
-    "TraceIndex",
-    "apply_delta_to_log",
     "merge_counts",
+    "merge_runs",
     "merged_graph_from_delta",
     "merged_member_map",
+    "rewrite_log",
     "composite_name",
     "expand_members",
-    "merge_run_in_log",
-    "merge_runs_in_log",
-    "merged_dependency_graph",
 ]

@@ -1,34 +1,41 @@
-"""Composite-event merging: full log rewriting and delta count patching.
+"""Composite-event merging on one count table per log.
 
 Section 4 treats a composite event — several singleton events that jointly
 correspond to one event in the other log — "as one node in constructing
-the dependency graph".  The only faithful way to obtain the merged graph's
-frequencies is to rewrite the *log* (collapse each contiguous occurrence
-of the member run into one event) and rebuild the graph from the rewritten
-log; merging at the graph level cannot recover the per-trace co-occurrence
-counts.  This module implements that rewriting plus composite bookkeeping.
+the dependency graph".  The merged graph is defined through the rewritten
+*log*: every contiguous occurrence of the member run collapses into one
+event, and the graph's frequencies are recounted from the result; merging
+at the graph level cannot recover the per-trace co-occurrence counts.
 
-The *delta* half of the module (:class:`TraceIndex`, :class:`LogCounts`,
-:func:`merge_counts`) exploits that a merge of run ``r`` only rewrites the
-traces that actually contain ``r`` contiguously, and that traces with the
-same activity sequence (one *variant*) are rewritten alike.  Definition
-1's frequencies are integer trace counts divided by the (merge-invariant)
-trace count, so rewriting each affected variant's activity tuple once and
-patching the integer counters by its multiplicity yields frequencies —
-and therefore graphs, levels and similarities — **bit-identical** to the
-full rebuild, at a cost proportional to the affected *distinct variants*
-instead of the whole log.  The traces themselves are rewritten only when
-a merge is accepted (:func:`apply_delta_to_log`).  The full rewrite is
-kept both as the API for non-incremental callers and as the differential
-ground truth (``tests/graph/test_merge_delta.py``).
+This module never rewrites traces to count them.  A :class:`CountTable`
+holds a log's trace variants (each distinct activity sequence with its
+multiplicity) and the four integer counters everything downstream reads:
+Definition 1's activity and pair *trace* counts, and the activity and
+directly-follows *occurrence* counts of candidate discovery.  A merge of
+run ``r`` only rewrites the variants that contain ``r`` contiguously, and
+:func:`merge_counts` collapses each of them once, as a tuple, by the one
+:func:`~repro.logs.events.collapse_run` rule.  Definition 1's frequencies
+are integer trace counts divided by the (merge-invariant) trace count, so
+patching the integers by each affected variant's multiplicity yields
+frequencies — and therefore graphs, levels and similarities —
+**bit-identical** to rewriting the log and recounting it, at a cost
+proportional to the affected *distinct variants*.
+
+Variant ids are stable under merges, so the table always knows which
+original variant became which.  The merged log itself is built once, when
+a caller asks for it (:func:`rewrite_log`): one pass over the traces that
+applies the accepted runs in order through
+:meth:`~repro.logs.events.Trace.replace_run`.  The trace-rewriting route
+the table is held to lives with the tests (``tests/merge_oracle.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
-from repro.exceptions import GraphError
+from repro.exceptions import EventLogError, GraphError
 from repro.graph.dependency import DependencyGraph
 from repro.logs.events import collapse_run
 from repro.logs.log import EventLog
@@ -64,125 +71,80 @@ def expand_members(
     return frozenset(covered)
 
 
-def merge_run_in_log(
-    log: EventLog,
-    run: Sequence[str],
-    members: Mapping[str, frozenset[str]] | None = None,
-) -> tuple[EventLog, dict[str, frozenset[str]]]:
-    """Collapse contiguous occurrences of *run* in *log* into one event.
+def _pairs(variant: tuple[str, ...]) -> Iterable[tuple[str, str]]:
+    return zip(variant, variant[1:])
 
-    Returns the rewritten log and the updated node -> original-activities
-    mapping (all untouched activities map to themselves or their previous
-    member sets).
-    """
-    run = tuple(run)
-    if len(run) < 2:
-        raise GraphError(f"a composite run needs at least two members, got {run!r}")
-    if len(set(run)) != len(run):
-        raise GraphError(f"composite run has repeated members: {run!r}")
-    name = composite_name(run)
-    merged = log.merge_composite(run, name)
-    new_members: dict[str, frozenset[str]] = {}
-    for activity in merged.activities():
-        if activity == name:
-            new_members[activity] = expand_members(run, members)
-        elif members is not None and activity in members:
-            new_members[activity] = members[activity]
+
+def _shift(counter: dict, keys: Iterable, weight: int) -> None:
+    """Add *weight* to *counter* once per key; counts that reach 0 go."""
+    for key in keys:
+        count = counter.get(key, 0) + weight
+        if count:
+            counter[key] = count
         else:
-            new_members[activity] = frozenset({activity})
-    return merged, new_members
+            del counter[key]
 
 
-def merge_runs_in_log(
-    log: EventLog, runs: Iterable[Sequence[str]]
-) -> tuple[EventLog, dict[str, frozenset[str]]]:
-    """Apply several non-overlapping composite merges in sequence."""
-    members: dict[str, frozenset[str]] = {a: frozenset({a}) for a in log.activities()}
-    current = log
-    for run in runs:
-        current, members = merge_run_in_log(current, run, members)
-    return current, members
+@dataclass(eq=False, slots=True)
+class CountTable:
+    """One log's variant table and the integer counters read from it.
 
+    ``variants[i]`` is the current activity tuple of the log's *i*-th
+    variant (first-seen order) and ``multiplicities[i]`` its trace count;
+    ids stay put when merges rewrite variants, even when two of them come
+    to hold the same tuple.  ``postings`` maps each activity to the ids
+    of the variants containing it.  The counters:
 
-def merged_dependency_graph(
-    log: EventLog,
-    runs: Iterable[Sequence[str]],
-    min_frequency: float = 0.0,
-) -> DependencyGraph:
-    """Dependency graph of *log* after merging the composite *runs*."""
-    merged, members = merge_runs_in_log(log, runs)
-    return DependencyGraph.from_log(merged, min_frequency=min_frequency, members=members)
+    * ``activity[a]`` — traces containing ``a``;
+    * ``pair[(a, b)]`` — traces where ``a b`` occur consecutively at least
+      once (Definition 1's numerators: divided by ``trace_count`` they
+      are :func:`repro.logs.stats.compute_statistics`, bit for bit);
+    * ``occurrences[a]`` — every occurrence of ``a``;
+    * ``follows[(a, b)]`` — every consecutive occurrence of ``a b`` (what
+      :func:`repro.core.composite.discover_candidates` reads).
 
-
-# ----------------------------------------------------------------------
-# Delta merging: patch integer counts instead of rewriting the log
-# ----------------------------------------------------------------------
-@dataclass(slots=True)
-class LogCounts:
-    """The integer numerators of Definition 1's frequencies.
-
-    ``activity[a]`` is the number of traces containing ``a``;
-    ``pair[(a, b)]`` the number of traces where ``a b`` occur consecutively
-    at least once.  Dividing by ``trace_count`` reproduces
-    :func:`repro.logs.stats.compute_statistics` exactly — same integers,
-    same division, bit-identical floats — which is what lets delta-merged
-    graphs match full rebuilds to the last bit.
+    Absent keys count 0; no counter holds a 0.
     """
 
     trace_count: int
+    variants: list[tuple[str, ...]]
+    multiplicities: list[int]
+    postings: dict[str, set[int]]
     activity: dict[str, int]
     pair: dict[tuple[str, str], int]
+    occurrences: dict[str, int]
+    follows: dict[tuple[str, str], int]
 
     @classmethod
-    def from_log(cls, log: EventLog) -> "LogCounts":
+    def from_log(cls, log: EventLog) -> "CountTable":
+        """The table of *log*, counted over its variant table."""
+        variants = list(log.variant_counts().items())
+        postings: dict[str, set[int]] = {}
+        for i, (variant, _) in enumerate(variants):
+            for activity in set(variant):
+                ids = postings.get(activity)
+                if ids is None:
+                    postings[activity] = {i}
+                else:
+                    ids.add(i)
+        multiplicities = [multiplicity for _, multiplicity in variants]
         return cls(
             trace_count=len(log),
-            activity=dict(log.activity_trace_counts()),
+            variants=[variant for variant, _ in variants],
+            multiplicities=multiplicities,
+            postings=postings,
+            activity={
+                activity: sum(map(multiplicities.__getitem__, ids))
+                for activity, ids in postings.items()
+            },
             pair=dict(log.pair_trace_counts()),
+            occurrences=dict(log.count_over_variants(lambda variant: variant)),
+            follows=dict(log.count_over_variants(_pairs)),
         )
-
-    def copy(self) -> "LogCounts":
-        return LogCounts(self.trace_count, dict(self.activity), dict(self.pair))
 
     def statistics(self) -> LogStatistics:
-        """The normalized statistics these counts represent."""
-        tc = self.trace_count
-        return LogStatistics(
-            trace_count=tc,
-            activity_frequencies={a: count / tc for a, count in self.activity.items()},
-            pair_frequencies={p: count / tc for p, count in self.pair.items()},
-        )
-
-
-class TraceIndex:
-    """The log's trace variants, their distinct sets and an activity index.
-
-    Built once per log from its variant table: each distinct activity
-    tuple with its multiplicity, its distinct-activity and distinct-pair
-    sets, and postings from each activity to the variant ids containing
-    it.  The index answers "which variants can contain run ``r``
-    contiguously?" (the intersection of the members' postings) and
-    supplies each affected variant's old sets so :func:`merge_counts` can
-    subtract/re-add only what changed, weighted by multiplicity.
-    ``apply`` advances the index in place when a merge is accepted.
-    """
-
-    __slots__ = ("variants", "multiplicities", "activity_sets", "pair_sets", "postings")
-
-    def __init__(self, log: EventLog):
-        table = log.variant_counts()
-        self.variants: list[tuple[str, ...]] = list(table)
-        self.multiplicities: list[int] = list(table.values())
-        self.activity_sets: list[frozenset[str]] = [
-            frozenset(variant) for variant in self.variants
-        ]
-        self.pair_sets: list[frozenset[tuple[str, str]]] = [
-            frozenset(zip(variant, variant[1:])) for variant in self.variants
-        ]
-        self.postings: dict[str, set[int]] = {}
-        for i, activities in enumerate(self.activity_sets):
-            for activity in activities:
-                self.postings.setdefault(activity, set()).add(i)
+        """Definition 1's normalized frequencies of the counted log."""
+        return _statistics(self.trace_count, self.activity, self.pair)
 
     def candidate_variants(self, run: Sequence[str]) -> list[int]:
         """Ids of variants containing every member of *run* (sorted)."""
@@ -199,27 +161,56 @@ class TraceIndex:
         return sorted(common)
 
     def apply(self, delta: "MergeDelta") -> None:
-        """Advance the index past an accepted merge (in place)."""
-        for i, _, new_variant in delta.affected:
-            old_activities = self.activity_sets[i]
-            new_activities = frozenset(new_variant)
+        """Advance the table past an accepted merge (in place).
+
+        The trace counters take the delta's patched values; the
+        occurrence counters are shifted by each rewritten variant's
+        multiplicity; the variants and their postings move to the
+        rewritten tuples.
+        """
+        for counter, changes in (
+            (self.activity, delta.activity_changes),
+            (self.pair, delta.pair_changes),
+        ):
+            for key, (_, new) in changes.items():
+                if new:
+                    counter[key] = new
+                else:
+                    del counter[key]
+        for i, old, new in delta.affected:
+            weight = self.multiplicities[i]
+            _shift(self.occurrences, old, -weight)
+            _shift(self.occurrences, new, weight)
+            _shift(self.follows, _pairs(old), -weight)
+            _shift(self.follows, _pairs(new), weight)
+            old_activities, new_activities = set(old), set(new)
             for activity in old_activities - new_activities:
-                posting = self.postings[activity]
-                posting.discard(i)
-                if not posting:
+                ids = self.postings[activity]
+                ids.discard(i)
+                if not ids:
                     del self.postings[activity]
             for activity in new_activities - old_activities:
                 self.postings.setdefault(activity, set()).add(i)
-            self.variants[i] = new_variant
-            self.activity_sets[i] = new_activities
-            self.pair_sets[i] = frozenset(zip(new_variant, new_variant[1:]))
+            self.variants[i] = new
+
+
+def _statistics(
+    trace_count: int, activity: Mapping[str, int], pair: Mapping[tuple[str, str], int]
+) -> LogStatistics:
+    if trace_count == 0:
+        raise EventLogError("cannot compute statistics of an empty event log")
+    return LogStatistics(
+        trace_count=trace_count,
+        activity_frequencies={a: count / trace_count for a, count in activity.items()},
+        pair_frequencies={p: count / trace_count for p, count in pair.items()},
+    )
 
 
 @dataclass(frozen=True, slots=True)
 class MergeDelta:
     """Everything one candidate merge changes, in patchable form.
 
-    ``counts`` is the fully patched :class:`LogCounts` of the merged log;
+    ``activity`` / ``pair`` are the merged log's patched trace counters;
     ``affected`` the rewritten variants (variant id, old activity tuple,
     new activity tuple);
     ``activity_changes`` / ``pair_changes`` map each touched counter key to
@@ -230,10 +221,16 @@ class MergeDelta:
 
     run: tuple[str, ...]
     name: str
-    counts: LogCounts
+    trace_count: int
+    activity: dict[str, int]
+    pair: dict[tuple[str, str], int]
     affected: tuple[tuple[int, tuple[str, ...], tuple[str, ...]], ...]
     activity_changes: dict[str, tuple[int, int]]
     pair_changes: dict[tuple[str, str], tuple[int, int]]
+
+    def statistics(self) -> LogStatistics:
+        """Definition 1's normalized frequencies of the merged log."""
+        return _statistics(self.trace_count, self.activity, self.pair)
 
     def changed_nodes(self, min_frequency: float = 0.0) -> tuple[set[str], set[str]]:
         """``(in_changed, out_changed)``: nodes whose real edge sets moved.
@@ -245,7 +242,7 @@ class MergeDelta:
         ``changed`` sets :func:`repro.graph.levels.patched_longest_distances`
         needs for the forward and reversed merged graphs respectively.
         """
-        tc = self.counts.trace_count
+        tc = self.trace_count
         in_changed: set[str] = set(self.run)
         out_changed: set[str] = set(self.run)
         in_changed.add(self.name)
@@ -259,14 +256,15 @@ class MergeDelta:
         return in_changed, out_changed
 
 
-def merge_counts(counts: LogCounts, index: TraceIndex, run: Sequence[str]) -> MergeDelta:
-    """Patch *counts* for merging *run*, touching only affected variants.
+def merge_counts(table: CountTable, run: Sequence[str]) -> MergeDelta:
+    """The trace counters after merging *run*, touching only affected variants.
 
-    Equivalent to rewriting the log with :func:`merge_run_in_log` and
-    recounting from scratch, but proportional to the distinct variants
-    that actually contain the contiguous run: each is rewritten once, as a
-    tuple, and moves the counters by its multiplicity.  *counts* is not
-    mutated; the returned delta carries a patched copy.
+    Equivalent to rewriting the log and recounting it from scratch, but
+    proportional to the distinct variants that actually contain the
+    contiguous run: each is rewritten once, by
+    :func:`~repro.logs.events.collapse_run`, and moves the counters by its
+    multiplicity.  *table* is not mutated; :meth:`CountTable.apply`
+    advances it once the merge is accepted.
     """
     run = tuple(run)
     if len(run) < 2:
@@ -275,59 +273,41 @@ def merge_counts(counts: LogCounts, index: TraceIndex, run: Sequence[str]) -> Me
         raise GraphError(f"composite run has repeated members: {run!r}")
     name = composite_name(run)
 
-    activity = dict(counts.activity)
-    pair = dict(counts.pair)
+    activity = dict(table.activity)
+    pair = dict(table.pair)
     activity_changes: dict[str, tuple[int, int]] = {}
     pair_changes: dict[tuple[str, str], tuple[int, int]] = {}
     affected: list[tuple[int, tuple[str, ...], tuple[str, ...]]] = []
 
-    for i in index.candidate_variants(run):
-        variant = index.variants[i]
+    for i in table.candidate_variants(run):
+        variant = table.variants[i]
         new_variant = collapse_run(variant, run, name)
-        if new_variant == variant:
+        if new_variant is variant:
             continue  # members present but never contiguous in this variant
         affected.append((i, variant, new_variant))
-        multiplicity = index.multiplicities[i]
-        old_activities = index.activity_sets[i]
-        new_activities = frozenset(new_variant)
-        for a in old_activities - new_activities:
-            if a not in activity_changes:
-                activity_changes[a] = (activity.get(a, 0), 0)
-            remaining = activity[a] - multiplicity
-            if remaining:
-                activity[a] = remaining
-            else:
-                del activity[a]
-        for a in new_activities - old_activities:
-            if a not in activity_changes:
-                activity_changes[a] = (activity.get(a, 0), 0)
-            activity[a] = activity.get(a, 0) + multiplicity
-        old_pairs = index.pair_sets[i]
-        new_pairs = frozenset(zip(new_variant, new_variant[1:]))
-        for p in old_pairs - new_pairs:
-            if p not in pair_changes:
-                pair_changes[p] = (pair.get(p, 0), 0)
-            remaining = pair[p] - multiplicity
-            if remaining:
-                pair[p] = remaining
-            else:
-                del pair[p]
-        for p in new_pairs - old_pairs:
-            if p not in pair_changes:
-                pair_changes[p] = (pair.get(p, 0), 0)
-            pair[p] = pair.get(p, 0) + multiplicity
+        weight = table.multiplicities[i]
+        for counter, changes, old_keys, new_keys in (
+            (activity, activity_changes, set(variant), set(new_variant)),
+            (pair, pair_changes, set(_pairs(variant)), set(_pairs(new_variant))),
+        ):
+            gone, added = old_keys - new_keys, new_keys - old_keys
+            for key in chain(gone, added):
+                if key not in changes:
+                    changes[key] = (counter.get(key, 0), 0)
+            _shift(counter, gone, -weight)
+            _shift(counter, added, weight)
 
-    activity_changes = {
-        a: (old, activity.get(a, 0)) for a, (old, _) in activity_changes.items()
-    }
-    pair_changes = {p: (old, pair.get(p, 0)) for p, (old, _) in pair_changes.items()}
     return MergeDelta(
         run=run,
         name=name,
-        counts=LogCounts(counts.trace_count, activity, pair),
+        trace_count=table.trace_count,
+        activity=activity,
+        pair=pair,
         affected=tuple(affected),
-        activity_changes=activity_changes,
-        pair_changes=pair_changes,
+        activity_changes={
+            a: (old, activity.get(a, 0)) for a, (old, _) in activity_changes.items()
+        },
+        pair_changes={p: (old, pair.get(p, 0)) for p, (old, _) in pair_changes.items()},
     )
 
 
@@ -338,9 +318,9 @@ def merged_member_map(
 ) -> dict[str, frozenset[str]]:
     """The node → original-activities map after merging *run*.
 
-    Mirrors the bookkeeping of :func:`merge_run_in_log` (same rule, applied
-    to the merged activity set) so the delta path produces identical member
-    maps to the rewrite path.
+    *activities* are the merged log's; the composite maps to its expanded
+    members, every other activity to its previous member set (itself when
+    it has none).
     """
     name = composite_name(run)
     new_members: dict[str, frozenset[str]] = {}
@@ -354,18 +334,58 @@ def merged_member_map(
     return new_members
 
 
-def apply_delta_to_log(log: EventLog, delta: MergeDelta) -> EventLog:
-    """The merged log: only the traces of affected variants are rewritten.
+def rewrite_log(
+    log: EventLog, table: CountTable, runs: Sequence[Sequence[str]]
+) -> EventLog:
+    """*log* with the composite *runs* merged, in order.
 
-    Equal position for position — timestamps, attributes and case ids
-    included — to ``merge_run_in_log(log, delta.run)[0]``, with the same
-    variant table in the same order; the table is patched from the
-    delta's variant rewrites rather than recounted trace by trace.
+    *table* is *log*'s count table advanced past those runs.  Each trace
+    of a variant the table rewrote goes through
+    :meth:`~repro.logs.events.Trace.replace_run` once per run (its new
+    event keeps the first member's timestamp and attributes); every other
+    trace is shared.  Equal, position for position and in variant-table
+    order, to rewriting the log once per run.
     """
-    return log.rewrite_variants(
-        {old: new for _, old, new in delta.affected},
-        lambda trace: trace.replace_run(delta.run, delta.name),
-    )
+    if not runs:
+        return log
+    steps = [(tuple(run), composite_name(run)) for run in runs]
+
+    def transform(trace):
+        for run, name in steps:
+            trace = trace.replace_run(run, name)
+        return trace
+
+    rewrites = {
+        old: new
+        for old, new in zip(log.variant_counts(), table.variants)
+        if new != old
+    }
+    return log.rewrite_variants(rewrites, transform)
+
+
+def merge_runs(
+    log: EventLog,
+    runs: Iterable[Sequence[str]],
+    members: Mapping[str, frozenset[str]] | None = None,
+) -> tuple[EventLog, dict[str, frozenset[str]]]:
+    """Merge the composite *runs* into *log*, in order.
+
+    Returns the merged log and its node → original-activities map;
+    *members* is *log*'s own map (every activity stands for itself when
+    it is left out).
+    """
+    table = CountTable.from_log(log)
+    merged_members = {
+        activity: frozenset({activity}) for activity in sorted(table.activity)
+    }
+    if members is not None:
+        merged_members.update((a, members[a]) for a in merged_members if a in members)
+    runs = [tuple(run) for run in runs]
+    for run in runs:
+        delta = merge_counts(table, run)
+        merged_members = merged_member_map(sorted(delta.activity), run, merged_members)
+        table.apply(delta)
+    return rewrite_log(log, table, runs), merged_members
 
 
 def merged_graph_from_delta(
@@ -387,7 +407,7 @@ def merged_graph_from_delta(
     from repro.graph.levels import patched_longest_distances
 
     graph = DependencyGraph.from_statistics(
-        delta.counts.statistics(),
+        delta.statistics(),
         name=parent_graph.name,
         min_frequency=min_frequency,
         members=members,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from typing import Callable, Collection, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from repro.exceptions import EventLogError
 from repro.logs.events import Event, Trace
@@ -106,7 +106,7 @@ class EventLog:
         return frozenset(names)
 
     def count_over_variants(
-        self, keys: Callable[[tuple[str, ...]], Collection[K]]
+        self, keys: Callable[[tuple[str, ...]], Iterable[K]]
     ) -> Counter[K]:
         """``sum(multiplicity * Counter(keys(variant)))`` over the variant
         table: every count the matching layer takes of a log.
@@ -161,12 +161,6 @@ class EventLog:
     def relabel(self, mapping: Mapping[str, str], name: str | None = None) -> "EventLog":
         """Rename activities through *mapping* (used by opacification)."""
         return self.map_traces(lambda trace: trace.relabel(mapping), name=name)
-
-    def merge_composite(
-        self, run: tuple[str, ...], replacement: str, name: str | None = None
-    ) -> "EventLog":
-        """Collapse consecutive occurrences of *run* into *replacement*."""
-        return self.map_traces(lambda trace: trace.replace_run(run, replacement), name=name)
 
     def rewrite_variants(
         self,

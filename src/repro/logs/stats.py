@@ -94,20 +94,3 @@ def start_activity_counts(log: EventLog) -> Counter[str]:
 def end_activity_counts(log: EventLog) -> Counter[str]:
     """How many traces end with each activity."""
     return log.count_over_variants(lambda variant: variant[-1:])
-
-
-def directly_follows_counts(log: EventLog) -> Counter[tuple[str, str]]:
-    """Total number of consecutive occurrences of each ordered pair.
-
-    Unlike :meth:`EventLog.pair_trace_counts`, this counts every occurrence
-    (a pair appearing twice in one trace counts twice).  Definition 1 uses
-    the per-trace version; this one feeds the SEQ-pattern composite
-    candidate discovery (Section 5.1 of the paper), which needs occurrence
-    counts to decide whether two activities *always* appear together.
-    """
-    return log.count_over_variants(lambda variant: list(zip(variant, variant[1:])))
-
-
-def activity_occurrence_counts(log: EventLog) -> Counter[str]:
-    """Total number of occurrences of each activity across all traces."""
-    return log.count_over_variants(lambda variant: variant)

@@ -21,18 +21,20 @@ keys below so a hit is *provably* the same computation:
   outcome is only ever reused against the same incumbent that produced
   it.  Rounds evaluate candidates in discovery order, so identical
   reruns regenerate identical incumbent sequences and a second run over
-  unchanged inputs hits on every candidate;
-* the **discovery key** (:func:`discovery_key`) names one side's
-  candidate list after a given accepted-merge history.
+  unchanged inputs hits on every candidate.
+
+Candidate lists are not stored: discovery reads the side's count table,
+whose counters every accepted merge patches, so it costs a pass over
+the distinct directly-follows pairs, not over the log.
 
 The same keys make the table the search's **resume state**.  The greedy
 loop is deterministic, so its state at any round boundary is a function
 of the inputs, the knobs and the accepted-merge history — exactly what
 the keys cover.  A search cut short by SIGINT/SIGTERM (or killed
 outright) and re-run over the same store replays every finished
-evaluation and discovery; it recomputes only the initial similarity,
-the delta merges of the accepted history and the evaluations the
-interrupt cut off.  Its answer and
+evaluation; it recomputes only the count tables, the initial
+similarity, the delta merges of the accepted history, candidate
+discovery and the evaluations the interrupt cut off.  Its answer and
 :class:`~repro.core.composite.CompositeStats` equal an uninterrupted
 run's.  Durability — digest-verified rows, damaged rows answered as
 counted cold misses, the LRU bound — is the store's.
@@ -97,28 +99,5 @@ def candidate_key(
             [list(history), side_index, list(run), repr(abort_below)],
             separators=(",", ":"),
         ).encode()
-    )
-    return digest.hexdigest()
-
-
-def discovery_key(
-    base_key: str,
-    history: tuple[tuple[int, tuple[str, ...]], ...],
-    side_index: int,
-) -> str:
-    """Content key of one side's candidate-discovery result.
-
-    Candidate discovery is a pure function of a side's current log,
-    which is fully determined by the original inputs (*base_key* covers
-    the logs and every knob, discovery thresholds included) and the
-    accepted-merge *history*.  Caching it alongside the evaluations lets
-    a warm re-run skip the per-round statistics recomputation — the
-    dominant cost once every evaluation is a hit.  The ``"discovery"``
-    tag keeps these keys disjoint from :func:`candidate_key` digests.
-    """
-    digest = hashlib.sha256(base_key.encode())
-    digest.update(b"\x00discovery\x00")
-    digest.update(
-        json.dumps([list(history), side_index], separators=(",", ":")).encode()
     )
     return digest.hexdigest()

@@ -17,9 +17,7 @@ bit-identical to the stored run.
 A second table, ``evaluations``, memoizes the composite search
 (Algorithm 2): one row per candidate evaluation
 (:class:`~repro.core.incremental.CandidateEvaluation`) under
-:func:`~repro.runtime.evalcache.candidate_key` and one per candidate
-discovery (the list of runs) under
-:func:`~repro.runtime.evalcache.discovery_key`.  A repeated search is
+:func:`~repro.runtime.evalcache.candidate_key`.  A repeated search is
 served from it, and an interrupted one resumes by re-running over the
 same store.  Its lookups, rejections and evictions are also counted as
 ``eval_cache_{hits,misses,corrupt,evictions}_total``, as the matrix
@@ -209,15 +207,15 @@ class MatchStore(LogStore):
     # ------------------------------------------------------------------
     # Composite-search evaluations
     # ------------------------------------------------------------------
-    def get_evaluation(self, key: str) -> Any | None:
-        """The stored candidate evaluation or discovery for *key*, or ``None``.
+    def get_evaluation(self, key: str) -> CandidateEvaluation | None:
+        """The stored candidate evaluation for *key*, or ``None``.
 
         A row holding anything but a complete :class:`CandidateEvaluation`
-        or a list of activity runs is treated like a corrupt row.
+        is treated like a corrupt row.
         """
         return self._get_counted("evaluations", key, _evaluation_record_ok)
 
-    def put_evaluation(self, key: str, value: Any) -> None:
+    def put_evaluation(self, key: str, value: CandidateEvaluation) -> None:
         self._put("evaluations", key, value)
 
 
@@ -249,12 +247,9 @@ def _fields_set(value: Any) -> bool:
 
 
 def _evaluation_record_ok(value: Any) -> bool:
-    if isinstance(value, CandidateEvaluation):
-        outcome = getattr(value, "outcome", None)
-        return _fields_set(value) and (
-            outcome is None or (isinstance(outcome, EMSResult) and _fields_set(outcome))
-        )
-    return isinstance(value, list) and all(
-        isinstance(run, tuple) and all(isinstance(name, str) for name in run)
-        for run in value
+    if not isinstance(value, CandidateEvaluation):
+        return False
+    outcome = getattr(value, "outcome", None)
+    return _fields_set(value) and (
+        outcome is None or (isinstance(outcome, EMSResult) and _fields_set(outcome))
     )

@@ -16,13 +16,15 @@ Nothing in ``src/`` knows about it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.core import composite
 from repro.core.config import EMSConfig
 from repro.core.ems import EMSEngine, LabelMatrixCache
 from repro.core.incremental import CandidateEvaluation
 from repro.core.matrix import SimilarityMatrix
 from repro.graph.dependency import DependencyGraph
-from repro.graph.merge import composite_name, merge_run_in_log
+from repro.graph.merge import CountTable, composite_name
 from repro.graph.reachability import real_ancestors, real_descendants
 from repro.logs.log import EventLog
 from repro.obs import NULL_OBSERVER, Observer
@@ -33,8 +35,18 @@ from repro.similarity.labels import (
     OpaqueSimilarity,
 )
 from tests import count_oracle
+from tests.ems_oracle import fixed_pairs_start
+from tests.merge_oracle import merge_run_in_log
 
-SideState = tuple[EventLog, dict[str, frozenset[str]], DependencyGraph]
+
+@dataclass(slots=True)
+class SideState:
+    """One side's rewritten log, its member map, graph and fresh count."""
+
+    log: EventLog
+    members: dict[str, frozenset[str]]
+    graph: DependencyGraph
+    table: CountTable
 
 
 class ColdSearchState:
@@ -59,13 +71,23 @@ class ColdSearchState:
         self.observer = observer if observer is not None else NULL_OBSERVER
         self._sides: list[SideState] = []
         self._directional: dict[str, SimilarityMatrix] | None = None
+        #: This round's rebuilt (log, members, graph) per (side, run): the
+        #: winner's is the accepted side state.
+        self._rebuilt: dict[tuple[int, tuple[str, ...]], tuple] = {}
 
-    def reset(self, sides: tuple[SideState, ...]) -> None:
-        self._sides = [(log, dict(members), graph) for log, members, graph in sides]
+    def reset(self, logs: tuple[EventLog, EventLog]) -> None:
+        self._sides = [
+            self._side(log, {a: frozenset({a}) for a in log.activities()})
+            for log in logs
+        ]
         self._directional = None
+
+    def side(self, side_index: int) -> SideState:
+        return self._sides[side_index]
 
     def begin_round(self, directional: dict[str, SimilarityMatrix] | None) -> None:
         self._directional = directional if self.use_unchanged else None
+        self._rebuilt = {}
 
     def evaluate(
         self,
@@ -74,10 +96,10 @@ class ColdSearchState:
         abort_below: float,
         meter: BudgetMeter | None = None,
     ) -> CandidateEvaluation:
-        log, members, graph = self._sides[side_index]
-        _, other_members, other_graph = self._sides[1 - side_index]
-        merged_log, merged_members = merge_run_in_log(log, run, members)
-        merged_graph = self._graph(merged_log, merged_members)
+        side, other = self._sides[side_index], self._sides[1 - side_index]
+        graph, other_members, other_graph = side.graph, other.members, other.graph
+        merged_log, merged_members, merged_graph = self._rebuild(side, run)
+        self._rebuilt[(side_index, run)] = merged_log, merged_members, merged_graph
         if side_index == 0:
             members_pair = (merged_members, other_members)
             graphs = (merged_graph, other_graph)
@@ -92,9 +114,12 @@ class ColdSearchState:
         fixed_forward, fixed_backward, pairs_fixed = self._unchanged_pairs(
             side_index, run, graph, other_graph
         )
+        dtype = self.config.np_dtype
         outcome = engine.similarity(
-            graphs[0], graphs[1], fixed_forward, fixed_backward, meter=meter,
-            abort_below=abort_below if self.use_bounds else None,
+            graphs[0], graphs[1],
+            fixed_pairs_start(*graphs, fixed_forward, dtype),
+            fixed_pairs_start(*graphs, fixed_backward, dtype),
+            meter=meter, abort_below=abort_below if self.use_bounds else None,
         )
         return CandidateEvaluation(
             outcome=None if outcome.aborted else outcome,
@@ -102,13 +127,24 @@ class ColdSearchState:
             pair_updates=outcome.pair_updates,
         )
 
-    def apply_accepted(self, side_index: int, run: tuple[str, ...]) -> SideState:
-        log, members, _ = self._sides[side_index]
-        merged_log, merged_members = merge_run_in_log(log, run, members)
-        self._sides[side_index] = (
-            merged_log, merged_members, self._graph(merged_log, merged_members)
-        )
-        return self._sides[side_index]
+    def apply_accepted(self, side_index: int, run: tuple[str, ...]) -> None:
+        # A winner served from the store was not rebuilt this round.
+        rebuilt = self._rebuilt.get((side_index, run))
+        if rebuilt is None:
+            rebuilt = self._rebuild(self._sides[side_index], run)
+        log, members, graph = rebuilt
+        self._sides[side_index] = SideState(log, members, graph, CountTable.from_log(log))
+
+    def merged_logs(self) -> tuple[EventLog, ...]:
+        return tuple(side.log for side in self._sides)
+
+    def _rebuild(self, side: SideState, run: tuple[str, ...]) -> tuple:
+        """The side's (log, members, graph) after merging *run*."""
+        merged_log, merged_members = merge_run_in_log(side.log, run, side.members)
+        return merged_log, merged_members, self._graph(merged_log, merged_members)
+
+    def _side(self, log: EventLog, members: dict[str, frozenset[str]]) -> SideState:
+        return SideState(log, members, self._graph(log, members), CountTable.from_log(log))
 
     def _graph(self, log: EventLog, members: dict[str, frozenset[str]]) -> DependencyGraph:
         # Counted trace by trace, independently of the log's variant table.

@@ -4,58 +4,64 @@ import pytest
 
 from repro.core.composite import CompositeMatcher, discover_candidates
 from repro.core.config import EMSConfig
+from repro.graph.merge import CountTable
 from repro.logs.log import EventLog
+
+
+def discover(log: EventLog, *args, **kwargs) -> list[tuple[str, ...]]:
+    """Candidate discovery over *log*'s count table."""
+    return discover_candidates(CountTable.from_log(log), *args, **kwargs)
 
 
 class TestDiscoverCandidates:
     def test_always_adjacent_pair_found(self):
         log = EventLog([["a", "b", "c"], ["x", "a", "b"]])
-        assert ("a", "b") in discover_candidates(log)
+        assert ("a", "b") in discover(log)
 
     def test_sometimes_adjacent_pair_needs_lower_confidence(self):
         log = EventLog([["a", "b"], ["a", "c"]])
-        assert ("a", "b") not in discover_candidates(log, min_confidence=1.0)
-        assert ("a", "b") in discover_candidates(log, min_confidence=0.5)
+        assert ("a", "b") not in discover(log, min_confidence=1.0)
+        assert ("a", "b") in discover(log, min_confidence=0.5)
 
     def test_chains_extend(self):
         log = EventLog([["a", "b", "c"]] * 5)
-        candidates = discover_candidates(log, max_run_length=3)
+        candidates = discover(log, max_run_length=3)
         assert ("a", "b", "c") in candidates
         assert ("a", "b") in candidates
         assert ("b", "c") in candidates
 
     def test_max_run_length_respected(self):
         log = EventLog([["a", "b", "c", "d"]] * 3)
-        candidates = discover_candidates(log, max_run_length=2)
+        candidates = discover(log, max_run_length=2)
         assert all(len(run) == 2 for run in candidates)
 
     def test_max_candidates_cap(self):
         log = EventLog([["a", "b", "c", "d"]] * 3)
-        assert len(discover_candidates(log, max_candidates=2)) == 2
-        assert discover_candidates(log, max_candidates=0) == []
+        assert len(discover(log, max_candidates=2)) == 2
+        assert discover(log, max_candidates=0) == []
 
     def test_no_cyclic_candidates(self):
         log = EventLog([["a", "b", "a", "b"]] * 3)
-        for run in discover_candidates(log, min_confidence=0.4):
+        for run in discover(log, min_confidence=0.4):
             assert len(set(run)) == len(run)
 
     def test_self_loops_ignored(self):
         log = EventLog([["a", "a", "b"]] * 3)
-        for run in discover_candidates(log, min_confidence=0.3):
+        for run in discover(log, min_confidence=0.3):
             assert all(run[i] != run[i + 1] for i in range(len(run) - 1))
 
     def test_validation(self):
         log = EventLog([["a", "b"]])
         with pytest.raises(ValueError):
-            discover_candidates(log, min_confidence=0.0)
+            discover(log, min_confidence=0.0)
         with pytest.raises(ValueError):
-            discover_candidates(log, max_run_length=1)
+            discover(log, max_run_length=1)
 
     def test_ordering_strongest_first(self):
         # (c, d) is always adjacent (confidence 1.0); (a, b) only in 80%
         # of a's occurrences (confidence 0.8) — confidence orders first.
         log = EventLog([["a", "b"]] * 8 + [["a", "c", "d"]] * 2)
-        candidates = discover_candidates(log, min_confidence=0.1, max_run_length=2)
+        candidates = discover(log, min_confidence=0.1, max_run_length=2)
         assert candidates[0] == ("c", "d")
         assert ("a", "b") in candidates
 

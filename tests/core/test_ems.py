@@ -12,6 +12,7 @@ from repro.core.ems import EMSEngine, edge_agreement, iteration_trace
 from repro.graph.dependency import DependencyGraph
 from repro.logs.log import EventLog
 from repro.similarity.labels import ExactSimilarity
+from tests.ems_oracle import fixed_pairs_start
 
 FORWARD = EMSConfig(alpha=1.0, c=0.8, direction="forward")
 
@@ -148,7 +149,7 @@ class TestLabelIntegration:
 class TestFixedPairs:
     def test_fixed_pairs_not_updated(self, fig1_graphs):
         engine = EMSEngine(FORWARD)
-        fixed = {("A", "1"): 0.123}
+        fixed = fixed_pairs_start(*fig1_graphs, {("A", "1"): 0.123})
         result = engine.similarity(*fig1_graphs, fixed_forward=fixed)
         assert result.matrix.get("A", "1") == pytest.approx(0.123)
 
@@ -156,12 +157,12 @@ class TestFixedPairs:
         """Proposition 4 mechanism: seeding true values is a no-op."""
         engine = EMSEngine(FORWARD)
         base = engine.similarity(*fig1_graphs)
-        fixed = {
+        fixed = fixed_pairs_start(*fig1_graphs, {
             (row, col): base.matrix.get(row, col)
             for row in base.matrix.rows
             for col in base.matrix.cols
             if row in ("A", "B")
-        }
+        })
         seeded = engine.similarity(*fig1_graphs, fixed_forward=fixed)
         np.testing.assert_allclose(
             seeded.matrix.values, base.matrix.values, atol=1e-3

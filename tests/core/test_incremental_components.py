@@ -13,6 +13,7 @@ from repro.core.ems import LABEL_CACHE_ENTRIES, EMSEngine, LabelMatrixCache, War
 from repro.core.estimation import estimate_matrix, estimate_pair
 from repro.graph.dependency import DependencyGraph
 from repro.logs.log import EventLog
+from tests.ems_oracle import fixed_pairs_start
 
 
 def small_logs() -> tuple[EventLog, EventLog]:
@@ -26,17 +27,25 @@ class TestWarmStart:
         first, second = small_logs()
         g1, g2 = DependencyGraph.from_log(first), DependencyGraph.from_log(second)
         engine = EMSEngine(EMSConfig(alpha=1.0, direction="both"))
-        fixed = {("a", "a"): 0.73, ("b", "d"): 0.21}
+        # An unknown node is skipped, as a seeding cell by cell would.
+        fixed = {("a", "a"): 0.73, ("b", "d"): 0.21, ("zz", "a"): 0.5}
+        from_pairs = fixed_pairs_start(g1, g2, fixed)
+        narrowed = fixed_pairs_start(g1, g2, fixed, np.float32)
+        assert narrowed.values.dtype == np.float32
 
-        cold = engine.similarity(g1, g2, fixed_forward=fixed, fixed_backward=fixed)
+        cold = engine.similarity(
+            g1, g2, fixed_forward=from_pairs, fixed_backward=from_pairs
+        )
 
         values = np.zeros((len(g1.nodes), len(g2.nodes)))
         dirty = np.ones_like(values, dtype=bool)
         row = {node: i for i, node in enumerate(g1.nodes)}
         col = {node: j for j, node in enumerate(g2.nodes)}
-        for (v1, v2), value in fixed.items():
+        for (v1, v2), value in list(fixed.items())[:2]:
             values[row[v1], col[v2]] = value
             dirty[row[v1], col[v2]] = False
+        np.testing.assert_array_equal(from_pairs.values, values)
+        np.testing.assert_array_equal(from_pairs.dirty, dirty)
         warm_start = WarmStart(values=values, dirty=dirty)
         warm = engine.similarity(
             g1, g2, fixed_forward=warm_start, fixed_backward=warm_start

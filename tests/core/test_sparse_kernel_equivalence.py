@@ -46,7 +46,7 @@ from repro.runtime.degrade import DegradationPolicy
 from repro.similarity.labels import QGramCosineSimilarity
 from repro.synthesis.corpus import build_scalability_pair
 from tests.composite_oracle import ColdCompositeMatcher
-from tests.ems_oracle import reference_kernel
+from tests.ems_oracle import fixed_pairs_start, reference_kernel
 from tests.property import test_property_ems as property_ems
 
 ATOL = 1e-12
@@ -134,7 +134,8 @@ class TestExactEquivalence:
         assert_equivalent(
             *run_kernels(
                 graphs_12, {},
-                fixed_forward=fixed_forward, fixed_backward=fixed_backward,
+                fixed_forward=fixed_pairs_start(first, second, fixed_forward),
+                fixed_backward=fixed_pairs_start(first, second, fixed_backward),
             )
         )
 
@@ -269,7 +270,11 @@ class TestEdgePairGrid:
         first, second = graphs_12
         fixed = {(first.nodes[3], node): 0.4 for node in second.nodes}
         fixed[first.nodes[6], second.nodes[2]] = 0.7
-        assert_equivalent(*run_kernels(graphs_12, {}, fixed_forward=fixed))
+        assert_equivalent(
+            *run_kernels(
+                graphs_12, {}, fixed_forward=fixed_pairs_start(first, second, fixed)
+            )
+        )
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_budget_cut_inside_pruned_iterations(self, graphs_12, warm):

@@ -14,7 +14,7 @@ import random
 from collections import Counter
 from typing import Sequence
 
-from repro.graph.merge import LogCounts
+from repro.graph.merge import CountTable
 from repro.logs.events import Event, Trace
 from repro.logs.log import EventLog
 from repro.logs.stats import LogStatistics
@@ -52,18 +52,53 @@ def directly_follows_counts(log: EventLog) -> Counter[tuple[str, str]]:
     return counts
 
 
-def log_counts(log: EventLog) -> LogCounts:
-    """:class:`LogCounts` from the per-trace counters."""
-    return LogCounts(
+def count_table(log: EventLog) -> CountTable:
+    """:class:`CountTable` from the per-trace counters.
+
+    Variants are numbered as the traces first show them, and each
+    trace adds 1 to its variant's multiplicity.
+    """
+    ids: dict[tuple[str, ...], int] = {}
+    multiplicities: list[int] = []
+    postings: dict[str, set[int]] = {}
+    for trace in log:
+        i = ids.setdefault(trace.activities, len(ids))
+        if i == len(multiplicities):
+            multiplicities.append(0)
+        multiplicities[i] += 1
+        for activity in trace.distinct_activities():
+            postings.setdefault(activity, set()).add(i)
+    return CountTable(
         trace_count=len(log),
+        variants=list(ids),
+        multiplicities=multiplicities,
+        postings=postings,
         activity=dict(activity_trace_counts(log)),
         pair=dict(pair_trace_counts(log)),
+        occurrences=dict(activity_occurrence_counts(log)),
+        follows=dict(directly_follows_counts(log)),
+    )
+
+
+def counters(table: CountTable) -> tuple:
+    """The trace count and the four counters of *table*, for comparing."""
+    return (
+        table.trace_count, table.activity, table.pair, table.occurrences, table.follows
     )
 
 
 def statistics(log: EventLog) -> LogStatistics:
     """Definition 1's normalized frequencies from the per-trace counters."""
-    return log_counts(log).statistics()
+    trace_count = len(log)
+    return LogStatistics(
+        trace_count=trace_count,
+        activity_frequencies={
+            a: count / trace_count for a, count in activity_trace_counts(log).items()
+        },
+        pair_frequencies={
+            p: count / trace_count for p, count in pair_trace_counts(log).items()
+        },
+    )
 
 
 def count_changes(before: dict, after: dict) -> dict:
@@ -76,15 +111,15 @@ def count_changes(before: dict, after: dict) -> dict:
 
 
 def changed_nodes(
-    before: LogCounts,
-    after: LogCounts,
+    before: CountTable,
+    after: CountTable,
     run: Sequence[str],
     name: str,
     min_frequency: float,
 ) -> tuple[set[str], set[str]]:
     """``(in_changed, out_changed)`` from the real edge sets of both logs."""
 
-    def edges(counts: LogCounts) -> set[tuple[str, str]]:
+    def edges(counts: CountTable) -> set[tuple[str, str]]:
         tc = counts.trace_count
         return {pair for pair, count in counts.pair.items() if count / tc >= min_frequency}
 

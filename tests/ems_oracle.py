@@ -22,6 +22,36 @@ from repro.core import ems
 from repro.graph.dependency import ARTIFICIAL, DependencyGraph
 
 
+def fixed_pairs_start(
+    first: DependencyGraph,
+    second: DependencyGraph,
+    pairs: dict[tuple[str, str], float] | None,
+    dtype: np.dtype = np.float64,
+) -> ems.WarmStart | None:
+    """The :class:`~repro.core.ems.WarmStart` that pins *pairs*.
+
+    *pairs* maps ``(node of first, node of second)`` to a fixed value.
+    Pairs naming a node either graph lacks are skipped, and values are
+    narrowed to *dtype* (the run dtype), as a fixpoint seeding those
+    cells one by one would.  ``None`` stays ``None``.
+    """
+    if pairs is None:
+        return None
+    index_first = {node: i for i, node in enumerate(first.nodes)}
+    index_second = {node: j for j, node in enumerate(second.nodes)}
+    shape = (len(index_first), len(index_second))
+    values = np.zeros(shape, dtype=dtype)
+    dirty = np.ones(shape, dtype=bool)
+    for (node_first, node_second), value in pairs.items():
+        i = index_first.get(node_first)
+        j = index_second.get(node_second)
+        if i is None or j is None:
+            continue
+        values[i, j] = value
+        dirty[i, j] = False
+    return ems.WarmStart(values=values, dirty=dirty)
+
+
 def _predecessor_lists(
     graph: DependencyGraph, index: dict[str, int], dtype: np.dtype
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:

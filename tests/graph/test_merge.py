@@ -3,13 +3,8 @@
 import pytest
 
 from repro.exceptions import GraphError
-from repro.graph.merge import (
-    composite_name,
-    expand_members,
-    merge_run_in_log,
-    merge_runs_in_log,
-    merged_dependency_graph,
-)
+from repro.graph.dependency import DependencyGraph
+from repro.graph.merge import composite_name, expand_members, merge_runs
 from repro.logs.log import EventLog
 
 
@@ -28,29 +23,30 @@ class TestNaming:
 
 class TestMergeRun:
     def test_merge_rewrites_traces(self, fig1_logs):
-        merged, members = merge_run_in_log(fig1_logs[0], ("C", "D"))
+        merged, members = merge_runs(fig1_logs[0], [("C", "D")])
         assert all("C" not in trace.activities for trace in merged)
         assert members["⟨C+D⟩"] == frozenset({"C", "D"})
         assert members["A"] == frozenset({"A"})
 
     def test_merge_requires_two_members(self, fig1_logs):
         with pytest.raises(GraphError):
-            merge_run_in_log(fig1_logs[0], ("C",))
+            merge_runs(fig1_logs[0], [("C",)])
 
     def test_merge_rejects_repeats(self, fig1_logs):
         with pytest.raises(GraphError):
-            merge_run_in_log(fig1_logs[0], ("C", "C"))
+            merge_runs(fig1_logs[0], [("C", "C")])
 
     def test_nested_merge_unions_members(self):
         log = EventLog([["a", "b", "c"]] * 3)
-        merged, members = merge_runs_in_log(log, [("a", "b"), ("⟨a+b⟩", "c")])
+        merged, members = merge_runs(log, [("a", "b"), ("⟨a+b⟩", "c")])
         assert members["⟨⟨a+b⟩+c⟩"] == frozenset({"a", "b", "c"})
         assert merged.traces[0].activities == ("⟨⟨a+b⟩+c⟩",)
 
 
 class TestMergedGraph:
     def test_merged_graph_frequencies(self, fig1_logs):
-        graph = merged_dependency_graph(fig1_logs[0], [("C", "D")])
+        merged, members = merge_runs(fig1_logs[0], [("C", "D")])
+        graph = DependencyGraph.from_log(merged, members=members)
         name = composite_name(("C", "D"))
         assert graph.frequency(name) == pytest.approx(1.0)
         assert graph.edge_frequency("A", name) == pytest.approx(0.4)
@@ -58,6 +54,6 @@ class TestMergedGraph:
 
     def test_noncontiguous_occurrences_unmerged(self):
         log = EventLog([["a", "x", "b"], ["a", "b"]])
-        merged, _ = merge_run_in_log(log, ("a", "b"))
+        merged, _ = merge_runs(log, [("a", "b")])
         assert merged.traces[0].activities == ("a", "x", "b")
         assert merged.traces[1].activities == ("⟨a+b⟩",)

@@ -1,9 +1,10 @@
-"""Differential tests: delta count patching vs the full log rewrite.
+"""Differential tests: count-table patching vs the full log rewrite.
 
-The delta path (`merge_counts` + `merged_graph_from_delta` +
-`apply_delta_to_log`) must reproduce the ground-truth rewrite path
-(`merge_run_in_log` + `DependencyGraph.from_log`) bit for bit — counts,
-frequencies, member maps, logs, graphs and Proposition-2 levels.
+The table path (`CountTable` + `merge_counts` + `merged_graph_from_delta`,
+with the merged log written once by `rewrite_log`) must reproduce the
+ground-truth rewrite path (`tests.merge_oracle.merge_run_in_log` +
+`DependencyGraph.from_log`) bit for bit — counts, frequencies, member
+maps, logs, graphs and Proposition-2 levels.
 """
 
 import random as random_module
@@ -16,16 +17,16 @@ from repro.exceptions import GraphError
 from repro.graph.dependency import ARTIFICIAL, DependencyGraph
 from repro.graph.levels import longest_distances, patched_longest_distances
 from repro.graph.merge import (
-    LogCounts,
-    TraceIndex,
-    apply_delta_to_log,
+    CountTable,
     merge_counts,
-    merge_run_in_log,
     merged_graph_from_delta,
     merged_member_map,
+    rewrite_log,
 )
 from repro.logs.log import EventLog
 from repro.logs.stats import compute_statistics
+from tests import count_oracle
+from tests.merge_oracle import merge_run_in_log
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -71,20 +72,24 @@ def assert_graphs_identical(expected: DependencyGraph, actual: DependencyGraph):
 def test_merge_counts_matches_recount(seed, run_seed):
     log = random_log(seed)
     run = random_run(run_seed, log)
-    counts = LogCounts.from_log(log)
-    index = TraceIndex(log)
-    delta = merge_counts(counts, index, run)
+    table = CountTable.from_log(log)
+    delta = merge_counts(table, run)
 
     rewritten, _ = merge_run_in_log(log, run)
-    expected = LogCounts.from_log(rewritten)
-    assert delta.counts.trace_count == expected.trace_count
-    assert delta.counts.activity == expected.activity
-    assert delta.counts.pair == expected.pair
+    expected = CountTable.from_log(rewritten)
+    assert delta.trace_count == expected.trace_count
+    assert delta.activity == expected.activity
+    assert delta.pair == expected.pair
     # The patched statistics divide the same integers: bit-identical floats.
-    assert delta.counts.statistics() == compute_statistics(rewritten)
-    # The delta log swap reproduces the rewrite, variant table order
-    # included: counts iterate in first-seen order.
-    merged = apply_delta_to_log(log, delta)
+    assert delta.statistics() == compute_statistics(rewritten)
+    # merge_counts left the table as it was.
+    assert count_oracle.counters(table) == count_oracle.counters(CountTable.from_log(log))
+
+    # The log written from the advanced table reproduces the rewrite,
+    # variant table order included: counts iterate in first-seen order.
+    table.apply(delta)
+    assert count_oracle.counters(table) == count_oracle.counters(expected)
+    merged = rewrite_log(log, table, [run])
     assert merged == rewritten
     assert list(merged.variant_counts().items()) == list(
         rewritten.variant_counts().items()
@@ -92,9 +97,6 @@ def test_merge_counts_matches_recount(seed, run_seed):
     assert [trace.activities for trace in merged] == [
         trace.activities for trace in rewritten
     ]
-    # The original counts were not mutated.
-    assert counts.activity == LogCounts.from_log(log).activity
-    assert counts.pair == LogCounts.from_log(log).pair
 
 
 @given(seeds, seeds)
@@ -105,8 +107,8 @@ def test_delta_graph_matches_full_rebuild(seed, run_seed):
     parent_members = {a: frozenset({a}) for a in log.activities()}
     parent = DependencyGraph.from_log(log, members=parent_members)
 
-    delta = merge_counts(LogCounts.from_log(log), TraceIndex(log), run)
-    members = merged_member_map(sorted(delta.counts.activity), run, parent_members)
+    delta = merge_counts(CountTable.from_log(log), run)
+    members = merged_member_map(sorted(delta.activity), run, parent_members)
     actual = merged_graph_from_delta(parent, delta, 0.0, members)
 
     rewritten, expected_members = merge_run_in_log(log, run, parent_members)
@@ -124,8 +126,8 @@ def test_delta_graph_matches_under_min_frequency(seed, run_seed, min_frequency):
     parent = DependencyGraph.from_log(
         log, min_frequency=min_frequency, members=parent_members
     )
-    delta = merge_counts(LogCounts.from_log(log), TraceIndex(log), run)
-    members = merged_member_map(sorted(delta.counts.activity), run, parent_members)
+    delta = merge_counts(CountTable.from_log(log), run)
+    members = merged_member_map(sorted(delta.activity), run, parent_members)
     actual = merged_graph_from_delta(parent, delta, min_frequency, members)
 
     rewritten, expected_members = merge_run_in_log(log, run, parent_members)
@@ -137,23 +139,22 @@ def test_delta_graph_matches_under_min_frequency(seed, run_seed, min_frequency):
 
 @given(seeds, seeds, seeds)
 @settings(max_examples=20, deadline=None)
-def test_trace_index_apply_stays_consistent(seed, run_seed, second_seed):
+def test_count_table_apply_stays_consistent(seed, run_seed, second_seed):
     """After applying an accepted merge, a second delta still matches."""
     log = random_log(seed)
     run = random_run(run_seed, log)
-    counts = LogCounts.from_log(log)
-    index = TraceIndex(log)
-    delta = merge_counts(counts, index, run)
-    merged_log = apply_delta_to_log(log, delta)
-    index.apply(delta)
+    table = CountTable.from_log(log)
+    delta = merge_counts(table, run)
+    table.apply(delta)
+    merged_log, _ = merge_run_in_log(log, run)
 
     second_run = random_run(second_seed, merged_log)
     if len(set(second_run)) != len(second_run) or len(second_run) < 2:
         return
-    second = merge_counts(delta.counts, index, second_run)
+    second = merge_counts(table, second_run)
     rewritten, _ = merge_run_in_log(merged_log, second_run)
-    assert second.counts.activity == LogCounts.from_log(rewritten).activity
-    assert second.counts.pair == LogCounts.from_log(rewritten).pair
+    assert second.activity == CountTable.from_log(rewritten).activity
+    assert second.pair == CountTable.from_log(rewritten).pair
 
 
 @given(seeds, seeds)
@@ -162,10 +163,10 @@ def test_patched_levels_match_full_recompute(seed, run_seed):
     log = random_log(seed)
     run = random_run(run_seed, log)
     parent = DependencyGraph.from_log(log)
-    delta = merge_counts(LogCounts.from_log(log), TraceIndex(log), run)
-    members = merged_member_map(sorted(delta.counts.activity), run, None)
+    delta = merge_counts(CountTable.from_log(log), run)
+    members = merged_member_map(sorted(delta.activity), run, None)
     merged = DependencyGraph.from_statistics(
-        delta.counts.statistics(), name=log.name, members=members
+        delta.statistics(), name=log.name, members=members
     )
     in_changed, out_changed = delta.changed_nodes(0.0)
     assert patched_longest_distances(
@@ -192,25 +193,27 @@ def test_patched_levels_rejects_unknown_new_node():
 
 def test_merge_counts_validates_run():
     log = EventLog([["a", "b", "c"]])
-    counts, index = LogCounts.from_log(log), TraceIndex(log)
+    table = CountTable.from_log(log)
     with pytest.raises(GraphError):
-        merge_counts(counts, index, ("a",))
+        merge_counts(table, ("a",))
     with pytest.raises(GraphError):
-        merge_counts(counts, index, ("a", "a"))
+        merge_counts(table, ("a", "a"))
 
 
 def test_merge_counts_run_absent_is_identity():
     log = EventLog([["a", "b", "c"], ["c", "a"]])
-    delta = merge_counts(LogCounts.from_log(log), TraceIndex(log), ("b", "a"))
+    table = CountTable.from_log(log)
+    delta = merge_counts(table, ("b", "a"))
     assert delta.affected == ()
-    assert delta.counts.activity == LogCounts.from_log(log).activity
-    assert delta.counts.pair == LogCounts.from_log(log).pair
+    assert delta.activity == table.activity
+    assert delta.pair == table.pair
+    assert rewrite_log(log, table, [("b", "a")]) == log
 
 
 def test_changed_nodes_tracks_min_frequency_crossings():
     # (b, c) occurs in 1 of 2 traces; merging (a, b) removes it entirely.
     log = EventLog([["a", "b", "c"], ["a", "b"]])
-    delta = merge_counts(LogCounts.from_log(log), TraceIndex(log), ("a", "b"))
+    delta = merge_counts(CountTable.from_log(log), ("a", "b"))
     in_changed, out_changed = delta.changed_nodes(0.0)
     assert "c" in in_changed          # lost its (b, c) in-edge
     assert set(delta.run) <= in_changed and set(delta.run) <= out_changed
@@ -219,13 +222,19 @@ def test_changed_nodes_tracks_min_frequency_crossings():
 
 def test_apply_delta_merges_colliding_variants():
     # ("x", "a", "b") collapses onto the variant ("x", "⟨a+b⟩") the log
-    # already has; their multiplicities add up, in first-seen order.
+    # already has; their multiplicities add up, in first-seen order.  The
+    # table keeps the two ids apart and still counts the merged log.
     log = EventLog(
         [["x", "⟨a+b⟩"], ["a", "b"], ["x", "a", "b"], ["x", "a", "b"]]
     )
-    delta = merge_counts(LogCounts.from_log(log), TraceIndex(log), ("a", "b"))
-    merged = apply_delta_to_log(log, delta)
+    table = CountTable.from_log(log)
+    table.apply(merge_counts(table, ("a", "b")))
+    assert table.variants == [("x", "⟨a+b⟩"), ("⟨a+b⟩",), ("x", "⟨a+b⟩")]
+    merged = rewrite_log(log, table, [("a", "b")])
     rewritten, _ = merge_run_in_log(log, ("a", "b"))
+    assert count_oracle.counters(table) == count_oracle.counters(
+        count_oracle.count_table(rewritten)
+    )
     assert list(merged.variant_counts().items()) == [
         (("x", "⟨a+b⟩"), 3), (("⟨a+b⟩",), 1)
     ]

@@ -61,8 +61,11 @@ class TestTransformations:
         assert log.activities() == frozenset({"x", "b"})
 
     def test_merge_composite(self):
-        log = EventLog([["a", "b", "c"]]).merge_composite(("a", "b"), "ab")
-        assert log.traces[0].activities == ("ab", "c")
+        log = EventLog([["a", "b", "c"], ["c"]]).rewrite_variants(
+            {("a", "b", "c"): ("ab", "c")},
+            lambda trace: trace.replace_run(("a", "b"), "ab"),
+        )
+        assert [trace.activities for trace in log] == [("ab", "c"), ("c",)]
 
     def test_map_traces_drops_empty(self):
         log = EventLog([["a", "b"], ["a"]])

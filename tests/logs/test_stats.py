@@ -3,11 +3,10 @@
 import pytest
 
 from repro.exceptions import EventLogError
+from repro.graph.merge import CountTable
 from repro.logs.log import EventLog
 from repro.logs.stats import (
-    activity_occurrence_counts,
     compute_statistics,
-    directly_follows_counts,
     end_activity_counts,
     start_activity_counts,
     summarize,
@@ -69,10 +68,10 @@ class TestSummaries:
         assert end_activity_counts(small_log)["E"] == 6
 
     def test_directly_follows_counts_every_occurrence(self):
-        counts = directly_follows_counts(EventLog([["a", "b", "a", "b"]]))
+        counts = CountTable.from_log(EventLog([["a", "b", "a", "b"]])).follows
         assert counts[("a", "b")] == 2
 
     def test_occurrence_counts(self):
-        counts = activity_occurrence_counts(EventLog([["a", "a", "b"]]))
+        counts = CountTable.from_log(EventLog([["a", "a", "b"]])).occurrences
         assert counts["a"] == 2
         assert counts["b"] == 1

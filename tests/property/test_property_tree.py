@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.merge import merge_run_in_log
+from repro.graph.merge import merge_runs
 from repro.synthesis.generator import perturbed, random_process_tree, reweighted
 from repro.synthesis.playout import play_out
 
@@ -52,7 +52,7 @@ def test_merge_roundtrip_preserves_event_mass(seed):
     tree = random_process_tree(names, rng)
     log = play_out(tree, 20, rng)
     candidates = [(names[0], names[1])]
-    merged, members = merge_run_in_log(log, candidates[0])
+    merged, members = merge_runs(log, [candidates[0]])
     original_events = sum(len(trace) for trace in log)
     merged_events = sum(len(trace) for trace in merged)
     merged_name = "⟨" + "+".join(candidates[0]) + "⟩"

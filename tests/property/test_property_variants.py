@@ -4,38 +4,30 @@ Every count ``src/`` takes over an in-memory log walks the log's variant
 table once per distinct activity sequence and weights it by its
 multiplicity.  On logs built to repeat variants (each drawn trace copied
 1–5 times, shuffled) these tests hold that route to the per-trace
-counters of ``tests/count_oracle.py``: statistics, delta counts, changed
-counter keys and nodes along chains of merges, candidate discovery, and
-the rewritten log itself, position for position.
+counters of ``tests/count_oracle.py``: statistics, the count table,
+delta counts, changed counter keys and nodes along chains of merges,
+candidate discovery on patched counters, and the merged log written once
+at the end of a chain, position for position.
 """
 
 import random as random_module
 from collections import Counter
-from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import composite
 from repro.core.composite import discover_candidates
-from repro.graph.merge import (
-    LogCounts,
-    TraceIndex,
-    apply_delta_to_log,
-    merge_counts,
-    merge_run_in_log,
-)
+from repro.graph.merge import CountTable, merge_counts, rewrite_log
 from repro.logs.log import EventLog
 from repro.logs.stats import (
-    activity_occurrence_counts,
     compute_statistics,
-    directly_follows_counts,
     end_activity_counts,
     start_activity_counts,
     summarize,
 )
 from tests import count_oracle as oracle
 from tests.count_oracle import duplicated_log
+from tests.merge_oracle import merge_run_in_log
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -69,9 +61,12 @@ def test_log_counts_equal_oracle(seed):
     assert log.activity_trace_counts() == oracle.activity_trace_counts(log)
     assert log.pair_trace_counts() == oracle.pair_trace_counts(log)
     assert compute_statistics(log) == oracle.statistics(log)
-    assert LogCounts.from_log(log) == oracle.log_counts(log)
-    assert activity_occurrence_counts(log) == oracle.activity_occurrence_counts(log)
-    assert directly_follows_counts(log) == oracle.directly_follows_counts(log)
+    table, expected = CountTable.from_log(log), oracle.count_table(log)
+    assert oracle.counters(table) == oracle.counters(expected)
+    assert table.variants == expected.variants
+    assert table.multiplicities == expected.multiplicities
+    assert table.postings == expected.postings
+    assert table.statistics() == oracle.statistics(log)
     assert start_activity_counts(log) == Counter(t.activities[0] for t in log)
     assert end_activity_counts(log) == Counter(t.activities[-1] for t in log)
     lengths = [len(trace) for trace in log]
@@ -85,13 +80,8 @@ def test_log_counts_equal_oracle(seed):
 @settings(max_examples=40, deadline=None)
 def test_discover_candidates_equal_oracle(seed, min_confidence, max_run_length):
     log = duplicated_log(seed, alphabet="abcd")
-    actual = discover_candidates(log, min_confidence, max_run_length)
-    with mock.patch.object(
-        composite, "activity_occurrence_counts", oracle.activity_occurrence_counts
-    ), mock.patch.object(
-        composite, "directly_follows_counts", oracle.directly_follows_counts
-    ):
-        expected = discover_candidates(log, min_confidence, max_run_length)
+    actual = discover_candidates(CountTable.from_log(log), min_confidence, max_run_length)
+    expected = discover_candidates(oracle.count_table(log), min_confidence, max_run_length)
     assert actual == expected
 
 
@@ -99,30 +89,47 @@ def test_discover_candidates_equal_oracle(seed, min_confidence, max_run_length):
 @settings(max_examples=50, deadline=None)
 @example(0, 0, 3, 0.0)
 def test_merge_chain_equals_oracle(seed, run_seed, chain, min_frequency):
-    log = duplicated_log(seed)
+    original = log = duplicated_log(seed)
     rng = random_module.Random(run_seed)
-    counts = LogCounts.from_log(log)
-    index = TraceIndex(log)
+    table = CountTable.from_log(log)
+    runs: list[tuple[str, ...]] = []
     for _ in range(chain):
         run = random_run(rng, log)
-        delta = merge_counts(counts, index, run)
+        delta = merge_counts(table, run)
         rewritten, _ = merge_run_in_log(log, run)
-        before, after = oracle.log_counts(log), oracle.log_counts(rewritten)
+        before, after = oracle.count_table(log), oracle.count_table(rewritten)
 
-        assert delta.counts == after
+        assert (delta.trace_count, delta.activity, delta.pair) == (
+            after.trace_count, after.activity, after.pair
+        )
         assert delta.activity_changes == oracle.count_changes(before.activity, after.activity)
         assert delta.pair_changes == oracle.count_changes(before.pair, after.pair)
         assert delta.changed_nodes(min_frequency) == oracle.changed_nodes(
             before, after, run, delta.name, min_frequency
         )
-        merged_log = apply_delta_to_log(log, delta)
-        assert_same_traces(rewritten, merged_log)
-        # *counts* is left as it was.
-        assert counts == before
+        # merge_counts leaves the table as it was.
+        assert oracle.counters(table) == oracle.counters(before)
 
-        index.apply(delta)
-        table: Counter[tuple[str, ...]] = Counter()
-        for variant, multiplicity in zip(index.variants, index.multiplicities):
-            table[variant] += multiplicity
-        assert table == merged_log.variant_counts()
-        log, counts = merged_log, delta.counts
+        # Applied, the delta patches all four counters to the recount of
+        # the rewritten log, and discovery reads them alike.
+        table.apply(delta)
+        runs.append(run)
+        assert oracle.counters(table) == oracle.counters(after)
+        for min_confidence in (1.0, 0.5):
+            assert discover_candidates(table, min_confidence, 3) == discover_candidates(
+                after, min_confidence, 3
+            )
+        variants: Counter[tuple[str, ...]] = Counter()
+        for variant, multiplicity in zip(table.variants, table.multiplicities):
+            variants[variant] += multiplicity
+        assert variants == rewritten.variant_counts()
+
+        # The log written once from the table equals the sequential
+        # rewrites: traces, case ids, timestamps, attributes, and the
+        # variant table in first-seen order, colliding variants included.
+        merged = rewrite_log(original, table, runs)
+        assert_same_traces(rewritten, merged)
+        assert list(merged.variant_counts().items()) == list(
+            rewritten.variant_counts().items()
+        )
+        log = rewritten

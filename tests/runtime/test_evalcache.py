@@ -7,10 +7,11 @@ import pytest
 
 from repro.core.composite import CompositeMatcher
 from repro.core.config import EMSConfig
+from repro.core.incremental import CandidateEvaluation
 from repro.exceptions import StoreError
 from repro.logs.log import EventLog
 from repro.obs import MetricsRegistry, Observer
-from repro.runtime.evalcache import candidate_key, discovery_key, search_content_key
+from repro.runtime.evalcache import candidate_key, search_content_key
 from repro.store import MatchStore
 
 
@@ -69,15 +70,6 @@ class TestKeys:
             abort_below=0.3
         )
 
-    def test_discovery_keys_disjoint_from_candidate_keys(self):
-        assert discovery_key("base", (), 0) != discovery_key("base", (), 1)
-        assert discovery_key("base", ((0, ("a", "b")),), 0) != discovery_key(
-            "base", (), 0
-        )
-        assert discovery_key("base", (), 0) != _candidate_key(
-            base="base", history=(), side=0
-        )
-
 
 def _row_count(store):
     return store._execute("SELECT COUNT(*) FROM evaluations").fetchone()[0]
@@ -95,8 +87,11 @@ def _damage_row(store, key, mutilate):
     connection.close()
 
 
-#: A storable value: one side's discovered candidate runs.
-RUNS = [("a", "b"), ("a", "b", "c")]
+#: Storable values: Bd-aborted candidate evaluations.
+EVALUATIONS = [
+    CandidateEvaluation(outcome=None, pairs_fixed=3, pair_updates=17),
+    CandidateEvaluation(outcome=None, pairs_fixed=0, pair_updates=5),
+]
 
 
 class TestDurability:
@@ -105,13 +100,13 @@ class TestDurability:
     def _store(self, tmp_path, observer=None):
         store = MatchStore(tmp_path / "match.db", observer=observer)
         key = _candidate_key()
-        store.put_evaluation(key, RUNS)
+        store.put_evaluation(key, EVALUATIONS[0])
         return store, key
 
     def test_round_trip(self, tmp_path):
         observer = Observer(metrics=MetricsRegistry())
         store, key = self._store(tmp_path, observer)
-        assert store.get_evaluation(key) == RUNS
+        assert store.get_evaluation(key) == EVALUATIONS[0]
         assert store.hits == 1 and store.misses == 0
         assert "eval_cache_hits_total 1" in observer.metrics.to_prometheus_text()
         store.close()
@@ -147,9 +142,9 @@ class TestDurability:
 
     def test_store_leaves_no_tmp_litter(self, tmp_path):
         store, key = self._store(tmp_path)
-        store.put_evaluation(key, RUNS[:1])  # overwrite
+        store.put_evaluation(key, EVALUATIONS[1])  # overwrite
         assert _row_count(store) == 1
-        assert store.get_evaluation(key) == RUNS[:1]
+        assert store.get_evaluation(key) == EVALUATIONS[1]
         store.close()
         assert {p.name for p in tmp_path.iterdir()} <= {
             "match.db", "match.db-wal", "match.db-shm"
@@ -162,22 +157,22 @@ class TestEviction:
         store = MatchStore(tmp_path / "match.db", max_entries=2, observer=observer)
         keys = [_candidate_key(abort_below=float(i)) for i in range(3)]
         for key in keys:
-            store.put_evaluation(key, RUNS)
+            store.put_evaluation(key, EVALUATIONS[0])
         assert store.get_evaluation(keys[0]) is None  # evicted
-        assert store.get_evaluation(keys[1]) == RUNS
-        assert store.get_evaluation(keys[2]) == RUNS
+        assert store.get_evaluation(keys[1]) == EVALUATIONS[0]
+        assert store.get_evaluation(keys[2]) == EVALUATIONS[0]
         assert "eval_cache_evictions_total 1" in observer.metrics.to_prometheus_text()
         store.close()
 
     def test_load_touches_entry_for_lru(self, tmp_path):
         store = MatchStore(tmp_path / "match.db", max_entries=2)
         keys = [_candidate_key(abort_below=float(i)) for i in range(3)]
-        store.put_evaluation(keys[0], RUNS)
-        store.put_evaluation(keys[1], RUNS)
+        store.put_evaluation(keys[0], EVALUATIONS[0])
+        store.put_evaluation(keys[1], EVALUATIONS[0])
         store.get_evaluation(keys[0])  # refresh: now keys[1] is the LRU row
-        store.put_evaluation(keys[2], RUNS)
+        store.put_evaluation(keys[2], EVALUATIONS[0])
         assert store.get_evaluation(keys[1]) is None
-        assert store.get_evaluation(keys[0]) == RUNS
+        assert store.get_evaluation(keys[0]) == EVALUATIONS[0]
         store.close()
 
     def test_max_entries_validation(self, tmp_path):
@@ -213,7 +208,7 @@ class TestEndToEnd:
         misses = store.misses
         assert misses > 0 and store.hits == 0
         warm = run(True)
-        assert store.hits == misses  # every evaluation + discovery reused
+        assert store.hits == misses  # every evaluation reused
         assert store.misses == misses
         uncached = run(False)
         for other in (warm, uncached):

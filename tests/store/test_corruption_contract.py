@@ -226,9 +226,9 @@ SUBJECTS = [
             "store_corrupt_total", "store_misses_total",
             "eval_cache_misses_total",
         ),
-        # An intact row holding ``None``: neither an evaluation nor a
-        # discovery list.
-        damage=_row_damage("evaluations", lambda: None),
+        # An intact row holding a candidate list, as earlier versions
+        # stored one per discovery: not an evaluation.
+        damage=_row_damage("evaluations", lambda: [("a", "b")]),
         gone=lambda store, key: _row_gone(store, "evaluations", key),
         set_aside=_db_set_aside,
         entry_counters=("eval_cache_corrupt_total",),
