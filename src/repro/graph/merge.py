@@ -375,11 +375,8 @@ def merge_runs(
     it is left out).
     """
     table = CountTable.from_log(log)
-    merged_members = {
-        activity: frozenset({activity}) for activity in sorted(table.activity)
-    }
-    if members is not None:
-        merged_members.update((a, members[a]) for a in merged_members if a in members)
+    members = members or {}
+    merged_members = {a: members.get(a, frozenset({a})) for a in sorted(table.activity)}
     runs = [tuple(run) for run in runs]
     for run in runs:
         delta = merge_counts(table, run)
